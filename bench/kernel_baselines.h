@@ -14,7 +14,9 @@
 #include <vector>
 
 #include "cluster/topk.h"
+#include "nn/kernels.h"
 #include "nn/matrix.h"
+#include "util/thread_pool.h"
 
 /// The baselines must keep producing the *seed's* machine code: the repo
 /// shipped with -O2, where GCC declines to vectorize these runtime-trip
@@ -102,6 +104,45 @@ inline size_t FpfRelaxScalar(const nn::Matrix& points, size_t center,
     }
   }
   return arg;
+}
+
+/// Pre-batching crack update: one pool dispatch over every record per new
+/// representative, a cancellation-free one-to-many prefilter with 1e-3
+/// relative slack, and the exact nn::Distance for survivors. Same result
+/// as cluster::UpdateTopKWithNewReps over rows [first_row, first_row +
+/// count); it re-streams the embeddings and top-k once per rep.
+inline void UpdateTopKPerRepScalar(const nn::Matrix& points,
+                                   const nn::Matrix& reps, size_t first_row,
+                                   size_t count, cluster::TopKDistances* topk) {
+  const size_t k = topk->k;
+  for (size_t rep_row = first_row; rep_row < first_row + count; ++rep_row) {
+    ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi,
+                                             size_t /*worker*/) {
+      std::vector<float> d2_buf(hi - lo);
+      nn::SquaredDistanceOneToMany(points, lo, hi, reps, rep_row,
+                                   d2_buf.data());
+      for (size_t i = lo; i < hi; ++i) {
+        float* dist = topk->distances.data() + i * k;
+        uint32_t* ids = topk->rep_ids.data() + i * k;
+        const float thr = dist[k - 1];
+        const float d2 = d2_buf[i - lo];
+        if (thr < std::numeric_limits<float>::max() &&
+            d2 > thr * thr * (1.0f + 1e-3f) + 1e-6f) {
+          continue;
+        }
+        const float d = nn::Distance(points, i, reps, rep_row);
+        if (d >= thr) continue;
+        size_t pos = k - 1;
+        while (pos > 0 && dist[pos - 1] > d) {
+          dist[pos] = dist[pos - 1];
+          ids[pos] = ids[pos - 1];
+          --pos;
+        }
+        dist[pos] = d;
+        ids[pos] = static_cast<uint32_t>(rep_row);
+      }
+    }, 512);
+  }
 }
 
 /// Pre-kernel GemmBT: row-by-row dot products against strided B rows.

@@ -159,19 +159,31 @@ void BM_IvfSearchAll(benchmark::State& state) {
 // Compare against BM_TopK/10000/2000 (the exact path).
 BENCHMARK(BM_IvfSearchAll)->Args({2000, 4})->Args({2000, 8});
 
+// One crack of `batch` new reps onto a top-k over 512 reps; items are
+// (record, new rep) pairs, so items/s compares batch sizes directly.
 void BM_CrackUpdate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
+  const size_t batch = static_cast<size_t>(state.range(1));
   nn::Matrix points = RandomPoints(n, 64, 4);
   nn::Matrix reps = RandomPoints(512, 64, 5);
   cluster::TopKDistances topk = cluster::ComputeTopK(points, reps, 5);
+  const nn::Matrix extra = RandomPoints(batch, 64, 6);
+  std::vector<size_t> extra_rows(batch);
+  for (size_t i = 0; i < batch; ++i) extra_rows[i] = i;
+  reps.AppendRowsFrom(extra, extra_rows);
   for (auto _ : state) {
     cluster::TopKDistances copy = topk;
-    cluster::UpdateTopKWithNewRep(points, reps, 0, 511, &copy);
+    cluster::UpdateTopKWithNewReps(points, reps, 512, batch, &copy, nullptr);
     benchmark::DoNotOptimize(copy.distances.data());
   }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(n * batch));
 }
-BENCHMARK(BM_CrackUpdate)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_CrackUpdate)
+    ->Args({10000, 1})
+    ->Args({10000, 64})
+    ->Args({10000, 512})
+    ->Args({100000, 64});
 
 // One small prebuilt index shared by the propagation benchmarks.
 struct PropagationFixture {

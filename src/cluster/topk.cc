@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "nn/kernels.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -101,52 +102,94 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
   return topk;
 }
 
-void UpdateTopKWithNewRep(const nn::Matrix& points, const nn::Matrix& reps,
-                          size_t rep_row, uint32_t new_rep_id,
-                          TopKDistances* topk,
-                          std::vector<uint32_t>* dirty_rows) {
-  TASTI_CHECK(topk != nullptr, "UpdateTopKWithNewRep requires a topk");
+void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
+                           size_t first_row, size_t count, TopKDistances* topk,
+                           std::vector<uint32_t>* dirty_rows) {
+  TASTI_CHECK(topk != nullptr, "UpdateTopKWithNewReps requires a topk");
   TASTI_CHECK(points.rows() == topk->num_records, "topk record count mismatch");
-  TASTI_CHECK(rep_row < reps.rows(), "rep_row out of range");
+  TASTI_CHECK(points.cols() == reps.cols(), "points/reps dim mismatch");
+  TASTI_CHECK(first_row <= reps.rows() && count <= reps.rows() - first_row,
+              "new rep rows out of range");
+  if (count == 0) return;
   const size_t k = topk->k;
+
+  // Prefilter slack for the dot-trick. With n = |x|^2 + |y|^2 and d-term
+  // sequential float sums (unit roundoff u = eps/2, gamma_d ~ d*u), the
+  // two norms are each off by at most gamma_d * their value and 2 x.y by
+  // at most 2 * gamma_d * sum|x_p y_p| <= gamma_d * n; the final add,
+  // subtract and clamp add a few u * n. The batch value is therefore within
+  // (d + 2) * eps * n of the true squared distance; 16 * d * eps keeps an
+  // 8x margin. Far from the origin that error dwarfs the distance itself,
+  // so a purely relative slack would reject true neighbours. A candidate
+  // rejected here has true d2 > thr^2 (1 + 1e-3), so the exact check would
+  // reject it too: the filter never changes a decision.
+  const float norm_slack = 16.0f * static_cast<float>(points.cols()) *
+                           std::numeric_limits<float>::epsilon();
+  const std::vector<nn::PackedBlock> blocks =
+      nn::PackBlocks(reps, first_row, first_row + count);
+
+  obs::Counter* exact_checks_counter = nullptr;
+  if (obs::MetricsEnabled()) {
+    static obs::Counter* const pairs = obs::MetricsRegistry::Global().counter(
+        "kernels.crack_update.pairs", "pairs");
+    static obs::Counter* const exact_checks =
+        obs::MetricsRegistry::Global().counter(
+            "kernels.crack_update.exact_checks", "pairs");
+    pairs->Increment(static_cast<uint64_t>(points.rows()) * count);
+    exact_checks_counter = exact_checks;
+  }
+
   std::mutex dirty_mu;
   ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi,
                                            size_t /*worker*/) {
-    std::vector<float> d2_buf(hi - lo);
+    std::vector<float> d2_buf(nn::kDistanceBlockRows);
     std::vector<uint32_t> chunk_dirty;
-    nn::SquaredDistanceOneToMany(points, lo, hi, reps, rep_row, d2_buf.data());
+    uint64_t chunk_exact_checks = 0;
     for (size_t i = lo; i < hi; ++i) {
       float* dist = topk->distances.data() + i * k;
       uint32_t* ids = topk->rep_ids.data() + i * k;
-      const float thr = dist[k - 1];
-      // Cheap vectorized filter with slack; candidates that survive are
-      // re-evaluated with the exact scalar formula so stored values (and
-      // near-threshold accept/reject decisions) match the scalar path.
-      const float d2 = d2_buf[i - lo];
-      if (thr < std::numeric_limits<float>::max() &&
-          d2 > thr * thr * (1.0f + 1e-3f) + 1e-6f) {
-        continue;
+      const float point_norm = nn::RowSquaredNorm(points, i);
+      bool changed = false;
+      for (const nn::PackedBlock& block : blocks) {
+        nn::SquaredDistanceBatch(points, i, point_norm, block, d2_buf.data());
+        const float* rep_norms = block.norms();
+        for (size_t j = 0; j < block.rows(); ++j) {
+          // The threshold tightens as earlier new reps are inserted, exactly
+          // as in a one-rep-at-a-time sweep.
+          const float thr = dist[k - 1];
+          if (thr < std::numeric_limits<float>::max() &&
+              d2_buf[j] > thr * thr * (1.0f + 1e-3f) + 1e-6f +
+                              norm_slack * (point_norm + rep_norms[j])) {
+            continue;
+          }
+          ++chunk_exact_checks;
+          const size_t rep_row = block.row_begin() + j;
+          const float d = nn::Distance(points, i, reps, rep_row);
+          if (d >= thr) continue;
+          size_t pos = k - 1;
+          while (pos > 0 && dist[pos - 1] > d) {
+            dist[pos] = dist[pos - 1];
+            ids[pos] = ids[pos - 1];
+            --pos;
+          }
+          dist[pos] = d;
+          ids[pos] = static_cast<uint32_t>(rep_row);
+          changed = true;
+        }
       }
-      const float d = nn::Distance(points, i, reps, rep_row);
-      if (d >= thr) continue;
-      size_t pos = k - 1;
-      while (pos > 0 && dist[pos - 1] > d) {
-        dist[pos] = dist[pos - 1];
-        ids[pos] = ids[pos - 1];
-        --pos;
-      }
-      dist[pos] = d;
-      ids[pos] = new_rep_id;
-      if (dirty_rows != nullptr) {
+      if (changed && dirty_rows != nullptr) {
         chunk_dirty.push_back(static_cast<uint32_t>(i));
       }
     }
-    if (dirty_rows != nullptr && !chunk_dirty.empty()) {
+    if (exact_checks_counter != nullptr) {
+      exact_checks_counter->Increment(chunk_exact_checks);
+    }
+    if (!chunk_dirty.empty()) {
       std::lock_guard<std::mutex> lock(dirty_mu);
       dirty_rows->insert(dirty_rows->end(), chunk_dirty.begin(),
                          chunk_dirty.end());
     }
-  }, 512);
+  }, 256);
 }
 
 }  // namespace tasti::cluster

@@ -31,24 +31,23 @@ struct TopKDistances {
 TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
                           size_t k);
 
-/// Incremental cracking update: representative `new_rep_id` with embedding
-/// row `rep_row` of `reps` has been appended; every record's top-k list is
-/// updated in place (one distance evaluation per record).
+/// Incremental cracking update: representatives at rows [first_row,
+/// first_row + count) of `reps` have been appended (a rep's id is its
+/// row). Every record's top-k list is updated in place in one record-major
+/// pass: the new rows are packed once, each record streams against them
+/// through the blocked dot-trick kernel as a prefilter, and every
+/// candidate that survives is re-decided with the exact nn::Distance, in
+/// ascending rep order. The result is bit-identical to inserting the new
+/// reps one at a time with exact distances.
 ///
 /// When `dirty_rows` is non-null, the ids of records whose top-k list
-/// actually changed are appended to it (unsorted, but duplicate-free for a
+/// actually changed are appended to it (unsorted, duplicate-free for a
 /// single call). This is the ground truth the incremental propagation
 /// engine keys on: a record's proxy score depends only on its own top-k
 /// row, so exactly these rows need recomputing after the crack.
-void UpdateTopKWithNewRep(const nn::Matrix& points, const nn::Matrix& reps,
-                          size_t rep_row, uint32_t new_rep_id,
-                          TopKDistances* topk,
-                          std::vector<uint32_t>* dirty_rows);
-inline void UpdateTopKWithNewRep(const nn::Matrix& points,
-                                 const nn::Matrix& reps, size_t rep_row,
-                                 uint32_t new_rep_id, TopKDistances* topk) {
-  UpdateTopKWithNewRep(points, reps, rep_row, new_rep_id, topk, nullptr);
-}
+void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
+                           size_t first_row, size_t count, TopKDistances* topk,
+                           std::vector<uint32_t>* dirty_rows);
 
 }  // namespace tasti::cluster
 

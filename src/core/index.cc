@@ -175,16 +175,15 @@ void TastiIndex::AddRepresentative(size_t record_id, data::LabelerOutput label) 
   if (is_rep_[record_id]) return;
   is_rep_[record_id] = 1;
 
-  const uint32_t new_rep_id = static_cast<uint32_t>(rep_record_ids_.size());
   rep_record_ids_.push_back(record_id);
   rep_labels_.push_back(std::move(label));
   rep_label_valid_.push_back(1);
   // In-place append with geometric capacity growth: P single adds copy
   // O(P) rows amortized, not P full rep-matrix copies.
   rep_embeddings_.AppendRowsFrom(embeddings_, {record_id});
-  cluster::UpdateTopKWithNewRep(embeddings_, rep_embeddings_,
-                                rep_embeddings_.rows() - 1, new_rep_id, &topk_,
-                                delta_.full ? nullptr : &delta_.dirty_rows);
+  cluster::UpdateTopKWithNewReps(embeddings_, rep_embeddings_,
+                                 rep_embeddings_.rows() - 1, 1, &topk_,
+                                 delta_.full ? nullptr : &delta_.dirty_rows);
 }
 
 size_t TastiIndex::CrackFrom(const labeler::CachingLabeler& cache) {
@@ -204,39 +203,28 @@ size_t TastiIndex::CrackFromLabels(const std::vector<size_t>& records,
   TASTI_CHECK(records.size() == labels.size(),
               "CrackFromLabels: records/labels size mismatch");
   // Collect the new representatives first so the embedding matrix grows
-  // once, not per record.
+  // once, not per record. Marking while collecting keeps a record listed
+  // twice in one batch from becoming two representatives.
   std::vector<size_t> additions;
   std::vector<size_t> addition_pos;
   for (size_t i = 0; i < records.size(); ++i) {
-    if (!is_rep_[records[i]]) {
-      additions.push_back(records[i]);
-      addition_pos.push_back(i);
-    }
+    if (is_rep_[records[i]]) continue;
+    is_rep_[records[i]] = 1;
+    additions.push_back(records[i]);
+    addition_pos.push_back(i);
   }
   if (additions.empty()) return 0;
 
   const size_t old_count = rep_record_ids_.size();
   for (size_t i = 0; i < additions.size(); ++i) {
-    is_rep_[additions[i]] = 1;
     rep_record_ids_.push_back(additions[i]);
     rep_labels_.push_back(labels[addition_pos[i]]);
     rep_label_valid_.push_back(1);
   }
   rep_embeddings_.AppendRowsFrom(embeddings_, additions);
-
-  if (additions.size() * 4 > old_count) {
-    // Large cracking batch: a fresh top-k pass is cheaper than per-rep
-    // relaxation. Row-level change tracking is lost, so the epoch delta
-    // degrades to full.
-    topk_ = cluster::ComputeTopK(embeddings_, rep_embeddings_, topk_.k);
-    delta_.full = true;
-  } else {
-    for (size_t i = 0; i < additions.size(); ++i) {
-      cluster::UpdateTopKWithNewRep(embeddings_, rep_embeddings_, old_count + i,
-                                    static_cast<uint32_t>(old_count + i), &topk_,
-                                    delta_.full ? nullptr : &delta_.dirty_rows);
-    }
-  }
+  cluster::UpdateTopKWithNewReps(embeddings_, rep_embeddings_, old_count,
+                                 additions.size(), &topk_,
+                                 delta_.full ? nullptr : &delta_.dirty_rows);
   return additions.size();
 }
 

@@ -55,8 +55,8 @@ struct IndexView {
 /// beyond base_num_representatives or listed in dirty_reps.
 struct IndexDelta {
   /// True when the delta cannot be expressed row-wise: no baseline was
-  /// ever taken (fresh or deserialized index), or a large cracking batch
-  /// took the full top-k rebuild path. Consumers must recompute all rows.
+  /// ever taken (fresh or deserialized index). Consumers must recompute
+  /// all rows.
   bool full = true;
   /// Representative / record counts at the baseline.
   size_t base_num_representatives = 0;
@@ -199,8 +199,11 @@ class TastiIndex {
   size_t CrackFrom(const labeler::CachingLabeler& cache);
 
   /// Bulk-adds annotated records by parallel (record id, label) vectors,
-  /// skipping records that are already representatives. Returns the number
-  /// of representatives added.
+  /// skipping records that are already representatives (a record listed
+  /// twice is added once, with its first label). All new representatives
+  /// update the min-k lists in one record-major pass, and the changed rows
+  /// are recorded in the pending delta. Returns the number of
+  /// representatives added.
   size_t CrackFromLabels(const std::vector<size_t>& records,
                          const std::vector<data::LabelerOutput>& labels);
 

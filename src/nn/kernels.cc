@@ -74,7 +74,14 @@ void PackedBlock::Pack(const Matrix& reps, size_t row_begin, size_t row_end) {
 }
 
 std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t block_rows) {
+  return PackBlocks(reps, 0, reps.rows(), block_rows);
+}
+
+std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t row_begin,
+                                    size_t row_end, size_t block_rows) {
   TASTI_CHECK(block_rows > 0, "PackBlocks requires a positive block size");
+  TASTI_CHECK(row_begin <= row_end && row_end <= reps.rows(),
+              "PackBlocks row range out of bounds");
   // Coarse counters only at kernel entry points that amortize over many
   // rows; the per-row inner kernels (DotBatch, SquaredDistanceBatch) stay
   // uninstrumented so the disabled path adds nothing measurable.
@@ -86,13 +93,13 @@ std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t block_rows) {
         obs::MetricsRegistry::Global().counter("kernels.pack_blocks.rows",
                                                "rows");
     calls->Increment();
-    rows->Increment(reps.rows());
+    rows->Increment(row_end - row_begin);
   }
   std::vector<PackedBlock> blocks;
-  blocks.reserve((reps.rows() + block_rows - 1) / block_rows);
-  for (size_t lo = 0; lo < reps.rows(); lo += block_rows) {
+  blocks.reserve((row_end - row_begin + block_rows - 1) / block_rows);
+  for (size_t lo = row_begin; lo < row_end; lo += block_rows) {
     blocks.emplace_back();
-    blocks.back().Pack(reps, lo, std::min(reps.rows(), lo + block_rows));
+    blocks.back().Pack(reps, lo, std::min(row_end, lo + block_rows));
   }
   return blocks;
 }

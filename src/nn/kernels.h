@@ -14,10 +14,11 @@
 ///  * Many-representative batches use the dot-trick
 ///    `d2(x, y) = |x|^2 + |y|^2 - 2 x.y` over a register-blocked GEMM with
 ///    cached per-row norms, clamped at zero (the subtraction can go
-///    slightly negative for near-duplicate rows).
-///  * One-center batches (FPF relax, cracking updates, PQ codebook scans)
-///    keep the cancellation-free `(x - y)^2` form but split the depth
-///    reduction across independent accumulator lanes.
+///    slightly negative for near-duplicate rows). Cracking updates use it
+///    as a prefilter only and re-decide survivors exactly.
+///  * One-center batches (k-means++ seeding, centroid routing, PQ codebook
+///    scans) keep the cancellation-free `(x - y)^2` form but split the
+///    depth reduction across independent accumulator lanes.
 ///
 /// All kernels accumulate each output element sequentially over the depth
 /// dimension, so results are deterministic and independent of threading.
@@ -74,6 +75,12 @@ class PackedBlock {
 std::vector<PackedBlock> PackBlocks(const Matrix& reps,
                                     size_t block_rows = kDistanceBlockRows);
 
+/// Range variant: tiles rows [row_begin, row_end) only; each tile's
+/// row_begin() stays an absolute row index of `reps`.
+std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t row_begin,
+                                    size_t row_end,
+                                    size_t block_rows = kDistanceBlockRows);
+
 /// Dot products of row `point_row` of `points` against every row of the
 /// block: out[j] = points[point_row] . block_row_j. The j loop is unit
 /// stride over the packed tile and carries no dependence, so it
@@ -94,8 +101,8 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
 
 /// Cancellation-free one-to-many: out[i - lo] = |m_i - y|^2 for rows
 /// [lo, hi) of `m`; `y` holds m.cols() floats. Used where a single vector
-/// is compared against many rows (FPF relax, cracking updates, centroid
-/// routing, PQ codebook scans) and the dot-trick has no reuse to exploit.
+/// is compared against many rows (k-means++ seeding, centroid routing, PQ
+/// codebook scans) and the dot-trick has no reuse to exploit.
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
                               const float* y, float* out);
 

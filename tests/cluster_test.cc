@@ -6,14 +6,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "cluster/fpf.h"
 #include "cluster/ivf.h"
 #include "cluster/kmeans.h"
 #include "cluster/pq.h"
 #include "cluster/topk.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 namespace tasti::cluster {
@@ -487,22 +491,140 @@ TEST(TopKTest, SelfDistanceIsZeroForRepPoints) {
   EXPECT_EQ(topk.RepId(20, 0), 2u);
 }
 
+/// `reps` with the rows of `extra` appended.
+nn::Matrix Grown(const nn::Matrix& reps, const nn::Matrix& extra) {
+  nn::Matrix grown = reps;
+  std::vector<size_t> rows(extra.rows());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = i;
+  grown.AppendRowsFrom(extra, rows);
+  return grown;
+}
+
+/// Scalar reference for UpdateTopKWithNewReps: one new rep at a time over
+/// every record, exact distances only, no prefilter. Returns the changed
+/// rows, sorted and unique.
+std::vector<uint32_t> PerRepReference(const nn::Matrix& points,
+                                      const nn::Matrix& reps, size_t first_row,
+                                      size_t count, TopKDistances* topk) {
+  const size_t k = topk->k;
+  std::set<uint32_t> dirty;
+  for (size_t rep = first_row; rep < first_row + count; ++rep) {
+    for (size_t i = 0; i < points.rows(); ++i) {
+      float* dist = topk->distances.data() + i * k;
+      uint32_t* ids = topk->rep_ids.data() + i * k;
+      const float d = nn::Distance(points, i, reps, rep);
+      if (d >= dist[k - 1]) continue;
+      size_t pos = k - 1;
+      while (pos > 0 && dist[pos - 1] > d) {
+        dist[pos] = dist[pos - 1];
+        ids[pos] = ids[pos - 1];
+        --pos;
+      }
+      dist[pos] = d;
+      ids[pos] = static_cast<uint32_t>(rep);
+      dirty.insert(static_cast<uint32_t>(i));
+    }
+  }
+  return {dirty.begin(), dirty.end()};
+}
+
+/// Applies rows [first_row, first_row + count) of `reps` to a copy of
+/// `start` with both the batched update and the reference; distances must
+/// match bit for bit, ids exactly, and the dirty rows as a duplicate-free
+/// set.
+void ExpectMatchesPerRepReference(const nn::Matrix& points,
+                                  const nn::Matrix& reps, size_t first_row,
+                                  size_t count, const TopKDistances& start) {
+  TopKDistances want = start;
+  const std::vector<uint32_t> want_dirty =
+      PerRepReference(points, reps, first_row, count, &want);
+  TopKDistances got = start;
+  std::vector<uint32_t> got_dirty;
+  UpdateTopKWithNewReps(points, reps, first_row, count, &got, &got_dirty);
+
+  ASSERT_EQ(got.distances.size(), want.distances.size());
+  for (size_t i = 0; i < got.distances.size(); ++i) {
+    uint32_t got_bits, want_bits;
+    std::memcpy(&got_bits, &got.distances[i], sizeof(float));
+    std::memcpy(&want_bits, &want.distances[i], sizeof(float));
+    ASSERT_EQ(got_bits, want_bits)
+        << "distance differs at record " << i / got.k << " slot " << i % got.k;
+  }
+  EXPECT_EQ(got.rep_ids, want.rep_ids);
+  const std::set<uint32_t> got_set(got_dirty.begin(), got_dirty.end());
+  EXPECT_EQ(got_set.size(), got_dirty.size()) << "duplicate dirty rows";
+  EXPECT_EQ(std::vector<uint32_t>(got_set.begin(), got_set.end()), want_dirty);
+}
+
+TEST(TopKTest, BatchedUpdateMatchesPerRepReferenceOnRandomData) {
+  const nn::Matrix points = RandomPoints(400, 8, 40);
+  const nn::Matrix reps = RandomPoints(30, 8, 41);
+  const nn::Matrix grown = Grown(reps, RandomPoints(20, 8, 42));
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 20,
+                               ComputeTopK(points, reps, 4));
+}
+
+TEST(TopKTest, BatchedUpdateMatchesPerRepReferenceForOneRep) {
+  const nn::Matrix points = RandomPoints(300, 6, 43);
+  const nn::Matrix reps = RandomPoints(25, 6, 44);
+  const nn::Matrix grown = Grown(reps, RandomPoints(1, 6, 45));
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 1,
+                               ComputeTopK(points, reps, 3));
+}
+
+TEST(TopKTest, BatchedUpdateMatchesPerRepReferenceAcrossPartialTiles) {
+  // 65 and 130 new reps: one and two full 64-row tiles plus a short tail.
+  const nn::Matrix points = RandomPoints(300, 16, 46);
+  const nn::Matrix reps = RandomPoints(20, 16, 47);
+  const nn::Matrix grown = Grown(reps, RandomPoints(130, 16, 48));
+  const TopKDistances start = ComputeTopK(points, reps, 5);
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 65, start);
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 130, start);
+}
+
+TEST(TopKTest, BatchedUpdateFillsRowsWithFewerThanKNeighbours) {
+  // Unfilled slots hold FLT_MAX, so the threshold is infinite and every
+  // new rep must reach the exact check.
+  const nn::Matrix points = RandomPoints(200, 8, 49);
+  const nn::Matrix reps = RandomPoints(10, 8, 50);
+  const nn::Matrix grown = Grown(reps, RandomPoints(6, 8, 51));
+  TopKDistances start = ComputeTopK(points, reps, 4);
+  for (size_t i = 0; i < points.rows(); ++i) {
+    for (size_t j = start.k - i % (start.k + 1); j < start.k; ++j) {
+      start.distances[i * start.k + j] = std::numeric_limits<float>::max();
+      start.rep_ids[i * start.k + j] = 0;
+    }
+  }
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 6, start);
+}
+
+TEST(TopKTest, BatchedUpdateSurvivesDotTrickCancellation) {
+  // Points 1e3 from the origin with 1e-2 spread: |x|^2 ~ 1.6e7, so the
+  // dot-trick's rounding error (~eps * |x|^2 ~ 2) dwarfs the true squared
+  // distances (~3e-3). A prefilter slack relative to the threshold alone
+  // would reject true neighbours; the norm-scaled slack must not.
+  const size_t dim = 16;
+  auto clustered = [&](size_t n, uint64_t seed) {
+    nn::Matrix m = RandomPoints(n, dim, seed, 1e-2f);
+    for (size_t i = 0; i < m.size(); ++i) m.data()[i] += 1e3f;
+    return m;
+  };
+  const nn::Matrix points = clustered(300, 52);
+  const nn::Matrix reps = clustered(40, 53);
+  const nn::Matrix grown = Grown(reps, clustered(70, 54));
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 70,
+                               ComputeTopK(points, reps, 5));
+}
+
 TEST(TopKTest, IncrementalUpdateMatchesRecompute) {
   nn::Matrix points = RandomPoints(120, 5, 22);
   nn::Matrix reps = RandomPoints(20, 5, 23);
   const size_t k = 4;
   TopKDistances incremental = ComputeTopK(points, reps, k);
 
-  // Append 5 new reps one at a time with the incremental update.
-  nn::Matrix extra = RandomPoints(5, 5, 24);
-  nn::Matrix grown(reps.rows() + extra.rows(), reps.cols());
-  std::copy(reps.data(), reps.data() + reps.size(), grown.data());
-  std::copy(extra.data(), extra.data() + extra.size(),
-            grown.data() + reps.size());
-  for (size_t r = 0; r < extra.rows(); ++r) {
-    UpdateTopKWithNewRep(points, grown, reps.rows() + r,
-                         static_cast<uint32_t>(reps.rows() + r), &incremental);
-  }
+  // Append 5 new reps in one batched update.
+  const nn::Matrix grown = Grown(reps, RandomPoints(5, 5, 24));
+  UpdateTopKWithNewReps(points, grown, reps.rows(), 5, &incremental, nullptr);
 
   TopKDistances fresh = ComputeTopK(points, grown, k);
   for (size_t i = 0; i < points.rows(); ++i) {
@@ -519,18 +641,15 @@ TEST(TopKTest, DirtyRowsAreExactlyTheChangedRecords) {
   nn::Matrix reps = RandomPoints(12, 4, 32);
   const size_t k = 3;
   TopKDistances topk = ComputeTopK(points, reps, k);
+  const nn::Matrix grown = Grown(reps, RandomPoints(4, 4, 33));
 
-  nn::Matrix extra = RandomPoints(4, 4, 33);
-  nn::Matrix grown(reps.rows() + extra.rows(), reps.cols());
-  std::copy(reps.data(), reps.data() + reps.size(), grown.data());
-  std::copy(extra.data(), extra.data() + extra.size(),
-            grown.data() + reps.size());
-
-  for (size_t r = 0; r < extra.rows(); ++r) {
+  // One rep at a time, then the remaining two in one batch.
+  for (const auto& [first, count] :
+       std::vector<std::pair<size_t, size_t>>{{0, 1}, {1, 1}, {2, 2}}) {
     const TopKDistances before = topk;
     std::vector<uint32_t> dirty;
-    UpdateTopKWithNewRep(points, grown, reps.rows() + r,
-                         static_cast<uint32_t>(reps.rows() + r), &topk, &dirty);
+    UpdateTopKWithNewReps(points, grown, reps.rows() + first, count, &topk,
+                          &dirty);
     std::set<uint32_t> dirty_set(dirty.begin(), dirty.end());
     ASSERT_EQ(dirty_set.size(), dirty.size()) << "duplicate dirty rows";
     for (size_t i = 0; i < points.rows(); ++i) {
@@ -540,7 +659,7 @@ TEST(TopKTest, DirtyRowsAreExactlyTheChangedRecords) {
                   topk.RepId(i, j) != before.RepId(i, j);
       }
       EXPECT_EQ(dirty_set.count(static_cast<uint32_t>(i)) != 0, changed)
-          << "row " << i << " dirty flag wrong after rep " << r;
+          << "row " << i << " dirty flag wrong after reps from " << first;
     }
   }
 }
@@ -552,17 +671,42 @@ TEST(TopKTest, UpdateIgnoresFartherRep) {
   const TopKDistances before = topk;
 
   // A representative far from everything must not displace any entry.
-  nn::Matrix far_rep(reps.rows() + 1, reps.cols());
-  std::copy(reps.data(), reps.data() + reps.size(), far_rep.data());
-  for (size_t c = 0; c < reps.cols(); ++c) {
-    far_rep.At(reps.rows(), c) = 1000.0f;
-  }
-  UpdateTopKWithNewRep(points, far_rep, reps.rows(),
-                       static_cast<uint32_t>(reps.rows()), &topk);
+  nn::Matrix far(1, reps.cols());
+  for (size_t c = 0; c < reps.cols(); ++c) far.At(0, c) = 1000.0f;
+  std::vector<uint32_t> dirty;
+  UpdateTopKWithNewReps(points, Grown(reps, far), reps.rows(), 1, &topk,
+                        &dirty);
+  EXPECT_TRUE(dirty.empty());
   for (size_t i = 0; i < topk.distances.size(); ++i) {
     EXPECT_EQ(topk.distances[i], before.distances[i]);
     EXPECT_EQ(topk.rep_ids[i], before.rep_ids[i]);
   }
+}
+
+TEST(TopKTest, CrackUpdateCountsPairsAndExactChecks) {
+  const bool metrics_were_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::Counter* pairs = obs::MetricsRegistry::Global().counter(
+      "kernels.crack_update.pairs", "pairs");
+  obs::Counter* exact_checks = obs::MetricsRegistry::Global().counter(
+      "kernels.crack_update.exact_checks", "pairs");
+  const uint64_t pairs_before = pairs->value();
+  const uint64_t checks_before = exact_checks->value();
+
+  const nn::Matrix points = RandomPoints(500, 8, 55);
+  const nn::Matrix reps = RandomPoints(40, 8, 56);
+  TopKDistances topk = ComputeTopK(points, reps, 3);
+  std::vector<uint32_t> dirty;
+  UpdateTopKWithNewReps(points, Grown(reps, RandomPoints(10, 8, 57)),
+                        reps.rows(), 10, &topk, &dirty);
+  obs::SetMetricsEnabled(metrics_were_enabled);
+
+  EXPECT_EQ(pairs->value() - pairs_before, 500u * 10u);
+  // Every changed row passed at least one exact check; the prefilter must
+  // also have rejected something on well-spread data.
+  const uint64_t checks = exact_checks->value() - checks_before;
+  EXPECT_GE(checks, dirty.size());
+  EXPECT_LT(checks, 500u * 10u);
 }
 
 }  // namespace

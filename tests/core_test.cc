@@ -5,7 +5,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/index.h"
 #include "core/drift.h"
@@ -15,6 +18,10 @@
 #include "core/scorer.h"
 #include "core/serialize.h"
 #include "data/dataset.h"
+#include "durable/checkpoint.h"
+#include "durable/file.h"
+#include "durable/recovery.h"
+#include "durable/wal.h"
 #include "labeler/faults.h"
 #include "labeler/labeler.h"
 #include "util/stats.h"
@@ -371,6 +378,54 @@ TEST(CrackingTest, CrackFromCacheAddsQueryLabels) {
   const size_t added = index.CrackFrom(cache);
   EXPECT_EQ(added, touched.size());
   EXPECT_EQ(index.num_representatives(), before + touched.size());
+}
+
+TEST(CrackingTest, DuplicateRecordInOneBatchAddsOneRep) {
+  data::Dataset ds = SmallDataset(800);
+  IndexOptions opts = FastIndexOptions();
+  opts.use_triplet_training = false;
+  opts.num_representatives = 60;
+  TastiIndex index = BuildSmallIndex(ds, opts);
+  size_t record = 0;
+  while (index.IsRepresentative(record)) ++record;
+
+  // Log the batch through the WAL exactly as the server does, so replay
+  // exercises the same duplicate.
+  const std::string dir = ::testing::TempDir() + "/core_crack_duplicate";
+  durable::File fs;
+  if (fs.Exists(dir)) {
+    Result<std::vector<std::string>> stale = fs.List(dir);
+    ASSERT_TRUE(stale.ok());
+    for (const std::string& name : *stale) (void)fs.Remove(dir + "/" + name);
+  }
+  durable::DurabilityOptions durability;
+  durability.dir = dir;
+  durability.fs = &fs;
+  Result<std::unique_ptr<durable::DurabilityManager>> manager =
+      durable::DurabilityManager::Open(durability, index, /*epoch=*/1);
+  ASSERT_TRUE(manager.ok()) << manager.status().message();
+
+  const size_t before = index.num_representatives();
+  const std::vector<size_t> records = {record, record};
+  const std::vector<data::LabelerOutput> labels(2, ds.ground_truth[record]);
+  EXPECT_EQ(index.CrackFromLabels(records, labels), 1u);
+  EXPECT_EQ(index.num_representatives(), before + 1);
+  EXPECT_EQ(index.rep_embeddings().rows(), before + 1);
+  EXPECT_EQ(index.topk().RepId(record, 0), static_cast<uint32_t>(before));
+
+  durable::WalRecord crack;
+  crack.type = durable::WalRecordType::kCrack;
+  crack.records = {record, record};
+  crack.labels = labels;
+  ASSERT_TRUE((*manager)->Log(std::move(crack)).ok());
+  ASSERT_TRUE((*manager)->CommitEpoch(index, /*epoch=*/2).ok());
+
+  Result<durable::RecoveredState> recovered = durable::Recover(&fs, dir);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(recovered->stats.cracks_replayed, 1u);
+  EXPECT_EQ(recovered->index.num_representatives(), before + 1);
+  EXPECT_EQ(IndexSerializer::SerializeToString(recovered->index).value(),
+            IndexSerializer::SerializeToString(index).value());
 }
 
 TEST(CrackingTest, CrackingNeverIncreasesNearestDistance) {

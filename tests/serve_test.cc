@@ -782,13 +782,15 @@ TEST(ServerTest, ScoreCacheAccountingAcrossDeterministicWaves) {
   EXPECT_EQ(stats.hits + stats.shared_hits, 2u);
 
   // Drain published epoch 2 from the wave's cracks; wave 2 advances the
-  // warm scorer (delta when the crack stayed row-wise, full otherwise)
-  // exactly once and the rest reuse it.
+  // warm scorer exactly once and the rest reuse it. Every crack now keeps
+  // a row-wise delta (large cracks used to force a full epoch and a second
+  // full compute here), so that one advance is a delta hit.
   ASSERT_GT(server.current_epoch(), 1u);
   wave();
   stats = server.score_cache_stats();
   EXPECT_EQ(stats.lookups, 6u);
-  EXPECT_EQ(stats.full_computes + stats.delta_hits, 2u);
+  EXPECT_EQ(stats.full_computes, 1u);
+  EXPECT_EQ(stats.delta_hits, 1u);
   EXPECT_EQ(stats.hits + stats.shared_hits, 4u);
 
   // The ledger records how each query's proxies were obtained.

@@ -6,10 +6,11 @@
 
 Both files are bench_to_json output: a JSON array of
 {"kernel", "n", "d", "ns_per_op"} rows, where kernels come in
-<name>_scalar / <name>_blocked pairs.
+<name>_scalar / <name>_blocked or <name>_perrep / <name>_batched pairs
+(reference first, shipped second).
 
-Default (relative) mode compares each pair's *speedup* (scalar ns_per_op /
-blocked ns_per_op) against the baseline's, failing when the current
+Default (relative) mode compares each pair's *speedup* (reference
+ns_per_op / shipped ns_per_op) against the baseline's, failing when the current
 speedup falls more than --tolerance below it. Speedup is a ratio of two
 timings on the same machine, so the committed baseline transfers across
 hosts — absolute ns_per_op does not, which is why the CI bench-regression
@@ -46,13 +47,18 @@ def load(path):
     return out
 
 
+# (reference suffix, shipped suffix) of the timed pairs.
+PAIR_SUFFIXES = (("_scalar", "_blocked"), ("_perrep", "_batched"))
+
+
 def speedups(rows):
     pairs = {}
     for kernel, ns in rows.items():
-        if kernel.endswith("_scalar"):
-            blocked = kernel[: -len("_scalar")] + "_blocked"
-            if blocked in rows:
-                pairs[kernel[: -len("_scalar")]] = ns / rows[blocked]
+        for ref_suffix, shipped_suffix in PAIR_SUFFIXES:
+            if kernel.endswith(ref_suffix):
+                name = kernel[: -len(ref_suffix)]
+                if name + shipped_suffix in rows:
+                    pairs[name] = ns / rows[name + shipped_suffix]
     return pairs
 
 
@@ -87,7 +93,7 @@ def main():
         print(f"{name:<12} speedup {cur_x:6.2f}x vs baseline {base_x:6.2f}x "
               f"(floor {floor:.2f}x) {status}")
         if cur_x < floor:
-            errors.append(f"{name}: blocked-vs-scalar speedup {cur_x:.2f}x "
+            errors.append(f"{name}: speedup over the reference {cur_x:.2f}x "
                           f"fell below {floor:.2f}x "
                           f"(baseline {base_x:.2f}x - {args.tolerance:.0%})")
 

@@ -1,12 +1,14 @@
 // Emits BENCH_kernels.json: {kernel, n, d, ns_per_op} rows for the
-// scalar-vs-blocked distance-kernel pairs, so the perf trajectory can be
-// tracked across PRs without parsing google-benchmark output.
+// scalar-vs-blocked distance-kernel pairs (and the perrep-vs-batched crack
+// update pair), so the perf trajectory can be tracked across PRs without
+// parsing google-benchmark output.
 //
 //   bench_to_json [output.json]     (default: BENCH_kernels.json)
 //
 // ns_per_op is nanoseconds per full kernel invocation over the stated
 // shape (one top-k pass over n x reps, one FPF relax over n points, one
-// m x n GemmBT), median of repeated timed runs.
+// m x n GemmBT, one 128-rep crack update over n records), median of
+// repeated timed runs.
 
 #include <algorithm>
 #include <cmath>
@@ -144,6 +146,33 @@ int main(int argc, char** argv) {
     rows.push_back({"gemmbt_blocked", m, kDim, MedianNsPerOp([&] {
                       nn::GemmBTBlocked(a, b, &c);
                       asm volatile("" ::"r"(c.data()));
+                    })});
+  }
+
+  // --- crack update: 128 new reps onto an n-record top-k over 512 reps ---
+  // Per-rep (one pool dispatch and one pass over the records per new rep)
+  // against the record-major batched pass. Each call starts from the same
+  // pre-crack top-k; the copy is in both timings.
+  {
+    const size_t n = 10000, old_reps = 512, new_reps = 128;
+    const nn::Matrix points = RandomPoints(n, kDim, 6);
+    nn::Matrix reps = RandomPoints(old_reps, kDim, 7);
+    const cluster::TopKDistances base = cluster::ComputeTopK(points, reps, 5);
+    const nn::Matrix extra = RandomPoints(new_reps, kDim, 8);
+    std::vector<size_t> extra_rows(new_reps);
+    for (size_t i = 0; i < new_reps; ++i) extra_rows[i] = i;
+    reps.AppendRowsFrom(extra, extra_rows);
+    rows.push_back({"crack_update_perrep", n, kDim, MedianNsPerOp([&] {
+                      cluster::TopKDistances topk = base;
+                      bench::UpdateTopKPerRepScalar(points, reps, old_reps,
+                                                    new_reps, &topk);
+                      asm volatile("" ::"r"(topk.distances.data()));
+                    })});
+    rows.push_back({"crack_update_batched", n, kDim, MedianNsPerOp([&] {
+                      cluster::TopKDistances topk = base;
+                      cluster::UpdateTopKWithNewReps(points, reps, old_reps,
+                                                     new_reps, &topk, nullptr);
+                      asm volatile("" ::"r"(topk.distances.data()));
                     })});
   }
 
