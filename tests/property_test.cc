@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <ostream>
 #include <tuple>
 
 #include "cluster/fpf.h"
@@ -113,6 +114,10 @@ struct BoundDistribution {
   double mean;
   double range;
 };
+
+// Without this gtest prints the raw bytes of the parameter, pointers included,
+// so the discovered test names would change from one build to the next.
+void PrintTo(const BoundDistribution& dist, std::ostream* os) { *os << dist.name; }
 
 double DrawBernoulli(Rng* rng) { return rng->Bernoulli(0.2) ? 1.0 : 0.0; }
 double DrawUniform(Rng* rng) { return rng->Uniform(); }
