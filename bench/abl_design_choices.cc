@@ -36,7 +36,6 @@ int main() {
   core::CountScorer count(data::ObjectClass::kCar);
   const std::vector<double> truth = core::ExactScores(bench.dataset(), count);
   const core::TastiIndex& index = bench.TastiT();
-  const auto rep_scores = core::RepresentativeScores(index, count);
 
   // --- Propagation: neighbors x weight power ---
   {
@@ -46,7 +45,8 @@ int main() {
         core::PropagationOptions opts;
         opts.k = k;
         opts.weight_power = power;
-        const auto proxy = core::PropagateNumeric(index, rep_scores, opts);
+        const auto proxy = core::ComputeProxyScores(
+            index, count, core::PropagationMode::kNumeric, opts);
         const double rho = PearsonCorrelation(proxy, truth);
         table.AddRow({FmtCount(static_cast<long long>(k)), Fmt(power, 0),
                       Fmt(rho * rho, 4)});
@@ -58,15 +58,18 @@ int main() {
   // --- Limit ranking: best-of-k vs nearest-only ---
   {
     core::AtLeastCountScorer busy(data::ObjectClass::kCar, 6);
-    const auto busy_reps = core::RepresentativeScores(index, busy);
     TablePrinter table({"limit ranking", "labeler calls (10 matches)"});
     for (bool best_of_k : {true, false}) {
-      const auto ranking = core::PropagateLimit(index, busy_reps, best_of_k);
+      core::PropagationState ranking;
+      ranking.mode = core::PropagationMode::kLimit;
+      ranking.use_best_of_k = best_of_k;
+      ranking.rep_scores = core::RepresentativeScores(index, busy);
+      core::PropagateFull(index.View(), &ranking);
       auto oracle = bench.MakeOracle();
       queries::LimitOptions opts;
       opts.want = 10;
       const size_t calls =
-          queries::LimitQuery(ranking, oracle.get(), busy, opts)
+          queries::LimitQuery(ranking.scores, oracle.get(), busy, opts)
               .labeler_invocations;
       table.AddRow({best_of_k ? "best-of-k (default)" : "nearest-only (paper)",
                     FmtCount(static_cast<long long>(calls))});

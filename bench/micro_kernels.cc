@@ -215,25 +215,17 @@ struct PropagationFixture {
 
 void BM_PropagateNumeric(benchmark::State& state) {
   auto& fixture = PropagationFixture::Get();
+  core::PropagationState propagation;
+  propagation.rep_scores = fixture.rep_scores;
   for (auto _ : state) {
-    auto scores = core::PropagateNumeric(fixture.index, fixture.rep_scores);
-    benchmark::DoNotOptimize(scores.data());
+    core::PropagateFull(fixture.index.View(), &propagation);
+    benchmark::DoNotOptimize(propagation.scores.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fixture.index.num_records()));
 }
 BENCHMARK(BM_PropagateNumeric);
-
-void BM_PropagateCategorical(benchmark::State& state) {
-  auto& fixture = PropagationFixture::Get();
-  for (auto _ : state) {
-    auto scores = core::PropagateCategorical(fixture.index, fixture.rep_scores);
-    benchmark::DoNotOptimize(scores.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fixture.index.num_records()));
-}
-BENCHMARK(BM_PropagateCategorical);
 
 void BM_MlpInference(benchmark::State& state) {
   const size_t batch = static_cast<size_t>(state.range(0));

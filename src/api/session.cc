@@ -1,7 +1,6 @@
 #include "api/session.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -13,10 +12,17 @@ namespace tasti::api {
 
 namespace {
 
-std::string FmtDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
+// Trace span per query kind, indexed by serve::QueryKind.
+constexpr const char* kQuerySpans[] = {
+    "query.aggregate",        "query.aggregate_where", "query.select_recall",
+    "query.select_precision", "query.select",          "query.limit",
+};
+
+serve::QuerySpec Spec(serve::QueryKind kind, const core::Scorer& scorer) {
+  serve::QuerySpec spec;
+  spec.kind = kind;
+  spec.scorer = &scorer;
+  return spec;
 }
 
 }  // namespace
@@ -105,9 +111,9 @@ size_t TastiSession::RepairFailedReps() {
 
 void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
                                size_t invocations_before,
-                               std::string query_type, std::string params,
+                               const serve::QuerySpec& spec,
                                double algorithm_seconds, double oracle_seconds,
-                               size_t failed_oracle_calls) {
+                               serve::QueryResponse* response) {
   // Repairs run inside the query's accounting window so the attribution
   // invariant (index + sum of queries == oracle invocations) still holds.
   const size_t repaired = RepairFailedReps();
@@ -135,10 +141,13 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
       proxy_cache_.clear();
     }
   }
+  response->attributed_invocations = query_invocations;
+  response->cracked_representatives = cracked;
+  const size_t failed_oracle_calls = serve::FailedOracleCalls(*response);
 
   obs::QueryRecord record;
-  record.query_type = std::move(query_type);
-  record.params = std::move(params);
+  record.query_type = serve::QueryKindName(spec.kind);
+  record.params = serve::QueryParams(spec);
   record.phases.rep_score_seconds = last_proxy_timings_.rep_score_seconds;
   record.phases.propagation_seconds = last_proxy_timings_.propagation_seconds;
   record.phases.algorithm_seconds = algorithm_seconds;
@@ -173,189 +182,71 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
   }
 }
 
-queries::AggregationResult TastiSession::Aggregate(const core::Scorer& statistic,
-                                                   double error_target) {
-  TASTI_SPAN("query.aggregate");
+serve::QueryResponse TastiSession::Execute(const serve::QuerySpec& spec) {
+  TASTI_SPAN(kQuerySpans[static_cast<size_t>(spec.kind)]);
   last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(statistic);
+  const std::vector<double>& proxy =
+      ProxyScores(*spec.scorer, spec.kind == serve::QueryKind::kLimit
+                                    ? core::PropagationMode::kLimit
+                                    : core::PropagationMode::kNumeric);
   const size_t before = oracle_->invocations();
   labeler::CachingFallibleLabeler cache(oracle_);
-  queries::AggregationOptions opts;
-  opts.error_target = error_target;
-  opts.confidence = options_.confidence;
-  opts.seed = NextSeed();
   WallTimer algo_timer;
   obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::AggregationResult> r =
-      queries::TryEstimateMean(proxy, &timed, statistic, opts);
+  serve::QueryResponse response = serve::ExecuteQuery(
+      spec, proxy, &timed, NextSeed(), options_.confidence);
   algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::AggregationResult result =
-      r.ok() ? std::move(r).value() : queries::AggregationResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "aggregate",
-              "scorer=" + statistic.Name() +
-                  " error_target=" + FmtDouble(error_target),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  last_query_status_ = response.status;
+  FinishQuery(cache, before, spec, algo_timer.Seconds(), timed.seconds(),
+              &response);
+  return response;
+}
+
+queries::AggregationResult TastiSession::Aggregate(const core::Scorer& statistic,
+                                                   double error_target) {
+  serve::QuerySpec spec = Spec(serve::QueryKind::kAggregate, statistic);
+  spec.error_target = error_target;
+  return Execute(spec).aggregate;
 }
 
 queries::PredicateAggregationResult TastiSession::AggregateWhere(
     const core::Scorer& predicate, const core::Scorer& statistic,
     double error_target) {
-  TASTI_SPAN("query.aggregate_where");
-  last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(predicate);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::PredicateAggregationOptions opts;
-  opts.error_target = error_target;
-  opts.confidence = options_.confidence;
-  opts.seed = NextSeed();
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::PredicateAggregationResult> r =
-      queries::TryEstimateMeanWithPredicate(proxy, &timed, predicate,
-                                            statistic, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::PredicateAggregationResult result =
-      r.ok() ? std::move(r).value() : queries::PredicateAggregationResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "aggregate_where",
-              "predicate=" + predicate.Name() + " statistic=" +
-                  statistic.Name() + " error_target=" + FmtDouble(error_target),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  serve::QuerySpec spec = Spec(serve::QueryKind::kAggregateWhere, predicate);
+  spec.statistic = &statistic;
+  spec.error_target = error_target;
+  return Execute(spec).aggregate_where;
 }
 
 queries::SupgResult TastiSession::SelectWithRecall(const core::Scorer& predicate,
                                                    double recall_target,
                                                    size_t budget) {
-  TASTI_SPAN("query.select_recall");
-  last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(predicate);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::SupgOptions opts;
-  opts.recall_target = recall_target;
-  opts.confidence = options_.confidence;
-  opts.budget = budget;
-  opts.seed = NextSeed();
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::SupgResult> r =
-      queries::TrySupgRecallSelect(proxy, &timed, predicate, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::SupgResult result = r.ok() ? std::move(r).value()
-                                      : queries::SupgResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "supg_recall",
-              "predicate=" + predicate.Name() +
-                  " recall_target=" + FmtDouble(recall_target) +
-                  " budget=" + std::to_string(budget),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  serve::QuerySpec spec = Spec(serve::QueryKind::kSupgRecall, predicate);
+  spec.target = recall_target;
+  spec.budget = budget;
+  return Execute(spec).supg;
 }
 
 queries::SupgResult TastiSession::SelectWithPrecision(
     const core::Scorer& predicate, double precision_target, size_t budget) {
-  TASTI_SPAN("query.select_precision");
-  last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(predicate);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::SupgPrecisionOptions opts;
-  opts.precision_target = precision_target;
-  opts.confidence = options_.confidence;
-  opts.budget = budget;
-  opts.seed = NextSeed();
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::SupgResult> r =
-      queries::TrySupgPrecisionSelect(proxy, &timed, predicate, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::SupgResult result = r.ok() ? std::move(r).value()
-                                      : queries::SupgResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "supg_precision",
-              "predicate=" + predicate.Name() +
-                  " precision_target=" + FmtDouble(precision_target) +
-                  " budget=" + std::to_string(budget),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  serve::QuerySpec spec = Spec(serve::QueryKind::kSupgPrecision, predicate);
+  spec.target = precision_target;
+  spec.budget = budget;
+  return Execute(spec).supg;
 }
 
 queries::ThresholdSelectResult TastiSession::Select(const core::Scorer& predicate,
                                                     size_t validation_budget) {
-  TASTI_SPAN("query.select");
-  last_proxy_timings_ = {};
-  const std::vector<double> proxy = ProxyScores(predicate);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::ThresholdSelectOptions opts;
-  opts.validation_budget = validation_budget;
-  opts.seed = NextSeed();
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::ThresholdSelectResult> r =
-      queries::TryThresholdSelect(proxy, &timed, predicate, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::ThresholdSelectResult result =
-      r.ok() ? std::move(r).value() : queries::ThresholdSelectResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  FinishQuery(cache, before, "threshold_select",
-              "predicate=" + predicate.Name() + " validation_budget=" +
-                  std::to_string(validation_budget),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  serve::QuerySpec spec = Spec(serve::QueryKind::kThresholdSelect, predicate);
+  spec.validation_budget = validation_budget;
+  return Execute(spec).select;
 }
 
 queries::LimitResult TastiSession::Limit(const core::Scorer& predicate,
                                          size_t want) {
-  TASTI_SPAN("query.limit");
-  last_proxy_timings_ = {};
-  const std::vector<double> ranking =
-      ProxyScores(predicate, core::PropagationMode::kLimit);
-  const size_t before = oracle_->invocations();
-  labeler::CachingFallibleLabeler cache(oracle_);
-  queries::LimitOptions opts;
-  opts.want = want;
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
-  Result<queries::LimitResult> r =
-      queries::TryLimitQuery(ranking, &timed, predicate, opts);
-  algo_timer.Pause();
-  last_query_status_ = r.status();
-  queries::LimitResult result = r.ok() ? std::move(r).value()
-                                       : queries::LimitResult{};
-  if (!last_query_status_.ok()) {
-    result.failed_oracle_calls = oracle_->invocations() - before;
-  }
-  ++queries_executed_;
-  FinishQuery(cache, before, "limit",
-              "predicate=" + predicate.Name() + " want=" + std::to_string(want),
-              algo_timer.Seconds(), timed.seconds(),
-              result.failed_oracle_calls);
-  return result;
+  serve::QuerySpec spec = Spec(serve::QueryKind::kLimit, predicate);
+  spec.want = want;
+  return Execute(spec).limit;
 }
 
 double TastiSession::EstimateDirect(const core::Scorer& statistic) {

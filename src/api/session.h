@@ -33,11 +33,7 @@
 #include "labeler/labeler.h"
 #include "labeler/resilient.h"
 #include "obs/query_log.h"
-#include "queries/aggregation.h"
-#include "queries/limit.h"
-#include "queries/noguarantee.h"
-#include "queries/predicate_aggregation.h"
-#include "queries/supg.h"
+#include "serve/query.h"
 
 namespace tasti::api {
 
@@ -82,6 +78,14 @@ class TastiSession {
                SessionOptions options);
 
   // --- Queries (each consumes target-labeler invocations) ---
+
+  /// Runs one query of any kind: proxy scores from the session's cache,
+  /// the shared executor (serve::ExecuteQuery) over a per-query label
+  /// cache, then failed-rep repair, cracking and the QueryLog record. The
+  /// typed methods below wrap it. The response's status is also
+  /// last_query_status(); spec.deadline_ms, client_id and priority are
+  /// serving-layer fields the session ignores.
+  serve::QueryResponse Execute(const serve::QuerySpec& spec);
 
   /// Mean of `statistic` over all records, within `error_target` with the
   /// session confidence (BlazeIt-style EBS with the index's proxy).
@@ -172,13 +176,14 @@ class TastiSession {
   // cost is attributed to this query), accounts the oracle calls the query
   // consumed, cracks the index with the query's labels, invalidates cached
   // proxies if anything changed, and appends the query's record to the
-  // log. `algorithm_seconds` is pure algorithm time (the TimedOracle
-  // pauses the timer inside oracle calls); `oracle_seconds` is the wall
-  // time inside those calls.
+  // log; `response` receives the query's oracle invocations and new
+  // representatives. `algorithm_seconds` is pure algorithm time (the
+  // TimedOracle pauses the timer inside oracle calls); `oracle_seconds` is
+  // the wall time inside those calls.
   void FinishQuery(const labeler::CachingFallibleLabeler& cache,
-                   size_t invocations_before, std::string query_type,
-                   std::string params, double algorithm_seconds,
-                   double oracle_seconds, size_t failed_oracle_calls);
+                   size_t invocations_before, const serve::QuerySpec& spec,
+                   double algorithm_seconds, double oracle_seconds,
+                   serve::QueryResponse* response);
 
   const data::Dataset* dataset_;
   labeler::FallibleLabeler* oracle_ = nullptr;
@@ -194,7 +199,7 @@ class TastiSession {
   Status last_query_status_ = Status::OK();
   obs::QueryLog query_log_;
   // Proxy phase times of the current query; zero when ProxyScores hits
-  // its cache. Reset by each query method before calling ProxyScores.
+  // its cache. Reset by Execute before calling ProxyScores.
   core::ProxyTimings last_proxy_timings_;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -54,7 +53,7 @@ inline double InverseDistanceWeight(double base, double power) {
 // ---- Per-row propagation kernels ----
 //
 // Both the full pass and PropagateIncremental evaluate records through
-// these helpers, in the same neighbor order, so a row recomputed
+// these two helpers, in the same neighbor order, so a row recomputed
 // incrementally is bit-identical to the same row in a fresh full pass.
 
 // Inverse-distance-weighted mean of one record's k stored neighbors.
@@ -71,40 +70,13 @@ inline double NumericRow(const float* dist, const uint32_t* ids, size_t k,
     weight_sum += w;
     score_sum += w * rep_scores[ids[j]];
   }
-  if (weight_out != nullptr) *weight_out = weight_sum;
-  if (score_out != nullptr) *score_out = score_sum;
+  *weight_out = weight_sum;
+  *score_out = score_sum;
   return weight_sum > 0.0 ? score_sum / weight_sum : 0.0;
 }
 
-// Distance-weighted majority vote of one record's k stored neighbors.
-// `votes` is caller-provided scratch (cleared here). The winning value is
-// chosen by weight, ties by smallest value — an order-independent rule, so
-// the result does not depend on the scratch map's bucket history.
-inline double CategoricalRow(const float* dist, const uint32_t* ids, size_t k,
-                             const uint8_t* valid, const double* rep_scores,
-                             const PropagationOptions& options,
-                             std::unordered_map<double, double>* votes) {
-  votes->clear();
-  for (size_t j = 0; j < k; ++j) {
-    if (valid != nullptr && valid[ids[j]] == 0) continue;
-    const double w =
-        InverseDistanceWeight(dist[j] + options.epsilon, options.weight_power);
-    (*votes)[rep_scores[ids[j]]] += w;
-  }
-  double best_score = 0.0;
-  double best_weight = -1.0;
-  for (const auto& [value, weight] : *votes) {
-    if (weight > best_weight ||
-        (weight == best_weight && value < best_score)) {
-      best_weight = weight;
-      best_score = value;
-    }
-  }
-  return best_score;
-}
-
 // Best-scoring stored neighbor (ties by distance) plus a sub-unit
-// proximity bonus; see PropagateLimit for the ranking rationale.
+// proximity bonus; see PropagationMode::kLimit for the ranking rationale.
 inline double LimitRow(const float* dist, const uint32_t* ids, size_t k,
                        const uint8_t* valid, const double* rep_scores,
                        bool use_best_of_k) {
@@ -127,11 +99,10 @@ inline double LimitRow(const float* dist, const uint32_t* ids, size_t k,
 }
 
 // Recomputes one record row into the state arrays. `k` is the effective
-// neighbor count for numeric/categorical; limit mode always reads the full
-// stored row (matching PropagateLimit).
+// neighbor count for numeric mode; limit mode always reads the full
+// stored row.
 inline void RecomputeRow(const IndexView& view, size_t i, size_t k,
-                         const uint8_t* valid, PropagationState* state,
-                         std::unordered_map<double, double>* votes) {
+                         const uint8_t* valid, PropagationState* state) {
   const auto& topk = *view.topk;
   const size_t stored_k = view.k;
   const float* dist = topk.distances.data() + i * stored_k;
@@ -143,10 +114,6 @@ inline void RecomputeRow(const IndexView& view, size_t i, size_t k,
           NumericRow(dist, ids, k, valid, rep_scores, state->options,
                      &state->weight_sum[i], &state->score_sum[i]);
       break;
-    case PropagationMode::kCategorical:
-      state->scores[i] = CategoricalRow(dist, ids, k, valid, rep_scores,
-                                        state->options, votes);
-      break;
     case PropagationMode::kLimit:
       state->scores[i] =
           LimitRow(dist, ids, stored_k, valid, rep_scores,
@@ -155,74 +122,6 @@ inline void RecomputeRow(const IndexView& view, size_t i, size_t k,
   }
 }
 }  // namespace
-
-std::vector<double> PropagateNumeric(const IndexView& view,
-                                     const std::vector<double>& rep_scores,
-                                     const PropagationOptions& options) {
-  TASTI_CHECK(rep_scores.size() == view.num_representatives,
-              "rep_scores must align with representatives");
-  const size_t n = view.num_records;
-  const size_t k = EffectiveK(view, options);
-  const auto& topk = *view.topk;
-  std::vector<double> out(n, 0.0);
-  const size_t stored_k = view.k;
-  const uint8_t* valid = ValidityMask(view);
-  ParallelFor(0, n, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      // One pointer pair per record instead of a multiply per element read.
-      const float* dist = topk.distances.data() + i * stored_k;
-      const uint32_t* ids = topk.rep_ids.data() + i * stored_k;
-      out[i] = NumericRow(dist, ids, k, valid, rep_scores.data(), options,
-                          nullptr, nullptr);
-    }
-  }, 2048);
-  return out;
-}
-
-std::vector<double> PropagateCategorical(const IndexView& view,
-                                         const std::vector<double>& rep_scores,
-                                         const PropagationOptions& options) {
-  TASTI_CHECK(rep_scores.size() == view.num_representatives,
-              "rep_scores must align with representatives");
-  const size_t n = view.num_records;
-  const size_t k = EffectiveK(view, options);
-  const auto& topk = *view.topk;
-  std::vector<double> out(n, 0.0);
-  const uint8_t* valid = ValidityMask(view);
-  ParallelFor(0, n, [&](size_t lo, size_t hi) {
-    // Votes keyed by exact score value; categorical scorers emit a small
-    // discrete set, so a flat map is cheap.
-    std::unordered_map<double, double> votes;
-    const size_t stored_k = view.k;
-    for (size_t i = lo; i < hi; ++i) {
-      const float* dist = topk.distances.data() + i * stored_k;
-      const uint32_t* ids = topk.rep_ids.data() + i * stored_k;
-      out[i] = CategoricalRow(dist, ids, k, valid, rep_scores.data(), options,
-                              &votes);
-    }
-  }, 2048);
-  return out;
-}
-
-std::vector<double> PropagateLimit(const IndexView& view,
-                                   const std::vector<double>& rep_scores,
-                                   bool use_best_of_k) {
-  TASTI_CHECK(rep_scores.size() == view.num_representatives,
-              "rep_scores must align with representatives");
-  const size_t n = view.num_records;
-  const auto& topk = *view.topk;
-  std::vector<double> out(n, 0.0);
-  const uint8_t* valid = ValidityMask(view);
-  ParallelFor(0, n, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const float* drow = topk.distances.data() + i * topk.k;
-      const uint32_t* idrow = topk.rep_ids.data() + i * topk.k;
-      out[i] = LimitRow(drow, idrow, topk.k, valid, rep_scores.data(),
-                        use_best_of_k);
-    }
-  }, 2048);
-  return out;
-}
 
 void PropagateFull(const IndexView& view, PropagationState* state) {
   TASTI_CHECK(state != nullptr, "PropagateFull requires a state");
@@ -240,10 +139,7 @@ void PropagateFull(const IndexView& view, PropagationState* state) {
   const size_t k = EffectiveK(view, state->options);
   const uint8_t* valid = ValidityMask(view);
   ParallelFor(0, n, [&](size_t lo, size_t hi) {
-    std::unordered_map<double, double> votes;
-    for (size_t i = lo; i < hi; ++i) {
-      RecomputeRow(view, i, k, valid, state, &votes);
-    }
+    for (size_t i = lo; i < hi; ++i) RecomputeRow(view, i, k, valid, state);
   }, 2048);
 }
 
@@ -302,18 +198,14 @@ size_t PropagateIncremental(const IndexView& view,
   // every appended record; clean rows keep their parent-epoch values,
   // which a full pass would reproduce bit-for-bit.
   ParallelFor(0, dirty_rows.size(), [&](size_t lo, size_t hi) {
-    std::unordered_map<double, double> votes;
     for (size_t d = lo; d < hi; ++d) {
       const size_t i = dirty_rows[d];
       TASTI_CHECK(i < n, "dirty row out of range");
-      RecomputeRow(view, i, k, valid, state, &votes);
+      RecomputeRow(view, i, k, valid, state);
     }
   }, 1024);
   ParallelFor(old_n, n, [&](size_t lo, size_t hi) {
-    std::unordered_map<double, double> votes;
-    for (size_t i = lo; i < hi; ++i) {
-      RecomputeRow(view, i, k, valid, state, &votes);
-    }
+    for (size_t i = lo; i < hi; ++i) RecomputeRow(view, i, k, valid, state);
   }, 1024);
   return dirty_rows.size() + (n - old_n);
 }

@@ -4,14 +4,15 @@
 /// \file propagation.h
 /// Score propagation (paper Section 4.3): exact scores on cluster
 /// representatives are propagated to unannotated records via the stored
-/// min-k distances — inverse-distance-weighted mean for numeric scores,
-/// distance-weighted majority vote for categorical scores, and the
-/// k=1-with-distance-tie-breaking variant used for limit queries
-/// (Section 6.3).
+/// min-k distances — an inverse-distance-weighted mean for every scorer,
+/// and a best-of-k rank with distance tie-breaking for limit queries
+/// (Section 6.3). One full pass (PropagateFull) and one incremental pass
+/// (PropagateIncremental) share the per-row kernels; core::ComputeProxyScores
+/// wraps the full pass.
 ///
 /// Every function takes a core::IndexView, so propagation runs identically
 /// against the mutable TastiIndex and against immutable serving snapshots
-/// (serve::IndexSnapshot); the TastiIndex overloads are thin delegators.
+/// (serve::IndexSnapshot).
 ///
 /// Incremental propagation: a record's propagated score depends only on
 /// its own top-k row and the exact scores of the representatives in it.
@@ -34,11 +35,19 @@ namespace tasti::core {
 enum class PropagationMode {
   /// Inverse-distance-weighted mean over the k nearest representatives.
   /// This is the paper's default for numeric scores and its smoothed
-  /// probability estimate for 0/1 predicates (Sections 4.1, 4.3).
+  /// probability estimate for 0/1 predicates (Sections 4.1, 4.3). It
+  /// serves categorical scorers too: on the fig05 selection panels it beat
+  /// a distance-weighted majority vote on false-positive rate everywhere
+  /// (EXPERIMENTS.md).
   kNumeric,
-  /// Distance-weighted majority vote (hard categorical outputs).
-  kCategorical,
-  /// k = 1 with distance tie-breaking (limit-query ranking, Section 6.3).
+  /// Limit-query ranking (Section 6.3): records inherit the best score
+  /// among their stored min-k representatives (rare events often sit at
+  /// cluster boundaries next to a positive representative), plus a
+  /// strictly-less-than-unit bonus 0.999 / (1 + d) decreasing in distance
+  /// to that representative, so sorting descending ranks by score first
+  /// and proximity second. Scores must be integer-spaced for the
+  /// tie-break to be order-preserving. Records with no valid neighbor
+  /// rank at -1.
   kLimit,
 };
 
@@ -65,59 +74,22 @@ inline std::vector<double> RepresentativeScores(const TastiIndex& index,
   return RepresentativeScores(index.View(), scorer);
 }
 
-/// Inverse-distance-weighted mean propagation for numeric scores.
-/// `rep_scores` must align with view.rep_labels.
-std::vector<double> PropagateNumeric(const IndexView& view,
-                                     const std::vector<double>& rep_scores,
-                                     const PropagationOptions& options = {});
-inline std::vector<double> PropagateNumeric(
-    const TastiIndex& index, const std::vector<double>& rep_scores,
-    const PropagationOptions& options = {}) {
-  return PropagateNumeric(index.View(), rep_scores, options);
-}
-
-/// Distance-weighted majority vote for categorical scores: each record
-/// gets the score value with the largest total weight among its k nearest
-/// representatives.
-std::vector<double> PropagateCategorical(const IndexView& view,
-                                         const std::vector<double>& rep_scores,
-                                         const PropagationOptions& options = {});
-inline std::vector<double> PropagateCategorical(
-    const TastiIndex& index, const std::vector<double>& rep_scores,
-    const PropagationOptions& options = {}) {
-  return PropagateCategorical(index.View(), rep_scores, options);
-}
-
-/// Limit-query propagation: records inherit the best score among their
-/// stored min-k representatives (rare events often sit at cluster
-/// boundaries next to a positive representative), plus a strictly-less-
-/// than-unit bonus decreasing in distance to that representative, so
-/// sorting descending ranks by score first and proximity second. Scores
-/// must be integer-spaced for the tie-break to be order-preserving.
-/// `use_best_of_k = false` restricts to the single nearest representative
-/// (the paper's literal "k = 1 with ties broken by distance").
-std::vector<double> PropagateLimit(const IndexView& view,
-                                   const std::vector<double>& rep_scores,
-                                   bool use_best_of_k = true);
-inline std::vector<double> PropagateLimit(const TastiIndex& index,
-                                          const std::vector<double>& rep_scores,
-                                          bool use_best_of_k = true) {
-  return PropagateLimit(index.View(), rep_scores, use_best_of_k);
-}
-
 /// Resumable propagation output: everything a later epoch needs to update
 /// proxy scores incrementally instead of recomputing all N records.
 struct PropagationState {
   PropagationMode mode = PropagationMode::kNumeric;
   PropagationOptions options;
-  bool use_best_of_k = true;  ///< kLimit only (see PropagateLimit)
+  /// kLimit only: false restricts the rank to the single nearest
+  /// representative (the paper's literal "k = 1 with ties broken by
+  /// distance").
+  bool use_best_of_k = true;
 
   /// Exact scorer outputs per representative, 0.0 placeholders for failed
   /// (invalid) representatives — same convention as RepresentativeScores.
   std::vector<double> rep_scores;
   /// Propagated proxy score per record; what queries consume.
   std::vector<double> scores;
-  /// Numeric-mode per-record partials (empty for other modes): the
+  /// Numeric-mode per-record partials (empty for kLimit): the
   /// inverse-distance weight total and weighted score total whose quotient
   /// is scores[i]. Kept alongside the quotient so a dirty-row recompute is
   /// self-contained and auditable (equivalence tests check them too).
@@ -133,9 +105,9 @@ struct PropagationState {
   }
 };
 
-/// Full propagation pass filling `state->scores` from `state->rep_scores`
-/// per `state->mode`. Bit-identical to the matching plain Propagate* call;
-/// mode, options, use_best_of_k, and rep_scores must be set beforehand.
+/// Full propagation pass filling `state->scores` (and the numeric
+/// partials) from `state->rep_scores` per `state->mode`. Mode, options,
+/// use_best_of_k, and rep_scores must be set beforehand.
 void PropagateFull(const IndexView& view, PropagationState* state);
 
 /// Incrementally updates `state->rep_scores` (computed against a parent

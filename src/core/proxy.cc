@@ -1,5 +1,7 @@
 #include "core/proxy.h"
 
+#include <utility>
+
 #include "obs/trace.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -11,34 +13,9 @@ std::vector<double> ComputeProxyScores(const IndexView& view,
                                        PropagationMode mode,
                                        const PropagationOptions& options,
                                        ProxyTimings* timings) {
-  WallTimer timer;
-  std::vector<double> rep_scores;
-  {
-    TASTI_SPAN("query.proxy.rep_scores");
-    rep_scores = RepresentativeScores(view, scorer);
-  }
-  if (timings != nullptr) {
-    timings->rep_score_seconds = timer.Seconds();
-    timer.Restart();
-  }
-
-  TASTI_SPAN("query.proxy.propagate");
-  std::vector<double> propagated;
-  switch (mode) {
-    case PropagationMode::kNumeric:
-      propagated = PropagateNumeric(view, rep_scores, options);
-      break;
-    case PropagationMode::kCategorical:
-      propagated = PropagateCategorical(view, rep_scores, options);
-      break;
-    case PropagationMode::kLimit:
-      propagated = PropagateLimit(view, rep_scores);
-      break;
-    default:
-      TASTI_CHECK(false, "unknown propagation mode");
-  }
-  if (timings != nullptr) timings->propagation_seconds = timer.Seconds();
-  return propagated;
+  PropagationState state;
+  ComputeProxyState(view, scorer, mode, options, &state, timings);
+  return std::move(state.scores);
 }
 
 std::vector<double> ComputeProxyScores(const TastiIndex& index,
@@ -56,7 +33,7 @@ void ComputeProxyState(const IndexView& view, const Scorer& scorer,
   WallTimer timer;
   state->mode = mode;
   state->options = options;
-  state->use_best_of_k = true;  // ComputeProxyScores' PropagateLimit default
+  state->use_best_of_k = true;
   {
     TASTI_SPAN("query.proxy.rep_scores");
     state->rep_scores = RepresentativeScores(view, scorer);

@@ -24,10 +24,11 @@ struct ProxyTimings {
   double propagation_seconds = 0.0;  ///< propagation to all records
 };
 
-/// Generates proxy scores for every record. When `timings` is non-null it
-/// receives the wall time of the two phases. The IndexView overload is the
-/// implementation; it lets query serving compute proxies from immutable
-/// snapshots without touching the live index.
+/// Generates proxy scores for every record: ComputeProxyState's scores,
+/// without the resumable state. When `timings` is non-null it receives the
+/// wall time of the two phases. The IndexView overload lets query serving
+/// compute proxies from immutable snapshots without touching the live
+/// index.
 std::vector<double> ComputeProxyScores(const IndexView& view,
                                        const Scorer& scorer,
                                        PropagationMode mode = PropagationMode::kNumeric,
@@ -40,9 +41,9 @@ std::vector<double> ComputeProxyScores(const TastiIndex& index,
                                        ProxyTimings* timings = nullptr);
 
 /// Full proxy computation into a resumable PropagationState: evaluates the
-/// scorer on the representatives and runs the full propagation pass.
-/// state->scores is bit-identical to ComputeProxyScores with the same
-/// arguments; the state can then seed UpdateProxyState on a later epoch.
+/// scorer on the representatives and runs the full propagation pass
+/// (best-of-k limit ranking). The state can then seed UpdateProxyState on
+/// a later epoch.
 void ComputeProxyState(const IndexView& view, const Scorer& scorer,
                        PropagationMode mode, const PropagationOptions& options,
                        PropagationState* state, ProxyTimings* timings = nullptr);

@@ -30,8 +30,10 @@ class Scorer {
   /// Maps one labeler output to a numeric score.
   virtual double Score(const data::LabelerOutput& output) const = 0;
 
-  /// Categorical scorers propagate by distance-weighted majority vote;
-  /// numeric scorers by inverse-distance-weighted mean (Section 4.3).
+  /// Descriptive only: true when the scorer emits a small discrete set of
+  /// values (0/1 predicates, class ids). Propagation never reads it; every
+  /// scorer propagates by inverse-distance-weighted mean (Section 4.3),
+  /// which beat a majority vote on categorical scorers (EXPERIMENTS.md).
   virtual bool categorical() const { return false; }
 
   virtual std::string Name() const = 0;

@@ -58,18 +58,6 @@ double SteadyNowMs() {
 
 }  // namespace
 
-const char* QueryKindName(QueryKind kind) {
-  switch (kind) {
-    case QueryKind::kAggregate: return "aggregate";
-    case QueryKind::kAggregateWhere: return "aggregate_where";
-    case QueryKind::kSupgRecall: return "supg_recall";
-    case QueryKind::kSupgPrecision: return "supg_precision";
-    case QueryKind::kThresholdSelect: return "threshold_select";
-    case QueryKind::kLimit: return "limit";
-  }
-  return "unknown";
-}
-
 TastiServer::TastiServer(const data::Dataset* dataset,
                          labeler::FallibleLabeler* oracle,
                          ServerOptions options)
@@ -561,15 +549,9 @@ void TastiServer::WorkerLoop() {
 QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   TASTI_SPAN("serve.query");
   const QuerySpec& spec = pending.spec;
-  QueryResponse response;
-  response.query_id = pending.query_id;
-  response.kind = spec.kind;
-  response.queue_wait_ms = pending.queued.Seconds() * 1000.0;
   WallTimer exec_timer;
 
   std::shared_ptr<const IndexSnapshot> snapshot = epochs_.Acquire();
-  response.epoch = snapshot->epoch;
-
   const core::PropagationMode mode = spec.kind == QueryKind::kLimit
                                          ? core::PropagationMode::kLimit
                                          : core::PropagationMode::kNumeric;
@@ -578,9 +560,6 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   std::shared_ptr<const core::PropagationState> proxy =
       score_cache_.GetOrCompute(*snapshot, *spec.scorer, mode, {},
                                 &proxy_timings, &proxy_outcome);
-  response.proxy_source = proxy_outcome.source;
-  response.proxy_delta_rows = proxy_outcome.delta_rows;
-  const std::vector<double>& proxy_scores = proxy->scores;
 
   // Per-query deadline token. Registered under mu_ so Abandon() can
   // cancel it while the query executes.
@@ -589,7 +568,6 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
     deadline = options_.degrade.virtual_ms_per_call > 0
                    ? Deadline::VirtualBudget(spec.deadline_ms)
                    : Deadline::WallAfter(spec.deadline_ms);
-    response.deadline_budget_ms = spec.deadline_ms;
     std::lock_guard<std::mutex> lock(mu_);
     if (abandoned_.count(pending.query_id) != 0) deadline.Cancel();
     running_deadlines_.emplace(pending.query_id, deadline);
@@ -605,155 +583,35 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   // calls never reach the scheduler, so they cost nothing and are never
   // attributed.
   DeadlineOracle gated(&timed, deadline, options_.degrade.virtual_ms_per_call);
-  const uint64_t seed = api::DeriveQuerySeed(options_.seed, pending.query_id);
 
-  const bool brownout = options_.degrade.brownout && brownout_.active();
-  if (brownout) {
+  QueryResponse response;
+  if (options_.degrade.brownout && brownout_.active()) {
     // Brownout: answer from proxy scores with ZERO oracle calls. The
     // guarantee downgrade is explicit in the response; nothing here can
     // fail or block on the oracle.
-    response.degraded = true;
-    response.guarantee = GuaranteeLevel::kProxyOnly;
     brownout_.CountProxyOnlyQuery();
-    switch (spec.kind) {
-      case QueryKind::kAggregate:
-        response.aggregate = queries::ProxyOnlyAggregate(proxy_scores);
-        break;
-      case QueryKind::kAggregateWhere: {
-        core::ProxyTimings stat_timings;
-        ScoreCache::Outcome stat_outcome;
-        std::shared_ptr<const core::PropagationState> stat_proxy =
-            score_cache_.GetOrCompute(*snapshot, *spec.statistic,
-                                      core::PropagationMode::kNumeric, {},
-                                      &stat_timings, &stat_outcome);
-        response.aggregate_where = queries::ProxyOnlyPredicateAggregate(
-            proxy_scores, stat_proxy->scores);
-        break;
-      }
-      case QueryKind::kSupgRecall:
-        response.supg =
-            queries::ProxyOnlyRecallSelect(proxy_scores, spec.target);
-        break;
-      case QueryKind::kSupgPrecision:
-        response.supg =
-            queries::ProxyOnlyPrecisionSelect(proxy_scores, spec.target);
-        break;
-      case QueryKind::kThresholdSelect:
-        response.select = queries::ProxyOnlyThresholdSelect(proxy_scores);
-        break;
-      case QueryKind::kLimit:
-        response.limit = queries::ProxyOnlyLimit(proxy_scores, spec.want);
-        break;
+    std::shared_ptr<const core::PropagationState> statistic = proxy;
+    if (spec.kind == QueryKind::kAggregateWhere) {
+      core::ProxyTimings stat_timings;
+      ScoreCache::Outcome stat_outcome;
+      statistic = score_cache_.GetOrCompute(
+          *snapshot, *spec.statistic, core::PropagationMode::kNumeric, {},
+          &stat_timings, &stat_outcome);
     }
-    algo_timer.Pause();
+    response = AnswerFromProxy(spec, proxy->scores, statistic->scores);
   } else {
-  switch (spec.kind) {
-    case QueryKind::kAggregate: {
-      queries::AggregationOptions opts;
-      opts.error_target = spec.error_target;
-      opts.confidence = options_.confidence;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::AggregationResult> r =
-          queries::TryEstimateMean(proxy_scores, &gated, *spec.scorer, opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.aggregate = std::move(r).value();
-        response.deadline_hit = response.aggregate.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kAggregateWhere: {
-      queries::PredicateAggregationOptions opts;
-      opts.error_target = spec.error_target;
-      opts.confidence = options_.confidence;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::PredicateAggregationResult> r =
-          queries::TryEstimateMeanWithPredicate(proxy_scores, &gated,
-                                                *spec.scorer, *spec.statistic,
-                                                opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.aggregate_where = std::move(r).value();
-        response.deadline_hit = response.aggregate_where.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kSupgRecall: {
-      queries::SupgOptions opts;
-      opts.recall_target = spec.target;
-      opts.confidence = options_.confidence;
-      opts.budget = spec.budget;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::SupgResult> r =
-          queries::TrySupgRecallSelect(proxy_scores, &gated, *spec.scorer,
-                                       opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.supg = std::move(r).value();
-        response.deadline_hit = response.supg.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kSupgPrecision: {
-      queries::SupgPrecisionOptions opts;
-      opts.precision_target = spec.target;
-      opts.confidence = options_.confidence;
-      opts.budget = spec.budget;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::SupgResult> r =
-          queries::TrySupgPrecisionSelect(proxy_scores, &gated, *spec.scorer,
-                                          opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.supg = std::move(r).value();
-        response.deadline_hit = response.supg.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kThresholdSelect: {
-      queries::ThresholdSelectOptions opts;
-      opts.validation_budget = spec.validation_budget;
-      opts.seed = seed;
-      opts.deadline = deadline;
-      Result<queries::ThresholdSelectResult> r =
-          queries::TryThresholdSelect(proxy_scores, &gated, *spec.scorer,
-                                      opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.select = std::move(r).value();
-        response.deadline_hit = response.select.deadline_hit;
-      }
-      break;
-    }
-    case QueryKind::kLimit: {
-      queries::LimitOptions opts;
-      opts.want = spec.want;
-      opts.deadline = deadline;
-      Result<queries::LimitResult> r =
-          queries::TryLimitQuery(proxy_scores, &gated, *spec.scorer, opts);
-      response.status = r.status();
-      if (r.ok()) {
-        response.limit = std::move(r).value();
-        response.deadline_hit = response.limit.deadline_hit;
-      }
-      break;
-    }
-  }
+    response = ExecuteQuery(
+        spec, proxy->scores, &gated,
+        api::DeriveQuerySeed(options_.seed, pending.query_id),
+        options_.confidence, deadline);
   }
   algo_timer.Pause();
-  if (!response.status.ok() &&
-      response.status.code() == StatusCode::kDeadlineExceeded) {
-    // Expired before any sample: no payload, but the cause is recorded.
-    response.deadline_hit = true;
-  }
-  if (response.deadline_hit && !brownout) {
-    response.degraded = true;
-    response.guarantee = GuaranteeLevel::kReduced;
-  }
+  response.query_id = pending.query_id;
+  response.epoch = snapshot->epoch;
+  response.queue_wait_ms = pending.queued.Seconds() * 1000.0;
+  response.proxy_source = proxy_outcome.source;
+  response.proxy_delta_rows = proxy_outcome.delta_rows;
+  response.deadline_budget_ms = spec.deadline_ms;
   if (!deadline.unbounded()) {
     response.deadline_spent_ms = deadline.spent_ms();
   }

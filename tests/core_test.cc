@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -202,12 +203,67 @@ TEST(ScorerTest, CategoricalFlags) {
 
 // ---------- Propagation ----------
 
+// Serial reference written straight from the propagation formulas, over
+// the stored neighbours in stored order: the IDW mean sum(w*s) / sum(w)
+// with w = 1 / (d + eps)^p over the first k, and the best-of-k limit rank
+// s + 0.999 / (1 + d) over all of them (best score, ties to the nearer).
+std::vector<double> ReferenceProxy(const TastiIndex& index,
+                                   const std::vector<double>& rep_scores,
+                                   PropagationMode mode,
+                                   const PropagationOptions& opts) {
+  const auto& topk = index.topk();
+  const size_t k = mode == PropagationMode::kLimit || opts.k == 0
+                       ? index.k()
+                       : std::min(opts.k, index.k());
+  std::vector<double> out(index.num_records());
+  for (size_t i = 0; i < out.size(); ++i) {
+    double weights = 0.0, weighted = 0.0, best = 0.0;
+    float best_d = 0.0f;
+    for (size_t j = 0; j < k; ++j) {
+      const double s = rep_scores[topk.RepId(i, j)];
+      const float d = topk.Dist(i, j);
+      const double base = d + opts.epsilon;  // summed in float, as stored
+      const double w = 1.0 / std::pow(base, opts.weight_power);
+      weights += w;
+      weighted += w * s;
+      if (j == 0 || s > best || (s == best && d < best_d)) {
+        best = s;
+        best_d = d;
+      }
+    }
+    out[i] = mode == PropagationMode::kLimit ? best + 0.999 / (1.0 + best_d)
+                                             : weighted / weights;
+  }
+  return out;
+}
+
+TEST(PropagationTest, MatchesSerialReference) {
+  data::Dataset ds = SmallDataset();
+  TastiIndex index = BuildSmallIndex(ds);
+  CountScorer scorer(data::ObjectClass::kCar);
+  const std::vector<double> rep_scores = RepresentativeScores(index, scorer);
+  for (size_t k : {size_t{1}, size_t{3}, size_t{0}}) {
+    for (float power : {1.0f, 2.0f, 3.0f}) {
+      PropagationOptions opts;
+      opts.k = k;
+      opts.weight_power = power;
+      EXPECT_EQ(ComputeProxyScores(index, scorer, PropagationMode::kNumeric,
+                                   opts),
+                ReferenceProxy(index, rep_scores, PropagationMode::kNumeric,
+                               opts))
+          << "k=" << k << " power=" << power;
+    }
+  }
+  EXPECT_EQ(ComputeProxyScores(index, scorer, PropagationMode::kLimit),
+            ReferenceProxy(index, rep_scores, PropagationMode::kLimit, {}));
+}
+
 TEST(PropagationTest, RepresentativesGetExactScores) {
   data::Dataset ds = SmallDataset();
   TastiIndex index = BuildSmallIndex(ds);
   CountScorer scorer(data::ObjectClass::kCar);
   const std::vector<double> rep_scores = RepresentativeScores(index, scorer);
-  const std::vector<double> propagated = PropagateNumeric(index, rep_scores);
+  const std::vector<double> propagated = ComputeProxyScores(index, scorer);
   for (size_t i = 0; i < index.num_representatives(); ++i) {
     const size_t record = index.rep_record_ids()[i];
     // A representative's own weight is ~1/epsilon, dominating the average.
@@ -222,19 +278,9 @@ TEST(PropagationTest, NumericScoresWithinRepScoreRange) {
   const std::vector<double> rep_scores = RepresentativeScores(index, scorer);
   const double lo = *std::min_element(rep_scores.begin(), rep_scores.end());
   const double hi = *std::max_element(rep_scores.begin(), rep_scores.end());
-  for (double score : PropagateNumeric(index, rep_scores)) {
+  for (double score : ComputeProxyScores(index, scorer)) {
     EXPECT_GE(score, lo - 1e-9);
     EXPECT_LE(score, hi + 1e-9);
-  }
-}
-
-TEST(PropagationTest, CategoricalReturnsExistingValues) {
-  data::Dataset ds = SmallDataset();
-  TastiIndex index = BuildSmallIndex(ds);
-  PresenceScorer scorer(data::ObjectClass::kCar);
-  const std::vector<double> rep_scores = RepresentativeScores(index, scorer);
-  for (double score : PropagateCategorical(index, rep_scores)) {
-    EXPECT_TRUE(score == 0.0 || score == 1.0);
   }
 }
 
@@ -245,7 +291,8 @@ TEST(PropagationTest, KOneEqualsNearestRep) {
   const std::vector<double> rep_scores = RepresentativeScores(index, scorer);
   PropagationOptions opts;
   opts.k = 1;
-  const std::vector<double> propagated = PropagateNumeric(index, rep_scores, opts);
+  const std::vector<double> propagated =
+      ComputeProxyScores(index, scorer, PropagationMode::kNumeric, opts);
   for (size_t i = 0; i < index.num_records(); ++i) {
     EXPECT_NEAR(propagated[i], rep_scores[index.topk().RepId(i, 0)], 1e-9);
   }
@@ -256,7 +303,8 @@ TEST(PropagationTest, LimitScoresPreserveScoreOrdering) {
   TastiIndex index = BuildSmallIndex(ds);
   CountScorer scorer(data::ObjectClass::kCar);
   const std::vector<double> rep_scores = RepresentativeScores(index, scorer);
-  const std::vector<double> limit_scores = PropagateLimit(index, rep_scores);
+  const std::vector<double> limit_scores =
+      ComputeProxyScores(index, scorer, PropagationMode::kLimit);
   for (size_t i = 0; i < index.num_records(); ++i) {
     // The primary key is the best score among the stored k neighbors; the
     // tie-break bonus never crosses an integer score boundary.
@@ -274,7 +322,8 @@ TEST(PropagationTest, LimitRanksRecordsNearPositiveRepsFirst) {
   TastiIndex index = BuildSmallIndex(ds);
   AtLeastCountScorer predicate(data::ObjectClass::kCar, 2);
   const std::vector<double> rep_scores = RepresentativeScores(index, predicate);
-  const std::vector<double> limit_scores = PropagateLimit(index, rep_scores);
+  const std::vector<double> limit_scores =
+      ComputeProxyScores(index, predicate, PropagationMode::kLimit);
   // Any record with a positive-scoring representative among its stored
   // neighbors must outrank every record with none.
   double min_with = 2.0, max_without = -1.0;

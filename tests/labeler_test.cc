@@ -3,10 +3,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/index.h"
 #include "data/dataset.h"
 #include "labeler/cost_model.h"
-#include "labeler/crowd.h"
 #include "labeler/labeler.h"
 #include "obs/query_log.h"
 
@@ -132,107 +130,6 @@ TEST(CachingLabelerTest, ClearCacheForcesRelabel) {
   EXPECT_EQ(oracle.invocations(), 2u);
 }
 
-// ---------- Crowd labeler ----------
-
-TEST(CrowdLabelerTest, ChargesOneInvocationPerWorker) {
-  data::Dataset ds = SmallVideoDataset();
-  CrowdOptions opts;
-  opts.num_workers = 5;
-  CrowdLabeler crowd(&ds, opts);
-  crowd.Label(0);
-  crowd.Label(1);
-  EXPECT_EQ(crowd.invocations(), 10u);
-}
-
-TEST(CrowdLabelerTest, WorkerLabelsAreDeterministicAndDiverse) {
-  data::Dataset ds = SmallVideoDataset();
-  CrowdLabeler crowd(&ds, CrowdOptions{});
-  // Deterministic per (record, worker).
-  const auto a1 = crowd.WorkerLabel(5, 0);
-  const auto a2 = crowd.WorkerLabel(5, 0);
-  EXPECT_EQ(data::CountBoxes(a1), data::CountBoxes(a2));
-  // Workers disagree somewhere across the dataset.
-  bool any_disagreement = false;
-  for (size_t i = 0; i < ds.size() && !any_disagreement; ++i) {
-    any_disagreement = data::CountBoxes(crowd.WorkerLabel(i, 0)) !=
-                       data::CountBoxes(crowd.WorkerLabel(i, 1));
-  }
-  EXPECT_TRUE(any_disagreement);
-}
-
-TEST(CrowdLabelerTest, ConsensusBeatsSingleWorkerOnVideo) {
-  data::Dataset ds = SmallVideoDataset();
-  CrowdOptions noisy;
-  noisy.num_workers = 5;
-  noisy.box_miss_probability = 0.25;
-  CrowdLabeler crowd(&ds, noisy);
-  double consensus_err = 0.0, single_err = 0.0;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    const int truth = data::CountBoxes(ds.ground_truth[i]);
-    consensus_err += std::abs(data::CountBoxes(crowd.Label(i)) - truth);
-    single_err += std::abs(data::CountBoxes(crowd.WorkerLabel(i, 0)) - truth);
-  }
-  EXPECT_LE(consensus_err, single_err);
-}
-
-TEST(CrowdLabelerTest, TextConsensusMajorityVote) {
-  data::DatasetOptions opts;
-  opts.num_records = 400;
-  data::Dataset ds = data::MakeWikiSql(opts);
-  CrowdOptions crowd_opts;
-  crowd_opts.num_workers = 5;
-  crowd_opts.text_error_probability = 0.2;
-  CrowdLabeler crowd(&ds, crowd_opts);
-  size_t consensus_correct = 0, single_correct = 0;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    const auto& truth = std::get<data::TextLabel>(ds.ground_truth[i]);
-    const auto merged = std::get<data::TextLabel>(crowd.Label(i));
-    const auto single = std::get<data::TextLabel>(crowd.WorkerLabel(i, 0));
-    if (merged.op == truth.op) ++consensus_correct;
-    if (single.op == truth.op) ++single_correct;
-  }
-  EXPECT_GE(consensus_correct, single_correct);
-  // 5-way majority vote over 20%-noisy workers is near-perfect.
-  EXPECT_GT(static_cast<double>(consensus_correct) / ds.size(), 0.95);
-}
-
-TEST(CrowdLabelerTest, SpeechConsensusReducesAgeNoise) {
-  data::DatasetOptions opts;
-  opts.num_records = 400;
-  data::Dataset ds = data::MakeCommonVoice(opts);
-  CrowdOptions crowd_opts;
-  crowd_opts.num_workers = 5;
-  CrowdLabeler crowd(&ds, crowd_opts);
-  double consensus_err = 0.0, single_err = 0.0;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    const auto& truth = std::get<data::SpeechLabel>(ds.ground_truth[i]);
-    const auto merged = std::get<data::SpeechLabel>(crowd.Label(i));
-    const auto single = std::get<data::SpeechLabel>(crowd.WorkerLabel(i, 0));
-    consensus_err += std::abs(merged.age_years - truth.age_years);
-    single_err += std::abs(single.age_years - truth.age_years);
-  }
-  EXPECT_LT(consensus_err, single_err);
-}
-
-TEST(CrowdLabelerTest, WorksAsIndexTargetLabeler) {
-  // A TASTI index can be built directly against the crowd consensus.
-  data::DatasetOptions opts;
-  opts.num_records = 800;
-  data::Dataset ds = data::MakeWikiSql(opts);
-  CrowdLabeler crowd(&ds, CrowdOptions{});
-  tasti::core::IndexOptions index_opts;
-  index_opts.num_training_records = 100;
-  index_opts.num_representatives = 100;
-  index_opts.embedding_dim = 16;
-  index_opts.epochs = 6;
-  tasti::core::TastiIndex index =
-      tasti::core::TastiIndex::Build(ds, &crowd, index_opts);
-  EXPECT_EQ(index.num_representatives(), 100u);
-  // Each of the <= 200 annotated records costs num_workers invocations.
-  EXPECT_LE(crowd.invocations(), 200u * 3u);
-  EXPECT_GE(crowd.invocations(), 100u * 3u);
-}
-
 // ---------- Wrapper invocation contract ----------
 //
 // TargetLabeler::invocations() is documented as "including those of
@@ -295,22 +192,6 @@ TEST(WrapperContractTest, TimedOverCachingChargesLikeCaching) {
   EXPECT_EQ(oracle.invocations(), 1u);
   EXPECT_EQ(timed.invocations(), 1u);
   ASSERT_EQ(cache.labeled_indices().size(), 1u);
-}
-
-TEST(WrapperContractTest, CrowdWrappedInCacheChargesWorkersOnce) {
-  // A CrowdLabeler charges num_workers invocations per distinct record;
-  // caching on top must preserve that (not collapse it to one, not
-  // double-charge repeats).
-  data::Dataset ds = SmallVideoDataset();
-  CrowdOptions opts;
-  opts.num_workers = 5;
-  CrowdLabeler crowd(&ds, opts);
-  CachingLabeler cache(&crowd);
-  cache.Label(0);
-  cache.Label(0);
-  cache.Label(1);
-  EXPECT_EQ(crowd.invocations(), 10u);
-  EXPECT_EQ(cache.invocations(), 10u);
 }
 
 // ---------- Cost model ----------

@@ -85,8 +85,7 @@ TEST(PropagationStateTest, FullStateMatchesComputeProxyScores) {
     TastiIndex index = BuildSmallIndex(ds);
     CountScorer cars(data::ObjectClass::kCar);
     for (PropagationMode mode :
-         {PropagationMode::kNumeric, PropagationMode::kCategorical,
-          PropagationMode::kLimit}) {
+         {PropagationMode::kNumeric, PropagationMode::kLimit}) {
       PropagationState state;
       ComputeProxyState(index.View(), cars, mode, {}, &state);
       ExpectBitIdentical(state.scores, ComputeProxyScores(index, cars, mode));
@@ -137,8 +136,7 @@ TEST(PropagationStateTest, IncrementalMatchesFullForAllModes) {
   data::Dataset ds = SmallDataset(2000);
   CountScorer cars(data::ObjectClass::kCar);
   for (PropagationMode mode :
-       {PropagationMode::kNumeric, PropagationMode::kCategorical,
-        PropagationMode::kLimit}) {
+       {PropagationMode::kNumeric, PropagationMode::kLimit}) {
     TastiIndex index = BuildSmallIndex(ds);
     index.TakeDelta();
     PropagationState state;

@@ -250,13 +250,10 @@ TEST_P(PropagationSweepTest, ScoresStayWithinRepRange) {
 
   core::PropagationOptions prop;
   prop.k = GetParam();
-  for (double s : core::PropagateNumeric(index, rep_scores, prop)) {
+  for (double s : core::ComputeProxyScores(
+           index, scorer, core::PropagationMode::kNumeric, prop)) {
     EXPECT_GE(s, lo - 1e-9);
     EXPECT_LE(s, hi + 1e-9);
-  }
-  for (double s : core::PropagateCategorical(index, rep_scores, prop)) {
-    EXPECT_TRUE(std::find(rep_scores.begin(), rep_scores.end(), s) !=
-                rep_scores.end());
   }
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <cmath>
 
 #include "core/scorer.h"
@@ -14,10 +13,7 @@
 #include "queries/aggregation.h"
 #include "queries/limit.h"
 #include "queries/noguarantee.h"
-#include "core/propagation.h"
-#include "queries/groupby.h"
 #include "queries/predicate_aggregation.h"
-#include "queries/stratified.h"
 #include "queries/supg.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -478,130 +474,6 @@ TEST(LimitTest, BudgetCapStopsScan) {
   EXPECT_FALSE(result.satisfied);
   EXPECT_EQ(result.labeler_invocations, 50u);
   EXPECT_TRUE(result.found.empty());
-}
-
-// ---------- Stratified aggregation ----------
-
-TEST(StratifiedTest, EstimateIsAccurate) {
-  data::Dataset ds = VideoDataset();
-  core::CountScorer scorer(data::ObjectClass::kCar);
-  const std::vector<double> truth = Truth(ds, scorer);
-  labeler::SimulatedLabeler oracle(&ds);
-  StratifiedOptions opts;
-  opts.total_budget = 1500;
-  opts.seed = 90;
-  StratifiedResult result =
-      StratifiedEstimateMean(NoisyProxy(truth, 0.2, 91), &oracle, scorer, opts);
-  EXPECT_NEAR(result.estimate, Mean(truth), 4 * result.standard_error + 0.02);
-  EXPECT_LE(result.labeler_invocations, opts.total_budget);
-  EXPECT_EQ(result.labeler_invocations, oracle.invocations());
-}
-
-TEST(StratifiedTest, GoodProxyShrinksStandardError) {
-  data::Dataset ds = VideoDataset();
-  core::CountScorer scorer(data::ObjectClass::kCar);
-  const std::vector<double> truth = Truth(ds, scorer);
-  StratifiedOptions opts;
-  opts.total_budget = 1200;
-  opts.seed = 92;
-  labeler::SimulatedLabeler oracle_good(&ds);
-  StratifiedResult good = StratifiedEstimateMean(NoisyProxy(truth, 0.05, 93),
-                                                 &oracle_good, scorer, opts);
-  labeler::SimulatedLabeler oracle_bad(&ds);
-  StratifiedResult bad = StratifiedEstimateMean(
-      std::vector<double>(ds.size(), 0.5), &oracle_bad, scorer, opts);
-  EXPECT_LT(good.standard_error, bad.standard_error);
-}
-
-TEST(StratifiedTest, UnbiasedAcrossTrials) {
-  data::Dataset ds = VideoDataset(4000);
-  core::CountScorer scorer(data::ObjectClass::kCar);
-  const std::vector<double> truth = Truth(ds, scorer);
-  const std::vector<double> proxy = NoisyProxy(truth, 0.3, 94);
-  RunningStats estimates;
-  for (int t = 0; t < 20; ++t) {
-    labeler::SimulatedLabeler oracle(&ds);
-    StratifiedOptions opts;
-    opts.total_budget = 600;
-    opts.seed = 900 + t;
-    estimates.Add(
-        StratifiedEstimateMean(proxy, &oracle, scorer, opts).estimate);
-  }
-  EXPECT_NEAR(estimates.mean(), Mean(truth), 0.05);
-}
-
-// ---------- Grouped aggregation ----------
-
-TEST(GroupByTest, RecoversPerGroupMeans) {
-  data::Dataset ds = VideoDataset(8000, 26);
-  labeler::SimulatedLabeler index_oracle(&ds);
-  labeler::CachingLabeler cache(&index_oracle);
-  core::IndexOptions index_opts;
-  index_opts.num_training_records = 400;
-  index_opts.num_representatives = 600;
-  index_opts.embedding_dim = 32;
-  index_opts.epochs = 12;
-  core::TastiIndex index = core::TastiIndex::Build(ds, &cache, index_opts);
-
-  // GROUP BY has-car; AVG(mean x-position of cars).
-  core::PresenceScorer group(data::ObjectClass::kCar);
-  core::MeanXScorer statistic(data::ObjectClass::kCar);
-  labeler::SimulatedLabeler oracle(&ds);
-  GroupByOptions opts;
-  opts.error_target = 0.1;
-  opts.per_group_budget = 1500;
-  GroupByResult result =
-      GroupedAggregate(index, &oracle, group, statistic, opts);
-  ASSERT_EQ(result.groups.size(), 2u);  // groups 0 and 1
-
-  for (const auto& [value, group_result] : result.groups) {
-    double sum = 0.0;
-    size_t count = 0;
-    for (const auto& label : ds.ground_truth) {
-      if (group.Score(label) == value) {
-        sum += statistic.Score(label);
-        ++count;
-      }
-    }
-    ASSERT_GT(count, 0u);
-    EXPECT_NEAR(group_result.aggregation.estimate, sum / count, 0.15)
-        << "group " << value;
-  }
-  EXPECT_EQ(result.total_labeler_invocations, oracle.invocations());
-}
-
-TEST(GroupByTest, SkipsVanishinglyRareGroups) {
-  data::Dataset ds = VideoDataset(4000, 27);
-  labeler::SimulatedLabeler index_oracle(&ds);
-  labeler::CachingLabeler cache(&index_oracle);
-  core::IndexOptions index_opts;
-  index_opts.num_training_records = 200;
-  index_opts.num_representatives = 300;
-  index_opts.embedding_dim = 16;
-  index_opts.epochs = 8;
-  core::TastiIndex index = core::TastiIndex::Build(ds, &cache, index_opts);
-
-  // GROUP BY exact car count: very high counts are too rare to estimate.
-  core::CountScorer group(data::ObjectClass::kCar);
-  core::MeanXScorer statistic(data::ObjectClass::kCar);
-  labeler::SimulatedLabeler oracle(&ds);
-  GroupByOptions opts;
-  opts.per_group_budget = 400;
-  opts.min_group_fraction = 0.05;
-  GroupByResult result =
-      GroupedAggregate(index, &oracle, group, statistic, opts);
-  EXPECT_GE(result.groups.size(), 2u);
-  // Rare count groups (below 5% of representatives) are skipped: every
-  // returned group must clear the frequency floor.
-  for (const auto& [value, group_result] : result.groups) {
-    EXPECT_GE(group_result.rep_fraction, opts.min_group_fraction)
-        << "group " << value;
-  }
-  // The frequency floor must actually exclude something: the count
-  // histogram's tail has groups rarer than 5%.
-  const auto rep_groups = core::RepresentativeScores(index, group);
-  std::set<double> all_groups(rep_groups.begin(), rep_groups.end());
-  EXPECT_LT(result.groups.size(), all_groups.size());
 }
 
 // ---------- No-guarantee queries ----------

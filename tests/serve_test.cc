@@ -1,6 +1,7 @@
 // Tests for serve/: epoch snapshots and reclamation, cross-query oracle
 // scheduling (dedup, caching, batching, attribution), admission control,
-// and deterministic-mode reproducibility of the TastiServer. Run under
+// deterministic-mode reproducibility of the TastiServer, and its parity
+// with a TastiSession running the same script. Run under
 // TSan in check.sh's tsan stage — the concurrency claims here (no torn
 // snapshot reads, racing cracks against readers) are exactly what a data
 // race would break.
@@ -21,6 +22,7 @@
 #include "core/propagation.h"
 #include "core/proxy.h"
 #include "core/scorer.h"
+#include "core/serialize.h"
 #include "data/dataset.h"
 #include "labeler/labeler.h"
 #include "serve/oracle_scheduler.h"
@@ -464,6 +466,93 @@ TEST(ServerTest, DeterministicDrainAppliesDeferredCracksInQueryIdOrder) {
   // Drain applied the deferred cracks and published the next epoch.
   EXPECT_EQ(server.current_epoch(), 2u);
   EXPECT_EQ(server.live_snapshots(), 1u);
+}
+
+// One script through a TastiSession and through a one-worker TastiServer
+// with equal index options and seed: the two entry points share one
+// executor, so every payload and the final index must be bit-identical,
+// whether the server cracks inline or defers cracks to Drain().
+TEST(SessionServerParityTest, SameAnswersAndIndexAsSession) {
+  data::Dataset ds = TestDataset(1500);
+  core::CountScorer cars(data::ObjectClass::kCar);
+  core::PresenceScorer present(data::ObjectClass::kCar);
+  core::AtLeastCountScorer busy(data::ObjectClass::kCar, 2);
+  std::vector<QuerySpec> script(8);
+  script[0].kind = QueryKind::kAggregate;
+  script[0].scorer = &cars;
+  script[0].error_target = 0.15;
+  script[1].kind = QueryKind::kSupgRecall;
+  script[1].scorer = &present;
+  script[1].budget = 120;
+  script[2].kind = QueryKind::kSupgPrecision;
+  script[2].scorer = &present;
+  script[2].target = 0.8;
+  script[2].budget = 120;
+  script[3].kind = QueryKind::kThresholdSelect;
+  script[3].scorer = &present;
+  script[3].validation_budget = 80;
+  script[4].kind = QueryKind::kLimit;
+  script[4].scorer = &busy;
+  script[4].want = 4;
+  script[5].kind = QueryKind::kAggregateWhere;
+  script[5].scorer = &present;
+  script[5].statistic = &cars;
+  script[5].error_target = 0.2;
+  // Two scorers again, now against a cracked index.
+  script[6] = script[0];
+  script[7] = script[1];
+
+  const ServerOptions server_opts = FastServerOptions();
+  labeler::SimulatedLabeler session_oracle(&ds);
+  api::SessionOptions session_opts;
+  session_opts.index = server_opts.index;
+  session_opts.seed = server_opts.seed;
+  api::TastiSession session(&ds, &session_oracle, session_opts);
+  std::vector<QueryResponse> expected;
+  for (const QuerySpec& spec : script) {
+    expected.push_back(session.Execute(spec));
+  }
+  Result<std::string> session_index =
+      core::IndexSerializer::SerializeToString(session.index());
+  ASSERT_TRUE(session_index.ok());
+  ASSERT_GT(session.index().num_representatives(),
+            server_opts.index.num_representatives);  // the script cracked
+
+  for (bool deterministic : {true, false}) {
+    SCOPED_TRACE(deterministic ? "deterministic" : "inline cracks");
+    labeler::SimulatedLabeler oracle(&ds);
+    labeler::FallibleAdapter adapter(&oracle);
+    ServerOptions opts = server_opts;
+    opts.num_workers = 1;
+    opts.deterministic = deterministic;
+    TastiServer server(&ds, &adapter, opts);
+    ASSERT_TRUE(server.Start().ok());
+    for (size_t i = 0; i < script.size(); ++i) {
+      SCOPED_TRACE(std::string("query ") + std::to_string(i) + " " +
+                   QueryKindName(script[i].kind));
+      const QueryResponse got = server.Execute(script[i]);
+      server.Drain();
+      const QueryResponse& want = expected[i];
+      ASSERT_TRUE(want.status.ok());
+      ASSERT_TRUE(got.status.ok());
+      EXPECT_EQ(got.aggregate.estimate, want.aggregate.estimate);
+      EXPECT_EQ(got.aggregate.half_width, want.aggregate.half_width);
+      EXPECT_EQ(got.aggregate_where.estimate, want.aggregate_where.estimate);
+      EXPECT_EQ(got.aggregate_where.half_width,
+                want.aggregate_where.half_width);
+      EXPECT_EQ(got.supg.selected, want.supg.selected);
+      EXPECT_EQ(got.supg.threshold, want.supg.threshold);
+      EXPECT_EQ(got.select.selected, want.select.selected);
+      EXPECT_EQ(got.select.threshold, want.select.threshold);
+      EXPECT_EQ(got.limit.found, want.limit.found);
+      EXPECT_EQ(got.limit.satisfied, want.limit.satisfied);
+    }
+    Result<std::string> server_index = server.SerializeIndex();
+    ASSERT_TRUE(server_index.ok());
+    EXPECT_TRUE(*server_index == *session_index)
+        << "final index bytes differ (" << server_index->size() << " vs "
+        << session_index->size() << ")";
+  }
 }
 
 TEST(ServerTest, AdmissionRejectsWhenQueueFullAndNonBlocking) {

@@ -39,6 +39,11 @@
 #            and asserting the recovered index is bit-identical to a
 #            committed control epoch (plus idempotent double recovery and
 #            the attribution invariant). Also runs ctest -L durable.
+#   perfbench the end-to-end benchmark package (perfbench/, which compiles
+#            every file under src/ and drives TastiSession, TastiServer,
+#            ComputeProxyScores and serve::QuerySpec): builds it as its
+#            CMakeLists.txt describes, runs its helper tests, then two
+#            short runs (session, serve_write) that must report failed = 0.
 #
 # CHECK_FULL=1 widens the crash grid to every mutating op (--stride 1);
 # the default strides the grid (every 3rd op) to keep PR runs fast. The
@@ -57,7 +62,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,54p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,59p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 STAGES=()
@@ -74,13 +79,13 @@ while [[ $# -gt 0 ]]; do
   esac
 done
 if [[ ${#STAGES[@]} -eq 0 ]]; then
-  STAGES=(tier1 warn sanitize chaos tsan monitor overload crash)
+  STAGES=(tier1 warn sanitize chaos tsan monitor overload crash perfbench)
 fi
 for stage in "${STAGES[@]}"; do
   case "$stage" in
-    tier1|warn|sanitize|chaos|tsan|monitor|overload|crash) ;;
+    tier1|warn|sanitize|chaos|tsan|monitor|overload|crash|perfbench) ;;
     *) echo "error: unknown stage '$stage'" \
-            "(tier1|warn|sanitize|chaos|tsan|monitor|overload|crash)" >&2
+            "(tier1|warn|sanitize|chaos|tsan|monitor|overload|crash|perfbench)" >&2
        exit 2 ;;
   esac
 done
@@ -249,6 +254,30 @@ stage_crash() {
   rm -rf build/tools/check_crash_runs
   build/tools/crash_loop --records 600 --reps 50 --queries 6 \
     --stride "$stride" --seed 33 --dir build/tools/check_crash_runs
+}
+
+stage_perfbench() {
+  echo "== perfbench: benchmark build + helper tests + short runs =="
+  configure .bench_build/perfbench -S perfbench -B .bench_build/perfbench \
+    -DCMAKE_BUILD_TYPE=Release
+  cmake --build .bench_build/perfbench -j "$(nproc)"
+  ctest --test-dir .bench_build/perfbench --output-on-failure
+  local workload last
+  for workload in session serve_write; do
+    echo "-- perfbench/run.py --workload $workload --seconds 2"
+    last="$(python3 perfbench/run.py --workload "$workload" --seconds 2 |
+            tail -n 1)"
+    python3 - "$workload" "$last" <<'PYEOF'
+import json
+import sys
+
+workload, line = sys.argv[1], sys.argv[2]
+result = json.loads(line)
+if result.get("failed") != 0:
+    sys.exit(f"perfbench {workload}: failed = {result.get('failed')}: {line}")
+print(f"perfbench {workload}: {result.get('attempted')} attempted, 0 failed")
+PYEOF
+  done
 }
 
 for stage in "${STAGES[@]}"; do

@@ -650,29 +650,8 @@ int RunServeWorkload(const Args& args) {
   // cares about shed/deadline behavior, not the throughput comparison.
   const bool skip_serial = args.flags.count("skip-serial") > 0;
   WallTimer serial_timer;
-  for (const serve::QuerySpec& spec : specs) {
-    if (skip_serial) break;
-    switch (spec.kind) {
-      case serve::QueryKind::kAggregate:
-        session.Aggregate(*spec.scorer, spec.error_target);
-        break;
-      case serve::QueryKind::kAggregateWhere:
-        session.AggregateWhere(*spec.scorer, *spec.statistic,
-                               spec.error_target);
-        break;
-      case serve::QueryKind::kSupgRecall:
-        session.SelectWithRecall(*spec.scorer, spec.target, spec.budget);
-        break;
-      case serve::QueryKind::kSupgPrecision:
-        session.SelectWithPrecision(*spec.scorer, spec.target, spec.budget);
-        break;
-      case serve::QueryKind::kThresholdSelect:
-        session.Select(*spec.scorer, spec.validation_budget);
-        break;
-      case serve::QueryKind::kLimit:
-        session.Limit(*spec.scorer, spec.want);
-        break;
-    }
+  if (!skip_serial) {
+    for (const serve::QuerySpec& spec : specs) session.Execute(spec);
   }
   const double serial_seconds = serial_timer.Seconds();
   const size_t serial_query_calls =
