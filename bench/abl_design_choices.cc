@@ -22,6 +22,7 @@
 #include "eval/experiment.h"
 #include "eval/reporting.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/limit.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -66,10 +67,12 @@ int main() {
       ranking.rep_scores = core::RepresentativeScores(index, busy);
       core::PropagateFull(index.View(), &ranking);
       auto oracle = bench.MakeOracle();
+      labeler::FallibleAdapter adapter(oracle.get());
       queries::LimitOptions opts;
       opts.want = 10;
       const size_t calls =
-          queries::LimitQuery(ranking.scores, oracle.get(), busy, opts)
+          queries::TryLimitQuery(ranking.scores, &adapter, busy, opts)
+              .value()
               .labeler_invocations;
       table.AddRow({best_of_k ? "best-of-k (default)" : "nearest-only (paper)",
                     FmtCount(static_cast<long long>(calls))});
@@ -86,7 +89,8 @@ int main() {
       opts.random_rep_fraction = mix;
       if (mix >= 1.0) opts.rep_selection = core::RepSelectionPolicy::kRandom;
       labeler::SimulatedLabeler oracle(&bench.dataset());
-      labeler::CachingLabeler cache(&oracle);
+      labeler::FallibleAdapter adapter(&oracle);
+      labeler::CachingFallibleLabeler cache(&adapter);
       core::TastiIndex variant =
           core::TastiIndex::Build(bench.dataset(), &cache, opts);
       const auto proxy = core::ComputeProxyScores(variant, count);
@@ -94,10 +98,12 @@ int main() {
       const auto ranking =
           core::ComputeProxyScores(variant, busy, core::PropagationMode::kLimit);
       auto query_oracle = bench.MakeOracle();
+      labeler::FallibleAdapter query_adapter(query_oracle.get());
       queries::LimitOptions limit_opts;
       limit_opts.want = 10;
       const size_t calls =
-          queries::LimitQuery(ranking, query_oracle.get(), busy, limit_opts)
+          queries::TryLimitQuery(ranking, &query_adapter, busy, limit_opts)
+              .value()
               .labeler_invocations;
       table.AddRow({mix >= 1.0 ? "1.0 (pure random)" : Fmt(mix, 1),
                     Fmt(rho * rho, 4), FmtCount(static_cast<long long>(calls))});

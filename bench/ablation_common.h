@@ -15,6 +15,7 @@
 #include "core/scorer.h"
 #include "eval/experiment.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/limit.h"
 
 namespace tasti::bench {
@@ -46,7 +47,8 @@ inline AblationResult RunAblation(eval::Workbench* bench,
   opts.rep_selection = config.fpf_cluster ? core::RepSelectionPolicy::kFpfMixed
                                           : core::RepSelectionPolicy::kRandom;
   labeler::SimulatedLabeler oracle(&bench->dataset());
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   core::TastiIndex index = core::TastiIndex::Build(bench->dataset(), &cache, opts);
 
   AblationResult result;
@@ -60,11 +62,13 @@ inline AblationResult RunAblation(eval::Workbench* bench,
   const std::vector<double> limit_proxy = core::ComputeProxyScores(
       index, limit_predicate, core::PropagationMode::kLimit);
   auto limit_oracle = bench->MakeOracle();
+  labeler::FallibleAdapter limit_adapter(limit_oracle.get());
   queries::LimitOptions limit_opts;
   limit_opts.want = 10;
   result.limit_invocations = static_cast<double>(
-      queries::LimitQuery(limit_proxy, limit_oracle.get(), limit_predicate,
-                          limit_opts)
+      queries::TryLimitQuery(limit_proxy, &limit_adapter, limit_predicate,
+                             limit_opts)
+          .value()
           .labeler_invocations);
   return result;
 }

@@ -55,11 +55,13 @@ inline double MeanAggInvocations(eval::Workbench* bench,
   return MeanOverTrials(
       [&](uint64_t seed) {
         auto oracle = bench->MakeOracle();
+        labeler::FallibleAdapter adapter(oracle.get());
         queries::AggregationOptions opts;
         opts.error_target = error_target;
         opts.seed = seed;
         return static_cast<double>(
-            queries::EstimateMean(proxy, oracle.get(), scorer, opts)
+            queries::TryEstimateMean(proxy, &adapter, scorer, opts)
+                .value()
                 .labeler_invocations);
       },
       base_seed);

@@ -89,7 +89,8 @@ int main(int argc, char** argv) {
   opts.k = 5;
   opts.seed = 5;
   labeler::SimulatedLabeler oracle(&ds);
-  core::TastiIndex index = core::TastiIndex::Build(ds, &oracle, opts);
+  labeler::FallibleAdapter adapter(&oracle);
+  core::TastiIndex index = core::TastiIndex::Build(ds, &adapter, opts);
   core::CountScorer cars(data::ObjectClass::kCar);
   const core::PropagationMode mode = core::PropagationMode::kNumeric;
 
@@ -113,7 +114,7 @@ int main(int argc, char** argv) {
                     MedianNsPerOp([&] {
                       serve::ScoreCache cache;  // cold: 1 full + 15 hits
                       for (size_t q = 0; q < kQueries; ++q) {
-                        auto state = cache.GetOrCompute(snap, cars, mode, {},
+                        auto state = cache.GetOrCompute(snap, cars, mode,
                                                         nullptr, nullptr);
                         asm volatile("" ::"r"(state->scores.data()));
                       }

@@ -17,6 +17,7 @@
 #include "eval/reporting.h"
 #include "labeler/cost_model.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "util/table.h"
 
 using namespace tasti;
@@ -57,7 +58,8 @@ int main() {
     core::IndexOptions opts = bench.BaseIndexOptions();
     opts.num_representatives = reps;
     labeler::SimulatedLabeler oracle(&bench.dataset());
-    labeler::CachingLabeler cache(&oracle);
+    labeler::FallibleAdapter adapter(&oracle);
+    labeler::CachingFallibleLabeler cache(&adapter);
     core::TastiIndex index = core::TastiIndex::Build(bench.dataset(), &cache, opts);
     const std::vector<double> proxy = core::ComputeProxyScores(index, scorer);
     const double invocations = bench::MeanAggInvocations(

@@ -25,13 +25,15 @@ double MeanFpr(eval::Workbench* bench, const std::vector<double>& proxy,
   return bench::MeanOverTrials(
       [&](uint64_t seed) {
         auto oracle = bench->MakeOracle();
+        labeler::FallibleAdapter adapter(oracle.get());
         queries::SupgOptions opts;
         opts.recall_target = 0.9;
         opts.confidence = 0.95;
         opts.budget = budget;
         opts.seed = seed;
         queries::SupgResult result =
-            queries::SupgRecallSelect(proxy, oracle.get(), predicate, opts);
+            queries::TrySupgRecallSelect(proxy, &adapter, predicate, opts)
+                .value();
         return queries::FalsePositiveRate(result.selected, truth);
       },
       base_seed);
@@ -73,11 +75,14 @@ int main() {
       const double recall = bench::MeanOverTrials(
           [&](uint64_t seed) {
             auto oracle = bench.MakeOracle();
+            labeler::FallibleAdapter adapter(oracle.get());
             queries::SupgOptions opts;
             opts.budget = budget;
             opts.seed = seed;
-            queries::SupgResult result = queries::SupgRecallSelect(
-                t_scores, oracle.get(), predicate, opts);
+            queries::SupgResult result =
+                queries::TrySupgRecallSelect(t_scores, &adapter, predicate,
+                                             opts)
+                    .value();
             return queries::AchievedRecall(result.selected, truth);
           },
           34);

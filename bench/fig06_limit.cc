@@ -49,7 +49,9 @@ int main() {
       opts.want = spec.limit_want;
       auto run = [&](const std::vector<double>& scores) {
         auto oracle = bench.MakeOracle();
-        return queries::LimitQuery(scores, oracle.get(), predicate, opts)
+        labeler::FallibleAdapter adapter(oracle.get());
+        return queries::TryLimitQuery(scores, &adapter, predicate, opts)
+            .value()
             .labeler_invocations;
       };
       const size_t pq = run(bench.PerQueryProxy(predicate, 41).scores);

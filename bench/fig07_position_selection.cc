@@ -40,11 +40,13 @@ int main() {
       return bench::MeanOverTrials(
           [&](uint64_t seed) {
             auto oracle = bench.MakeOracle();
+            labeler::FallibleAdapter adapter(oracle.get());
             queries::SupgOptions opts;
             opts.budget = budget;
             opts.seed = seed;
-            queries::SupgResult result = queries::SupgRecallSelect(
-                proxy, oracle.get(), predicate, opts);
+            queries::SupgResult result =
+                queries::TrySupgRecallSelect(proxy, &adapter, predicate, opts)
+                    .value();
             return queries::FalsePositiveRate(result.selected, truth);
           },
           base_seed);

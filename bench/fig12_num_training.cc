@@ -13,6 +13,7 @@
 #include "eval/experiment.h"
 #include "eval/reporting.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/limit.h"
 #include "util/table.h"
 
@@ -43,9 +44,11 @@ int main() {
                                                  agg_scorer, target, 930);
     const auto pq_limit = bench.PerQueryProxy(limit_predicate, 94);
     auto oracle = bench.MakeOracle();
+    labeler::FallibleAdapter adapter(oracle.get());
     const size_t limit =
-        queries::LimitQuery(pq_limit.scores, oracle.get(), limit_predicate,
-                            limit_opts)
+        queries::TryLimitQuery(pq_limit.scores, &adapter, limit_predicate,
+                               limit_opts)
+            .value()
             .labeler_invocations;
     table.AddRow({"Per-query proxy", "-", FmtCount(static_cast<long long>(agg)),
                   FmtCount(static_cast<long long>(limit))});
@@ -61,7 +64,8 @@ int main() {
       opts.num_training_records = training;
       opts.seed += static_cast<uint64_t>(trial) * 977;
       labeler::SimulatedLabeler oracle(&bench.dataset());
-      labeler::CachingLabeler cache(&oracle);
+      labeler::FallibleAdapter adapter(&oracle);
+      labeler::CachingFallibleLabeler cache(&adapter);
       core::TastiIndex index =
           core::TastiIndex::Build(bench.dataset(), &cache, opts);
 
@@ -71,9 +75,11 @@ int main() {
       const auto limit_proxy = core::ComputeProxyScores(
           index, limit_predicate, core::PropagationMode::kLimit);
       auto limit_oracle = bench.MakeOracle();
+      labeler::FallibleAdapter limit_adapter(limit_oracle.get());
       limit_total += static_cast<double>(
-          queries::LimitQuery(limit_proxy, limit_oracle.get(), limit_predicate,
-                              limit_opts)
+          queries::TryLimitQuery(limit_proxy, &limit_adapter, limit_predicate,
+                                 limit_opts)
+              .value()
               .labeler_invocations);
     }
     table.AddRow({"TASTI-T", FmtCount(static_cast<long long>(training)),

@@ -13,6 +13,7 @@
 #include "eval/experiment.h"
 #include "eval/reporting.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/limit.h"
 #include "util/table.h"
 
@@ -42,9 +43,11 @@ int main() {
                                                  agg_scorer, target, 950);
     const auto pq_limit = bench.PerQueryProxy(limit_predicate, 96);
     auto oracle = bench.MakeOracle();
+    labeler::FallibleAdapter adapter(oracle.get());
     const size_t limit =
-        queries::LimitQuery(pq_limit.scores, oracle.get(), limit_predicate,
-                            limit_opts)
+        queries::TryLimitQuery(pq_limit.scores, &adapter, limit_predicate,
+                               limit_opts)
+            .value()
             .labeler_invocations;
     table.AddRow({"Per-query proxy", "-", FmtCount(static_cast<long long>(agg)),
                   FmtCount(static_cast<long long>(limit))});
@@ -54,7 +57,8 @@ int main() {
     core::IndexOptions opts = bench.BaseIndexOptions();
     opts.embedding_dim = dim;
     labeler::SimulatedLabeler oracle(&bench.dataset());
-    labeler::CachingLabeler cache(&oracle);
+    labeler::FallibleAdapter adapter(&oracle);
+    labeler::CachingFallibleLabeler cache(&adapter);
     core::TastiIndex index =
         core::TastiIndex::Build(bench.dataset(), &cache, opts);
 
@@ -64,9 +68,11 @@ int main() {
     const auto limit_proxy = core::ComputeProxyScores(
         index, limit_predicate, core::PropagationMode::kLimit);
     auto limit_oracle = bench.MakeOracle();
+    labeler::FallibleAdapter limit_adapter(limit_oracle.get());
     const size_t limit =
-        queries::LimitQuery(limit_proxy, limit_oracle.get(), limit_predicate,
-                            limit_opts)
+        queries::TryLimitQuery(limit_proxy, &limit_adapter, limit_predicate,
+                               limit_opts)
+            .value()
             .labeler_invocations;
     table.AddRow({"TASTI-T", FmtCount(static_cast<long long>(dim)),
                   FmtCount(static_cast<long long>(agg)),

@@ -17,6 +17,7 @@
 #include "data/dataset.h"
 #include "kernel_baselines.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "nn/kernels.h"
 #include "nn/mlp.h"
 #include "nn/triplet.h"
@@ -201,7 +202,8 @@ struct PropagationFixture {
     opts.embedding_dim = 32;
     opts.epochs = 5;
     labeler::SimulatedLabeler oracle(&dataset);
-    labeler::CachingLabeler cache(&oracle);
+    labeler::FallibleAdapter adapter(&oracle);
+    labeler::CachingFallibleLabeler cache(&adapter);
     index = core::TastiIndex::Build(dataset, &cache, opts);
     core::CountScorer scorer(data::ObjectClass::kCar);
     rep_scores = core::RepresentativeScores(index, scorer);

@@ -49,11 +49,12 @@ int main() {
     return bench::MeanOverTrials(
         [&](uint64_t trial_seed) {
           auto oracle = bench.MakeOracle();
+          labeler::FallibleAdapter adapter(oracle.get());
           queries::ThresholdSelectOptions opts;
           opts.validation_budget = 300;
           opts.seed = trial_seed;
           queries::ThresholdSelectResult result =
-              queries::ThresholdSelect(proxy, oracle.get(), sel, opts);
+              queries::TryThresholdSelect(proxy, &adapter, sel, opts).value();
           return 100.0 * (1.0 - queries::F1Score(result.selected, sel_truth));
         },
         seed);

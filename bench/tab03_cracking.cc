@@ -14,6 +14,7 @@
 #include "eval/experiment.h"
 #include "eval/reporting.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/supg.h"
 #include "util/table.h"
 
@@ -27,32 +28,35 @@ core::TastiIndex BuildIndex(eval::Workbench* bench) {
   core::IndexOptions opts = bench->BaseIndexOptions();
   opts.num_representatives = opts.num_representatives / 2;
   labeler::SimulatedLabeler oracle(&bench->dataset());
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   return core::TastiIndex::Build(bench->dataset(), &cache, opts);
 }
 
 double RunSupgFpr(eval::Workbench* bench, const core::TastiIndex& index,
                   const core::Scorer& predicate,
-                  labeler::CachingLabeler* cache, uint64_t seed) {
+                  labeler::CachingFallibleLabeler* cache, uint64_t seed) {
   const auto proxy = core::ComputeProxyScores(index, predicate);
   const auto truth = core::ExactScores(bench->dataset(), predicate);
   queries::SupgOptions opts;
   opts.budget = bench->dataset().size() / 40;
   opts.seed = seed;
   queries::SupgResult result =
-      queries::SupgRecallSelect(proxy, cache, predicate, opts);
+      queries::TrySupgRecallSelect(proxy, cache, predicate, opts).value();
   return queries::FalsePositiveRate(result.selected, truth);
 }
 
 double RunAggCalls(eval::Workbench* bench, const core::TastiIndex& index,
-                   const core::Scorer& scorer, labeler::CachingLabeler* cache,
-                   uint64_t seed) {
+                   const core::Scorer& scorer,
+                   labeler::CachingFallibleLabeler* cache, uint64_t seed) {
   const auto proxy = core::ComputeProxyScores(index, scorer);
   queries::AggregationOptions opts;
   opts.error_target = bench::AggErrorTargetFor(bench->id());
   opts.seed = seed;
   return static_cast<double>(
-      queries::EstimateMean(proxy, cache, scorer, opts).labeler_invocations);
+      queries::TryEstimateMean(proxy, cache, scorer, opts)
+          .value()
+          .labeler_invocations);
 }
 
 }  // namespace
@@ -80,16 +84,19 @@ int main() {
     {
       core::TastiIndex index = BuildIndex(&bench);
       labeler::SimulatedLabeler oracle(&bench.dataset());
-      labeler::CachingLabeler probe(&oracle);
+      labeler::FallibleAdapter probe_adapter(&oracle);
+      labeler::CachingFallibleLabeler probe(&probe_adapter);
       const double before = RunSupgFpr(&bench, index, sel, &probe, 121);
 
       labeler::SimulatedLabeler oracle1(&bench.dataset());
-      labeler::CachingLabeler first(&oracle1);
+      labeler::FallibleAdapter first_adapter(&oracle1);
+      labeler::CachingFallibleLabeler first(&first_adapter);
       RunAggCalls(&bench, index, agg, &first, 122);
       index.CrackFrom(first);
 
       labeler::SimulatedLabeler oracle2(&bench.dataset());
-      labeler::CachingLabeler probe2(&oracle2);
+      labeler::FallibleAdapter probe2_adapter(&oracle2);
+      labeler::CachingFallibleLabeler probe2(&probe2_adapter);
       const double after = RunSupgFpr(&bench, index, sel, &probe2, 121);
       table.AddRow({bench.dataset().name, "Agg.", "SUPG", FmtPercent(before),
                     FmtPercent(after)});
@@ -100,16 +107,19 @@ int main() {
     {
       core::TastiIndex index = BuildIndex(&bench);
       labeler::SimulatedLabeler oracle(&bench.dataset());
-      labeler::CachingLabeler probe(&oracle);
+      labeler::FallibleAdapter probe_adapter(&oracle);
+      labeler::CachingFallibleLabeler probe(&probe_adapter);
       const double before = RunAggCalls(&bench, index, agg, &probe, 123);
 
       labeler::SimulatedLabeler oracle1(&bench.dataset());
-      labeler::CachingLabeler first(&oracle1);
+      labeler::FallibleAdapter first_adapter(&oracle1);
+      labeler::CachingFallibleLabeler first(&first_adapter);
       RunSupgFpr(&bench, index, sel, &first, 124);
       index.CrackFrom(first);
 
       labeler::SimulatedLabeler oracle2(&bench.dataset());
-      labeler::CachingLabeler probe2(&oracle2);
+      labeler::FallibleAdapter probe2_adapter(&oracle2);
+      labeler::CachingFallibleLabeler probe2(&probe2_adapter);
       const double after = RunAggCalls(&bench, index, agg, &probe2, 123);
       table.AddRow({bench.dataset().name, "SUPG", "Agg.",
                     FmtCount(static_cast<long long>(before)),

@@ -11,6 +11,7 @@
 #include "core/serialize.h"
 #include "data/dataset.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/aggregation.h"
 #include "util/stats.h"
 
@@ -23,8 +24,11 @@ int main() {
   data::Dataset video = data::MakeNightStreet(dataset_options);
 
   // Deliberately small index: plenty of headroom for cracking to help.
-  labeler::SimulatedLabeler oracle(&video);
-  labeler::CachingLabeler build_cache(&oracle);
+  // Each query labels through a CachingFallibleLabeler, whose labels
+  // TastiIndex::CrackFrom folds back into the index.
+  labeler::SimulatedLabeler simulated(&video);
+  labeler::FallibleAdapter oracle(&simulated);
+  labeler::CachingFallibleLabeler build_cache(&oracle);
   core::IndexOptions index_options;
   index_options.num_training_records = 500;
   index_options.num_representatives = 500;
@@ -44,14 +48,15 @@ int main() {
   // Run three aggregation queries; after each, crack the index with the
   // records the query labeled.
   for (int round = 1; round <= 3; ++round) {
-    labeler::SimulatedLabeler query_oracle(&video);
-    labeler::CachingLabeler query_cache(&query_oracle);
+    labeler::SimulatedLabeler query_labeler(&video);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
+    labeler::CachingFallibleLabeler query_cache(&query_oracle);
     auto proxy = core::ComputeProxyScores(index, count_cars);
     queries::AggregationOptions opts;
     opts.error_target = 0.05;
     opts.seed = 1000 + round;
     queries::AggregationResult result =
-        queries::EstimateMean(proxy, &query_cache, count_cars, opts);
+        queries::TryEstimateMean(proxy, &query_cache, count_cars, opts).value();
     const size_t added = index.CrackFrom(query_cache);
     std::printf("query %d: estimate %.4f with %zu labeler calls -> cracked "
                 "%zu new representatives\n",

@@ -2,7 +2,9 @@
 // and answer an aggregation query with it.
 //
 //   1. materialize a dataset (ground truth stays behind the labeler),
-//   2. build the index (Algorithm 1) under a labeler budget,
+//   2. build the index (Algorithm 1) under a labeler budget; every
+//      algorithm takes a FallibleLabeler, and FallibleAdapter turns the
+//      simulated labeler into one,
 //   3. generate proxy scores for "count the cars per frame",
 //   4. run BlazeIt-style approximate aggregation with an error guarantee.
 //
@@ -21,6 +23,7 @@
 #include "data/dataset.h"
 #include "eval/reporting.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -47,10 +50,12 @@ int main(int argc, char** argv) {
   eval::Diag("dataset: %s, %zu frames, %zu-dim features", video.name.c_str(),
              video.size(), video.feature_dim());
 
-  // 2. Build the index. The CachingLabeler deduplicates annotations so
-  //    overlapping training/representative records are charged once.
+  // 2. Build the index. The CachingFallibleLabeler deduplicates
+  //    annotations so overlapping training/representative records are
+  //    charged once.
   labeler::SimulatedLabeler mask_rcnn(&video);  // the expensive oracle
-  labeler::CachingLabeler cache(&mask_rcnn);
+  labeler::FallibleAdapter oracle(&mask_rcnn);
+  labeler::CachingFallibleLabeler cache(&oracle);
 
   core::IndexOptions index_options;
   index_options.num_training_records = 1000;  // N1
@@ -67,12 +72,16 @@ int main(int argc, char** argv) {
 
   // 4. Approximate aggregation: average cars per frame, within 0.05 with
   //    95% probability.
-  labeler::SimulatedLabeler query_oracle(&video);
+  //    Try* returns a Result; value() aborts on error, which the
+  //    never-failing simulated labeler cannot produce.
+  labeler::SimulatedLabeler query_labeler(&video);
+  labeler::FallibleAdapter query_oracle(&query_labeler);
   queries::AggregationOptions agg_options;
   agg_options.error_target = 0.05;
   agg_options.confidence = 0.95;
   queries::AggregationResult result =
-      queries::EstimateMean(proxy, &query_oracle, count_cars, agg_options);
+      queries::TryEstimateMean(proxy, &query_oracle, count_cars, agg_options)
+          .value();
 
   const double truth = Mean(core::ExactScores(video, count_cars));
   eval::PrintTakeaway("estimate " + std::to_string(result.estimate) +

@@ -20,12 +20,15 @@ int main() {
   dataset_options.num_records = 20000;
   dataset_options.seed = 3;
   data::Dataset video = data::MakeNightStreet(dataset_options);
+  // The session takes a labeler::FallibleLabeler; FallibleAdapter wraps
+  // the never-failing simulator as one.
   labeler::SimulatedLabeler mask_rcnn(&video);
+  labeler::FallibleAdapter oracle(&mask_rcnn);
 
   api::SessionOptions options;
   options.index.num_training_records = 1000;
   options.index.num_representatives = 1500;
-  api::TastiSession session(&video, &mask_rcnn, options);
+  api::TastiSession session(&video, &oracle, options);
 
   core::CountScorer cars(data::ObjectClass::kCar);
   core::PresenceScorer has_car(data::ObjectClass::kCar);

@@ -10,6 +10,7 @@
 #include "core/scorer.h"
 #include "data/dataset.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/aggregation.h"
 #include "queries/limit.h"
 #include "queries/supg.h"
@@ -25,8 +26,11 @@ int main() {
   std::printf("dataset: %s (%zu snippets)\n", corpus.name.c_str(),
               corpus.size());
 
+  // The simulated crowd enters the FallibleLabeler API through
+  // FallibleAdapter; CachingFallibleLabeler charges each record once.
   labeler::SimulatedLabeler crowd(&corpus);
-  labeler::CachingLabeler cache(&crowd);
+  labeler::FallibleAdapter adapter(&crowd);
+  labeler::CachingFallibleLabeler cache(&adapter);
   core::IndexOptions index_options;
   index_options.num_training_records = 500;
   index_options.num_representatives = 500;
@@ -37,11 +41,12 @@ int main() {
   core::MaleScorer male;
   {
     auto proxy = core::ComputeProxyScores(index, male);
-    labeler::SimulatedLabeler query_oracle(&corpus);
+    labeler::SimulatedLabeler query_labeler(&corpus);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
     queries::AggregationOptions opts;
     opts.error_target = 0.03;
     queries::AggregationResult result =
-        queries::EstimateMean(proxy, &query_oracle, male, opts);
+        queries::TryEstimateMean(proxy, &query_oracle, male, opts).value();
     std::printf("[aggregation] male fraction = %.3f (truth %.3f), %zu "
                 "annotations\n",
                 result.estimate, Mean(core::ExactScores(corpus, male)),
@@ -51,12 +56,13 @@ int main() {
   // --- Select male speakers with 90% recall ---
   {
     auto proxy = core::ComputeProxyScores(index, male);
-    labeler::SimulatedLabeler query_oracle(&corpus);
+    labeler::SimulatedLabeler query_labeler(&corpus);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
     queries::SupgOptions opts;
     opts.recall_target = 0.9;
     opts.budget = 400;
     queries::SupgResult result =
-        queries::SupgRecallSelect(proxy, &query_oracle, male, opts);
+        queries::TrySupgRecallSelect(proxy, &query_oracle, male, opts).value();
     const auto truth = core::ExactScores(corpus, male);
     std::printf("[selection]  %zu snippets returned; recall %.3f, FPR %.3f\n",
                 result.selected.size(),
@@ -74,11 +80,12 @@ int main() {
   {
     auto ranking =
         core::ComputeProxyScores(index, elderly, core::PropagationMode::kLimit);
-    labeler::SimulatedLabeler query_oracle(&corpus);
+    labeler::SimulatedLabeler query_labeler(&corpus);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
     queries::LimitOptions opts;
     opts.want = 10;
     queries::LimitResult result =
-        queries::LimitQuery(ranking, &query_oracle, elderly, opts);
+        queries::TryLimitQuery(ranking, &query_oracle, elderly, opts).value();
     std::printf("[limit]      found %zu/10 elderly speakers after %zu "
                 "annotations (of %zu snippets)\n",
                 result.found.size(), result.labeler_invocations, corpus.size());

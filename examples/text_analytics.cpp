@@ -11,6 +11,7 @@
 #include "data/dataset.h"
 #include "labeler/cost_model.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/aggregation.h"
 #include "queries/supg.h"
 #include "util/stats.h"
@@ -26,8 +27,11 @@ int main() {
               corpus.size());
 
   // Crowd workers cost real money: track what the index costs to build.
+  // The simulated crowd enters the FallibleLabeler API through
+  // FallibleAdapter.
   labeler::SimulatedLabeler crowd(&corpus);
-  labeler::CachingLabeler cache(&crowd);
+  labeler::FallibleAdapter adapter(&crowd);
+  labeler::CachingFallibleLabeler cache(&adapter);
   core::IndexOptions index_options;
   index_options.num_training_records = 500;  // the paper's WikiSQL setting
   index_options.num_representatives = 500;
@@ -45,11 +49,13 @@ int main() {
   core::PredicateCountScorer predicates;
   {
     auto proxy = core::ComputeProxyScores(index, predicates);
-    labeler::SimulatedLabeler query_oracle(&corpus);
+    labeler::SimulatedLabeler query_labeler(&corpus);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
     queries::AggregationOptions opts;
     opts.error_target = 0.04;
     queries::AggregationResult result =
-        queries::EstimateMean(proxy, &query_oracle, predicates, opts);
+        queries::TryEstimateMean(proxy, &query_oracle, predicates, opts)
+            .value();
     std::printf("[aggregation] avg predicates/question = %.3f (truth %.3f), "
                 "%zu annotations\n",
                 result.estimate, Mean(core::ExactScores(corpus, predicates)),
@@ -60,12 +66,14 @@ int main() {
   core::SqlOpScorer is_select(data::SqlOp::kSelect);
   {
     auto proxy = core::ComputeProxyScores(index, is_select);
-    labeler::SimulatedLabeler query_oracle(&corpus);
+    labeler::SimulatedLabeler query_labeler(&corpus);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
     queries::SupgOptions opts;
     opts.recall_target = 0.9;
     opts.budget = 400;
     queries::SupgResult result =
-        queries::SupgRecallSelect(proxy, &query_oracle, is_select, opts);
+        queries::TrySupgRecallSelect(proxy, &query_oracle, is_select, opts)
+            .value();
     const auto truth = core::ExactScores(corpus, is_select);
     std::printf("[selection]  %zu questions returned; recall %.3f, FPR "
                 "%.3f, %zu annotations\n",

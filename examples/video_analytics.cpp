@@ -10,6 +10,7 @@
 #include "core/scorer.h"
 #include "data/dataset.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/aggregation.h"
 #include "queries/limit.h"
 #include "queries/supg.h"
@@ -25,8 +26,12 @@ int main() {
   std::printf("dataset: %s (%zu frames, classes: car, bus)\n",
               video.name.c_str(), video.size());
 
+  // The index build and every query take a labeler::FallibleLabeler;
+  // FallibleAdapter wraps the never-failing simulator as one, and each
+  // query's Result is unwrapped with value().
   labeler::SimulatedLabeler oracle(&video);
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   core::IndexOptions index_options;
   index_options.num_training_records = 1000;
   index_options.num_representatives = 2000;
@@ -38,11 +43,13 @@ int main() {
   core::CountScorer count_buses(data::ObjectClass::kBus);
   {
     auto proxy = core::ComputeProxyScores(index, count_buses);
-    labeler::SimulatedLabeler query_oracle(&video);
+    labeler::SimulatedLabeler query_labeler(&video);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
     queries::AggregationOptions opts;
     opts.error_target = 0.03;
     queries::AggregationResult result =
-        queries::EstimateMean(proxy, &query_oracle, count_buses, opts);
+        queries::TryEstimateMean(proxy, &query_oracle, count_buses, opts)
+            .value();
     std::printf("[aggregation] avg buses/frame = %.4f (truth %.4f), %zu "
                 "labeler calls\n",
                 result.estimate, Mean(core::ExactScores(video, count_buses)),
@@ -53,13 +60,15 @@ int main() {
   core::PresenceScorer has_bus(data::ObjectClass::kBus);
   {
     auto proxy = core::ComputeProxyScores(index, has_bus);
-    labeler::SimulatedLabeler query_oracle(&video);
+    labeler::SimulatedLabeler query_labeler(&video);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
     queries::SupgOptions opts;
     opts.recall_target = 0.9;
     opts.confidence = 0.95;
     opts.budget = 500;
     queries::SupgResult result =
-        queries::SupgRecallSelect(proxy, &query_oracle, has_bus, opts);
+        queries::TrySupgRecallSelect(proxy, &query_oracle, has_bus, opts)
+            .value();
     const auto truth = core::ExactScores(video, has_bus);
     std::printf("[selection]  %zu frames returned; recall %.3f, FPR %.3f, "
                 "%zu labeler calls\n",
@@ -74,11 +83,12 @@ int main() {
   {
     auto ranking = core::ComputeProxyScores(index, busy,
                                             core::PropagationMode::kLimit);
-    labeler::SimulatedLabeler query_oracle(&video);
+    labeler::SimulatedLabeler query_labeler(&video);
+    labeler::FallibleAdapter query_oracle(&query_labeler);
     queries::LimitOptions opts;
     opts.want = 10;
     queries::LimitResult result =
-        queries::LimitQuery(ranking, &query_oracle, busy, opts);
+        queries::TryLimitQuery(ranking, &query_oracle, busy, opts).value();
     std::printf("[limit]      found %zu/10 busy frames after %zu labeler "
                 "calls (of %zu frames)\n",
                 result.found.size(), result.labeler_invocations, video.size());

@@ -28,18 +28,6 @@ serve::QuerySpec Spec(serve::QueryKind kind, const core::Scorer& scorer) {
 }  // namespace
 
 TastiSession::TastiSession(const data::Dataset* dataset,
-                           labeler::TargetLabeler* labeler,
-                           SessionOptions options)
-    : dataset_(dataset), options_(std::move(options)) {
-  TASTI_CHECK(dataset != nullptr, "TastiSession requires a dataset");
-  TASTI_CHECK(labeler != nullptr, "TastiSession requires a labeler");
-  TASTI_CHECK(labeler->num_records() == dataset->size(),
-              "labeler/dataset record count mismatch");
-  owned_adapter_ = std::make_unique<labeler::FallibleAdapter>(labeler);
-  oracle_ = owned_adapter_.get();
-}
-
-TastiSession::TastiSession(const data::Dataset* dataset,
                            labeler::FallibleLabeler* oracle,
                            SessionOptions options)
     : dataset_(dataset), oracle_(oracle), options_(std::move(options)) {
@@ -126,15 +114,7 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
   if (options_.auto_crack) {
     TASTI_SPAN("session.crack");
     WallTimer timer;
-    const std::vector<size_t>& labeled = cache.labeled_indices();
-    std::vector<data::LabelerOutput> labels;
-    labels.reserve(labeled.size());
-    for (size_t record : labeled) {
-      std::optional<data::LabelerOutput> label = cache.CachedLabel(record);
-      TASTI_CHECK(label.has_value(), "labeled index without a cached label");
-      labels.push_back(*std::move(label));
-    }
-    cracked = index_->CrackFromLabels(labeled, labels);
+    cracked = index_->CrackFrom(cache);
     crack_seconds = timer.Seconds();
     if (cracked > 0) {
       // New representatives change every propagated score.

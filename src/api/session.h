@@ -14,13 +14,13 @@
 ///    get cheaper over time,
 ///  - labeler-invocation accounting across the session.
 ///
-///   labeler::SimulatedLabeler oracle(&dataset);
+///   labeler::SimulatedLabeler simulated(&dataset);
+///   labeler::FallibleAdapter oracle(&simulated);
 ///   api::TastiSession session(&dataset, &oracle, {});
 ///   auto agg = session.Aggregate(core::CountScorer(kCar), 0.05);
 ///   auto sel = session.SelectWithRecall(core::PresenceScorer(kCar), 0.9, 500);
 ///   auto lim = session.Limit(core::AtLeastCountScorer(kCar, 5), 10);
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -66,13 +66,10 @@ struct SessionOptions {
 /// Not thread-safe; use one session per thread.
 class TastiSession {
  public:
-  /// The dataset and labeler must outlive the session.
-  TastiSession(const data::Dataset* dataset, labeler::TargetLabeler* labeler,
-               SessionOptions options);
-
-  /// Fallible-oracle session: queries run degraded when oracle calls fail
-  /// (see last_query_status()), the index builds with placeholder labels
-  /// for failed representatives, and cracking repairs them over time. The
+  /// Queries run degraded when oracle calls fail (see
+  /// last_query_status()), the index builds with placeholder labels for
+  /// failed representatives, and cracking repairs them over time. Wrap a
+  /// ground-truth labeler in labeler::FallibleAdapter to use it here. The
   /// dataset and oracle must outlive the session.
   TastiSession(const data::Dataset* dataset, labeler::FallibleLabeler* oracle,
                SessionOptions options);
@@ -187,8 +184,6 @@ class TastiSession {
 
   const data::Dataset* dataset_;
   labeler::FallibleLabeler* oracle_ = nullptr;
-  // Owns the adapter when the session was built from a TargetLabeler.
-  std::unique_ptr<labeler::FallibleAdapter> owned_adapter_;
   SessionOptions options_;
   std::optional<core::TastiIndex> index_;
   std::unordered_map<std::string, std::vector<double>> proxy_cache_;

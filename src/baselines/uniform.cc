@@ -8,7 +8,9 @@ queries::AggregationResult UniformAggregate(
   queries::AggregationOptions no_proxy = options;
   no_proxy.use_control_variate = false;
   const std::vector<double> constant_proxy(labeler->num_records(), 0.0);
-  return queries::EstimateMean(constant_proxy, labeler, scorer, no_proxy);
+  labeler::FallibleAdapter oracle(labeler);
+  return queries::TryEstimateMean(constant_proxy, &oracle, scorer, no_proxy)
+      .value();
 }
 
 double ExhaustiveMean(labeler::TargetLabeler* labeler,

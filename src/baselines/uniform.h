@@ -16,7 +16,7 @@
 namespace tasti::baselines {
 
 /// Aggregation with uniform sampling and no control variate. Equivalent to
-/// queries::EstimateMean with use_control_variate = false and constant
+/// queries::TryEstimateMean with use_control_variate = false and constant
 /// proxies.
 queries::AggregationResult UniformAggregate(
     labeler::TargetLabeler* labeler, const core::Scorer& scorer,

@@ -15,14 +15,6 @@
 namespace tasti::core {
 
 TastiIndex TastiIndex::Build(const data::Dataset& dataset,
-                             labeler::TargetLabeler* labeler,
-                             const IndexOptions& options) {
-  TASTI_CHECK(labeler != nullptr, "Build requires a labeler");
-  labeler::FallibleAdapter adapter(labeler);
-  return Build(dataset, &adapter, options);
-}
-
-TastiIndex TastiIndex::Build(const data::Dataset& dataset,
                              labeler::FallibleLabeler* labeler,
                              const IndexOptions& options) {
   TASTI_CHECK(labeler != nullptr, "Build requires a labeler");
@@ -186,9 +178,11 @@ void TastiIndex::AddRepresentative(size_t record_id, data::LabelerOutput label) 
                                  delta_.full ? nullptr : &delta_.dirty_rows);
 }
 
-size_t TastiIndex::CrackFrom(const labeler::CachingLabeler& cache) {
+size_t TastiIndex::CrackFrom(const labeler::CachingFallibleLabeler& cache) {
   std::vector<size_t> records;
   std::vector<data::LabelerOutput> labels;
+  records.reserve(cache.labeled_indices().size());
+  labels.reserve(cache.labeled_indices().size());
   for (size_t record : cache.labeled_indices()) {
     if (is_rep_[record]) continue;
     records.push_back(record);

@@ -9,8 +9,9 @@
 /// Typical usage:
 ///
 ///   auto dataset = data::MakeNightStreet(opts);
-///   labeler::SimulatedLabeler oracle(&dataset);
-///   labeler::CachingLabeler cache(&oracle);
+///   labeler::SimulatedLabeler simulated(&dataset);
+///   labeler::FallibleAdapter oracle(&simulated);
+///   labeler::CachingFallibleLabeler cache(&oracle);
 ///   auto index = core::TastiIndex::Build(dataset, &cache, core::IndexOptions{});
 ///   core::CountScorer cars(data::ObjectClass::kCar);
 ///   std::vector<double> proxy = core::ComputeProxyScores(index, cars);
@@ -25,6 +26,7 @@
 #include "data/dataset.h"
 #include "embed/embedder.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "nn/matrix.h"
 
 namespace tasti::core {
@@ -95,19 +97,14 @@ struct BuildStats {
 /// An immutable-by-default semantic index; cracking appends representatives.
 class TastiIndex {
  public:
-  /// Builds an index per Algorithm 1. The labeler is charged
+  /// Builds an index per Algorithm 1. The oracle is charged
   /// `options.num_training_records` training annotations (if triplet
   /// training is on) plus one annotation per representative; wrap it in a
-  /// CachingLabeler to avoid double-charging overlapping records.
-  static TastiIndex Build(const data::Dataset& dataset,
-                          labeler::TargetLabeler* labeler,
-                          const IndexOptions& options);
-
-  /// Builds against a fallible oracle. Construction never aborts on oracle
-  /// failure: representatives whose annotation fails permanently are kept
-  /// in the representative set but marked invalid (rep_label_valid()), and
-  /// propagation excludes them. With a fault-free oracle this is
-  /// bit-identical to the infallible overload (which delegates here).
+  /// CachingFallibleLabeler to avoid double-charging overlapping records.
+  ///
+  /// Construction never aborts on oracle failure: representatives whose
+  /// annotation fails permanently are kept in the representative set but
+  /// marked invalid (rep_label_valid()), and propagation excludes them.
   static TastiIndex Build(const data::Dataset& dataset,
                           labeler::FallibleLabeler* oracle,
                           const IndexOptions& options);
@@ -196,7 +193,7 @@ class TastiIndex {
 
   /// Bulk-adds every cached annotation of `cache` not yet in the index.
   /// Returns the number of representatives added.
-  size_t CrackFrom(const labeler::CachingLabeler& cache);
+  size_t CrackFrom(const labeler::CachingFallibleLabeler& cache);
 
   /// Bulk-adds annotated records by parallel (record id, label) vectors,
   /// skipping records that are already representatives (a record listed

@@ -3,7 +3,7 @@
 
 /// \file scorer.h
 /// Query-specific scoring functions (paper Section 4.2):
-/// TargetLabelerOutput -> score. TASTI evaluates a scorer exactly on the
+/// labeler output -> score. TASTI evaluates a scorer exactly on the
 /// cluster representatives and propagates the scores to all other records.
 ///
 /// Implementing a new query type is a few lines:
@@ -12,7 +12,8 @@
 ///       [](const data::LabelerOutput& out) {
 ///         return data::CountClass(out, data::ObjectClass::kCar) >= 5 ? 1.0
 ///                                                                    : 0.0;
-///       });
+///       },
+///       /*categorical=*/true, "at_least_five_cars");
 
 #include <functional>
 #include <memory>
@@ -163,13 +164,13 @@ class AtLeastCountScorer : public Scorer {
 };
 
 /// Wraps an arbitrary function as a scorer (the custom-score API of paper
-/// Section 4.2).
+/// Section 4.2). The name is required because it keys cached proxy scores:
+/// two different functions under one name would share a cache entry.
 class LambdaScorer : public Scorer {
  public:
   using Fn = std::function<double(const data::LabelerOutput&)>;
 
-  explicit LambdaScorer(Fn fn, bool categorical = false,
-                        std::string name = "custom")
+  LambdaScorer(Fn fn, bool categorical, std::string name)
       : fn_(std::move(fn)), categorical_(categorical), name_(std::move(name)) {}
 
   double Score(const data::LabelerOutput& output) const override {

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "labeler/resilient.h"
 #include "obs/query_log.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -169,12 +170,13 @@ const core::TastiIndex& Workbench::GetOrBuild(bool trained) {
     core::IndexOptions options = BaseIndexOptions();
     options.use_triplet_training = trained;
     labeler::SimulatedLabeler oracle(&dataset_);
-    labeler::CachingLabeler cache(&oracle);
+    labeler::FallibleAdapter adapter(&oracle);
+    labeler::CachingFallibleLabeler cache(&adapter);
     // The build timer pauses inside every oracle call, so build seconds
     // measure pure construction compute (what a faster oracle would not
     // change) and oracle seconds the labeling charge.
     WallTimer build_timer;
-    obs::TimedLabeler timed(&cache, &build_timer);
+    obs::TimedOracle timed(&cache, &build_timer);
     slot = core::TastiIndex::Build(dataset_, &timed, options);
     build_timer.Pause();
     (trained ? tasti_t_invocations_ : tasti_pt_invocations_) =

@@ -105,28 +105,4 @@ data::LabelerOutput DegradedLabeler::Label(size_t index) {
 
 size_t DegradedLabeler::num_records() const { return dataset_->size(); }
 
-CachingLabeler::CachingLabeler(TargetLabeler* inner) : inner_(inner) {
-  TASTI_CHECK(inner != nullptr, "CachingLabeler requires an inner labeler");
-  cache_.resize(inner->num_records());
-}
-
-data::LabelerOutput CachingLabeler::Label(size_t index) {
-  TASTI_CHECK(index < cache_.size(), "label index out of range");
-  if (!cache_[index].has_value()) {
-    cache_[index] = inner_->Label(index);
-    labeled_order_.push_back(index);
-  }
-  return *cache_[index];
-}
-
-std::optional<data::LabelerOutput> CachingLabeler::CachedLabel(size_t index) const {
-  TASTI_CHECK(index < cache_.size(), "label index out of range");
-  return cache_[index];
-}
-
-void CachingLabeler::ClearCache() {
-  cache_.assign(cache_.size(), std::nullopt);
-  labeled_order_.clear();
-}
-
 }  // namespace tasti::labeler

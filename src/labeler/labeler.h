@@ -12,9 +12,7 @@
 #include <atomic>
 #include <cstddef>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
 
 #include "data/dataset.h"
 #include "data/schema.h"
@@ -22,13 +20,16 @@
 
 namespace tasti::labeler {
 
-/// Abstract target labeler over a fixed dataset of records.
+/// Abstract target labeler over a fixed dataset of records: the
+/// ground-truth source (simulators, degraded detectors). Query processing
+/// and index construction take a FallibleLabeler; FallibleAdapter bridges
+/// the two.
 class TargetLabeler {
  public:
   virtual ~TargetLabeler() = default;
 
   /// Labels record `index`. Each call counts as one invocation even if the
-  /// same record is labeled twice (wrap in a CachingLabeler to dedupe).
+  /// same record is labeled twice.
   virtual data::LabelerOutput Label(size_t index) = 0;
 
   /// Number of records this labeler can label.
@@ -186,34 +187,6 @@ class DegradedLabeler : public TargetLabeler {
   const data::Dataset* dataset_;
   DegradationOptions options_;
   std::atomic<size_t> invocations_{0};
-};
-
-/// Caching wrapper: repeated labels of one record cost one invocation.
-/// Also the hook for index cracking — the cache exposes which records have
-/// been labeled during query execution.
-class CachingLabeler : public TargetLabeler {
- public:
-  /// The inner labeler must outlive the wrapper.
-  explicit CachingLabeler(TargetLabeler* inner);
-
-  data::LabelerOutput Label(size_t index) override;
-  size_t num_records() const override { return inner_->num_records(); }
-  size_t invocations() const override { return inner_->invocations(); }
-  void ResetInvocations() override { inner_->ResetInvocations(); }
-
-  /// Indices labeled so far, in first-label order.
-  const std::vector<size_t>& labeled_indices() const { return labeled_order_; }
-
-  /// Cached output for `index`, if it has been labeled.
-  std::optional<data::LabelerOutput> CachedLabel(size_t index) const;
-
-  /// Drops the cache (keeps the inner labeler's invocation count).
-  void ClearCache();
-
- private:
-  TargetLabeler* inner_;
-  std::vector<std::optional<data::LabelerOutput>> cache_;
-  std::vector<size_t> labeled_order_;
 };
 
 }  // namespace tasti::labeler

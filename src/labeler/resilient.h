@@ -162,8 +162,8 @@ class ResilientLabeler : public FallibleLabeler {
 
 /// Caching wrapper over a FallibleLabeler: successful labels are cached so
 /// repeated requests cost one invocation; failures are not cached, so a
-/// later request retries the record. The fallible analogue of
-/// CachingLabeler, and the hook for cracking under faults.
+/// later request retries the record. The per-query label cache of the
+/// session and the server, and the hook for cracking (TastiIndex::CrackFrom).
 class CachingFallibleLabeler : public FallibleLabeler {
  public:
   /// The inner labeler must outlive the wrapper.

@@ -29,8 +29,8 @@ namespace tasti::obs {
 
 /// Wall time of one query, split by phase. Phases are disjoint:
 /// algorithm_seconds excludes time spent inside the target labeler
-/// (oracle_seconds), measured by TimedLabeler pausing the algorithm timer
-/// around each Label() call.
+/// (oracle_seconds), measured by TimedOracle pausing the algorithm timer
+/// around each oracle call.
 struct QueryPhaseTimes {
   double rep_score_seconds = 0.0;    ///< scorer over representatives
   double propagation_seconds = 0.0;  ///< propagation to all records
@@ -114,44 +114,10 @@ class QueryLog {
   std::vector<QueryRecord> queries_;
 };
 
-/// TargetLabeler wrapper that (1) measures the wall time spent inside the
-/// wrapped labeler and (2) pauses a caller-supplied phase timer around
-/// each call, so the phase timer reads pure algorithm time. Invocation
-/// counting delegates to the wrapped labeler, preserving the "including
-/// wrapped labelers" contract of TargetLabeler::invocations().
-class TimedLabeler : public labeler::TargetLabeler {
- public:
-  /// Both pointers must outlive the wrapper; `paused_while_labeling` may
-  /// be null (pure measurement).
-  TimedLabeler(labeler::TargetLabeler* inner, WallTimer* paused_while_labeling)
-      : inner_(inner), paused_(paused_while_labeling) {}
-
-  data::LabelerOutput Label(size_t index) override {
-    const bool pause = paused_ != nullptr && paused_->running();
-    if (pause) paused_->Pause();
-    WallTimer call_timer;
-    data::LabelerOutput out = inner_->Label(index);
-    seconds_ += call_timer.Seconds();
-    if (pause) paused_->Resume();
-    return out;
-  }
-
-  size_t num_records() const override { return inner_->num_records(); }
-  size_t invocations() const override { return inner_->invocations(); }
-  void ResetInvocations() override { inner_->ResetInvocations(); }
-
-  /// Wall seconds spent inside the wrapped labeler so far.
-  double seconds() const { return seconds_; }
-
- private:
-  labeler::TargetLabeler* inner_;
-  WallTimer* paused_;
-  double seconds_ = 0.0;
-};
-
-/// FallibleLabeler counterpart of TimedLabeler: measures wall time inside
-/// the wrapped oracle (successful or not) and pauses the caller's phase
-/// timer around each call.
+/// Oracle wrapper that (1) measures the wall time spent inside the wrapped
+/// oracle, successful calls or not, and (2) pauses a caller-supplied phase
+/// timer around each call, so the phase timer reads pure algorithm time.
+/// Invocation counting delegates to the wrapped oracle.
 class TimedOracle : public labeler::FallibleLabeler {
  public:
   /// Both pointers must outlive the wrapper; `paused_while_labeling` may

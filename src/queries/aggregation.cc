@@ -33,19 +33,6 @@ double FitControlCoefficient(const SampleSet& samples) {
 
 }  // namespace
 
-AggregationResult EstimateMean(const std::vector<double>& proxy_scores,
-                               labeler::TargetLabeler* labeler,
-                               const core::Scorer& scorer,
-                               const AggregationOptions& options) {
-  TASTI_CHECK(labeler != nullptr, "EstimateMean requires a labeler");
-  labeler::FallibleAdapter adapter(labeler);
-  Result<AggregationResult> r =
-      TryEstimateMean(proxy_scores, &adapter, scorer, options);
-  TASTI_CHECK(r.ok(), "EstimateMean failed with an infallible labeler: " +
-                          r.status().ToString());
-  return std::move(r).value();
-}
-
 Result<AggregationResult> TryEstimateMean(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& scorer, const AggregationOptions& options) {

@@ -70,19 +70,14 @@ struct AggregationResult {
 ///
 /// `proxy_scores` must contain one score per record; its exact dataset
 /// mean is free to compute (proxies are cheap), which is what makes the
-/// control variate unbiased. The labeler is charged one invocation per
-/// sampled record (pass a CachingLabeler to deduplicate repeats).
-AggregationResult EstimateMean(const std::vector<double>& proxy_scores,
-                               labeler::TargetLabeler* labeler,
-                               const core::Scorer& scorer,
-                               const AggregationOptions& options);
-
-/// Fallible-oracle variant. A sample whose oracle call fails keeps its
-/// slot with the propagated proxy score substituted for the labeler score
-/// (the mean stays defined and the stopping rule keeps its sample count;
-/// substitutions are reported for bias accounting). Fails with Unavailable
-/// only if every oracle call failed. With a fault-free oracle this is
-/// bit-identical to EstimateMean (which delegates here).
+/// control variate unbiased. The oracle is charged one invocation per
+/// sampled record (pass a CachingFallibleLabeler to deduplicate repeats).
+///
+/// A sample whose oracle call fails keeps its slot with the propagated
+/// proxy score substituted for the labeler score (the mean stays defined
+/// and the stopping rule keeps its sample count; substitutions are
+/// reported for bias accounting). Fails with Unavailable only if every
+/// oracle call failed.
 Result<AggregationResult> TryEstimateMean(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& scorer, const AggregationOptions& options);

@@ -10,19 +10,6 @@
 
 namespace tasti::queries {
 
-LimitResult LimitQuery(const std::vector<double>& ranking_scores,
-                       labeler::TargetLabeler* labeler,
-                       const core::Scorer& predicate,
-                       const LimitOptions& options) {
-  TASTI_CHECK(labeler != nullptr, "LimitQuery requires a labeler");
-  labeler::FallibleAdapter adapter(labeler);
-  Result<LimitResult> r =
-      TryLimitQuery(ranking_scores, &adapter, predicate, options);
-  TASTI_CHECK(r.ok(), "LimitQuery failed with an infallible labeler: " +
-                          r.status().ToString());
-  return std::move(r).value();
-}
-
 Result<LimitResult> TryLimitQuery(const std::vector<double>& ranking_scores,
                                   labeler::FallibleLabeler* oracle,
                                   const core::Scorer& predicate,

@@ -45,16 +45,10 @@ struct LimitResult {
 };
 
 /// Runs the ranked scan. `ranking_scores` orders records (descending);
-/// `predicate` must map a labeler output to >= 0.5 iff it matches.
-LimitResult LimitQuery(const std::vector<double>& ranking_scores,
-                       labeler::TargetLabeler* labeler,
-                       const core::Scorer& predicate,
-                       const LimitOptions& options);
-
-/// Fallible-oracle variant. A record whose oracle call fails is skipped
-/// (it still consumes budget — the call was made) and the scan continues.
-/// Fails with Unavailable only if no call succeeded. With a fault-free
-/// oracle this is bit-identical to LimitQuery (which delegates here).
+/// `predicate` must map a labeler output to >= 0.5 iff it matches. A
+/// record whose oracle call fails is skipped (it still consumes budget —
+/// the call was made) and the scan continues. Fails with Unavailable only
+/// if no call succeeded.
 Result<LimitResult> TryLimitQuery(const std::vector<double>& ranking_scores,
                                   labeler::FallibleLabeler* oracle,
                                   const core::Scorer& predicate,

@@ -31,19 +31,6 @@ double F1FromCounts(size_t tp, size_t fp, size_t fn) {
 }
 }  // namespace
 
-ThresholdSelectResult ThresholdSelect(const std::vector<double>& proxy_scores,
-                                      labeler::TargetLabeler* labeler,
-                                      const core::Scorer& predicate,
-                                      const ThresholdSelectOptions& options) {
-  TASTI_CHECK(labeler != nullptr, "ThresholdSelect requires a labeler");
-  labeler::FallibleAdapter adapter(labeler);
-  Result<ThresholdSelectResult> r =
-      TryThresholdSelect(proxy_scores, &adapter, predicate, options);
-  TASTI_CHECK(r.ok(), "ThresholdSelect failed with an infallible labeler: " +
-                          r.status().ToString());
-  return std::move(r).value();
-}
-
 Result<ThresholdSelectResult> TryThresholdSelect(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& predicate, const ThresholdSelectOptions& options) {

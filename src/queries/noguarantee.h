@@ -61,16 +61,9 @@ struct ThresholdSelectResult {
 };
 
 /// Fits a threshold on a uniform validation sample and returns every
-/// record whose proxy score clears it.
-ThresholdSelectResult ThresholdSelect(const std::vector<double>& proxy_scores,
-                                      labeler::TargetLabeler* labeler,
-                                      const core::Scorer& predicate,
-                                      const ThresholdSelectOptions& options);
-
-/// Fallible-oracle variant. Validation records whose oracle call fails are
-/// dropped from the fit. Fails with Unavailable only if every validation
-/// call failed. With a fault-free oracle this is bit-identical to
-/// ThresholdSelect (which delegates here).
+/// record whose proxy score clears it. Validation records whose oracle
+/// call fails are dropped from the fit. Fails with Unavailable only if
+/// every validation call failed.
 Result<ThresholdSelectResult> TryThresholdSelect(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& predicate, const ThresholdSelectOptions& options);

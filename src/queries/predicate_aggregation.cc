@@ -12,20 +12,6 @@
 
 namespace tasti::queries {
 
-PredicateAggregationResult EstimateMeanWithPredicate(
-    const std::vector<double>& predicate_proxy,
-    labeler::TargetLabeler* labeler, const core::Scorer& predicate,
-    const core::Scorer& statistic, const PredicateAggregationOptions& options) {
-  TASTI_CHECK(labeler != nullptr, "EstimateMeanWithPredicate requires a labeler");
-  labeler::FallibleAdapter adapter(labeler);
-  Result<PredicateAggregationResult> r = TryEstimateMeanWithPredicate(
-      predicate_proxy, &adapter, predicate, statistic, options);
-  TASTI_CHECK(r.ok(),
-              "EstimateMeanWithPredicate failed with an infallible labeler: " +
-                  r.status().ToString());
-  return std::move(r).value();
-}
-
 Result<PredicateAggregationResult> TryEstimateMeanWithPredicate(
     const std::vector<double>& predicate_proxy,
     labeler::FallibleLabeler* oracle, const core::Scorer& predicate,

@@ -68,17 +68,10 @@ struct PredicateAggregationResult {
 
 /// Estimates E[statistic | predicate]. `predicate_proxy` guides sampling
 /// (scores clipped to [0, 1]); the labeler output is scored exactly by
-/// both scorers for each sampled record.
-PredicateAggregationResult EstimateMeanWithPredicate(
-    const std::vector<double>& predicate_proxy,
-    labeler::TargetLabeler* labeler, const core::Scorer& predicate,
-    const core::Scorer& statistic, const PredicateAggregationOptions& options);
-
-/// Fallible-oracle variant. A draw whose oracle call fails is dropped (no
-/// proxy substitute exists for the statistic) and the budget is still
-/// consumed. Fails with Unavailable only if every call failed. With a
-/// fault-free oracle this is bit-identical to EstimateMeanWithPredicate
-/// (which delegates here).
+/// both scorers for each sampled record. A draw whose oracle call fails
+/// is dropped (no proxy substitute exists for the statistic) and the
+/// budget is still consumed. Fails with Unavailable only if every call
+/// failed.
 Result<PredicateAggregationResult> TryEstimateMeanWithPredicate(
     const std::vector<double>& predicate_proxy,
     labeler::FallibleLabeler* oracle, const core::Scorer& predicate,

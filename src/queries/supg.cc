@@ -12,19 +12,6 @@
 
 namespace tasti::queries {
 
-SupgResult SupgRecallSelect(const std::vector<double>& proxy_scores,
-                            labeler::TargetLabeler* labeler,
-                            const core::Scorer& scorer,
-                            const SupgOptions& options) {
-  TASTI_CHECK(labeler != nullptr, "SupgRecallSelect requires a labeler");
-  labeler::FallibleAdapter adapter(labeler);
-  Result<SupgResult> r =
-      TrySupgRecallSelect(proxy_scores, &adapter, scorer, options);
-  TASTI_CHECK(r.ok(), "SupgRecallSelect failed with an infallible labeler: " +
-                          r.status().ToString());
-  return std::move(r).value();
-}
-
 Result<SupgResult> TrySupgRecallSelect(const std::vector<double>& proxy_scores,
                                        labeler::FallibleLabeler* oracle,
                                        const core::Scorer& scorer,
@@ -178,19 +165,6 @@ Result<SupgResult> TrySupgRecallSelect(const std::vector<double>& proxy_scores,
   result.selected.assign(chosen.begin(), chosen.end());
   std::sort(result.selected.begin(), result.selected.end());
   return result;
-}
-
-SupgResult SupgPrecisionSelect(const std::vector<double>& proxy_scores,
-                               labeler::TargetLabeler* labeler,
-                               const core::Scorer& scorer,
-                               const SupgPrecisionOptions& options) {
-  TASTI_CHECK(labeler != nullptr, "SupgPrecisionSelect requires a labeler");
-  labeler::FallibleAdapter adapter(labeler);
-  Result<SupgResult> r =
-      TrySupgPrecisionSelect(proxy_scores, &adapter, scorer, options);
-  TASTI_CHECK(r.ok(), "SupgPrecisionSelect failed with an infallible labeler: " +
-                          r.status().ToString());
-  return std::move(r).value();
 }
 
 Result<SupgResult> TrySupgPrecisionSelect(

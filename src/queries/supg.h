@@ -65,18 +65,11 @@ struct SupgResult {
 };
 
 /// Runs the recall-target selection. `scorer` must map labeler outputs to
-/// 1 (match) / 0 (no match); `proxy_scores` are clipped to [0, 1].
-SupgResult SupgRecallSelect(const std::vector<double>& proxy_scores,
-                            labeler::TargetLabeler* labeler,
-                            const core::Scorer& scorer,
-                            const SupgOptions& options);
-
-/// Fallible-oracle variant. A sample whose oracle call fails is dropped —
-/// the recall bound then holds over a smaller effective sample, which the
-/// confidence inflation already accounts for — and
-/// achieved vs requested counts are reported. Fails with Unavailable only
-/// if every call failed. With a fault-free oracle this is bit-identical to
-/// SupgRecallSelect (which delegates here).
+/// 1 (match) / 0 (no match); `proxy_scores` are clipped to [0, 1]. A
+/// sample whose oracle call fails is dropped — the recall bound then holds
+/// over a smaller effective sample, which the confidence inflation already
+/// accounts for — and achieved vs requested counts are reported. Fails
+/// with Unavailable only if every call failed.
 Result<SupgResult> TrySupgRecallSelect(const std::vector<double>& proxy_scores,
                                        labeler::FallibleLabeler* oracle,
                                        const core::Scorer& scorer,
@@ -99,14 +92,8 @@ struct SupgPrecisionOptions {
 /// Runs the precision-target selection: returns the largest
 /// threshold-defined set whose estimated precision clears the
 /// (confidence-inflated) target. Maximizes recall subject to precision.
-SupgResult SupgPrecisionSelect(const std::vector<double>& proxy_scores,
-                               labeler::TargetLabeler* labeler,
-                               const core::Scorer& scorer,
-                               const SupgPrecisionOptions& options);
-
-/// Fallible-oracle variant of SupgPrecisionSelect; same degraded-mode
-/// semantics as TrySupgRecallSelect (failed samples dropped, Unavailable
-/// when every call failed).
+/// Same degraded-mode semantics as TrySupgRecallSelect (failed samples
+/// dropped, Unavailable when every call failed).
 Result<SupgResult> TrySupgPrecisionSelect(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& scorer, const SupgPrecisionOptions& options);

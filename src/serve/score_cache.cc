@@ -55,12 +55,6 @@ void ExportEvictions(size_t count) {
   evictions->Increment(count);
 }
 
-bool SameOptions(const core::PropagationOptions& a,
-                 const core::PropagationOptions& b) {
-  return a.k == b.k && a.epsilon == b.epsilon &&
-         a.weight_power == b.weight_power;
-}
-
 }  // namespace
 
 const char* ProxySourceName(ProxySource source) {
@@ -83,8 +77,8 @@ std::string ScoreCache::Key(const core::Scorer& scorer,
 
 std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
     const IndexSnapshot& snapshot, const core::Scorer& scorer,
-    core::PropagationMode mode, const core::PropagationOptions& options,
-    core::ProxyTimings* timings, Outcome* outcome) {
+    core::PropagationMode mode, core::ProxyTimings* timings,
+    Outcome* outcome) {
   const std::string key = Key(scorer, mode, snapshot.epoch);
   std::promise<std::shared_ptr<const core::PropagationState>> promise;
   std::shared_future<std::shared_ptr<const core::PropagationState>> future;
@@ -148,7 +142,6 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
     std::shared_ptr<const core::PropagationState> parent;
     if (have_parent) parent = parent_future.get();  // ready: non-blocking
     if (parent != nullptr && parent->mode == mode &&
-        SameOptions(parent->options, options) &&
         parent->scores.size() == snapshot.parent_num_records &&
         parent->rep_scores.size() == snapshot.parent_num_representatives) {
       // Copy-on-write: the copy advances to this epoch, the parent entry
@@ -161,7 +154,7 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
       via_delta = true;
     } else {
       TASTI_SPAN("serve.score_cache.full");
-      core::ComputeProxyState(snapshot.View(), scorer, mode, options, &state,
+      core::ComputeProxyState(snapshot.View(), scorer, mode, {}, &state,
                               timings);
     }
   } catch (...) {

@@ -4,8 +4,9 @@
 /// \file score_cache.h
 /// Server-wide proxy-score cache with cross-epoch delta application.
 ///
-/// Proxy scores are a pure function of (index epoch, scorer, propagation
-/// mode), so the server caches them keyed by scorer fingerprint and epoch:
+/// Every entry is propagated with the default core::PropagationOptions, so
+/// proxy scores are a pure function of (index epoch, scorer, propagation
+/// mode) and the server caches them keyed by scorer fingerprint and epoch:
 ///  - same epoch, same scorer: a later query reuses the shared
 ///    PropagationState outright (hit); concurrent queries for the same key
 ///    wait on the first one's future instead of recomputing (shared).
@@ -101,8 +102,8 @@ class ScoreCache {
   /// null) reports how the scores were obtained.
   std::shared_ptr<const core::PropagationState> GetOrCompute(
       const IndexSnapshot& snapshot, const core::Scorer& scorer,
-      core::PropagationMode mode, const core::PropagationOptions& options,
-      core::ProxyTimings* timings, Outcome* outcome);
+      core::PropagationMode mode, core::ProxyTimings* timings,
+      Outcome* outcome);
 
   /// Drops every completed entry (in-flight computes finish and are then
   /// subject to normal eviction). For tests and operational resets; normal

@@ -558,8 +558,8 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   core::ProxyTimings proxy_timings;
   ScoreCache::Outcome proxy_outcome;
   std::shared_ptr<const core::PropagationState> proxy =
-      score_cache_.GetOrCompute(*snapshot, *spec.scorer, mode, {},
-                                &proxy_timings, &proxy_outcome);
+      score_cache_.GetOrCompute(*snapshot, *spec.scorer, mode, &proxy_timings,
+                                &proxy_outcome);
 
   // Per-query deadline token. Registered under mu_ so Abandon() can
   // cancel it while the query executes.
@@ -595,7 +595,7 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
       core::ProxyTimings stat_timings;
       ScoreCache::Outcome stat_outcome;
       statistic = score_cache_.GetOrCompute(
-          *snapshot, *spec.statistic, core::PropagationMode::kNumeric, {},
+          *snapshot, *spec.statistic, core::PropagationMode::kNumeric,
           &stat_timings, &stat_outcome);
     }
     response = AnswerFromProxy(spec, proxy->scores, statistic->scores);
@@ -733,7 +733,7 @@ void TastiServer::AppendQueryRecord(const QueryResponse& response,
 
   obs::QueryRecord record;
   record.query_type = QueryKindName(response.kind);
-  record.params = "scorer=" + spec.scorer->Name() +
+  record.params = QueryParams(spec) +
                   " client=" + std::to_string(spec.client_id) +
                   " epoch=" + std::to_string(response.epoch);
   record.phases = phases;

@@ -13,7 +13,7 @@ namespace tasti {
 /// construction. Pause()/Resume() let a phase timer exclude nested work —
 /// e.g. a query-phase timer pauses while the target labeler runs, so
 /// algorithm time and oracle time are attributed separately (see
-/// obs::TimedLabeler).
+/// obs::TimedOracle).
 class WallTimer {
  public:
   WallTimer() : start_(Clock::now()) {}

@@ -35,7 +35,8 @@ SessionOptions FastSessionOptions() {
 
 TEST(SessionTest, LazyIndexConstruction) {
   data::Dataset ds = TestDataset(2000);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   SessionOptions opts = FastSessionOptions();
   opts.index.num_training_records = 150;
   opts.index.num_representatives = 150;
@@ -52,7 +53,8 @@ TEST(SessionTest, LazyIndexConstruction) {
 
 TEST(SessionTest, InvocationAccountingMatchesOracle) {
   data::Dataset ds = TestDataset(2000);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   SessionOptions opts = FastSessionOptions();
   opts.index.num_training_records = 150;
   opts.index.num_representatives = 150;
@@ -66,7 +68,8 @@ TEST(SessionTest, InvocationAccountingMatchesOracle) {
 
 TEST(SessionTest, AggregateIsAccurate) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::CountScorer cars(data::ObjectClass::kCar);
   const double truth = Mean(core::ExactScores(ds, cars));
@@ -76,7 +79,8 @@ TEST(SessionTest, AggregateIsAccurate) {
 
 TEST(SessionTest, SelectWithRecallMeetsTarget) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::PresenceScorer has_car(data::ObjectClass::kCar);
   const auto truth = core::ExactScores(ds, has_car);
@@ -86,7 +90,8 @@ TEST(SessionTest, SelectWithRecallMeetsTarget) {
 
 TEST(SessionTest, SelectWithPrecisionMeetsTarget) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::PresenceScorer has_car(data::ObjectClass::kCar);
   const auto truth = core::ExactScores(ds, has_car);
@@ -96,7 +101,8 @@ TEST(SessionTest, SelectWithPrecisionMeetsTarget) {
 
 TEST(SessionTest, LimitFindsMatches) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::AtLeastCountScorer busy(data::ObjectClass::kCar, 2);
   const auto result = session.Limit(busy, 5);
@@ -108,7 +114,8 @@ TEST(SessionTest, LimitFindsMatches) {
 
 TEST(SessionTest, AggregateWhereEstimatesConditionalMean) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::PresenceScorer has_car(data::ObjectClass::kCar);
   core::MeanXScorer mean_x(data::ObjectClass::kCar);
@@ -127,7 +134,8 @@ TEST(SessionTest, AggregateWhereEstimatesConditionalMean) {
 
 TEST(SessionTest, SelectThresholdReturnsRecords) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::PresenceScorer has_car(data::ObjectClass::kCar);
   const auto truth = core::ExactScores(ds, has_car);
@@ -137,7 +145,8 @@ TEST(SessionTest, SelectThresholdReturnsRecords) {
 
 TEST(SessionTest, EstimateDirectUsesNoLabelerCalls) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::CountScorer cars(data::ObjectClass::kCar);
   session.index();  // force construction
@@ -149,7 +158,8 @@ TEST(SessionTest, EstimateDirectUsesNoLabelerCalls) {
 
 TEST(SessionTest, AutoCrackGrowsIndexAcrossQueries) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::CountScorer cars(data::ObjectClass::kCar);
   session.Aggregate(cars, 0.12);
@@ -161,7 +171,8 @@ TEST(SessionTest, AutoCrackGrowsIndexAcrossQueries) {
 
 TEST(SessionTest, AutoCrackMakesLaterQueriesCheaper) {
   data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiSession session(&ds, &oracle, FastSessionOptions());
   core::CountScorer cars(data::ObjectClass::kCar);
   const auto first = session.Aggregate(cars, 0.1);
@@ -173,7 +184,8 @@ TEST(SessionTest, AutoCrackMakesLaterQueriesCheaper) {
 
 TEST(SessionTest, AutoCrackOffKeepsIndexFixed) {
   data::Dataset ds = TestDataset(3000);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   SessionOptions opts = FastSessionOptions();
   opts.auto_crack = false;
   opts.index.num_representatives = 200;
@@ -186,7 +198,8 @@ TEST(SessionTest, AutoCrackOffKeepsIndexFixed) {
 
 TEST(SessionTest, ProxyCacheReusedWithoutCracking) {
   data::Dataset ds = TestDataset(3000);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   SessionOptions opts = FastSessionOptions();
   opts.auto_crack = false;
   opts.index.num_representatives = 200;

@@ -25,6 +25,7 @@
 #include "durable/wal.h"
 #include "labeler/faults.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "util/stats.h"
 
 namespace tasti::core {
@@ -52,7 +53,8 @@ IndexOptions FastIndexOptions() {
 TastiIndex BuildSmallIndex(const data::Dataset& ds,
                            IndexOptions opts = FastIndexOptions()) {
   labeler::SimulatedLabeler oracle(&ds);
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   return TastiIndex::Build(ds, &cache, opts);
 }
 
@@ -97,7 +99,8 @@ TEST(IndexBuildTest, BudgetAccounting) {
   data::Dataset ds = SmallDataset();
   data::Dataset copy = ds;  // keep a pristine oracle source
   labeler::SimulatedLabeler oracle(&copy);
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   IndexOptions opts = FastIndexOptions();
   TastiIndex index = TastiIndex::Build(ds, &cache, opts);
   // With a caching labeler, total distinct annotations are at most
@@ -112,7 +115,8 @@ TEST(IndexBuildTest, PretrainedVariantSkipsTraining) {
   data::Dataset ds = SmallDataset();
   IndexOptions opts = FastIndexOptions();
   opts.use_triplet_training = false;
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   TastiIndex index = TastiIndex::Build(ds, &oracle, opts);
   EXPECT_EQ(index.build_stats().training_invocations, 0u);
   EXPECT_EQ(index.build_stats().train_seconds, 0.0);
@@ -414,12 +418,13 @@ TEST(CrackingTest, CrackFromCacheAddsQueryLabels) {
   data::Dataset ds = SmallDataset();
   TastiIndex index = BuildSmallIndex(ds);
   labeler::SimulatedLabeler oracle(&ds);
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   // Simulate a query labeling some records.
   std::vector<size_t> touched;
   for (size_t record = 0; touched.size() < 20; ++record) {
     if (!index.IsRepresentative(record)) {
-      cache.Label(record);
+      ASSERT_TRUE(cache.TryLabel(record).ok());
       touched.push_back(record);
     }
   }

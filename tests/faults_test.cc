@@ -327,7 +327,8 @@ TEST(DegradedBuildTest, TransientOnlyBuildIsBitIdenticalToFaultFree) {
   data::Dataset ds = SmallDataset();
   const core::IndexOptions opts = FastIndexOptions();
 
-  labeler::SimulatedLabeler clean(&ds);
+  labeler::SimulatedLabeler clean_labeler(&ds);
+  labeler::FallibleAdapter clean(&clean_labeler);
   core::TastiIndex baseline = core::TastiIndex::Build(ds, &clean, opts);
 
   labeler::SimulatedLabeler sim(&ds);
@@ -421,7 +422,8 @@ class DegradedQueryTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     ds_ = new data::Dataset(SmallDataset());
-    labeler::SimulatedLabeler clean(ds_);
+    labeler::SimulatedLabeler clean_labeler(ds_);
+    labeler::FallibleAdapter clean(&clean_labeler);
     index_ = new core::TastiIndex(
         core::TastiIndex::Build(*ds_, &clean, FastIndexOptions()));
   }
@@ -642,7 +644,8 @@ TEST(IntegrityTest, TruncatedIndexFileIsRejected) {
   core::IndexOptions opts = FastIndexOptions();
   opts.num_training_records = 100;
   opts.num_representatives = 50;
-  labeler::SimulatedLabeler clean(&ds);
+  labeler::SimulatedLabeler clean_labeler(&ds);
+  labeler::FallibleAdapter clean(&clean_labeler);
   core::TastiIndex index = core::TastiIndex::Build(ds, &clean, opts);
 
   Result<std::string> buffer = core::IndexSerializer::SerializeToString(index);
@@ -669,7 +672,8 @@ TEST(IntegrityTest, BitFlipIsDetectedAsDataLoss) {
   core::IndexOptions opts = FastIndexOptions();
   opts.num_training_records = 100;
   opts.num_representatives = 50;
-  labeler::SimulatedLabeler clean(&ds);
+  labeler::SimulatedLabeler clean_labeler(&ds);
+  labeler::FallibleAdapter clean(&clean_labeler);
   core::TastiIndex index = core::TastiIndex::Build(ds, &clean, opts);
 
   Result<std::string> buffer = core::IndexSerializer::SerializeToString(index);

@@ -15,6 +15,7 @@
 #include "data/dataset.h"
 #include "eval/experiment.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "queries/aggregation.h"
 #include "queries/limit.h"
 #include "queries/noguarantee.h"
@@ -81,7 +82,8 @@ TEST_F(TastiPipelineTest, AggregationOrderingMatchesPaper) {
 
   auto run = [&](const std::vector<double>& proxy) {
     auto oracle = bench_->MakeOracle();
-    return queries::EstimateMean(proxy, oracle.get(), scorer, opts)
+    labeler::FallibleAdapter adapter(oracle.get());
+    return queries::TryEstimateMean(proxy, &adapter, scorer, opts).value()
         .labeler_invocations;
   };
   const size_t tasti_t = run(bench_->TastiScores(scorer, true));
@@ -104,8 +106,9 @@ TEST_F(TastiPipelineTest, AggregationAccuracyHolds) {
   opts.error_target = 0.12;
   opts.seed = 78;
   auto oracle = bench_->MakeOracle();
-  queries::AggregationResult result = queries::EstimateMean(
-      bench_->TastiScores(scorer, true), oracle.get(), scorer, opts);
+  labeler::FallibleAdapter adapter(oracle.get());
+  queries::AggregationResult result = queries::TryEstimateMean(
+      bench_->TastiScores(scorer, true), &adapter, scorer, opts).value();
   EXPECT_NEAR(result.estimate, truth, 3 * opts.error_target);
 }
 
@@ -118,8 +121,9 @@ TEST_F(TastiPipelineTest, SupgSelectionBeatsPerQueryProxy) {
 
   auto run_fpr = [&](const std::vector<double>& proxy) {
     auto oracle = bench_->MakeOracle();
+    labeler::FallibleAdapter adapter(oracle.get());
     queries::SupgResult result =
-        queries::SupgRecallSelect(proxy, oracle.get(), scorer, opts);
+        queries::TrySupgRecallSelect(proxy, &adapter, scorer, opts).value();
     EXPECT_GE(queries::AchievedRecall(result.selected, truth),
               opts.recall_target - 0.02);
     return queries::FalsePositiveRate(result.selected, truth);
@@ -142,13 +146,15 @@ TEST_F(TastiPipelineTest, LimitQueryFindsRareEventsQuickly) {
   const auto tasti_rank =
       bench_->TastiScores(predicate, true, core::PropagationMode::kLimit);
   auto oracle_t = bench_->MakeOracle();
+  labeler::FallibleAdapter adapter_t(oracle_t.get());
   queries::LimitResult tasti =
-      queries::LimitQuery(tasti_rank, oracle_t.get(), predicate, opts);
+      queries::TryLimitQuery(tasti_rank, &adapter_t, predicate, opts).value();
 
   const auto pq = bench_->PerQueryProxy(predicate, 2);
   auto oracle_p = bench_->MakeOracle();
+  labeler::FallibleAdapter adapter_p(oracle_p.get());
   queries::LimitResult per_query =
-      queries::LimitQuery(pq.scores, oracle_p.get(), predicate, opts);
+      queries::TryLimitQuery(pq.scores, &adapter_p, predicate, opts).value();
 
   EXPECT_TRUE(tasti.satisfied);
   // TASTI's ranking must examine far fewer records than random scanning
@@ -168,7 +174,8 @@ TEST_F(TastiPipelineTest, CrackingImprovesSecondQuery) {
   // Work on a copy of the index so other tests see the original.
   core::TastiIndex index = [&] {
     labeler::SimulatedLabeler oracle(&bench_->dataset());
-    labeler::CachingLabeler cache(&oracle);
+    labeler::FallibleAdapter adapter(&oracle);
+    labeler::CachingFallibleLabeler cache(&adapter);
     core::IndexOptions opts = bench_->BaseIndexOptions();
     opts.num_representatives = 400;  // deliberately small: room to improve
     return core::TastiIndex::Build(bench_->dataset(), &cache, opts);
@@ -178,11 +185,12 @@ TEST_F(TastiPipelineTest, CrackingImprovesSecondQuery) {
   const double rho_before = PearsonCorrelation(before, truth);
 
   labeler::SimulatedLabeler oracle(&bench_->dataset());
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   queries::AggregationOptions agg_opts;
   agg_opts.error_target = 0.03;
   agg_opts.seed = 80;
-  queries::EstimateMean(before, &cache, scorer, agg_opts);
+  queries::TryEstimateMean(before, &cache, scorer, agg_opts).value();
 
   const size_t added = index.CrackFrom(cache);
   EXPECT_GT(added, 0u);
@@ -204,11 +212,12 @@ TEST_F(TastiPipelineTest, NoGuaranteeQueriesAreAccurate) {
   const std::vector<double> sel_truth =
       core::ExactScores(bench_->dataset(), sel);
   auto oracle = bench_->MakeOracle();
+  labeler::FallibleAdapter adapter(oracle.get());
   queries::ThresholdSelectOptions sel_opts;
   sel_opts.validation_budget = 300;
   sel_opts.seed = 81;
-  queries::ThresholdSelectResult result = queries::ThresholdSelect(
-      bench_->TastiScores(sel, true), oracle.get(), sel, sel_opts);
+  queries::ThresholdSelectResult result = queries::TryThresholdSelect(
+      bench_->TastiScores(sel, true), &adapter, sel, sel_opts).value();
   EXPECT_GT(queries::F1Score(result.selected, sel_truth), 0.8);
 }
 
@@ -233,8 +242,9 @@ TEST(MultiModalityTest, TextPipelineWorks) {
   opts.error_target = 0.03;
   opts.seed = 82;
   auto oracle = bench.MakeOracle();
+  labeler::FallibleAdapter adapter(oracle.get());
   queries::AggregationResult result =
-      queries::EstimateMean(proxy, oracle.get(), scorer, opts);
+      queries::TryEstimateMean(proxy, &adapter, scorer, opts).value();
   EXPECT_NEAR(result.estimate, Mean(truth), 3 * opts.error_target);
 }
 
@@ -257,8 +267,9 @@ TEST(MultiModalityTest, SpeechPipelineWorks) {
   opts.budget = 400;
   opts.seed = 83;
   auto oracle = bench.MakeOracle();
+  labeler::FallibleAdapter adapter(oracle.get());
   queries::SupgResult result =
-      queries::SupgRecallSelect(proxy, oracle.get(), scorer, opts);
+      queries::TrySupgRecallSelect(proxy, &adapter, scorer, opts).value();
   EXPECT_GE(queries::AchievedRecall(result.selected, truth), 0.85);
 }
 

@@ -1,11 +1,13 @@
-// Unit tests for labeler/: simulated and degraded labelers, the caching
-// wrapper, invocation counting, and the Table 1 cost model.
+// Unit tests for labeler/: simulated and degraded labelers, the per-query
+// label cache, invocation counting, and the Table 1 cost model.
 
 #include <gtest/gtest.h>
 
 #include "data/dataset.h"
 #include "labeler/cost_model.h"
+#include "labeler/faults.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "obs/query_log.h"
 
 namespace tasti::labeler {
@@ -93,89 +95,120 @@ TEST(DegradedLabelerTest, NonVideoPassesThrough) {
   }
 }
 
-TEST(CachingLabelerTest, DeduplicatesInvocations) {
+// ---------- Per-query label cache ----------
+
+TEST(CachingFallibleLabelerTest, DeduplicatesInvocations) {
   data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler oracle(&ds);
-  CachingLabeler cache(&oracle);
-  cache.Label(3);
-  cache.Label(3);
-  cache.Label(4);
-  cache.Label(3);
-  EXPECT_EQ(oracle.invocations(), 2u);
+  SimulatedLabeler simulated(&ds);
+  FallibleAdapter oracle(&simulated);
+  CachingFallibleLabeler cache(&oracle);
+  for (size_t record : {3, 3, 4, 3}) ASSERT_TRUE(cache.TryLabel(record).ok());
+  EXPECT_EQ(simulated.invocations(), 2u);
   EXPECT_EQ(cache.invocations(), 2u);
   ASSERT_EQ(cache.labeled_indices().size(), 2u);
   EXPECT_EQ(cache.labeled_indices()[0], 3u);
   EXPECT_EQ(cache.labeled_indices()[1], 4u);
 }
 
-TEST(CachingLabelerTest, CachedLabelLookup) {
+TEST(CachingFallibleLabelerTest, CachedLabelLookup) {
   data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler oracle(&ds);
-  CachingLabeler cache(&oracle);
+  SimulatedLabeler simulated(&ds);
+  FallibleAdapter oracle(&simulated);
+  CachingFallibleLabeler cache(&oracle);
   EXPECT_FALSE(cache.CachedLabel(9).has_value());
-  cache.Label(9);
+  ASSERT_TRUE(cache.TryLabel(9).ok());
   ASSERT_TRUE(cache.CachedLabel(9).has_value());
   EXPECT_EQ(data::CountBoxes(*cache.CachedLabel(9)),
             data::CountBoxes(ds.ground_truth[9]));
 }
 
-TEST(CachingLabelerTest, ClearCacheForcesRelabel) {
+TEST(CachingFallibleLabelerTest, ClearCacheForcesRelabel) {
   data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler oracle(&ds);
-  CachingLabeler cache(&oracle);
-  cache.Label(1);
+  SimulatedLabeler simulated(&ds);
+  FallibleAdapter oracle(&simulated);
+  CachingFallibleLabeler cache(&oracle);
+  ASSERT_TRUE(cache.TryLabel(1).ok());
   cache.ClearCache();
   EXPECT_TRUE(cache.labeled_indices().empty());
-  cache.Label(1);
+  ASSERT_TRUE(cache.TryLabel(1).ok());
+  EXPECT_EQ(simulated.invocations(), 2u);
+}
+
+TEST(CachingFallibleLabelerTest, FailedCallIsNotCachedAndRetriesTheOracle) {
+  data::Dataset ds = SmallVideoDataset();
+  SimulatedLabeler simulated(&ds);
+  FaultSchedule schedule;
+  schedule.crash_windows.push_back({0, 1});  // only the first attempt fails
+  FaultInjectingLabeler oracle(&simulated, schedule);
+  CachingFallibleLabeler cache(&oracle);
+
+  EXPECT_FALSE(cache.TryLabel(5).ok());
+  EXPECT_FALSE(cache.CachedLabel(5).has_value());
+  EXPECT_TRUE(cache.labeled_indices().empty());
+  EXPECT_EQ(oracle.invocations(), 1u);
+
+  // The failure left no entry, so the next call reaches the oracle again.
+  Result<data::LabelerOutput> retry = cache.TryLabel(5);
+  ASSERT_TRUE(retry.ok());
+  EXPECT_EQ(oracle.invocations(), 2u);
+  EXPECT_EQ(data::CountBoxes(*retry), data::CountBoxes(ds.ground_truth[5]));
+  ASSERT_EQ(cache.labeled_indices().size(), 1u);
+  EXPECT_EQ(cache.labeled_indices()[0], 5u);
+
+  // Now it is cached: a third call is free.
+  ASSERT_TRUE(cache.TryLabel(5).ok());
   EXPECT_EQ(oracle.invocations(), 2u);
 }
 
 // ---------- Wrapper invocation contract ----------
 //
-// TargetLabeler::invocations() is documented as "including those of
-// wrapped labelers": every wrapper must delegate counting to its inner
-// labeler so that, however deep the wrapping (caching inside timing
-// inside caching...), all layers agree with the base oracle. These are
+// Every oracle wrapper delegates invocations() to its inner oracle so
+// that, however deep the wrapping (caching inside timing inside
+// caching...), all layers agree with the base oracle. These are
 // regression tests for the per-query attribution in obs::QueryLog, which
 // relies on deltas of the base counter.
 
 TEST(WrapperContractTest, NestedCachingChainsAgreeWithOracle) {
   data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler oracle(&ds);
-  CachingLabeler inner(&oracle);
-  CachingLabeler outer(&inner);
-  outer.Label(3);
-  outer.Label(3);  // outer cache hit: no new invocation anywhere
-  inner.Label(3);  // inner cache hit
-  outer.Label(4);
-  EXPECT_EQ(oracle.invocations(), 2u);
+  SimulatedLabeler simulated(&ds);
+  FallibleAdapter oracle(&simulated);
+  CachingFallibleLabeler inner(&oracle);
+  CachingFallibleLabeler outer(&inner);
+  ASSERT_TRUE(outer.TryLabel(3).ok());
+  ASSERT_TRUE(outer.TryLabel(3).ok());  // outer cache hit: no new invocation
+  ASSERT_TRUE(inner.TryLabel(3).ok());  // inner cache hit
+  ASSERT_TRUE(outer.TryLabel(4).ok());
+  EXPECT_EQ(simulated.invocations(), 2u);
   EXPECT_EQ(inner.invocations(), 2u);
   EXPECT_EQ(outer.invocations(), 2u);
 }
 
 TEST(WrapperContractTest, ResetPropagatesToTheBaseOracle) {
   data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler oracle(&ds);
-  CachingLabeler cache(&oracle);
-  obs::TimedLabeler timed(&cache, nullptr);
-  timed.Label(0);
-  timed.Label(1);
+  SimulatedLabeler simulated(&ds);
+  FallibleAdapter oracle(&simulated);
+  CachingFallibleLabeler cache(&oracle);
+  obs::TimedOracle timed(&cache, nullptr);
+  ASSERT_TRUE(timed.TryLabel(0).ok());
+  ASSERT_TRUE(timed.TryLabel(1).ok());
   EXPECT_EQ(timed.invocations(), 2u);
   timed.ResetInvocations();
-  EXPECT_EQ(oracle.invocations(), 0u);
+  EXPECT_EQ(simulated.invocations(), 0u);
   EXPECT_EQ(cache.invocations(), 0u);
   EXPECT_EQ(timed.invocations(), 0u);
 }
 
-TEST(WrapperContractTest, TimedLabelerDelegatesCountingAndRecords) {
+TEST(WrapperContractTest, TimedOracleDelegatesCountingAndRecords) {
   data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler oracle(&ds);
-  obs::TimedLabeler timed(&oracle, nullptr);
+  SimulatedLabeler simulated(&ds);
+  FallibleAdapter oracle(&simulated);
+  obs::TimedOracle timed(&oracle, nullptr);
   EXPECT_EQ(timed.num_records(), oracle.num_records());
-  const data::LabelerOutput out = timed.Label(6);
-  EXPECT_EQ(data::CountBoxes(out), data::CountBoxes(ds.ground_truth[6]));
+  Result<data::LabelerOutput> out = timed.TryLabel(6);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(data::CountBoxes(*out), data::CountBoxes(ds.ground_truth[6]));
   EXPECT_EQ(timed.invocations(), 1u);
-  EXPECT_EQ(oracle.invocations(), 1u);
+  EXPECT_EQ(simulated.invocations(), 1u);
   EXPECT_GE(timed.seconds(), 0.0);
 }
 
@@ -183,13 +216,12 @@ TEST(WrapperContractTest, TimedOverCachingChargesLikeCaching) {
   // Timing must not perturb counting: a cache hit through the timed
   // wrapper still costs zero oracle invocations.
   data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler oracle(&ds);
-  CachingLabeler cache(&oracle);
-  obs::TimedLabeler timed(&cache, nullptr);
-  timed.Label(7);
-  timed.Label(7);
-  timed.Label(7);
-  EXPECT_EQ(oracle.invocations(), 1u);
+  SimulatedLabeler simulated(&ds);
+  FallibleAdapter oracle(&simulated);
+  CachingFallibleLabeler cache(&oracle);
+  obs::TimedOracle timed(&cache, nullptr);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(timed.TryLabel(7).ok());
+  EXPECT_EQ(simulated.invocations(), 1u);
   EXPECT_EQ(timed.invocations(), 1u);
   ASSERT_EQ(cache.labeled_indices().size(), 1u);
 }

@@ -366,17 +366,17 @@ TEST(QueryLogTest, JsonExportRoundTrips) {
   EXPECT_DOUBLE_EQ(totals->GetNumberOr("labeler_invocations", 0.0), 1000.0);
 }
 
-// ---------- TimedLabeler ----------
+// ---------- TimedOracle ----------
 
-/// Labeler that burns a fixed wall time per call, for testing that phase
+/// Oracle that burns a fixed wall time per call, for testing that phase
 /// timers exclude oracle time.
-class SlowLabeler : public labeler::TargetLabeler {
+class SlowOracle : public labeler::FallibleLabeler {
  public:
-  explicit SlowLabeler(size_t num_records) : num_records_(num_records) {}
-  data::LabelerOutput Label(size_t) override {
+  explicit SlowOracle(size_t num_records) : num_records_(num_records) {}
+  Result<data::LabelerOutput> TryLabel(size_t) override {
     ++invocations_;
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    return {};
+    return data::LabelerOutput{};
   }
   size_t num_records() const override { return num_records_; }
   size_t invocations() const override { return invocations_; }
@@ -387,11 +387,11 @@ class SlowLabeler : public labeler::TargetLabeler {
   size_t invocations_ = 0;
 };
 
-TEST(TimedLabelerTest, PausesThePhaseTimerDuringOracleCalls) {
-  SlowLabeler oracle(10);
+TEST(TimedOracleTest, PausesThePhaseTimerDuringOracleCalls) {
+  SlowOracle oracle(10);
   WallTimer algorithm_timer;
-  obs::TimedLabeler timed(&oracle, &algorithm_timer);
-  for (size_t i = 0; i < 3; ++i) timed.Label(i);
+  obs::TimedOracle timed(&oracle, &algorithm_timer);
+  for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(timed.TryLabel(i).ok());
   algorithm_timer.Pause();
   // ~30ms went to the oracle; the algorithm timer must not have seen it.
   EXPECT_GE(timed.seconds(), 0.025);
@@ -399,10 +399,10 @@ TEST(TimedLabelerTest, PausesThePhaseTimerDuringOracleCalls) {
   EXPECT_EQ(timed.invocations(), 3u);
 }
 
-TEST(TimedLabelerTest, NullTimerMeasuresWithoutPausing) {
-  SlowLabeler oracle(10);
-  obs::TimedLabeler timed(&oracle, nullptr);
-  timed.Label(0);
+TEST(TimedOracleTest, NullTimerMeasuresWithoutPausing) {
+  SlowOracle oracle(10);
+  obs::TimedOracle timed(&oracle, nullptr);
+  ASSERT_TRUE(timed.TryLabel(0).ok());
   EXPECT_GE(timed.seconds(), 0.008);
   EXPECT_EQ(oracle.invocations(), 1u);
 }
@@ -414,7 +414,8 @@ TEST(SessionAttributionTest, LedgerMatchesTheOracleCounter) {
   dataset_options.num_records = 2000;
   dataset_options.seed = 5;
   data::Dataset video = data::MakeNightStreet(dataset_options);
-  labeler::SimulatedLabeler oracle(&video);
+  labeler::SimulatedLabeler simulated(&video);
+  labeler::FallibleAdapter oracle(&simulated);
 
   api::SessionOptions options;
   options.index.num_training_records = 100;

@@ -43,7 +43,8 @@ IndexOptions FastIndexOptions() {
 TastiIndex BuildSmallIndex(const data::Dataset& ds,
                            IndexOptions opts = FastIndexOptions()) {
   labeler::SimulatedLabeler oracle(&ds);
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   return TastiIndex::Build(ds, &cache, opts);
 }
 

@@ -21,6 +21,7 @@
 #include "core/serialize.h"
 #include "data/dataset.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "nn/triplet.h"
 #include "queries/aggregation.h"
 #include "queries/limit.h"
@@ -240,7 +241,8 @@ TEST_P(PropagationSweepTest, ScoresStayWithinRepRange) {
   opts.epochs = 8;
   opts.k = 8;
   labeler::SimulatedLabeler oracle(&ds);
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   core::TastiIndex index = core::TastiIndex::Build(ds, &cache, opts);
 
   core::CountScorer scorer(data::ObjectClass::kCar);
@@ -278,7 +280,8 @@ TEST_P(SerializePerDatasetTest, RoundTripPreservesProxies) {
   opts.hidden_dim = 32;
   opts.epochs = 6;
   labeler::SimulatedLabeler oracle(&ds);
-  labeler::CachingLabeler cache(&oracle);
+  labeler::FallibleAdapter adapter(&oracle);
+  labeler::CachingFallibleLabeler cache(&adapter);
   core::TastiIndex index = core::TastiIndex::Build(ds, &cache, opts);
 
   // Pick a scorer that exercises this dataset's label type.
@@ -334,12 +337,13 @@ TEST_P(AggregationTargetTest, AchievedErrorWithinTarget) {
   int within = 0;
   const int trials = 20;
   for (int t = 0; t < trials; ++t) {
-    labeler::SimulatedLabeler oracle(&ds);
+    labeler::SimulatedLabeler simulated(&ds);
+    labeler::FallibleAdapter oracle(&simulated);
     queries::AggregationOptions opts;
     opts.error_target = target;
     opts.seed = 900 + t;
     queries::AggregationResult result =
-        queries::EstimateMean(proxy, &oracle, scorer, opts);
+        queries::TryEstimateMean(proxy, &oracle, scorer, opts).value();
     if (std::abs(result.estimate - Mean(truth)) <= target) ++within;
   }
   EXPECT_GE(within, static_cast<int>(trials * 0.9)) << "target=" << target;
@@ -397,12 +401,13 @@ TEST_P(SupgBudgetSweepTest, RecallTargetMetAtEveryBudget) {
   int met = 0;
   const int trials = 10;
   for (int t = 0; t < trials; ++t) {
-    labeler::SimulatedLabeler oracle(&ds);
+    labeler::SimulatedLabeler simulated(&ds);
+    labeler::FallibleAdapter oracle(&simulated);
     queries::SupgOptions opts;
     opts.budget = budget;
     opts.seed = 800 + t;
     queries::SupgResult result =
-        queries::SupgRecallSelect(proxy, &oracle, scorer, opts);
+        queries::TrySupgRecallSelect(proxy, &oracle, scorer, opts).value();
     if (queries::AchievedRecall(result.selected, truth) >= opts.recall_target) {
       ++met;
     }
@@ -434,11 +439,12 @@ TEST_P(LimitPredicateSweepTest, PerfectProxyIsOptimalForEveryThreshold) {
   }
   const size_t want = std::min<size_t>(5, matches);
   if (want == 0) GTEST_SKIP() << "no matches at threshold " << threshold;
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   queries::LimitOptions opts;
   opts.want = want;
   queries::LimitResult result =
-      queries::LimitQuery(truth, &oracle, predicate, opts);
+      queries::TryLimitQuery(truth, &oracle, predicate, opts).value();
   EXPECT_EQ(result.labeler_invocations, want);
 }
 
@@ -462,7 +468,8 @@ TEST_P(RepCountSweepTest, CoverageImprovesWithMoreReps) {
   opts.hidden_dim = 32;
   opts.epochs = 8;
   opts.use_triplet_training = false;  // keep the embedding fixed across runs
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   core::TastiIndex index = core::TastiIndex::Build(ds, &oracle, opts);
 
   // Mean nearest-representative distance is the coverage statistic the
@@ -470,7 +477,8 @@ TEST_P(RepCountSweepTest, CoverageImprovesWithMoreReps) {
   // baseline built with 1/4 the reps.
   core::IndexOptions small_opts = opts;
   small_opts.num_representatives = std::max<size_t>(8, GetParam() / 4);
-  labeler::SimulatedLabeler oracle2(&ds);
+  labeler::SimulatedLabeler oracle2_labeler(&ds);
+  labeler::FallibleAdapter oracle2(&oracle2_labeler);
   core::TastiIndex small = core::TastiIndex::Build(ds, &oracle2, small_opts);
 
   auto mean_nearest = [](const core::TastiIndex& idx) {

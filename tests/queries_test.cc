@@ -54,12 +54,13 @@ TEST(AggregationTest, EstimateWithinTarget) {
   const std::vector<double> truth = Truth(ds, scorer);
   const double true_mean = Mean(truth);
 
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   AggregationOptions opts;
   opts.error_target = 0.05;
   opts.seed = 1;
   AggregationResult result =
-      EstimateMean(NoisyProxy(truth, 0.3, 2), &oracle, scorer, opts);
+      TryEstimateMean(NoisyProxy(truth, 0.3, 2), &oracle, scorer, opts).value();
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.estimate, true_mean, 3 * opts.error_target);
   EXPECT_EQ(result.labeler_invocations, oracle.invocations());
@@ -73,12 +74,16 @@ TEST(AggregationTest, BetterProxyUsesFewerInvocations) {
   opts.error_target = 0.03;
   opts.seed = 3;
 
-  labeler::SimulatedLabeler good_oracle(&ds);
+  labeler::SimulatedLabeler good_labeler(&ds);
+  labeler::FallibleAdapter good_oracle(&good_labeler);
   AggregationResult good =
-      EstimateMean(NoisyProxy(truth, 0.05, 4), &good_oracle, scorer, opts);
-  labeler::SimulatedLabeler bad_oracle(&ds);
+      TryEstimateMean(NoisyProxy(truth, 0.05, 4), &good_oracle, scorer, opts)
+          .value();
+  labeler::SimulatedLabeler bad_labeler(&ds);
+  labeler::FallibleAdapter bad_oracle(&bad_labeler);
   AggregationResult bad =
-      EstimateMean(NoisyProxy(truth, 3.0, 4), &bad_oracle, scorer, opts);
+      TryEstimateMean(NoisyProxy(truth, 3.0, 4), &bad_oracle, scorer, opts)
+          .value();
   EXPECT_LT(good.labeler_invocations, bad.labeler_invocations);
   EXPECT_GT(good.proxy_correlation, bad.proxy_correlation);
 }
@@ -94,14 +99,17 @@ TEST(AggregationTest, ControlVariateBeatsNone) {
   opts.error_target = 0.1;
   opts.seed = 6;
 
-  labeler::SimulatedLabeler with_oracle(&ds);
-  AggregationResult with_cv = EstimateMean(proxy, &with_oracle, scorer, opts);
+  labeler::SimulatedLabeler with_labeler(&ds);
+  labeler::FallibleAdapter with_oracle(&with_labeler);
+  AggregationResult with_cv =
+      TryEstimateMean(proxy, &with_oracle, scorer, opts).value();
 
   AggregationOptions no_cv_opts = opts;
   no_cv_opts.use_control_variate = false;
-  labeler::SimulatedLabeler without_oracle(&ds);
+  labeler::SimulatedLabeler without_labeler(&ds);
+  labeler::FallibleAdapter without_oracle(&without_labeler);
   AggregationResult no_cv =
-      EstimateMean(proxy, &without_oracle, scorer, no_cv_opts);
+      TryEstimateMean(proxy, &without_oracle, scorer, no_cv_opts).value();
   EXPECT_LT(with_cv.labeler_invocations, no_cv.labeler_invocations);
 }
 
@@ -120,9 +128,11 @@ TEST(AggregationTest, GuaranteeHoldsAcrossTrials) {
   opts.error_target = 0.05;
   opts.confidence = 0.95;
   for (int t = 0; t < trials; ++t) {
-    labeler::SimulatedLabeler oracle(&ds);
+    labeler::SimulatedLabeler simulated(&ds);
+    labeler::FallibleAdapter oracle(&simulated);
     opts.seed = 100 + t;
-    AggregationResult result = EstimateMean(proxy, &oracle, scorer, opts);
+    AggregationResult result =
+        TryEstimateMean(proxy, &oracle, scorer, opts).value();
     if (std::abs(result.estimate - true_mean) <= opts.error_target) ++within;
   }
   EXPECT_GE(within, static_cast<int>(trials * 0.9));
@@ -132,12 +142,13 @@ TEST(AggregationTest, ExhaustiveFallbackIsExact) {
   data::Dataset ds = VideoDataset(500);
   core::CountScorer scorer(data::ObjectClass::kCar);
   const std::vector<double> truth = Truth(ds, scorer);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   AggregationOptions opts;
   opts.error_target = 1e-9;  // unattainable: forces exhaustion
   opts.seed = 8;
   AggregationResult result =
-      EstimateMean(NoisyProxy(truth, 0.1, 9), &oracle, scorer, opts);
+      TryEstimateMean(NoisyProxy(truth, 0.1, 9), &oracle, scorer, opts).value();
   EXPECT_EQ(result.labeler_invocations, ds.size());
   EXPECT_NEAR(result.estimate, Mean(truth), 1e-6);
   EXPECT_TRUE(result.converged);  // exhaustive pass is exact
@@ -147,13 +158,15 @@ TEST(AggregationTest, RespectsMaxSamples) {
   data::Dataset ds = VideoDataset(2000);
   core::CountScorer scorer(data::ObjectClass::kCar);
   const std::vector<double> truth = Truth(ds, scorer);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   AggregationOptions opts;
   opts.error_target = 1e-9;
   opts.max_samples = 300;
   opts.seed = 10;
   AggregationResult result =
-      EstimateMean(NoisyProxy(truth, 0.1, 11), &oracle, scorer, opts);
+      TryEstimateMean(NoisyProxy(truth, 0.1, 11), &oracle, scorer, opts)
+          .value();
   EXPECT_EQ(result.labeler_invocations, 300u);
   EXPECT_FALSE(result.converged);
 }
@@ -170,11 +183,12 @@ TEST(SupgTest, MeetsRecallTargetWithGoodProxy) {
   for (size_t i = 0; i < truth.size(); ++i) {
     proxy[i] = std::clamp(truth[i] * 0.8 + 0.1 + 0.05 * rng.Normal(), 0.0, 1.0);
   }
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   SupgOptions opts;
   opts.budget = 800;
   opts.seed = 13;
-  SupgResult result = SupgRecallSelect(proxy, &oracle, scorer, opts);
+  SupgResult result = TrySupgRecallSelect(proxy, &oracle, scorer, opts).value();
   EXPECT_EQ(result.labeler_invocations, 800u);
   EXPECT_GE(AchievedRecall(result.selected, truth), opts.recall_target);
 }
@@ -191,11 +205,13 @@ TEST(SupgTest, RecallGuaranteeAcrossTrials) {
   int met = 0;
   const int trials = 30;
   for (int t = 0; t < trials; ++t) {
-    labeler::SimulatedLabeler oracle(&ds);
+    labeler::SimulatedLabeler simulated(&ds);
+    labeler::FallibleAdapter oracle(&simulated);
     SupgOptions opts;
     opts.budget = 600;
     opts.seed = 500 + t;
-    SupgResult result = SupgRecallSelect(proxy, &oracle, scorer, opts);
+    SupgResult result =
+        TrySupgRecallSelect(proxy, &oracle, scorer, opts).value();
     if (AchievedRecall(result.selected, truth) >= opts.recall_target) ++met;
   }
   EXPECT_GE(met, static_cast<int>(trials * 0.9));
@@ -211,13 +227,17 @@ TEST(SupgTest, BetterProxyLowersFalsePositiveRate) {
     sharp[i] = std::clamp(truth[i] * 0.9 + 0.05 + 0.02 * rng.Normal(), 0.0, 1.0);
     fuzzy[i] = std::clamp(truth[i] * 0.2 + 0.4 + 0.2 * rng.Normal(), 0.0, 1.0);
   }
-  labeler::SimulatedLabeler oracle_a(&ds);
-  labeler::SimulatedLabeler oracle_b(&ds);
+  labeler::SimulatedLabeler labeler_a(&ds);
+  labeler::FallibleAdapter oracle_a(&labeler_a);
+  labeler::SimulatedLabeler labeler_b(&ds);
+  labeler::FallibleAdapter oracle_b(&labeler_b);
   SupgOptions opts;
   opts.budget = 800;
   opts.seed = 16;
-  SupgResult sharp_result = SupgRecallSelect(sharp, &oracle_a, scorer, opts);
-  SupgResult fuzzy_result = SupgRecallSelect(fuzzy, &oracle_b, scorer, opts);
+  SupgResult sharp_result =
+      TrySupgRecallSelect(sharp, &oracle_a, scorer, opts).value();
+  SupgResult fuzzy_result =
+      TrySupgRecallSelect(fuzzy, &oracle_b, scorer, opts).value();
   EXPECT_LT(FalsePositiveRate(sharp_result.selected, truth),
             FalsePositiveRate(fuzzy_result.selected, truth));
 }
@@ -228,11 +248,12 @@ TEST(SupgTest, HandlesNoPositivesGracefully) {
   core::LambdaScorer never([](const data::LabelerOutput&) { return 0.0; }, true,
                            "never");
   std::vector<double> proxy(ds.size(), 0.1);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   SupgOptions opts;
   opts.budget = 100;
   opts.seed = 17;
-  SupgResult result = SupgRecallSelect(proxy, &oracle, never, opts);
+  SupgResult result = TrySupgRecallSelect(proxy, &oracle, never, opts).value();
   // With no positives, recall is trivially satisfied; the selection may be
   // large but the call must not crash and FPR is well defined.
   EXPECT_EQ(AchievedRecall(result.selected, std::vector<double>(ds.size(), 0.0)),
@@ -260,12 +281,14 @@ TEST(SupgPrecisionTest, MeetsPrecisionTarget) {
   for (size_t i = 0; i < truth.size(); ++i) {
     proxy[i] = std::clamp(truth[i] * 0.7 + 0.15 + 0.1 * rng.Normal(), 0.0, 1.0);
   }
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   SupgPrecisionOptions opts;
   opts.precision_target = 0.9;
   opts.budget = 800;
   opts.seed = 42;
-  SupgResult result = SupgPrecisionSelect(proxy, &oracle, scorer, opts);
+  SupgResult result =
+      TrySupgPrecisionSelect(proxy, &oracle, scorer, opts).value();
   EXPECT_EQ(result.labeler_invocations, 800u);
   EXPECT_GE(AchievedPrecision(result.selected, truth), opts.precision_target);
   EXPECT_FALSE(result.selected.empty());
@@ -283,11 +306,13 @@ TEST(SupgPrecisionTest, PrecisionGuaranteeAcrossTrials) {
   int met = 0;
   const int trials = 25;
   for (int t = 0; t < trials; ++t) {
-    labeler::SimulatedLabeler oracle(&ds);
+    labeler::SimulatedLabeler simulated(&ds);
+    labeler::FallibleAdapter oracle(&simulated);
     SupgPrecisionOptions opts;
     opts.budget = 500;
     opts.seed = 700 + t;
-    SupgResult result = SupgPrecisionSelect(proxy, &oracle, scorer, opts);
+    SupgResult result =
+        TrySupgPrecisionSelect(proxy, &oracle, scorer, opts).value();
     if (AchievedPrecision(result.selected, truth) >= opts.precision_target) {
       ++met;
     }
@@ -307,13 +332,17 @@ TEST(SupgPrecisionTest, BetterProxyReturnsMoreRecords) {
     sharp[i] = std::clamp(truth[i] * 0.9 + 0.05 + 0.02 * rng.Normal(), 0.0, 1.0);
     fuzzy[i] = std::clamp(truth[i] * 0.3 + 0.35 + 0.25 * rng.Normal(), 0.0, 1.0);
   }
-  labeler::SimulatedLabeler oracle_a(&ds);
-  labeler::SimulatedLabeler oracle_b(&ds);
+  labeler::SimulatedLabeler labeler_a(&ds);
+  labeler::FallibleAdapter oracle_a(&labeler_a);
+  labeler::SimulatedLabeler labeler_b(&ds);
+  labeler::FallibleAdapter oracle_b(&labeler_b);
   SupgPrecisionOptions opts;
   opts.budget = 800;
   opts.seed = 45;
-  SupgResult sharp_result = SupgPrecisionSelect(sharp, &oracle_a, scorer, opts);
-  SupgResult fuzzy_result = SupgPrecisionSelect(fuzzy, &oracle_b, scorer, opts);
+  SupgResult sharp_result =
+      TrySupgPrecisionSelect(sharp, &oracle_a, scorer, opts).value();
+  SupgResult fuzzy_result =
+      TrySupgPrecisionSelect(fuzzy, &oracle_b, scorer, opts).value();
   EXPECT_GE(queries::AchievedRecall(sharp_result.selected, truth),
             queries::AchievedRecall(fuzzy_result.selected, truth));
 }
@@ -350,13 +379,14 @@ TEST(PredicateAggregationTest, EstimatesConditionalMean) {
     proxy[i] =
         std::clamp(pred_truth[i] * 0.8 + 0.1 + 0.05 * rng.Normal(), 0.0, 1.0);
   }
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   PredicateAggregationOptions opts;
   // The conservative ratio interval needs a loose target at 6k records.
   opts.error_target = 0.08;
   opts.seed = 47;
-  PredicateAggregationResult result = EstimateMeanWithPredicate(
-      proxy, &oracle, predicate, statistic, opts);
+  PredicateAggregationResult result = TryEstimateMeanWithPredicate(
+      proxy, &oracle, predicate, statistic, opts).value();
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.estimate, truth_mean, 3 * opts.error_target);
   EXPECT_GT(result.sample_matches, 0u);
@@ -376,15 +406,17 @@ TEST(PredicateAggregationTest, GoodProxyNeedsFewerSamplesOnRarePredicate) {
   }
   const std::vector<double> uninformative(pred_truth.size(), 0.5);
 
-  labeler::SimulatedLabeler oracle_a(&ds);
-  labeler::SimulatedLabeler oracle_b(&ds);
+  labeler::SimulatedLabeler labeler_a(&ds);
+  labeler::FallibleAdapter oracle_a(&labeler_a);
+  labeler::SimulatedLabeler labeler_b(&ds);
+  labeler::FallibleAdapter oracle_b(&labeler_b);
   PredicateAggregationOptions opts;
   opts.error_target = 0.1;
   opts.seed = 49;
-  PredicateAggregationResult with_proxy = EstimateMeanWithPredicate(
-      good, &oracle_a, predicate, statistic, opts);
-  PredicateAggregationResult without = EstimateMeanWithPredicate(
-      uninformative, &oracle_b, predicate, statistic, opts);
+  PredicateAggregationResult with_proxy = TryEstimateMeanWithPredicate(
+      good, &oracle_a, predicate, statistic, opts).value();
+  PredicateAggregationResult without = TryEstimateMeanWithPredicate(
+      uninformative, &oracle_b, predicate, statistic, opts).value();
   EXPECT_LE(with_proxy.labeler_invocations, without.labeler_invocations);
 }
 
@@ -393,13 +425,14 @@ TEST(PredicateAggregationTest, RespectsBudgetCap) {
   core::PresenceScorer predicate(data::ObjectClass::kCar);
   core::CountScorer statistic(data::ObjectClass::kCar);
   std::vector<double> proxy(ds.size(), 0.5);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   PredicateAggregationOptions opts;
   opts.error_target = 1e-9;
   opts.max_samples = 250;
   opts.seed = 50;
-  PredicateAggregationResult result = EstimateMeanWithPredicate(
-      proxy, &oracle, predicate, statistic, opts);
+  PredicateAggregationResult result = TryEstimateMeanWithPredicate(
+      proxy, &oracle, predicate, statistic, opts).value();
   EXPECT_EQ(result.labeler_invocations, 250u);
   EXPECT_FALSE(result.converged);
 }
@@ -414,10 +447,11 @@ TEST(LimitTest, PerfectRankingIsOptimal) {
       std::count_if(truth.begin(), truth.end(), [](double v) { return v >= 0.5; }));
   ASSERT_GE(total_matches, 5u) << "dataset lacks rare events for this test";
 
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   LimitOptions opts;
   opts.want = 5;
-  LimitResult result = LimitQuery(truth, &oracle, predicate, opts);
+  LimitResult result = TryLimitQuery(truth, &oracle, predicate, opts).value();
   EXPECT_TRUE(result.satisfied);
   // With a perfect ranking, exactly `want` records are examined.
   EXPECT_EQ(result.labeler_invocations, 5u);
@@ -438,12 +472,16 @@ TEST(LimitTest, RandomRankingIsMuchWorse) {
   std::vector<double> random_scores(ds.size());
   for (auto& s : random_scores) s = rng.Uniform();
 
-  labeler::SimulatedLabeler oracle_good(&ds);
+  labeler::SimulatedLabeler labeler_good(&ds);
+  labeler::FallibleAdapter oracle_good(&labeler_good);
   LimitOptions opts;
   opts.want = 5;
-  LimitResult good = LimitQuery(truth, &oracle_good, predicate, opts);
-  labeler::SimulatedLabeler oracle_bad(&ds);
-  LimitResult bad = LimitQuery(random_scores, &oracle_bad, predicate, opts);
+  LimitResult good =
+      TryLimitQuery(truth, &oracle_good, predicate, opts).value();
+  labeler::SimulatedLabeler labeler_bad(&ds);
+  labeler::FallibleAdapter oracle_bad(&labeler_bad);
+  LimitResult bad =
+      TryLimitQuery(random_scores, &oracle_bad, predicate, opts).value();
   EXPECT_LT(good.labeler_invocations * 5, bad.labeler_invocations);
 }
 
@@ -451,10 +489,11 @@ TEST(LimitTest, FoundRecordsActuallyMatch) {
   data::Dataset ds = VideoDataset();
   core::AtLeastCountScorer predicate(data::ObjectClass::kCar, 2);
   const std::vector<double> truth = Truth(ds, predicate);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   LimitOptions opts;
   opts.want = 8;
-  LimitResult result = LimitQuery(truth, &oracle, predicate, opts);
+  LimitResult result = TryLimitQuery(truth, &oracle, predicate, opts).value();
   for (size_t record : result.found) {
     EXPECT_GE(predicate.Score(ds.ground_truth[record]), 0.5);
   }
@@ -466,11 +505,12 @@ TEST(LimitTest, BudgetCapStopsScan) {
   core::LambdaScorer never([](const data::LabelerOutput&) { return 0.0; }, true,
                            "never");
   std::vector<double> scores(ds.size(), 0.5);
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   LimitOptions opts;
   opts.want = 1;
   opts.max_invocations = 50;
-  LimitResult result = LimitQuery(scores, &oracle, never, opts);
+  LimitResult result = TryLimitQuery(scores, &oracle, never, opts).value();
   EXPECT_FALSE(result.satisfied);
   EXPECT_EQ(result.labeler_invocations, 50u);
   EXPECT_TRUE(result.found.empty());
@@ -500,11 +540,13 @@ TEST(NoGuaranteeTest, ThresholdSelectFindsSeparatingThreshold) {
   for (size_t i = 0; i < truth.size(); ++i) {
     proxy[i] = std::clamp(truth[i] * 0.8 + 0.1 + 0.05 * rng.Normal(), 0.0, 1.0);
   }
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   ThresholdSelectOptions opts;
   opts.validation_budget = 400;
   opts.seed = 20;
-  ThresholdSelectResult result = ThresholdSelect(proxy, &oracle, predicate, opts);
+  ThresholdSelectResult result =
+      TryThresholdSelect(proxy, &oracle, predicate, opts).value();
   EXPECT_EQ(result.labeler_invocations, 400u);
   EXPECT_GT(F1Score(result.selected, truth), 0.9);
   EXPECT_GT(result.validation_f1, 0.9);

@@ -503,7 +503,8 @@ TEST(SessionServerParityTest, SameAnswersAndIndexAsSession) {
   script[7] = script[1];
 
   const ServerOptions server_opts = FastServerOptions();
-  labeler::SimulatedLabeler session_oracle(&ds);
+  labeler::SimulatedLabeler session_labeler(&ds);
+  labeler::FallibleAdapter session_oracle(&session_labeler);
   api::SessionOptions session_opts;
   session_opts.index = server_opts.index;
   session_opts.seed = server_opts.seed;
@@ -546,6 +547,17 @@ TEST(SessionServerParityTest, SameAnswersAndIndexAsSession) {
       EXPECT_EQ(got.select.threshold, want.select.threshold);
       EXPECT_EQ(got.limit.found, want.limit.found);
       EXPECT_EQ(got.limit.satisfied, want.limit.satisfied);
+    }
+    // One ledger format: a served record is the session's record plus the
+    // serving suffix (client, epoch).
+    const std::vector<obs::QueryRecord>& served = server.query_log().queries();
+    const std::vector<obs::QueryRecord>& local = session.query_log().queries();
+    ASSERT_EQ(served.size(), local.size());
+    for (size_t i = 0; i < served.size(); ++i) {
+      EXPECT_EQ(served[i].query_type, local[i].query_type);
+      EXPECT_EQ(served[i].params.rfind(local[i].params + " client=", 0), 0u)
+          << "served \"" << served[i].params << "\" vs session \""
+          << local[i].params << "\"";
     }
     Result<std::string> server_index = server.SerializeIndex();
     ASSERT_TRUE(server_index.ok());
@@ -646,7 +658,8 @@ TEST(ServerTest, SubmitBeforeStartAndAfterShutdownFails) {
 // --- ScoreCache ---
 
 core::TastiIndex BuildBareIndex(const data::Dataset& ds) {
-  labeler::SimulatedLabeler oracle(&ds);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
   return core::TastiIndex::Build(ds, &oracle, FastServerOptions().index);
 }
 
@@ -670,7 +683,7 @@ TEST(ScoreCacheTest, HitSharingAndDeltaAdvance) {
   ScoreCache::Outcome outcome;
   core::ProxyTimings timings;
   auto s1 = cache.GetOrCompute(snap1, cars, core::PropagationMode::kNumeric,
-                               {}, &timings, &outcome);
+                               &timings, &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kFull);
   EXPECT_GT(timings.propagation_seconds, 0.0);
   ExpectScoresBitIdentical(
@@ -679,7 +692,7 @@ TEST(ScoreCacheTest, HitSharingAndDeltaAdvance) {
 
   // Same key again: the exact shared state comes back, zero proxy time.
   auto s2 = cache.GetOrCompute(snap1, cars, core::PropagationMode::kNumeric,
-                               {}, &timings, &outcome);
+                               &timings, &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kHit);
   EXPECT_EQ(s2.get(), s1.get());
   EXPECT_EQ(timings.propagation_seconds, 0.0);
@@ -698,7 +711,7 @@ TEST(ScoreCacheTest, HitSharingAndDeltaAdvance) {
   ASSERT_FALSE(snap2.dirty_rows.empty());
 
   auto s3 = cache.GetOrCompute(snap2, cars, core::PropagationMode::kNumeric,
-                               {}, &timings, &outcome);
+                               &timings, &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kDelta);
   EXPECT_GT(outcome.delta_rows, 0u);
   EXPECT_LT(outcome.delta_rows, snap2.num_records);
@@ -733,19 +746,19 @@ TEST(ScoreCacheTest, EvictionBoundsResidencyAndInvalidateDropsEntries) {
   IndexSnapshot snap = IndexSnapshot::FromIndexAndTakeDelta(&index, 1, 0);
 
   ScoreCache::Outcome outcome;
-  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, {}, nullptr,
+  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, nullptr,
                      &outcome);
   // A second scorer on the same epoch overflows max_entries = 1: the LRU
   // (cars) entry is evicted, the entry being served survives.
-  cache.GetOrCompute(snap, present, core::PropagationMode::kNumeric, {},
-                     nullptr, &outcome);
+  cache.GetOrCompute(snap, present, core::PropagationMode::kNumeric, nullptr,
+                     &outcome);
   ScoreCacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.resident_entries, 1u);
-  cache.GetOrCompute(snap, present, core::PropagationMode::kNumeric, {},
-                     nullptr, &outcome);
+  cache.GetOrCompute(snap, present, core::PropagationMode::kNumeric, nullptr,
+                     &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kHit);
-  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, {}, nullptr,
+  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, nullptr,
                      &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kFull);  // evicted -> recompute
 
@@ -754,7 +767,7 @@ TEST(ScoreCacheTest, EvictionBoundsResidencyAndInvalidateDropsEntries) {
   EXPECT_EQ(stats.resident_entries, 0u);
   EXPECT_EQ(stats.resident_bytes, 0u);
   EXPECT_GT(stats.invalidations, 0u);
-  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, {}, nullptr,
+  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, nullptr,
                      &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kFull);
 }
@@ -777,7 +790,7 @@ TEST(ScoreCacheTest, ColdCacheOnDeltaSnapshotFallsBackToFull) {
   ScoreCache cache;  // no parent entry anywhere
   ScoreCache::Outcome outcome;
   auto state = cache.GetOrCompute(snap2, cars, core::PropagationMode::kNumeric,
-                                  {}, nullptr, &outcome);
+                                  nullptr, &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kFull);
   ExpectScoresBitIdentical(
       state->scores, core::ComputeProxyScores(snap2.View(), cars,
@@ -804,7 +817,7 @@ TEST(ScoreCacheTest, ConcurrentReadersAcrossEpochPublishes) {
       while (!stop.load(std::memory_order_acquire)) {
         std::shared_ptr<const IndexSnapshot> snap = epochs.Acquire();
         auto state = cache.GetOrCompute(
-            *snap, cars, core::PropagationMode::kNumeric, {}, nullptr, nullptr);
+            *snap, cars, core::PropagationMode::kNumeric, nullptr, nullptr);
         EXPECT_EQ(state->scores.size(), snap->num_records);
         EXPECT_EQ(state->rep_scores.size(), snap->rep_record_ids.size());
       }
@@ -826,7 +839,7 @@ TEST(ScoreCacheTest, ConcurrentReadersAcrossEpochPublishes) {
   // must be bit-identical to a from-scratch computation.
   std::shared_ptr<const IndexSnapshot> snap = epochs.Acquire();
   auto state = cache.GetOrCompute(*snap, cars, core::PropagationMode::kNumeric,
-                                  {}, nullptr, nullptr);
+                                  nullptr, nullptr);
   ExpectScoresBitIdentical(
       state->scores, core::ComputeProxyScores(snap->View(), cars,
                                               core::PropagationMode::kNumeric));

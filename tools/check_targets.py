@@ -25,7 +25,12 @@ Asserts, from the repository root:
   8. the sharded-serving suite stays wired end to end: shard_test carries
      the `shard` label, `shard`-labeled tests are exercised by check.sh,
      and the registered bench_shard target is built and gated by the CI
-     bench-regression job.
+     bench-regression job;
+  9. no header under src/queries, src/core, src/api, src/serve or
+     src/shard mentions TargetLabeler: query processing, index
+     construction and serving take the one oracle interface,
+     labeler::FallibleLabeler (ground-truth labelers enter through
+     labeler::FallibleAdapter), so no second entry point grows back.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -204,6 +209,16 @@ def main():
             "bench_shard is registered in bench/CMakeLists.txt but the CI "
             "bench-regression job never builds or runs it"
         )
+
+    for module in ("queries", "core", "api", "serve", "shard"):
+        for header in sorted((ROOT / "src" / module).glob("*.h")):
+            for lineno, line in enumerate(header.read_text().splitlines(), 1):
+                if "TargetLabeler" in line:
+                    errors.append(
+                        f"src/{module}/{header.name}:{lineno} mentions "
+                        "TargetLabeler; take a labeler::FallibleLabeler "
+                        "(wrap ground truth in labeler::FallibleAdapter)"
+                    )
 
     fail(errors)
 

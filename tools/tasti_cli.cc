@@ -150,8 +150,7 @@ int Usage() {
 
 /// The oracle stack behind a chaos run: simulated ground truth, optionally
 /// wrapped in scheduled fault injection, then retry/breaker resilience.
-/// Without --faults the stack is a plain adapter and behaves bit-identically
-/// to the infallible path.
+/// Without --faults the stack is a plain adapter, so every call succeeds.
 struct OracleStack {
   std::unique_ptr<labeler::SimulatedLabeler> sim;
   std::unique_ptr<labeler::FaultInjectingLabeler> injector;
@@ -369,11 +368,13 @@ int RunAggregate(const Args& args) {
   const auto scorer = MakeScorer(args, dataset);
   const auto proxy = core::ComputeProxyScores(*index, *scorer);
 
-  labeler::SimulatedLabeler oracle(&dataset);
+  labeler::SimulatedLabeler simulated(&dataset);
+  labeler::FallibleAdapter oracle(&simulated);
   queries::AggregationOptions opts;
   opts.error_target = args.GetDouble("error", 0.07);
   opts.seed = static_cast<uint64_t>(args.GetInt("query-seed", 7));
-  const auto result = queries::EstimateMean(proxy, &oracle, *scorer, opts);
+  const auto result =
+      queries::TryEstimateMean(proxy, &oracle, *scorer, opts).value();
   std::printf("mean %s = %.4f +- %.4f (%zu labeler calls of %zu records; "
               "truth %.4f)\n",
               scorer->Name().c_str(), result.estimate, result.half_width,
@@ -392,12 +393,14 @@ int RunSelect(const Args& args) {
   const auto scorer = MakeScorer(args, dataset);
   const auto proxy = core::ComputeProxyScores(*index, *scorer);
 
-  labeler::SimulatedLabeler oracle(&dataset);
+  labeler::SimulatedLabeler simulated(&dataset);
+  labeler::FallibleAdapter oracle(&simulated);
   queries::SupgOptions opts;
   opts.recall_target = args.GetDouble("recall", 0.9);
   opts.budget = static_cast<size_t>(args.GetInt("budget", 500));
   opts.seed = static_cast<uint64_t>(args.GetInt("query-seed", 7));
-  const auto result = queries::SupgRecallSelect(proxy, &oracle, *scorer, opts);
+  const auto result =
+      queries::TrySupgRecallSelect(proxy, &oracle, *scorer, opts).value();
   const auto truth = core::ExactScores(dataset, *scorer);
   std::printf("selected %zu records matching %s (threshold %.3f); achieved "
               "recall %.3f, FPR %.3f; %zu labeler calls\n",
@@ -419,10 +422,12 @@ int RunLimit(const Args& args) {
   const auto ranking =
       core::ComputeProxyScores(*index, *scorer, core::PropagationMode::kLimit);
 
-  labeler::SimulatedLabeler oracle(&dataset);
+  labeler::SimulatedLabeler simulated(&dataset);
+  labeler::FallibleAdapter oracle(&simulated);
   queries::LimitOptions opts;
   opts.want = static_cast<size_t>(args.GetInt("want", 10));
-  const auto result = queries::LimitQuery(ranking, &oracle, *scorer, opts);
+  const auto result =
+      queries::TryLimitQuery(ranking, &oracle, *scorer, opts).value();
   std::printf("found %zu/%zu records matching %s after %zu labeler calls\n",
               result.found.size(), opts.want, scorer->Name().c_str(),
               result.labeler_invocations);
