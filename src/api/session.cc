@@ -72,10 +72,7 @@ const std::vector<double>& TastiSession::ProxyScores(
 }
 
 size_t TastiSession::RepairFailedReps() {
-  if (!options_.repair_failed_reps ||
-      index_->num_failed_representatives() == 0) {
-    return 0;
-  }
+  if (index_->num_failed_representatives() == 0) return 0;
   TASTI_SPAN("session.repair_reps");
   const std::vector<size_t> positions =
       index_->failed_representative_positions();
@@ -227,11 +224,6 @@ queries::LimitResult TastiSession::Limit(const core::Scorer& predicate,
   serve::QuerySpec spec = Spec(serve::QueryKind::kLimit, predicate);
   spec.want = want;
   return Execute(spec).limit;
-}
-
-double TastiSession::EstimateDirect(const core::Scorer& statistic) {
-  TASTI_SPAN("query.estimate_direct");
-  return queries::DirectAggregate(ProxyScores(statistic));
 }
 
 const core::TastiIndex& TastiSession::index() {

@@ -51,10 +51,9 @@ struct SessionOptions {
   core::IndexOptions index;
   /// Crack the index with each query's annotations (recommended).
   bool auto_crack = true;
-  /// Re-attempt oracle annotation of failed representatives after each
-  /// query (self-healing; only relevant with a fallible oracle).
-  bool repair_failed_reps = true;
-  /// Cap on repair attempts per query, bounding the extra oracle cost.
+  /// Cap on the failed representatives re-annotated after each query
+  /// (self-healing; only relevant with a fallible oracle). Bounds the
+  /// extra oracle cost.
   size_t max_rep_repairs_per_query = 16;
   /// Success probability shared by all guarantee-carrying queries.
   double confidence = 0.95;
@@ -112,10 +111,6 @@ class TastiSession {
   /// Find `want` records matching `predicate`, examining proxy-ranked
   /// records with the labeler.
   queries::LimitResult Limit(const core::Scorer& predicate, size_t want);
-
-  /// Direct (no-guarantee, zero-labeler-call) estimate of the mean of
-  /// `statistic`: the mean of its proxy scores.
-  double EstimateDirect(const core::Scorer& statistic);
 
   // --- Introspection ---
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "nn/kernels.h"
 #include "util/status.h"
@@ -139,40 +138,6 @@ KMeansResult KMeans(const nn::Matrix& points, const KMeansOptions& options) {
     previous_inertia = result.inertia;
   }
   return result;
-}
-
-std::vector<size_t> KMeansSelection(const nn::Matrix& points, size_t k,
-                                    uint64_t seed) {
-  KMeansOptions options;
-  options.num_clusters = k;
-  options.seed = seed;
-  const KMeansResult result = KMeans(points, options);
-
-  // Snap each centroid to its nearest distinct dataset member.
-  const size_t actual_k = result.centroids.rows();
-  std::vector<size_t> selected;
-  selected.reserve(actual_k);
-  std::unordered_set<size_t> used;
-  std::vector<float> d2(points.rows());
-  for (size_t c = 0; c < actual_k; ++c) {
-    nn::SquaredDistanceOneToMany(points, 0, points.rows(), result.centroids, c,
-                                 d2.data());
-    float best = std::numeric_limits<float>::max();
-    size_t arg = 0;
-    bool found = false;
-    for (size_t i = 0; i < points.rows(); ++i) {
-      if (used.count(i)) continue;
-      if (d2[i] < best) {
-        best = d2[i];
-        arg = i;
-        found = true;
-      }
-    }
-    if (!found) break;
-    used.insert(arg);
-    selected.push_back(arg);
-  }
-  return selected;
 }
 
 }  // namespace tasti::cluster

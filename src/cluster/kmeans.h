@@ -4,11 +4,8 @@
 /// \file kmeans.h
 /// Lloyd's k-means with k-means++ seeding.
 ///
-/// Two roles: (a) the coarse quantizer of the IVF approximate-nearest-
-/// neighbor index (ivf.h), and (b) the natural alternative to FPF for
-/// representative selection (an ablation: k-means optimizes the *average*
-/// quantization error, FPF the *maximum* — which is why FPF covers the
-/// rare tail and k-means does not).
+/// The coarse quantizer of the IVF approximate-nearest-neighbor index
+/// (ivf.h).
 
 #include <cstddef>
 #include <cstdint>
@@ -46,12 +43,6 @@ struct KMeansResult {
 /// Runs k-means++ seeding followed by Lloyd iterations. Deterministic in
 /// options.seed; parallelized over points.
 KMeansResult KMeans(const nn::Matrix& points, const KMeansOptions& options);
-
-/// Selects `k` representatives as the dataset members nearest to the
-/// k-means centroids (medoid snap) — the k-means analogue of FPF
-/// selection, returning record indices like FPF does.
-std::vector<size_t> KMeansSelection(const nn::Matrix& points, size_t k,
-                                    uint64_t seed);
 
 }  // namespace tasti::cluster
 

@@ -30,36 +30,11 @@ void Adam::Step() {
     float* m = m_[i].data();
     float* v = v_[i].data();
     for (size_t j = 0; j < p->value.size(); ++j) {
-      float grad = g[j] + options_.weight_decay * w[j];
-      m[j] = b1 * m[j] + (1.0f - b1) * grad;
-      v[j] = b2 * v[j] + (1.0f - b2) * grad * grad;
+      m[j] = b1 * m[j] + (1.0f - b1) * g[j];
+      v[j] = b2 * v[j] + (1.0f - b2) * g[j] * g[j];
       const float mhat = m[j] / bias1;
       const float vhat = v[j] / bias2;
       w[j] -= options_.learning_rate * mhat / (std::sqrt(vhat) + options_.epsilon);
-    }
-  }
-}
-
-Sgd::Sgd(std::vector<Parameter*> params, float learning_rate, float momentum)
-    : params_(std::move(params)),
-      learning_rate_(learning_rate),
-      momentum_(momentum) {
-  velocity_.reserve(params_.size());
-  for (Parameter* p : params_) {
-    TASTI_CHECK(p != nullptr, "Sgd given null parameter");
-    velocity_.emplace_back(p->value.rows(), p->value.cols());
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < params_.size(); ++i) {
-    Parameter* p = params_[i];
-    float* w = p->value.data();
-    const float* g = p->grad.data();
-    float* vel = velocity_[i].data();
-    for (size_t j = 0; j < p->value.size(); ++j) {
-      vel[j] = momentum_ * vel[j] - learning_rate_ * g[j];
-      w[j] += vel[j];
     }
   }
 }

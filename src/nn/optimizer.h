@@ -2,7 +2,8 @@
 #define TASTI_NN_OPTIMIZER_H_
 
 /// \file optimizer.h
-/// First-order optimizers for the embedding and proxy networks.
+/// Adam, the one optimizer: triplet training of the embedding network and
+/// the per-query proxy baseline both step with it.
 
 #include <vector>
 
@@ -21,7 +22,6 @@ class Adam {
     float beta1 = 0.9f;
     float beta2 = 0.999f;
     float epsilon = 1e-8f;
-    float weight_decay = 0.0f;
   };
 
   Adam(std::vector<Parameter*> params, Options options);
@@ -32,28 +32,12 @@ class Adam {
   /// Number of steps applied so far.
   size_t step_count() const { return t_; }
 
-  Options& options() { return options_; }
-
  private:
   std::vector<Parameter*> params_;
   Options options_;
   std::vector<Matrix> m_;  // first moments, aligned with params_
   std::vector<Matrix> v_;  // second moments
   size_t t_ = 0;
-};
-
-/// Plain SGD with optional momentum; used in tests as a reference optimizer.
-class Sgd {
- public:
-  Sgd(std::vector<Parameter*> params, float learning_rate, float momentum = 0.0f);
-
-  void Step();
-
- private:
-  std::vector<Parameter*> params_;
-  float learning_rate_;
-  float momentum_;
-  std::vector<Matrix> velocity_;
 };
 
 }  // namespace tasti::nn

@@ -56,7 +56,7 @@ struct QueryRecord {
   /// Oracle calls that failed after retries during this query.
   size_t failed_oracle_calls = 0;
   /// Previously-failed representatives repaired after this query
-  /// (self-healing crack; see SessionOptions::repair_failed_reps).
+  /// (self-healing crack; see SessionOptions::max_rep_repairs_per_query).
   size_t repaired_representatives = 0;
   /// How the proxy scores were obtained when served through the score
   /// cache: "full", "delta", "hit", or "shared". Empty for sessions (no

@@ -143,19 +143,6 @@ TEST(SessionTest, SelectThresholdReturnsRecords) {
   EXPECT_GT(queries::F1Score(result.selected, truth), 0.7);
 }
 
-TEST(SessionTest, EstimateDirectUsesNoLabelerCalls) {
-  data::Dataset ds = TestDataset();
-  labeler::SimulatedLabeler simulated(&ds);
-  labeler::FallibleAdapter oracle(&simulated);
-  TastiSession session(&ds, &oracle, FastSessionOptions());
-  core::CountScorer cars(data::ObjectClass::kCar);
-  session.index();  // force construction
-  const size_t after_build = session.total_labeler_invocations();
-  const double estimate = session.EstimateDirect(cars);
-  EXPECT_EQ(session.total_labeler_invocations(), after_build);
-  EXPECT_NEAR(estimate, Mean(core::ExactScores(ds, cars)), 0.3);
-}
-
 TEST(SessionTest, AutoCrackGrowsIndexAcrossQueries) {
   data::Dataset ds = TestDataset();
   labeler::SimulatedLabeler simulated(&ds);
@@ -206,7 +193,11 @@ TEST(SessionTest, ProxyCacheReusedWithoutCracking) {
   opts.index.num_training_records = 200;
   TastiSession session(&ds, &oracle, opts);
   core::CountScorer cars(data::ObjectClass::kCar);
+  session.index();  // force construction
+  const size_t after_build = session.total_labeler_invocations();
   const auto& first = session.ProxyScores(cars);
+  EXPECT_EQ(session.total_labeler_invocations(), after_build);
+  EXPECT_NEAR(Mean(first), Mean(core::ExactScores(ds, cars)), 0.3);
   const auto& second = session.ProxyScores(cars);
   EXPECT_EQ(&first, &second);  // same cached vector
 }

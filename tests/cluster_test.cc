@@ -15,7 +15,6 @@
 #include "cluster/fpf.h"
 #include "cluster/ivf.h"
 #include "cluster/kmeans.h"
-#include "cluster/pq.h"
 #include "cluster/topk.h"
 #include "obs/metrics.h"
 #include "util/random.h"
@@ -241,15 +240,6 @@ TEST(KMeansTest, DeterministicInSeed) {
   }
 }
 
-TEST(KMeansTest, SelectionReturnsDistinctMembers) {
-  nn::Matrix points = RandomPoints(200, 4, 38);
-  const auto selected = KMeansSelection(points, 20, 39);
-  EXPECT_EQ(selected.size(), 20u);
-  std::set<size_t> unique(selected.begin(), selected.end());
-  EXPECT_EQ(unique.size(), 20u);
-  for (size_t i : selected) EXPECT_LT(i, 200u);
-}
-
 TEST(KMeansTest, MoreClustersThanPointsClamps) {
   nn::Matrix points = RandomPoints(5, 2, 40);
   KMeansOptions opts;
@@ -337,111 +327,6 @@ TEST(IvfTest, DefaultPartitionsScaleWithReps) {
   nn::Matrix reps = RandomPoints(400, 4, 49);
   IvfIndex ivf(reps, IvfOptions{});
   EXPECT_EQ(ivf.num_partitions(), 20u);  // sqrt(400)
-}
-
-// ---------- Product quantization ----------
-
-TEST(PqTest, TrainRejectsBadShapes) {
-  nn::Matrix points = RandomPoints(50, 10, 50);
-  PqOptions opts;
-  opts.num_subspaces = 3;  // does not divide 10
-  EXPECT_FALSE(ProductQuantizer::Train(points, opts).ok());
-  EXPECT_FALSE(ProductQuantizer::Train(nn::Matrix(0, 8), PqOptions{}).ok());
-}
-
-TEST(PqTest, ReconstructionErrorIsSmallForClusteredData) {
-  // Data drawn from few distinct prototypes is near-losslessly quantized.
-  Rng rng(51);
-  nn::Matrix prototypes = RandomPoints(8, 16, 52);
-  nn::Matrix points(400, 16);
-  for (size_t i = 0; i < 400; ++i) {
-    const size_t p = rng.UniformInt(uint64_t{8});
-    for (size_t d = 0; d < 16; ++d) {
-      points.At(i, d) = prototypes.At(p, d) +
-                        0.01f * static_cast<float>(rng.Normal());
-    }
-  }
-  PqOptions opts;
-  opts.num_subspaces = 4;
-  opts.codebook_size = 16;
-  Result<ProductQuantizer> pq = ProductQuantizer::Train(points, opts);
-  ASSERT_TRUE(pq.ok());
-  EXPECT_LT(pq->reconstruction_error(), 0.05);
-  EXPECT_EQ(pq->num_codes(), 400u);
-  EXPECT_EQ(pq->code_bytes(), 4u);
-}
-
-TEST(PqTest, DecodeApproximatesOriginal) {
-  nn::Matrix points = RandomPoints(300, 16, 53);
-  PqOptions opts;
-  opts.num_subspaces = 8;
-  Result<ProductQuantizer> pq = ProductQuantizer::Train(points, opts);
-  ASSERT_TRUE(pq.ok());
-  // Mean reconstruction error well below the data's own scale (~dim).
-  double err = 0.0;
-  for (size_t i = 0; i < 300; ++i) {
-    err += nn::SquaredDistance(points, i, pq->Decode(i), 0);
-  }
-  err /= 300.0;
-  EXPECT_LT(err, 8.0);  // raw squared norm is ~16
-  EXPECT_NEAR(err, pq->reconstruction_error(), 1e-6);
-}
-
-TEST(PqTest, AsymmetricDistanceApproximatesTrue) {
-  nn::Matrix points = RandomPoints(200, 16, 54);
-  nn::Matrix queries = RandomPoints(20, 16, 55);
-  PqOptions opts;
-  opts.num_subspaces = 8;
-  Result<ProductQuantizer> pq = ProductQuantizer::Train(points, opts);
-  ASSERT_TRUE(pq.ok());
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    const auto table = pq->BuildLookupTable(queries, q);
-    for (size_t i = 0; i < 30; ++i) {
-      const float adc = pq->AsymmetricDistance(table, i);
-      const float truth = nn::Distance(queries, q, points, i);
-      EXPECT_NEAR(adc, truth, 1.8f) << q << "," << i;
-    }
-  }
-}
-
-TEST(PqTest, SearchRecallAgainstExact) {
-  nn::Matrix points = RandomPoints(500, 32, 56);
-  nn::Matrix queries = RandomPoints(100, 32, 57);
-  PqOptions opts;
-  opts.num_subspaces = 16;
-  Result<ProductQuantizer> pq = ProductQuantizer::Train(points, opts);
-  ASSERT_TRUE(pq.ok());
-  const TopKDistances exact = ComputeTopK(queries, points, 10);
-  size_t hits = 0;
-  std::vector<uint32_t> ids;
-  std::vector<float> dists;
-  for (size_t q = 0; q < queries.rows(); ++q) {
-    pq->Search(queries, q, 10, &ids, &dists);
-    // Is the exact nearest neighbor within the PQ top-10?
-    for (uint32_t id : ids) {
-      if (id == exact.RepId(q, 0)) {
-        ++hits;
-        break;
-      }
-    }
-  }
-  EXPECT_GT(static_cast<double>(hits) / queries.rows(), 0.8);
-}
-
-TEST(PqTest, EncodeAppendsNewVectors) {
-  nn::Matrix points = RandomPoints(100, 16, 58);
-  PqOptions opts;
-  opts.num_subspaces = 4;
-  Result<ProductQuantizer> pq = ProductQuantizer::Train(points, opts);
-  ASSERT_TRUE(pq.ok());
-  nn::Matrix extra = RandomPoints(20, 16, 59);
-  const size_t first = pq->Encode(extra);
-  EXPECT_EQ(first, 100u);
-  EXPECT_EQ(pq->num_codes(), 120u);
-  // Appended codes decode near their sources.
-  for (size_t i = 0; i < 20; ++i) {
-    EXPECT_LT(nn::SquaredDistance(extra, i, pq->Decode(100 + i), 0), 16.0f);
-  }
 }
 
 // ---------- Top-k ----------

@@ -600,47 +600,6 @@ TEST(StreamingTest, LoadedIndexCanAppend) {
   }
 }
 
-// ---------- IVF-backed build ----------
-
-TEST(IvfBuildTest, IvfIndexApproximatesExactBuild) {
-  data::Dataset ds = SmallDataset(3000);
-  IndexOptions exact_opts = FastIndexOptions();
-  exact_opts.num_representatives = 300;
-  TastiIndex exact = BuildSmallIndex(ds, exact_opts);
-
-  IndexOptions ivf_opts = exact_opts;
-  ivf_opts.use_ivf = true;
-  ivf_opts.ivf_probes = 6;
-  TastiIndex approx = BuildSmallIndex(ds, ivf_opts);
-
-  // Same reps (selection is independent of the distance backend).
-  ASSERT_EQ(exact.num_representatives(), approx.num_representatives());
-  // Nearest-rep recall of the IVF build should be high, and proxies close.
-  size_t hits = 0;
-  for (size_t i = 0; i < ds.size(); ++i) {
-    if (exact.topk().RepId(i, 0) == approx.topk().RepId(i, 0)) ++hits;
-  }
-  EXPECT_GT(static_cast<double>(hits) / ds.size(), 0.85);
-
-  CountScorer scorer(data::ObjectClass::kCar);
-  const auto exact_proxy = ComputeProxyScores(exact, scorer);
-  const auto approx_proxy = ComputeProxyScores(approx, scorer);
-  EXPECT_GT(PearsonCorrelation(exact_proxy, approx_proxy), 0.95);
-}
-
-TEST(IvfBuildTest, KMeansRepSelectionBuilds) {
-  data::Dataset ds = SmallDataset(1200);
-  IndexOptions opts = FastIndexOptions();
-  opts.rep_selection = RepSelectionPolicy::kKMeans;
-  opts.num_representatives = 100;
-  TastiIndex index = BuildSmallIndex(ds, opts);
-  EXPECT_EQ(index.num_representatives(), 100u);
-  CountScorer scorer(data::ObjectClass::kCar);
-  const auto proxy = ComputeProxyScores(index, scorer);
-  const auto truth = ExactScores(ds, scorer);
-  EXPECT_GT(PearsonCorrelation(proxy, truth), 0.4);
-}
-
 // ---------- Index statistics ----------
 
 TEST(IndexStatsTest, ComputesCoverageAndBalance) {

@@ -399,33 +399,6 @@ TEST(OptimizerTest, AdamMinimizesQuadratic) {
   EXPECT_EQ(adam.step_count(), 500u);
 }
 
-TEST(OptimizerTest, SgdMinimizesQuadratic) {
-  Parameter p(1, 2);
-  p.value.Fill(4.0f);
-  Sgd sgd({&p}, 0.1f, 0.5f);
-  for (int step = 0; step < 200; ++step) {
-    p.ZeroGrad();
-    for (size_t i = 0; i < 2; ++i) p.grad.data()[i] = 2.0f * p.value.data()[i];
-    sgd.Step();
-  }
-  EXPECT_NEAR(p.value.data()[0], 0.0f, 1e-3f);
-  EXPECT_NEAR(p.value.data()[1], 0.0f, 1e-3f);
-}
-
-TEST(OptimizerTest, AdamWeightDecayShrinksWeights) {
-  Parameter p(1, 1);
-  p.value.data()[0] = 1.0f;
-  Adam::Options options;
-  options.learning_rate = 0.01f;
-  options.weight_decay = 0.1f;
-  Adam adam({&p}, options);
-  for (int step = 0; step < 300; ++step) {
-    p.ZeroGrad();  // zero task gradient: only decay acts
-    adam.Step();
-  }
-  EXPECT_LT(std::abs(p.value.data()[0]), 0.5f);
-}
-
 // ---------- Triplet loss ----------
 
 TEST(TripletTest, ZeroWhenNegativeFar) {

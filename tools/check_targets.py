@@ -30,7 +30,10 @@ Asserts, from the repository root:
      src/shard mentions TargetLabeler: query processing, index
      construction and serving take the one oracle interface,
      labeler::FallibleLabeler (ground-truth labelers enter through
-     labeler::FallibleAdapter), so no second entry point grows back.
+     labeler::FallibleAdapter), so no second entry point grows back;
+ 10. every header under src/ is #included by some file under src/,
+     tools/, bench/, examples/ or perfbench/ other than its own .cc, so
+     a module that only its own tests reach cannot grow back.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -219,6 +222,25 @@ def main():
                         "TargetLabeler; take a labeler::FallibleLabeler "
                         "(wrap ground truth in labeler::FallibleAdapter)"
                     )
+
+    src = ROOT / "src"
+    included = set()
+    for top in ("src", "tools", "bench", "examples", "perfbench"):
+        for path in (ROOT / top).rglob("*"):
+            if path.suffix not in (".h", ".cc"):
+                continue
+            for name in re.findall(r'^\s*#\s*include\s+"([^"]+)"',
+                                   path.read_text(), re.MULTILINE):
+                for target in (src / name, path.parent / name):
+                    if target.resolve() != path.with_suffix(".h").resolve():
+                        included.add(target.resolve())
+    for header in sorted(src.rglob("*.h")):
+        if header.resolve() not in included:
+            errors.append(
+                f"src/{header.relative_to(src)} is included by nothing under "
+                "src/, tools/, bench/, examples/ or perfbench/ but its own "
+                ".cc; delete it or use it"
+            )
 
     fail(errors)
 
