@@ -114,8 +114,8 @@ int main(int argc, char** argv) {
                     MedianNsPerOp([&] {
                       serve::ScoreCache cache;  // cold: 1 full + 15 hits
                       for (size_t q = 0; q < kQueries; ++q) {
-                        auto state = cache.GetOrCompute(snap, cars, mode,
-                                                        nullptr, nullptr);
+                        auto state =
+                            cache.GetOrCompute(snap, cars, mode, nullptr);
                         asm volatile("" ::"r"(state->scores.data()));
                       }
                     })});

@@ -61,12 +61,9 @@ const std::vector<double>& TastiSession::ProxyScores(
       scorer.Name() + "#" + std::to_string(static_cast<int>(mode));
   auto it = proxy_cache_.find(key);
   if (it == proxy_cache_.end()) {
-    core::ProxyTimings timings;
     it = proxy_cache_
-             .emplace(key, core::ComputeProxyScores(*index_, scorer, mode, {},
-                                                    &timings))
+             .emplace(key, core::ComputeProxyScores(*index_, scorer, mode))
              .first;
-    last_proxy_timings_ = timings;
   }
   return it->second;
 }
@@ -97,7 +94,7 @@ size_t TastiSession::RepairFailedReps() {
 void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
                                size_t invocations_before,
                                const serve::QuerySpec& spec,
-                               double algorithm_seconds, double oracle_seconds,
+                               const obs::SpanTotals& spans,
                                serve::QueryResponse* response) {
   // Repairs run inside the query's accounting window so the attribution
   // invariant (index + sum of queries == oracle invocations) still holds.
@@ -107,12 +104,9 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
   total_invocations_ += query_invocations;
 
   size_t cracked = 0;
-  double crack_seconds = 0.0;
   if (options_.auto_crack) {
     TASTI_SPAN("session.crack");
-    WallTimer timer;
     cracked = index_->CrackFrom(cache);
-    crack_seconds = timer.Seconds();
     if (cracked > 0) {
       // New representatives change every propagated score.
       proxy_cache_.clear();
@@ -125,11 +119,7 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
   obs::QueryRecord record;
   record.query_type = serve::QueryKindName(spec.kind);
   record.params = serve::QueryParams(spec);
-  record.phases.rep_score_seconds = last_proxy_timings_.rep_score_seconds;
-  record.phases.propagation_seconds = last_proxy_timings_.propagation_seconds;
-  record.phases.algorithm_seconds = algorithm_seconds;
-  record.phases.oracle_seconds = oracle_seconds;
-  record.phases.crack_seconds = crack_seconds;
+  record.phases = obs::PhaseTimesFromSpans(spans);
   record.labeler_invocations = query_invocations;
   record.cracked_representatives = cracked;
   record.failed_oracle_calls = failed_oracle_calls;
@@ -160,22 +150,18 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
 }
 
 serve::QueryResponse TastiSession::Execute(const serve::QuerySpec& spec) {
+  obs::SpanTotals spans;
   TASTI_SPAN(kQuerySpans[static_cast<size_t>(spec.kind)]);
-  last_proxy_timings_ = {};
   const std::vector<double>& proxy =
       ProxyScores(*spec.scorer, spec.kind == serve::QueryKind::kLimit
                                     ? core::PropagationMode::kLimit
                                     : core::PropagationMode::kNumeric);
   const size_t before = oracle_->invocations();
   labeler::CachingFallibleLabeler cache(oracle_);
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
   serve::QueryResponse response = serve::ExecuteQuery(
-      spec, proxy, &timed, NextSeed(), options_.confidence);
-  algo_timer.Pause();
+      spec, proxy, &cache, NextSeed(), options_.confidence);
   last_query_status_ = response.status;
-  FinishQuery(cache, before, spec, algo_timer.Seconds(), timed.seconds(),
-              &response);
+  FinishQuery(cache, before, spec, spans, &response);
   return response;
 }
 

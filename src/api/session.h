@@ -168,13 +168,12 @@ class TastiSession {
   // cost is attributed to this query), accounts the oracle calls the query
   // consumed, cracks the index with the query's labels, invalidates cached
   // proxies if anything changed, and appends the query's record to the
-  // log; `response` receives the query's oracle invocations and new
-  // representatives. `algorithm_seconds` is pure algorithm time (the
-  // TimedOracle pauses the timer inside oracle calls); `oracle_seconds` is
-  // the wall time inside those calls.
+  // log with its phase times read from `spans`, the query's span totals;
+  // `response` receives the query's oracle invocations and new
+  // representatives.
   void FinishQuery(const labeler::CachingFallibleLabeler& cache,
                    size_t invocations_before, const serve::QuerySpec& spec,
-                   double algorithm_seconds, double oracle_seconds,
+                   const obs::SpanTotals& spans,
                    serve::QueryResponse* response);
 
   const data::Dataset* dataset_;
@@ -188,9 +187,6 @@ class TastiSession {
   size_t reps_repaired_ = 0;
   Status last_query_status_ = Status::OK();
   obs::QueryLog query_log_;
-  // Proxy phase times of the current query; zero when ProxyScores hits
-  // its cache. Reset by Execute before calling ProxyScores.
-  core::ProxyTimings last_proxy_timings_;
 };
 
 }  // namespace tasti::api

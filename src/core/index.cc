@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace tasti::core {
 
@@ -21,6 +20,9 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
   TASTI_CHECK(options.num_representatives > 0, "need at least one representative");
   TASTI_CHECK(options.k > 0, "k must be positive");
 
+  // The build's phase seconds are its span totals; the scope also hides an
+  // enclosing query's totals from the build's spans.
+  obs::SpanTotals spans;
   TASTI_SPAN("index.build");
   if (obs::MetricsEnabled()) {
     static obs::Counter* const builds =
@@ -40,7 +42,7 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
   std::unique_ptr<embed::Embedder> trained;
   const embed::Embedder* embedder = &pretrained;
   if (options.use_triplet_training) {
-    WallTimer timer;
+    TASTI_SPAN("index.train");
     embed::TripletTrainOptions train_options;
     train_options.num_training_records = options.num_training_records;
     train_options.embedding_dim = options.embedding_dim;
@@ -66,16 +68,13 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
     index.build_stats_.final_triplet_loss = trained_result.final_loss;
     trained = std::move(trained_result.embedder);
     embedder = trained.get();
-    index.build_stats_.train_seconds = timer.Seconds();
   }
 
   // Step 3: embed every record; the index retains the embedder so new
   // records can be ingested later (streaming).
   {
     TASTI_SPAN("index.embed");
-    WallTimer timer;
     index.embeddings_ = embedder->Embed(dataset.features);
-    index.build_stats_.embed_seconds = timer.Seconds();
   }
   if (trained != nullptr) {
     index.embedder_ = std::move(trained);
@@ -88,7 +87,6 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
   // Step 4: select cluster representatives.
   {
     TASTI_SPAN("index.select_reps");
-    WallTimer timer;
     switch (options.rep_selection) {
       case RepSelectionPolicy::kFpfMixed:
         index.rep_record_ids_ = cluster::MixedFpfRandomSelection(
@@ -100,7 +98,6 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
             dataset.size(), options.num_representatives, &rng);
         break;
     }
-    index.build_stats_.cluster_seconds = timer.Seconds();
   }
 
   // Annotate representatives with the target labeler. A representative
@@ -139,11 +136,13 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
   // Step 5: exact min-k distances.
   {
     TASTI_SPAN("index.min_k");
-    WallTimer timer;
     index.topk_ = cluster::ComputeTopK(index.embeddings_,
                                        index.rep_embeddings_, options.k);
-    index.build_stats_.distance_seconds = timer.Seconds();
   }
+  index.build_stats_.train_seconds = spans.Seconds("index.train");
+  index.build_stats_.embed_seconds = spans.Seconds("index.embed");
+  index.build_stats_.cluster_seconds = spans.Seconds("index.select_reps");
+  index.build_stats_.distance_seconds = spans.Seconds("index.min_k");
   return index;
 }
 

@@ -71,12 +71,14 @@ struct IndexDelta {
 };
 
 /// Wall-clock and budget breakdown of one Build call (Figure 2's bars).
+/// The seconds are the totals of the build's spans (obs::SpanTotals).
 struct BuildStats {
-  double mine_seconds = 0.0;      ///< pretrained embedding + FPF mining
-  double train_seconds = 0.0;     ///< triplet training epochs
-  double embed_seconds = 0.0;     ///< embedding all records
-  double cluster_seconds = 0.0;   ///< representative selection (FPF)
-  double distance_seconds = 0.0;  ///< min-k distance computation
+  /// `index.train`: FPF mining, training-set annotation and the triplet
+  /// training epochs (embed::TrainTripletEmbedder); 0 without training.
+  double train_seconds = 0.0;
+  double embed_seconds = 0.0;     ///< `index.embed`: embedding all records
+  double cluster_seconds = 0.0;   ///< `index.select_reps`: rep selection
+  double distance_seconds = 0.0;  ///< `index.min_k`: min-k distances
   size_t training_invocations = 0;  ///< labeler calls for triplet data
   size_t rep_invocations = 0;       ///< labeler calls for representatives
   double final_triplet_loss = 0.0;
@@ -86,8 +88,7 @@ struct BuildStats {
   size_t training_label_failures = 0;
 
   double TotalSeconds() const {
-    return mine_seconds + train_seconds + embed_seconds + cluster_seconds +
-           distance_seconds;
+    return train_seconds + embed_seconds + cluster_seconds + distance_seconds;
   }
   size_t TotalInvocations() const {
     return training_invocations + rep_invocations;

@@ -4,33 +4,29 @@
 
 #include "obs/trace.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace tasti::core {
 
 std::vector<double> ComputeProxyScores(const IndexView& view,
                                        const Scorer& scorer,
                                        PropagationMode mode,
-                                       const PropagationOptions& options,
-                                       ProxyTimings* timings) {
+                                       const PropagationOptions& options) {
   PropagationState state;
-  ComputeProxyState(view, scorer, mode, options, &state, timings);
+  ComputeProxyState(view, scorer, mode, options, &state);
   return std::move(state.scores);
 }
 
 std::vector<double> ComputeProxyScores(const TastiIndex& index,
                                        const Scorer& scorer,
                                        PropagationMode mode,
-                                       const PropagationOptions& options,
-                                       ProxyTimings* timings) {
-  return ComputeProxyScores(index.View(), scorer, mode, options, timings);
+                                       const PropagationOptions& options) {
+  return ComputeProxyScores(index.View(), scorer, mode, options);
 }
 
 void ComputeProxyState(const IndexView& view, const Scorer& scorer,
                        PropagationMode mode, const PropagationOptions& options,
-                       PropagationState* state, ProxyTimings* timings) {
+                       PropagationState* state) {
   TASTI_CHECK(state != nullptr, "ComputeProxyState requires a state");
-  WallTimer timer;
   state->mode = mode;
   state->options = options;
   state->use_best_of_k = true;
@@ -38,33 +34,21 @@ void ComputeProxyState(const IndexView& view, const Scorer& scorer,
     TASTI_SPAN("query.proxy.rep_scores");
     state->rep_scores = RepresentativeScores(view, scorer);
   }
-  if (timings != nullptr) {
-    timings->rep_score_seconds = timer.Seconds();
-    timer.Restart();
-  }
   TASTI_SPAN("query.proxy.propagate");
   PropagateFull(view, state);
-  if (timings != nullptr) timings->propagation_seconds = timer.Seconds();
 }
 
 size_t UpdateProxyState(const IndexView& view, const Scorer& scorer,
                         const std::vector<uint32_t>& dirty_rows,
                         const std::vector<uint32_t>& dirty_reps,
-                        PropagationState* state, ProxyTimings* timings) {
+                        PropagationState* state) {
   TASTI_CHECK(state != nullptr, "UpdateProxyState requires a state");
-  WallTimer timer;
   {
     TASTI_SPAN("query.proxy.rep_scores_delta");
     UpdateRepresentativeScores(view, scorer, dirty_reps, state);
   }
-  if (timings != nullptr) {
-    timings->rep_score_seconds = timer.Seconds();
-    timer.Restart();
-  }
   TASTI_SPAN("query.proxy.propagate_delta");
-  const size_t recomputed = PropagateIncremental(view, dirty_rows, state);
-  if (timings != nullptr) timings->propagation_seconds = timer.Seconds();
-  return recomputed;
+  return PropagateIncremental(view, dirty_rows, state);
 }
 
 std::vector<double> ExactScores(const data::Dataset& dataset,

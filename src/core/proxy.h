@@ -17,46 +17,39 @@ namespace tasti::core {
 // PropagationMode lives in propagation.h (included above) next to the
 // propagation passes it selects between.
 
-/// Wall-time split of one ComputeProxyScores call, for per-query cost
-/// attribution (obs::QueryLog).
-struct ProxyTimings {
-  double rep_score_seconds = 0.0;    ///< scorer over the representatives
-  double propagation_seconds = 0.0;  ///< propagation to all records
-};
-
 /// Generates proxy scores for every record: ComputeProxyState's scores,
-/// without the resumable state. When `timings` is non-null it receives the
-/// wall time of the two phases. The IndexView overload lets query serving
+/// without the resumable state. The IndexView overload lets query serving
 /// compute proxies from immutable snapshots without touching the live
 /// index.
 std::vector<double> ComputeProxyScores(const IndexView& view,
                                        const Scorer& scorer,
                                        PropagationMode mode = PropagationMode::kNumeric,
-                                       const PropagationOptions& options = {},
-                                       ProxyTimings* timings = nullptr);
+                                       const PropagationOptions& options = {});
 std::vector<double> ComputeProxyScores(const TastiIndex& index,
                                        const Scorer& scorer,
                                        PropagationMode mode = PropagationMode::kNumeric,
-                                       const PropagationOptions& options = {},
-                                       ProxyTimings* timings = nullptr);
+                                       const PropagationOptions& options = {});
 
 /// Full proxy computation into a resumable PropagationState: evaluates the
 /// scorer on the representatives and runs the full propagation pass
 /// (best-of-k limit ranking). The state can then seed UpdateProxyState on
-/// a later epoch.
+/// a later epoch. The two steps run under the `query.proxy.rep_scores` and
+/// `query.proxy.propagate` spans, which the QueryLog reads as the query's
+/// rep_score and propagation phases (obs::PhaseTimesFromSpans).
 void ComputeProxyState(const IndexView& view, const Scorer& scorer,
                        PropagationMode mode, const PropagationOptions& options,
-                       PropagationState* state, ProxyTimings* timings = nullptr);
+                       PropagationState* state);
 
 /// Incrementally advances a parent-epoch PropagationState to `view`:
 /// re-scores appended and `dirty_reps` representatives, then recomputes
 /// the `dirty_rows` plus appended records. Bit-identical to
 /// ComputeProxyState over `view` from scratch. Returns the number of
-/// record rows recomputed.
+/// record rows recomputed. Spans: `query.proxy.rep_scores_delta`,
+/// `query.proxy.propagate_delta`.
 size_t UpdateProxyState(const IndexView& view, const Scorer& scorer,
                         const std::vector<uint32_t>& dirty_rows,
                         const std::vector<uint32_t>& dirty_reps,
-                        PropagationState* state, ProxyTimings* timings = nullptr);
+                        PropagationState* state);
 
 /// Exact scores for every record via a ground-truth labeler — used by the
 /// evaluation harness to measure proxy quality, never by query processing.

@@ -3,9 +3,7 @@
 #include <cstdlib>
 
 #include "labeler/resilient.h"
-#include "obs/query_log.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace tasti::eval {
 
@@ -172,19 +170,9 @@ const core::TastiIndex& Workbench::GetOrBuild(bool trained) {
     labeler::SimulatedLabeler oracle(&dataset_);
     labeler::FallibleAdapter adapter(&oracle);
     labeler::CachingFallibleLabeler cache(&adapter);
-    // The build timer pauses inside every oracle call, so build seconds
-    // measure pure construction compute (what a faster oracle would not
-    // change) and oracle seconds the labeling charge.
-    WallTimer build_timer;
-    obs::TimedOracle timed(&cache, &build_timer);
-    slot = core::TastiIndex::Build(dataset_, &timed, options);
-    build_timer.Pause();
+    slot = core::TastiIndex::Build(dataset_, &cache, options);
     (trained ? tasti_t_invocations_ : tasti_pt_invocations_) =
         oracle.invocations();
-    (trained ? tasti_t_build_seconds_ : tasti_pt_build_seconds_) =
-        build_timer.Seconds();
-    (trained ? tasti_t_oracle_seconds_ : tasti_pt_oracle_seconds_) =
-        timed.seconds();
   }
   return *slot;
 }
@@ -199,23 +187,6 @@ size_t Workbench::TastiTBuildInvocations() {
 size_t Workbench::TastiPTBuildInvocations() {
   TastiPT();
   return tasti_pt_invocations_;
-}
-
-double Workbench::TastiTBuildSeconds() {
-  TastiT();
-  return tasti_t_build_seconds_;
-}
-double Workbench::TastiPTBuildSeconds() {
-  TastiPT();
-  return tasti_pt_build_seconds_;
-}
-double Workbench::TastiTOracleSeconds() {
-  TastiT();
-  return tasti_t_oracle_seconds_;
-}
-double Workbench::TastiPTOracleSeconds() {
-  TastiPT();
-  return tasti_pt_oracle_seconds_;
 }
 
 std::unique_ptr<labeler::TargetLabeler> Workbench::MakeOracle() const {

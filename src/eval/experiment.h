@@ -83,16 +83,6 @@ class Workbench {
   size_t TastiTBuildInvocations();
   size_t TastiPTBuildInvocations();
 
-  /// Wall seconds spent building each variant, with oracle (labeler) time
-  /// excluded — the build timer pauses around every Label() call, so this
-  /// is pure index-construction compute.
-  double TastiTBuildSeconds();
-  double TastiPTBuildSeconds();
-
-  /// Wall seconds spent inside the oracle during each variant's build.
-  double TastiTOracleSeconds();
-  double TastiPTOracleSeconds();
-
   /// Fresh invocation-counting oracle over the dataset.
   std::unique_ptr<labeler::TargetLabeler> MakeOracle() const;
 
@@ -120,10 +110,6 @@ class Workbench {
   std::optional<core::TastiIndex> tasti_pt_;
   size_t tasti_t_invocations_ = 0;
   size_t tasti_pt_invocations_ = 0;
-  double tasti_t_build_seconds_ = 0.0;
-  double tasti_pt_build_seconds_ = 0.0;
-  double tasti_t_oracle_seconds_ = 0.0;
-  double tasti_pt_oracle_seconds_ = 0.0;
 };
 
 }  // namespace tasti::eval

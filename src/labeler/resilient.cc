@@ -217,7 +217,10 @@ Result<data::LabelerOutput> CachingFallibleLabeler::TryLabelWithin(
     return *cache_[index];
   }
   last_was_hit_ = false;
-  Result<data::LabelerOutput> r = inner_->TryLabelWithin(index, budget_ms);
+  Result<data::LabelerOutput> r = [&] {
+    TASTI_SPAN("oracle.call");
+    return inner_->TryLabelWithin(index, budget_ms);
+  }();
   if (r.ok()) {
     cache_[index] = r.value();
     labeled_order_.push_back(index);

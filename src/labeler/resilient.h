@@ -164,6 +164,8 @@ class ResilientLabeler : public FallibleLabeler {
 /// repeated requests cost one invocation; failures are not cached, so a
 /// later request retries the record. The per-query label cache of the
 /// session and the server, and the hook for cracking (TastiIndex::CrackFrom).
+/// Each miss runs the inner call under the `oracle.call` span, which the
+/// QueryLog reads as the query's oracle phase.
 class CachingFallibleLabeler : public FallibleLabeler {
  public:
   /// The inner labeler must outlive the wrapper.

@@ -6,8 +6,8 @@
 ///
 /// Tracing, flight recording, and metrics are off by default and must cost
 /// next to nothing while off: every instrumentation site guards itself
-/// with one relaxed atomic load and a branch (see Span in trace.h and the
-/// metric helpers in metrics.h). The flags are constinit atomics — no
+/// with one relaxed atomic load and a branch (see the metric helpers in
+/// metrics.h; a Span also loads its thread's SpanTotals scope, trace.h). The flags are constinit atomics — no
 /// static initialization guard on the hot path.
 ///
 /// Spans have two possible sinks, packed into one atomic bitmask so the
@@ -35,8 +35,8 @@ struct Config {
 
 inline constinit Config g_config;
 
-/// One relaxed load: the only cost a disabled span pays. Nonzero when any
-/// span sink (tracing or flight recording) is active.
+/// One relaxed load. Nonzero when any span sink (tracing or flight
+/// recording) is active.
 inline uint32_t SpanSinks() {
   return g_config.span_sinks.load(std::memory_order_relaxed);
 }

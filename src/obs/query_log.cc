@@ -4,6 +4,21 @@
 
 namespace tasti::obs {
 
+QueryPhaseTimes PhaseTimesFromSpans(const SpanTotals& spans) {
+  const int64_t oracle_ns = spans.Nanos("oracle.call");
+  QueryPhaseTimes phases;
+  phases.rep_score_seconds = spans.Seconds("query.proxy.rep_scores") +
+                             spans.Seconds("query.proxy.rep_scores_delta");
+  phases.propagation_seconds = spans.Seconds("query.proxy.propagate") +
+                               spans.Seconds("query.proxy.propagate_delta");
+  phases.oracle_seconds = static_cast<double>(oracle_ns) * 1e-9;
+  phases.algorithm_seconds =
+      static_cast<double>(spans.Nanos("serve.execute") - oracle_ns) * 1e-9;
+  phases.crack_seconds =
+      spans.Seconds("session.crack") + spans.Seconds("serve.crack");
+  return phases;
+}
+
 void QueryLog::RecordIndexBuild(size_t invocations, double seconds) {
   index_invocations_ += invocations;
   index_build_seconds_ += seconds;

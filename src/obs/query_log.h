@@ -2,15 +2,17 @@
 #define TASTI_OBS_QUERY_LOG_H_
 
 /// \file query_log.h
-/// Per-query cost attribution for a TastiSession.
+/// Per-query cost attribution for a TastiSession or a TastiServer.
 ///
 /// The paper's headline claims (Table 1, Figures 6-9) are statements about
 /// where time and target-labeler invocations go. The QueryLog makes every
-/// session produce that ledger as a machine-readable artifact: one record
-/// per query with the query type, parameters, wall time split by phase
-/// (representative scoring, propagation, query algorithm, oracle calls,
-/// cracking), the labeler invocations attributed to *that* query, and
-/// their cost in each Table-1 labeler's native unit via labeler::CostModel.
+/// session and server produce that ledger as a machine-readable artifact:
+/// one record per query with the query type, parameters, wall time split
+/// by phase (representative scoring, propagation, query algorithm, oracle
+/// calls, cracking — read from the query's span totals, see
+/// PhaseTimesFromSpans), the labeler invocations attributed to *that*
+/// query, and their cost in each Table-1 labeler's native unit via
+/// labeler::CostModel.
 ///
 /// Attribution invariant: index_invocations() plus the sum of per-query
 /// invocations equals the target labeler's invocations() counter, provided
@@ -21,16 +23,15 @@
 #include <vector>
 
 #include "labeler/cost_model.h"
-#include "labeler/labeler.h"
+#include "obs/trace.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace tasti::obs {
 
 /// Wall time of one query, split by phase. Phases are disjoint:
 /// algorithm_seconds excludes time spent inside the target labeler
-/// (oracle_seconds), measured by TimedOracle pausing the algorithm timer
-/// around each oracle call.
+/// (oracle_seconds). Every phase is a sum of span totals; see
+/// PhaseTimesFromSpans.
 struct QueryPhaseTimes {
   double rep_score_seconds = 0.0;    ///< scorer over representatives
   double propagation_seconds = 0.0;  ///< propagation to all records
@@ -43,6 +44,16 @@ struct QueryPhaseTimes {
            oracle_seconds + crack_seconds;
   }
 };
+
+/// The one mapping from a query's span totals to its phases:
+///   rep_score   = query.proxy.rep_scores + query.proxy.rep_scores_delta
+///   propagation = query.proxy.propagate + query.proxy.propagate_delta
+///   oracle      = oracle.call (per-query label cache misses)
+///   algorithm   = serve.execute - oracle.call
+///   crack       = session.crack + serve.crack
+/// A proxy served from a cache opens no proxy span on the query's thread,
+/// so its rep_score and propagation read zero.
+QueryPhaseTimes PhaseTimesFromSpans(const SpanTotals& spans);
 
 /// One executed query.
 struct QueryRecord {
@@ -112,54 +123,6 @@ class QueryLog {
   size_t index_invocations_ = 0;
   double index_build_seconds_ = 0.0;
   std::vector<QueryRecord> queries_;
-};
-
-/// Oracle wrapper that (1) measures the wall time spent inside the wrapped
-/// oracle, successful calls or not, and (2) pauses a caller-supplied phase
-/// timer around each call, so the phase timer reads pure algorithm time.
-/// Invocation counting delegates to the wrapped oracle.
-class TimedOracle : public labeler::FallibleLabeler {
- public:
-  /// Both pointers must outlive the wrapper; `paused_while_labeling` may
-  /// be null (pure measurement).
-  TimedOracle(labeler::FallibleLabeler* inner, WallTimer* paused_while_labeling)
-      : inner_(inner), paused_(paused_while_labeling) {}
-
-  Result<data::LabelerOutput> TryLabel(size_t index) override {
-    const bool pause = paused_ != nullptr && paused_->running();
-    if (pause) paused_->Pause();
-    WallTimer call_timer;
-    Result<data::LabelerOutput> out = inner_->TryLabel(index);
-    seconds_ += call_timer.Seconds();
-    if (pause) paused_->Resume();
-    return out;
-  }
-
-  Result<data::LabelerOutput> TryLabelWithin(size_t index,
-                                             double budget_ms) override {
-    const bool pause = paused_ != nullptr && paused_->running();
-    if (pause) paused_->Pause();
-    WallTimer call_timer;
-    Result<data::LabelerOutput> out = inner_->TryLabelWithin(index, budget_ms);
-    seconds_ += call_timer.Seconds();
-    if (pause) paused_->Resume();
-    return out;
-  }
-
-  size_t num_records() const override { return inner_->num_records(); }
-  size_t invocations() const override { return inner_->invocations(); }
-  void ResetInvocations() override { inner_->ResetInvocations(); }
-  double last_call_latency_ms() const override {
-    return inner_->last_call_latency_ms();
-  }
-
-  /// Wall seconds spent inside the wrapped oracle so far.
-  double seconds() const { return seconds_; }
-
- private:
-  labeler::FallibleLabeler* inner_;
-  WallTimer* paused_;
-  double seconds_ = 0.0;
 };
 
 }  // namespace tasti::obs

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 
 #include "obs/live.h"
 
@@ -32,8 +33,11 @@ TraceRecorder& TraceRecorder::Global() {
 }
 
 int64_t TraceRecorder::NowMicros() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
+  return ToMicros(std::chrono::steady_clock::now());
+}
+
+int64_t TraceRecorder::ToMicros(std::chrono::steady_clock::time_point t) const {
+  return std::chrono::duration_cast<std::chrono::microseconds>(t - epoch_)
       .count();
 }
 
@@ -108,14 +112,40 @@ void TraceRecorder::Clear() {
   epoch_ = std::chrono::steady_clock::now();
 }
 
+int64_t SpanTotals::Nanos(const char* name) const {
+  for (size_t i = 0; i < count_; ++i) {
+    if (std::strcmp(totals_[i].name, name) == 0) return totals_[i].nanos;
+  }
+  return 0;
+}
+
+void SpanTotals::Add(const char* name, int64_t nanos) {
+  for (size_t i = 0; i < count_; ++i) {
+    if (totals_[i].name == name || std::strcmp(totals_[i].name, name) == 0) {
+      totals_[i].nanos += nanos;
+      return;
+    }
+  }
+  if (count_ < kMaxNames) totals_[count_++] = Total{name, nanos};
+}
+
 void Span::Finish() {
+  const std::chrono::steady_clock::time_point end =
+      std::chrono::steady_clock::now();
+  if (SpanTotals* totals = internal::t_span_totals) {
+    totals->Add(name_, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           end - start_)
+                           .count());
+  }
+  if (sinks_ == 0) return;
   TraceRecorder& global = TraceRecorder::Global();
-  const int64_t dur_us = global.NowMicros() - start_us_;
+  const int64_t start_us = global.ToMicros(start_);
+  const int64_t dur_us = global.ToMicros(end) - start_us;
   if ((sinks_ & kSpanSinkTrace) != 0) {
-    global.Record(name_, start_us_, dur_us);
+    global.Record(name_, start_us, dur_us);
   }
   if ((sinks_ & kSpanSinkFlight) != 0) {
-    FlightRecorder::Global().Record(name_, start_us_, dur_us);
+    FlightRecorder::Global().Record(name_, start_us, dur_us);
   }
 }
 

@@ -5,15 +5,18 @@
 /// Low-overhead tracing with RAII spans and Chrome trace_event export.
 ///
 /// Spans record where wall time goes across index construction and query
-/// processing. Each completed span becomes one Chrome "X" (complete) event
-/// — name, steady-clock timestamp, duration, thread id — so the export is
-/// well-formed by construction (no unpaired begin/end) and loads directly
-/// in chrome://tracing or Perfetto.
+/// processing, and they are the only phase timer: BuildStats and the
+/// QueryLog's phase times are span totals read through a SpanTotals scope.
+/// When tracing is on, each completed span also becomes one Chrome "X"
+/// (complete) event — name, steady-clock timestamp, duration, thread id —
+/// so the export is well-formed by construction (no unpaired begin/end) and
+/// loads directly in chrome://tracing or Perfetto.
 ///
 /// Concurrency: events land in per-thread buffers. Each buffer has its own
 /// mutex (uncontended on the hot path — only export racing a writer ever
-/// blocks), and the buffer registry is guarded separately. A disabled span
-/// costs one relaxed atomic load and a branch; nothing is allocated.
+/// blocks), and the buffer registry is guarded separately. A span with no
+/// sink on and no SpanTotals scope live costs one relaxed atomic load, one
+/// thread-local load and a branch; nothing is allocated.
 ///
 /// Span names must be string literals (or otherwise outlive the recorder):
 /// events store the pointer, not a copy.
@@ -64,6 +67,8 @@ class TraceRecorder {
 
   /// Microseconds since the recorder epoch (steady clock).
   int64_t NowMicros() const;
+  /// Microseconds from the recorder epoch to `t`.
+  int64_t ToMicros(std::chrono::steady_clock::time_point t) const;
 
   /// Appends one completed event from the calling thread.
   void Record(const char* name, int64_t ts_us, int64_t dur_us);
@@ -102,30 +107,90 @@ class TraceRecorder {
   uint32_t next_tid_ = 1;
 };
 
-/// RAII span over the global sinks. The sink mask is sampled once at
-/// construction (a span that straddles a disable still completes — events
-/// are never half-recorded): bit kSpanSinkTrace sends the completed span
-/// to TraceRecorder::Global(), bit kSpanSinkFlight additionally to the
-/// bounded FlightRecorder ring (obs/live.h). With every sink off the
-/// constructor is one relaxed load and the destructor one branch.
+class SpanTotals;
+
+namespace internal {
+/// Innermost live SpanTotals of the calling thread (null when none).
+inline constinit thread_local SpanTotals* t_span_totals = nullptr;
+}  // namespace internal
+
+/// RAII scope that sums, per span name, the nanoseconds of every Span that
+/// opens and closes on this thread while the scope is alive — whether or
+/// not any trace or flight sink is on. Scopes nest: only the innermost
+/// live scope on a thread receives spans, so a nested scope (e.g. an index
+/// build inside a session query) hides the outer one until it closes.
+/// Spans must nest inside the scope, as RAII locals do. Not thread-safe:
+/// read it on the thread that opened it.
+///
+///   obs::SpanTotals spans;
+///   RunQuery();                                  // opens TASTI_SPANs
+///   double oracle = spans.Seconds("oracle.call");
+class SpanTotals {
+ public:
+  SpanTotals() : outer_(internal::t_span_totals) {
+    internal::t_span_totals = this;
+  }
+  ~SpanTotals() { internal::t_span_totals = outer_; }
+
+  SpanTotals(const SpanTotals&) = delete;
+  SpanTotals& operator=(const SpanTotals&) = delete;
+
+  /// Summed duration of the spans named `name` closed within this scope
+  /// (0 if none).
+  int64_t Nanos(const char* name) const;
+  double Seconds(const char* name) const {
+    return static_cast<double>(Nanos(name)) * 1e-9;
+  }
+
+ private:
+  friend class Span;
+  /// Adds one closed span.
+  void Add(const char* name, int64_t nanos);
+
+  /// More distinct names than src/ opens in one build or query; a new
+  /// name beyond it is not counted.
+  static constexpr size_t kMaxNames = 48;
+  struct Total {
+    const char* name;
+    int64_t nanos;
+  };
+  SpanTotals* outer_;
+  // Inline, not a vector: the scope must not allocate. Heap chunks taken
+  // mid-build shift where the build's matrices land, which slowed index
+  // construction measurably. A handful of names per scope: linear scan.
+  Total totals_[kMaxNames];
+  size_t count_ = 0;
+};
+
+/// RAII span over the global sinks and the thread's SpanTotals scope. The
+/// sink mask is sampled once at construction (a span that straddles a
+/// disable still completes — events are never half-recorded): bit
+/// kSpanSinkTrace sends the completed span to TraceRecorder::Global(), bit
+/// kSpanSinkFlight additionally to the bounded FlightRecorder ring
+/// (obs/live.h). The clock is read only when a sink is on or a SpanTotals
+/// scope is live; otherwise the constructor is one relaxed load, one
+/// thread-local load and a branch, and the destructor one branch.
 class Span {
  public:
   explicit Span(const char* name) : sinks_(SpanSinks()) {
-    if (sinks_ != 0) {
+    if (sinks_ != 0 || internal::t_span_totals != nullptr) {
       name_ = name;
-      start_us_ = TraceRecorder::Global().NowMicros();
+      start_ = std::chrono::steady_clock::now();
     }
   }
 
   /// Records into a specific recorder regardless of the global flags
   /// (test hook).
   Span(TraceRecorder* recorder, const char* name)
-      : recorder_(recorder), name_(name), start_us_(recorder->NowMicros()) {}
+      : recorder_(recorder),
+        name_(name),
+        start_(std::chrono::steady_clock::now()) {}
 
   ~Span() {
     if (recorder_ != nullptr) {
-      recorder_->Record(name_, start_us_, recorder_->NowMicros() - start_us_);
-    } else if (sinks_ != 0) {
+      const int64_t ts_us = recorder_->ToMicros(start_);
+      recorder_->Record(name_, ts_us, recorder_->NowMicros() - ts_us);
+    } else if (name_ != nullptr) {
       Finish();
     }
   }
@@ -134,14 +199,15 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
-  /// Out of line: fans the completed span out to the global sinks chosen
-  /// at construction (both sinks share TraceRecorder::Global()'s clock so
-  /// trace exports and flight dumps line up on one timebase).
+  /// Out of line: adds the completed span to the thread's SpanTotals scope
+  /// and fans it out to the global sinks chosen at construction (both
+  /// sinks share TraceRecorder::Global()'s clock so trace exports and
+  /// flight dumps line up on one timebase).
   void Finish();
 
   TraceRecorder* recorder_ = nullptr;
-  const char* name_ = nullptr;
-  int64_t start_us_ = 0;
+  const char* name_ = nullptr;  // set iff the clock was read
+  std::chrono::steady_clock::time_point start_;
   uint32_t sinks_ = 0;
 };
 

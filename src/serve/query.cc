@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace tasti::serve {
 
 namespace {
@@ -46,6 +48,7 @@ QueryResponse ExecuteQuery(const QuerySpec& spec,
                            const std::vector<double>& proxy,
                            labeler::FallibleLabeler* oracle, uint64_t seed,
                            double confidence, const Deadline& deadline) {
+  TASTI_SPAN("serve.execute");
   QueryResponse response;
   response.kind = spec.kind;
   const size_t before = oracle->invocations();
@@ -127,6 +130,7 @@ QueryResponse ExecuteQuery(const QuerySpec& spec,
 QueryResponse AnswerFromProxy(const QuerySpec& spec,
                               const std::vector<double>& proxy,
                               const std::vector<double>& statistic_proxy) {
+  TASTI_SPAN("serve.execute");
   QueryResponse response;
   response.kind = spec.kind;
   response.degraded = true;

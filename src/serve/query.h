@@ -111,7 +111,9 @@ struct QueryResponse {
 /// Fills kind, status and the payload matching kind; a deadline that
 /// expires mid-query sets deadline_hit, degraded and GuaranteeLevel
 /// kReduced. A failed query (non-OK status) carries a default payload
-/// whose failed_oracle_calls is the oracle invocations it spent.
+/// whose failed_oracle_calls is the oracle invocations it spent. Runs
+/// under the `serve.execute` span: the QueryLog's algorithm phase is that
+/// span less the `oracle.call` spans inside it.
 QueryResponse ExecuteQuery(const QuerySpec& spec,
                            const std::vector<double>& proxy,
                            labeler::FallibleLabeler* oracle, uint64_t seed,
@@ -120,7 +122,8 @@ QueryResponse ExecuteQuery(const QuerySpec& spec,
 /// Brownout twin of ExecuteQuery: answers `spec` from proxy scores with
 /// zero oracle calls, marked degraded with GuaranteeLevel kProxyOnly.
 /// `statistic_proxy` holds the statistic's proxy scores for
-/// kAggregateWhere and is ignored by every other kind.
+/// kAggregateWhere and is ignored by every other kind. Also runs under
+/// the `serve.execute` span.
 QueryResponse AnswerFromProxy(const QuerySpec& spec,
                               const std::vector<double>& proxy,
                               const std::vector<double>& statistic_proxy);

@@ -77,8 +77,7 @@ std::string ScoreCache::Key(const core::Scorer& scorer,
 
 std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
     const IndexSnapshot& snapshot, const core::Scorer& scorer,
-    core::PropagationMode mode, core::ProxyTimings* timings,
-    Outcome* outcome) {
+    core::PropagationMode mode, Outcome* outcome) {
   const std::string key = Key(scorer, mode, snapshot.epoch);
   std::promise<std::shared_ptr<const core::PropagationState>> promise;
   std::shared_future<std::shared_ptr<const core::PropagationState>> future;
@@ -123,9 +122,8 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
   }
 
   if (!compute) {
-    // The computing query is charged the proxy time; this one reports
-    // zero (same attribution convention as before the cache existed).
-    if (timings != nullptr) *timings = core::ProxyTimings{};
+    // The computing query is charged the proxy time; this one opens no
+    // proxy span, so it reports zero.
     std::shared_ptr<const core::PropagationState> value = future.get();
     if (outcome != nullptr) {
       outcome->source = source;
@@ -150,12 +148,11 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
       state = *parent;
       recomputed = core::UpdateProxyState(snapshot.View(), scorer,
                                           snapshot.dirty_rows,
-                                          snapshot.dirty_reps, &state, timings);
+                                          snapshot.dirty_reps, &state);
       via_delta = true;
     } else {
       TASTI_SPAN("serve.score_cache.full");
-      core::ComputeProxyState(snapshot.View(), scorer, mode, {}, &state,
-                              timings);
+      core::ComputeProxyState(snapshot.View(), scorer, mode, {}, &state);
     }
   } catch (...) {
     {

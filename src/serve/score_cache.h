@@ -96,14 +96,13 @@ class ScoreCache {
 
   /// Returns the PropagationState for (snapshot.epoch, scorer, mode),
   /// computing, delta-deriving, or reusing as described in the file
-  /// comment. `timings` (may be null) receives the compute cost when this
-  /// call did the work, zeros when it was served by another query's —
-  /// preserving the server's attribution convention. `outcome` (may be
-  /// null) reports how the scores were obtained.
+  /// comment. Only the call that does the work runs the proxy spans on its
+  /// thread, so a query served by another query's compute reads zero proxy
+  /// time — the server's attribution convention. `outcome` (may be null)
+  /// reports how the scores were obtained.
   std::shared_ptr<const core::PropagationState> GetOrCompute(
       const IndexSnapshot& snapshot, const core::Scorer& scorer,
-      core::PropagationMode mode, core::ProxyTimings* timings,
-      Outcome* outcome);
+      core::PropagationMode mode, Outcome* outcome);
 
   /// Drops every completed entry (in-flight computes finish and are then
   /// subject to normal eviction). For tests and operational resets; normal

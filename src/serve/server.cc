@@ -510,8 +510,8 @@ void TastiServer::WorkerLoop() {
       }
       admit_cv_.notify_all();
     }
-    pending.queued.Pause();
-    ObserveQueueWait(pending.queued.Seconds() * 1000.0);
+    pending.queue_wait_ms = pending.queued.Millis();
+    ObserveQueueWait(pending.queue_wait_ms);
     const uint64_t client_id = pending.spec.client_id;
 
     QueryResponse response = RunQuery(std::move(pending));
@@ -547,6 +547,7 @@ void TastiServer::WorkerLoop() {
 }
 
 QueryResponse TastiServer::RunQuery(PendingQuery pending) {
+  obs::SpanTotals spans;
   TASTI_SPAN("serve.query");
   const QuerySpec& spec = pending.spec;
   WallTimer exec_timer;
@@ -555,11 +556,9 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   const core::PropagationMode mode = spec.kind == QueryKind::kLimit
                                          ? core::PropagationMode::kLimit
                                          : core::PropagationMode::kNumeric;
-  core::ProxyTimings proxy_timings;
   ScoreCache::Outcome proxy_outcome;
   std::shared_ptr<const core::PropagationState> proxy =
-      score_cache_.GetOrCompute(*snapshot, *spec.scorer, mode, &proxy_timings,
-                                &proxy_outcome);
+      score_cache_.GetOrCompute(*snapshot, *spec.scorer, mode, &proxy_outcome);
 
   // Per-query deadline token. Registered under mu_ so Abandon() can
   // cancel it while the query executes.
@@ -577,12 +576,10 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   ctx.query_id = pending.query_id;
   ScheduledOracle scheduled(scheduler_.get(), &ctx, dataset_->size());
   labeler::CachingFallibleLabeler cache(&scheduled);
-  WallTimer algo_timer;
-  obs::TimedOracle timed(&cache, &algo_timer);
   // Deadline enforcement sits on top of the whole oracle chain: rejected
   // calls never reach the scheduler, so they cost nothing and are never
   // attributed.
-  DeadlineOracle gated(&timed, deadline, options_.degrade.virtual_ms_per_call);
+  DeadlineOracle gated(&cache, deadline, options_.degrade.virtual_ms_per_call);
 
   QueryResponse response;
   if (options_.degrade.brownout && brownout_.active()) {
@@ -592,11 +589,10 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
     brownout_.CountProxyOnlyQuery();
     std::shared_ptr<const core::PropagationState> statistic = proxy;
     if (spec.kind == QueryKind::kAggregateWhere) {
-      core::ProxyTimings stat_timings;
       ScoreCache::Outcome stat_outcome;
       statistic = score_cache_.GetOrCompute(
           *snapshot, *spec.statistic, core::PropagationMode::kNumeric,
-          &stat_timings, &stat_outcome);
+          &stat_outcome);
     }
     response = AnswerFromProxy(spec, proxy->scores, statistic->scores);
   } else {
@@ -605,10 +601,9 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
         api::DeriveQuerySeed(options_.seed, pending.query_id),
         options_.confidence, deadline);
   }
-  algo_timer.Pause();
   response.query_id = pending.query_id;
   response.epoch = snapshot->epoch;
-  response.queue_wait_ms = pending.queued.Seconds() * 1000.0;
+  response.queue_wait_ms = pending.queue_wait_ms;
   response.proxy_source = proxy_outcome.source;
   response.proxy_delta_rows = proxy_outcome.delta_rows;
   response.deadline_budget_ms = spec.deadline_ms;
@@ -616,7 +611,6 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
     response.deadline_spent_ms = deadline.spent_ms();
   }
 
-  double crack_seconds = 0.0;
   if (options_.auto_crack) {
     const std::vector<size_t>& labeled = cache.labeled_indices();
     if (!labeled.empty()) {
@@ -634,9 +628,7 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
         deferred_cracks_.push_back(
             {pending.query_id, labeled, std::move(labels)});
       } else {
-        WallTimer crack_timer;
         response.cracked_representatives = ApplyCrackNow(labeled, labels);
-        crack_seconds = crack_timer.Seconds();
       }
     }
   }
@@ -649,8 +641,7 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   response.scheduler_dedup_hits = ctx.dedup_hits.load(std::memory_order_relaxed);
   response.execute_seconds = exec_timer.Seconds();
 
-  AppendQueryRecord(response, spec, algo_timer.Seconds(), timed.seconds(),
-                    crack_seconds, proxy_timings,
+  AppendQueryRecord(response, spec, spans,
                     ctx.failed_calls.load(std::memory_order_relaxed));
   return response;
 }
@@ -719,17 +710,9 @@ size_t TastiServer::AppendRecords(const nn::Matrix& features) {
 
 void TastiServer::AppendQueryRecord(const QueryResponse& response,
                                     const QuerySpec& spec,
-                                    double algorithm_seconds,
-                                    double oracle_seconds,
-                                    double crack_seconds,
-                                    const core::ProxyTimings& proxy_timings,
+                                    const obs::SpanTotals& spans,
                                     size_t failed_oracle_calls) {
-  obs::QueryPhaseTimes phases;
-  phases.rep_score_seconds = proxy_timings.rep_score_seconds;
-  phases.propagation_seconds = proxy_timings.propagation_seconds;
-  phases.algorithm_seconds = algorithm_seconds;
-  phases.oracle_seconds = oracle_seconds;
-  phases.crack_seconds = crack_seconds;
+  const obs::QueryPhaseTimes phases = obs::PhaseTimesFromSpans(spans);
 
   obs::QueryRecord record;
   record.query_type = QueryKindName(response.kind);

@@ -253,7 +253,8 @@ class TastiServer {
   struct PendingQuery {
     uint64_t query_id = 0;
     QuerySpec spec;
-    WallTimer queued;  ///< running since Submit
+    WallTimer queued;            ///< running since Submit
+    double queue_wait_ms = 0.0;  ///< read from `queued` once, at dequeue
   };
   struct DeferredCrack {
     uint64_t query_id = 0;
@@ -276,10 +277,10 @@ class TastiServer {
   std::string CommitEpochLocked(uint64_t epoch);
   /// Spawns the worker pool (Start and RecoverFrom share it).
   void SpawnWorkers();
+  /// Logs a completed query, its phase times read from `spans` (the
+  /// query's span totals), and forwards it to the monitor.
   void AppendQueryRecord(const QueryResponse& response, const QuerySpec& spec,
-                         double algorithm_seconds, double oracle_seconds,
-                         double crack_seconds,
-                         const core::ProxyTimings& proxy_timings,
+                         const obs::SpanTotals& spans,
                          size_t failed_oracle_calls);
   /// Forwards the freshly published epoch to the monitor (outside all
   /// server locks).

@@ -383,7 +383,7 @@ TEST(DegradedBuildTest, PermanentFailuresReportedAndExcluded) {
   // record from the valid ones.
   core::CountScorer scorer(data::ObjectClass::kCar);
   const std::vector<double> proxy = core::ComputeProxyScores(
-      index, scorer, core::PropagationMode::kNumeric, {}, nullptr);
+      index, scorer, core::PropagationMode::kNumeric);
   ASSERT_EQ(proxy.size(), ds.size());
   for (double score : proxy) {
     EXPECT_TRUE(std::isfinite(score));
@@ -443,9 +443,9 @@ TEST_F(DegradedQueryTest, AllQueriesReturnStatusUnderTotalOutage) {
   core::CountScorer statistic(data::ObjectClass::kCar);
   core::PresenceScorer predicate(data::ObjectClass::kCar);
   const std::vector<double> proxy = core::ComputeProxyScores(
-      *index_, statistic, core::PropagationMode::kNumeric, {}, nullptr);
+      *index_, statistic, core::PropagationMode::kNumeric);
   const std::vector<double> pred_proxy = core::ComputeProxyScores(
-      *index_, predicate, core::PropagationMode::kNumeric, {}, nullptr);
+      *index_, predicate, core::PropagationMode::kNumeric);
 
   labeler::SimulatedLabeler sim(ds_);
   labeler::FaultSchedule sched;
@@ -496,7 +496,7 @@ TEST_F(DegradedQueryTest, AllQueriesReturnStatusUnderTotalOutage) {
 TEST_F(DegradedQueryTest, AggregationSubstitutesProxyForFailedSamples) {
   core::CountScorer statistic(data::ObjectClass::kCar);
   const std::vector<double> proxy = core::ComputeProxyScores(
-      *index_, statistic, core::PropagationMode::kNumeric, {}, nullptr);
+      *index_, statistic, core::PropagationMode::kNumeric);
 
   labeler::SimulatedLabeler sim(ds_);
   labeler::FaultSchedule sched;
@@ -519,7 +519,7 @@ TEST_F(DegradedQueryTest, AggregationSubstitutesProxyForFailedSamples) {
 TEST_F(DegradedQueryTest, SupgReportsAchievedVersusRequestedSamples) {
   core::PresenceScorer predicate(data::ObjectClass::kCar);
   const std::vector<double> proxy = core::ComputeProxyScores(
-      *index_, predicate, core::PropagationMode::kNumeric, {}, nullptr);
+      *index_, predicate, core::PropagationMode::kNumeric);
 
   labeler::SimulatedLabeler sim(ds_);
   labeler::FaultSchedule sched;

@@ -8,7 +8,6 @@
 #include "labeler/faults.h"
 #include "labeler/labeler.h"
 #include "labeler/resilient.h"
-#include "obs/query_log.h"
 
 namespace tasti::labeler {
 namespace {
@@ -163,8 +162,8 @@ TEST(CachingFallibleLabelerTest, FailedCallIsNotCachedAndRetriesTheOracle) {
 // ---------- Wrapper invocation contract ----------
 //
 // Every oracle wrapper delegates invocations() to its inner oracle so
-// that, however deep the wrapping (caching inside timing inside
-// caching...), all layers agree with the base oracle. These are
+// that, however deep the wrapping (caching inside caching...), all
+// layers agree with the base oracle. These are
 // regression tests for the per-query attribution in obs::QueryLog, which
 // relies on deltas of the base counter.
 
@@ -188,42 +187,12 @@ TEST(WrapperContractTest, ResetPropagatesToTheBaseOracle) {
   SimulatedLabeler simulated(&ds);
   FallibleAdapter oracle(&simulated);
   CachingFallibleLabeler cache(&oracle);
-  obs::TimedOracle timed(&cache, nullptr);
-  ASSERT_TRUE(timed.TryLabel(0).ok());
-  ASSERT_TRUE(timed.TryLabel(1).ok());
-  EXPECT_EQ(timed.invocations(), 2u);
-  timed.ResetInvocations();
+  ASSERT_TRUE(cache.TryLabel(0).ok());
+  ASSERT_TRUE(cache.TryLabel(1).ok());
+  EXPECT_EQ(cache.invocations(), 2u);
+  cache.ResetInvocations();
   EXPECT_EQ(simulated.invocations(), 0u);
   EXPECT_EQ(cache.invocations(), 0u);
-  EXPECT_EQ(timed.invocations(), 0u);
-}
-
-TEST(WrapperContractTest, TimedOracleDelegatesCountingAndRecords) {
-  data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler simulated(&ds);
-  FallibleAdapter oracle(&simulated);
-  obs::TimedOracle timed(&oracle, nullptr);
-  EXPECT_EQ(timed.num_records(), oracle.num_records());
-  Result<data::LabelerOutput> out = timed.TryLabel(6);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(data::CountBoxes(*out), data::CountBoxes(ds.ground_truth[6]));
-  EXPECT_EQ(timed.invocations(), 1u);
-  EXPECT_EQ(simulated.invocations(), 1u);
-  EXPECT_GE(timed.seconds(), 0.0);
-}
-
-TEST(WrapperContractTest, TimedOverCachingChargesLikeCaching) {
-  // Timing must not perturb counting: a cache hit through the timed
-  // wrapper still costs zero oracle invocations.
-  data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler simulated(&ds);
-  FallibleAdapter oracle(&simulated);
-  CachingFallibleLabeler cache(&oracle);
-  obs::TimedOracle timed(&cache, nullptr);
-  for (int i = 0; i < 3; ++i) ASSERT_TRUE(timed.TryLabel(7).ok());
-  EXPECT_EQ(simulated.invocations(), 1u);
-  EXPECT_EQ(timed.invocations(), 1u);
-  ASSERT_EQ(cache.labeled_indices().size(), 1u);
 }
 
 // ---------- Cost model ----------

@@ -23,9 +23,9 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
+#include "serve/server.h"
 #include "util/json.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace tasti {
 namespace {
@@ -366,45 +366,156 @@ TEST(QueryLogTest, JsonExportRoundTrips) {
   EXPECT_DOUBLE_EQ(totals->GetNumberOr("labeler_invocations", 0.0), 1000.0);
 }
 
-// ---------- TimedOracle ----------
+// ---------- SpanTotals ----------
 
-/// Oracle that burns a fixed wall time per call, for testing that phase
-/// timers exclude oracle time.
-class SlowOracle : public labeler::FallibleLabeler {
- public:
-  explicit SlowOracle(size_t num_records) : num_records_(num_records) {}
-  Result<data::LabelerOutput> TryLabel(size_t) override {
-    ++invocations_;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    return data::LabelerOutput{};
-  }
-  size_t num_records() const override { return num_records_; }
-  size_t invocations() const override { return invocations_; }
-  void ResetInvocations() override { invocations_ = 0; }
-
- private:
-  size_t num_records_;
-  size_t invocations_ = 0;
-};
-
-TEST(TimedOracleTest, PausesThePhaseTimerDuringOracleCalls) {
-  SlowOracle oracle(10);
-  WallTimer algorithm_timer;
-  obs::TimedOracle timed(&oracle, &algorithm_timer);
-  for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(timed.TryLabel(i).ok());
-  algorithm_timer.Pause();
-  // ~30ms went to the oracle; the algorithm timer must not have seen it.
-  EXPECT_GE(timed.seconds(), 0.025);
-  EXPECT_LT(algorithm_timer.Seconds(), 0.015);
-  EXPECT_EQ(timed.invocations(), 3u);
+void SpanFor(const char* name, std::chrono::microseconds work) {
+  obs::Span span(name);
+  std::this_thread::sleep_for(work);
 }
 
-TEST(TimedOracleTest, NullTimerMeasuresWithoutPausing) {
-  SlowOracle oracle(10);
-  obs::TimedOracle timed(&oracle, nullptr);
-  ASSERT_TRUE(timed.TryLabel(0).ok());
-  EXPECT_GE(timed.seconds(), 0.008);
-  EXPECT_EQ(oracle.invocations(), 1u);
+TEST(SpanTotalsTest, FillsWithEverySinkOff) {
+  ObsFlagsGuard guard;
+  obs::DisableAll();
+  const size_t events = obs::TraceRecorder::Global().event_count();
+  obs::SpanTotals spans;
+  SpanFor("obs_test.totals.work", std::chrono::milliseconds(5));
+  SpanFor("obs_test.totals.work", std::chrono::milliseconds(5));
+  // Keyed by name, not by the literal's address.
+  const std::string name = "obs_test.totals.work";
+  EXPECT_GE(spans.Seconds(name.c_str()), 0.009);
+  EXPECT_EQ(spans.Nanos("obs_test.totals.absent"), 0);
+  EXPECT_EQ(obs::TraceRecorder::Global().event_count(), events);
+}
+
+TEST(SpanTotalsTest, NestedScopeHidesTheOuterUntilItCloses) {
+  const std::chrono::microseconds work(200);
+  obs::SpanTotals outer;
+  SpanFor("obs_test.totals.before", work);
+  {
+    obs::SpanTotals inner;
+    SpanFor("obs_test.totals.inner", work);
+    EXPECT_GT(inner.Nanos("obs_test.totals.inner"), 0);
+    EXPECT_EQ(inner.Nanos("obs_test.totals.before"), 0);
+  }
+  SpanFor("obs_test.totals.after", work);
+  EXPECT_GT(outer.Nanos("obs_test.totals.before"), 0);
+  EXPECT_EQ(outer.Nanos("obs_test.totals.inner"), 0);
+  EXPECT_GT(outer.Nanos("obs_test.totals.after"), 0);
+}
+
+TEST(SpanTotalsTest, SpansOnAnotherThreadAreNotCounted) {
+  const std::chrono::microseconds work(200);
+  obs::SpanTotals spans;
+  std::thread([work] { SpanFor("obs_test.totals.other", work); }).join();
+  SpanFor("obs_test.totals.mine", work);
+  EXPECT_EQ(spans.Nanos("obs_test.totals.other"), 0);
+  EXPECT_GT(spans.Nanos("obs_test.totals.mine"), 0);
+}
+
+// ---------- Query phases from spans ----------
+
+constexpr double kSlowCallSeconds = 0.010;
+
+/// Ground-truth oracle that, once slowed, burns kSlowCallSeconds per call:
+/// indexes build fast, queries then pay a known oracle time. Thread-safe.
+class SlowOracle : public labeler::FallibleLabeler {
+ public:
+  explicit SlowOracle(const data::Dataset* dataset) : dataset_(dataset) {}
+  void SlowDown() { slow_.store(true, std::memory_order_relaxed); }
+  Result<data::LabelerOutput> TryLabel(size_t index) override {
+    invocations_.fetch_add(1, std::memory_order_relaxed);
+    if (slow_.load(std::memory_order_relaxed)) {
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(kSlowCallSeconds));
+    }
+    return dataset_->ground_truth[index];
+  }
+  size_t num_records() const override { return dataset_->size(); }
+  size_t invocations() const override {
+    return invocations_.load(std::memory_order_relaxed);
+  }
+  void ResetInvocations() override {
+    invocations_.store(0, std::memory_order_relaxed);
+  }
+
+ private:
+  const data::Dataset* dataset_;
+  std::atomic<bool> slow_{false};
+  std::atomic<size_t> invocations_{0};
+};
+
+data::Dataset PhaseTestDataset() {
+  data::DatasetOptions options;
+  options.num_records = 1000;
+  options.seed = 5;
+  return data::MakeNightStreet(options);
+}
+
+core::IndexOptions PhaseTestIndexOptions() {
+  core::IndexOptions options;
+  options.num_training_records = 100;
+  options.num_representatives = 100;
+  return options;
+}
+
+/// Checks one query's phases against what its slowed oracle must cost.
+/// The first query computed its proxy; every query here cracks.
+void ExpectPhasesFromSpans(const std::vector<obs::QueryRecord>& queries) {
+  ASSERT_EQ(queries.size(), 2u);
+  for (const obs::QueryRecord& query : queries) {
+    SCOPED_TRACE(query.query_type);
+    const obs::QueryPhaseTimes& phases = query.phases;
+    ASSERT_GT(query.labeler_invocations, 0u);
+    EXPECT_GE(phases.oracle_seconds,
+              0.8 * static_cast<double>(query.labeler_invocations) *
+                  kSlowCallSeconds);
+    EXPECT_LT(phases.algorithm_seconds, phases.oracle_seconds);
+    EXPECT_GE(phases.algorithm_seconds, 0.0);
+    ASSERT_GT(query.cracked_representatives, 0u);
+    EXPECT_GT(phases.crack_seconds, 0.0);
+  }
+  EXPECT_GT(queries[0].phases.rep_score_seconds +
+                queries[0].phases.propagation_seconds,
+            0.0);
+}
+
+TEST(QueryPhaseTest, SessionPhasesComeFromSpans) {
+  data::Dataset video = PhaseTestDataset();
+  SlowOracle oracle(&video);
+  api::SessionOptions options;
+  options.index = PhaseTestIndexOptions();
+  api::TastiSession session(&video, &oracle, options);
+  session.index();  // build with the fast oracle
+  oracle.SlowDown();
+
+  core::PresenceScorer has_car(data::ObjectClass::kCar);
+  session.SelectWithRecall(has_car, 0.9, 30);
+  session.SelectWithPrecision(has_car, 0.9, 20);
+  ExpectPhasesFromSpans(session.query_log().queries());
+}
+
+TEST(QueryPhaseTest, ServedPhasesComeFromSpans) {
+  data::Dataset video = PhaseTestDataset();
+  SlowOracle oracle(&video);
+  serve::ServerOptions options;
+  options.index = PhaseTestIndexOptions();
+  options.num_workers = 1;
+  serve::TastiServer server(&video, &oracle, options);
+  ASSERT_TRUE(server.Start().ok());
+  oracle.SlowDown();
+
+  core::PresenceScorer has_car(data::ObjectClass::kCar);
+  serve::QuerySpec spec;
+  spec.scorer = &has_car;
+  spec.kind = serve::QueryKind::kSupgRecall;
+  spec.target = 0.9;
+  spec.budget = 30;
+  ASSERT_TRUE(server.Execute(spec).status.ok());
+  spec.kind = serve::QueryKind::kSupgPrecision;
+  spec.budget = 20;
+  ASSERT_TRUE(server.Execute(spec).status.ok());
+  server.Drain();
+  ExpectPhasesFromSpans(server.query_log().queries());
 }
 
 // ---------- End-to-end attribution through a session ----------

@@ -17,6 +17,8 @@
 
 #include "api/session.h"
 #include "obs/live.h"
+#include "obs/query_log.h"
+#include "obs/trace.h"
 #include "serve/monitor.h"
 #include "core/index.h"
 #include "core/propagation.h"
@@ -681,22 +683,29 @@ TEST(ScoreCacheTest, HitSharingAndDeltaAdvance) {
 
   ScoreCache cache;
   ScoreCache::Outcome outcome;
-  core::ProxyTimings timings;
-  auto s1 = cache.GetOrCompute(snap1, cars, core::PropagationMode::kNumeric,
-                               &timings, &outcome);
+  std::shared_ptr<const core::PropagationState> s1;
+  {
+    obs::SpanTotals spans;
+    s1 = cache.GetOrCompute(snap1, cars, core::PropagationMode::kNumeric,
+                            &outcome);
+    EXPECT_GT(obs::PhaseTimesFromSpans(spans).propagation_seconds, 0.0);
+  }
   EXPECT_EQ(outcome.source, ProxySource::kFull);
-  EXPECT_GT(timings.propagation_seconds, 0.0);
   ExpectScoresBitIdentical(
       s1->scores, core::ComputeProxyScores(snap1.View(), cars,
                                            core::PropagationMode::kNumeric));
 
   // Same key again: the exact shared state comes back, zero proxy time.
-  auto s2 = cache.GetOrCompute(snap1, cars, core::PropagationMode::kNumeric,
-                               &timings, &outcome);
+  {
+    obs::SpanTotals spans;
+    auto s2 = cache.GetOrCompute(snap1, cars, core::PropagationMode::kNumeric,
+                                 &outcome);
+    EXPECT_EQ(s2.get(), s1.get());
+    const obs::QueryPhaseTimes phases = obs::PhaseTimesFromSpans(spans);
+    EXPECT_EQ(phases.propagation_seconds, 0.0);
+    EXPECT_EQ(phases.rep_score_seconds, 0.0);
+  }
   EXPECT_EQ(outcome.source, ProxySource::kHit);
-  EXPECT_EQ(s2.get(), s1.get());
-  EXPECT_EQ(timings.propagation_seconds, 0.0);
-  EXPECT_EQ(timings.rep_score_seconds, 0.0);
 
   // Crack a few records and publish epoch 2 with a row-wise delta.
   size_t added = 0;
@@ -711,7 +720,7 @@ TEST(ScoreCacheTest, HitSharingAndDeltaAdvance) {
   ASSERT_FALSE(snap2.dirty_rows.empty());
 
   auto s3 = cache.GetOrCompute(snap2, cars, core::PropagationMode::kNumeric,
-                               &timings, &outcome);
+                               &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kDelta);
   EXPECT_GT(outcome.delta_rows, 0u);
   EXPECT_LT(outcome.delta_rows, snap2.num_records);
@@ -746,20 +755,16 @@ TEST(ScoreCacheTest, EvictionBoundsResidencyAndInvalidateDropsEntries) {
   IndexSnapshot snap = IndexSnapshot::FromIndexAndTakeDelta(&index, 1, 0);
 
   ScoreCache::Outcome outcome;
-  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, nullptr,
-                     &outcome);
+  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, &outcome);
   // A second scorer on the same epoch overflows max_entries = 1: the LRU
   // (cars) entry is evicted, the entry being served survives.
-  cache.GetOrCompute(snap, present, core::PropagationMode::kNumeric, nullptr,
-                     &outcome);
+  cache.GetOrCompute(snap, present, core::PropagationMode::kNumeric, &outcome);
   ScoreCacheStats stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.resident_entries, 1u);
-  cache.GetOrCompute(snap, present, core::PropagationMode::kNumeric, nullptr,
-                     &outcome);
+  cache.GetOrCompute(snap, present, core::PropagationMode::kNumeric, &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kHit);
-  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, nullptr,
-                     &outcome);
+  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kFull);  // evicted -> recompute
 
   cache.Invalidate();
@@ -767,8 +772,7 @@ TEST(ScoreCacheTest, EvictionBoundsResidencyAndInvalidateDropsEntries) {
   EXPECT_EQ(stats.resident_entries, 0u);
   EXPECT_EQ(stats.resident_bytes, 0u);
   EXPECT_GT(stats.invalidations, 0u);
-  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, nullptr,
-                     &outcome);
+  cache.GetOrCompute(snap, cars, core::PropagationMode::kNumeric, &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kFull);
 }
 
@@ -790,7 +794,7 @@ TEST(ScoreCacheTest, ColdCacheOnDeltaSnapshotFallsBackToFull) {
   ScoreCache cache;  // no parent entry anywhere
   ScoreCache::Outcome outcome;
   auto state = cache.GetOrCompute(snap2, cars, core::PropagationMode::kNumeric,
-                                  nullptr, &outcome);
+                                  &outcome);
   EXPECT_EQ(outcome.source, ProxySource::kFull);
   ExpectScoresBitIdentical(
       state->scores, core::ComputeProxyScores(snap2.View(), cars,
@@ -817,7 +821,7 @@ TEST(ScoreCacheTest, ConcurrentReadersAcrossEpochPublishes) {
       while (!stop.load(std::memory_order_acquire)) {
         std::shared_ptr<const IndexSnapshot> snap = epochs.Acquire();
         auto state = cache.GetOrCompute(
-            *snap, cars, core::PropagationMode::kNumeric, nullptr, nullptr);
+            *snap, cars, core::PropagationMode::kNumeric, nullptr);
         EXPECT_EQ(state->scores.size(), snap->num_records);
         EXPECT_EQ(state->rep_scores.size(), snap->rep_record_ids.size());
       }
@@ -839,7 +843,7 @@ TEST(ScoreCacheTest, ConcurrentReadersAcrossEpochPublishes) {
   // must be bit-identical to a from-scratch computation.
   std::shared_ptr<const IndexSnapshot> snap = epochs.Acquire();
   auto state = cache.GetOrCompute(*snap, cars, core::PropagationMode::kNumeric,
-                                  nullptr, nullptr);
+                                  nullptr);
   ExpectScoresBitIdentical(
       state->scores, core::ComputeProxyScores(snap->View(), cars,
                                               core::PropagationMode::kNumeric));

@@ -459,44 +459,10 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_LT(timer.Millis(), 15.0);
 }
 
-TEST(TimerTest, PauseExcludesTimeUntilResume) {
-  WallTimer timer;
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  timer.Pause();
-  const double at_pause = timer.Seconds();
-  EXPECT_FALSE(timer.running());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  // The clock is frozen while paused.
-  EXPECT_DOUBLE_EQ(timer.Seconds(), at_pause);
-  timer.Resume();
-  EXPECT_TRUE(timer.running());
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  const double total = timer.Seconds();
-  EXPECT_GE(total, at_pause);
-  // Accumulated time is pre-pause + post-resume only: well under the 30ms
-  // that elapsed while paused.
-  EXPECT_LT(total, at_pause + 0.025);
-}
-
-TEST(TimerTest, PauseAndResumeAreIdempotent) {
-  WallTimer timer;
-  timer.Pause();
-  const double frozen = timer.Seconds();
-  timer.Pause();  // double pause: no-op
-  EXPECT_DOUBLE_EQ(timer.Seconds(), frozen);
-  timer.Resume();
-  timer.Resume();  // double resume: no-op, must not reset the start point
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_GE(timer.Seconds(), frozen + 0.005);
-}
-
 TEST(TimerTest, RestartClearsAccumulatedTime) {
   WallTimer timer;
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  timer.Pause();
-  timer.Resume();
   timer.Restart();
-  EXPECT_TRUE(timer.running());
   EXPECT_LT(timer.Millis(), 10.0);
 }
 

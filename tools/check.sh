@@ -9,9 +9,10 @@
 # Stages (each maps to one CI matrix entry in .github/workflows/ci.yml):
 #
 #   tier1    release build + full ctest suite, including the trace_check /
-#            trace_check_workload fixtures (tracing pipeline end-to-end)
-#            and serve_workload_check (concurrent server vs serialized
-#            baseline: throughput, dedup savings, attribution invariant).
+#            trace_check_workload / trace_check_serve fixtures (tracing
+#            pipeline end-to-end) and serve_workload_check (concurrent
+#            server vs serialized baseline: throughput, dedup savings,
+#            attribution invariant).
 #   warn     release build with -Wall -Wextra -Werror (TASTI_WERROR=ON);
 #            compile-only — the tier1 stage already runs the suite. CI
 #            runs this on both gcc and clang.

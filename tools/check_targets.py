@@ -33,7 +33,11 @@ Asserts, from the repository root:
      labeler::FallibleAdapter), so no second entry point grows back;
  10. every header under src/ is #included by some file under src/,
      tools/, bench/, examples/ or perfbench/ other than its own .cc, so
-     a module that only its own tests reach cannot grow back.
+     a module that only its own tests reach cannot grow back;
+ 11. every TASTI_SPAN("...") literal under src/ appears in DESIGN.md,
+     backticked and by its full name: BuildStats and the QueryLog
+     phases are read from span totals by name, so a rename must show up
+     in the span inventory.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -240,6 +244,21 @@ def main():
                 f"src/{header.relative_to(src)} is included by nothing under "
                 "src/, tools/, bench/, examples/ or perfbench/ but its own "
                 ".cc; delete it or use it"
+            )
+
+    design = (ROOT / "DESIGN.md").read_text()
+    spans = {}  # name -> first site
+    for path in sorted(src.rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            for name in re.findall(r'TASTI_SPAN\("([^"]+)"\)', line):
+                spans.setdefault(name, f"src/{path.relative_to(src)}:{lineno}")
+    for name, site in sorted(spans.items()):
+        if f"`{name}`" not in design:
+            errors.append(
+                f"{site} opens span {name}, which DESIGN.md does not list "
+                f"as `{name}`; add it to the §8 span table"
             )
 
     fail(errors)
