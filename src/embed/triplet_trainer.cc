@@ -50,7 +50,6 @@ Buckets BucketTrainingData(const std::vector<data::LabelerOutput>& annotations,
 struct Triplet {
   size_t anchor, positive;
   std::vector<size_t> negative_candidates;
-  size_t negative = 0;  // chosen candidate
 };
 
 // Samples a batch of triplets: anchor/positive from one bucket (which must
@@ -80,7 +79,6 @@ std::vector<Triplet> SampleTriplets(const Buckets& buckets, size_t count,
       const auto& nneg = buckets[nb];
       trip.negative_candidates.push_back(nneg[rng->UniformInt(nneg.size())]);
     }
-    trip.negative = trip.negative_candidates.front();
     triplets.push_back(trip);
   }
   return triplets;
@@ -89,23 +87,13 @@ std::vector<Triplet> SampleTriplets(const Buckets& buckets, size_t count,
 // Semi-hard negative selection (Schroff et al. 2015): under the current
 // embedding, prefer the closest negative that is still further from the
 // anchor than the positive; if none qualifies, take the hardest (closest)
-// candidate. Mutates trip.negative for each triplet in the batch.
-void SelectSemiHardNegatives(const nn::Mlp& model, const nn::Matrix& features,
-                             std::vector<Triplet>* triplets, size_t begin,
-                             size_t end) {
-  const size_t b = end - begin;
-  if (b == 0) return;
-  const size_t candidates = (*triplets)[begin].negative_candidates.size();
-  if (candidates <= 1) return;
-  // One inference pass over anchors, positives, and all candidates.
-  std::vector<size_t> rows;
-  rows.reserve(b * (2 + candidates));
-  for (size_t i = begin; i < end; ++i) rows.push_back((*triplets)[i].anchor);
-  for (size_t i = begin; i < end; ++i) rows.push_back((*triplets)[i].positive);
-  for (size_t i = begin; i < end; ++i) {
-    for (size_t c : (*triplets)[i].negative_candidates) rows.push_back(c);
-  }
-  const nn::Matrix embedded = model.Infer(features.GatherRows(rows));
+// candidate. `embedded` holds a batch of b triplets as [anchors; positives;
+// candidates] rows, each anchor's candidates contiguous. Returns the 3b
+// rows the training step keeps: anchors, positives, then the picks.
+std::vector<size_t> PickSemiHardNegatives(const nn::Matrix& embedded, size_t b,
+                                          size_t candidates) {
+  std::vector<size_t> kept(3 * b);
+  for (size_t r = 0; r < 2 * b; ++r) kept[r] = r;
   std::vector<float> cand_d2(candidates);
   for (size_t i = 0; i < b; ++i) {
     const size_t anchor_row = i;
@@ -129,10 +117,9 @@ void SelectSemiHardNegatives(const nn::Mlp& model, const nn::Matrix& features,
         hard_pick = c;
       }
     }
-    Triplet& trip = (*triplets)[begin + i];
-    trip.negative = trip.negative_candidates[best_semi >= 0.0f ? semi_pick
-                                                               : hard_pick];
+    kept[2 * b + i] = cand_begin + (best_semi >= 0.0f ? semi_pick : hard_pick);
   }
+  return kept;
 }
 
 }  // namespace
@@ -190,43 +177,61 @@ TripletTrainResult TrainTripletEmbedder(const nn::Matrix& features,
                                         ? options.triplets_per_epoch
                                         : 2 * result.training_indices.size();
 
+  const size_t candidates = std::max<size_t>(1, options.negative_candidates);
   TASTI_SPAN("index.triplet_train");
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
-    std::vector<Triplet> triplets = SampleTriplets(
-        buckets, triplets_per_epoch, std::max<size_t>(1, options.negative_candidates),
-        &rng);
+    std::vector<Triplet> triplets =
+        SampleTriplets(buckets, triplets_per_epoch, candidates, &rng);
     if (triplets.empty()) break;  // degenerate bucketing (e.g. one bucket)
     double epoch_loss = 0.0;
     size_t batches = 0;
     for (size_t start = 0; start < triplets.size(); start += options.batch_size) {
       const size_t end = std::min(triplets.size(), start + options.batch_size);
       const size_t b = end - start;
-      SelectSemiHardNegatives(model, train_features, &triplets, start, end);
-      // Stack [anchors; positives; negatives] into one forward pass so the
-      // layer caches stay consistent for the single backward pass.
-      std::vector<size_t> rows;
-      rows.reserve(3 * b);
-      for (size_t i = start; i < end; ++i) rows.push_back(triplets[i].anchor);
-      for (size_t i = start; i < end; ++i) rows.push_back(triplets[i].positive);
-      for (size_t i = start; i < end; ++i) rows.push_back(triplets[i].negative);
-      const nn::Matrix batch = train_features.GatherRows(rows);
-
+      // One forward pass over anchors, positives and every candidate: the
+      // pick reads its embeddings, and the layer caches, narrowed to the
+      // kept rows, serve the backward pass. Rows are independent through
+      // every layer, so this equals a forward over the kept rows alone.
       model.ZeroGrad();
-      const nn::Matrix embedded = model.Forward(batch);
-      const nn::Matrix anchors = embedded.RowSlice(0, b);
-      const nn::Matrix positives = embedded.RowSlice(b, 2 * b);
-      const nn::Matrix negatives = embedded.RowSlice(2 * b, 3 * b);
-      nn::TripletLossResult loss =
-          nn::TripletLoss(anchors, positives, negatives, options.margin);
-
-      nn::Matrix grad(3 * b, options.embedding_dim);
-      for (size_t i = 0; i < b; ++i) {
-        grad.SetRow(i, loss.grad_anchor, i);
-        grad.SetRow(b + i, loss.grad_positive, i);
-        grad.SetRow(2 * b + i, loss.grad_negative, i);
+      nn::Matrix embedded;
+      {
+        TASTI_SPAN("index.triplet_forward");
+        std::vector<size_t> rows;
+        rows.reserve(b * (2 + candidates));
+        for (size_t i = start; i < end; ++i) rows.push_back(triplets[i].anchor);
+        for (size_t i = start; i < end; ++i) rows.push_back(triplets[i].positive);
+        for (size_t i = start; i < end; ++i) {
+          for (size_t c : triplets[i].negative_candidates) rows.push_back(c);
+        }
+        embedded = model.Forward(train_features.GatherRows(rows));
       }
-      model.Backward(grad);
-      optimizer.Step();
+      nn::Matrix negatives;
+      {
+        TASTI_SPAN("index.triplet_pick");
+        const std::vector<size_t> kept =
+            PickSemiHardNegatives(embedded, b, candidates);
+        model.KeepCachedRows(kept);
+        negatives = embedded.GatherRows(
+            std::vector<size_t>(kept.begin() + 2 * b, kept.end()));
+      }
+      nn::TripletLossResult loss;
+      {
+        TASTI_SPAN("index.triplet_backward");
+        const nn::Matrix anchors = embedded.RowSlice(0, b);
+        const nn::Matrix positives = embedded.RowSlice(b, 2 * b);
+        loss = nn::TripletLoss(anchors, positives, negatives, options.margin);
+        nn::Matrix grad(3 * b, options.embedding_dim);
+        for (size_t i = 0; i < b; ++i) {
+          grad.SetRow(i, loss.grad_anchor, i);
+          grad.SetRow(b + i, loss.grad_positive, i);
+          grad.SetRow(2 * b + i, loss.grad_negative, i);
+        }
+        model.Backward(grad);
+      }
+      {
+        TASTI_SPAN("index.triplet_step");
+        optimizer.Step();
+      }
       epoch_loss += loss.loss;
       ++batches;
     }

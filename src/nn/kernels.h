@@ -66,8 +66,8 @@ class PackedBlock {
   size_t row_begin_ = 0;
   size_t rows_ = 0;
   size_t dim_ = 0;
-  std::vector<float> packed_;
-  std::vector<float> norms_;
+  AlignedFloats packed_;
+  AlignedFloats norms_;
 };
 
 /// Splits the rows of `reps` into consecutive packed tiles of at most

@@ -1,6 +1,7 @@
 #include "nn/layers.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/status.h"
 
@@ -34,7 +35,7 @@ Matrix Linear::Forward(const Matrix& input) {
   return out;
 }
 
-Matrix Linear::Backward(const Matrix& grad_output) {
+void Linear::AccumulateParamGrads(const Matrix& grad_output) {
   TASTI_CHECK(grad_output.rows() == cached_input_.rows(),
               "Linear backward batch mismatch");
   // dW += X^T G
@@ -45,6 +46,14 @@ Matrix Linear::Backward(const Matrix& grad_output) {
     float* b = bias_.grad.Row(0);
     for (size_t c = 0; c < out_dim_; ++c) b[c] += g[c];
   }
+}
+
+void Linear::KeepCachedRows(const std::vector<size_t>& rows) {
+  cached_input_ = cached_input_.GatherRows(rows);
+}
+
+Matrix Linear::Backward(const Matrix& grad_output) {
+  AccumulateParamGrads(grad_output);
   // dX = G W^T
   Matrix grad_input;
   GemmBT(grad_output, weight_.value, &grad_input);
@@ -53,11 +62,17 @@ Matrix Linear::Backward(const Matrix& grad_output) {
 
 Matrix ReLU::Forward(const Matrix& input) {
   Matrix out = input;
-  for (size_t i = 0; i < out.size(); ++i) {
-    if (out.data()[i] < 0.0f) out.data()[i] = 0.0f;
-  }
+  // Select, not a conditional store: the branch mispredicts on half of
+  // all activations and blocks vectorization. Same values, -0 and NaN
+  // included.
+  float* y = out.data();
+  for (size_t i = 0; i < out.size(); ++i) y[i] = y[i] < 0.0f ? 0.0f : y[i];
   cached_output_ = out;
   return out;
+}
+
+void ReLU::KeepCachedRows(const std::vector<size_t>& rows) {
+  cached_output_ = cached_output_.GatherRows(rows);
 }
 
 Matrix ReLU::Backward(const Matrix& grad_output) {
@@ -65,9 +80,9 @@ Matrix ReLU::Backward(const Matrix& grad_output) {
                   grad_output.cols() == cached_output_.cols(),
               "ReLU backward shape mismatch");
   Matrix grad_input = grad_output;
-  for (size_t i = 0; i < grad_input.size(); ++i) {
-    if (cached_output_.data()[i] <= 0.0f) grad_input.data()[i] = 0.0f;
-  }
+  const float* y = cached_output_.data();
+  float* g = grad_input.data();
+  for (size_t i = 0; i < grad_input.size(); ++i) g[i] = y[i] <= 0.0f ? 0.0f : g[i];
   return grad_input;
 }
 
@@ -76,6 +91,10 @@ Matrix Tanh::Forward(const Matrix& input) {
   for (size_t i = 0; i < out.size(); ++i) out.data()[i] = std::tanh(out.data()[i]);
   cached_output_ = out;
   return out;
+}
+
+void Tanh::KeepCachedRows(const std::vector<size_t>& rows) {
+  cached_output_ = cached_output_.GatherRows(rows);
 }
 
 Matrix Tanh::Backward(const Matrix& grad_output) {
@@ -104,6 +123,13 @@ Matrix L2Normalize::Forward(const Matrix& input) {
   }
   cached_output_ = out;
   return out;
+}
+
+void L2Normalize::KeepCachedRows(const std::vector<size_t>& rows) {
+  cached_output_ = cached_output_.GatherRows(rows);
+  std::vector<float> norms(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) norms[i] = cached_norms_[rows[i]];
+  cached_norms_ = std::move(norms);
 }
 
 Matrix L2Normalize::Backward(const Matrix& grad_output) {

@@ -8,7 +8,7 @@
 /// Linear, ReLU, Tanh, and row-wise L2 normalization (common as the final
 /// layer of triplet-trained embedding networks). Each layer caches its
 /// forward activations; Backward must be called with the most recent
-/// forward's batch.
+/// forward's batch, or with the rows KeepCachedRows narrowed it to.
 
 #include <memory>
 #include <string>
@@ -42,6 +42,15 @@ class Layer {
   /// parameter gradients and returns dLoss/dInput.
   virtual Matrix Backward(const Matrix& grad_output) = 0;
 
+  /// Backward without dLoss/dInput: only accumulates parameter gradients
+  /// (nothing for activations). For a network's first layer, whose input
+  /// gradient nobody reads.
+  virtual void AccumulateParamGrads(const Matrix&) {}
+
+  /// Narrows the forward caches to the given rows of the most recent
+  /// Forward batch, in that order, as if Forward had run on only those rows.
+  virtual void KeepCachedRows(const std::vector<size_t>& rows) = 0;
+
   /// Trainable parameters (empty for activations).
   virtual std::vector<Parameter*> Params() { return {}; }
 
@@ -60,6 +69,8 @@ class Linear : public Layer {
 
   Matrix Forward(const Matrix& input) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void AccumulateParamGrads(const Matrix& grad_output) override;
+  void KeepCachedRows(const std::vector<size_t>& rows) override;
   std::vector<Parameter*> Params() override { return {&weight_, &bias_}; }
   std::string Name() const override { return "Linear"; }
   size_t OutputDim(size_t) const override { return out_dim_; }
@@ -82,6 +93,7 @@ class ReLU : public Layer {
  public:
   Matrix Forward(const Matrix& input) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void KeepCachedRows(const std::vector<size_t>& rows) override;
   std::string Name() const override { return "ReLU"; }
   size_t OutputDim(size_t input_dim) const override { return input_dim; }
 
@@ -94,6 +106,7 @@ class Tanh : public Layer {
  public:
   Matrix Forward(const Matrix& input) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void KeepCachedRows(const std::vector<size_t>& rows) override;
   std::string Name() const override { return "Tanh"; }
   size_t OutputDim(size_t input_dim) const override { return input_dim; }
 
@@ -108,6 +121,7 @@ class L2Normalize : public Layer {
 
   Matrix Forward(const Matrix& input) override;
   Matrix Backward(const Matrix& grad_output) override;
+  void KeepCachedRows(const std::vector<size_t>& rows) override;
   std::string Name() const override { return "L2Normalize"; }
   size_t OutputDim(size_t input_dim) const override { return input_dim; }
 

@@ -2,11 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <memory>
 
 #include "nn/kernels.h"
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace tasti::nn {
+
+namespace internal {
+
+void* AllocateAligned(size_t bytes) {
+  // The malloc'd pointer is kept in the word just below the aligned start.
+  // operator new's blocks are word-aligned, so rounding up past that word
+  // skips at most kBufferAlignment - sizeof(void*) bytes: the spare
+  // kBufferAlignment bytes cover the word and the round-up.
+  const size_t space = bytes + kBufferAlignment;
+  void* raw = ::operator new(space);
+  void* start = static_cast<char*>(raw) + sizeof(void*);
+  size_t left = space - sizeof(void*);
+  TASTI_CHECK(std::align(kBufferAlignment, bytes, start, left) != nullptr,
+              "AllocateAligned: no aligned start inside the block");
+  std::memcpy(static_cast<char*>(start) - sizeof(void*), &raw, sizeof(raw));
+  return start;
+}
+
+void FreeAligned(void* p) {
+  void* raw;
+  std::memcpy(&raw, static_cast<char*>(p) - sizeof(void*), sizeof(raw));
+  ::operator delete(raw);
+}
+
+}  // namespace internal
 
 void Matrix::Fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
@@ -93,23 +121,110 @@ Matrix Matrix::RowSlice(size_t row_begin, size_t row_end) const {
   return out;
 }
 
+namespace {
+
+// Register tile of the training GEMMs: kTileRows x kTileCols outputs stay
+// in vector registers across the whole depth loop, so each B row segment
+// is loaded once per tile instead of once per output row.
+constexpr size_t kTileRows = 4;
+constexpr size_t kTileCols = 8;
+
+// Four floats in one vector register (SSE on x86-64, NEON on AArch64),
+// through the GCC/Clang vector extension. Written as a plain
+// float[4][8] array, GCC 12 spills the tile and runs 1.6x slower than the
+// untiled loop; as Float4 lanes it runs 3x faster. Lane arithmetic is the
+// scalar mul-then-add, so results do not change.
+using Float4 = float __attribute__((vector_size(16)));
+
+inline Float4 LoadFloat4(const float* p) {
+  Float4 v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline void StoreFloat4(float* p, Float4 v) { std::memcpy(p, &v, sizeof(v)); }
+
+// C(i, j) += sum over p of A(i, p) * B(p, j) for rows [row_lo, row_hi) of
+// C, where A(i, p) = a[i * row_stride + p * depth_stride]. Every output
+// starts from its current value and adds its products in ascending p, the
+// order of the plain i-k-j and p-i-j loops, on every path below.
+void AccumulateRows(const float* a, size_t row_stride, size_t depth_stride,
+                    const Matrix& b, Matrix* c, size_t row_lo, size_t row_hi) {
+  static_assert(kTileCols == 8, "the tile holds two Float4 per row");
+  const size_t k = b.rows(), n = b.cols();
+  size_t i = row_lo;
+  for (; i + kTileRows <= row_hi; i += kTileRows) {
+    const float* atile = a + i * row_stride;
+    size_t j = 0;
+    for (; j + kTileCols <= n; j += kTileCols) {
+      Float4 acc[kTileRows][2];
+      for (size_t u = 0; u < kTileRows; ++u) {
+        const float* crow = c->Row(i + u) + j;
+        acc[u][0] = LoadFloat4(crow);
+        acc[u][1] = LoadFloat4(crow + 4);
+      }
+      for (size_t p = 0; p < k; ++p) {
+        const float* ap = atile + p * depth_stride;
+        const float* brow = b.Row(p) + j;
+        const Float4 b0 = LoadFloat4(brow);
+        const Float4 b1 = LoadFloat4(brow + 4);
+        for (size_t u = 0; u < kTileRows; ++u) {
+          const float av = ap[u * row_stride];
+          const Float4 avv = {av, av, av, av};
+          acc[u][0] += avv * b0;
+          acc[u][1] += avv * b1;
+        }
+      }
+      for (size_t u = 0; u < kTileRows; ++u) {
+        float* crow = c->Row(i + u) + j;
+        StoreFloat4(crow, acc[u][0]);
+        StoreFloat4(crow + 4, acc[u][1]);
+      }
+    }
+    for (; j < n; ++j) {
+      for (size_t u = 0; u < kTileRows; ++u) {
+        float acc = c->At(i + u, j);
+        for (size_t p = 0; p < k; ++p) {
+          acc += atile[u * row_stride + p * depth_stride] * b.At(p, j);
+        }
+        c->At(i + u, j) = acc;
+      }
+    }
+  }
+  for (; i < row_hi; ++i) {
+    float* crow = c->Row(i);
+    for (size_t p = 0; p < k; ++p) {
+      const float av = a[i * row_stride + p * depth_stride];
+      const float* brow = b.Row(p);
+      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// Runs AccumulateRows over all rows of C, split into whole row tiles across
+// the global pool when the call is large enough to pay for the dispatch.
+// Shards write disjoint rows, and a row's result does not depend on which
+// shard computes it.
+void AccumulateAllRows(const float* a, size_t row_stride, size_t depth_stride,
+                       const Matrix& b, Matrix* c) {
+  const size_t m = c->rows();
+  const size_t tiles = (m + kTileRows - 1) / kTileRows;
+  const size_t tile_macs = std::max<size_t>(1, kTileRows * b.rows() * b.cols());
+  const size_t min_tiles = (kGemmMinShardMacs + tile_macs - 1) / tile_macs;
+  ParallelFor(0, tiles, [&](size_t lo, size_t hi) {
+    AccumulateRows(a, row_stride, depth_stride, b, c, lo * kTileRows,
+                   std::min(m, hi * kTileRows));
+  }, min_tiles);
+}
+
+}  // namespace
+
 void Gemm(const Matrix& a, const Matrix& b, Matrix* c) {
   TASTI_CHECK(a.cols() == b.rows(), "Gemm inner dimension mismatch");
   const size_t m = a.rows(), k = a.cols(), n = b.cols();
   if (c->rows() != m || c->cols() != n) *c = Matrix(m, n);
   c->Fill(0.0f);
-  // i-k-j loop order: unit-stride access on both B and C rows, and the j
-  // loop carries no dependence so it vectorizes. (A zero-skip branch here
-  // would block vectorization and loses on dense data.)
-  for (size_t i = 0; i < m; ++i) {
-    const float* arow = a.Row(i);
-    float* crow = c->Row(i);
-    for (size_t p = 0; p < k; ++p) {
-      const float av = arow[p];
-      const float* brow = b.Row(p);
-      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  AccumulateAllRows(a.data(), k, 1, b, c);
 }
 
 void GemmBT(const Matrix& a, const Matrix& b, Matrix* c) {
@@ -120,17 +235,10 @@ void GemmBT(const Matrix& a, const Matrix& b, Matrix* c) {
 
 void GemmATAccum(const Matrix& a, const Matrix& b, Matrix* c) {
   TASTI_CHECK(a.rows() == b.rows(), "GemmATAccum inner dimension mismatch");
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
+  const size_t m = a.cols(), n = b.cols();
   TASTI_CHECK(c->rows() == m && c->cols() == n, "GemmATAccum output shape mismatch");
-  for (size_t p = 0; p < k; ++p) {
-    const float* arow = a.Row(p);
-    const float* brow = b.Row(p);
-    for (size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      float* crow = c->Row(i);
-      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
+  // Row i of C reads column i of A: unit stride across a tile's rows.
+  AccumulateAllRows(a.data(), 1, m, b, c);
 }
 
 float SquaredDistance(const Matrix& a, size_t ra, const Matrix& b, size_t rb) {

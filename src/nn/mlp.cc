@@ -12,12 +12,15 @@ Matrix Mlp::Forward(const Matrix& input) {
   return x;
 }
 
-Matrix Mlp::Backward(const Matrix& grad_output) {
+void Mlp::Backward(const Matrix& grad_output) {
+  if (layers_.empty()) return;
   Matrix g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->Backward(g);
-  }
-  return g;
+  for (size_t l = layers_.size() - 1; l > 0; --l) g = layers_[l]->Backward(g);
+  layers_[0]->AccumulateParamGrads(g);
+}
+
+void Mlp::KeepCachedRows(const std::vector<size_t>& rows) {
+  for (auto& layer : layers_) layer->KeepCachedRows(rows);
 }
 
 namespace {
@@ -38,9 +41,8 @@ Matrix InferLayer(const Layer& layer, const Matrix& input) {
   }
   if (name == "ReLU") {
     Matrix out = input;
-    for (size_t i = 0; i < out.size(); ++i) {
-      if (out.data()[i] < 0.0f) out.data()[i] = 0.0f;
-    }
+    float* y = out.data();
+    for (size_t i = 0; i < out.size(); ++i) y[i] = y[i] < 0.0f ? 0.0f : y[i];
     return out;
   }
   if (name == "Tanh") {

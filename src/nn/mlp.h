@@ -39,8 +39,15 @@ class Mlp {
   Matrix Forward(const Matrix& input);
 
   /// Backpropagates dLoss/dOutput through the cached forward pass,
-  /// accumulating parameter gradients; returns dLoss/dInput.
-  Matrix Backward(const Matrix& grad_output);
+  /// accumulating parameter gradients. The first layer's input gradient is
+  /// never computed: nothing reads it.
+  void Backward(const Matrix& grad_output);
+
+  /// Narrows every layer's forward caches to the given rows of the most
+  /// recent Forward batch; a following Backward then takes dLoss/dOutput
+  /// for those rows only and accumulates the same gradients as a Forward
+  /// on just those rows would have left.
+  void KeepCachedRows(const std::vector<size_t>& rows);
 
   /// Runs a batch forward without touching training caches. Safe to call
   /// concurrently from multiple threads on a const model.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/dataset.h"
 #include "embed/pretrained.h"
@@ -12,6 +13,7 @@
 #include "labeler/labeler.h"
 #include "util/random.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace tasti::embed {
 namespace {
@@ -163,6 +165,40 @@ TEST(TripletTrainerTest, DeterministicInSeed) {
   for (size_t i = 0; i < ea.size(); ++i) {
     ASSERT_EQ(ea.data()[i], eb.data()[i]) << "divergence at " << i;
   }
+}
+
+TEST(TripletTrainerTest, PoolAndInlineTrainIdentically) {
+  data::Dataset ds = TestDataset(1000);
+  PretrainedEmbedder pretrained(ds.feature_dim(), 16, 8);
+  TripletTrainOptions opts = FastTrainOptions();
+  // Wide enough that each batch's first-layer forward GEMM (6 * 128 rows x
+  // 64 x 256, about 12.6M multiply-adds) splits across the pool when
+  // called from the test thread.
+  opts.hidden_dim = 256;
+  opts.batch_size = 128;
+  opts.epochs = 4;
+  ASSERT_GT(6 * opts.batch_size * ds.feature_dim() * opts.hidden_dim,
+            2 * nn::kGemmMinShardMacs);
+
+  labeler::SimulatedLabeler oracle_a(&ds);
+  TripletTrainResult pooled = TrainTripletEmbedder(ds.features, pretrained,
+                                                   &oracle_a, ds.closeness, opts);
+  // Inside a ParallelFor shard every nested ParallelFor runs inline, so
+  // this run computes each GEMM on one thread.
+  TripletTrainResult inlined;
+  ParallelFor(0, 2, [&](size_t lo, size_t) {
+    if (lo != 0) return;
+    labeler::SimulatedLabeler oracle_b(&ds);
+    inlined = TrainTripletEmbedder(ds.features, pretrained, &oracle_b,
+                                   ds.closeness, opts);
+  }, 1);
+  ASSERT_NE(inlined.embedder, nullptr);
+
+  EXPECT_EQ(pooled.epoch_losses, inlined.epoch_losses);
+  const nn::Matrix ea = pooled.embedder->Embed(ds.features);
+  const nn::Matrix eb = inlined.embedder->Embed(ds.features);
+  ASSERT_EQ(ea.size(), eb.size());
+  EXPECT_EQ(std::memcmp(ea.data(), eb.data(), ea.size() * sizeof(float)), 0);
 }
 
 TEST(TrainedEmbedderTest, BatchedInferenceMatchesWhole) {

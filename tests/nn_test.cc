@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
+#include <vector>
 
 #include "nn/layers.h"
 #include "nn/matrix.h"
@@ -167,6 +170,93 @@ TEST(MatrixTest, GemmATAccumAccumulates) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_NEAR(got.data()[i], expected.data()[i] + 1.0f, 1e-4f);
   }
+}
+
+// The serial loops Gemm and GemmATAccum replaced, kept as the bit-exact
+// reference: every output sums its products in ascending p.
+Matrix SerialGemm(const Matrix& a, const Matrix& b) {
+  const size_t m = a.rows(), k = a.cols(), n = b.cols();
+  Matrix c(m, n);
+  c.Fill(0.0f);
+  for (size_t i = 0; i < m; ++i) {
+    const float* arow = a.Row(i);
+    float* crow = c.Row(i);
+    for (size_t p = 0; p < k; ++p) {
+      const float av = arow[p];
+      const float* brow = b.Row(p);
+      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+  return c;
+}
+
+void SerialGemmATAccum(const Matrix& a, const Matrix& b, Matrix* c) {
+  const size_t k = a.rows(), m = a.cols(), n = b.cols();
+  for (size_t p = 0; p < k; ++p) {
+    const float* arow = a.Row(p);
+    const float* brow = b.Row(p);
+    for (size_t i = 0; i < m; ++i) {
+      const float av = arow[i];
+      float* crow = c->Row(i);
+      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+bool BytesEqual(const Matrix& x, const Matrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+// Ragged shapes: m and n hit the full register tile, its row and column
+// tails, and both alone. The deep k puts the largest shapes past the pool
+// threshold (several shards) while the shallow ones stay inline.
+const size_t kRaggedRows[] = {1, 3, 5, 17, 193, 385};
+const size_t kRaggedCols[] = {1, 7, 64, 129};
+const size_t kDeep = 2 * kGemmMinShardMacs / (385 * 129) + 1;
+
+TEST(MatrixTest, GemmBitIdenticalToSerialLoop) {
+  ASSERT_GT(385 * 129 * kDeep, 2 * kGemmMinShardMacs);
+  Rng rng(21);
+  for (size_t k : {size_t{1}, size_t{13}, kDeep}) {
+    for (size_t m : kRaggedRows) {
+      for (size_t n : kRaggedCols) {
+        const Matrix a = RandomMatrix(m, k, &rng);
+        const Matrix b = RandomMatrix(k, n, &rng);
+        Matrix got(2, 2, 7.0f);  // wrong shape and stale values: overwritten
+        Gemm(a, b, &got);
+        EXPECT_TRUE(BytesEqual(got, SerialGemm(a, b)))
+            << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, GemmATAccumBitIdenticalToSerialLoop) {
+  Rng rng(22);
+  for (size_t k : {size_t{1}, size_t{13}, kDeep}) {
+    for (size_t m : kRaggedRows) {
+      for (size_t n : kRaggedCols) {
+        const Matrix a = RandomMatrix(k, m, &rng);
+        const Matrix b = RandomMatrix(k, n, &rng);
+        Matrix got = RandomMatrix(m, n, &rng);  // accumulated onto
+        Matrix expected = got;
+        GemmATAccum(a, b, &got);
+        SerialGemmATAccum(a, b, &expected);
+        EXPECT_TRUE(BytesEqual(got, expected))
+            << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, BuffersAreCacheLineAligned) {
+  Matrix m(3, 5);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(m.data()) % kBufferAlignment, 0u);
+  Matrix grown;
+  Matrix src(1, 3, 1.0f);
+  for (int i = 0; i < 9; ++i) grown.AppendRowsFrom(src, {0});
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(grown.data()) % kBufferAlignment, 0u);
 }
 
 TEST(MatrixTest, DistanceAndDot) {
@@ -343,6 +433,40 @@ TEST(MlpTest, ParamsEnumeratesLinearLayers) {
   EXPECT_EQ(net.Params().size(), 4u);
   Mlp proxy = Mlp::MakeProxyNet(4, 8, &rng);
   EXPECT_EQ(proxy.Params().size(), 4u);
+}
+
+TEST(MlpTest, KeepCachedRowsMatchesSubsetForward) {
+  // Every layer kind, so each one's cache narrowing is exercised.
+  Rng rng(14);
+  Mlp net;
+  net.Append(std::make_unique<Linear>(6, 16, &rng));
+  net.Append(std::make_unique<Tanh>());
+  net.Append(std::make_unique<Linear>(16, 12, &rng));
+  net.Append(std::make_unique<ReLU>());
+  net.Append(std::make_unique<Linear>(12, 8, &rng));
+  net.Append(std::make_unique<L2Normalize>());
+  Mlp subset_net = net.Clone();
+  const Matrix input = RandomMatrix(40, 6, &rng);
+  // Reordered, repeated and skipped rows, as a triplet batch keeps them.
+  const std::vector<size_t> kept = {3, 0, 17, 17, 39, 5, 22, 1, 30, 9};
+  const Matrix probe = RandomMatrix(kept.size(), 8, &rng);
+
+  net.ZeroGrad();
+  const Matrix all_out = net.Forward(input);
+  net.KeepCachedRows(kept);
+  net.Backward(probe);
+
+  subset_net.ZeroGrad();
+  const Matrix subset_out = subset_net.Forward(input.GatherRows(kept));
+  subset_net.Backward(probe);
+
+  EXPECT_TRUE(BytesEqual(all_out.GatherRows(kept), subset_out));
+  const std::vector<Parameter*> got = net.Params();
+  const std::vector<Parameter*> want = subset_net.Params();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(BytesEqual(got[i]->grad, want[i]->grad)) << "parameter " << i;
+  }
 }
 
 TEST(MlpTest, EndToEndGradientCheck) {

@@ -23,8 +23,9 @@
 #            behavior, integrity-footer corruption checks.
 #   tsan     ThreadSanitizer build of the tests whose value is concurrent
 #            correctness: the serving layer (epoch snapshots, cross-query
-#            oracle batching), obs counters/spans, the thread pool, and
-#            the retry/breaker state machine.
+#            oracle batching), obs counters/spans, the thread pool, the
+#            retry/breaker state machine, and the nn GEMMs and triplet
+#            training whose pool shards write disjoint output rows.
 #   monitor  live-telemetry smoke: `tasti_cli monitor` under a concurrent
 #            workload with a breach-everything SLO, then asserts the
 #            Prometheus exposition carries the expected metric families
@@ -165,8 +166,9 @@ stage_tsan() {
   require_sanitizer thread tsan
   configure build-tsan --preset tsan
   cmake --build build-tsan -j "$(nproc)" \
-    --target obs_test util_test serve_test faults_test shard_test
-  for t in obs_test util_test serve_test; do
+    --target obs_test util_test serve_test faults_test shard_test nn_test \
+    embed_test
+  for t in obs_test util_test serve_test nn_test; do
     echo "-- build-tsan/tests/$t"
     "build-tsan/tests/$t"
   done
@@ -176,6 +178,8 @@ stage_tsan() {
   echo "-- build-tsan/tests/shard_test (concurrent scatter-gather)"
   "build-tsan/tests/shard_test" \
     --gtest_filter='ShardedServerConcurrencyTest.*:PartitionerTest.*:MergeTest.*'
+  echo "-- build-tsan/tests/embed_test (pool-split training GEMMs)"
+  "build-tsan/tests/embed_test" --gtest_filter='TripletTrainerTest.*'
 }
 
 stage_monitor() {
