@@ -108,8 +108,11 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
     const size_t invocations_before = labeler->invocations();
     index.rep_labels_.reserve(index.rep_record_ids_.size());
     index.rep_label_valid_.reserve(index.rep_record_ids_.size());
-    for (size_t record : index.rep_record_ids_) {
-      Result<data::LabelerOutput> label = labeler->TryLabel(record);
+    // One batch, so a labeler that can overlap calls (the server's oracle
+    // scheduler) does; the default runs them in order.
+    std::vector<Result<data::LabelerOutput>> labels =
+        labeler->TryLabelBatch(index.rep_record_ids_);
+    for (Result<data::LabelerOutput>& label : labels) {
       if (label.ok()) {
         index.rep_labels_.push_back(std::move(label).value());
         index.rep_label_valid_.push_back(1);

@@ -156,12 +156,9 @@ TripletTrainResult TrainTripletEmbedder(const nn::Matrix& features,
 
   // Step 3: annotate and bucket.
   std::vector<data::LabelerOutput> annotations;
-  annotations.reserve(result.training_indices.size());
   {
     TASTI_SPAN("index.annotate_train");
-    for (size_t idx : result.training_indices) {
-      annotations.push_back(labeler->Label(idx));
-    }
+    annotations = labeler->LabelBatch(result.training_indices);
   }
   const Buckets buckets = BucketTrainingData(annotations, closeness.bucket_key);
 

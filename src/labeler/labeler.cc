@@ -9,6 +9,22 @@
 
 namespace tasti::labeler {
 
+std::vector<data::LabelerOutput> TargetLabeler::LabelBatch(
+    const std::vector<size_t>& indices) {
+  std::vector<data::LabelerOutput> labels;
+  labels.reserve(indices.size());
+  for (size_t index : indices) labels.push_back(Label(index));
+  return labels;
+}
+
+std::vector<Result<data::LabelerOutput>> FallibleLabeler::TryLabelBatch(
+    const std::vector<size_t>& indices) {
+  std::vector<Result<data::LabelerOutput>> results;
+  results.reserve(indices.size());
+  for (size_t index : indices) results.push_back(TryLabel(index));
+  return results;
+}
+
 FallibleAdapter::FallibleAdapter(TargetLabeler* inner) : inner_(inner) {
   TASTI_CHECK(inner != nullptr, "FallibleAdapter requires an inner labeler");
 }
@@ -28,6 +44,23 @@ data::LabelerOutput BestEffortLabeler::Label(size_t index) {
   if (r.ok()) return std::move(r).value();
   ++failures_;
   return fallback_;
+}
+
+std::vector<data::LabelerOutput> BestEffortLabeler::LabelBatch(
+    const std::vector<size_t>& indices) {
+  std::vector<Result<data::LabelerOutput>> results =
+      inner_->TryLabelBatch(indices);
+  std::vector<data::LabelerOutput> labels;
+  labels.reserve(results.size());
+  for (Result<data::LabelerOutput>& r : results) {
+    if (r.ok()) {
+      labels.push_back(std::move(r).value());
+    } else {
+      ++failures_;
+      labels.push_back(fallback_);
+    }
+  }
+  return labels;
 }
 
 data::LabelerOutput DefaultLabelFor(data::Modality modality) {

@@ -13,6 +13,7 @@
 #include <cstddef>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/schema.h"
@@ -31,6 +32,11 @@ class TargetLabeler {
   /// Labels record `index`. Each call counts as one invocation even if the
   /// same record is labeled twice.
   virtual data::LabelerOutput Label(size_t index) = 0;
+
+  /// Labels every record in `indices`, one label per position in request
+  /// order. The default calls Label in order.
+  virtual std::vector<data::LabelerOutput> LabelBatch(
+      const std::vector<size_t>& indices);
 
   /// Number of records this labeler can label.
   virtual size_t num_records() const = 0;
@@ -67,6 +73,14 @@ class FallibleLabeler {
     (void)budget_ms;
     return TryLabel(index);
   }
+
+  /// Attempts to label every record in `indices`, one result per position
+  /// in request order. The default calls TryLabel in order; links that can
+  /// overlap calls (the oracle scheduler) or share a cache or a lock across
+  /// them override it. Each attempt counts as one invocation, as for
+  /// TryLabel.
+  virtual std::vector<Result<data::LabelerOutput>> TryLabelBatch(
+      const std::vector<size_t>& indices);
 
   /// Number of records this labeler can label.
   virtual size_t num_records() const = 0;
@@ -110,6 +124,10 @@ class BestEffortLabeler : public TargetLabeler {
   BestEffortLabeler(FallibleLabeler* inner, data::LabelerOutput fallback);
 
   data::LabelerOutput Label(size_t index) override;
+  /// Forwards to the inner TryLabelBatch and substitutes the fallback for
+  /// each failed position, counting each failure.
+  std::vector<data::LabelerOutput> LabelBatch(
+      const std::vector<size_t>& indices) override;
   size_t num_records() const override { return inner_->num_records(); }
   size_t invocations() const override { return inner_->invocations(); }
   void ResetInvocations() override { inner_->ResetInvocations(); }

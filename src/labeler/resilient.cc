@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -179,23 +180,14 @@ Result<data::LabelerOutput> ResilientLabeler::TryLabelLocked(
   return last_error;
 }
 
-BatchResult ResilientLabeler::TryLabelBatch(const std::vector<size_t>& indices) {
+std::vector<Result<data::LabelerOutput>> ResilientLabeler::TryLabelBatch(
+    const std::vector<size_t>& indices) {
   TASTI_SPAN("oracle.try_label_batch");
   std::lock_guard<std::mutex> lock(mu_);
-  BatchResult result;
-  result.labels.reserve(indices.size());
-  const size_t attempts_before = stats_.attempts;
-  for (size_t pos = 0; pos < indices.size(); ++pos) {
-    Result<data::LabelerOutput> r = TryLabelLocked(indices[pos], 0.0);
-    if (r.ok()) {
-      result.labels.push_back(std::move(r).value());
-    } else {
-      result.labels.push_back(std::nullopt);
-      result.failed.push_back(pos);
-    }
-  }
-  result.attempts = stats_.attempts - attempts_before;
-  return result;
+  std::vector<Result<data::LabelerOutput>> results;
+  results.reserve(indices.size());
+  for (size_t index : indices) results.push_back(TryLabelLocked(index, 0.0));
+  return results;
 }
 
 CachingFallibleLabeler::CachingFallibleLabeler(FallibleLabeler* inner)
@@ -226,6 +218,40 @@ Result<data::LabelerOutput> CachingFallibleLabeler::TryLabelWithin(
     labeled_order_.push_back(index);
   }
   return r;
+}
+
+std::vector<Result<data::LabelerOutput>>
+CachingFallibleLabeler::TryLabelBatch(const std::vector<size_t>& indices) {
+  // Distinct misses in first-request order, and each miss's position in
+  // that list.
+  std::vector<size_t> misses;
+  std::unordered_map<size_t, size_t> miss_pos;
+  for (size_t index : indices) {
+    TASTI_CHECK(index < cache_.size(), "label index out of range");
+    if (cache_[index].has_value()) continue;
+    if (miss_pos.emplace(index, misses.size()).second) misses.push_back(index);
+  }
+  last_was_hit_ = misses.empty();
+  std::vector<Result<data::LabelerOutput>> miss_results;
+  if (!misses.empty()) {
+    TASTI_SPAN("oracle.call");
+    miss_results = inner_->TryLabelBatch(misses);
+  }
+  for (size_t i = 0; i < misses.size(); ++i) {
+    if (!miss_results[i].ok()) continue;
+    cache_[misses[i]] = miss_results[i].value();
+    labeled_order_.push_back(misses[i]);
+  }
+  std::vector<Result<data::LabelerOutput>> results;
+  results.reserve(indices.size());
+  for (size_t index : indices) {
+    if (cache_[index].has_value()) {
+      results.push_back(*cache_[index]);
+    } else {
+      results.push_back(miss_results[miss_pos.at(index)]);
+    }
+  }
+  return results;
 }
 
 std::optional<data::LabelerOutput> CachingFallibleLabeler::CachedLabel(

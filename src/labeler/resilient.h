@@ -4,7 +4,7 @@
 /// \file resilient.h
 /// Resilient oracle invocation: retries with exponential backoff and
 /// deterministic jitter, a closed/open/half-open circuit breaker, and
-/// batch invocation with partial-failure results.
+/// batch invocation with per-position results.
 ///
 /// Time is virtual: the wrapper advances an internal clock by the inner
 /// labeler's reported call latency and by every backoff sleep, so retry
@@ -65,19 +65,6 @@ struct ResilienceStats {
   size_t breaker_closes = 0;
 };
 
-/// Result of a batch invocation: per-index labels where available, plus
-/// which positions failed.
-struct BatchResult {
-  /// Parallel to the requested indices; nullopt where the call failed.
-  std::vector<std::optional<data::LabelerOutput>> labels;
-  /// Positions (into the request) whose call failed.
-  std::vector<size_t> failed;
-  /// Physical attempts spent on the batch.
-  size_t attempts = 0;
-
-  size_t num_succeeded() const { return labels.size() - failed.size(); }
-};
-
 /// Wraps a FallibleLabeler in retry + circuit-breaker logic.
 ///
 /// Retryable codes are Unavailable, DeadlineExceeded, and
@@ -122,8 +109,11 @@ class ResilientLabeler : public FallibleLabeler {
   void ResetInvocations() override { inner_->ResetInvocations(); }
   double last_call_latency_ms() const override { return last_call_ms_; }
 
-  /// Labels every index, isolating failures per index.
-  BatchResult TryLabelBatch(const std::vector<size_t>& indices);
+  /// Labels every index under one hold of the internal mutex, so the
+  /// batch's retries run back to back on the shared breaker and clock; a
+  /// failure stays in its own position.
+  std::vector<Result<data::LabelerOutput>> TryLabelBatch(
+      const std::vector<size_t>& indices) override;
 
   const ResilienceStats& stats() const { return stats_; }
   BreakerState breaker_state() const { return breaker_state_; }
@@ -164,8 +154,8 @@ class ResilientLabeler : public FallibleLabeler {
 /// repeated requests cost one invocation; failures are not cached, so a
 /// later request retries the record. The per-query label cache of the
 /// session and the server, and the hook for cracking (TastiIndex::CrackFrom).
-/// Each miss runs the inner call under the `oracle.call` span, which the
-/// QueryLog reads as the query's oracle phase.
+/// Each miss (or each batch of misses) runs the inner call under the
+/// `oracle.call` span, which the QueryLog reads as the query's oracle phase.
 class CachingFallibleLabeler : public FallibleLabeler {
  public:
   /// The inner labeler must outlive the wrapper.
@@ -176,6 +166,11 @@ class CachingFallibleLabeler : public FallibleLabeler {
   /// hits cost nothing and never consult it.
   Result<data::LabelerOutput> TryLabelWithin(size_t index,
                                              double budget_ms) override;
+  /// Answers hits from the cache and forwards the distinct misses to the
+  /// inner labeler as one batch, in request order, under one `oracle.call`
+  /// span. Results are in request order.
+  std::vector<Result<data::LabelerOutput>> TryLabelBatch(
+      const std::vector<size_t>& indices) override;
   size_t num_records() const override { return inner_->num_records(); }
   size_t invocations() const override { return inner_->invocations(); }
   void ResetInvocations() override { inner_->ResetInvocations(); }

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "util/status.h"
@@ -54,44 +55,86 @@ OracleScheduler::~OracleScheduler() {
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 
+OracleScheduler::Admission OracleScheduler::AdmitLocked(
+    size_t record, QueryOracleContext* ctx, double budget_ms) {
+  ctx->logical_calls.fetch_add(1, std::memory_order_relaxed);
+  ++logical_requests_;
+  Admission admission;
+  auto cached = cache_.find(record);
+  if (cached != cache_.end()) {
+    ++cache_hits_;
+    ctx->cache_hits.fetch_add(1, std::memory_order_relaxed);
+    if (auto* m = SchedulerMetrics::Get()) m->cache_hits->Increment();
+    admission.hit = &cached->second;
+    return admission;
+  }
+  auto inflight = inflight_.find(record);
+  if (inflight != inflight_.end()) {
+    // Already requested (by another query, or earlier in this batch); ride
+    // along.
+    ++dedup_hits_;
+    ctx->dedup_hits.fetch_add(1, std::memory_order_relaxed);
+    if (auto* m = SchedulerMetrics::Get()) m->dedup_hits->Increment();
+    admission.pending = inflight->second;
+    return admission;
+  }
+  admission.pending = std::make_shared<Pending>();
+  admission.pending->owner = ctx;
+  admission.pending->budget_ms = budget_ms;
+  admission.enqueued = true;
+  inflight_.emplace(record, admission.pending);
+  queue_.push_back(record);
+  return admission;
+}
+
 Result<data::LabelerOutput> OracleScheduler::Label(size_t record,
                                                    QueryOracleContext* ctx,
                                                    double budget_ms) {
-  ctx->logical_calls.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<Pending> pending;
-  bool joined = false;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    ++logical_requests_;
-    auto cached = cache_.find(record);
-    if (cached != cache_.end()) {
-      ++cache_hits_;
-      ctx->cache_hits.fetch_add(1, std::memory_order_relaxed);
-      if (auto* m = SchedulerMetrics::Get()) m->cache_hits->Increment();
-      return cached->second;
-    }
-    auto inflight = inflight_.find(record);
-    if (inflight != inflight_.end()) {
-      // Another query already requested this record; ride along.
-      pending = inflight->second;
-      joined = true;
-      ++dedup_hits_;
-      ctx->dedup_hits.fetch_add(1, std::memory_order_relaxed);
-      if (auto* m = SchedulerMetrics::Get()) m->dedup_hits->Increment();
-    } else {
-      pending = std::make_shared<Pending>();
-      pending->owner = ctx;
-      pending->budget_ms = budget_ms;
-      inflight_.emplace(record, pending);
-      queue_.push_back(record);
-    }
-    if (!joined) work_cv_.notify_one();
+    Admission admission = AdmitLocked(record, ctx, budget_ms);
+    if (admission.hit != nullptr) return *admission.hit;
+    if (admission.enqueued) work_cv_.notify_one();
+    pending = std::move(admission.pending);
     pending->cv.wait(lock, [&pending] { return pending->done; });
   }
   if (!pending->result.ok()) {
     ctx->failed_calls.fetch_add(1, std::memory_order_relaxed);
   }
   return pending->result;
+}
+
+std::vector<Result<data::LabelerOutput>> OracleScheduler::LabelBatch(
+    const std::vector<size_t>& records, QueryOracleContext* ctx) {
+  std::vector<Result<data::LabelerOutput>> results(
+      records.size(), Status::Internal("pending"));
+  // Positions still waiting on an in-flight entry.
+  std::vector<std::pair<size_t, std::shared_ptr<Pending>>> waits;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    bool enqueued = false;
+    for (size_t i = 0; i < records.size(); ++i) {
+      Admission admission = AdmitLocked(records[i], ctx, /*budget_ms=*/0.0);
+      if (admission.hit != nullptr) {
+        results[i] = *admission.hit;
+      } else {
+        enqueued |= admission.enqueued;
+        waits.emplace_back(i, std::move(admission.pending));
+      }
+    }
+    if (enqueued) work_cv_.notify_one();
+    for (auto& [pos, pending] : waits) {
+      pending->cv.wait(lock, [&pending] { return pending->done; });
+    }
+  }
+  for (auto& [pos, pending] : waits) {
+    results[pos] = pending->result;
+    if (!pending->result.ok()) {
+      ctx->failed_calls.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  return results;
 }
 
 std::optional<data::LabelerOutput> OracleScheduler::CachedLabel(
@@ -146,54 +189,59 @@ void OracleScheduler::DispatcherLoop() {
       m->batch_size->Observe(static_cast<double>(records.size()));
       m->physical->Increment(records.size());
     }
-
-    DispatchBatch(records, pendings);
-
-    // Publish results: cache successes, retire in-flight entries, wake
-    // waiters. Failures are NOT cached so a later request may retry.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (size_t i = 0; i < records.size(); ++i) {
-        if (pendings[i]->result.ok()) {
-          cache_.emplace(records[i], pendings[i]->result.value());
-        } else {
-          ++failed_calls_;
-        }
-        inflight_.erase(records[i]);
-        pendings[i]->done = true;
-      }
+    if (options_.parallel_dispatch) {
+      DispatchParallel(records, pendings);
+    } else {
+      DispatchSerial(records, pendings);
     }
-    for (auto& pending : pendings) pending->cv.notify_all();
   }
 }
 
-void OracleScheduler::DispatchBatch(
+void OracleScheduler::PublishLocked(size_t record, Pending* pending) {
+  // Failures are NOT cached so a later request may retry.
+  if (pending->result.ok()) {
+    cache_.emplace(record, pending->result.value());
+  } else {
+    ++failed_calls_;
+  }
+  inflight_.erase(record);
+  pending->done = true;
+}
+
+void OracleScheduler::DispatchParallel(
     const std::vector<size_t>& records,
     const std::vector<std::shared_ptr<Pending>>& pendings) {
-  if (options_.parallel_dispatch) {
-    // The inner oracle counts exactly one invocation per TryLabel (a
-    // documented requirement of this mode), so each call is attributed as
-    // one attempt to its owner — exact, and safe to run concurrently.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(records.size());
-    for (size_t i = 0; i < records.size(); ++i) {
-      size_t record = records[i];
-      Pending* pending = pendings[i].get();
-      tasks.push_back([this, record, pending] {
+  // The inner oracle counts exactly one invocation per TryLabel (a
+  // documented requirement of this mode), so each call is attributed as
+  // one attempt to its owner — exact, and safe to run concurrently. The
+  // dispatcher does not wait: it returns to the queue while these run.
+  for (size_t i = 0; i < records.size(); ++i) {
+    dispatch_pool_->Submit([this, record = records[i], pending = pendings[i]] {
+      try {
         pending->result = inner_->TryLabelWithin(record, pending->budget_ms);
-        pending->owner->attributed_invocations.fetch_add(
-            1, std::memory_order_relaxed);
-      });
-    }
-    dispatch_pool_->RunBatch(std::move(tasks));
-    std::lock_guard<std::mutex> lock(mu_);
-    physical_calls_ += records.size();
-    return;
+      } catch (...) {
+        // The pool drops what escapes a task; publish a failure instead,
+        // or this record's waiters would block forever.
+        pending->result = Status::Internal("oracle call threw");
+      }
+      pending->owner->attributed_invocations.fetch_add(
+          1, std::memory_order_relaxed);
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++physical_calls_;
+        PublishLocked(record, pending.get());
+      }
+      pending->cv.notify_all();
+    });
   }
+}
 
-  // Serial dispatch: measure the inner invocation counter around each call
-  // so retry wrappers (one logical call = several attempts) attribute their
-  // full attempt count to the owning query.
+void OracleScheduler::DispatchSerial(
+    const std::vector<size_t>& records,
+    const std::vector<std::shared_ptr<Pending>>& pendings) {
+  // Measure the inner invocation counter around each call so retry
+  // wrappers (one logical call = several attempts) attribute their full
+  // attempt count to the owning query.
   for (size_t i = 0; i < records.size(); ++i) {
     size_t before = inner_->invocations();
     pendings[i]->result =
@@ -204,6 +252,13 @@ void OracleScheduler::DispatchBatch(
     std::lock_guard<std::mutex> lock(mu_);
     physical_calls_ += attempts;
   }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (size_t i = 0; i < records.size(); ++i) {
+      PublishLocked(records[i], pendings[i].get());
+    }
+  }
+  for (const auto& pending : pendings) pending->cv.notify_all();
 }
 
 LatencyInjectingOracle::LatencyInjectingOracle(labeler::FallibleLabeler* inner,

@@ -13,15 +13,21 @@
 ///    single physical call, with every waiter handed the same result;
 ///  - batch dispatch: requests queued while a dispatch is in progress
 ///    coalesce into one batch (group-commit style), optionally widened by
-///    a small time window, and can be dispatched in parallel on a
-///    ThreadPool when the inner oracle is thread-safe.
+///    a small time window. With parallel dispatch each record of a batch
+///    runs as its own ThreadPool task that publishes its label as soon as
+///    its call returns, so one slow record never holds back the rest.
+///
+/// LabelBatch admits many records under one lock (the index build's N1
+/// training and N2 representative labels), so their calls overlap on the
+/// dispatch pool instead of running one after another.
 ///
 /// Cost attribution: every physical oracle attempt is charged to exactly
-/// one query — the one whose request triggered the call (first requester).
-/// Cache and dedup hits cost their query nothing. Summing the per-query
-/// charges plus the index-construction charge therefore reproduces the
-/// inner labeler's invocations() counter exactly (the serving-layer form
-/// of the QueryLog attribution invariant).
+/// one context — the one whose request triggered the call (first
+/// requester): a query, or the server's index build. Cache and dedup hits
+/// cost their requester nothing. Summing the per-query charges plus the
+/// index-construction charge therefore reproduces the inner labeler's
+/// invocations() counter exactly (the serving-layer form of the QueryLog
+/// attribution invariant).
 
 #include <atomic>
 #include <condition_variable>
@@ -61,9 +67,10 @@ struct SchedulerOptions {
   size_t dispatch_threads = 8;
 };
 
-/// Per-query accounting handle. One per executing query; the scheduler's
-/// dispatcher thread charges it, the query thread reads it after its last
-/// call returns, hence the atomics.
+/// Per-query accounting handle. One per executing query, and one for the
+/// server's index build; the scheduler's dispatch threads charge it, the
+/// requesting thread reads it after its last call returns, hence the
+/// atomics.
 struct QueryOracleContext {
   uint64_t query_id = 0;
   /// Physical oracle attempts charged to this query (the attribution
@@ -81,7 +88,7 @@ struct QueryOracleContext {
 
 /// Point-in-time scheduler tallies.
 struct SchedulerStats {
-  size_t logical_requests = 0;  ///< Label() calls across all queries
+  size_t logical_requests = 0;  ///< records requested, by Label or LabelBatch
   size_t physical_calls = 0;    ///< TryLabel calls made on the inner oracle
   size_t cache_hits = 0;        ///< answered from the label cache
   size_t dedup_hits = 0;        ///< joined an in-flight request
@@ -115,6 +122,15 @@ class OracleScheduler {
   Result<data::LabelerOutput> Label(size_t record, QueryOracleContext* ctx,
                                     double budget_ms = 0.0);
 
+  /// Labels every record in `records` on behalf of `ctx`, one result per
+  /// position in request order. Each record is admitted as by Label (cache
+  /// hit, in-flight join, or enqueue; a record listed twice joins its own
+  /// first request), all under one lock; the dispatcher is woken once and
+  /// the call blocks until every result is known. The calls carry no
+  /// deadline budget.
+  std::vector<Result<data::LabelerOutput>> LabelBatch(
+      const std::vector<size_t>& records, QueryOracleContext* ctx);
+
   /// The cached label for `record`, if any query has paid for it.
   std::optional<data::LabelerOutput> CachedLabel(size_t record) const;
 
@@ -129,13 +145,37 @@ class OracleScheduler {
     std::condition_variable cv;
   };
 
+  /// One record's admission, decided under mu_ by AdmitLocked.
+  struct Admission {
+    /// The cached label on a hit (points into cache_; read it under mu_).
+    const data::LabelerOutput* hit = nullptr;
+    /// Otherwise the in-flight entry to wait on.
+    std::shared_ptr<Pending> pending;
+    /// True when this request created the entry and queued the record.
+    bool enqueued = false;
+  };
+
+  /// The one admission path of Label and LabelBatch: counts the request,
+  /// then answers it from the cache, joins the record's in-flight entry, or
+  /// queues a new entry owned by `ctx`. Caller holds mu_.
+  Admission AdmitLocked(size_t record, QueryOracleContext* ctx,
+                        double budget_ms);
   void DispatcherLoop();
-  void DispatchBatch(const std::vector<size_t>& records,
-                     const std::vector<std::shared_ptr<Pending>>& pendings);
+  /// Serial dispatch: calls the inner oracle for each record in order and
+  /// publishes the batch once every call has returned.
+  void DispatchSerial(const std::vector<size_t>& records,
+                      const std::vector<std::shared_ptr<Pending>>& pendings);
+  /// Parallel dispatch: one pool task per record, each publishing its own
+  /// result.
+  void DispatchParallel(const std::vector<size_t>& records,
+                        const std::vector<std::shared_ptr<Pending>>& pendings);
+  /// Caches a successful result, retires the in-flight entry and wakes its
+  /// waiters. Caller holds mu_; the caller notifies `pending->cv` after
+  /// releasing it.
+  void PublishLocked(size_t record, Pending* pending);
 
   labeler::FallibleLabeler* inner_;
   const SchedulerOptions options_;
-  std::unique_ptr<ThreadPool> dispatch_pool_;  // parallel dispatch only
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
@@ -153,12 +193,16 @@ class OracleScheduler {
   size_t batches_ = 0;
   size_t max_batch_size_ = 0;
 
+  // Parallel dispatch only. Its tasks publish into the state above, so it
+  // is declared after that state (and destroyed, joining them, before it).
+  std::unique_ptr<ThreadPool> dispatch_pool_;
   std::thread dispatcher_;
 };
 
 /// Wraps the scheduler as a per-query FallibleLabeler, so the existing
-/// Try* query algorithms run unchanged inside the server. invocations()
-/// reports the physical attempts attributed to this query.
+/// Try* query algorithms (and the server's index build) run unchanged
+/// inside the server. invocations() reports the physical attempts
+/// attributed to this context.
 class ScheduledOracle : public labeler::FallibleLabeler {
  public:
   ScheduledOracle(OracleScheduler* scheduler, QueryOracleContext* ctx,
@@ -171,6 +215,10 @@ class ScheduledOracle : public labeler::FallibleLabeler {
   Result<data::LabelerOutput> TryLabelWithin(size_t index,
                                              double budget_ms) override {
     return scheduler_->Label(index, ctx_, budget_ms);
+  }
+  std::vector<Result<data::LabelerOutput>> TryLabelBatch(
+      const std::vector<size_t>& indices) override {
+    return scheduler_->LabelBatch(indices, ctx_);
   }
   size_t num_records() const override { return num_records_; }
   size_t invocations() const override {

@@ -99,7 +99,13 @@ Status TastiServer::Start() {
   TASTI_SPAN("serve.start");
   baseline_invocations_ = oracle_->invocations();
   WallTimer build_timer;
-  labeler::CachingFallibleLabeler build_cache(oracle_);
+  // The build labels through the scheduler: its label batches overlap on
+  // the dispatch pool, and every label it pays for seeds the server-wide
+  // cache that queries read.
+  scheduler_ = std::make_unique<OracleScheduler>(oracle_, options_.scheduler);
+  QueryOracleContext build_ctx;
+  ScheduledOracle scheduled(scheduler_.get(), &build_ctx, dataset_->size());
+  labeler::CachingFallibleLabeler build_cache(&scheduled);
   core::TastiIndex index =
       core::TastiIndex::Build(*dataset_, &build_cache, options_.index);
   index_invocations_ = oracle_->invocations() - baseline_invocations_;
@@ -126,7 +132,6 @@ Status TastiServer::Start() {
     TASTI_RETURN_NOT_OK(durability.status());
     durability_ = std::move(*durability);
   }
-  scheduler_ = std::make_unique<OracleScheduler>(oracle_, options_.scheduler);
   {
     std::lock_guard<std::mutex> lock(mu_);
     started_ = true;

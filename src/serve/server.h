@@ -11,7 +11,8 @@
 ///    epochs copy-on-write, readers never block or see torn state;
 ///  - share one OracleScheduler (oracle_scheduler.h) — concurrent label
 ///    requests dedup, batch, and hit a server-wide cache, so a record
-///    annotated for one query is free for every later one;
+///    annotated for one query (or for the index build, which labels
+///    through the scheduler too) is free for every later one;
 ///  - share proxy scores through a server-wide ScoreCache (score_cache.h)
 ///    — the first query needing a (scorer, mode, epoch) triple computes
 ///    it, concurrent queries wait on the same future, later epochs advance
@@ -151,8 +152,9 @@ class TastiServer {
   /// Start(); the monitor must outlive the server. Pass nullptr to detach.
   void AttachMonitor(ServerMonitor* monitor);
 
-  /// Builds the index (charging the oracle), publishes epoch 1, and starts
-  /// the scheduler and workers. Call once.
+  /// Starts the oracle scheduler, builds the index through it (charging
+  /// the oracle and seeding the scheduler's label cache), publishes epoch
+  /// 1, and starts the workers. Call once.
   Status Start();
 
   /// Crash recovery: instead of rebuilding, loads the latest checkpoint
@@ -210,7 +212,10 @@ class TastiServer {
 
   /// Live-safe: may be called from any thread at any time.
   ServerStats stats() const;
-  /// Live-safe; all zeros before Start().
+  /// Live-safe; all zeros before Start(). Counts the index build's labels
+  /// too (physical_calls, logical_requests, cached_labels), since Start()
+  /// builds through the scheduler; after RecoverFrom() the scheduler starts
+  /// cold.
   SchedulerStats scheduler_stats() const {
     return scheduler_ == nullptr ? SchedulerStats{} : scheduler_->stats();
   }

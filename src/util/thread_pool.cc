@@ -162,28 +162,6 @@ struct Latch {
 thread_local bool t_inside_pool_task = false;
 }  // namespace
 
-void ThreadPool::RunBatch(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty()) return;
-  if (tasks.size() == 1) {
-    // No fan-out to wait on; run inline (also safe from inside a pool task).
-    tasks[0]();
-    return;
-  }
-  Latch latch(tasks.size());
-  for (auto& task : tasks) {
-    Submit([task = std::move(task), &latch] {
-      try {
-        task();
-      } catch (...) {
-        latch.RecordError(std::current_exception());
-      }
-      latch.CountDown();
-    });
-  }
-  latch.Wait();
-  latch.RethrowIfError();
-}
-
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& fn,
                  size_t min_shard_size) {

@@ -33,13 +33,6 @@ class ThreadPool {
   /// Enqueues a task for execution.
   void Submit(std::function<void()> task);
 
-  /// Submits every task and blocks until exactly this batch completes
-  /// (other Submit() traffic is unaffected). If any task throws, the rest
-  /// of the batch still runs and the first exception is rethrown on the
-  /// calling thread. The oracle scheduler uses this to dispatch a batch of
-  /// label calls concurrently and fan the results back out.
-  void RunBatch(std::vector<std::function<void()>> tasks);
-
   /// Blocks until every submitted task has finished.
   void Wait();
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstddef>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "api/session.h"
@@ -313,12 +314,117 @@ TEST(ResilientLabelerTest, BatchIsolatesPartialFailures) {
   labeler::FaultInjectingLabeler inj(&sim, sched);
   labeler::ResilientLabeler oracle(&inj, {});
 
-  labeler::BatchResult batch = oracle.TryLabelBatch({0, 1, 2, 3, 4});
-  EXPECT_EQ(batch.labels.size(), 5u);
-  EXPECT_EQ(batch.failed, (std::vector<size_t>{1, 3}));
-  EXPECT_EQ(batch.num_succeeded(), 3u);
-  EXPECT_TRUE(batch.labels[0].has_value());
-  EXPECT_FALSE(batch.labels[1].has_value());
+  std::vector<Result<data::LabelerOutput>> batch =
+      oracle.TryLabelBatch({0, 1, 2, 3, 4});
+  ASSERT_EQ(batch.size(), 5u);
+  std::vector<size_t> failed;
+  for (size_t pos = 0; pos < batch.size(); ++pos) {
+    if (!batch[pos].ok()) failed.push_back(pos);
+  }
+  EXPECT_EQ(failed, (std::vector<size_t>{1, 3}));
+  EXPECT_EQ(batch[1].status().code(), StatusCode::kFailedPrecondition);
+  // Permanent failures are not retried: one attempt per record.
+  EXPECT_EQ(oracle.stats().attempts, 5u);
+  EXPECT_EQ(oracle.invocations(), 5u);
+}
+
+// ---------- Batch labeling ----------
+
+/// Records every batch and every single call that reaches it, then labels
+/// through the wrapped oracle.
+class RecordingLabeler : public labeler::FallibleLabeler {
+ public:
+  explicit RecordingLabeler(labeler::FallibleLabeler* inner) : inner_(inner) {}
+
+  Result<data::LabelerOutput> TryLabel(size_t index) override {
+    calls.push_back(index);
+    return inner_->TryLabel(index);
+  }
+  std::vector<Result<data::LabelerOutput>> TryLabelBatch(
+      const std::vector<size_t>& indices) override {
+    batches.push_back(indices);
+    return FallibleLabeler::TryLabelBatch(indices);
+  }
+  size_t num_records() const override { return inner_->num_records(); }
+  size_t invocations() const override { return inner_->invocations(); }
+  void ResetInvocations() override { inner_->ResetInvocations(); }
+
+  std::vector<size_t> calls;
+  std::vector<std::vector<size_t>> batches;
+
+ private:
+  labeler::FallibleLabeler* inner_;
+};
+
+TEST(BatchLabelTest, CachingBatchAnswersHitsAndForwardsDistinctMisses) {
+  data::Dataset ds = SmallDataset(50);
+  labeler::SimulatedLabeler sim(&ds);
+  labeler::FaultSchedule sched;
+  sched.permanent_failures = {7};
+  labeler::FaultInjectingLabeler inj(&sim, sched);
+  RecordingLabeler recorder(&inj);
+  labeler::CachingFallibleLabeler cache(&recorder);
+  ASSERT_TRUE(cache.TryLabel(2).ok());
+  recorder.calls.clear();
+
+  const std::vector<size_t> request = {5, 2, 7, 5, 1};
+  std::vector<Result<data::LabelerOutput>> got = cache.TryLabelBatch(request);
+
+  // Hits never reach the inner labeler; the distinct misses go down as one
+  // batch in request order.
+  ASSERT_EQ(recorder.batches.size(), 1u);
+  EXPECT_EQ(recorder.batches[0], (std::vector<size_t>{5, 7, 1}));
+  EXPECT_EQ(recorder.calls, (std::vector<size_t>{5, 7, 1}));
+  // Output is in request order.
+  ASSERT_EQ(got.size(), request.size());
+  for (size_t pos = 0; pos < request.size(); ++pos) {
+    if (request[pos] == 7) {
+      EXPECT_FALSE(got[pos].ok());
+      continue;
+    }
+    ASSERT_TRUE(got[pos].ok()) << "position " << pos;
+    const auto& label = std::get<data::VideoLabel>(*got[pos]);
+    const auto& truth = std::get<data::VideoLabel>(ds.ground_truth[request[pos]]);
+    EXPECT_EQ(label.boxes.size(), truth.boxes.size()) << "position " << pos;
+  }
+  EXPECT_EQ(cache.labeled_indices(), (std::vector<size_t>{2, 5, 1}));
+
+  // The failure was not cached: asking again reaches the oracle again,
+  // while the now-cached records stay free.
+  recorder.batches.clear();
+  got = cache.TryLabelBatch({1, 7});
+  ASSERT_EQ(recorder.batches.size(), 1u);
+  EXPECT_EQ(recorder.batches[0], (std::vector<size_t>{7}));
+  EXPECT_TRUE(got[0].ok());
+  EXPECT_FALSE(got[1].ok());
+
+  // An all-hit batch makes no inner call at all.
+  recorder.batches.clear();
+  got = cache.TryLabelBatch({1, 2, 5});
+  EXPECT_TRUE(recorder.batches.empty());
+  EXPECT_EQ(cache.last_call_latency_ms(), 0.0);
+}
+
+TEST(BatchLabelTest, BestEffortBatchSubstitutesFallbackPerFailure) {
+  data::Dataset ds = SmallDataset(50);
+  labeler::SimulatedLabeler sim(&ds);
+  labeler::FaultSchedule sched;
+  sched.permanent_failures = {3, 8};
+  labeler::FaultInjectingLabeler inj(&sim, sched);
+  RecordingLabeler recorder(&inj);
+  labeler::BestEffortLabeler best_effort(
+      &recorder, labeler::DefaultLabelFor(ds.modality));
+
+  std::vector<data::LabelerOutput> labels =
+      best_effort.LabelBatch({3, 4, 8, 9});
+  ASSERT_EQ(recorder.batches.size(), 1u);
+  EXPECT_EQ(recorder.batches[0], (std::vector<size_t>{3, 4, 8, 9}));
+  ASSERT_EQ(labels.size(), 4u);
+  EXPECT_EQ(best_effort.failures(), 2u);
+  EXPECT_TRUE(std::get<data::VideoLabel>(labels[0]).boxes.empty());
+  EXPECT_TRUE(std::get<data::VideoLabel>(labels[2]).boxes.empty());
+  EXPECT_EQ(std::get<data::VideoLabel>(labels[3]).boxes.size(),
+            std::get<data::VideoLabel>(ds.ground_truth[9]).boxes.size());
 }
 
 // ---------- Degraded index construction ----------

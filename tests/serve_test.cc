@@ -9,8 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
+#include <future>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +29,10 @@
 #include "core/scorer.h"
 #include "core/serialize.h"
 #include "data/dataset.h"
+#include "labeler/faults.h"
+#include "labeler/label_codec.h"
 #include "labeler/labeler.h"
+#include "labeler/resilient.h"
 #include "serve/oracle_scheduler.h"
 #include "serve/score_cache.h"
 #include "serve/server.h"
@@ -92,6 +98,48 @@ class SlowFlakyOracle : public labeler::FallibleLabeler {
   size_t fail_first_;
   std::vector<std::atomic<size_t>> calls_per_record_;
   std::atomic<size_t> invocations_{0};
+};
+
+/// Byte encoding of a label, for equality checks.
+std::string LabelBytes(const data::LabelerOutput& label) {
+  std::string out;
+  labeler::EncodeLabel(&out, label);
+  return out;
+}
+
+/// Per-record latency: `slow_record` blocks until `Release()` (or a 5 s
+/// safety timeout), every other record answers at once. Counts one
+/// invocation per call. Thread-safe.
+class GatedOracle : public labeler::FallibleLabeler {
+ public:
+  GatedOracle(const data::Dataset* dataset, size_t slow_record)
+      : dataset_(dataset), slow_record_(slow_record),
+        gate_(release_.get_future().share()) {}
+
+  Result<data::LabelerOutput> TryLabel(size_t index) override {
+    invocations_.fetch_add(1, std::memory_order_relaxed);
+    if (index == slow_record_) {
+      gate_.wait_for(std::chrono::seconds(5));
+      slow_finished_.store(true);
+    }
+    return dataset_->ground_truth[index];
+  }
+  size_t num_records() const override { return dataset_->size(); }
+  size_t invocations() const override {
+    return invocations_.load(std::memory_order_relaxed);
+  }
+  void ResetInvocations() override { invocations_.store(0); }
+
+  void Release() { release_.set_value(); }
+  bool slow_finished() const { return slow_finished_.load(); }
+
+ private:
+  const data::Dataset* dataset_;
+  size_t slow_record_;
+  std::promise<void> release_;
+  std::shared_future<void> gate_;
+  std::atomic<size_t> invocations_{0};
+  std::atomic<bool> slow_finished_{false};
 };
 
 // --- OracleScheduler ---
@@ -216,6 +264,162 @@ TEST(OracleSchedulerTest, ParallelDispatchPreservesAttribution) {
     attributed += ctx.attributed_invocations.load();
   }
   EXPECT_EQ(attributed, truth.invocations());
+}
+
+TEST(OracleSchedulerTest, LabelBatchMatchesLabel) {
+  data::Dataset ds = TestDataset(64);
+  const std::vector<size_t> records = {3, 5, 3, 9};
+
+  // Reference: one Label per record, in order.
+  SlowFlakyOracle single_oracle(&ds, 0.0);
+  OracleScheduler single(&single_oracle, {});
+  QueryOracleContext single_ctx;
+  std::vector<std::string> want;
+  for (size_t record : records) {
+    Result<data::LabelerOutput> r = single.Label(record, &single_ctx);
+    ASSERT_TRUE(r.ok());
+    want.push_back(LabelBytes(*r));
+  }
+
+  SlowFlakyOracle batch_oracle(&ds, 0.0);
+  OracleScheduler batched(&batch_oracle, {});
+  QueryOracleContext batch_ctx;
+  std::vector<Result<data::LabelerOutput>> got =
+      batched.LabelBatch(records, &batch_ctx);
+  ASSERT_EQ(got.size(), records.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_TRUE(got[i].ok());
+    EXPECT_EQ(LabelBytes(*got[i]), want[i]) << "position " << i;
+  }
+  // The duplicate 3 rides its own first request: one call per distinct
+  // record, attributed exactly as the per-record calls were.
+  EXPECT_EQ(batch_oracle.invocations(), 3u);
+  EXPECT_EQ(single_oracle.invocations(), 3u);
+  EXPECT_EQ(batch_ctx.attributed_invocations.load(),
+            single_ctx.attributed_invocations.load());
+  EXPECT_EQ(batch_ctx.logical_calls.load(), single_ctx.logical_calls.load());
+  const SchedulerStats stats = batched.stats();
+  EXPECT_EQ(stats.logical_requests, records.size());
+  EXPECT_EQ(stats.physical_calls, 3u);
+  EXPECT_EQ(stats.dedup_hits, 1u);
+  EXPECT_EQ(stats.cached_labels, 3u);
+  // A second batch is all cache hits and costs nothing.
+  QueryOracleContext later;
+  batched.LabelBatch({9, 5}, &later);
+  EXPECT_EQ(later.cache_hits.load(), 2u);
+  EXPECT_EQ(later.attributed_invocations.load(), 0u);
+  EXPECT_EQ(batch_oracle.invocations(), 3u);
+}
+
+TEST(OracleSchedulerTest, LabelOfABatchedRecordJoinsTheBatch) {
+  data::Dataset ds = TestDataset(64);
+  SlowFlakyOracle oracle(&ds, /*hold_ms=*/100.0);
+  OracleScheduler scheduler(&oracle, {});
+
+  QueryOracleContext batch_ctx;
+  std::thread batch([&] {
+    for (const auto& r : scheduler.LabelBatch({10, 11}, &batch_ctx)) {
+      EXPECT_TRUE(r.ok());
+    }
+  });
+  // Wait until the batch is admitted; its serial dispatch then holds
+  // record 10 in flight for at least 200 ms.
+  while (scheduler.stats().logical_requests < 2) std::this_thread::yield();
+  QueryOracleContext query;
+  EXPECT_TRUE(scheduler.Label(10, &query).ok());
+  batch.join();
+
+  EXPECT_EQ(query.dedup_hits.load(), 1u);
+  EXPECT_EQ(query.attributed_invocations.load(), 0u);
+  EXPECT_EQ(batch_ctx.attributed_invocations.load(), 2u);
+  EXPECT_EQ(oracle.invocations(), 2u);
+}
+
+TEST(OracleSchedulerTest, LabelBatchDoesNotCacheFailures) {
+  data::Dataset ds = TestDataset(64);
+  SlowFlakyOracle oracle(&ds, 0.0, /*fail_first=*/1);
+  OracleScheduler scheduler(&oracle, {});
+
+  QueryOracleContext ctx;
+  std::vector<Result<data::LabelerOutput>> first =
+      scheduler.LabelBatch({20, 21}, &ctx);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_FALSE(first[0].ok());
+  EXPECT_FALSE(first[1].ok());
+  EXPECT_EQ(ctx.failed_calls.load(), 2u);
+  EXPECT_FALSE(scheduler.CachedLabel(20).has_value());
+  EXPECT_EQ(scheduler.stats().failed_calls, 2u);
+
+  std::vector<Result<data::LabelerOutput>> second =
+      scheduler.LabelBatch({20, 21}, &ctx);
+  EXPECT_TRUE(second[0].ok());
+  EXPECT_TRUE(second[1].ok());
+  EXPECT_EQ(oracle.invocations(), 4u);
+  EXPECT_EQ(ctx.attributed_invocations.load(), 4u);
+  EXPECT_TRUE(scheduler.CachedLabel(20).has_value());
+}
+
+TEST(OracleSchedulerTest, ParallelDispatchPublishesEachLabelOnReturn) {
+  data::Dataset ds = TestDataset(64);
+  constexpr size_t kSlow = 1;
+  constexpr size_t kFast = 2;
+  GatedOracle oracle(&ds, kSlow);
+  SchedulerOptions options;
+  options.parallel_dispatch = true;
+  options.dispatch_threads = 2;
+  // Hold the first request open until the second joins it, so both are
+  // dispatched as one batch.
+  options.max_batch = 2;
+  options.batch_window_ms = 2000.0;
+  OracleScheduler scheduler(&oracle, options);
+
+  QueryOracleContext slow_ctx, fast_ctx;
+  std::thread slow([&] { EXPECT_TRUE(scheduler.Label(kSlow, &slow_ctx).ok()); });
+  std::thread fast([&] { EXPECT_TRUE(scheduler.Label(kFast, &fast_ctx).ok()); });
+  // The fast record's waiter returns while the slow call is still held.
+  fast.join();
+  EXPECT_FALSE(oracle.slow_finished());
+  EXPECT_TRUE(scheduler.CachedLabel(kFast).has_value());
+  EXPECT_FALSE(scheduler.CachedLabel(kSlow).has_value());
+  oracle.Release();
+  slow.join();
+
+  const SchedulerStats stats = scheduler.stats();
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.max_batch_size, 2u);
+  EXPECT_EQ(stats.physical_calls, 2u);
+  EXPECT_EQ(slow_ctx.attributed_invocations.load() +
+                fast_ctx.attributed_invocations.load(),
+            oracle.invocations());
+}
+
+TEST(OracleSchedulerTest, ParallelDispatchTurnsAThrowIntoAFailedLabel) {
+  data::Dataset ds = TestDataset(64);
+  /// Throws on every call, as an oracle client might on a broken reply.
+  class ThrowingOracle : public labeler::FallibleLabeler {
+   public:
+    explicit ThrowingOracle(size_t n) : n_(n) {}
+    Result<data::LabelerOutput> TryLabel(size_t) override {
+      throw std::runtime_error("broken reply");
+    }
+    size_t num_records() const override { return n_; }
+    size_t invocations() const override { return 0; }
+    void ResetInvocations() override {}
+
+   private:
+    size_t n_;
+  };
+  ThrowingOracle oracle(ds.size());
+  SchedulerOptions options;
+  options.parallel_dispatch = true;
+  options.dispatch_threads = 2;
+  OracleScheduler scheduler(&oracle, options);
+
+  QueryOracleContext ctx;
+  Result<data::LabelerOutput> r = scheduler.Label(4, &ctx);
+  EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+  EXPECT_EQ(ctx.failed_calls.load(), 1u);
+  EXPECT_FALSE(scheduler.CachedLabel(4).has_value());
 }
 
 // --- Snapshots & epochs ---
@@ -361,6 +565,86 @@ TEST(ServerTest, AttributionInvariantHoldsAcrossConcurrentQueries) {
   SchedulerStats sched = server.scheduler_stats();
   EXPECT_GT(sched.saved_calls(), 0u);
   EXPECT_LT(sched.physical_calls, sched.logical_requests);
+}
+
+// Start() builds through the scheduler (batched labels, and with parallel
+// dispatch overlapping calls). The index must be the one the parent path —
+// Build over a CachingFallibleLabeler on the raw oracle — produces, at the
+// same oracle cost, and the build's labels must seed the label cache.
+TEST(ServerTest, BuildThroughSchedulerMatchesDirectBuild) {
+  data::Dataset ds = TestDataset(1500);
+  const ServerOptions base = FastServerOptions();
+
+  labeler::SimulatedLabeler direct_truth(&ds);
+  labeler::FallibleAdapter direct_adapter(&direct_truth);
+  labeler::CachingFallibleLabeler direct_cache(&direct_adapter);
+  const core::TastiIndex direct =
+      core::TastiIndex::Build(ds, &direct_cache, base.index);
+  Result<std::string> direct_bytes =
+      core::IndexSerializer::SerializeToString(direct);
+  ASSERT_TRUE(direct_bytes.ok());
+
+  for (bool parallel : {true, false}) {
+    SCOPED_TRACE(parallel ? "parallel dispatch" : "serial dispatch");
+    labeler::SimulatedLabeler truth(&ds);
+    labeler::FallibleAdapter adapter(&truth);
+    ServerOptions opts = base;
+    opts.scheduler.parallel_dispatch = parallel;
+    opts.scheduler.dispatch_threads = 4;
+    TastiServer server(&ds, &adapter, opts);
+    ASSERT_TRUE(server.Start().ok());
+    Result<std::string> bytes = server.SerializeIndex();
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_TRUE(*bytes == *direct_bytes) << "index bytes differ";
+    EXPECT_EQ(server.index_invocations(), direct_truth.invocations());
+    const SchedulerStats sched = server.scheduler_stats();
+    EXPECT_EQ(sched.cached_labels, direct_cache.labeled_indices().size());
+    EXPECT_EQ(sched.physical_calls, server.index_invocations());
+    EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+  }
+
+  // Faults: the serial scheduler calls the oracle stack in the direct
+  // build's order, so retries, jitter and permanent failures line up and
+  // the same representatives fail.
+  labeler::FaultSchedule faults;
+  faults.permanent_rate = 0.05;
+  faults.transient_rate = 0.1;
+  faults.seed = 19;
+  auto degraded_build = [&](bool served, size_t* invocations) {
+    labeler::SimulatedLabeler truth(&ds);
+    labeler::FaultInjectingLabeler injected(&truth, faults);
+    labeler::ResilientLabeler oracle(&injected, {});
+    std::string bytes;
+    if (served) {
+      ServerOptions opts = base;
+      opts.scheduler.parallel_dispatch = false;
+      TastiServer server(&ds, &oracle, opts);
+      EXPECT_TRUE(server.Start().ok());
+      bytes = server.SerializeIndex().value();
+      EXPECT_EQ(server.index_invocations(), injected.invocations());
+      EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+    } else {
+      labeler::CachingFallibleLabeler cache(&oracle);
+      bytes = core::IndexSerializer::SerializeToString(
+                  core::TastiIndex::Build(ds, &cache, base.index))
+                  .value();
+    }
+    *invocations = injected.invocations();
+    return bytes;
+  };
+  size_t direct_calls = 0, served_calls = 0;
+  const std::string want = degraded_build(false, &direct_calls);
+  const std::string got = degraded_build(true, &served_calls);
+  Result<core::TastiIndex> want_index =
+      core::IndexSerializer::DeserializeFromString(want);
+  Result<core::TastiIndex> got_index =
+      core::IndexSerializer::DeserializeFromString(got);
+  ASSERT_TRUE(want_index.ok() && got_index.ok());
+  EXPECT_GT(want_index->num_failed_representatives(), 0u);
+  EXPECT_EQ(got_index->failed_rep_record_ids(),
+            want_index->failed_rep_record_ids());
+  EXPECT_TRUE(got == want) << "degraded index bytes differ";
+  EXPECT_EQ(served_calls, direct_calls);
 }
 
 TEST(ServerTest, DeterministicModeIsBitIdenticalAcrossWorkerCounts) {

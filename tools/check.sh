@@ -44,8 +44,9 @@
 #   perfbench the end-to-end benchmark package (perfbench/, which compiles
 #            every file under src/ and drives TastiSession, TastiServer,
 #            ComputeProxyScores and serve::QuerySpec): builds it as its
-#            CMakeLists.txt describes, runs its helper tests, then two
-#            short runs (session, serve_write) that must report failed = 0.
+#            CMakeLists.txt describes, runs its helper tests, then three
+#            short runs (session, serve_write, serve_remote) that must
+#            report failed = 0.
 #
 # CHECK_FULL=1 widens the crash grid to every mutating op (--stride 1);
 # the default strides the grid (every 3rd op) to keep PR runs fast. The
@@ -64,7 +65,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,59p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,62p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 STAGES=()
@@ -172,9 +173,9 @@ stage_tsan() {
     echo "-- build-tsan/tests/$t"
     "build-tsan/tests/$t"
   done
-  echo "-- build-tsan/tests/faults_test (retry/breaker state machine)"
+  echo "-- build-tsan/tests/faults_test (retry/breaker state machine, batch labels)"
   "build-tsan/tests/faults_test" \
-    --gtest_filter='ResilientLabelerTest.*:FaultInjectorTest.*'
+    --gtest_filter='ResilientLabelerTest.*:FaultInjectorTest.*:BatchLabelTest.*'
   echo "-- build-tsan/tests/shard_test (concurrent scatter-gather)"
   "build-tsan/tests/shard_test" \
     --gtest_filter='ShardedServerConcurrencyTest.*:PartitionerTest.*:MergeTest.*'
@@ -268,7 +269,7 @@ stage_perfbench() {
   cmake --build .bench_build/perfbench -j "$(nproc)"
   ctest --test-dir .bench_build/perfbench --output-on-failure
   local workload last
-  for workload in session serve_write; do
+  for workload in session serve_write serve_remote; do
     echo "-- perfbench/run.py --workload $workload --seconds 2"
     last="$(python3 perfbench/run.py --workload "$workload" --seconds 2 |
             tail -n 1)"

@@ -1112,8 +1112,11 @@ int RunMonitor(const Args& args) {
   server_opts.seed = query_seed;
   server_opts.num_workers = clients;
   server_opts.max_pending = std::max<size_t>(total_queries, 1);
+  // Parallel dispatch attributes one invocation per call; the --faults
+  // stack retries inside a call, so it dispatches serially (the index
+  // build's labels go through the scheduler too).
   server_opts.scheduler.parallel_dispatch =
-      args.flags.count("serial-dispatch") == 0;
+      args.flags.count("serial-dispatch") == 0 && stack.resilient == nullptr;
   server_opts.scheduler.dispatch_threads = std::max<size_t>(clients, 8);
   server_opts.scheduler.batch_window_ms = 0.5;
 
