@@ -78,9 +78,20 @@ class FallibleLabeler {
   /// in request order. The default calls TryLabel in order; links that can
   /// overlap calls (the oracle scheduler) or share a cache or a lock across
   /// them override it. Each attempt counts as one invocation, as for
-  /// TryLabel.
+  /// TryLabel. A link that enforces a deadline (serve::DeadlineOracle)
+  /// returns the results of the prefix it admitted: positions past the end
+  /// of a shorter result were never attempted, which tells a deadline cut
+  /// apart from a failed call.
   virtual std::vector<Result<data::LabelerOutput>> TryLabelBatch(
       const std::vector<size_t>& indices);
+
+  /// TryLabelBatch with at most `budget_ms` left in the caller's deadline,
+  /// as TryLabelWithin is to TryLabel. The default ignores the budget.
+  virtual std::vector<Result<data::LabelerOutput>> TryLabelBatchWithin(
+      const std::vector<size_t>& indices, double budget_ms) {
+    (void)budget_ms;
+    return TryLabelBatch(indices);
+  }
 
   /// Number of records this labeler can label.
   virtual size_t num_records() const = 0;

@@ -222,6 +222,12 @@ Result<data::LabelerOutput> CachingFallibleLabeler::TryLabelWithin(
 
 std::vector<Result<data::LabelerOutput>>
 CachingFallibleLabeler::TryLabelBatch(const std::vector<size_t>& indices) {
+  return TryLabelBatchWithin(indices, 0.0);
+}
+
+std::vector<Result<data::LabelerOutput>>
+CachingFallibleLabeler::TryLabelBatchWithin(const std::vector<size_t>& indices,
+                                            double budget_ms) {
   // Distinct misses in first-request order, and each miss's position in
   // that list.
   std::vector<size_t> misses;
@@ -235,7 +241,7 @@ CachingFallibleLabeler::TryLabelBatch(const std::vector<size_t>& indices) {
   std::vector<Result<data::LabelerOutput>> miss_results;
   if (!misses.empty()) {
     TASTI_SPAN("oracle.call");
-    miss_results = inner_->TryLabelBatch(misses);
+    miss_results = inner_->TryLabelBatchWithin(misses, budget_ms);
   }
   for (size_t i = 0; i < misses.size(); ++i) {
     if (!miss_results[i].ok()) continue;

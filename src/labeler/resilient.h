@@ -171,6 +171,9 @@ class CachingFallibleLabeler : public FallibleLabeler {
   /// span. Results are in request order.
   std::vector<Result<data::LabelerOutput>> TryLabelBatch(
       const std::vector<size_t>& indices) override;
+  /// The same, forwarding the caller's remaining budget with the misses.
+  std::vector<Result<data::LabelerOutput>> TryLabelBatchWithin(
+      const std::vector<size_t>& indices, double budget_ms) override;
   size_t num_records() const override { return inner_->num_records(); }
   size_t invocations() const override { return inner_->invocations(); }
   void ResetInvocations() override { inner_->ResetInvocations(); }

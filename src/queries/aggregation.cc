@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "queries/sampling.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -37,8 +38,10 @@ Result<AggregationResult> TryEstimateMean(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& scorer, const AggregationOptions& options) {
   TASTI_CHECK(oracle != nullptr, "TryEstimateMean requires an oracle");
-  TASTI_CHECK(proxy_scores.size() == oracle->num_records(),
-              "proxy scores must cover every record");
+  if (proxy_scores.size() != oracle->num_records()) {
+    return Status::FailedPrecondition(
+        "aggregation: proxy scores must cover every record");
+  }
   TASTI_CHECK(options.error_target > 0.0, "error target must be positive");
   TASTI_CHECK(options.confidence > 0.0 && options.confidence < 1.0,
               "confidence must be in (0, 1)");
@@ -100,32 +103,37 @@ Result<AggregationResult> TryEstimateMean(
 
   {
     TASTI_SPAN("query.agg.sample");
-    for (size_t taken = 0; taken < max_samples; ++taken) {
+    // One batch per window up to the next stopping check.
+    size_t taken = 0;
+    while (taken < max_samples) {
+      const size_t check = NextStoppingCheck(taken, options.min_samples,
+                                             options.check_interval);
+      const std::vector<size_t> window(
+          order.begin() + taken, order.begin() + std::min(check, max_samples));
+      std::vector<Result<data::LabelerOutput>> labels =
+          LabelInRuns(oracle, window, options.deadline);
+      for (size_t i = 0; i < labels.size(); ++i) {
+        const size_t record = window[i];
+        if (labels[i].ok()) {
+          samples.f.push_back(scorer.Score(*labels[i]));
+        } else {
+          // Keep the slot: substitute the proxy score so the sample count
+          // and stopping rule are unaffected (reported as a substitution).
+          ++result.failed_oracle_calls;
+          ++result.substituted_samples;
+          samples.f.push_back(proxy_scores[record]);
+        }
+        samples.p.push_back(proxy_scores[record]);
+      }
+      taken += labels.size();
       // Deadline boundary: stop sampling and finalize with what we have.
-      if (options.deadline.exhausted()) {
+      if (labels.size() < window.size()) {
         result.deadline_hit = true;
         break;
       }
-      const size_t record = order[taken];
-      Result<data::LabelerOutput> label = oracle->TryLabel(record);
-      if (label.ok()) {
-        samples.f.push_back(scorer.Score(*label));
-      } else {
-        // Keep the slot: substitute the proxy score so the sample count
-        // and stopping rule are unaffected (reported as a substitution).
-        ++result.failed_oracle_calls;
-        ++result.substituted_samples;
-        samples.f.push_back(proxy_scores[record]);
-      }
-      samples.p.push_back(proxy_scores[record]);
-
-      const size_t count = taken + 1;
-      if (count >= options.min_samples &&
-          (count - options.min_samples) % options.check_interval == 0) {
-        if (evaluate_stop(count)) {
-          result.converged = true;
-          break;
-        }
+      if (taken == check && evaluate_stop(taken)) {
+        result.converged = true;
+        break;
       }
     }
   }

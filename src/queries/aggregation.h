@@ -36,9 +36,10 @@ struct AggregationOptions {
   /// Hard cap on labeler invocations; 0 means the dataset size.
   size_t max_samples = 0;
   uint64_t seed = 101;
-  /// Deadline checked before each oracle call; on expiry sampling stops
-  /// and the result is finalized from the samples taken so far (honest
-  /// but wider interval, deadline_hit set). Default: unbounded.
+  /// Deadline checked before each batch of oracle calls (queries/sampling.h);
+  /// on expiry sampling stops and the result is finalized from the samples
+  /// taken so far (honest but wider interval, deadline_hit set). Default:
+  /// unbounded.
   serve::Deadline deadline;
 };
 
@@ -77,7 +78,11 @@ struct AggregationResult {
 /// proxy score substituted for the labeler score (the mean stays defined
 /// and the stopping rule keeps its sample count; substitutions are
 /// reported for bias accounting). Fails with Unavailable only if every
-/// oracle call failed.
+/// oracle call failed, and with FailedPrecondition if `proxy_scores` and
+/// the oracle disagree on the record count.
+///
+/// The samples of each window up to the next stopping check (min_samples,
+/// then every check_interval) go to the oracle as one batch.
 Result<AggregationResult> TryEstimateMean(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& scorer, const AggregationOptions& options);

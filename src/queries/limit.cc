@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "queries/sampling.h"
 #include "util/status.h"
 
 namespace tasti::queries {
@@ -15,8 +16,10 @@ Result<LimitResult> TryLimitQuery(const std::vector<double>& ranking_scores,
                                   const core::Scorer& predicate,
                                   const LimitOptions& options) {
   TASTI_CHECK(oracle != nullptr, "TryLimitQuery requires an oracle");
-  TASTI_CHECK(ranking_scores.size() == oracle->num_records(),
-              "ranking scores must cover every record");
+  if (ranking_scores.size() != oracle->num_records()) {
+    return Status::FailedPrecondition(
+        "limit: ranking scores must cover every record");
+  }
   TASTI_CHECK(options.want > 0, "want must be positive");
 
   const size_t n = ranking_scores.size();
@@ -33,26 +36,32 @@ Result<LimitResult> TryLimitQuery(const std::vector<double>& ranking_scores,
 
   LimitResult result;
   TASTI_SPAN("query.limit.scan");
-  for (size_t i = 0; i < cap; ++i) {
+  // Each batch is the next `want - found` records in ranking order: the
+  // fewest labels that could still satisfy the limit, so no batch labels
+  // a record past the one that satisfies it.
+  size_t next = 0;
+  while (next < cap && !result.satisfied) {
+    const size_t end = std::min(cap, next + options.want - result.found.size());
+    const std::vector<size_t> batch(order.begin() + next, order.begin() + end);
+    std::vector<Result<data::LabelerOutput>> labels =
+        LabelInRuns(oracle, batch, options.deadline);
+    for (size_t i = 0; i < labels.size() && !result.satisfied; ++i) {
+      ++result.labeler_invocations;
+      if (!labels[i].ok()) {
+        // Skip the record; the call still consumed budget.
+        ++result.failed_oracle_calls;
+        continue;
+      }
+      if (predicate.Score(*labels[i]) >= 0.5) {
+        result.found.push_back(batch[i]);
+        result.satisfied = result.found.size() >= options.want;
+      }
+    }
+    next += labels.size();
     // Deadline boundary: stop the scan with whatever has been found.
-    if (options.deadline.exhausted()) {
+    if (labels.size() < batch.size()) {
       result.deadline_hit = true;
       break;
-    }
-    const size_t record = order[i];
-    Result<data::LabelerOutput> label = oracle->TryLabel(record);
-    ++result.labeler_invocations;
-    if (!label.ok()) {
-      // Skip the record; the call still consumed budget.
-      ++result.failed_oracle_calls;
-      continue;
-    }
-    if (predicate.Score(*label) >= 0.5) {
-      result.found.push_back(record);
-      if (result.found.size() >= options.want) {
-        result.satisfied = true;
-        break;
-      }
     }
   }
   if (result.labeler_invocations > 0 &&

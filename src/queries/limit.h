@@ -23,9 +23,9 @@ struct LimitOptions {
   size_t want = 10;
   /// Hard cap on labeler invocations; 0 means the dataset size.
   size_t max_invocations = 0;
-  /// Deadline checked before each scan step; on expiry the scan stops with
-  /// the matches found so far (satisfied stays false unless `want` was
-  /// already reached). Default: unbounded.
+  /// Deadline checked before each batch of the scan; on expiry the scan
+  /// stops with the matches found so far (satisfied stays false unless
+  /// `want` was already reached). Default: unbounded.
   serve::Deadline deadline;
 };
 
@@ -48,7 +48,10 @@ struct LimitResult {
 /// `predicate` must map a labeler output to >= 0.5 iff it matches. A
 /// record whose oracle call fails is skipped (it still consumes budget —
 /// the call was made) and the scan continues. Fails with Unavailable only
-/// if no call succeeded.
+/// if no call succeeded, and with FailedPrecondition if `ranking_scores`
+/// and the oracle disagree on the record count.
+///
+/// Each batch is the next `want - found` records in ranking order.
 Result<LimitResult> TryLimitQuery(const std::vector<double>& ranking_scores,
                                   labeler::FallibleLabeler* oracle,
                                   const core::Scorer& predicate,

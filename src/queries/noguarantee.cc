@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "queries/sampling.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -35,8 +36,10 @@ Result<ThresholdSelectResult> TryThresholdSelect(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& predicate, const ThresholdSelectOptions& options) {
   TASTI_CHECK(oracle != nullptr, "TryThresholdSelect requires an oracle");
-  TASTI_CHECK(proxy_scores.size() == oracle->num_records(),
-              "proxy scores must cover every record");
+  if (proxy_scores.size() != oracle->num_records()) {
+    return Status::FailedPrecondition(
+        "threshold-select: proxy scores must cover every record");
+  }
   TASTI_CHECK(options.num_candidates >= 2, "need at least two candidates");
 
   const size_t n = proxy_scores.size();
@@ -54,21 +57,19 @@ Result<ThresholdSelectResult> TryThresholdSelect(
   bool deadline_hit = false;
   {
     TASTI_SPAN("query.select.validate");
-    for (size_t record : validation) {
-      // Deadline boundary: fit on the validation labels gathered so far.
-      if (options.deadline.exhausted()) {
-        deadline_hit = true;
-        break;
-      }
-      ++attempted;
-      Result<data::LabelerOutput> label = oracle->TryLabel(record);
-      if (!label.ok()) {
+    std::vector<Result<data::LabelerOutput>> labels =
+        LabelInRuns(oracle, validation, options.deadline);
+    attempted = labels.size();
+    // Deadline boundary: fit on the validation labels gathered so far.
+    deadline_hit = attempted < validation.size();
+    for (size_t i = 0; i < attempted; ++i) {
+      if (!labels[i].ok()) {
         // Fit on the validation labels that succeeded.
         ++failed_calls;
         continue;
       }
-      val_proxy.push_back(proxy_scores[record]);
-      val_truth.push_back(predicate.Score(*label) >= 0.5);
+      val_proxy.push_back(proxy_scores[validation[i]]);
+      val_truth.push_back(predicate.Score(*labels[i]) >= 0.5);
     }
   }
   if (attempted > 0 && failed_calls == attempted) {

@@ -41,8 +41,8 @@ struct ThresholdSelectOptions {
   /// Candidate thresholds swept between the min and max proxy score.
   size_t num_candidates = 64;
   uint64_t seed = 303;
-  /// Deadline checked before each validation call; on expiry the
-  /// threshold is fit on the labels gathered so far. Default: unbounded.
+  /// Deadline checked before the validation batch; on expiry the threshold
+  /// is fit on the labels gathered so far. Default: unbounded.
   serve::Deadline deadline;
 };
 
@@ -63,7 +63,9 @@ struct ThresholdSelectResult {
 /// Fits a threshold on a uniform validation sample and returns every
 /// record whose proxy score clears it. Validation records whose oracle
 /// call fails are dropped from the fit. Fails with Unavailable only if
-/// every validation call failed.
+/// every validation call failed, and with FailedPrecondition if
+/// `proxy_scores` and the oracle disagree on the record count. The whole
+/// validation sample goes to the oracle as one batch.
 Result<ThresholdSelectResult> TryThresholdSelect(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& predicate, const ThresholdSelectOptions& options);

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "queries/sampling.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -18,8 +19,10 @@ Result<PredicateAggregationResult> TryEstimateMeanWithPredicate(
     const core::Scorer& statistic, const PredicateAggregationOptions& options) {
   TASTI_CHECK(oracle != nullptr,
               "TryEstimateMeanWithPredicate requires an oracle");
-  TASTI_CHECK(predicate_proxy.size() == oracle->num_records(),
-              "proxy scores must cover every record");
+  if (predicate_proxy.size() != oracle->num_records()) {
+    return Status::FailedPrecondition(
+        "predicate-aggregation: proxy scores must cover every record");
+  }
   TASTI_CHECK(options.error_target > 0.0, "error target must be positive");
 
   const size_t n = predicate_proxy.size();
@@ -90,45 +93,45 @@ Result<PredicateAggregationResult> TryEstimateMeanWithPredicate(
   };
 
   TASTI_SPAN("query.predagg.sample");
-  for (size_t taken = 0; taken < max_samples; ++taken) {
+  // One batch per window of draws up to the next stopping check.
+  size_t taken = 0;
+  while (taken < max_samples) {
+    const size_t check = NextStoppingCheck(taken, options.min_samples,
+                                           options.check_interval);
+    const std::vector<size_t> draws = DrawWithReplacement(
+        prefix, total_weight, std::min(check, max_samples) - taken, &rng);
+    std::vector<Result<data::LabelerOutput>> labels =
+        LabelInRuns(oracle, draws, options.deadline);
+    for (size_t i = 0; i < labels.size(); ++i) {
+      ++result.labeler_invocations;
+      if (!labels[i].ok()) {
+        // Drop the draw: the statistic has no proxy substitute. The call
+        // still consumed budget.
+        ++result.failed_oracle_calls;
+        continue;
+      }
+      const size_t record = draws[i];
+      const bool matches = predicate.Score(*labels[i]) >= 0.5;
+      const double importance =
+          (1.0 / static_cast<double>(n)) / (weights[record] / total_weight);
+      double f = 0.0;
+      if (matches) {
+        f = statistic.Score(*labels[i]);
+        ++result.sample_matches;
+      }
+      numer.push_back(matches ? importance * f : 0.0);
+      denom.push_back(matches ? importance : 0.0);
+    }
+    taken += labels.size();
     // Deadline boundary: stop drawing and finalize with what we have.
-    if (options.deadline.exhausted()) {
+    if (labels.size() < draws.size()) {
       result.deadline_hit = true;
       break;
     }
-    const double target = rng.Uniform() * total_weight;
-    const size_t record = std::min(
-        static_cast<size_t>(std::lower_bound(prefix.begin(), prefix.end(),
-                                             target) -
-                            prefix.begin()),
-        n - 1);
-    ++result.labeler_invocations;
-    Result<data::LabelerOutput> maybe_label = oracle->TryLabel(record);
-    if (!maybe_label.ok()) {
-      // Drop the draw: the statistic has no proxy substitute. The call
-      // still consumed budget.
-      ++result.failed_oracle_calls;
-      continue;
-    }
-    const data::LabelerOutput label = *std::move(maybe_label);
-    const bool matches = predicate.Score(label) >= 0.5;
-    const double importance =
-        (1.0 / static_cast<double>(n)) / (weights[record] / total_weight);
-    double f = 0.0;
-    if (matches) {
-      f = statistic.Score(label);
-      ++result.sample_matches;
-    }
-    numer.push_back(matches ? importance * f : 0.0);
-    denom.push_back(matches ? importance : 0.0);
-
-    const size_t count = taken + 1;
-    if (count >= options.min_samples &&
-        (count - options.min_samples) % options.check_interval == 0) {
-      if (evaluate_stop()) {
-        result.converged = true;
-        break;
-      }
+    // A failed draw adds no sample, so a check that falls on it is skipped.
+    if (taken == check && labels.back().ok() && evaluate_stop()) {
+      result.converged = true;
+      break;
     }
   }
   if (result.labeler_invocations > 0 &&

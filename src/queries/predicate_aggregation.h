@@ -42,8 +42,9 @@ struct PredicateAggregationOptions {
   /// records the proxy wrongly scores ~0).
   double weight_floor = 0.05;
   uint64_t seed = 404;
-  /// Deadline checked before each draw; on expiry sampling stops and the
-  /// ratio estimate is finalized from the draws so far. Default: unbounded.
+  /// Deadline checked before each batch of draws; on expiry sampling stops
+  /// and the ratio estimate is finalized from the draws so far. Default:
+  /// unbounded.
   serve::Deadline deadline;
 };
 
@@ -71,7 +72,11 @@ struct PredicateAggregationResult {
 /// both scorers for each sampled record. A draw whose oracle call fails
 /// is dropped (no proxy substitute exists for the statistic) and the
 /// budget is still consumed. Fails with Unavailable only if every call
-/// failed.
+/// failed, and with FailedPrecondition if `predicate_proxy` and the oracle
+/// disagree on the record count.
+///
+/// The draws of each window up to the next stopping check go to the
+/// oracle together (split where a draw repeats, see LabelInRuns).
 Result<PredicateAggregationResult> TryEstimateMeanWithPredicate(
     const std::vector<double>& predicate_proxy,
     labeler::FallibleLabeler* oracle, const core::Scorer& predicate,

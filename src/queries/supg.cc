@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/trace.h"
+#include "queries/sampling.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -17,8 +18,10 @@ Result<SupgResult> TrySupgRecallSelect(const std::vector<double>& proxy_scores,
                                        const core::Scorer& scorer,
                                        const SupgOptions& options) {
   TASTI_CHECK(oracle != nullptr, "TrySupgRecallSelect requires an oracle");
-  TASTI_CHECK(proxy_scores.size() == oracle->num_records(),
-              "proxy scores must cover every record");
+  if (proxy_scores.size() != oracle->num_records()) {
+    return Status::FailedPrecondition(
+        "supg: proxy scores must cover every record");
+  }
   TASTI_CHECK(options.recall_target > 0.0 && options.recall_target <= 1.0,
               "recall target must be in (0, 1]");
   TASTI_CHECK(options.budget > 0, "budget must be positive");
@@ -59,31 +62,28 @@ Result<SupgResult> TrySupgRecallSelect(const std::vector<double>& proxy_scores,
   bool deadline_hit = false;
   {
     TASTI_SPAN("query.supg.sample");
-    for (size_t s = 0; s < budget; ++s) {
-      // Deadline boundary: fit the threshold to the samples so far.
-      if (options.deadline.exhausted()) {
-        deadline_hit = true;
-        break;
-      }
-      ++attempted;
-      const double target = rng.Uniform() * total_weight;
-      const size_t record = static_cast<size_t>(
-          std::lower_bound(prefix.begin(), prefix.end(), target) -
-          prefix.begin());
-      const size_t clamped = std::min(record, n - 1);
-      Result<data::LabelerOutput> label = oracle->TryLabel(clamped);
-      if (!label.ok()) {
+    // The whole sample is fixed before the first label.
+    const std::vector<size_t> draws =
+        DrawWithReplacement(prefix, total_weight, budget, &rng);
+    std::vector<Result<data::LabelerOutput>> labels =
+        LabelInRuns(oracle, draws, options.deadline);
+    attempted = labels.size();
+    // Deadline boundary: fit the threshold to the samples so far.
+    deadline_hit = attempted < budget;
+    for (size_t i = 0; i < attempted; ++i) {
+      if (!labels[i].ok()) {
         // Drop the sample: the estimate runs on a smaller effective
         // sample, which the confidence inflation already covers.
         ++failed_calls;
         continue;
       }
+      const size_t record = draws[i];
       Sampled sample;
-      sample.record = clamped;
-      sample.proxy = std::clamp(proxy_scores[clamped], 0.0, 1.0);
+      sample.record = record;
+      sample.proxy = std::clamp(proxy_scores[record], 0.0, 1.0);
       sample.importance =
-          (1.0 / static_cast<double>(n)) / (weights[clamped] / total_weight);
-      sample.positive = scorer.Score(*label) >= 0.5;
+          (1.0 / static_cast<double>(n)) / (weights[record] / total_weight);
+      sample.positive = scorer.Score(*labels[i]) >= 0.5;
       samples.push_back(sample);
     }
   }
@@ -171,8 +171,10 @@ Result<SupgResult> TrySupgPrecisionSelect(
     const std::vector<double>& proxy_scores, labeler::FallibleLabeler* oracle,
     const core::Scorer& scorer, const SupgPrecisionOptions& options) {
   TASTI_CHECK(oracle != nullptr, "TrySupgPrecisionSelect requires an oracle");
-  TASTI_CHECK(proxy_scores.size() == oracle->num_records(),
-              "proxy scores must cover every record");
+  if (proxy_scores.size() != oracle->num_records()) {
+    return Status::FailedPrecondition(
+        "supg: proxy scores must cover every record");
+  }
   TASTI_CHECK(options.precision_target > 0.0 && options.precision_target <= 1.0,
               "precision target must be in (0, 1]");
   TASTI_CHECK(options.budget > 0, "budget must be positive");
@@ -210,28 +212,24 @@ Result<SupgResult> TrySupgPrecisionSelect(
   bool deadline_hit = false;
   {
     TASTI_SPAN("query.supg.sample");
-    for (size_t s = 0; s < budget; ++s) {
-      // Deadline boundary: fit the threshold to the samples so far.
-      if (options.deadline.exhausted()) {
-        deadline_hit = true;
-        break;
-      }
-      ++attempted;
-      const double target = rng.Uniform() * total_weight;
-      const size_t record = std::min(
-          static_cast<size_t>(std::lower_bound(prefix.begin(), prefix.end(),
-                                               target) -
-                              prefix.begin()),
-          n - 1);
-      Result<data::LabelerOutput> label = oracle->TryLabel(record);
-      if (!label.ok()) {
+    // The whole sample is fixed before the first label.
+    const std::vector<size_t> draws =
+        DrawWithReplacement(prefix, total_weight, budget, &rng);
+    std::vector<Result<data::LabelerOutput>> labels =
+        LabelInRuns(oracle, draws, options.deadline);
+    attempted = labels.size();
+    // Deadline boundary: fit the threshold to the samples so far.
+    deadline_hit = attempted < budget;
+    for (size_t i = 0; i < attempted; ++i) {
+      if (!labels[i].ok()) {
         ++failed_calls;
         continue;
       }
+      const size_t record = draws[i];
       samples.push_back({record, std::clamp(proxy_scores[record], 0.0, 1.0),
                          (1.0 / static_cast<double>(n)) /
                              (weights[record] / total_weight),
-                         scorer.Score(*label) >= 0.5});
+                         scorer.Score(*labels[i]) >= 0.5});
     }
   }
   if (attempted == 0 && deadline_hit) {

@@ -36,9 +36,9 @@ struct SupgOptions {
   /// Target labeler budget (fixed, unlike aggregation).
   size_t budget = 1000;
   uint64_t seed = 202;
-  /// Deadline checked before each sample draw; on expiry the threshold is
-  /// fitted to the samples taken so far (deadline_hit set). Default:
-  /// unbounded.
+  /// Deadline checked before each batch of samples; on expiry the
+  /// threshold is fitted to the samples taken so far (deadline_hit set).
+  /// Default: unbounded.
   serve::Deadline deadline;
 };
 
@@ -69,7 +69,11 @@ struct SupgResult {
 /// sample whose oracle call fails is dropped — the recall bound then holds
 /// over a smaller effective sample, which the confidence inflation already
 /// accounts for — and achieved vs requested counts are reported. Fails
-/// with Unavailable only if every call failed.
+/// with Unavailable only if every call failed, and with FailedPrecondition
+/// if `proxy_scores` and the oracle disagree on the record count.
+///
+/// The whole sample is drawn before the first label and goes to the
+/// oracle in batches that split only where a draw repeats (LabelInRuns).
 Result<SupgResult> TrySupgRecallSelect(const std::vector<double>& proxy_scores,
                                        labeler::FallibleLabeler* oracle,
                                        const core::Scorer& scorer,
@@ -85,7 +89,8 @@ struct SupgPrecisionOptions {
   /// Target labeler budget.
   size_t budget = 1000;
   uint64_t seed = 203;
-  /// Deadline checked before each sample draw (see SupgOptions::deadline).
+  /// Deadline checked before each batch of samples (see
+  /// SupgOptions::deadline).
   serve::Deadline deadline;
 };
 

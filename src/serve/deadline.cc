@@ -68,6 +68,23 @@ bool Deadline::expired() const {
   return spent_ms() >= state_->budget_ms;
 }
 
+size_t Deadline::AdmittedCalls(size_t calls, double ms_per_call) const {
+  if (state_ == nullptr) return calls;
+  if (exhausted()) return 0;
+  if (!state_->virtual_time || ms_per_call <= 0) return calls;
+  // Replays the loop in Charge()'s integer microseconds, so the count
+  // matches per-call charging bit for bit.
+  const auto step_us = static_cast<int64_t>(std::llround(ms_per_call * 1000.0));
+  int64_t spent_us = state_->spent_us.load(std::memory_order_relaxed);
+  size_t admitted = 0;
+  while (admitted < calls &&
+         static_cast<double>(spent_us) / 1000.0 < state_->budget_ms) {
+    ++admitted;
+    spent_us += step_us;
+  }
+  return admitted;
+}
+
 void Deadline::Cancel() {
   if (state_ == nullptr) return;
   state_->cancelled.store(true, std::memory_order_relaxed);
@@ -103,6 +120,26 @@ Result<data::LabelerOutput> DeadlineOracle::TryLabelWithin(size_t index,
   // request (cache hit, deduped join, batch member) served this call.
   deadline_.Charge(virtual_ms_per_call_);
   return result;
+}
+
+std::vector<Result<data::LabelerOutput>> DeadlineOracle::TryLabelBatch(
+    const std::vector<size_t>& indices) {
+  return TryLabelBatchWithin(indices, deadline_.remaining_ms());
+}
+
+std::vector<Result<data::LabelerOutput>> DeadlineOracle::TryLabelBatchWithin(
+    const std::vector<size_t>& indices, double budget_ms) {
+  const size_t admitted =
+      deadline_.AdmittedCalls(indices.size(), virtual_ms_per_call_);
+  rejected_ += indices.size() - admitted;
+  if (admitted == 0) return {};
+  const double budget = std::min(budget_ms, deadline_.remaining_ms());
+  forwarded_ += admitted;
+  const std::vector<size_t> prefix(indices.begin(), indices.begin() + admitted);
+  std::vector<Result<data::LabelerOutput>> results =
+      inner_->TryLabelBatchWithin(prefix, budget);
+  for (size_t i = 0; i < admitted; ++i) deadline_.Charge(virtual_ms_per_call_);
+  return results;
 }
 
 }  // namespace tasti::serve

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <vector>
 
 #include "labeler/labeler.h"
 #include "util/status.h"
@@ -86,6 +87,14 @@ class Deadline {
   /// True when work should stop: cancelled or expired.
   bool exhausted() const { return cancelled() || expired(); }
 
+  /// How many of `calls` back-to-back calls, each charging `ms_per_call`
+  /// after it returns, would start before the token is exhausted: none
+  /// once exhausted, all of them on an unbounded token or when the calls
+  /// charge nothing (a wall deadline, or `ms_per_call` <= 0), otherwise
+  /// exactly as many as a loop of exhausted() checks and Charge() calls
+  /// would let through.
+  size_t AdmittedCalls(size_t calls, double ms_per_call) const;
+
  private:
   struct State {
     bool virtual_time = false;
@@ -106,6 +115,12 @@ class Deadline {
 /// rejected calls are counted here but never attributed as oracle cost.
 /// The remaining budget is forwarded to the inner chain via
 /// TryLabelWithin so retry backoff (ResilientLabeler) can cap itself.
+///
+/// A batch is checked once, at its start: the prefix the deadline admits
+/// (Deadline::AdmittedCalls at the per-call charge) goes to the inner
+/// chain as one batch carrying the remaining budget, and the rejected
+/// tail gets no result at all. In virtual mode the prefix is exactly the
+/// calls a one-at-a-time loop would have forwarded.
 class DeadlineOracle : public labeler::FallibleLabeler {
  public:
   /// `virtual_ms_per_call` > 0 charges that flat cost per forwarded call
@@ -116,6 +131,11 @@ class DeadlineOracle : public labeler::FallibleLabeler {
   Result<data::LabelerOutput> TryLabel(size_t index) override;
   Result<data::LabelerOutput> TryLabelWithin(size_t index,
                                              double budget_ms) override;
+  /// Results for the admitted prefix only; see the class comment.
+  std::vector<Result<data::LabelerOutput>> TryLabelBatch(
+      const std::vector<size_t>& indices) override;
+  std::vector<Result<data::LabelerOutput>> TryLabelBatchWithin(
+      const std::vector<size_t>& indices, double budget_ms) override;
   size_t num_records() const override { return inner_->num_records(); }
   size_t invocations() const override { return inner_->invocations(); }
   void ResetInvocations() override { inner_->ResetInvocations(); }

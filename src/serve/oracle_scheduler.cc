@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/status.h"
 
 namespace tasti::serve {
@@ -97,6 +98,7 @@ Result<data::LabelerOutput> OracleScheduler::Label(size_t record,
     if (admission.hit != nullptr) return *admission.hit;
     if (admission.enqueued) work_cv_.notify_one();
     pending = std::move(admission.pending);
+    TASTI_SPAN("serve.oracle_wait");
     pending->cv.wait(lock, [&pending] { return pending->done; });
   }
   if (!pending->result.ok()) {
@@ -106,7 +108,8 @@ Result<data::LabelerOutput> OracleScheduler::Label(size_t record,
 }
 
 std::vector<Result<data::LabelerOutput>> OracleScheduler::LabelBatch(
-    const std::vector<size_t>& records, QueryOracleContext* ctx) {
+    const std::vector<size_t>& records, QueryOracleContext* ctx,
+    double budget_ms) {
   std::vector<Result<data::LabelerOutput>> results(
       records.size(), Status::Internal("pending"));
   // Positions still waiting on an in-flight entry.
@@ -115,7 +118,7 @@ std::vector<Result<data::LabelerOutput>> OracleScheduler::LabelBatch(
     std::unique_lock<std::mutex> lock(mu_);
     bool enqueued = false;
     for (size_t i = 0; i < records.size(); ++i) {
-      Admission admission = AdmitLocked(records[i], ctx, /*budget_ms=*/0.0);
+      Admission admission = AdmitLocked(records[i], ctx, budget_ms);
       if (admission.hit != nullptr) {
         results[i] = *admission.hit;
       } else {
@@ -124,8 +127,11 @@ std::vector<Result<data::LabelerOutput>> OracleScheduler::LabelBatch(
       }
     }
     if (enqueued) work_cv_.notify_one();
-    for (auto& [pos, pending] : waits) {
-      pending->cv.wait(lock, [&pending] { return pending->done; });
+    if (!waits.empty()) {
+      TASTI_SPAN("serve.oracle_wait");
+      for (auto& [pos, pending] : waits) {
+        pending->cv.wait(lock, [&pending] { return pending->done; });
+      }
     }
   }
   for (auto& [pos, pending] : waits) {

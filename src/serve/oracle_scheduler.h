@@ -126,10 +126,11 @@ class OracleScheduler {
   /// position in request order. Each record is admitted as by Label (cache
   /// hit, in-flight join, or enqueue; a record listed twice joins its own
   /// first request), all under one lock; the dispatcher is woken once and
-  /// the call blocks until every result is known. The calls carry no
-  /// deadline budget.
+  /// the call blocks until every result is known. `budget_ms` is as for
+  /// Label and applies to every record this call enqueues.
   std::vector<Result<data::LabelerOutput>> LabelBatch(
-      const std::vector<size_t>& records, QueryOracleContext* ctx);
+      const std::vector<size_t>& records, QueryOracleContext* ctx,
+      double budget_ms = 0.0);
 
   /// The cached label for `record`, if any query has paid for it.
   std::optional<data::LabelerOutput> CachedLabel(size_t record) const;
@@ -219,6 +220,10 @@ class ScheduledOracle : public labeler::FallibleLabeler {
   std::vector<Result<data::LabelerOutput>> TryLabelBatch(
       const std::vector<size_t>& indices) override {
     return scheduler_->LabelBatch(indices, ctx_);
+  }
+  std::vector<Result<data::LabelerOutput>> TryLabelBatchWithin(
+      const std::vector<size_t>& indices, double budget_ms) override {
+    return scheduler_->LabelBatch(indices, ctx_, budget_ms);
   }
   size_t num_records() const override { return num_records_; }
   size_t invocations() const override {

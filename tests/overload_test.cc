@@ -222,6 +222,39 @@ TEST(DeadlineOracleTest, RejectsOnceBudgetSpentWithoutTouchingInner) {
   EXPECT_EQ(adapter.invocations(), 3u);
 }
 
+// A batch is checked once, at its start: the admitted prefix is exactly
+// what a one-call-at-a-time loop would have forwarded, the rejected tail
+// gets no result, and the rejected calls never reach the inner labeler.
+TEST(DeadlineOracleTest, BatchForwardsOnlyTheAdmittedPrefix) {
+  data::Dataset ds = TestDataset(64);
+  labeler::SimulatedLabeler truth(&ds);
+  labeler::FallibleAdapter adapter(&truth);
+  // 2.5 ms at 1 ms per call: calls start at 0, 1 and 2 ms spent.
+  serve::Deadline deadline = serve::Deadline::VirtualBudget(2.5);
+  EXPECT_EQ(deadline.AdmittedCalls(5, 1.0), 3u);
+  serve::DeadlineOracle gated(&adapter, deadline, /*virtual_ms_per_call=*/1.0);
+
+  std::vector<Result<data::LabelerOutput>> first =
+      gated.TryLabelBatch({0, 1, 2, 3, 4});
+  ASSERT_EQ(first.size(), 3u);
+  for (const auto& r : first) EXPECT_TRUE(r.ok());
+  EXPECT_EQ(gated.forwarded_calls(), 3u);
+  EXPECT_EQ(gated.rejected_calls(), 2u);
+  EXPECT_EQ(adapter.invocations(), 3u);
+  EXPECT_DOUBLE_EQ(deadline.spent_ms(), 3.0);
+
+  // Spent: the next batch is rejected whole.
+  EXPECT_TRUE(gated.TryLabelBatch({5, 6}).empty());
+  EXPECT_EQ(gated.rejected_calls(), 4u);
+  EXPECT_EQ(adapter.invocations(), 3u);
+
+  // A wall deadline with time left admits the whole batch; an unbounded
+  // token always does.
+  serve::DeadlineOracle wall(&adapter, serve::Deadline::WallAfter(60000.0));
+  EXPECT_EQ(wall.TryLabelBatch({7, 8, 9}).size(), 3u);
+  EXPECT_EQ(serve::Deadline::Unbounded().AdmittedCalls(9, 1.0), 9u);
+}
+
 // --- Satellite: retry backoff capped by the caller's budget ---
 
 TEST(ResilientDeadlineTest, BackoffNeverSleepsPastCallerBudget) {

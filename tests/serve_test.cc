@@ -8,14 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <fstream>
 #include <future>
+#include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "api/session.h"
@@ -37,6 +41,13 @@
 #include "serve/score_cache.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
+#include "queries/aggregation.h"
+#include "queries/limit.h"
+#include "queries/noguarantee.h"
+#include "queries/predicate_aggregation.h"
+#include "queries/supg.h"
+#include "serve/deadline.h"
+#include "util/random.h"
 
 namespace tasti::serve {
 namespace {
@@ -941,6 +952,126 @@ TEST(ServerTest, SubmitBeforeStartAndAfterShutdownFails) {
   EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
 }
 
+// Queries after AppendRecords see proxy scores for more records than the
+// server's oracle covers. Each algorithm must refuse that with a status,
+// never abort the process that serves every other client.
+TEST(ServerTest, QueriesAfterAppendFailWithoutAborting) {
+  data::Dataset ds = TestDataset(600);
+  labeler::SimulatedLabeler oracle(&ds);
+  labeler::FallibleAdapter adapter(&oracle);
+  ServerOptions opts = FastServerOptions();
+  opts.index.num_representatives = 80;
+  opts.index.num_training_records = 80;
+  TastiServer server(&ds, &adapter, opts);
+  ASSERT_TRUE(server.Start().ok());
+  server.AppendRecords(ds.features.RowSlice(0, 50));
+
+  core::CountScorer cars(data::ObjectClass::kCar);
+  core::PresenceScorer present(data::ObjectClass::kCar);
+  core::AtLeastCountScorer busy(data::ObjectClass::kCar, 2);
+  const QueryKind kinds[] = {
+      QueryKind::kAggregate,     QueryKind::kAggregateWhere,
+      QueryKind::kSupgRecall,    QueryKind::kSupgPrecision,
+      QueryKind::kThresholdSelect, QueryKind::kLimit};
+  for (QueryKind kind : kinds) {
+    QuerySpec spec;
+    spec.kind = kind;
+    spec.scorer = &present;
+    if (kind == QueryKind::kAggregate) spec.scorer = &cars;
+    if (kind == QueryKind::kLimit) spec.scorer = &busy;
+    spec.statistic = &cars;
+    Result<uint64_t> id = server.Submit(spec);
+    ASSERT_TRUE(id.ok());
+    QueryResponse response = server.Wait(*id);
+    EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition)
+        << QueryKindName(kind) << ": " << response.status.ToString();
+    EXPECT_EQ(response.attributed_invocations, 0u) << QueryKindName(kind);
+  }
+  server.Drain();
+  EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+}
+
+// A served SUPG query hands its sample to the scheduler in batches, so
+// under parallel dispatch some dispatch carries more than one of its
+// records. (Start() batches too, so the query's own calls are measured as
+// the change in the stats across it.)
+TEST(ServerTest, SupgQueryBatchesReachTheScheduler) {
+  data::Dataset ds = TestDataset(1500);
+  labeler::SimulatedLabeler oracle(&ds);
+  labeler::FallibleAdapter adapter(&oracle);
+  ServerOptions opts = FastServerOptions();
+  opts.scheduler.parallel_dispatch = true;
+  opts.scheduler.dispatch_threads = 4;
+  TastiServer server(&ds, &adapter, opts);
+  ASSERT_TRUE(server.Start().ok());
+  const SchedulerStats before = server.scheduler_stats();
+
+  core::PresenceScorer present(data::ObjectClass::kCar);
+  QuerySpec spec;
+  spec.kind = QueryKind::kSupgRecall;
+  spec.scorer = &present;
+  spec.target = 0.9;
+  spec.budget = 200;
+  Result<uint64_t> id = server.Submit(spec);
+  ASSERT_TRUE(id.ok());
+  QueryResponse response = server.Wait(*id);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  server.Drain();
+
+  const SchedulerStats after = server.scheduler_stats();
+  const size_t calls = after.physical_calls - before.physical_calls;
+  const size_t batches = after.batches - before.batches;
+  ASSERT_GT(calls, 1u);
+  EXPECT_LT(batches, calls) << "every dispatch carried a single record";
+  EXPECT_GT(after.max_batch_size, 1u);
+  EXPECT_EQ(response.attributed_invocations, calls);
+  EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+}
+
+// The wait for a scheduled label is its own span, inside the served
+// query's span on the query's worker thread — so it lands in the query's
+// span totals, which RunQuery collects on that thread.
+TEST(ServerTest, OracleWaitIsASpanInsideTheServedQuery) {
+  const bool tracing = obs::TracingEnabled();
+  obs::SetTracingEnabled(true);
+  obs::TraceRecorder::Global().Clear();
+  {
+    data::Dataset ds = TestDataset(600);
+    labeler::SimulatedLabeler oracle(&ds);
+    labeler::FallibleAdapter adapter(&oracle);
+    ServerOptions opts = FastServerOptions();
+    opts.index.num_representatives = 80;
+    opts.index.num_training_records = 80;
+    TastiServer server(&ds, &adapter, opts);
+    ASSERT_TRUE(server.Start().ok());
+    core::PresenceScorer present(data::ObjectClass::kCar);
+    QuerySpec spec;
+    spec.kind = QueryKind::kSupgRecall;
+    spec.scorer = &present;
+    spec.budget = 60;
+    Result<uint64_t> id = server.Submit(spec);
+    ASSERT_TRUE(id.ok());
+    ASSERT_TRUE(server.Wait(*id).status.ok());
+    server.Drain();
+  }
+  obs::SetTracingEnabled(tracing);
+
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceRecorder::Global().Snapshot();
+  size_t nested_waits = 0;
+  for (const obs::TraceEvent& query : events) {
+    if (std::string(query.name) != "serve.query") continue;
+    for (const obs::TraceEvent& wait : events) {
+      if (std::string(wait.name) == "serve.oracle_wait" &&
+          wait.tid == query.tid && wait.ts_us >= query.ts_us &&
+          wait.ts_us + wait.dur_us <= query.ts_us + query.dur_us) {
+        ++nested_waits;
+      }
+    }
+  }
+  EXPECT_GT(nested_waits, 0u);
+}
+
 // --- ScoreCache ---
 
 core::TastiIndex BuildBareIndex(const data::Dataset& ds) {
@@ -1401,6 +1532,341 @@ TEST(MonitorTest, EpochPublishUpdatesDriftGaugesAndAlerts) {
   }
   EXPECT_TRUE(saw_drifted_gauge);
   EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+}
+
+// --- Batched labeling vs one record at a time ---
+
+/// Labels a batch the way the query algorithms did before they labeled in
+/// rounds: one TryLabel per record, in order, stopping before a call once
+/// `deadline` is exhausted. Everything else is the inner labeler's.
+class OneAtATimeOracle : public labeler::FallibleLabeler {
+ public:
+  OneAtATimeOracle(labeler::FallibleLabeler* inner, Deadline deadline)
+      : inner_(inner), deadline_(std::move(deadline)) {}
+
+  Result<data::LabelerOutput> TryLabel(size_t index) override {
+    return inner_->TryLabel(index);
+  }
+  std::vector<Result<data::LabelerOutput>> TryLabelBatch(
+      const std::vector<size_t>& indices) override {
+    std::vector<Result<data::LabelerOutput>> results;
+    for (size_t index : indices) {
+      if (deadline_.exhausted()) break;
+      results.push_back(inner_->TryLabel(index));
+    }
+    return results;
+  }
+  size_t num_records() const override { return inner_->num_records(); }
+  size_t invocations() const override { return inner_->invocations(); }
+  void ResetInvocations() override { inner_->ResetInvocations(); }
+
+ private:
+  labeler::FallibleLabeler* inner_;
+  Deadline deadline_;
+};
+
+/// One served query's oracle chain, as TastiServer::RunQuery builds it
+/// (DeadlineOracle over the per-query label cache over the scheduler), on
+/// a fresh oracle. With transient faults the oracle is a (single-threaded)
+/// FaultInjectingLabeler behind serial dispatch; without, the thread-safe
+/// simulated labeler behind parallel dispatch.
+struct QueryOracleStack {
+  QueryOracleStack(const data::Dataset& ds, double transient_rate,
+                   uint64_t seed, Deadline deadline, bool one_at_a_time)
+      : truth(&ds) {
+    labeler::FallibleLabeler* oracle = nullptr;
+    SchedulerOptions options;
+    if (transient_rate > 0.0) {
+      labeler::FaultSchedule schedule;
+      schedule.transient_rate = transient_rate;
+      schedule.seed = seed;
+      faulty.emplace(&truth, schedule);
+      oracle = &*faulty;
+    } else {
+      adapter.emplace(&truth);
+      oracle = &*adapter;
+      options.parallel_dispatch = true;
+      options.dispatch_threads = 4;
+    }
+    scheduler = std::make_unique<OracleScheduler>(oracle, options);
+    scheduled.emplace(scheduler.get(), &ctx, ds.size());
+    cache.emplace(&*scheduled);
+    gated.emplace(&*cache, deadline, /*virtual_ms_per_call=*/1.0);
+    top = &*gated;
+    if (one_at_a_time) {
+      serial.emplace(&*gated, deadline);
+      top = &*serial;
+    }
+  }
+  QueryOracleStack(const QueryOracleStack&) = delete;
+  QueryOracleStack& operator=(const QueryOracleStack&) = delete;
+
+  /// Oracle attempts, failed ones included.
+  size_t attempts() const {
+    return faulty ? faulty->invocations() : truth.invocations();
+  }
+
+  labeler::SimulatedLabeler truth;
+  std::optional<labeler::FaultInjectingLabeler> faulty;
+  std::optional<labeler::FallibleAdapter> adapter;
+  std::unique_ptr<OracleScheduler> scheduler;
+  QueryOracleContext ctx;
+  std::optional<ScheduledOracle> scheduled;
+  std::optional<labeler::CachingFallibleLabeler> cache;
+  std::optional<DeadlineOracle> gated;
+  std::optional<OneAtATimeOracle> serial;
+  labeler::FallibleLabeler* top = nullptr;
+};
+
+/// Exact scores plus seeded noise: a proxy that ranks roughly right.
+std::vector<double> NoisyProxy(const data::Dataset& ds,
+                               const core::Scorer& scorer, double noise,
+                               uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> proxy(ds.size());
+  for (size_t i = 0; i < ds.size(); ++i) {
+    proxy[i] = std::clamp(
+        scorer.Score(ds.ground_truth[i]) + noise * rng.Normal(), 0.0, 4.0);
+  }
+  return proxy;
+}
+
+/// Everything a query run leaves behind that batching must not change:
+/// the answer (doubles in hex, so equality is bit for bit), the oracle
+/// attempts, the failed calls and the crack input.
+struct QueryTrace {
+  std::string answer;
+  /// The labeler_invocations the algorithm reports.
+  size_t algorithm_calls = 0;
+  size_t attempts = 0;
+  size_t failed_calls = 0;
+  std::vector<size_t> labeled;
+  bool deadline_hit = false;
+};
+
+template <typename T>
+std::string Describe(const Result<T>& result,
+                     void (*fields)(const T&, std::ostringstream*)) {
+  std::ostringstream os;
+  os << std::hexfloat << static_cast<int>(result.status().code());
+  if (result.ok()) fields(*result, &os);
+  return os.str();
+}
+
+void AppendIndices(const std::vector<size_t>& indices, std::ostringstream* os) {
+  *os << " [";
+  for (size_t index : indices) *os << index << ',';
+  *os << ']';
+}
+
+enum class Algorithm {
+  kAggregate,
+  kAggregateWhere,
+  kSupgRecall,
+  kSupgPrecision,
+  kThresholdSelect,
+  kLimit,
+};
+
+/// Runs `algorithm` once on a fresh stack. `budget` is the SUPG budget,
+/// the validation budget, the aggregates' max_samples and the limit's
+/// `want`; `virtual_budget_ms` > 0 puts the query under a virtual
+/// deadline at 1 ms per call.
+QueryTrace RunAlgorithm(Algorithm algorithm, const data::Dataset& ds,
+                        size_t budget, double transient_rate, uint64_t seed,
+                        double virtual_budget_ms, bool one_at_a_time) {
+  const Deadline deadline = virtual_budget_ms > 0.0
+                                ? Deadline::VirtualBudget(virtual_budget_ms)
+                                : Deadline::Unbounded();
+  QueryOracleStack stack(ds, transient_rate, seed, deadline, one_at_a_time);
+  core::CountScorer cars(data::ObjectClass::kCar);
+  core::PresenceScorer present(data::ObjectClass::kCar);
+  QueryTrace trace;
+  switch (algorithm) {
+    case Algorithm::kAggregate: {
+      queries::AggregationOptions opts;
+      opts.error_target = 0.05;
+      opts.min_samples = 30;
+      opts.check_interval = 20;
+      opts.max_samples = budget;
+      opts.seed = seed;
+      opts.deadline = deadline;
+      auto r = queries::TryEstimateMean(NoisyProxy(ds, cars, 0.5, seed),
+                                        stack.top, cars, opts);
+      trace.deadline_hit = r.ok() && r->deadline_hit;
+      trace.algorithm_calls = r.ok() ? r->labeler_invocations : 0;
+      trace.answer = Describe<queries::AggregationResult>(
+          r, [](const queries::AggregationResult& a, std::ostringstream* os) {
+            *os << ' ' << a.estimate << ' ' << a.half_width << ' '
+                << a.labeler_invocations << ' ' << a.proxy_correlation << ' '
+                << a.control_coefficient << ' ' << a.converged << ' '
+                << a.failed_oracle_calls << ' ' << a.substituted_samples
+                << ' ' << a.deadline_hit;
+          });
+      break;
+    }
+    case Algorithm::kAggregateWhere: {
+      queries::PredicateAggregationOptions opts;
+      opts.error_target = 0.3;
+      opts.min_samples = 30;
+      opts.check_interval = 20;
+      opts.max_samples = budget;
+      opts.seed = seed;
+      opts.deadline = deadline;
+      auto r = queries::TryEstimateMeanWithPredicate(
+          NoisyProxy(ds, present, 0.3, seed), stack.top, present, cars, opts);
+      trace.deadline_hit = r.ok() && r->deadline_hit;
+      trace.algorithm_calls = r.ok() ? r->labeler_invocations : 0;
+      trace.answer = Describe<queries::PredicateAggregationResult>(
+          r, [](const queries::PredicateAggregationResult& a,
+                std::ostringstream* os) {
+            *os << ' ' << a.estimate << ' ' << a.half_width << ' '
+                << a.labeler_invocations << ' ' << a.sample_matches << ' '
+                << a.converged << ' ' << a.failed_oracle_calls << ' '
+                << a.deadline_hit;
+          });
+      break;
+    }
+    case Algorithm::kSupgRecall:
+    case Algorithm::kSupgPrecision: {
+      const std::vector<double> proxy = NoisyProxy(ds, present, 0.3, seed);
+      Result<queries::SupgResult> r = Status::Internal("not run");
+      if (algorithm == Algorithm::kSupgRecall) {
+        queries::SupgOptions opts;
+        opts.budget = budget;
+        opts.seed = seed;
+        opts.deadline = deadline;
+        r = queries::TrySupgRecallSelect(proxy, stack.top, present, opts);
+      } else {
+        queries::SupgPrecisionOptions opts;
+        opts.budget = budget;
+        opts.seed = seed;
+        opts.deadline = deadline;
+        r = queries::TrySupgPrecisionSelect(proxy, stack.top, present, opts);
+      }
+      trace.deadline_hit = r.ok() && r->deadline_hit;
+      trace.algorithm_calls = r.ok() ? r->labeler_invocations : 0;
+      trace.answer = Describe<queries::SupgResult>(
+          r, [](const queries::SupgResult& a, std::ostringstream* os) {
+            *os << ' ' << a.threshold << ' ' << a.labeler_invocations << ' '
+                << a.sample_positives << ' ' << a.failed_oracle_calls << ' '
+                << a.requested_samples << ' ' << a.achieved_samples << ' '
+                << a.deadline_hit;
+            AppendIndices(a.selected, os);
+          });
+      break;
+    }
+    case Algorithm::kThresholdSelect: {
+      queries::ThresholdSelectOptions opts;
+      opts.validation_budget = budget;
+      opts.seed = seed;
+      opts.deadline = deadline;
+      auto r = queries::TryThresholdSelect(NoisyProxy(ds, present, 0.3, seed),
+                                           stack.top, present, opts);
+      trace.deadline_hit = r.ok() && r->deadline_hit;
+      trace.algorithm_calls = r.ok() ? r->labeler_invocations : 0;
+      trace.answer = Describe<queries::ThresholdSelectResult>(
+          r, [](const queries::ThresholdSelectResult& a,
+                std::ostringstream* os) {
+            *os << ' ' << a.threshold << ' ' << a.labeler_invocations << ' '
+                << a.validation_f1 << ' ' << a.failed_oracle_calls << ' '
+                << a.deadline_hit;
+            AppendIndices(a.selected, os);
+          });
+      break;
+    }
+    case Algorithm::kLimit: {
+      queries::LimitOptions opts;
+      opts.want = budget;
+      opts.deadline = deadline;
+      auto r = queries::TryLimitQuery(NoisyProxy(ds, present, 0.3, seed),
+                                      stack.top, present, opts);
+      trace.deadline_hit = r.ok() && r->deadline_hit;
+      trace.algorithm_calls = r.ok() ? r->labeler_invocations : 0;
+      trace.answer = Describe<queries::LimitResult>(
+          r, [](const queries::LimitResult& a, std::ostringstream* os) {
+            *os << ' ' << a.labeler_invocations << ' ' << a.satisfied << ' '
+                << a.failed_oracle_calls << ' ' << a.deadline_hit;
+            AppendIndices(a.found, os);
+          });
+      break;
+    }
+  }
+  trace.attempts = stack.attempts();
+  trace.failed_calls = stack.ctx.failed_calls.load();
+  trace.labeled = stack.cache->labeled_indices();
+  return trace;
+}
+
+void ExpectSameTrace(const QueryTrace& serial, const QueryTrace& batched) {
+  EXPECT_EQ(serial.answer, batched.answer);
+  // No round asks the oracle for a record the algorithm then ignores
+  // (repeats of a labeled record are cache hits, so attempts may be
+  // fewer).
+  if (batched.algorithm_calls > 0) {
+    EXPECT_LE(batched.attempts, batched.algorithm_calls);
+  }
+  EXPECT_EQ(serial.attempts, batched.attempts);
+  EXPECT_EQ(serial.failed_calls, batched.failed_calls);
+  EXPECT_EQ(serial.labeled, batched.labeled);
+}
+
+constexpr Algorithm kAlgorithms[] = {
+    Algorithm::kAggregate,    Algorithm::kAggregateWhere,
+    Algorithm::kSupgRecall,   Algorithm::kSupgPrecision,
+    Algorithm::kThresholdSelect, Algorithm::kLimit};
+
+/// (seed, budget, transient fault rate). Budgets 1, 25 and more than the
+/// 500 records: a one-label query, a capped one, and one whose SUPG draws
+/// repeat records and whose limit wants more matches than exist.
+class BatchedLabelingTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t, double>> {
+};
+
+TEST_P(BatchedLabelingTest, MatchesOneRecordAtATime) {
+  const auto [seed, budget, transient_rate] = GetParam();
+  static const data::Dataset ds = TestDataset(500, 83);
+  for (Algorithm algorithm : kAlgorithms) {
+    SCOPED_TRACE(static_cast<int>(algorithm));
+    const QueryTrace serial = RunAlgorithm(algorithm, ds, budget,
+                                           transient_rate, seed, 0.0, true);
+    const QueryTrace batched = RunAlgorithm(algorithm, ds, budget,
+                                            transient_rate, seed, 0.0, false);
+    ExpectSameTrace(serial, batched);
+    EXPECT_FALSE(batched.deadline_hit);
+    if (budget > 1) {
+      EXPECT_GT(batched.attempts, 1u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsBudgetsFaults, BatchedLabelingTest,
+    ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{2},
+                                         uint64_t{3}),
+                       ::testing::Values(size_t{1}, size_t{25}, size_t{800}),
+                       ::testing::Values(0.0, 0.2)));
+
+// Under a virtual deadline the DeadlineOracle admits exactly the prefix of
+// a batch that the per-record loop would have forwarded, so the degraded
+// answer is the same bit for bit, with and without faults.
+TEST(BatchedLabelingDeadlineTest, VirtualDeadlineCutsWhereTheLoopDid) {
+  const data::Dataset ds = TestDataset(500, 83);
+  for (double transient_rate : {0.0, 0.2}) {
+    for (Algorithm algorithm : kAlgorithms) {
+      SCOPED_TRACE(static_cast<int>(algorithm));
+      const QueryTrace serial =
+          RunAlgorithm(algorithm, ds, /*budget=*/400, transient_rate,
+                       /*seed=*/5, /*virtual_budget_ms=*/37.0, true);
+      const QueryTrace batched =
+          RunAlgorithm(algorithm, ds, /*budget=*/400, transient_rate,
+                       /*seed=*/5, /*virtual_budget_ms=*/37.0, false);
+      ExpectSameTrace(serial, batched);
+      EXPECT_EQ(serial.deadline_hit, batched.deadline_hit);
+      EXPECT_TRUE(batched.deadline_hit);
+      EXPECT_LE(batched.attempts, 37u);
+    }
+  }
 }
 
 }  // namespace
