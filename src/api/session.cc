@@ -150,6 +150,10 @@ void TastiSession::FinishQuery(const labeler::CachingFallibleLabeler& cache,
 }
 
 serve::QueryResponse TastiSession::Execute(const serve::QuerySpec& spec) {
+  // The lazy build runs before the query's span scope opens, so its spans
+  // (oracle calls included) neither count toward this query's phases nor
+  // nest under its query span.
+  EnsureIndex();
   obs::SpanTotals spans;
   TASTI_SPAN(kQuerySpans[static_cast<size_t>(spec.kind)]);
   const std::vector<double>& proxy =

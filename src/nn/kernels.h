@@ -21,7 +21,8 @@
 ///    depth reduction across independent accumulator lanes.
 ///
 /// All kernels accumulate each output element sequentially over the depth
-/// dimension, so results are deterministic and independent of threading.
+/// dimension, so results are deterministic and independent of threading
+/// and of which ISA clone the loader picked (nn/clones.h).
 
 #include <cstddef>
 #include <cstdint>
@@ -80,6 +81,11 @@ std::vector<PackedBlock> PackBlocks(const Matrix& reps,
 std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t row_begin,
                                     size_t row_end,
                                     size_t block_rows = kDistanceBlockRows);
+
+/// The clone of the dispatched kernels (DotBatch, the training GEMMs) that
+/// this process runs: "avx2" or "default". Both give bit-identical results;
+/// this only names which one a test or bench row exercised.
+const char* KernelIsa();
 
 /// Dot products of row `point_row` of `points` against every row of the
 /// block: out[j] = points[point_row] . block_row_j. The j loop is unit

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 
+#include "nn/clones.h"
 #include "nn/kernels.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -129,56 +130,63 @@ namespace {
 constexpr size_t kTileRows = 4;
 constexpr size_t kTileCols = 8;
 
-// Four floats in one vector register (SSE on x86-64, NEON on AArch64),
-// through the GCC/Clang vector extension. Written as a plain
-// float[4][8] array, GCC 12 spills the tile and runs 1.6x slower than the
-// untiled loop; as Float4 lanes it runs 3x faster. Lane arithmetic is the
-// scalar mul-then-add, so results do not change.
+// Four and eight floats in one vector value, through the GCC/Clang vector
+// extension. The tile below is written once over a vector type `Vec`:
+// rows of two Float4 (xmm or NEON registers) in the default build, rows
+// of one Float8 (one ymm register) in the AVX2 one. A Float8 tile in the
+// SSE build would not do: GCC 12 keeps vectors wider than the target's
+// registers in memory, and that tile ran 1.7x slower. Written as a plain
+// float[4][8] array, GCC 12 spills the tile too. Lane arithmetic is the
+// scalar mul-then-add, so results do not change with the vector width.
 using Float4 = float __attribute__((vector_size(16)));
-
-inline Float4 LoadFloat4(const float* p) {
-  Float4 v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-inline void StoreFloat4(float* p, Float4 v) { std::memcpy(p, &v, sizeof(v)); }
+using Float8 = float __attribute__((vector_size(32)));
 
 // C(i, j) += sum over p of A(i, p) * B(p, j) for rows [row_lo, row_hi) of
 // C, where A(i, p) = a[i * row_stride + p * depth_stride]. Every output
 // starts from its current value and adds its products in ascending p, the
-// order of the plain i-k-j and p-i-j loops, on every path below.
-void AccumulateRows(const float* a, size_t row_stride, size_t depth_stride,
-                    const Matrix& b, Matrix* c, size_t row_lo, size_t row_hi) {
-  static_assert(kTileCols == 8, "the tile holds two Float4 per row");
+// order of the plain i-k-j and p-i-j loops, on every path below. Force-
+// inlined into each ISA entry point below, so the Vec arithmetic compiles
+// for that entry point's target.
+template <typename Vec>
+#if defined(__GNUC__)
+__attribute__((always_inline))
+#endif
+inline void AccumulateRowsWith(const float* a, size_t row_stride,
+                               size_t depth_stride, const Matrix& b,
+                               Matrix* c, size_t row_lo, size_t row_hi) {
+  constexpr size_t kLanes = sizeof(Vec) / sizeof(float);
+  constexpr size_t kVecs = kTileCols / kLanes;
+  static_assert(kVecs * kLanes == kTileCols, "the tile is whole vectors");
   const size_t k = b.rows(), n = b.cols();
   size_t i = row_lo;
   for (; i + kTileRows <= row_hi; i += kTileRows) {
     const float* atile = a + i * row_stride;
     size_t j = 0;
     for (; j + kTileCols <= n; j += kTileCols) {
-      Float4 acc[kTileRows][2];
+      Vec acc[kTileRows][kVecs];
       for (size_t u = 0; u < kTileRows; ++u) {
         const float* crow = c->Row(i + u) + j;
-        acc[u][0] = LoadFloat4(crow);
-        acc[u][1] = LoadFloat4(crow + 4);
+        for (size_t v = 0; v < kVecs; ++v) {
+          std::memcpy(&acc[u][v], crow + v * kLanes, sizeof(Vec));
+        }
       }
       for (size_t p = 0; p < k; ++p) {
         const float* ap = atile + p * depth_stride;
         const float* brow = b.Row(p) + j;
-        const Float4 b0 = LoadFloat4(brow);
-        const Float4 b1 = LoadFloat4(brow + 4);
+        Vec bv[kVecs];
+        for (size_t v = 0; v < kVecs; ++v) {
+          std::memcpy(&bv[v], brow + v * kLanes, sizeof(Vec));
+        }
         for (size_t u = 0; u < kTileRows; ++u) {
           const float av = ap[u * row_stride];
-          const Float4 avv = {av, av, av, av};
-          acc[u][0] += avv * b0;
-          acc[u][1] += avv * b1;
+          for (size_t v = 0; v < kVecs; ++v) acc[u][v] += av * bv[v];
         }
       }
       for (size_t u = 0; u < kTileRows; ++u) {
         float* crow = c->Row(i + u) + j;
-        StoreFloat4(crow, acc[u][0]);
-        StoreFloat4(crow + 4, acc[u][1]);
+        for (size_t v = 0; v < kVecs; ++v) {
+          std::memcpy(crow + v * kLanes, &acc[u][v], sizeof(Vec));
+        }
       }
     }
     for (; j < n; ++j) {
@@ -200,6 +208,24 @@ void AccumulateRows(const float* a, size_t row_stride, size_t depth_stride,
     }
   }
 }
+
+// One entry point per ISA over the tile above; the loader's resolver
+// picks one (nn/clones.h).
+TASTI_KERNEL_DEFAULT
+void AccumulateRows(const float* a, size_t row_stride, size_t depth_stride,
+                    const Matrix& b, Matrix* c, size_t row_lo, size_t row_hi) {
+  AccumulateRowsWith<Float4>(a, row_stride, depth_stride, b, c, row_lo,
+                             row_hi);
+}
+
+#if defined(TASTI_KERNEL_CLONES_ENABLED)
+TASTI_KERNEL_AVX2
+void AccumulateRows(const float* a, size_t row_stride, size_t depth_stride,
+                    const Matrix& b, Matrix* c, size_t row_lo, size_t row_hi) {
+  AccumulateRowsWith<Float8>(a, row_stride, depth_stride, b, c, row_lo,
+                             row_hi);
+}
+#endif
 
 // Runs AccumulateRows over all rows of C, split into whole row tiles across
 // the global pool when the call is large enough to pay for the dispatch.

@@ -51,8 +51,18 @@ inline bool MetricsEnabled() {
   return g_config.metrics.load(std::memory_order_relaxed);
 }
 
+namespace internal {
+/// Creates the global TraceRecorder if it does not exist yet; its creation
+/// is trace time zero. Defined in trace.cc.
+void StartTraceClock();
+}  // namespace internal
+
+/// Switching a span sink on starts the trace clock first, so every span
+/// that records has a start at or after time zero (a span picks its sinks
+/// when it opens).
 inline void SetTracingEnabled(bool on) {
   if (on) {
+    internal::StartTraceClock();
     g_config.span_sinks.fetch_or(kSpanSinkTrace, std::memory_order_relaxed);
   } else {
     g_config.span_sinks.fetch_and(~kSpanSinkTrace, std::memory_order_relaxed);
@@ -61,6 +71,7 @@ inline void SetTracingEnabled(bool on) {
 
 inline void SetFlightRecordingEnabled(bool on) {
   if (on) {
+    internal::StartTraceClock();
     g_config.span_sinks.fetch_or(kSpanSinkFlight, std::memory_order_relaxed);
   } else {
     g_config.span_sinks.fetch_and(~kSpanSinkFlight, std::memory_order_relaxed);

@@ -32,6 +32,10 @@ TraceRecorder& TraceRecorder::Global() {
   return *recorder;
 }
 
+namespace internal {
+void StartTraceClock() { TraceRecorder::Global(); }
+}  // namespace internal
+
 int64_t TraceRecorder::NowMicros() const {
   return ToMicros(std::chrono::steady_clock::now());
 }

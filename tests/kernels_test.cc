@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -217,6 +218,97 @@ TEST(KernelsTest, GemmBTBlockedMatchesScalarAcrossShapes) {
         EXPECT_NEAR(actual.At(i, j), expected.At(i, j),
                     1e-4f * std::max(1.0f, std::fabs(expected.At(i, j))))
             << s.m << "x" << s.k << "x" << s.n;
+      }
+    }
+  }
+}
+
+// ---------- Bit identity of the ISA-dispatched kernels ----------
+//
+// The loader runs one clone of DotBatch (and so of SquaredDistanceBatch
+// and GemmBTBlocked); whichever it is, every output must equal, bit for
+// bit, a serial loop that starts at zero and adds x[p] * y[p] in ascending
+// depth. Block widths are not multiples of 8 or 16, so both the tiled and
+// the remainder columns are covered. Each test records the clone it ran
+// as the `kernel_isa` property (in --gtest_output=xml reports).
+
+float SerialDot(const float* x, const float* y, size_t d) {
+  float acc = 0.0f;
+  for (size_t p = 0; p < d; ++p) acc += x[p] * y[p];
+  return acc;
+}
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
+
+constexpr size_t kBitDims[] = {1, 7, 64, 130};
+constexpr size_t kBitBlockRows[] = {5, 13, 37, 64};
+
+TEST(KernelsBitIdentityTest, DotBatchEqualsSerialLoop) {
+  RecordProperty("kernel_isa", nn::KernelIsa());
+  for (size_t d : kBitDims) {
+    const nn::Matrix points = RandomMatrix(9, d, 500 + d);
+    const nn::Matrix reps = RandomMatrix(83, d, 600 + d);
+    for (size_t block_rows : kBitBlockRows) {
+      for (const nn::PackedBlock& block : nn::PackBlocks(reps, block_rows)) {
+        std::vector<float> out(block.rows());
+        for (size_t i = 0; i < points.rows(); ++i) {
+          nn::DotBatch(points, i, block, out.data());
+          for (size_t j = 0; j < block.rows(); ++j) {
+            const float expected =
+                SerialDot(points.Row(i), reps.Row(block.row_begin() + j), d);
+            ASSERT_TRUE(SameBits(out[j], expected))
+                << "d=" << d << " block_rows=" << block_rows << " i=" << i
+                << " j=" << j << ": " << out[j] << " vs " << expected;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBitIdentityTest, SquaredDistanceBatchEqualsSerialDotTrick) {
+  RecordProperty("kernel_isa", nn::KernelIsa());
+  for (size_t d : kBitDims) {
+    const nn::Matrix points = RandomMatrix(9, d, 700 + d);
+    const nn::Matrix reps = RandomMatrix(83, d, 800 + d);
+    for (size_t block_rows : kBitBlockRows) {
+      for (const nn::PackedBlock& block : nn::PackBlocks(reps, block_rows)) {
+        std::vector<float> out(block.rows());
+        for (size_t i = 0; i < points.rows(); ++i) {
+          nn::SquaredDistanceBatch(points, i, block, out.data());
+          const float* x = points.Row(i);
+          const float x_norm = SerialDot(x, x, d);
+          for (size_t j = 0; j < block.rows(); ++j) {
+            const float* y = reps.Row(block.row_begin() + j);
+            const float d2 = x_norm + SerialDot(y, y, d) -
+                             2.0f * SerialDot(x, y, d);
+            const float expected = d2 > 0.0f ? d2 : 0.0f;
+            ASSERT_TRUE(SameBits(out[j], expected))
+                << "d=" << d << " block_rows=" << block_rows << " i=" << i
+                << " j=" << j << ": " << out[j] << " vs " << expected;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBitIdentityTest, GemmBTBlockedEqualsSerialLoop) {
+  RecordProperty("kernel_isa", nn::KernelIsa());
+  for (size_t d : kBitDims) {
+    for (size_t n : {1u, 13u, 37u, 70u, 131u}) {
+      const nn::Matrix a = RandomMatrix(11, d, 900 + d + n);
+      const nn::Matrix b = RandomMatrix(n, d, 1000 + d + n);
+      nn::Matrix actual;
+      nn::GemmBTBlocked(a, b, &actual);
+      ASSERT_EQ(actual.rows(), a.rows());
+      ASSERT_EQ(actual.cols(), n);
+      for (size_t i = 0; i < a.rows(); ++i) {
+        for (size_t j = 0; j < n; ++j) {
+          const float expected = SerialDot(a.Row(i), b.Row(j), d);
+          ASSERT_TRUE(SameBits(actual.At(i, j), expected))
+              << "d=" << d << " n=" << n << " i=" << i << " j=" << j;
+        }
       }
     }
   }

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
@@ -492,6 +493,50 @@ TEST(QueryPhaseTest, SessionPhasesComeFromSpans) {
   session.SelectWithRecall(has_car, 0.9, 30);
   session.SelectWithPrecision(has_car, 0.9, 20);
   ExpectPhasesFromSpans(session.query_log().queries());
+}
+
+TEST(QueryPhaseTest, SessionLazyBuildStaysOutOfTheFirstQuery) {
+  ObsFlagsGuard guard;
+  obs::TraceRecorder::Global().Clear();
+  obs::SetTracingEnabled(true);
+  data::Dataset video = PhaseTestDataset();
+  SlowOracle oracle(&video);
+  oracle.SlowDown();  // the build's labels are slow too
+  api::SessionOptions options;
+  options.index.num_training_records = 30;
+  options.index.num_representatives = 30;
+  options.auto_crack = false;
+  api::TastiSession session(&video, &oracle, options);
+
+  core::PresenceScorer has_car(data::ObjectClass::kCar);
+  session.SelectWithRecall(has_car, 0.9, 10);  // builds the index first
+  obs::SetTracingEnabled(false);
+
+  const obs::QueryLog& log = session.query_log();
+  ASSERT_EQ(log.queries().size(), 1u);
+  const obs::QueryRecord& query = log.queries()[0];
+  ASSERT_GT(query.labeler_invocations, 0u);
+  ASSERT_GE(log.index_invocations(), 2 * query.labeler_invocations);
+  const double query_calls = static_cast<double>(query.labeler_invocations);
+  const double build_calls = static_cast<double>(log.index_invocations());
+  EXPECT_GE(query.phases.oracle_seconds, 0.8 * query_calls * kSlowCallSeconds);
+  // Counting the build's labels would add at least build_calls slow calls.
+  EXPECT_LT(query.phases.oracle_seconds,
+            (query_calls + 0.5 * build_calls) * kSlowCallSeconds);
+
+  // In the trace the build is a top-level span that ends before the first
+  // query's span opens, not a child of it.
+  const obs::TraceEvent* build = nullptr;
+  const obs::TraceEvent* select = nullptr;
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceRecorder::Global().Snapshot();
+  for (const obs::TraceEvent& event : events) {
+    if (std::strcmp(event.name, "session.build_index") == 0) build = &event;
+    if (std::strcmp(event.name, "query.select_recall") == 0) select = &event;
+  }
+  ASSERT_NE(build, nullptr);
+  ASSERT_NE(select, nullptr);
+  EXPECT_GE(select->ts_us, build->ts_us + build->dur_us);
 }
 
 TEST(QueryPhaseTest, ServedPhasesComeFromSpans) {

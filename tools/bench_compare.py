@@ -5,9 +5,12 @@
         [--tolerance 0.15] [--absolute]
 
 Both files are bench_to_json output: a JSON array of
-{"kernel", "n", "d", "ns_per_op"} rows, where kernels come in
-<name>_scalar / <name>_blocked or <name>_perrep / <name>_batched pairs
-(reference first, shipped second).
+{"kernel", "n", "d", "ns_per_op", "isa", "threads"} rows, where kernels
+come in <name>_scalar / <name>_blocked or <name>_perrep / <name>_batched
+pairs (reference first, shipped second). `isa` (the kernel clone that ran)
+and `threads` (the pool size) name the host; every verdict line prints
+them for both files ("unrecorded" for files that predate them). They are
+reported, not gated.
 
 Default (relative) mode compares each pair's *speedup* (reference
 ns_per_op / shipped ns_per_op) against the baseline's, failing when the current
@@ -30,6 +33,7 @@ import sys
 
 
 def load(path):
+    """Returns ({kernel: ns_per_op}, the host its first row records)."""
     rows = json.loads(pathlib.Path(path).read_text())
     out = {}
     for i, row in enumerate(rows):
@@ -44,7 +48,12 @@ def load(path):
         if row["ns_per_op"] <= 0:
             sys.exit(f"bench_compare: {path}: {row['kernel']} has "
                      f"non-positive ns_per_op")
-    return out
+    first = rows[0] if rows else {}
+    if "isa" in first and "threads" in first:
+        host = f"isa {first['isa']}, {first['threads']} threads"
+    else:
+        host = "host unrecorded"
+    return out, host
 
 
 # (reference suffix, shipped suffix) of the timed pairs.
@@ -73,8 +82,8 @@ def main():
                              "only)")
     args = parser.parse_args()
 
-    base = load(args.baseline)
-    cur = load(args.current)
+    base, base_host = load(args.baseline)
+    cur, cur_host = load(args.current)
     errors = []
 
     missing = sorted(base.keys() - cur.keys())
@@ -91,7 +100,8 @@ def main():
         floor = base_x * (1.0 - args.tolerance)
         status = "ok" if cur_x >= floor else "REGRESSED"
         print(f"{name:<12} speedup {cur_x:6.2f}x vs baseline {base_x:6.2f}x "
-              f"(floor {floor:.2f}x) {status}")
+              f"(floor {floor:.2f}x) {status}  "
+              f"[{cur_host}; baseline {base_host}]")
         if cur_x < floor:
             errors.append(f"{name}: speedup over the reference {cur_x:.2f}x "
                           f"fell below {floor:.2f}x "

@@ -1,7 +1,9 @@
-// Emits BENCH_kernels.json: {kernel, n, d, ns_per_op} rows for the
-// scalar-vs-blocked distance-kernel pairs (and the perrep-vs-batched crack
-// update pair), so the perf trajectory can be tracked across PRs without
-// parsing google-benchmark output.
+// Emits BENCH_kernels.json: {kernel, n, d, ns_per_op, isa, threads} rows
+// for the scalar-vs-blocked distance-kernel pairs (and the
+// perrep-vs-batched crack update pair), so the perf trajectory can be
+// tracked across PRs without parsing google-benchmark output. `isa` is the
+// kernel clone the loader picked (nn::KernelIsa()) and `threads` the
+// global pool's size, so every row names the host it was timed on.
 //
 //   bench_to_json [output.json]     (default: BENCH_kernels.json)
 //
@@ -24,6 +26,7 @@
 #include "nn/kernels.h"
 #include "nn/matrix.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tasti {
@@ -181,13 +184,17 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
+  const char* isa = nn::KernelIsa();
+  const size_t threads = ThreadPool::Global().num_threads();
   std::fprintf(out, "[\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     std::fprintf(out,
                  "  {\"kernel\": \"%s\", \"n\": %zu, \"d\": %zu, "
-                 "\"ns_per_op\": %.1f}%s\n",
+                 "\"ns_per_op\": %.1f, \"isa\": \"%s\", "
+                 "\"threads\": %zu}%s\n",
                  rows[i].kernel.c_str(), rows[i].n, rows[i].d,
-                 rows[i].ns_per_op, i + 1 < rows.size() ? "," : "");
+                 rows[i].ns_per_op, isa, threads,
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "]\n");
   std::fclose(out);
@@ -201,6 +208,7 @@ int main(int argc, char** argv) {
                rows[i + 1].ns_per_op,
                rows[i].ns_per_op / rows[i + 1].ns_per_op);
   }
+  eval::Diag("kernel isa %s, %zu pool threads", isa, threads);
   eval::Diag("wrote %s", out_path);
   return 0;
 }

@@ -168,7 +168,7 @@ stage_tsan() {
   configure build-tsan --preset tsan
   cmake --build build-tsan -j "$(nproc)" \
     --target obs_test util_test serve_test faults_test shard_test nn_test \
-    embed_test
+    embed_test kernels_test
   for t in obs_test util_test serve_test nn_test; do
     echo "-- build-tsan/tests/$t"
     "build-tsan/tests/$t"
@@ -181,6 +181,10 @@ stage_tsan() {
     --gtest_filter='ShardedServerConcurrencyTest.*:PartitionerTest.*:MergeTest.*'
   echo "-- build-tsan/tests/embed_test (pool-split training GEMMs)"
   "build-tsan/tests/embed_test" --gtest_filter='TripletTrainerTest.*'
+  # TSan builds only the default kernel version (src/nn/clones.h), so this
+  # is where its bit identity is checked on an AVX2 host.
+  echo "-- build-tsan/tests/kernels_test (default-ISA kernel bit identity)"
+  "build-tsan/tests/kernels_test" --gtest_filter='KernelsBitIdentityTest.*'
 }
 
 stage_monitor() {

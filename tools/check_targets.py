@@ -37,7 +37,13 @@ Asserts, from the repository root:
  11. every TASTI_SPAN("...") literal under src/ appears in DESIGN.md,
      backticked and by its full name: BuildStats and the QueryLog
      phases are read from span totals by name, so a rename must show up
-     in the span inventory.
+     in the span inventory;
+ 12. every `target_clones(...)` or `target(...)` attribute under src/
+     names only `avx2` or `default`: `fma` and every `avx512*` let the
+     compiler contract mul-then-add into a fused op, which changes float
+     results, and the ISA-dispatched kernels promise bit-identical
+     output on every host (see src/nn/clones.h). The rule also runs on
+     a fixture that must fail, so a broken pattern cannot pass silently.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -55,6 +61,27 @@ def fail(errors):
     for error in errors:
         print(f"check_targets: {error}", file=sys.stderr)
     sys.exit(1 if errors else 0)
+
+
+# Rule 12: ISA names allowed in a target_clones/target attribute.
+ALLOWED_CLONE_ISAS = {"avx2", "default"}
+# The attribute name, then one or more string literals in its parentheses.
+CLONE_ATTRIBUTE = re.compile(
+    r'\b(?:target_clones|target)\s*\(((?:\s*"[^"]*"\s*,?)+)\)')
+
+
+def clone_isa_violations(text):
+    """(line, isa) for each ISA a target_clones/target attribute in `text`
+    names outside ALLOWED_CLONE_ISAS."""
+    violations = []
+    for match in CLONE_ATTRIBUTE.finditer(text):
+        line = text.count("\n", 0, match.start()) + 1
+        for literal in re.findall(r'"([^"]*)"', match.group(1)):
+            for isa in literal.split(","):
+                isa = isa.strip()
+                if isa not in ALLOWED_CLONE_ISAS:
+                    violations.append((line, isa))
+    return violations
 
 
 def main():
@@ -259,6 +286,23 @@ def main():
             errors.append(
                 f"{site} opens span {name}, which DESIGN.md does not list "
                 f"as `{name}`; add it to the §8 span table"
+            )
+
+    fixture = '__attribute__((target_clones("avx2", "fma", "default")))\n' \
+        '__attribute__((target("avx512f,avx2")))\n'
+    if [isa for _, isa in clone_isa_violations(fixture)] != ["fma", "avx512f"]:
+        errors.append(
+            "rule 12 no longer flags `fma`/`avx512f` in its own fixture; "
+            "fix CLONE_ATTRIBUTE before trusting it on src/"
+        )
+    for path in sorted(src.rglob("*")):
+        if path.suffix not in (".h", ".cc"):
+            continue
+        for line, isa in clone_isa_violations(path.read_text()):
+            errors.append(
+                f"src/{path.relative_to(src)}:{line} names ISA `{isa}` in a "
+                "target_clones/target attribute; only avx2 and default keep "
+                "float results bit-identical (no FMA contraction)"
             )
 
     fail(errors)

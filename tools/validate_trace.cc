@@ -6,7 +6,8 @@
 //
 // Default (full-trace) checks:
 //   1. the file parses as JSON with a "traceEvents" array,
-//   2. every event is a complete ("X") event with name/ts/dur/pid/tid,
+//   2. every event is a complete ("X") event with name/ts/dur/pid/tid and
+//      a ts at or after the recorder's time zero (ts >= 0),
 //   3. per tid, events form properly nested intervals (a span either
 //      contains or is disjoint from any other span on the same thread —
 //      no partial overlap, which would render as a broken flame graph),
@@ -18,7 +19,7 @@
 // "B"/"E" begin/end pairs (the rings truncate, so orphaned parents must
 // not be fabricated as complete events) plus one "i" instant event named
 // "flight.dump" carrying the dump reason:
-//   1. every event is "B", "E", or "i" with name/ts/pid/tid,
+//   1. every event is "B", "E", or "i" with name/ts/pid/tid and ts >= 0,
 //   2. exactly one "flight.dump" instant event with a non-empty
 //      args.reason,
 //   3. per tid, timestamps are monotonic (non-decreasing) in file order,
@@ -90,6 +91,10 @@ int ValidateFlight(const Value& events, size_t max_events) {
     ++total;
     const long long tid = static_cast<long long>(event.GetNumberOr("tid", 0.0));
     const long long ts = static_cast<long long>(event.GetNumberOr("ts", 0.0));
+    if (ts < 0) {
+      return Fail(at + " (" + name->AsString() +
+                  "): negative ts (span opened before the trace's time zero)");
+    }
     if (ph == "i") {
       ++instants;
       if (name->AsString() == "flight.dump") {
@@ -213,6 +218,10 @@ int main(int argc, char** argv) {
     }
     if (event.GetNumberOr("dur", -1.0) < 0.0) {
       return Fail(at + " (" + name->AsString() + "): negative dur");
+    }
+    if (event.GetNumberOr("ts", -1.0) < 0.0) {
+      return Fail(at + " (" + name->AsString() +
+                  "): negative ts (span opened before the trace's time zero)");
     }
     seen_names.insert(name->AsString());
     if (name->AsString().rfind("query.", 0) == 0) {
