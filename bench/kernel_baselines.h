@@ -116,8 +116,7 @@ inline void UpdateTopKPerRepScalar(const nn::Matrix& points,
                                    size_t count, cluster::TopKDistances* topk) {
   const size_t k = topk->k;
   for (size_t rep_row = first_row; rep_row < first_row + count; ++rep_row) {
-    ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi,
-                                             size_t /*worker*/) {
+    ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi) {
       std::vector<float> d2_buf(hi - lo);
       nn::SquaredDistanceOneToMany(points, lo, hi, reps, rep_row,
                                    d2_buf.data());

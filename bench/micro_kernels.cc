@@ -8,8 +8,6 @@
 #include <limits>
 
 #include "cluster/fpf.h"
-#include "cluster/ivf.h"
-#include "cluster/kmeans.h"
 #include "cluster/topk.h"
 #include "core/index.h"
 #include "core/propagation.h"
@@ -127,38 +125,6 @@ void BM_FpfRelaxScalar(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 BENCHMARK(BM_FpfRelaxScalar)->Arg(6000)->Arg(10000)->Arg(50000);
-
-void BM_KMeans(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t k = static_cast<size_t>(state.range(1));
-  nn::Matrix points = RandomPoints(n, 64, 14);
-  for (auto _ : state) {
-    cluster::KMeansOptions opts;
-    opts.num_clusters = k;
-    opts.max_iterations = 10;
-    cluster::KMeansResult result = cluster::KMeans(points, opts);
-    benchmark::DoNotOptimize(result.assignment.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n * k));
-}
-BENCHMARK(BM_KMeans)->Args({10000, 50})->Args({10000, 200});
-
-void BM_IvfSearchAll(benchmark::State& state) {
-  const size_t reps = static_cast<size_t>(state.range(0));
-  const size_t probes = static_cast<size_t>(state.range(1));
-  nn::Matrix rep_points = RandomPoints(reps, 64, 15);
-  nn::Matrix queries = RandomPoints(10000, 64, 16);
-  cluster::IvfOptions opts;
-  opts.num_probes = probes;
-  cluster::IvfIndex ivf(rep_points, opts);
-  for (auto _ : state) {
-    cluster::TopKDistances topk = ivf.SearchAll(queries, 5);
-    benchmark::DoNotOptimize(topk.distances.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 10000);
-}
-// Compare against BM_TopK/10000/2000 (the exact path).
-BENCHMARK(BM_IvfSearchAll)->Args({2000, 4})->Args({2000, 8});
 
 // One crack of `batch` new reps onto a top-k over 512 reps; items are
 // (record, new rep) pairs, so items/s compares batch sizes directly.

@@ -1,6 +1,7 @@
 #include "cluster/fpf.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <unordered_set>
@@ -13,9 +14,13 @@ namespace tasti::cluster {
 
 namespace {
 
-/// Per-worker argmax state, padded to a cache line so concurrent workers
-/// never invalidate each other's entries.
-struct alignas(64) ArgmaxShard {
+/// Packed blocks per relax chunk. A 10k-point relax splits into 40 chunks,
+/// so every participant stays busy and a round's tail is one short chunk,
+/// while the two shared-cursor updates per chunk stay negligible.
+constexpr size_t kRelaxChunkBlocks = 4;
+
+/// Furthest point of one chunk; ties go to the smaller index.
+struct ChunkArgmax {
   float best;
   size_t arg;
 };
@@ -33,10 +38,7 @@ FpfResult FurthestPointFirst(const nn::Matrix& points, size_t k,
   result.centers.reserve(k);
   result.min_distance.assign(n, std::numeric_limits<float>::max());
   result.assignment.assign(n, 0);
-
-  const size_t num_workers = std::max<size_t>(1, ParallelForMaxWorkers());
-  std::vector<ArgmaxShard> shards(num_workers);
-  std::vector<std::vector<float>> scratch(num_workers);
+  if (k == 0) return result;
 
   // Pack the points once (depth-major blocks with cached norms); the cost
   // is one O(n * d) copy amortized over all k relax passes, and it turns
@@ -47,6 +49,9 @@ FpfResult FurthestPointFirst(const nn::Matrix& points, size_t k,
   // so the dot-trick combine cancels bitwise (and the kernel clamps any
   // residual negative to zero).
   const std::vector<nn::PackedBlock> blocks = nn::PackBlocks(points);
+  const size_t num_chunks =
+      (blocks.size() + kRelaxChunkBlocks - 1) / kRelaxChunkBlocks;
+  std::vector<ChunkArgmax> chunk_best(num_chunks);
 
   // The relax loop tracks *squared* distances: sqrt is monotone, so the
   // min updates and the furthest-point argmax are unchanged, and the
@@ -54,59 +59,63 @@ FpfResult FurthestPointFirst(const nn::Matrix& points, size_t k,
   // moves out of the O(n * k) loop into one final pass.
   std::vector<float> min_d2(n, std::numeric_limits<float>::max());
 
+  // The current center. Written only by next_center, which runs between
+  // rounds, so every relax of a round reads the same values.
   size_t current = start_index;
-  for (size_t iter = 0; iter < k; ++iter) {
-    result.centers.push_back(current);
-    const uint32_t center_id = static_cast<uint32_t>(iter);
-    const float center_norm = nn::RowSquaredNorm(points, current);
-    for (ArgmaxShard& s : shards) s = {-1.0f, n};
-    // Relax every point against the new center with the batched kernel;
-    // dynamically claimed chunks keep skewed tail iterations balanced.
-    // Ties in the argmax break toward the smallest index (the scalar
-    // reference's behavior), which also makes the per-worker reduction
-    // independent of which worker claimed which chunk.
-    ParallelForDynamic(0, blocks.size(), [&](size_t blo, size_t bhi, size_t w) {
-      std::vector<float>& d2_buf = scratch[w];
-      if (d2_buf.size() < nn::kDistanceBlockRows) {
-        d2_buf.resize(nn::kDistanceBlockRows);
-      }
-      float best = shards[w].best;
-      size_t arg = shards[w].arg;
-      for (size_t b = blo; b < bhi; ++b) {
-        const nn::PackedBlock& block = blocks[b];
-        nn::SquaredDistanceBatch(points, current, center_norm, block,
-                                 d2_buf.data());
-        const size_t base = block.row_begin();
-        for (size_t j = 0; j < block.rows(); ++j) {
-          const size_t i = base + j;
-          const float d2 = d2_buf[j];
-          if (d2 < min_d2[i]) {
-            min_d2[i] = d2;
-            result.assignment[i] = center_id;
-          }
-          const float m = min_d2[i];
-          if (m > best || (m == best && i < arg)) {
-            best = m;
-            arg = i;
-          }
-        }
-      }
-      shards[w] = {best, arg};
-    }, 64);
+  uint32_t center_id = 0;
+  float center_norm = nn::RowSquaredNorm(points, current);
+  result.centers.push_back(current);
+
+  // Relaxes one chunk of points against the current center and records
+  // the chunk's furthest point. Chunks own disjoint rows, so any
+  // participant may run any chunk.
+  const auto relax = [&](size_t chunk) {
+    std::array<float, nn::kDistanceBlockRows> d2_buf;
     float best = -1.0f;
     size_t arg = n;
-    for (const ArgmaxShard& s : shards) {
-      if (s.best > best || (s.best == best && s.arg < arg)) {
-        best = s.best;
-        arg = s.arg;
+    const size_t b_end =
+        std::min(blocks.size(), (chunk + 1) * kRelaxChunkBlocks);
+    for (size_t b = chunk * kRelaxChunkBlocks; b < b_end; ++b) {
+      const nn::PackedBlock& block = blocks[b];
+      nn::SquaredDistanceBatch(points, current, center_norm, block,
+                               d2_buf.data());
+      const size_t base = block.row_begin();
+      for (size_t j = 0; j < block.rows(); ++j) {
+        const size_t i = base + j;
+        const float d2 = d2_buf[j];
+        if (d2 < min_d2[i]) {
+          min_d2[i] = d2;
+          result.assignment[i] = center_id;
+        }
+        if (min_d2[i] > best) {
+          best = min_d2[i];
+          arg = i;
+        }
       }
     }
-    current = arg;
-    if (best <= 0.0f && iter + 1 < k) {
-      // All points coincide with existing centers; stop early.
-      break;
+    chunk_best[chunk] = {best, arg};
+  };
+  // Reduces the chunks in index order (so ties keep the smallest index, as
+  // a serial scan does, whoever ran which chunk) and picks the next center.
+  const auto next_center = [&]() {
+    float best = -1.0f;
+    size_t arg = n;
+    for (const ChunkArgmax& c : chunk_best) {
+      if (c.best > best) {
+        best = c.best;
+        arg = c.arg;
+      }
     }
-  }
+    ++center_id;
+    // Stop at k centers, or early once every point coincides with one.
+    if (center_id == k || best <= 0.0f) return false;
+    current = arg;
+    center_norm = nn::RowSquaredNorm(points, current);
+    result.centers.push_back(current);
+    return true;
+  };
+  ParallelRounds(num_chunks, relax, next_center);
+
   for (size_t i = 0; i < n; ++i) result.min_distance[i] = std::sqrt(min_d2[i]);
   return result;
 }

@@ -32,7 +32,9 @@ struct FpfResult {
 };
 
 /// Runs FPF on the rows of `points`, selecting `k` centers starting from
-/// `start_index`. O(n * k * dim), parallelized over points.
+/// `start_index`. O(n * k * dim). Each center's relax pass splits over
+/// points, and all k passes run in one ParallelRounds region; the result
+/// is bit-identical for any number of participating threads.
 FpfResult FurthestPointFirst(const nn::Matrix& points, size_t k,
                              size_t start_index = 0);
 

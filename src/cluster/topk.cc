@@ -49,7 +49,7 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
   // record streams against each tile via the dot-trick batch kernel.
   const std::vector<nn::PackedBlock> blocks = nn::PackBlocks(reps);
 
-  ParallelForDynamic(0, n, [&](size_t lo, size_t hi, size_t /*worker*/) {
+  ParallelForDynamic(0, n, [&](size_t lo, size_t hi) {
     std::vector<float> dist2(nn::kDistanceBlockRows);
     std::vector<float> best_d2(k);
     std::vector<uint32_t> best_id(k);
@@ -140,8 +140,7 @@ void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
   }
 
   std::mutex dirty_mu;
-  ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi,
-                                           size_t /*worker*/) {
+  ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi) {
     std::vector<float> d2_buf(nn::kDistanceBlockRows);
     std::vector<uint32_t> chunk_dirty;
     uint64_t chunk_exact_checks = 0;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "core/serialize.h"
+#include "obs/trace.h"
 #include "util/checksum.h"
 
 namespace tasti::durable {
@@ -201,6 +202,7 @@ Status DurabilityManager::CommitEpoch(const core::TastiIndex& index,
 
 Status DurabilityManager::Checkpoint(const core::TastiIndex& index,
                                      uint64_t epoch) {
+  TASTI_SPAN("durable.checkpoint");
   if (stats_.failed) return failure_;
   Status synced = writer_->Sync();
   if (!synced.ok()) return Fail(synced);

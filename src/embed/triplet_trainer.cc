@@ -144,7 +144,11 @@ TripletTrainResult TrainTripletEmbedder(const nn::Matrix& features,
   {
     TASTI_SPAN("index.fpf_mine");
     if (options.use_fpf_mining) {
-      const nn::Matrix pre = pretrained.Embed(features);
+      nn::Matrix pre;
+      {
+        TASTI_SPAN("index.pretrained_embed");
+        pre = pretrained.Embed(features);
+      }
       cluster::FpfResult fpf = cluster::FurthestPointFirst(
           pre, n1, static_cast<size_t>(rng.UniformInt(pre.rows())));
       result.training_indices = fpf.centers;

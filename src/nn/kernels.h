@@ -5,8 +5,7 @@
 /// Batched, cache-blocked distance kernels.
 ///
 /// Index construction is dominated by all-records x all-representatives
-/// distance computations (top-k, FPF, IVF assignment, k-means, PQ
-/// codebooks). The scalar one-pair-at-a-time loops in matrix.cc are
+/// distance computations (top-k, FPF, cracking updates). The scalar one-pair-at-a-time loops in matrix.cc are
 /// latency-bound: a float reduction is a dependent add chain the compiler
 /// may not reassociate. The kernels here restructure the work so the hot
 /// inner loops carry no loop-carried dependence and auto-vectorize:
@@ -16,8 +15,7 @@
 ///    cached per-row norms, clamped at zero (the subtraction can go
 ///    slightly negative for near-duplicate rows). Cracking updates use it
 ///    as a prefilter only and re-decide survivors exactly.
-///  * One-center batches (k-means++ seeding, centroid routing, PQ codebook
-///    scans) keep the cancellation-free `(x - y)^2` form but split the
+///  * One-center batches (triplet mining's candidate scans) keep the cancellation-free `(x - y)^2` form but split the
 ///    depth reduction across independent accumulator lanes.
 ///
 /// All kernels accumulate each output element sequentially over the depth
@@ -107,8 +105,8 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
 
 /// Cancellation-free one-to-many: out[i - lo] = |m_i - y|^2 for rows
 /// [lo, hi) of `m`; `y` holds m.cols() floats. Used where a single vector
-/// is compared against many rows (k-means++ seeding, centroid routing, PQ
-/// codebook scans) and the dot-trick has no reuse to exploit.
+/// is compared against many rows (triplet mining's candidate scans) and
+/// the dot-trick has no reuse to exploit.
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
                               const float* y, float* out);
 
@@ -116,7 +114,7 @@ void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
                               const Matrix& centers, size_t c, float* out);
 
-/// Gathered variant for IVF probe lists: out[t] = |q - reps[ids[t]]|^2
+/// Gathered variant: out[t] = |q - reps[ids[t]]|^2
 /// where q = queries row `query_row`.
 void SquaredDistanceGather(const Matrix& queries, size_t query_row,
                            const Matrix& reps, const uint32_t* ids,

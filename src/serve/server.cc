@@ -114,8 +114,7 @@ Status TastiServer::Start() {
     index_ = std::move(index);
     // Root epoch: parent 0 means no delta, but TakeDelta still resets the
     // index's dirty window so the first crack publishes an incremental one.
-    epochs_.Publish(
-        IndexSnapshot::FromIndexAndTakeDelta(&*index_, next_epoch_++, 0));
+    PublishEpochLocked(next_epoch_++, 0);
   }
   {
     std::lock_guard<std::mutex> lock(log_mu_);
@@ -208,8 +207,7 @@ Status TastiServer::RecoverFrom(const std::string& dir_arg) {
     // A warm restart may rewind behind ids the pre-crash instance
     // published; Reset() lets the recovered epoch be (re)published.
     epochs_.Reset();
-    epochs_.Publish(IndexSnapshot::FromIndexAndTakeDelta(
-        &*index_, recovered->epoch, 0));
+    PublishEpochLocked(recovered->epoch, 0);
     // Cached proxy state is keyed by epoch id, and this restart will reuse
     // ids the crashed instance already published with *different* index
     // content — an explicit invalidation is the only safe restart state.
@@ -374,7 +372,7 @@ void TastiServer::Drain() {
   // representative sequence — hence the next epoch's proxies — is
   // independent of which worker finished which query first.
   TASTI_SPAN("serve.deferred_crack");
-  std::unique_lock<std::mutex> lock(crack_mu_);
+  std::unique_lock<std::mutex> lock = LockForCrack();
   if (deferred_cracks_.empty()) return;
   std::sort(deferred_cracks_.begin(), deferred_cracks_.end(),
             [](const DeferredCrack& a, const DeferredCrack& b) {
@@ -402,8 +400,7 @@ void TastiServer::Drain() {
     // whole wave read, so a single incremental pass advances to it.
     const uint64_t epoch = next_epoch_++;
     if (fault.empty()) fault = CommitEpochLocked(epoch);
-    epochs_.Publish(
-        IndexSnapshot::FromIndexAndTakeDelta(&*index_, epoch, epoch - 1));
+    PublishEpochLocked(epoch, epoch - 1);
     published = true;
   }
   lock.unlock();
@@ -659,7 +656,7 @@ size_t TastiServer::ApplyCrackNow(
   bool published = false;
   std::string fault;
   {
-    std::lock_guard<std::mutex> lock(crack_mu_);
+    std::unique_lock<std::mutex> lock = LockForCrack();
     cracked = index_->CrackFromLabels(records, labels);
     if (cracked > 0) {
       // The new epoch carries the dirty-row delta against its parent, so
@@ -677,8 +674,7 @@ size_t TastiServer::ApplyCrackNow(
       record.labels = labels;
       fault = LogMutationLocked(std::move(record));
       if (fault.empty()) fault = CommitEpochLocked(epoch);
-      epochs_.Publish(
-          IndexSnapshot::FromIndexAndTakeDelta(&*index_, epoch, epoch - 1));
+      PublishEpochLocked(epoch, epoch - 1);
       published = true;
     }
   }
@@ -694,7 +690,7 @@ size_t TastiServer::AppendRecords(const nn::Matrix& features) {
   size_t first_new = 0;
   std::string fault;
   {
-    std::lock_guard<std::mutex> lock(crack_mu_);
+    std::unique_lock<std::mutex> lock = LockForCrack();
     TASTI_CHECK(index_.has_value(), "Start() the server before appending");
     first_new = index_->AppendRecords(features);
     const uint64_t epoch = next_epoch_++;
@@ -703,14 +699,24 @@ size_t TastiServer::AppendRecords(const nn::Matrix& features) {
     record.features = features;
     fault = LogMutationLocked(std::move(record));
     if (fault.empty()) fault = CommitEpochLocked(epoch);
-    epochs_.Publish(
-        IndexSnapshot::FromIndexAndTakeDelta(&*index_, epoch, epoch - 1));
+    PublishEpochLocked(epoch, epoch - 1);
   }
   NotifyEpochPublished();
   if (!fault.empty() && monitor_ != nullptr) {
     monitor_->OnFault("durability", fault);
   }
   return first_new;
+}
+
+std::unique_lock<std::mutex> TastiServer::LockForCrack() {
+  TASTI_SPAN("serve.crack_wait");
+  return std::unique_lock<std::mutex>(crack_mu_);
+}
+
+void TastiServer::PublishEpochLocked(uint64_t epoch, uint64_t parent) {
+  TASTI_SPAN("serve.publish");
+  epochs_.Publish(
+      IndexSnapshot::FromIndexAndTakeDelta(&*index_, epoch, parent));
 }
 
 void TastiServer::AppendQueryRecord(const QueryResponse& response,

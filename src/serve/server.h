@@ -280,6 +280,11 @@ class TastiServer {
   /// Logs the epoch-publish marker and issues the fsync barrier (plus the
   /// cadenced checkpoint). Same fault convention as LogMutationLocked.
   std::string CommitEpochLocked(uint64_t epoch);
+  /// Takes crack_mu_ for a mutation, timing the wait as `serve.crack_wait`.
+  std::unique_lock<std::mutex> LockForCrack();
+  /// Under crack_mu_: snapshots the master index as `epoch` (its delta
+  /// against `parent`, 0 for none) and publishes it, as `serve.publish`.
+  void PublishEpochLocked(uint64_t epoch, uint64_t parent);
   /// Spawns the worker pool (Start and RecoverFrom share it).
   void SpawnWorkers();
   /// Logs a completed query, its phase times read from `spans` (the

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -196,10 +197,8 @@ void ParallelFor(size_t begin, size_t end,
   latch.RethrowIfError();
 }
 
-size_t ParallelForMaxWorkers() { return ThreadPool::Global().num_threads(); }
-
 void ParallelForDynamic(size_t begin, size_t end,
-                        const std::function<void(size_t, size_t, size_t)>& fn,
+                        const std::function<void(size_t, size_t)>& fn,
                         size_t chunk_size) {
   if (end <= begin) return;
   chunk_size = std::max<size_t>(1, chunk_size);
@@ -209,19 +208,19 @@ void ParallelForDynamic(size_t begin, size_t end,
   const size_t workers = std::min(pool.num_threads(), num_chunks);
   // Nested parallelism would deadlock a fixed pool; run nested calls inline.
   if (workers <= 1 || t_inside_pool_task) {
-    fn(begin, end, 0);
+    fn(begin, end);
     return;
   }
   std::atomic<size_t> cursor{begin};
   Latch latch(workers);
   for (size_t w = 0; w < workers; ++w) {
-    pool.Submit([&fn, &latch, &cursor, begin, end, chunk_size, w] {
+    pool.Submit([&fn, &latch, &cursor, end, chunk_size] {
       t_inside_pool_task = true;
       try {
         for (;;) {
           const size_t lo = cursor.fetch_add(chunk_size);
           if (lo >= end) break;
-          fn(lo, std::min(end, lo + chunk_size), w);
+          fn(lo, std::min(end, lo + chunk_size));
         }
       } catch (...) {
         // Stop claiming chunks; other workers drain the range.
@@ -233,6 +232,156 @@ void ParallelForDynamic(size_t begin, size_t end,
   }
   latch.Wait();
   latch.RethrowIfError();
+}
+
+namespace {
+
+// One participant's home share of a round's chunks, [begin, end). Its owner
+// claims from the front each round, so a participant keeps relaxing the
+// same rows (they stay in its core's cache); the others steal from it only
+// once their own share is gone.
+struct alignas(64) RoundsSlice {
+  std::atomic<size_t> next{0};  // Offset of the next unclaimed chunk.
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+// Shared state of one ParallelRounds region. Helpers hold it by shared_ptr
+// and reach the caller's callables only through a claimed chunk, which
+// cannot exist once the region has ended, so a helper that starts late
+// never touches the caller's (possibly gone) frame.
+struct RoundsRegion {
+  RoundsRegion(size_t num_chunks, size_t participants,
+               const std::function<void(size_t)>& chunk_fn,
+               const std::function<bool()>& end_round_fn)
+      : num_chunks(num_chunks),
+        num_slices(participants),
+        slices(std::make_unique<RoundsSlice[]>(participants)),
+        chunk(&chunk_fn),
+        end_round(&end_round_fn) {
+    for (size_t s = 0; s < num_slices; ++s) {
+      slices[s].begin = num_chunks * s / num_slices;
+      slices[s].end = num_chunks * (s + 1) / num_slices;
+    }
+  }
+
+  const size_t num_chunks;
+  const size_t num_slices;
+  const std::unique_ptr<RoundsSlice[]> slices;
+  const std::function<void(size_t)>* const chunk;
+  const std::function<bool()>* const end_round;
+  alignas(64) std::atomic<size_t> round{0};
+  alignas(64) std::atomic<size_t> chunks_done{0};
+  std::atomic<size_t> next_helper{1};  // Participant 0 is the caller.
+  std::atomic<bool> ended{false};
+  std::atomic<bool> failed{false};
+  std::mutex error_mu;
+  std::exception_ptr error;  // Guarded by error_mu.
+
+  void RecordError(std::exception_ptr e) {
+    std::lock_guard<std::mutex> lock(error_mu);
+    if (!error) error = std::move(e);
+    failed.store(true, std::memory_order_relaxed);
+  }
+
+  // Runs chunk c, then, if it was the round's last, ends the round: runs
+  // end_round and either ends the region (returns false) or publishes the
+  // next round. Release/acquire pairs carry the data: each chunk's writes
+  // reach the finisher through chunks_done, and the finisher's writes
+  // reach the next round's claims through the slice cursors and `round`.
+  bool RunChunk(size_t c) {
+    try {
+      (*chunk)(c);
+    } catch (...) {
+      RecordError(std::current_exception());
+    }
+    if (chunks_done.fetch_add(1, std::memory_order_acq_rel) + 1 < num_chunks) {
+      return true;
+    }
+    // Every other chunk of the round has returned, so nobody else touches
+    // chunks_done or a slice cursor's claimable range until publication.
+    chunks_done.store(0, std::memory_order_relaxed);
+    bool more = false;
+    if (!failed.load(std::memory_order_relaxed)) {
+      try {
+        more = (*end_round)();
+      } catch (...) {
+        RecordError(std::current_exception());
+      }
+    }
+    if (!more) {
+      ended.store(true, std::memory_order_release);
+      return false;
+    }
+    for (size_t s = 0; s < num_slices; ++s) {
+      slices[s].next.store(0, std::memory_order_release);
+    }
+    round.fetch_add(1, std::memory_order_release);
+    return true;
+  }
+};
+
+constexpr int kRoundSpinsBeforeYield = 256;
+
+// Claims and runs chunks, home slice first, until the region ends.
+void RunRoundsParticipant(RoundsRegion& region, size_t home) {
+  for (;;) {
+    const size_t round = region.round.load(std::memory_order_acquire);
+    for (size_t k = 0; k < region.num_slices; ++k) {
+      RoundsSlice& slice = region.slices[(home + k) % region.num_slices];
+      const size_t size = slice.end - slice.begin;
+      while (slice.next.load(std::memory_order_relaxed) < size) {
+        const size_t offset =
+            slice.next.fetch_add(1, std::memory_order_acq_rel);
+        if (offset >= size) break;
+        if (!region.RunChunk(slice.begin + offset)) return;
+      }
+    }
+    // Nothing left to claim in this round: wait for the next one or the end.
+    for (int spins = 0;;) {
+      if (region.ended.load(std::memory_order_acquire)) return;
+      if (region.round.load(std::memory_order_acquire) != round) break;
+      if (spins < kRoundSpinsBeforeYield) {
+        ++spins;
+      } else {
+        std::this_thread::yield();
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void ParallelRounds(size_t num_chunks,
+                    const std::function<void(size_t)>& chunk,
+                    const std::function<bool()>& end_round) {
+  ThreadPool& pool = ThreadPool::Global();
+  const size_t participants =
+      std::min(pool.num_threads(), std::max<size_t>(1, num_chunks));
+  // Nested parallelism would deadlock a fixed pool; run nested calls inline.
+  if (participants <= 1 || t_inside_pool_task) {
+    do {
+      for (size_t c = 0; c < num_chunks; ++c) chunk(c);
+    } while (end_round());
+    return;
+  }
+  auto region = std::make_shared<RoundsRegion>(num_chunks, participants,
+                                               chunk, end_round);
+  for (size_t h = 1; h < participants; ++h) {
+    pool.Submit([region] {
+      t_inside_pool_task = true;
+      RunRoundsParticipant(
+          *region, region->next_helper.fetch_add(1, std::memory_order_relaxed));
+      t_inside_pool_task = false;
+    });
+  }
+  // The caller counts as inside the region: a chunk that itself asks for
+  // parallelism runs inline rather than queueing behind spinning helpers.
+  t_inside_pool_task = true;
+  RunRoundsParticipant(*region, 0);
+  t_inside_pool_task = false;
+  std::lock_guard<std::mutex> lock(region->error_mu);
+  if (region->error) std::rethrow_exception(region->error);
 }
 
 }  // namespace tasti

@@ -2,7 +2,7 @@
 #define TASTI_UTIL_THREAD_POOL_H_
 
 /// \file thread_pool.h
-/// A small fixed-size thread pool plus a blocking ParallelFor helper.
+/// A small fixed-size thread pool plus blocking ParallelFor helpers.
 ///
 /// Distance computation (all-records x all-representatives) and embedding
 /// inference dominate index construction time; both are embarrassingly
@@ -64,22 +64,44 @@ void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t, size_t)>& fn,
                  size_t min_shard_size = 1024);
 
-/// Upper bound on the `worker` index ParallelForDynamic passes to its body.
-/// Size per-worker scratch and reduction buffers to this.
-size_t ParallelForMaxWorkers();
-
 /// Dynamic-scheduling variant: workers claim fixed-size chunks from a
-/// shared atomic cursor, so skewed shards (FPF tail iterations, IVF probe
-/// lists) load-balance instead of waiting on the slowest static shard.
-/// fn(chunk_begin, chunk_end, worker) runs once per claimed chunk; `worker`
-/// in [0, ParallelForMaxWorkers()) identifies the claiming worker so
-/// callers can keep per-worker reduction state (pad entries to a cache
-/// line — e.g. alignas(64) — to kill false sharing). Chunk boundaries are
-/// deterministic (begin + t * chunk_size); which worker claims which chunk
-/// is not, so per-worker reductions must be combined order-independently.
+/// shared atomic cursor, so skewed shards (top-k rows whose reps prune
+/// unevenly) load-balance instead of waiting on the slowest static shard.
+/// fn(chunk_begin, chunk_end) runs once per claimed chunk. Chunk boundaries
+/// are deterministic (begin + t * chunk_size); which worker claims which
+/// chunk is not.
 void ParallelForDynamic(size_t begin, size_t end,
-                        const std::function<void(size_t, size_t, size_t)>& fn,
+                        const std::function<void(size_t, size_t)>& fn,
                         size_t chunk_size = 1024);
+
+/// Runs a sequence of rounds as one parallel region on the global pool and
+/// blocks until it ends. Each round calls chunk(c) once for every c in
+/// [0, num_chunks); once all of them have returned, end_round() runs once
+/// and returns true to start the next round or false to end the region.
+/// Everything one round's calls wrote is visible to the next round's calls
+/// and to the caller after the return.
+///
+/// The caller is a participant, and at most num_threads() - 1 helpers of
+/// the global pool are submitted once per region, so a region never runs
+/// more participants than the pool has threads and pays one fork per
+/// region, not one per round. Each participant claims chunks from its own
+/// contiguous share first (so it keeps touching the same data round after
+/// round) and then steals from the others'; the one that finishes a
+/// round's last chunk runs end_round() and publishes the next round while
+/// the others spin, then yield. Participation is dynamic, never a fixed
+/// barrier: the caller can run every round alone (a helper held up behind
+/// other pool work never stalls it, so two regions on different threads
+/// cannot deadlock), a late helper joins the current round, and a helper
+/// that starts after the region ended touches only ref-counted state.
+/// Inside a pool task the region runs inline.
+///
+/// Which participant runs which chunk is not deterministic: chunk(c) must
+/// write only state that chunk c owns, and end_round() combines it. If
+/// chunk or end_round throws, the region ends after the current round and
+/// the first exception is rethrown on the caller.
+void ParallelRounds(size_t num_chunks,
+                    const std::function<void(size_t)>& chunk,
+                    const std::function<bool()>& end_round);
 
 }  // namespace tasti
 

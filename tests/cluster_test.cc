@@ -13,8 +13,6 @@
 #include <vector>
 
 #include "cluster/fpf.h"
-#include "cluster/ivf.h"
-#include "cluster/kmeans.h"
 #include "cluster/topk.h"
 #include "obs/metrics.h"
 #include "util/random.h"
@@ -171,162 +169,6 @@ TEST(RandomSelectionTest, UniformDistinct) {
   EXPECT_EQ(selected.size(), 100u);
   std::set<size_t> unique(selected.begin(), selected.end());
   EXPECT_EQ(unique.size(), 100u);
-}
-
-// ---------- K-means ----------
-
-TEST(KMeansTest, RecoversWellSeparatedClusters) {
-  Rng rng(30);
-  nn::Matrix points(300, 2);
-  for (size_t i = 0; i < 300; ++i) {
-    const int blob = static_cast<int>(i / 100);
-    points.At(i, 0) = static_cast<float>(blob * 50.0 + rng.Normal());
-    points.At(i, 1) = static_cast<float>(rng.Normal());
-  }
-  KMeansOptions opts;
-  opts.num_clusters = 3;
-  opts.seed = 31;
-  KMeansResult result = KMeans(points, opts);
-  ASSERT_EQ(result.centroids.rows(), 3u);
-  // Every blob maps to a single cluster.
-  for (int blob = 0; blob < 3; ++blob) {
-    const uint32_t first = result.assignment[blob * 100];
-    for (size_t i = 0; i < 100; ++i) {
-      EXPECT_EQ(result.assignment[blob * 100 + i], first) << blob << "," << i;
-    }
-  }
-  // Inertia is the within-blob variance (~2 for two unit-normal dims).
-  EXPECT_LT(result.inertia, 4.0);
-}
-
-TEST(KMeansTest, InertiaDecreasesWithMoreClusters) {
-  nn::Matrix points = RandomPoints(400, 4, 32);
-  double previous = std::numeric_limits<double>::max();
-  for (size_t k : {2, 8, 32}) {
-    KMeansOptions opts;
-    opts.num_clusters = k;
-    opts.seed = 33;
-    const double inertia = KMeans(points, opts).inertia;
-    EXPECT_LT(inertia, previous);
-    previous = inertia;
-  }
-}
-
-TEST(KMeansTest, AssignmentIsNearestCentroid) {
-  nn::Matrix points = RandomPoints(200, 3, 34);
-  KMeansOptions opts;
-  opts.num_clusters = 10;
-  opts.seed = 35;
-  KMeansResult result = KMeans(points, opts);
-  for (size_t i = 0; i < points.rows(); ++i) {
-    const float assigned =
-        nn::SquaredDistance(points, i, result.centroids, result.assignment[i]);
-    for (size_t c = 0; c < result.centroids.rows(); ++c) {
-      EXPECT_LE(assigned, nn::SquaredDistance(points, i, result.centroids, c) +
-                              1e-4f);
-    }
-  }
-}
-
-TEST(KMeansTest, DeterministicInSeed) {
-  nn::Matrix points = RandomPoints(150, 4, 36);
-  KMeansOptions opts;
-  opts.num_clusters = 8;
-  opts.seed = 37;
-  KMeansResult a = KMeans(points, opts);
-  KMeansResult b = KMeans(points, opts);
-  for (size_t i = 0; i < a.assignment.size(); ++i) {
-    EXPECT_EQ(a.assignment[i], b.assignment[i]);
-  }
-}
-
-TEST(KMeansTest, MoreClustersThanPointsClamps) {
-  nn::Matrix points = RandomPoints(5, 2, 40);
-  KMeansOptions opts;
-  opts.num_clusters = 50;
-  KMeansResult result = KMeans(points, opts);
-  EXPECT_LE(result.centroids.rows(), 5u);
-}
-
-// ---------- IVF ----------
-
-TEST(IvfTest, FullProbeMatchesBruteForce) {
-  nn::Matrix reps = RandomPoints(200, 8, 41);
-  nn::Matrix queries = RandomPoints(100, 8, 42);
-  IvfOptions opts;
-  opts.num_partitions = 10;
-  opts.num_probes = 10;  // probe everything: must be exact
-  IvfIndex ivf(reps, opts);
-  TopKDistances approx = ivf.SearchAll(queries, 5);
-  TopKDistances exact = ComputeTopK(queries, reps, 5);
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    for (size_t j = 0; j < 5; ++j) {
-      EXPECT_NEAR(approx.Dist(i, j), exact.Dist(i, j), 1e-5f) << i << "," << j;
-    }
-  }
-}
-
-TEST(IvfTest, PartialProbeHasHighRecall) {
-  nn::Matrix reps = RandomPoints(500, 16, 43);
-  nn::Matrix queries = RandomPoints(300, 16, 44);
-  IvfOptions opts;
-  opts.num_partitions = 25;
-  opts.num_probes = 6;
-  IvfIndex ivf(reps, opts);
-  TopKDistances approx = ivf.SearchAll(queries, 1);
-  TopKDistances exact = ComputeTopK(queries, reps, 1);
-  size_t hits = 0;
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    if (approx.RepId(i, 0) == exact.RepId(i, 0)) ++hits;
-  }
-  // Nearest-neighbor recall should be high even probing 6/25 partitions.
-  EXPECT_GT(static_cast<double>(hits) / queries.rows(), 0.8);
-}
-
-TEST(IvfTest, DistancesAscendAndAreExactForFoundReps) {
-  nn::Matrix reps = RandomPoints(300, 8, 45);
-  nn::Matrix queries = RandomPoints(50, 8, 46);
-  IvfIndex ivf(reps, IvfOptions{});
-  TopKDistances topk = ivf.SearchAll(queries, 4);
-  for (size_t i = 0; i < queries.rows(); ++i) {
-    for (size_t j = 0; j < topk.k; ++j) {
-      if (j > 0) {
-        EXPECT_LE(topk.Dist(i, j - 1), topk.Dist(i, j));
-      }
-      // Reported distances are true distances to the reported rep.
-      EXPECT_NEAR(topk.Dist(i, j),
-                  nn::Distance(queries, i, reps, topk.RepId(i, j)), 1e-5f);
-    }
-  }
-}
-
-TEST(IvfTest, AddRoutesNewRepToSearch) {
-  nn::Matrix reps = RandomPoints(100, 4, 47);
-  IvfOptions opts;
-  opts.num_partitions = 8;
-  opts.num_probes = 8;
-  IvfIndex ivf(reps, opts);
-
-  // Append a rep identical to a query point: it must become the nearest.
-  nn::Matrix extra = RandomPoints(1, 4, 48);
-  nn::Matrix grown(101, 4);
-  std::copy(reps.data(), reps.data() + reps.size(), grown.data());
-  grown.SetRow(100, extra, 0);
-  ivf.Add(grown, 100, 100);
-  EXPECT_EQ(ivf.num_reps(), 101u);
-
-  std::vector<uint32_t> ids;
-  std::vector<float> dists;
-  ivf.Search(extra, 0, 1, &ids, &dists);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ids[0], 100u);
-  EXPECT_NEAR(dists[0], 0.0f, 1e-6f);
-}
-
-TEST(IvfTest, DefaultPartitionsScaleWithReps) {
-  nn::Matrix reps = RandomPoints(400, 4, 49);
-  IvfIndex ivf(reps, IvfOptions{});
-  EXPECT_EQ(ivf.num_partitions(), 20u);  // sqrt(400)
 }
 
 // ---------- Top-k ----------

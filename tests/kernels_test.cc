@@ -9,8 +9,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <condition_variable>
 #include <cstring>
 #include <limits>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "cluster/fpf.h"
@@ -83,34 +86,70 @@ cluster::TopKDistances ComputeTopKScalar(const nn::Matrix& points,
   return topk;
 }
 
-// Scalar reference FPF: the pre-kernel relax-and-argmax loop.
+// Serial dot product that adds x[p] * y[p] in ascending depth from zero:
+// the order every kernel in nn/kernels.h keeps, whichever ISA clone runs.
+float SerialDot(const float* x, const float* y, size_t d) {
+  float acc = 0.0f;
+  for (size_t p = 0; p < d; ++p) acc += x[p] * y[p];
+  return acc;
+}
+
+// Scalar reference FPF: one serial relax-and-argmax loop over the points in
+// index order, with the kernel's arithmetic written out (ascending-depth
+// dot products, the dot-trick combine clamped at zero, squared distances
+// until one final sqrt), so the shipped FPF must match it bit for bit.
 cluster::FpfResult FurthestPointFirstScalar(const nn::Matrix& points, size_t k,
                                             size_t start_index) {
   const size_t n = points.rows();
+  const size_t d = points.cols();
   k = std::min(k, n);
+  std::vector<float> norms(n);
+  for (size_t i = 0; i < n; ++i) {
+    norms[i] = SerialDot(points.Row(i), points.Row(i), d);
+  }
+  std::vector<float> min_d2(n, std::numeric_limits<float>::max());
   cluster::FpfResult result;
-  result.min_distance.assign(n, std::numeric_limits<float>::max());
   result.assignment.assign(n, 0);
   size_t current = start_index;
   for (size_t iter = 0; iter < k; ++iter) {
     result.centers.push_back(current);
+    const float* center = points.Row(current);
     float best = -1.0f;
     size_t arg = 0;
     for (size_t i = 0; i < n; ++i) {
-      const float d = nn::Distance(points, i, points, current);
-      if (d < result.min_distance[i]) {
-        result.min_distance[i] = d;
+      const float raw = norms[current] + norms[i] -
+                        2.0f * SerialDot(center, points.Row(i), d);
+      const float d2 = raw > 0.0f ? raw : 0.0f;
+      if (d2 < min_d2[i]) {
+        min_d2[i] = d2;
         result.assignment[i] = static_cast<uint32_t>(iter);
       }
-      if (result.min_distance[i] > best) {
-        best = result.min_distance[i];
+      if (min_d2[i] > best) {
+        best = min_d2[i];
         arg = i;
       }
     }
     current = arg;
     if (best <= 0.0f && iter + 1 < k) break;
   }
+  result.min_distance.resize(n);
+  for (size_t i = 0; i < n; ++i) result.min_distance[i] = std::sqrt(min_d2[i]);
   return result;
+}
+
+// Centers, assignment and min_distance equal bit for bit.
+void ExpectSameFpf(const cluster::FpfResult& actual,
+                   const cluster::FpfResult& expected) {
+  EXPECT_EQ(actual.centers, expected.centers);
+  ASSERT_EQ(actual.assignment.size(), expected.assignment.size());
+  EXPECT_EQ(std::memcmp(actual.assignment.data(), expected.assignment.data(),
+                        expected.assignment.size() * sizeof(uint32_t)),
+            0);
+  ASSERT_EQ(actual.min_distance.size(), expected.min_distance.size());
+  EXPECT_EQ(std::memcmp(actual.min_distance.data(),
+                        expected.min_distance.data(),
+                        expected.min_distance.size() * sizeof(float)),
+            0);
 }
 
 TEST(KernelsTest, RowSquaredNormsMatchScalar) {
@@ -231,12 +270,6 @@ TEST(KernelsTest, GemmBTBlockedMatchesScalarAcrossShapes) {
 // depth. Block widths are not multiples of 8 or 16, so both the tiled and
 // the remainder columns are covered. Each test records the clone it ran
 // as the `kernel_isa` property (in --gtest_output=xml reports).
-
-float SerialDot(const float* x, const float* y, size_t d) {
-  float acc = 0.0f;
-  for (size_t p = 0; p < d; ++p) acc += x[p] * y[p];
-  return acc;
-}
 
 bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof(a)) == 0; }
 
@@ -369,33 +402,148 @@ TEST(KernelsTest, FpfDeterministicVsScalarOnSeedDataset) {
   const data::Dataset dataset = data::MakeNightStreet(opts);
   const auto fast = cluster::FurthestPointFirst(dataset.features, 40, 17);
   const auto ref = FurthestPointFirstScalar(dataset.features, 40, 17);
-  ASSERT_EQ(fast.centers.size(), ref.centers.size());
-  for (size_t c = 0; c < fast.centers.size(); ++c) {
-    ASSERT_EQ(fast.centers[c], ref.centers[c]) << "center " << c;
-  }
+  ExpectSameFpf(fast, ref);
   const auto again = cluster::FurthestPointFirst(dataset.features, 40, 17);
   EXPECT_EQ(fast.centers, again.centers);
   EXPECT_EQ(fast.assignment, again.assignment);
+}
+
+// ---------- FPF's parallel region against the scalar reference ----------
+//
+// At these sizes the relax splits into 20 or more chunks, so FurthestPoint-
+// First runs as a ParallelRounds region with helpers (the 1,200-point seed
+// test above fits in few chunks). Each case is checked from a plain thread,
+// from inside pool tasks (where the region runs inline), from two threads
+// whose regions share the pool, and with every pool thread blocked.
+
+struct FpfCase {
+  const char* name;
+  nn::Matrix points;
+  size_t k;
+  size_t start;
+  cluster::FpfResult expected;
+};
+
+// `distinct` random rows, each repeated so that copies of one row sit far
+// apart: exact duplicates tie in every argmax, and the run stops early
+// once k exceeds the distinct rows.
+nn::Matrix DuplicatedRows(size_t n, size_t distinct, size_t d, uint64_t seed) {
+  const nn::Matrix base = RandomMatrix(distinct, d, seed);
+  nn::Matrix m(n, d);
+  for (size_t i = 0; i < n; ++i) {
+    std::memcpy(m.Row(i), base.Row((i * 7) % distinct), d * sizeof(float));
+  }
+  return m;
+}
+
+class FpfRegionTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    cases_ = new std::vector<FpfCase>();
+    cases_->push_back({"random", RandomMatrix(5000, 32, 41), 250, 123, {}});
+    cases_->push_back(
+        {"duplicates", DuplicatedRows(6000, 1500, 24, 42), 300, 5, {}});
+    cases_->push_back(
+        {"duplicates_stop_early", DuplicatedRows(5000, 150, 16, 43), 200, 0,
+         {}});
+    for (FpfCase& c : *cases_) {
+      c.expected = FurthestPointFirstScalar(c.points, c.k, c.start);
+    }
+  }
+  static void TearDownTestSuite() {
+    delete cases_;
+    cases_ = nullptr;
+  }
+
+  static cluster::FpfResult Run(const FpfCase& c) {
+    return cluster::FurthestPointFirst(c.points, c.k, c.start);
+  }
+
+  static std::vector<FpfCase>* cases_;
+};
+
+std::vector<FpfCase>* FpfRegionTest::cases_ = nullptr;
+
+TEST_F(FpfRegionTest, MatchesScalarFromOneThread) {
+  for (const FpfCase& c : *cases_) {
+    SCOPED_TRACE(c.name);
+    ExpectSameFpf(Run(c), c.expected);
+  }
+  // The duplicate cases really tie, and the last one really stops early.
+  EXPECT_EQ((*cases_)[2].expected.centers.size(), 150u);
+}
+
+TEST_F(FpfRegionTest, MatchesScalarInsidePoolTasks) {
+  std::vector<cluster::FpfResult> results(cases_->size());
+  ParallelFor(0, cases_->size(), [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) results[i] = Run((*cases_)[i]);
+  }, /*min_shard_size=*/1);
+  for (size_t i = 0; i < cases_->size(); ++i) {
+    SCOPED_TRACE((*cases_)[i].name);
+    ExpectSameFpf(results[i], (*cases_)[i].expected);
+  }
+}
+
+TEST_F(FpfRegionTest, MatchesScalarFromTwoThreadsAtOnce) {
+  for (int repeat = 0; repeat < 3; ++repeat) {
+    cluster::FpfResult a, b;
+    std::thread ta([&] { a = Run((*cases_)[0]); });
+    std::thread tb([&] { b = Run((*cases_)[1]); });
+    ta.join();
+    tb.join();
+    ExpectSameFpf(a, (*cases_)[0].expected);
+    ExpectSameFpf(b, (*cases_)[1].expected);
+  }
+}
+
+TEST_F(FpfRegionTest, CallerFinishesAloneWhilePoolIsBlocked) {
+  ThreadPool& pool = ThreadPool::Global();
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t blocked = 0;    // Guarded by mu.
+  bool release = false;  // Guarded by mu.
+  for (size_t t = 0; t < pool.num_threads(); ++t) {
+    pool.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      ++blocked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return blocked == pool.num_threads(); });
+  }
+  // Every pool thread waits for FPF to return, so the regions' helpers
+  // queue behind them and the caller must run every round itself.
+  std::vector<cluster::FpfResult> alone;
+  for (const FpfCase& c : *cases_) alone.push_back(Run(c));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  // The queued helpers now start after their regions ended; they must
+  // return without touching the finished calls' frames.
+  pool.Wait();
+  for (size_t i = 0; i < cases_->size(); ++i) {
+    SCOPED_TRACE((*cases_)[i].name);
+    ExpectSameFpf(alone[i], (*cases_)[i].expected);
+  }
 }
 
 TEST(KernelsTest, ParallelForDynamicCoversEveryIndexOnce) {
   const size_t n = 10007;
   std::vector<std::atomic<int>> hits(n);
   for (auto& h : hits) h.store(0);
-  const size_t max_workers = ParallelForMaxWorkers();
-  std::atomic<size_t> worker_bound{0};
-  ParallelForDynamic(0, n, [&](size_t lo, size_t hi, size_t w) {
-    size_t seen = worker_bound.load();
-    while (w + 1 > seen && !worker_bound.compare_exchange_weak(seen, w + 1)) {
-    }
+  ParallelForDynamic(0, n, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
   }, 64);
   for (size_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
-  EXPECT_LE(worker_bound.load(), std::max<size_t>(1, max_workers));
   // Empty ranges are a no-op.
-  ParallelForDynamic(5, 5, [&](size_t, size_t, size_t) { FAIL(); }, 16);
+  ParallelForDynamic(5, 5, [&](size_t, size_t) { FAIL(); }, 16);
 }
 
 }  // namespace

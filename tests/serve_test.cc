@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <future>
 #include <memory>
@@ -1070,6 +1071,64 @@ TEST(ServerTest, OracleWaitIsASpanInsideTheServedQuery) {
     }
   }
   EXPECT_GT(nested_waits, 0u);
+}
+
+// A WAL-on crack splits its `serve.crack` span into the lock wait, the
+// epoch publish and (at a checkpoint cadence of one) the checkpoint it
+// holds the lock for, each a span of its own on the cracking thread.
+TEST(ServerTest, WalCrackRecordsWaitPublishAndCheckpointSpans) {
+  const std::string dir = ::testing::TempDir() + "/serve_crack_spans";
+  std::filesystem::remove_all(dir);
+  const bool tracing = obs::TracingEnabled();
+  obs::SetTracingEnabled(true);
+  size_t cracked = 0;
+  {
+    data::Dataset ds = TestDataset(600);
+    labeler::SimulatedLabeler oracle(&ds);
+    labeler::FallibleAdapter adapter(&oracle);
+    ServerOptions opts = FastServerOptions();
+    opts.index.num_representatives = 80;
+    opts.index.num_training_records = 80;
+    opts.durability.dir = dir;
+    opts.durability.checkpoint_every_epochs = 1;
+    TastiServer server(&ds, &adapter, opts);
+    ASSERT_TRUE(server.Start().ok());
+    // Only the crack's spans: Start's own publish and checkpoint go.
+    obs::TraceRecorder::Global().Clear();
+    core::PresenceScorer present(data::ObjectClass::kCar);
+    QuerySpec spec;
+    spec.kind = QueryKind::kSupgRecall;
+    spec.scorer = &present;
+    spec.budget = 60;
+    Result<uint64_t> id = server.Submit(spec);
+    ASSERT_TRUE(id.ok());
+    const QueryResponse response = server.Wait(*id);
+    ASSERT_TRUE(response.status.ok());
+    cracked = response.cracked_representatives;
+    server.Drain();
+    EXPECT_GT(server.durability_stats().checkpoints_written, 1u);
+  }
+  obs::SetTracingEnabled(tracing);
+  std::filesystem::remove_all(dir);
+  ASSERT_GT(cracked, 0u);
+
+  const std::vector<obs::TraceEvent> events =
+      obs::TraceRecorder::Global().Snapshot();
+  for (const char* name :
+       {"serve.crack_wait", "serve.publish", "durable.checkpoint"}) {
+    size_t inside_crack = 0;
+    for (const obs::TraceEvent& crack : events) {
+      if (std::string(crack.name) != "serve.crack") continue;
+      for (const obs::TraceEvent& part : events) {
+        if (std::string(part.name) == name && part.tid == crack.tid &&
+            part.ts_us >= crack.ts_us &&
+            part.ts_us + part.dur_us <= crack.ts_us + crack.dur_us) {
+          ++inside_crack;
+        }
+      }
+    }
+    EXPECT_EQ(inside_crack, 1u) << name;
+  }
 }
 
 // --- ScoreCache ---

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
@@ -380,7 +381,7 @@ TEST(ParallelForTest, DynamicExceptionFailsBatchWithoutDeadlock) {
   std::atomic<int> chunks{0};
   bool threw = false;
   try {
-    ParallelForDynamic(0, 4096, [&](size_t lo, size_t, size_t) {
+    ParallelForDynamic(0, 4096, [&](size_t lo, size_t) {
       if (lo == 0) throw std::runtime_error("chunk 0 failed");
       chunks.fetch_add(1);
     }, 16);
@@ -390,7 +391,7 @@ TEST(ParallelForTest, DynamicExceptionFailsBatchWithoutDeadlock) {
   EXPECT_TRUE(threw);
   // The pool survives and later batches behave normally.
   std::atomic<int> after{0};
-  ParallelForDynamic(0, 1000, [&](size_t lo, size_t hi, size_t) {
+  ParallelForDynamic(0, 1000, [&](size_t lo, size_t hi) {
     after.fetch_add(static_cast<int>(hi - lo));
   }, 8);
   EXPECT_EQ(after.load(), 1000);
@@ -420,6 +421,56 @@ TEST(ParallelForTest, ConcurrentIndependentCalls) {
   t2.join();
   EXPECT_EQ(a.load(), 5000);
   EXPECT_EQ(b.load(), 7000);
+}
+
+// ---------- ParallelRounds ----------
+
+TEST(ParallelRoundsTest, EveryChunkOncePerRoundOnAtMostPoolThreads) {
+  constexpr size_t kChunks = 37;
+  constexpr size_t kRounds = 50;
+  // hits[c] counts runs of chunk c; end_round checks each round and resets.
+  std::vector<int> hits(kChunks, 0);
+  std::mutex ids_mu;
+  std::set<std::thread::id> ids;  // Guarded by ids_mu.
+  size_t rounds = 0;
+  bool all_once = true;
+  ParallelRounds(kChunks, [&](size_t c) {
+    ++hits[c];
+    std::lock_guard<std::mutex> lock(ids_mu);
+    ids.insert(std::this_thread::get_id());
+  }, [&] {
+    for (int& h : hits) {
+      all_once = all_once && h == 1;
+      h = 0;
+    }
+    return ++rounds < kRounds;
+  });
+  EXPECT_TRUE(all_once);
+  EXPECT_EQ(rounds, kRounds);
+  EXPECT_GE(ids.size(), 1u);
+  EXPECT_LE(ids.size(), ThreadPool::Global().num_threads());
+}
+
+TEST(ParallelRoundsTest, NoChunksStillRunsEveryRound) {
+  int rounds = 0;
+  ParallelRounds(0, [](size_t) { FAIL(); }, [&] { return ++rounds < 3; });
+  EXPECT_EQ(rounds, 3);
+}
+
+TEST(ParallelRoundsTest, ExceptionEndsTheRegionOnTheCaller) {
+  std::atomic<int> ends{0};
+  EXPECT_THROW(ParallelRounds(64, [](size_t c) {
+    if (c == 5) throw std::runtime_error("chunk 5 failed");
+  }, [&] { return ++ends < 10; }), std::runtime_error);
+  // The failing round does not run end_round and no later round starts.
+  EXPECT_EQ(ends.load(), 0);
+  EXPECT_THROW(ParallelRounds(64, [](size_t) {}, [] () -> bool {
+    throw std::runtime_error("end_round failed");
+  }), std::runtime_error);
+  // The pool survives and a later region behaves normally.
+  std::atomic<int> after{0};
+  ParallelRounds(64, [&](size_t) { after.fetch_add(1); }, [] { return false; });
+  EXPECT_EQ(after.load(), 64);
 }
 
 // ---------- Table / formatting ----------

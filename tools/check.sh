@@ -182,9 +182,12 @@ stage_tsan() {
   echo "-- build-tsan/tests/embed_test (pool-split training GEMMs)"
   "build-tsan/tests/embed_test" --gtest_filter='TripletTrainerTest.*'
   # TSan builds only the default kernel version (src/nn/clones.h), so this
-  # is where its bit identity is checked on an AVX2 host.
-  echo "-- build-tsan/tests/kernels_test (default-ISA kernel bit identity)"
-  "build-tsan/tests/kernels_test" --gtest_filter='KernelsBitIdentityTest.*'
+  # is where its bit identity is checked on an AVX2 host. FpfRegionTest
+  # runs FPF's ParallelRounds region from one thread, two threads, pool
+  # tasks and a blocked pool.
+  echo "-- build-tsan/tests/kernels_test (default-ISA kernel bit identity, FPF region)"
+  "build-tsan/tests/kernels_test" \
+    --gtest_filter='KernelsBitIdentityTest.*:FpfRegionTest.*'
 }
 
 stage_monitor() {
