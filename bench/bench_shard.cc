@@ -8,8 +8,8 @@
 //   crack_republish_scalar   crack a 32-record batch into the monolithic
 //                            K=1 index: every added representative updates
 //                            the min-k lists of all N records
-//   crack_republish_blocked  crack the same-size batch routed to its
-//                            owning shard of a K=4 ShardedIndex: the
+//   crack_republish_blocked  crack the same-size batch into shard 0's
+//                            index of a K=4 split (shard-local ids): the
 //                            republish touches ~N/4 records, so the ratio
 //                            tracks K
 //
@@ -19,19 +19,26 @@
 //   construction_k1          monolithic build wall time (ns per record)
 //   construction_k4          4-shard parallel build wall time (ns/record)
 //
+// The shards are built the way ShardedServer builds them: SliceDataset
+// slices, one ShardLabelerView per shard, ShardIndexOptions per shard, and
+// one ParallelFor over the shards.
+//
 //   bench_shard [output.json]  (default: BENCH_shard.json)
 
 #include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/index.h"
+#include "core/partition.h"
 #include "data/dataset.h"
 #include "eval/reporting.h"
 #include "labeler/labeler.h"
-#include "shard/sharded_index.h"
+#include "shard/sharded_server.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace tasti {
@@ -93,15 +100,31 @@ int main(int argc, char** argv) {
   core::TastiIndex mono = core::TastiIndex::Build(ds, &adapter, index_opts);
   const double mono_seconds = mono_timer.Seconds();
 
-  shard::ShardedIndexOptions shard_opts;
-  shard_opts.num_shards = kShards;
-  shard_opts.index = index_opts;
-  shard::ShardedIndex sharded(&ds, shard_opts);
-  WallTimer shard_timer;
-  if (!sharded.Build(&adapter).ok()) {
-    std::fprintf(stderr, "sharded build failed\n");
-    return 1;
+  const core::Partitioner partitioner(ds.size(), kShards);
+  std::vector<data::Dataset> slices;
+  for (size_t s = 0; s < kShards; ++s) {
+    slices.push_back(shard::SliceDataset(ds, partitioner.ShardBegin(s),
+                                         partitioner.ShardEnd(s), s));
   }
+  std::vector<core::TastiIndex> shards(kShards);
+  WallTimer shard_timer;
+  std::vector<std::unique_ptr<shard::ShardLabelerView>> views;
+  for (size_t s = 0; s < kShards; ++s) {
+    views.push_back(std::make_unique<shard::ShardLabelerView>(
+        &adapter, partitioner.ShardBegin(s), partitioner.ShardSize(s)));
+  }
+  // ParallelFor workers mark themselves in-pool, so each shard's inner
+  // embedding/distance parallelism runs inline on its worker.
+  ParallelFor(
+      0, kShards,
+      [&](size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s) {
+          shards[s] = core::TastiIndex::Build(
+              slices[s], views[s].get(),
+              shard::ShardIndexOptions(index_opts, s, kShards));
+        }
+      },
+      /*min_shard_size=*/1);
   const double shard_seconds = shard_timer.Seconds();
   rows.push_back({"construction_k1", kRecords, dim,
                   mono_seconds * 1e9 / static_cast<double>(kRecords)});
@@ -115,16 +138,16 @@ int main(int argc, char** argv) {
   // --- crack republish: full-index vs shard-local min-k update ---
   // Each timed call cracks a fresh 32-record batch (annotation batches of
   // one query); both sides get the same batch count and size, and both
-  // batches live in shard 0's range so the sharded side exercises the
-  // routing path.
+  // batches live in shard 0's range, whose local ids equal the global ones.
   const size_t kBatches = 9;
-  const size_t shard0_end = sharded.partitioner().ShardEnd(0);
+  const size_t shard0_end = partitioner.ShardEnd(0);
+  core::TastiIndex& shard0 = shards[0];
   std::vector<std::vector<size_t>> mono_batches;
   std::vector<std::vector<size_t>> shard_batches;
   {
     std::vector<size_t> current;
     for (size_t r = 0; r < shard0_end; ++r) {
-      if (mono.IsRepresentative(r) || sharded.IsRepresentative(r)) continue;
+      if (mono.IsRepresentative(r) || shard0.IsRepresentative(r)) continue;
       current.push_back(r);
       if (current.size() == 32 * 2) {
         std::vector<size_t> a(current.begin(), current.begin() + 32);
@@ -154,8 +177,8 @@ int main(int argc, char** argv) {
                   })});
   rows.push_back({"crack_republish_blocked", kRecords, dim,
                   MedianNsPerCall(kBatches, [&](size_t rep) {
-                    sharded.CrackFromLabels(shard_batches[rep],
-                                            labels_for(shard_batches[rep]));
+                    shard0.CrackFromLabels(shard_batches[rep],
+                                           labels_for(shard_batches[rep]));
                   })});
 
   FILE* out = std::fopen(out_path, "w");

@@ -188,22 +188,6 @@ void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
   SquaredDistanceOneToMany(m, lo, hi, centers.Row(c), out);
 }
 
-void SquaredDistanceGather(const Matrix& queries, size_t query_row,
-                           const Matrix& reps, const uint32_t* ids,
-                           size_t count, float* out) {
-  TASTI_CHECK(queries.cols() == reps.cols(), "Gather dimension mismatch");
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const rows =
-        obs::MetricsRegistry::Global().counter("kernels.gather.rows", "rows");
-    rows->Increment(count);
-  }
-  const float* q = queries.Row(query_row);
-  const size_t d = reps.cols();
-  for (size_t t = 0; t < count; ++t) {
-    out[t] = SquaredDistanceFlat(q, reps.Row(ids[t]), d);
-  }
-}
-
 void GemmBTBlocked(const Matrix& a, const Matrix& b, Matrix* c) {
   TASTI_CHECK(a.cols() == b.cols(), "GemmBT inner dimension mismatch");
   const size_t m = a.rows(), n = b.rows();

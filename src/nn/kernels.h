@@ -114,12 +114,6 @@ void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
                               const Matrix& centers, size_t c, float* out);
 
-/// Gathered variant: out[t] = |q - reps[ids[t]]|^2
-/// where q = queries row `query_row`.
-void SquaredDistanceGather(const Matrix& queries, size_t query_row,
-                           const Matrix& reps, const uint32_t* ids,
-                           size_t count, float* out);
-
 /// Register-blocked C = A * B^T (same contract as GemmBT): B is packed
 /// into depth-major tiles once and every row of A streams against each
 /// tile while it is cache-hot.

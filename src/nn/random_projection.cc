@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/status.h"
+#include "util/thread_pool.h"
 
 namespace tasti::nn {
 
@@ -23,11 +24,15 @@ Matrix RandomProjection::Apply(const Matrix& input) const {
   TASTI_CHECK(input.cols() == in_dim_, "RandomProjection input width mismatch");
   Matrix out;
   Gemm(input, weight_, &out);
-  for (size_t r = 0; r < out.rows(); ++r) {
-    float* row = out.Row(r);
-    const float* b = bias_.Row(0);
-    for (size_t c = 0; c < out_dim_; ++c) row[c] = std::tanh(row[c] + b[c]);
-  }
+  // The bias and tanh are elementwise, so splitting rows across the pool
+  // leaves every output bit-identical to the serial loop.
+  const float* b = bias_.Row(0);
+  ParallelFor(0, out.rows(), [&](size_t lo, size_t hi) {
+    for (size_t r = lo; r < hi; ++r) {
+      float* row = out.Row(r);
+      for (size_t c = 0; c < out_dim_; ++c) row[c] = std::tanh(row[c] + b[c]);
+    }
+  });
   return out;
 }
 

@@ -28,11 +28,11 @@
 /// Every merger sums labeler invocations and failure counts, so the cost
 /// ledger (paper metric) stays exact under sharding.
 ///
-/// Degraded gather (DESIGN.md §15): each merger has a *Degraded variant
-/// taking a `present` mask over shards. Absent shards (deadline-expired or
-/// failed sub-queries) contribute nothing, and the merged confidence is
-/// explicitly WIDENED to account for the missing mass instead of silently
-/// pretending full coverage:
+/// Degraded gather (DESIGN.md §15): every merger takes a `present` mask
+/// over shards. Absent shards (deadline-expired or failed sub-queries)
+/// contribute nothing, and the merged confidence is explicitly WIDENED to
+/// account for the missing mass instead of silently pretending full
+/// coverage:
 ///  - Aggregation kinds assume the absent shards' means lie inside the
 ///    cross-shard envelope observed on the present shards,
 ///    [min(est_s - hw_s), max(est_s + hw_s)]; the missing record mass
@@ -44,8 +44,8 @@
 ///    `effective_target` in GatherQuality is the per-shard target scaled
 ///    by the covered record fraction (recall-like guarantees dilute with
 ///    missing mass; precision-like ones carry unchanged).
-/// With an all-present mask every degraded merger defers to its full
-/// counterpart, bitwise identically.
+/// An all-present mask is the full-coverage merge: no widening term is
+/// added, so its arithmetic is exactly the per-kind rule above.
 
 #include <cstddef>
 #include <vector>
@@ -68,45 +68,7 @@ double ShardConfidence(double confidence, size_t num_shards);
 std::vector<size_t> SplitBudget(size_t budget,
                                 const std::vector<size_t>& shard_sizes);
 
-/// Record-count-weighted merge of per-shard mean estimates.
-/// `shard_sizes[s]` is the record count behind `parts[s]`; the vectors
-/// must be parallel and non-empty.
-AggregationResult MergeAggregates(const std::vector<AggregationResult>& parts,
-                                  const std::vector<size_t>& shard_sizes);
-
-/// Match-mass-weighted (self-normalized) merge of conditional means. The
-/// weight of shard s is its estimated match count,
-/// shard_sizes[s] * sample_matches / samples — exact when shards sample
-/// uniformly, an estimate under importance sampling. Shards that observed
-/// no matches get zero weight; if no shard observed a match the merged
-/// estimate is 0 with converged = false.
-PredicateAggregationResult MergePredicateAggregates(
-    const std::vector<PredicateAggregationResult>& parts,
-    const std::vector<size_t>& shard_sizes);
-
-/// Union of per-shard SUPG selections mapped to global ids
-/// (global = shard_offsets[s] + local). The merged `selected` is sorted;
-/// `threshold` reports the per-shard minimum (the loosest admitted).
-SupgResult MergeSupg(const std::vector<SupgResult>& parts,
-                     const std::vector<size_t>& shard_offsets);
-
-/// Union of per-shard threshold selections mapped to global ids. The
-/// merged threshold / validation F1 are invocation-weighted means
-/// (informational — each shard enforces its own fit).
-ThresholdSelectResult MergeThresholdSelects(
-    const std::vector<ThresholdSelectResult>& parts,
-    const std::vector<size_t>& shard_offsets);
-
-/// Rank-interleaving heap merge of per-shard limit results: found records
-/// are taken in order of their per-shard examination rank (position 0 of
-/// every shard first), mapped to global ids, truncated to `want`.
-/// Accepts fewer partials than shards (early termination skips shards);
-/// satisfied = found >= want.
-LimitResult MergeLimits(const std::vector<LimitResult>& parts,
-                        const std::vector<size_t>& shard_offsets,
-                        size_t want);
-
-/// How complete a degraded gather was. Filled by the *Degraded mergers.
+/// How complete a gather was. Filled by every merger.
 struct GatherQuality {
   /// Total shards the query was scattered to.
   size_t shards = 0;
@@ -120,47 +82,65 @@ struct GatherQuality {
   double effective_target = 0.0;
 };
 
-/// Degraded aggregate merge over the present shards. `parts[s]` is only
-/// read where `present[s]`; the missing record mass widens the interval
-/// per the envelope assumption above. At least one non-empty shard must
-/// be present. `quality` may be null.
-AggregationResult MergeAggregatesDegraded(
-    const std::vector<AggregationResult>& parts,
-    const std::vector<size_t>& shard_sizes, const std::vector<bool>& present,
-    GatherQuality* quality);
+// Every merger reads `parts[s]` only where `present[s]`; `present` and
+// `shard_sizes` (the record count behind each shard) cover every shard the
+// query was scattered to. `quality` may be null.
 
-/// Degraded Hajek merge over the present shards: the estimate is the
-/// present-shard conditional mean, the half width widens by the missing
-/// record fraction times half the present-shard estimate envelope.
-PredicateAggregationResult MergePredicateAggregatesDegraded(
+/// Record-count-weighted merge of per-shard mean estimates. With shards
+/// absent, the missing record mass widens the interval per the envelope
+/// assumption above; at least one non-empty shard must be present.
+AggregationResult MergeAggregates(const std::vector<AggregationResult>& parts,
+                                  const std::vector<size_t>& shard_sizes,
+                                  const std::vector<bool>& present,
+                                  GatherQuality* quality);
+
+/// Match-mass-weighted (self-normalized) merge of conditional means. The
+/// weight of shard s is its estimated match count,
+/// shard_sizes[s] * sample_matches / samples — exact when shards sample
+/// uniformly, an estimate under importance sampling. Shards that observed
+/// no matches get zero weight; if no shard observed a match the merged
+/// estimate is 0 with converged = false. With shards absent, the half
+/// width widens by the missing record fraction times half the
+/// present-shard estimate envelope.
+PredicateAggregationResult MergePredicateAggregates(
     const std::vector<PredicateAggregationResult>& parts,
     const std::vector<size_t>& shard_sizes, const std::vector<bool>& present,
     GatherQuality* quality);
 
-/// Degraded SUPG union over the present shards. `recall_target` is the
-/// per-shard recall target when the query is recall-constrained (scaled
-/// into quality->effective_target by coverage), or 0 for precision-mode
-/// where the per-shard target carries to the union unchanged.
-SupgResult MergeSupgDegraded(const std::vector<SupgResult>& parts,
-                             const std::vector<size_t>& shard_offsets,
-                             const std::vector<size_t>& shard_sizes,
-                             const std::vector<bool>& present,
-                             double recall_target, GatherQuality* quality);
+/// Union of the present shards' SUPG selections mapped to global ids
+/// (global = shard_offsets[s] + local). The merged `selected` is sorted;
+/// `threshold` reports the per-shard minimum (the loosest admitted).
+/// `recall_target` is the per-shard recall target when the query is
+/// recall-constrained (scaled into quality->effective_target by
+/// coverage), or 0 for precision mode, where the per-shard target carries
+/// to the union unchanged.
+SupgResult MergeSupg(const std::vector<SupgResult>& parts,
+                     const std::vector<size_t>& shard_offsets,
+                     const std::vector<size_t>& shard_sizes,
+                     const std::vector<bool>& present, double recall_target,
+                     GatherQuality* quality);
 
-/// Degraded threshold-select union over the present shards.
-ThresholdSelectResult MergeThresholdSelectsDegraded(
+/// Union of the present shards' threshold selections mapped to global
+/// ids. The merged threshold / validation F1 are invocation-weighted means
+/// (informational — each shard enforces its own fit).
+ThresholdSelectResult MergeThresholdSelects(
     const std::vector<ThresholdSelectResult>& parts,
     const std::vector<size_t>& shard_offsets,
     const std::vector<size_t>& shard_sizes, const std::vector<bool>& present,
     GatherQuality* quality);
 
-/// Degraded limit merge over the present shards; absent shards simply
-/// contribute no candidates (satisfied can only degrade to false).
-LimitResult MergeLimitsDegraded(const std::vector<LimitResult>& parts,
-                                const std::vector<size_t>& shard_offsets,
-                                const std::vector<size_t>& shard_sizes,
-                                const std::vector<bool>& present, size_t want,
-                                GatherQuality* quality);
+/// Rank-interleaving heap merge of per-shard limit results: found records
+/// are taken in order of their per-shard examination rank (position 0 of
+/// every present shard first), mapped to global ids, truncated to `want`.
+/// Accepts fewer partials than shards (the router's early stop skips the
+/// rest; mark skipped shards present so they do not count as missing
+/// mass). Absent shards contribute no candidates; satisfied = found >=
+/// want.
+LimitResult MergeLimits(const std::vector<LimitResult>& parts,
+                        const std::vector<size_t>& shard_offsets,
+                        const std::vector<size_t>& shard_sizes,
+                        const std::vector<bool>& present, size_t want,
+                        GatherQuality* quality);
 
 }  // namespace tasti::queries
 

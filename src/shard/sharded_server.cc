@@ -29,6 +29,34 @@ std::string ShardDir(const std::string& dir, size_t s) {
 
 }  // namespace
 
+data::Dataset SliceDataset(const data::Dataset& dataset, size_t begin,
+                           size_t end, size_t shard) {
+  TASTI_CHECK(begin <= end && end <= dataset.size(),
+              "SliceDataset: range out of bounds");
+  data::Dataset slice;
+  slice.name = dataset.name + ".shard" + std::to_string(shard);
+  slice.modality = dataset.modality;
+  slice.ground_truth.assign(dataset.ground_truth.begin() + begin,
+                            dataset.ground_truth.begin() + end);
+  slice.features = dataset.features.RowSlice(begin, end);
+  slice.closeness = dataset.closeness;
+  slice.classes = dataset.classes;
+  return slice;
+}
+
+core::IndexOptions ShardIndexOptions(const core::IndexOptions& base,
+                                     size_t shard, size_t num_shards) {
+  core::IndexOptions opts = base;
+  opts.seed = base.seed + shard;
+  if (num_shards > 1) {
+    opts.num_representatives =
+        std::max<size_t>(1, base.num_representatives / num_shards);
+    opts.num_training_records =
+        std::max<size_t>(8, base.num_training_records / num_shards);
+  }
+  return opts;
+}
+
 ShardedServer::ShardedServer(const data::Dataset* dataset,
                              labeler::FallibleLabeler* oracle,
                              ShardedServerOptions options)
@@ -65,8 +93,7 @@ ShardedServer::ShardedServer(const data::Dataset* dataset,
 serve::ServerOptions ShardedServer::ShardServerOptions(size_t s) const {
   const size_t k = partitioner_.num_shards();
   serve::ServerOptions opts = options_.server;
-  opts.index = ShardIndexOptions(options_.server.index, s, k,
-                                 options_.scale_index_budgets);
+  opts.index = ShardIndexOptions(options_.server.index, s, k);
   // Large odd stride keeps per-shard seed streams disjoint even after the
   // server derives per-query seeds from them.
   opts.seed = options_.server.seed + 1000003 * s;
@@ -85,14 +112,12 @@ void ShardedServer::AttachMonitor(size_t s, serve::ServerMonitor* monitor) {
 Status ShardedServer::Start() {
   const size_t k = num_shards();
   std::vector<Status> statuses(k, Status::OK());
-  auto start_range = [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) statuses[s] = servers_[s]->Start();
-  };
-  if (options_.parallel_start && k > 1) {
-    ParallelFor(0, k, start_range, /*min_shard_size=*/1);
-  } else {
-    start_range(0, k);
-  }
+  ParallelFor(
+      0, k,
+      [&](size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s) statuses[s] = servers_[s]->Start();
+      },
+      /*min_shard_size=*/1);
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
   }
@@ -108,16 +133,14 @@ Status ShardedServer::RecoverFrom(const std::string& dir) {
   }
   const size_t k = num_shards();
   std::vector<Status> statuses(k, Status::OK());
-  auto recover_range = [&](size_t begin, size_t end) {
-    for (size_t s = begin; s < end; ++s) {
-      statuses[s] = servers_[s]->RecoverFrom(ShardDir(base, s));
-    }
-  };
-  if (options_.parallel_start && k > 1) {
-    ParallelFor(0, k, recover_range, /*min_shard_size=*/1);
-  } else {
-    recover_range(0, k);
-  }
+  ParallelFor(
+      0, k,
+      [&](size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s) {
+          statuses[s] = servers_[s]->RecoverFrom(ShardDir(base, s));
+        }
+      },
+      /*min_shard_size=*/1);
   for (const Status& status : statuses) {
     if (!status.ok()) return status;
   }
@@ -146,13 +169,9 @@ ShardedQueryResponse ShardedServer::ExecuteScattered(
     sizes = partitioner_.ShardSizes();
     offsets = partitioner_.ShardOffsets();
   }
-  const std::vector<size_t> budgets =
-      options_.scale_query_budgets ? queries::SplitBudget(spec.budget, sizes)
-                                   : std::vector<size_t>(k, spec.budget);
+  const std::vector<size_t> budgets = queries::SplitBudget(spec.budget, sizes);
   const std::vector<size_t> validation_budgets =
-      options_.scale_query_budgets
-          ? queries::SplitBudget(spec.validation_budget, sizes)
-          : std::vector<size_t>(k, spec.validation_budget);
+      queries::SplitBudget(spec.validation_budget, sizes);
 
   ShardedQueryResponse response;
   response.partials.resize(k);
@@ -298,7 +317,7 @@ void ShardedServer::MergePartials(const serve::QuerySpec& spec,
       parts.reserve(k);
       for (const auto& p : response->partials) parts.push_back(p.aggregate);
       response->merged.aggregate =
-          queries::MergeAggregatesDegraded(parts, sizes, present, quality);
+          queries::MergeAggregates(parts, sizes, present, quality);
       break;
     }
     case serve::QueryKind::kAggregateWhere: {
@@ -308,8 +327,7 @@ void ShardedServer::MergePartials(const serve::QuerySpec& spec,
         parts.push_back(p.aggregate_where);
       }
       response->merged.aggregate_where =
-          queries::MergePredicateAggregatesDegraded(parts, sizes, present,
-                                                    quality);
+          queries::MergePredicateAggregates(parts, sizes, present, quality);
       break;
     }
     case serve::QueryKind::kSupgRecall:
@@ -319,15 +337,15 @@ void ShardedServer::MergePartials(const serve::QuerySpec& spec,
       for (const auto& p : response->partials) parts.push_back(p.supg);
       const double recall_target =
           spec.kind == serve::QueryKind::kSupgRecall ? spec.target : 0.0;
-      response->merged.supg = queries::MergeSupgDegraded(
-          parts, offsets, sizes, present, recall_target, quality);
+      response->merged.supg = queries::MergeSupg(parts, offsets, sizes, present,
+                                                 recall_target, quality);
       break;
     }
     case serve::QueryKind::kThresholdSelect: {
       std::vector<queries::ThresholdSelectResult> parts;
       parts.reserve(k);
       for (const auto& p : response->partials) parts.push_back(p.select);
-      response->merged.select = queries::MergeThresholdSelectsDegraded(
+      response->merged.select = queries::MergeThresholdSelects(
           parts, offsets, sizes, present, quality);
       break;
     }
@@ -380,42 +398,35 @@ ShardedQueryResponse ShardedServer::ExecuteLimit(
       if (options_.partial_gather) continue;  // treat as absent, scan on
       break;
     }
-    if (options_.limit_early_stop && found >= spec.want && s + 1 < k) {
-      BumpCounter("shard.limit_early_stops");
+    if (found >= spec.want && s + 1 < k) {
+      BumpCounter("shard.limit_stopped_early");
       break;
     }
   }
   response.shards_queried = response.partials.size();
   response.shard_complete.resize(response.partials.size());
-  bool all_ok = true;
-  for (size_t s = 0; s < response.partials.size(); ++s) {
-    response.shard_complete[s] = response.partials[s].status.ok();
-    all_ok = all_ok && response.shard_complete[s];
-  }
-
-  if (all_ok && !deadline_stopped) {
-    std::vector<queries::LimitResult> parts;
-    parts.reserve(response.partials.size());
-    for (const auto& p : response.partials) parts.push_back(p.limit);
-    response.merged.limit = queries::MergeLimits(parts, offsets, spec.want);
-    return response;
-  }
-  if (!options_.partial_gather) return response;  // fold surfaces failure
-
-  // Degraded gather: merge what the queried shards found; unqueried and
-  // failed shards are absent (the full-size mask reports coverage).
-  std::vector<bool> present(k, false);
   size_t usable = 0;
   for (size_t s = 0; s < response.partials.size(); ++s) {
-    present[s] = response.partials[s].status.ok();
-    usable += present[s] ? 1 : 0;
+    response.shard_complete[s] = response.partials[s].status.ok();
+    usable += response.shard_complete[s] ? 1 : 0;
   }
-  if (usable == 0) return response;
+  const bool full = usable == response.partials.size() && !deadline_stopped;
+  if (!full && (!options_.partial_gather || usable == 0)) {
+    return response;  // FoldAccounting surfaces the failure
+  }
+
+  // Shards the early stop never asked are not missing mass, so a full
+  // gather marks every shard present; a degraded one marks only the
+  // queried shards that answered, so unqueried and failed shards widen the
+  // merged answer.
+  std::vector<bool> present(k, full);
+  std::copy(response.shard_complete.begin(), response.shard_complete.end(),
+            present.begin());
   std::vector<queries::LimitResult> parts;
   parts.reserve(response.partials.size());
   for (const auto& p : response.partials) parts.push_back(p.limit);
-  response.merged.limit = queries::MergeLimitsDegraded(
-      parts, offsets, sizes, present, spec.want, &response.quality);
+  response.merged.limit = queries::MergeLimits(parts, offsets, sizes, present,
+                                               spec.want, &response.quality);
   response.degraded_gather = response.quality.absent > 0;
   return response;
 }

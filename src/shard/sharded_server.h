@@ -19,19 +19,82 @@
 /// records of its own shard, so auto-crack republishes only that shard's
 /// epoch — the other K-1 shards keep serving their current snapshots and
 /// their ScoreCache entries stay warm.
+///
+/// Global record ids stay stable — shard s owns [ShardBegin(s),
+/// ShardEnd(s)) of core/partition.h and local ids are globals minus the
+/// shard offset — so callers keep speaking global ids. Per-shard oracle
+/// accounting goes through ShardLabelerView: a shard sees a labeler over
+/// its own records that forwards to the dataset-wide oracle with the
+/// offset applied, while counting the shard's invocations separately so
+/// per-shard cost ledgers and the cross-shard attribution check hold.
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/index_options.h"
 #include "core/partition.h"
+#include "data/dataset.h"
+#include "labeler/labeler.h"
 #include "queries/merge.h"
 #include "serve/server.h"
-#include "shard/sharded_index.h"
 
 namespace tasti::shard {
+
+/// Copies the [begin, end) record range of `dataset` into a standalone
+/// shard-local dataset (ground truth, features, closeness, classes). The
+/// shard's name is "<name>.shard<shard>".
+data::Dataset SliceDataset(const data::Dataset& dataset, size_t begin,
+                           size_t end, size_t shard);
+
+/// A shard's window onto the dataset-wide oracle: local ids [0, size) map
+/// to global ids [offset, offset + size). Invocations are counted per view
+/// (atomically — views are hit from concurrent shard servers), so each
+/// shard's cost ledger is independent; the underlying oracle still counts
+/// every call per the FallibleLabeler contract, which is what makes the
+/// cross-shard attribution check in ShardedServer exact.
+class ShardLabelerView : public labeler::FallibleLabeler {
+ public:
+  /// The global oracle must outlive the view and be thread-safe when
+  /// multiple shards dispatch concurrently.
+  ShardLabelerView(labeler::FallibleLabeler* global, size_t offset,
+                   size_t size)
+      : global_(global), offset_(offset), size_(size) {}
+
+  Result<data::LabelerOutput> TryLabel(size_t index) override {
+    invocations_.fetch_add(1, std::memory_order_relaxed);
+    return global_->TryLabel(offset_ + index);
+  }
+  size_t num_records() const override { return size_; }
+  size_t invocations() const override {
+    return invocations_.load(std::memory_order_relaxed);
+  }
+  /// Resets only this view's counter; the global oracle keeps counting.
+  void ResetInvocations() override {
+    invocations_.store(0, std::memory_order_relaxed);
+  }
+  double last_call_latency_ms() const override {
+    return global_->last_call_latency_ms();
+  }
+
+  size_t offset() const { return offset_; }
+
+ private:
+  labeler::FallibleLabeler* global_;
+  size_t offset_;
+  size_t size_;
+  std::atomic<size_t> invocations_{0};
+};
+
+/// Shard `shard`'s IndexOptions out of K = `num_shards`: seed offset by
+/// the shard, and num_representatives / num_training_records divided by K
+/// (floor 1 and 8 respectively), so the K-shard construction spends about
+/// the oracle budget one index would, not K times it.
+core::IndexOptions ShardIndexOptions(const core::IndexOptions& base,
+                                     size_t shard, size_t num_shards);
 
 /// Straggler hedging for scatter-gather queries (DESIGN.md §15). When a
 /// shard's sub-query has not answered within the hedge delay — a quantile
@@ -53,22 +116,13 @@ struct HedgePolicy {
 
 struct ShardedServerOptions {
   size_t num_shards = 2;
-  /// Start / recover shards concurrently on the global ThreadPool.
-  bool parallel_start = true;
-  /// Split SUPG / validation budgets across shards proportionally to
-  /// shard size (queries::SplitBudget). Off = every shard gets the full
-  /// budget (spends ~K times the oracle calls for tighter per-shard fits).
-  bool scale_query_budgets = true;
-  /// Stop dispatching limit sub-queries once `want` matches accumulated.
-  bool limit_early_stop = true;
-  /// Divide index construction budgets by K (see ShardedIndexOptions).
-  bool scale_index_budgets = true;
   /// Straggler hedging for scattered sub-queries.
   HedgePolicy hedge;
   /// Degraded partial gather: when a deadline-bounded query's shards have
   /// not all answered at the deadline (or a shard failed / was shed),
-  /// merge whatever answered through the queries/merge.h *Degraded
-  /// mergers — absent shards explicitly widen the merged confidence —
+  /// merge whatever answered through the queries/merge.h mergers with
+  /// those shards marked absent — which explicitly widens the merged
+  /// confidence —
   /// instead of failing the whole query. Requires at least one usable
   /// partial; the response is marked degraded with a per-shard
   /// completeness map.
@@ -102,8 +156,8 @@ struct ShardedQueryResponse {
   /// shards widened the interval; merged.degraded is set). Absent-shard
   /// failure statuses are then informational, not merged.status.
   bool degraded_gather = false;
-  /// Coverage of the gather (filled by the degraded mergers; full
-  /// coverage defaults otherwise).
+  /// Coverage of the gather, filled by the merger; defaults when no merge
+  /// ran (the query failed).
   queries::GatherQuality quality;
 };
 
@@ -123,11 +177,12 @@ class ShardedServer {
   /// Attaches a monitor to shard `s` (before Start, as with TastiServer).
   void AttachMonitor(size_t s, serve::ServerMonitor* monitor);
 
-  /// Builds every shard's index (in parallel with parallel_start) and
-  /// starts its serving stack. Returns the first shard failure, if any.
+  /// Builds every shard's index and starts its serving stack, shards in
+  /// parallel on the global ThreadPool. Returns the first shard failure,
+  /// if any.
   Status Start();
 
-  /// Per-shard recovery fan-out: shard s recovers from
+  /// Per-shard recovery fan-out (shards in parallel): shard s recovers from
   /// `<dir>/shard-<s>` (dir defaults to the template durability dir).
   /// NotFound from any shard means the sharded deployment has no complete
   /// durable state and the caller should Start() cold.
@@ -180,8 +235,8 @@ class ShardedServer {
   ShardedQueryResponse ExecuteScattered(const serve::QuerySpec& spec);
   /// Sequential shard dispatch with early termination (limit).
   ShardedQueryResponse ExecuteLimit(const serve::QuerySpec& spec);
-  /// Merges the present partials for a non-limit kind; uses the degraded
-  /// mergers (widening for absent shards) when any shard is absent.
+  /// Merges the present partials for a non-limit kind (absent shards
+  /// widen the merged confidence).
   void MergePartials(const serve::QuerySpec& spec,
                      const std::vector<size_t>& sizes,
                      const std::vector<size_t>& offsets,

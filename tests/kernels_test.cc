@@ -214,7 +214,7 @@ TEST(KernelsTest, EmptyBlockIsANoop) {
   EXPECT_EQ(sentinel, 42.0f);
 }
 
-TEST(KernelsTest, OneToManyAndGatherMatchScalar) {
+TEST(KernelsTest, OneToManyMatchesScalar) {
   for (size_t cols : {1u, 7u, 64u, 130u}) {
     const nn::Matrix points = RandomMatrix(37, cols, 300 + cols);
     const nn::Matrix centers = RandomMatrix(3, cols, 400 + cols);
@@ -225,17 +225,8 @@ TEST(KernelsTest, OneToManyAndGatherMatchScalar) {
       const float exact = nn::SquaredDistance(points, i, centers, 1);
       EXPECT_NEAR(d2[i], exact, 1e-4f * std::max(1.0f, exact));
     }
-    const std::vector<uint32_t> ids = {5, 0, 36, 17, 17};
-    std::vector<float> gathered(ids.size());
-    nn::SquaredDistanceGather(centers, 2, points, ids.data(), ids.size(),
-                              gathered.data());
-    for (size_t t = 0; t < ids.size(); ++t) {
-      const float exact = nn::SquaredDistance(centers, 2, points, ids[t]);
-      EXPECT_NEAR(gathered[t], exact, 1e-4f * std::max(1.0f, exact));
-    }
-    // Empty ranges write nothing.
+    // An empty range writes nothing.
     nn::SquaredDistanceOneToMany(points, 4, 4, centers, 0, nullptr);
-    nn::SquaredDistanceGather(centers, 0, points, ids.data(), 0, nullptr);
   }
 }
 

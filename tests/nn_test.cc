@@ -652,6 +652,23 @@ TEST(RandomProjectionTest, OutputBoundedByTanh) {
   }
 }
 
+TEST(RandomProjectionTest, ParallelApplyBitIdenticalToSerialRows) {
+  // 4096 rows is four times ParallelFor's default grain, so the bias and
+  // tanh pass splits across the pool. The reference applies the map one
+  // row at a time: a one-row call runs inline, and Gemm's rows do not
+  // depend on how many rows the call holds.
+  Rng rng(18);
+  const Matrix input = RandomMatrix(4096, 24, &rng);
+  const RandomProjection proj(24, 64, 9);
+  const Matrix got = proj.Apply(input);
+  Matrix expected(input.rows(), proj.out_dim());
+  for (size_t r = 0; r < input.rows(); ++r) {
+    const Matrix row = proj.Apply(input.RowSlice(r, r + 1));
+    std::memcpy(expected.Row(r), row.Row(0), row.cols() * sizeof(float));
+  }
+  EXPECT_TRUE(BytesEqual(got, expected));
+}
+
 TEST(RandomProjectionTest, PreservesCoarseGeometry) {
   // Nearby inputs should map to nearby outputs more often than far inputs.
   Rng rng(17);

@@ -709,15 +709,16 @@ TEST(DegradedMergeTest, AggregateWidensMonotonicallyWithMissingMass) {
   const std::vector<size_t> sizes = {250, 250, 250, 250};
 
   queries::GatherQuality q0, q1, q2;
-  queries::AggregationResult m0 = queries::MergeAggregatesDegraded(
+  queries::AggregationResult m0 = queries::MergeAggregates(
       parts, sizes, {true, true, true, true}, &q0);
-  queries::AggregationResult m1 = queries::MergeAggregatesDegraded(
+  queries::AggregationResult m1 = queries::MergeAggregates(
       parts, sizes, {true, false, true, true}, &q1);
-  queries::AggregationResult m2 = queries::MergeAggregatesDegraded(
+  queries::AggregationResult m2 = queries::MergeAggregates(
       parts, sizes, {true, false, false, true}, &q2);
 
-  // All-present delegates to the legacy merger bit-for-bit.
-  queries::AggregationResult legacy = queries::MergeAggregates(parts, sizes);
+  // All-present is the full-coverage merge: nothing widens.
+  queries::AggregationResult legacy = queries::MergeAggregates(
+      parts, sizes, {true, true, true, true}, nullptr);
   EXPECT_EQ(m0.estimate, legacy.estimate);
   EXPECT_EQ(m0.half_width, legacy.half_width);
   EXPECT_EQ(q0.absent, 0u);
@@ -748,17 +749,14 @@ TEST(DegradedMergeTest, PredicateAggregateWidensMonotonically) {
 
   queries::GatherQuality q1, q2;
   queries::PredicateAggregationResult m0 =
-      queries::MergePredicateAggregatesDegraded(parts, sizes,
-                                                {true, true, true, true},
-                                                nullptr);
+      queries::MergePredicateAggregates(parts, sizes, {true, true, true, true},
+                                        nullptr);
   queries::PredicateAggregationResult m1 =
-      queries::MergePredicateAggregatesDegraded(parts, sizes,
-                                                {true, false, true, true},
-                                                &q1);
+      queries::MergePredicateAggregates(parts, sizes, {true, false, true, true},
+                                        &q1);
   queries::PredicateAggregationResult m2 =
-      queries::MergePredicateAggregatesDegraded(parts, sizes,
-                                                {true, false, false, true},
-                                                &q2);
+      queries::MergePredicateAggregates(parts, sizes,
+                                        {true, false, false, true}, &q2);
   // Identical partials: the base Hajek merge is the same for any subset,
   // so the widening term isolates the missing-mass penalty.
   EXPECT_GT(m1.half_width, m0.half_width);
@@ -778,9 +776,9 @@ TEST(DegradedMergeTest, SupgReportsReducedEffectiveTarget) {
   const std::vector<size_t> sizes = {100, 100, 100};
 
   queries::GatherQuality q1, q2;
-  queries::SupgResult m1 = queries::MergeSupgDegraded(
+  queries::SupgResult m1 = queries::MergeSupg(
       parts, offsets, sizes, {true, true, false}, /*recall_target=*/0.9, &q1);
-  queries::SupgResult m2 = queries::MergeSupgDegraded(
+  queries::SupgResult m2 = queries::MergeSupg(
       parts, offsets, sizes, {true, false, false}, /*recall_target=*/0.9, &q2);
 
   // The guarantee weakens monotonically: recall can only be promised over
@@ -802,7 +800,7 @@ TEST(DegradedMergeTest, SupgPrecisionSubsetKeepsPresentShardsOnly) {
   const std::vector<size_t> offsets = {0, 50};
   const std::vector<size_t> sizes = {50, 50};
   queries::GatherQuality q;
-  queries::SupgResult m = queries::MergeSupgDegraded(
+  queries::SupgResult m = queries::MergeSupg(
       parts, offsets, sizes, {false, true}, /*recall_target=*/0.0, &q);
   EXPECT_EQ(m.selected, (std::vector<size_t>{51}));
   EXPECT_DOUBLE_EQ(q.covered_fraction, 0.5);
@@ -821,9 +819,9 @@ TEST(DegradedMergeTest, ThresholdSelectSubsetsAndReportsCoverage) {
   const std::vector<size_t> sizes = {10, 10, 10};
 
   queries::GatherQuality q1, q2;
-  queries::ThresholdSelectResult m1 = queries::MergeThresholdSelectsDegraded(
+  queries::ThresholdSelectResult m1 = queries::MergeThresholdSelects(
       parts, offsets, sizes, {true, true, false}, &q1);
-  queries::ThresholdSelectResult m2 = queries::MergeThresholdSelectsDegraded(
+  queries::ThresholdSelectResult m2 = queries::MergeThresholdSelects(
       parts, offsets, sizes, {false, true, false}, &q2);
   EXPECT_EQ(m1.selected, (std::vector<size_t>{1, 12}));
   EXPECT_EQ(m2.selected, (std::vector<size_t>{12}));
@@ -843,7 +841,7 @@ TEST(DegradedMergeTest, LimitHandlesShortPartialListAndAbsentShards) {
   const std::vector<size_t> sizes = {100, 100, 100};
 
   queries::GatherQuality q;
-  queries::LimitResult merged = queries::MergeLimitsDegraded(
+  queries::LimitResult merged = queries::MergeLimits(
       parts, offsets, sizes, {true, false, false}, /*want=*/5, &q);
   EXPECT_EQ(merged.found, (std::vector<size_t>{3, 4}));
   EXPECT_EQ(q.absent, 2u);
@@ -857,7 +855,6 @@ TEST(ShardedOverloadTest, LimitPartialGatherStopsAtVirtualDeadline) {
   shard::ShardedServerOptions sopts;
   sopts.num_shards = 4;
   sopts.partial_gather = true;
-  sopts.limit_early_stop = false;  // force the deadline, not satisfaction
   sopts.server = FastServerOptions();
   sopts.server.index.num_representatives = 60;
   sopts.server.index.num_training_records = 60;

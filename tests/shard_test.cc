@@ -1,6 +1,6 @@
 // Tests for src/shard/: record-range partitioning, the per-query-kind
-// scatter-gather mergers, parallel sharded index construction with
-// shard-local crack routing, and the ShardedServer — including the
+// scatter-gather mergers, and the ShardedServer — its parallel per-shard
+// construction at scaled budgets, appends to the last shard, and the
 // shard-equivalence suite (K in {2,4,7} answers match K=1 semantics for
 // all six query kinds), a concurrent scatter-gather test run under TSan,
 // and sharded crash recovery through the per-shard durability fan-out.
@@ -34,7 +34,6 @@
 #include "queries/noguarantee.h"
 #include "queries/supg.h"
 #include "serve/server.h"
-#include "shard/sharded_index.h"
 #include "shard/sharded_server.h"
 
 namespace tasti::shard {
@@ -143,13 +142,16 @@ TEST(MergeTest, MergeAggregatesIsRecordWeighted) {
   parts[1].half_width = 0.3;
   parts[1].labeler_invocations = 60;
   parts[1].converged = true;
-  const auto merged = queries::MergeAggregates(parts, {300, 100});
+  const auto merged = queries::MergeAggregates(parts, {300, 100},
+                                               {true, true}, nullptr);
   EXPECT_NEAR(merged.estimate, 0.75 * 1.0 + 0.25 * 4.0, 1e-12);
   EXPECT_NEAR(merged.half_width, 0.75 * 0.1 + 0.25 * 0.3, 1e-12);
   EXPECT_EQ(merged.labeler_invocations, 100u);
   EXPECT_TRUE(merged.converged);
   parts[1].converged = false;
-  EXPECT_FALSE(queries::MergeAggregates(parts, {300, 100}).converged);
+  EXPECT_FALSE(
+      queries::MergeAggregates(parts, {300, 100}, {true, true}, nullptr)
+          .converged);
 }
 
 TEST(MergeTest, MergePredicateAggregatesWeighsByMatchMass) {
@@ -165,19 +167,22 @@ TEST(MergeTest, MergePredicateAggregatesWeighsByMatchMass) {
   parts[1].labeler_invocations = 20;
   parts[1].converged = true;
   // Match masses: 100 * 0.5 = 50 and 300 * 0.25 = 75.
-  const auto merged = queries::MergePredicateAggregates(parts, {100, 300});
+  const auto merged = queries::MergePredicateAggregates(
+      parts, {100, 300}, {true, true}, nullptr);
   EXPECT_NEAR(merged.estimate, (50.0 * 2.0 + 75.0 * 6.0) / 125.0, 1e-12);
   EXPECT_EQ(merged.sample_matches, 15u);
   EXPECT_TRUE(merged.converged);
 
   // A shard with no observed matches contributes no weight...
   parts[1].sample_matches = 0;
-  const auto skewed = queries::MergePredicateAggregates(parts, {100, 300});
+  const auto skewed = queries::MergePredicateAggregates(
+      parts, {100, 300}, {true, true}, nullptr);
   EXPECT_NEAR(skewed.estimate, 2.0, 1e-12);
   // ...and if no shard matched at all, the merge reports non-convergence.
   parts[0].sample_matches = 0;
-  EXPECT_FALSE(
-      queries::MergePredicateAggregates(parts, {100, 300}).converged);
+  EXPECT_FALSE(queries::MergePredicateAggregates(parts, {100, 300},
+                                                 {true, true}, nullptr)
+                   .converged);
 }
 
 TEST(MergeTest, MergeSupgUnionsGlobalIdsSorted) {
@@ -188,7 +193,9 @@ TEST(MergeTest, MergeSupgUnionsGlobalIdsSorted) {
   parts[1].selected = {1, 3};
   parts[1].threshold = 0.3;
   parts[1].labeler_invocations = 12;
-  const auto merged = queries::MergeSupg(parts, {0, 100});
+  const auto merged =
+      queries::MergeSupg(parts, {0, 100}, {100, 100}, {true, true},
+                         /*recall_target=*/0.0, nullptr);
   EXPECT_EQ(merged.selected, (std::vector<size_t>{0, 2, 101, 103}));
   EXPECT_DOUBLE_EQ(merged.threshold, 0.3);  // loosest admitted
   EXPECT_EQ(merged.labeler_invocations, 22u);
@@ -200,7 +207,8 @@ TEST(MergeTest, MergeLimitsInterleavesByRankAndTruncates) {
   parts[0].labeler_invocations = 9;
   parts[1].found = {1, 2};
   parts[1].labeler_invocations = 4;
-  const auto merged = queries::MergeLimits(parts, {0, 100}, 3);
+  const auto merged = queries::MergeLimits(parts, {0, 100}, {100, 100},
+                                           {true, true}, 3, nullptr);
   // Rank 0 of each shard first, then rank 1 of the first shard.
   EXPECT_EQ(merged.found, (std::vector<size_t>{5, 101, 6}));
   EXPECT_TRUE(merged.satisfied);
@@ -209,93 +217,102 @@ TEST(MergeTest, MergeLimitsInterleavesByRankAndTruncates) {
   // Early termination: fewer partials than shards is fine.
   std::vector<queries::LimitResult> one(1);
   one[0].found = {4, 8};
-  const auto early = queries::MergeLimits(one, {0, 100}, 2);
+  const auto early = queries::MergeLimits(one, {0, 100}, {100, 100},
+                                          {true, true}, 2, nullptr);
   EXPECT_EQ(early.found, (std::vector<size_t>{4, 8}));
   EXPECT_TRUE(early.satisfied);
 }
 
-// --- ShardedIndex ---
+// --- ShardedServer: construction and appends ---
 
-TEST(ShardedIndexTest, ParallelBuildCoversEveryShard) {
+TEST(ShardedServerTest, StartBuildsEveryShardAtScaledBudgets) {
   data::Dataset ds = TestDataset(900);
   labeler::SimulatedLabeler oracle(&ds);
   labeler::FallibleAdapter adapter(&oracle);
-  ShardedIndexOptions opts;
+  ShardedServerOptions opts;
   opts.num_shards = 3;
-  opts.index = FastIndexOptions();
-  ShardedIndex index(&ds, opts);
-  ASSERT_TRUE(index.Build(&adapter).ok());
+  opts.server.index = FastIndexOptions();
+  opts.server.num_workers = 1;
+  ShardedServer server(&ds, &adapter, opts);
+  ASSERT_TRUE(server.Start().ok());
 
-  EXPECT_EQ(index.num_shards(), 3u);
-  for (size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(index.shard(s).num_records(), index.partitioner().ShardSize(s));
-    EXPECT_GT(index.shard(s).num_representatives(), 0u);
-  }
-  // Scaled budgets: the sharded build spends about what K=1 would, not K
-  // times it (each shard gets reps/K representatives).
-  EXPECT_LE(index.num_representatives(),
-            opts.index.num_representatives + opts.num_shards);
-  EXPECT_EQ(index.build_stats().per_shard.size(), 3u);
-  EXPECT_GT(index.build_stats().TotalInvocations(), 0u);
-  // Every view call landed on the global oracle exactly once.
+  ASSERT_EQ(server.num_shards(), 3u);
+  size_t representatives = 0;
   size_t view_calls = 0;
-  for (size_t s = 0; s < 3; ++s) view_calls += index.shard_view(s)->invocations();
+  for (size_t s = 0; s < 3; ++s) {
+    const auto snapshot = server.shard(s).epochs().Acquire();
+    EXPECT_EQ(snapshot->num_records, server.partitioner().ShardSize(s));
+    EXPECT_GT(snapshot->rep_record_ids.size(), 0u);
+    representatives += snapshot->rep_record_ids.size();
+    // Scaled budgets: each shard builds with reps/K representatives.
+    EXPECT_EQ(server.shard(s).options().index.num_representatives,
+              opts.server.index.num_representatives / 3);
+    EXPECT_GT(server.shard(s).index_invocations(), 0u);
+    view_calls += server.shard_view(s)->invocations();
+  }
+  // The sharded build spends about what K=1 would, not K times it.
+  EXPECT_LE(representatives,
+            opts.server.index.num_representatives + opts.num_shards);
+  // Every view call landed on the global oracle exactly once.
   EXPECT_EQ(view_calls, oracle.invocations());
+  server.Shutdown();
 }
 
-TEST(ShardedIndexTest, CracksRouteToOwningShardOnly) {
+TEST(ShardedServerTest, LimitEarlyStopIsAFullGather) {
   data::Dataset ds = TestDataset(900);
   labeler::SimulatedLabeler oracle(&ds);
   labeler::FallibleAdapter adapter(&oracle);
-  ShardedIndexOptions opts;
+  ShardedServerOptions opts;
   opts.num_shards = 3;
-  opts.index = FastIndexOptions();
-  ShardedIndex index(&ds, opts);
-  ASSERT_TRUE(index.Build(&adapter).ok());
+  opts.partial_gather = true;
+  opts.server.index = FastIndexOptions();
+  opts.server.num_workers = 1;
+  ShardedServer server(&ds, &adapter, opts);
+  ASSERT_TRUE(server.Start().ok());
 
-  // Pick shard 1 records that are not yet representatives.
-  const core::Partitioner& p = index.partitioner();
-  std::vector<size_t> records;
-  std::vector<data::LabelerOutput> labels;
-  for (size_t id = p.ShardBegin(1); id < p.ShardEnd(1) && records.size() < 5;
-       ++id) {
-    if (index.IsRepresentative(id)) continue;
-    records.push_back(id);
-    labels.push_back(ds.ground_truth[id]);
-  }
-  ASSERT_EQ(records.size(), 5u);
-
-  const size_t reps0 = index.shard(0).num_representatives();
-  const size_t reps2 = index.shard(2).num_representatives();
-  std::vector<size_t> touched;
-  const size_t added = index.CrackFromLabels(records, labels, &touched);
-  EXPECT_EQ(added, 5u);
-  EXPECT_EQ(touched, (std::vector<size_t>{1}));
-  // Untouched shards kept their structure: the republish is shard-local.
-  EXPECT_EQ(index.shard(0).num_representatives(), reps0);
-  EXPECT_EQ(index.shard(2).num_representatives(), reps2);
-  for (size_t id : records) EXPECT_TRUE(index.IsRepresentative(id));
+  core::PresenceScorer cars(data::ObjectClass::kCar);
+  serve::QuerySpec spec;
+  spec.kind = serve::QueryKind::kLimit;
+  spec.scorer = &cars;
+  spec.want = 3;
+  const ShardedQueryResponse r = server.Execute(spec);
+  ASSERT_TRUE(r.merged.status.ok());
+  ASSERT_LT(r.shards_queried, 3u);  // car-rich: the first shard suffices
+  // Shards the early stop never asked are not missing mass.
+  EXPECT_FALSE(r.degraded_gather);
+  EXPECT_FALSE(r.merged.degraded);
+  EXPECT_EQ(r.quality.absent, 0u);
+  EXPECT_DOUBLE_EQ(r.quality.covered_fraction, 1.0);
+  EXPECT_TRUE(r.merged.limit.satisfied);
+  server.Shutdown();
 }
 
-TEST(ShardedIndexTest, AppendsExtendTheLastShard) {
+TEST(ShardedServerTest, AppendsExtendTheLastShard) {
   data::Dataset ds = TestDataset(600);
   labeler::SimulatedLabeler oracle(&ds);
   labeler::FallibleAdapter adapter(&oracle);
-  ShardedIndexOptions opts;
+  ShardedServerOptions opts;
   opts.num_shards = 2;
-  opts.index = FastIndexOptions();
-  ShardedIndex index(&ds, opts);
-  ASSERT_TRUE(index.Build(&adapter).ok());
+  opts.server.index = FastIndexOptions();
+  opts.server.num_workers = 1;
+  ShardedServer server(&ds, &adapter, opts);
+  ASSERT_TRUE(server.Start().ok());
 
   data::Dataset extra = TestDataset(40, /*seed=*/123);
-  const size_t before_last = index.shard(1).num_records();
-  const size_t first = index.AppendRecords(extra.features);
+  const std::vector<uint64_t> epochs = server.shard_epochs();
+  const size_t before_last = server.shard(1).epochs().Acquire()->num_records;
+  const size_t first = server.AppendRecords(extra.features);
   EXPECT_EQ(first, 600u);  // global ids stay dense
-  EXPECT_EQ(index.shard(1).num_records(), before_last + 40);
-  EXPECT_EQ(index.partitioner().num_records(), 640u);
-  EXPECT_EQ(index.partitioner().ShardOf(639), 1u);
-  EXPECT_EQ(index.shard(0).num_records(),
-            index.partitioner().ShardSize(0));  // shard 0 untouched
+  EXPECT_EQ(server.shard(1).epochs().Acquire()->num_records,
+            before_last + 40);
+  EXPECT_EQ(server.partitioner().num_records(), 640u);
+  EXPECT_EQ(server.partitioner().ShardOf(639), 1u);
+  // Only the last shard republished; shard 0 is untouched.
+  EXPECT_EQ(server.shard(0).epochs().Acquire()->num_records,
+            server.partitioner().ShardSize(0));
+  EXPECT_EQ(server.shard_epochs(),
+            (std::vector<uint64_t>{epochs[0], epochs[1] + 1}));
+  server.Shutdown();
 }
 
 // --- ShardedServer: equivalence suite ---

@@ -44,6 +44,13 @@ Asserts, from the repository root:
      results, and the ISA-dispatched kernels promise bit-identical
      output on every host (see src/nn/clones.h). The rule also runs on
      a fixture that must fail, so a broken pattern cannot pass silently.
+ 13. every `bool` field of a struct under src/ whose name ends in
+     `Options` or `Policy` is assigned (`.field =` or `->field =`)
+     somewhere under src/, tools/, bench/, examples/, perfbench/ or
+     tests/ other than its own header and .cc: a switch that nothing
+     sets is a second code path that nothing runs. The match is by field
+     name, so it is a floor, not a proof. Like rule 12, it also runs on
+     a fixture that must fail.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -82,6 +89,50 @@ def clone_isa_violations(text):
                 if isa not in ALLOWED_CLONE_ISAS:
                     violations.append((line, isa))
     return violations
+
+
+# Rule 13: a struct named *Options / *Policy, its brace-balanced body, and
+# the `bool name` fields declared directly in that body.
+KNOB_STRUCT = re.compile(r"\bstruct\s+(\w*(?:Options|Policy))\s*\{")
+BOOL_FIELD = re.compile(r"^\s*bool\s+(\w+)\s*(?:=[^;]*)?;", re.MULTILINE)
+
+
+def bool_knobs(text):
+    """(struct, field, line) for each bool field declared at the top level
+    of a *Options / *Policy struct in `text`."""
+    knobs = []
+    for match in KNOB_STRUCT.finditer(text):
+        depth, start = 1, match.end()
+        body = []  # top-level text of the struct, nested bodies blanked
+        for i in range(start, len(text)):
+            ch = text[i]
+            if ch == "{":
+                depth += 1
+            elif ch == "}":
+                depth -= 1
+                if depth == 0:
+                    break
+            body.append(ch if depth == 1 or ch == "\n" else " ")
+        body = "".join(body)
+        for field in BOOL_FIELD.finditer(body):
+            line = text.count("\n", 0, start + field.start(1)) + 1
+            knobs.append((match.group(1), field.group(1), line))
+    return knobs
+
+
+def unset_knobs(headers, callers):
+    """(header, struct, field, line) for each bool knob declared in
+    `headers` ({path: text}) that no text in `callers` ({path: text})
+    assigns, where a header's own text and its sibling .cc do not count."""
+    unset = []
+    for header, text in sorted(headers.items()):
+        own = {header, header.with_suffix(".cc")}
+        for struct, field, line in bool_knobs(text):
+            assigned = re.compile(rf"(?:\.|->)\s*{field}\s*=(?!=)")
+            if not any(assigned.search(body) for path, body in callers.items()
+                       if path not in own):
+                unset.append((header, struct, field, line))
+    return unset
 
 
 def main():
@@ -304,6 +355,31 @@ def main():
                 "target_clones/target attribute; only avx2 and default keep "
                 "float results bit-identical (no FMA contraction)"
             )
+
+    fixture_header = pathlib.Path("fixture.h")
+    fixture = {fixture_header: "struct FixtureOptions {\n  bool set = false;\n"
+               "  struct Inner { bool nested; };\n  bool unset = true;\n};\n"}
+    fixture_callers = {pathlib.Path("caller.cc"): "opts.set = true;\n"
+                       "if (opts.unset == false) {}\n",
+                       pathlib.Path("fixture.cc"): "opts->unset = false;\n"}
+    if [(s, f) for _, s, f, _ in unset_knobs(fixture, fixture_callers)] != [
+            ("FixtureOptions", "unset")]:
+        errors.append(
+            "rule 13 no longer flags the unset `bool` in its own fixture; "
+            "fix bool_knobs/unset_knobs before trusting it on src/"
+        )
+    headers = {path: path.read_text() for path in sorted(src.rglob("*.h"))}
+    callers = {}
+    for top in ("src", "tools", "bench", "examples", "perfbench", "tests"):
+        for path in (ROOT / top).rglob("*"):
+            if path.suffix in (".h", ".cc"):
+                callers[path] = path.read_text()
+    for header, struct, field, line in unset_knobs(headers, callers):
+        errors.append(
+            f"src/{header.relative_to(src)}:{line} declares bool "
+            f"{struct}::{field}, which nothing outside its own header and "
+            ".cc assigns; delete the switch or set it somewhere"
+        )
 
     fail(errors)
 
