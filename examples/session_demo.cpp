@@ -1,13 +1,15 @@
-// Session demo: the high-level api::TastiSession facade running a mixed
-// workload — the index is built lazily, cracked automatically after every
-// query, and accounts every target-labeler invocation. Also demonstrates
-// streaming ingestion of new footage into the same session index.
+// Session demo: the high-level api::TastiSession facade (a one-worker
+// TastiServer) running a mixed workload — the index is built lazily,
+// cracked automatically after every query, and accounts every
+// target-labeler invocation. Also demonstrates streaming ingestion of new
+// footage into a copy of the session's index.
 
 #include <cstdio>
 
 #include "api/session.h"
 #include "core/index_stats.h"
 #include "core/proxy.h"
+#include "core/serialize.h"
 #include "data/dataset.h"
 #include "eval/reporting.h"
 #include "labeler/labeler.h"
@@ -76,11 +78,20 @@ int main() {
   tonight_options.seed = 99;
   data::Dataset tonight = data::MakeNightStreet(tonight_options);
 
-  // The session's index embeds the new frames with its stored embedding
-  // network; no retraining, no labeler calls.
-  core::TastiIndex& index = session.mutable_index();
+  // A copy of the session's index embeds the new frames with its stored
+  // embedding network; no retraining, no labeler calls. (A served index
+  // ingests through TastiServer::AppendRecords instead.)
+  Result<std::string> bytes =
+      core::IndexSerializer::SerializeToString(session.index());
+  Result<core::TastiIndex> copy =
+      bytes.ok() ? core::IndexSerializer::DeserializeFromString(*bytes)
+                 : Result<core::TastiIndex>(bytes.status());
+  if (!copy.ok()) {
+    std::fprintf(stderr, "%s\n", copy.status().ToString().c_str());
+    return 1;
+  }
+  core::TastiIndex& index = *copy;
   const size_t first_new = index.AppendRecords(tonight.features);
-  session.InvalidateProxyCache();
   std::printf("appended %zu frames (records %zu..%zu), 0 labeler calls\n",
               tonight.features.rows(), first_new,
               first_new + tonight.features.rows() - 1);

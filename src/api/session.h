@@ -4,14 +4,18 @@
 /// \file session.h
 /// TastiSession: the one-object API a downstream application uses.
 ///
-/// A session owns one TASTI index over a dataset and exposes the paper's
-/// query types as single calls. It handles everything the paper describes
-/// around the index automatically:
-///  - lazy construction on first query (charging the target labeler),
-///  - proxy-score caching per (scorer, propagation) pair,
-///  - index cracking after every query (paper Section 3.3): each query's
-///    target-labeler annotations become new representatives, so queries
-///    get cheaper over time,
+/// A session is a one-worker serve::TastiServer (serial oracle dispatch,
+/// inline cracks) started on first use, so it runs the paper's session
+/// path through the one query engine:
+///  - lazy construction on the first query or index() call (charging the
+///    target labeler),
+///  - proxy scores from the server's score cache, advanced incrementally
+///    across cracks,
+///  - labels from the server-wide label cache: a record labeled for the
+///    build or an earlier query is free for every later one,
+///  - failed-representative repair and index cracking after every query
+///    (paper Section 3.3): each query's annotations become new
+///    representatives, so queries get cheaper over time,
 ///  - labeler-invocation accounting across the session.
 ///
 ///   labeler::SimulatedLabeler simulated(&dataset);
@@ -21,29 +25,21 @@
 ///   auto sel = session.SelectWithRecall(core::PresenceScorer(kCar), 0.9, 500);
 ///   auto lim = session.Limit(core::AtLeastCountScorer(kCar, 5), 10);
 
-#include <optional>
-#include <string>
-#include <unordered_map>
-#include <vector>
+#include <cstdint>
 
 #include "core/index.h"
-#include "core/proxy.h"
 #include "core/scorer.h"
 #include "data/dataset.h"
 #include "labeler/labeler.h"
-#include "labeler/resilient.h"
 #include "obs/query_log.h"
 #include "serve/query.h"
+#include "serve/server.h"
 
 namespace tasti::api {
 
-/// Deterministic per-query seed: the stream a session (or the serving
-/// layer) hands query number `n` (1-based) under base seed `base`. Shared
-/// by TastiSession and serve::TastiServer so a served query with a known
-/// id draws the same randomness regardless of scheduling interleaving.
-inline uint64_t DeriveQuerySeed(uint64_t base, uint64_t n) {
-  return base * 2654435761ULL + n * 97;
-}
+/// Query n of a session (1-based) draws DeriveQuerySeed(seed, n), as
+/// query id n does on a server.
+using serve::DeriveQuerySeed;
 
 /// Session-wide configuration.
 struct SessionOptions {
@@ -51,10 +47,6 @@ struct SessionOptions {
   core::IndexOptions index;
   /// Crack the index with each query's annotations (recommended).
   bool auto_crack = true;
-  /// Cap on the failed representatives re-annotated after each query
-  /// (self-healing; only relevant with a fallible oracle). Bounds the
-  /// extra oracle cost.
-  size_t max_rep_repairs_per_query = 16;
   /// Success probability shared by all guarantee-carrying queries.
   double confidence = 0.95;
   /// Base seed; each query perturbs it deterministically.
@@ -67,7 +59,7 @@ class TastiSession {
  public:
   /// Queries run degraded when oracle calls fail (see
   /// last_query_status()), the index builds with placeholder labels for
-  /// failed representatives, and cracking repairs them over time. Wrap a
+  /// failed representatives, and queries repair them over time. Wrap a
   /// ground-truth labeler in labeler::FallibleAdapter to use it here. The
   /// dataset and oracle must outlive the session.
   TastiSession(const data::Dataset* dataset, labeler::FallibleLabeler* oracle,
@@ -75,12 +67,11 @@ class TastiSession {
 
   // --- Queries (each consumes target-labeler invocations) ---
 
-  /// Runs one query of any kind: proxy scores from the session's cache,
-  /// the shared executor (serve::ExecuteQuery) over a per-query label
-  /// cache, then failed-rep repair, cracking and the QueryLog record. The
-  /// typed methods below wrap it. The response's status is also
-  /// last_query_status(); spec.deadline_ms, client_id and priority are
-  /// serving-layer fields the session ignores.
+  /// Runs one query of any kind through the server (TastiServer::Execute)
+  /// and returns once its repairs and crack are applied. The typed methods
+  /// below wrap it. The response's status is also last_query_status(); an
+  /// invalid spec (no scorer, or kAggregateWhere without a statistic)
+  /// returns InvalidArgument.
   serve::QueryResponse Execute(const serve::QuerySpec& spec);
 
   /// Mean of `statistic` over all records, within `error_target` with the
@@ -117,25 +108,21 @@ class TastiSession {
   /// The underlying index; builds it if no query has run yet.
   const core::TastiIndex& index();
 
-  /// Mutable access for advanced uses (streaming AppendRecords, manual
-  /// cracking). Invalidate cached proxies afterwards with
-  /// InvalidateProxyCache().
-  core::TastiIndex& mutable_index();
-
-  /// Drops cached proxy scores (call after mutating the index directly).
-  void InvalidateProxyCache() { proxy_cache_.clear(); }
-
   /// True once the index has been constructed.
-  bool index_built() const { return index_.has_value(); }
+  bool index_built() const { return started_; }
 
   /// Target-labeler invocations consumed so far (index + all queries).
-  size_t total_labeler_invocations() const { return total_invocations_; }
+  size_t total_labeler_invocations() const {
+    return query_log().total_invocations();
+  }
 
   /// Labeler invocations spent on index construction only.
-  size_t index_invocations() const { return index_invocations_; }
+  size_t index_invocations() const { return server_.index_invocations(); }
 
   /// Queries executed so far.
-  size_t queries_executed() const { return queries_executed_; }
+  size_t queries_executed() const {
+    return static_cast<size_t>(server_.stats().queries_completed);
+  }
 
   /// Status of the most recent query. OK when the query produced a usable
   /// (possibly degraded) result; an error — e.g. Unavailable when every
@@ -145,48 +132,20 @@ class TastiSession {
   /// Failed representatives repaired across the session so far.
   size_t representatives_repaired() const { return reps_repaired_; }
 
-  /// Per-query cost ledger: one record per query with wall time split by
-  /// phase, labeler invocations attributed to that query, and their price
-  /// under the Table-1 cost model. The attribution invariant
-  /// (index + sum of queries == labeler->invocations()) holds when the
-  /// labeler entered the session with a zero invocation counter.
-  const obs::QueryLog& query_log() const { return query_log_; }
-  obs::QueryLog& mutable_query_log() { return query_log_; }
-
-  /// Proxy scores for a scorer (cached until the next crack).
-  const std::vector<double>& ProxyScores(
-      const core::Scorer& scorer,
-      core::PropagationMode mode = core::PropagationMode::kNumeric);
+  /// Per-query cost ledger: the server's, one record per query with wall
+  /// time split by phase, labeler invocations attributed to that query,
+  /// and their price under the Table-1 cost model. The attribution
+  /// invariant (index + sum of queries == labeler->invocations()) holds
+  /// when the labeler entered the session with a zero invocation counter.
+  const obs::QueryLog& query_log() const { return server_.query_log(); }
 
  private:
-  void EnsureIndex();
-  uint64_t NextSeed();
-  // Re-attempts oracle annotation of failed representatives (capped by
-  // max_rep_repairs_per_query). Returns the number repaired.
-  size_t RepairFailedReps();
-  // Runs after every query: repairs failed representatives (their oracle
-  // cost is attributed to this query), accounts the oracle calls the query
-  // consumed, cracks the index with the query's labels, invalidates cached
-  // proxies if anything changed, and appends the query's record to the
-  // log with its phase times read from `spans`, the query's span totals;
-  // `response` receives the query's oracle invocations and new
-  // representatives.
-  void FinishQuery(const labeler::CachingFallibleLabeler& cache,
-                   size_t invocations_before, const serve::QuerySpec& spec,
-                   const obs::SpanTotals& spans,
-                   serve::QueryResponse* response);
+  void EnsureStarted();
 
-  const data::Dataset* dataset_;
-  labeler::FallibleLabeler* oracle_ = nullptr;
-  SessionOptions options_;
-  std::optional<core::TastiIndex> index_;
-  std::unordered_map<std::string, std::vector<double>> proxy_cache_;
-  size_t total_invocations_ = 0;
-  size_t index_invocations_ = 0;
-  size_t queries_executed_ = 0;
+  serve::TastiServer server_;
+  bool started_ = false;
   size_t reps_repaired_ = 0;
   Status last_query_status_ = Status::OK();
-  obs::QueryLog query_log_;
 };
 
 }  // namespace tasti::api

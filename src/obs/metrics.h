@@ -154,7 +154,7 @@ class MetricsRegistry {
   std::vector<MetricSample> Samples() const;
 
   /// JSON snapshot: an array of flat objects sorted by metric name, e.g.
-  ///   [{"metric": "session.queries", "type": "counter", "unit": "calls",
+  ///   [{"metric": "serve.queries", "type": "counter", "unit": "queries",
   ///     "value": 5}, ...]
   /// Histograms carry "count", "sum", and a "buckets" array of
   /// {"le": bound, "count": n} (le = "less than or equal"; the final

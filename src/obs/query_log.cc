@@ -14,8 +14,7 @@ QueryPhaseTimes PhaseTimesFromSpans(const SpanTotals& spans) {
   phases.oracle_seconds = static_cast<double>(oracle_ns) * 1e-9;
   phases.algorithm_seconds =
       static_cast<double>(spans.Nanos("serve.execute") - oracle_ns) * 1e-9;
-  phases.crack_seconds =
-      spans.Seconds("session.crack") + spans.Seconds("serve.crack");
+  phases.crack_seconds = spans.Seconds("serve.crack");
   return phases;
 }
 

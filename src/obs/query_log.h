@@ -2,7 +2,8 @@
 #define TASTI_OBS_QUERY_LOG_H_
 
 /// \file query_log.h
-/// Per-query cost attribution for a TastiSession or a TastiServer.
+/// Per-query cost attribution for a TastiServer (and so for a TastiSession,
+/// which is a one-worker server).
 ///
 /// The paper's headline claims (Table 1, Figures 6-9) are statements about
 /// where time and target-labeler invocations go. The QueryLog makes every
@@ -50,7 +51,7 @@ struct QueryPhaseTimes {
 ///   propagation = query.proxy.propagate + query.proxy.propagate_delta
 ///   oracle      = oracle.call (per-query label cache misses)
 ///   algorithm   = serve.execute - oracle.call
-///   crack       = session.crack + serve.crack
+///   crack       = serve.crack
 /// A proxy served from a cache opens no proxy span on the query's thread,
 /// so its rep_score and propagation read zero.
 QueryPhaseTimes PhaseTimesFromSpans(const SpanTotals& spans);
@@ -67,11 +68,10 @@ struct QueryRecord {
   /// Oracle calls that failed after retries during this query.
   size_t failed_oracle_calls = 0;
   /// Previously-failed representatives repaired after this query
-  /// (self-healing crack; see SessionOptions::max_rep_repairs_per_query).
+  /// (self-healing; at most serve::kMaxRepRepairsPerQuery).
   size_t repaired_representatives = 0;
   /// How the proxy scores were obtained when served through the score
-  /// cache: "full", "delta", "hit", or "shared". Empty for sessions (no
-  /// cache in the single-query path).
+  /// cache: "full", "delta", "hit", or "shared".
   std::string proxy_source;
   /// Record rows recomputed when proxy_source is "delta".
   size_t proxy_delta_rows = 0;
@@ -84,7 +84,7 @@ struct QueryRecord {
 };
 
 /// Session-lifetime ledger: the index-construction charge plus one record
-/// per query. Not thread-safe (sessions are single-threaded).
+/// per query. Not thread-safe (TastiServer guards its log with a mutex).
 class QueryLog {
  public:
   /// Replaces the cost model used to price subsequent records.

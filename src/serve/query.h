@@ -4,11 +4,10 @@
 /// \file query.h
 /// The one query executor. TASTI answers every query the same way (paper
 /// Section 5): score the representatives exactly, propagate to every
-/// record, and hand the proxy to an existing algorithm. The caller owns
-/// the first two steps (TastiSession caches proxies per index, TastiServer
-/// per snapshot epoch); ExecuteQuery is the third, shared by both, so a
-/// session and a server given the same proxy, oracle answers and seed
-/// return bit-identical payloads. AnswerFromProxy is its brownout twin:
+/// record, and hand the proxy to an existing algorithm. TastiServer owns
+/// the first two steps (its score cache, per snapshot epoch); ExecuteQuery
+/// is the third, so anything given the same proxy, oracle answers and seed
+/// returns bit-identical payloads. AnswerFromProxy is its brownout twin:
 /// the same six kinds answered from proxy scores alone.
 
 #include <cstddef>
@@ -41,6 +40,13 @@ enum class QueryKind {
 
 const char* QueryKindName(QueryKind kind);
 
+/// Deterministic per-query seed: the stream query number `n` (1-based, the
+/// server's query id) draws under base seed `base`, so a served query
+/// draws the same randomness regardless of scheduling interleaving.
+inline uint64_t DeriveQuerySeed(uint64_t base, uint64_t n) {
+  return base * 2654435761ULL + n * 97;
+}
+
 /// One query request. Scorer pointers must outlive the query's execution.
 struct QuerySpec {
   QueryKind kind = QueryKind::kAggregate;
@@ -71,7 +77,7 @@ struct QueryResponse {
   QueryKind kind = QueryKind::kAggregate;
   /// Snapshot epoch the query executed against.
   uint64_t epoch = 0;
-  /// OK when the query produced a usable result (session semantics).
+  /// OK when the query produced a usable (possibly degraded) result.
   Status status = Status::OK();
 
   queries::AggregationResult aggregate;
@@ -86,6 +92,10 @@ struct QueryResponse {
   size_t scheduler_cache_hits = 0;    ///< answered by the server-wide cache
   size_t scheduler_dedup_hits = 0;    ///< piggybacked on another query's call
   size_t cracked_representatives = 0;
+  /// Failed representatives this query re-annotated. With inline cracks,
+  /// the repairs applied; in deterministic mode, the repairs handed to
+  /// Drain(), which skips a position an earlier query of the wave repaired.
+  size_t repaired_representatives = 0;
   /// How the query's proxy scores were obtained (score cache accounting).
   ProxySource proxy_source = ProxySource::kFull;
   /// Record rows recomputed when proxy_source is kDelta.

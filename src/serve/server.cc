@@ -4,7 +4,6 @@
 #include <chrono>
 #include <utility>
 
-#include "api/session.h"
 #include "core/serialize.h"
 #include "labeler/resilient.h"
 #include "obs/metrics.h"
@@ -174,6 +173,11 @@ Result<std::string> TastiServer::SerializeIndex() const {
     return Status::FailedPrecondition("no index: Start() or RecoverFrom()");
   }
   return core::IndexSerializer::SerializeToString(*index_);
+}
+
+const core::TastiIndex& TastiServer::index() const {
+  TASTI_CHECK(index_.has_value(), "no index: Start() or RecoverFrom()");
+  return *index_;
 }
 
 Status TastiServer::RecoverFrom(const std::string& dir_arg) {
@@ -367,10 +371,10 @@ void TastiServer::Drain() {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return queue_.empty() && executing_ == 0; });
   }
-  if (!options_.deterministic || !options_.auto_crack) return;
-  // Apply the wave's deferred cracks in query-id order: the resulting
-  // representative sequence — hence the next epoch's proxies — is
-  // independent of which worker finished which query first.
+  if (!options_.deterministic) return;
+  // Apply the wave's deferred repairs and cracks in query-id order: the
+  // resulting representative sequence — hence the next epoch's proxies —
+  // is independent of which worker finished which query first.
   TASTI_SPAN("serve.deferred_crack");
   std::unique_lock<std::mutex> lock = LockForCrack();
   if (deferred_cracks_.empty()) return;
@@ -378,24 +382,17 @@ void TastiServer::Drain() {
             [](const DeferredCrack& a, const DeferredCrack& b) {
               return a.query_id < b.query_id;
             });
-  size_t cracked = 0;
+  size_t changed = 0;
   std::string fault;
   for (const DeferredCrack& crack : deferred_cracks_) {
-    const size_t applied = index_->CrackFromLabels(crack.records, crack.labels);
-    cracked += applied;
-    if (applied > 0 && fault.empty()) {
-      // Each deferred crack gets its own WAL record in query-id order, so
-      // replay re-applies them in exactly this sequence.
-      durable::WalRecord record;
-      record.type = durable::WalRecordType::kCrack;
-      record.records.assign(crack.records.begin(), crack.records.end());
-      record.labels = crack.labels;
-      fault = LogMutationLocked(std::move(record));
-    }
+    // Each query's mutations get their own WAL records in query-id order,
+    // so replay re-applies them in exactly this sequence.
+    const Applied applied = ApplyLocked(crack, &fault);
+    changed += applied.cracked + applied.repaired;
   }
   deferred_cracks_.clear();
   bool published = false;
-  if (cracked > 0) {
+  if (changed > 0) {
     // One delta spanning every deferred crack: the parent is the epoch the
     // whole wave read, so a single incremental pass advances to it.
     const uint64_t epoch = next_epoch_++;
@@ -584,7 +581,8 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   DeadlineOracle gated(&cache, deadline, options_.degrade.virtual_ms_per_call);
 
   QueryResponse response;
-  if (options_.degrade.brownout && brownout_.active()) {
+  const bool proxy_only = options_.degrade.brownout && brownout_.active();
+  if (proxy_only) {
     // Brownout: answer from proxy scores with ZERO oracle calls. The
     // guarantee downgrade is explicit in the response; nothing here can
     // fail or block on the oracle.
@@ -600,7 +598,7 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   } else {
     response = ExecuteQuery(
         spec, proxy->scores, &gated,
-        api::DeriveQuerySeed(options_.seed, pending.query_id),
+        DeriveQuerySeed(options_.seed, pending.query_id),
         options_.confidence, deadline);
   }
   response.query_id = pending.query_id;
@@ -613,25 +611,50 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
     response.deadline_spent_ms = deadline.spent_ms();
   }
 
+  DeferredCrack mutation;
+  mutation.query_id = pending.query_id;
   if (options_.auto_crack) {
-    const std::vector<size_t>& labeled = cache.labeled_indices();
-    if (!labeled.empty()) {
-      std::vector<data::LabelerOutput> labels;
-      labels.reserve(labeled.size());
-      for (size_t record : labeled) {
-        std::optional<data::LabelerOutput> label = cache.CachedLabel(record);
-        TASTI_CHECK(label.has_value(), "labeled index without a cached label");
-        labels.push_back(*std::move(label));
-      }
-      if (options_.deterministic) {
-        // Deferred: applied sorted by query id at Drain(), so this wave's
-        // readers all stay on the submit-time epoch.
-        std::lock_guard<std::mutex> lock(crack_mu_);
-        deferred_cracks_.push_back(
-            {pending.query_id, labeled, std::move(labels)});
-      } else {
-        response.cracked_representatives = ApplyCrackNow(labeled, labels);
-      }
+    mutation.records = cache.labeled_indices();
+    mutation.labels.reserve(mutation.records.size());
+    for (size_t record : mutation.records) {
+      std::optional<data::LabelerOutput> label = cache.CachedLabel(record);
+      TASTI_CHECK(label.has_value(), "labeled index without a cached label");
+      mutation.labels.push_back(*std::move(label));
+    }
+  }
+  if (snapshot->num_failed_representatives > 0 && !proxy_only &&
+      !response.deadline_hit) {
+    // Self-healing: re-annotate failed representatives through this
+    // query's context (so the calls are attributed to it), but not through
+    // its label cache (so they add no crack labels).
+    std::vector<size_t> positions;
+    std::vector<size_t> records;
+    for (size_t pos = 0; pos < snapshot->rep_label_valid.size() &&
+                         records.size() < kMaxRepRepairsPerQuery;
+         ++pos) {
+      if (snapshot->rep_label_valid[pos] != 0) continue;
+      positions.push_back(pos);
+      records.push_back(snapshot->rep_record_ids[pos]);
+    }
+    std::vector<Result<data::LabelerOutput>> labels =
+        scheduled.TryLabelBatch(records);
+    for (size_t i = 0; i < labels.size(); ++i) {
+      if (!labels[i].ok()) continue;  // retried after a later query
+      mutation.repair_positions.push_back(positions[i]);
+      mutation.repair_labels.push_back(*std::move(labels[i]));
+    }
+  }
+  if (!mutation.records.empty() || !mutation.repair_positions.empty()) {
+    if (options_.deterministic) {
+      // Deferred: applied sorted by query id at Drain(), so this wave's
+      // readers all stay on the submit-time epoch.
+      response.repaired_representatives = mutation.repair_positions.size();
+      std::lock_guard<std::mutex> lock(crack_mu_);
+      deferred_cracks_.push_back(std::move(mutation));
+    } else {
+      const Applied applied = ApplyCrackNow(mutation);
+      response.cracked_representatives = applied.cracked;
+      response.repaired_representatives = applied.repaired;
     }
   }
 
@@ -648,17 +671,15 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   return response;
 }
 
-size_t TastiServer::ApplyCrackNow(
-    const std::vector<size_t>& records,
-    const std::vector<data::LabelerOutput>& labels) {
+TastiServer::Applied TastiServer::ApplyCrackNow(const DeferredCrack& crack) {
   TASTI_SPAN("serve.crack");
-  size_t cracked = 0;
+  Applied applied;
   bool published = false;
   std::string fault;
   {
     std::unique_lock<std::mutex> lock = LockForCrack();
-    cracked = index_->CrackFromLabels(records, labels);
-    if (cracked > 0) {
+    applied = ApplyLocked(crack, &fault);
+    if (applied.cracked + applied.repaired > 0) {
       // The new epoch carries the dirty-row delta against its parent, so
       // the score cache advances a warm scorer's state incrementally
       // instead of re-propagating every record. Old entries age out via
@@ -666,13 +687,8 @@ size_t TastiServer::ApplyCrackNow(
       // delta's parent.
       const uint64_t epoch = next_epoch_++;
       // Log-before-publish: once readers can see this epoch, the WAL has
-      // its crack and its commit marker synced (or durability has already
-      // degraded to memory-only and raised a fault).
-      durable::WalRecord record;
-      record.type = durable::WalRecordType::kCrack;
-      record.records.assign(records.begin(), records.end());
-      record.labels = labels;
-      fault = LogMutationLocked(std::move(record));
+      // its mutations and its commit marker synced (or durability has
+      // already degraded to memory-only and raised a fault).
       if (fault.empty()) fault = CommitEpochLocked(epoch);
       PublishEpochLocked(epoch, epoch - 1);
       published = true;
@@ -682,7 +698,36 @@ size_t TastiServer::ApplyCrackNow(
   if (!fault.empty() && monitor_ != nullptr) {
     monitor_->OnFault("durability", fault);
   }
-  return cracked;
+  return applied;
+}
+
+TastiServer::Applied TastiServer::ApplyLocked(const DeferredCrack& crack,
+                                              std::string* fault) {
+  Applied applied;
+  for (size_t i = 0; i < crack.repair_positions.size(); ++i) {
+    const size_t pos = crack.repair_positions[i];
+    // An earlier query of the wave, or a concurrent worker, got there first.
+    if (index_->rep_label_valid()[pos] != 0) continue;
+    index_->RepairRepresentative(pos, crack.repair_labels[i]);
+    ++applied.repaired;
+    if (fault->empty()) {
+      durable::WalRecord record;
+      record.type = durable::WalRecordType::kRepair;
+      record.rep_pos = pos;
+      record.labels = {crack.repair_labels[i]};
+      *fault = LogMutationLocked(std::move(record));
+    }
+  }
+  if (crack.records.empty()) return applied;
+  applied.cracked = index_->CrackFromLabels(crack.records, crack.labels);
+  if (applied.cracked > 0 && fault->empty()) {
+    durable::WalRecord record;
+    record.type = durable::WalRecordType::kCrack;
+    record.records.assign(crack.records.begin(), crack.records.end());
+    record.labels = crack.labels;
+    *fault = LogMutationLocked(std::move(record));
+  }
+  return applied;
 }
 
 size_t TastiServer::AppendRecords(const nn::Matrix& features) {
@@ -733,6 +778,7 @@ void TastiServer::AppendQueryRecord(const QueryResponse& response,
   record.phases = phases;
   record.labeler_invocations = response.attributed_invocations;
   record.cracked_representatives = response.cracked_representatives;
+  record.repaired_representatives = response.repaired_representatives;
   record.failed_oracle_calls = failed_oracle_calls;
   record.proxy_source = ProxySourceName(response.proxy_source);
   record.proxy_delta_rows = response.proxy_delta_rows;

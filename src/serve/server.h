@@ -2,11 +2,10 @@
 #define TASTI_SERVE_SERVER_H_
 
 /// \file server.h
-/// TastiServer: many concurrent queries against one shared TASTI index.
-///
-/// A TastiSession serializes queries; under a remote oracle most of a
-/// query's wall time is oracle latency, so serialization wastes it. The
-/// server runs queries on a worker pool where they
+/// TastiServer: the one query engine — many concurrent queries against one
+/// shared TASTI index. A TastiSession is this server with one worker,
+/// started on first use. Under a remote oracle most of a query's wall time
+/// is oracle latency, so the server runs queries on a worker pool where they
 ///  - read immutable epoch snapshots (snapshot.h) — cracking publishes new
 ///    epochs copy-on-write, readers never block or see torn state;
 ///  - share one OracleScheduler (oracle_scheduler.h) — concurrent label
@@ -18,6 +17,11 @@
 ///    it, concurrent queries wait on the same future, later epochs advance
 ///    the parent epoch's scores incrementally through the snapshot's
 ///    dirty-row delta instead of recomputing every record.
+///
+/// After answering, a query re-annotates up to kMaxRepRepairsPerQuery of
+/// its snapshot's failed representatives (labels the index build could not
+/// get) through its own oracle context, and applies those repairs with its
+/// crack: one critical section, one WAL barrier, one epoch.
 ///
 /// Admission control bounds the work in flight: a FIFO queue capped at
 /// max_pending, plus optional per-client concurrency slots so one chatty
@@ -62,6 +66,10 @@
 namespace tasti::serve {
 
 class ServerMonitor;
+
+/// Failed representatives one query re-annotates after answering. Bounds
+/// the extra oracle cost a degraded index adds to each query.
+constexpr size_t kMaxRepRepairsPerQuery = 16;
 
 /// Overload/degradation policy (DESIGN.md §15).
 struct DegradeOptions {
@@ -110,7 +118,7 @@ struct ServerOptions {
   core::IndexOptions index;
   /// Success probability shared by guarantee-carrying queries.
   double confidence = 0.95;
-  /// Base seed; query n draws api::DeriveQuerySeed(seed, n).
+  /// Base seed; query n draws DeriveQuerySeed(seed, n).
   uint64_t seed = 1234;
 };
 
@@ -239,6 +247,9 @@ class TastiServer {
   /// harness hashes this to compare a recovered server against a control
   /// run. Call quiescent (after Drain).
   Result<std::string> SerializeIndex() const;
+  /// The master index. Call quiescent (after Drain), once Start() or
+  /// RecoverFrom() has succeeded.
+  const core::TastiIndex& index() const;
   uint64_t current_epoch() const { return epochs_.current_epoch(); }
   /// Snapshots alive right now (current + retired-but-pinned).
   size_t live_snapshots() const { return epochs_.live_snapshots(); }
@@ -261,18 +272,28 @@ class TastiServer {
     WallTimer queued;            ///< running since Submit
     double queue_wait_ms = 0.0;  ///< read from `queued` once, at dequeue
   };
+  /// One query's mutations of the master index: its labels to crack with
+  /// and its failed-rep repairs (rep positions, parallel to their labels).
   struct DeferredCrack {
     uint64_t query_id = 0;
     std::vector<size_t> records;
     std::vector<data::LabelerOutput> labels;
+    std::vector<size_t> repair_positions;
+    std::vector<data::LabelerOutput> repair_labels;
+  };
+  /// Representatives one query's mutations added and repaired.
+  struct Applied {
+    size_t cracked = 0;
+    size_t repaired = 0;
   };
   void WorkerLoop();
   QueryResponse RunQuery(PendingQuery pending);
-  /// Cracks the master index with a query's labels and publishes the new
-  /// epoch (carrying its dirty-row delta for the score cache). Returns
-  /// representatives added.
-  size_t ApplyCrackNow(const std::vector<size_t>& records,
-                       const std::vector<data::LabelerOutput>& labels);
+  /// Applies one query's mutations and publishes the new epoch (carrying
+  /// its dirty-row delta for the score cache).
+  Applied ApplyCrackNow(const DeferredCrack& crack);
+  /// Under crack_mu_: applies `crack`'s repairs (skipping positions already
+  /// valid), then its crack, WAL-logging each while `*fault` is empty.
+  Applied ApplyLocked(const DeferredCrack& crack, std::string* fault);
   /// WAL-logs one mutation under crack_mu_; returns a fault detail (empty
   /// on success / durability disabled) for the caller to raise outside
   /// locks — logging failures degrade durability, never the query.

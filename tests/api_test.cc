@@ -1,6 +1,6 @@
-// Tests for api/: the TastiSession facade — lazy construction, proxy
-// caching, auto-cracking, invocation accounting, and all query entry
-// points end to end.
+// Tests for api/: the TastiSession facade (a one-worker TastiServer) —
+// lazy construction, proxy and label caching, auto-cracking, invocation
+// accounting, spec validation, and all query entry points end to end.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,9 @@
 #include "core/proxy.h"
 #include "data/dataset.h"
 #include "labeler/labeler.h"
+#include "serve/query.h"
 #include "util/stats.h"
+#include "util/status.h"
 
 namespace tasti::api {
 namespace {
@@ -193,13 +195,62 @@ TEST(SessionTest, ProxyCacheReusedWithoutCracking) {
   opts.index.num_training_records = 200;
   TastiSession session(&ds, &oracle, opts);
   core::CountScorer cars(data::ObjectClass::kCar);
+  core::AtLeastCountScorer busy(data::ObjectClass::kCar, 2);
   session.index();  // force construction
   const size_t after_build = session.total_labeler_invocations();
-  const auto& first = session.ProxyScores(cars);
+  // Proxy scores come from the index alone: no labeler calls.
+  EXPECT_NEAR(Mean(core::ComputeProxyScores(session.index(), cars)),
+              Mean(core::ExactScores(ds, cars)), 0.3);
   EXPECT_EQ(session.total_labeler_invocations(), after_build);
-  EXPECT_NEAR(Mean(first), Mean(core::ExactScores(ds, cars)), 0.3);
-  const auto& second = session.ProxyScores(cars);
-  EXPECT_EQ(&first, &second);  // same cached vector
+
+  serve::QuerySpec spec;
+  spec.kind = serve::QueryKind::kLimit;
+  spec.scorer = &busy;
+  spec.want = 5;
+  const serve::QueryResponse first = session.Execute(spec);
+  ASSERT_TRUE(first.status.ok());
+  EXPECT_EQ(first.proxy_source, serve::ProxySource::kFull);
+  const size_t after_first = session.total_labeler_invocations();
+  // Nothing cracked, so the repeat reads the cached proxy scores, ranks
+  // the same records and finds every label in the server-wide cache.
+  const serve::QueryResponse second = session.Execute(spec);
+  ASSERT_TRUE(second.status.ok());
+  EXPECT_EQ(second.proxy_source, serve::ProxySource::kHit);
+  EXPECT_EQ(second.attributed_invocations, 0u);
+  EXPECT_EQ(session.total_labeler_invocations(), after_first);
+  EXPECT_EQ(second.limit.found, first.limit.found);
+}
+
+// A spec without a scorer, or an aggregate-where without a statistic, is
+// rejected with InvalidArgument instead of being dereferenced.
+TEST(SessionTest, InvalidSpecReturnsInvalidArgument) {
+  data::Dataset ds = TestDataset(1500);
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
+  SessionOptions opts = FastSessionOptions();
+  opts.index.num_training_records = 100;
+  opts.index.num_representatives = 100;
+  TastiSession session(&ds, &oracle, opts);
+  core::PresenceScorer has_car(data::ObjectClass::kCar);
+
+  serve::QuerySpec no_scorer;
+  no_scorer.kind = serve::QueryKind::kAggregate;
+  serve::QueryResponse response = session.Execute(no_scorer);
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.last_query_status().code(), StatusCode::kInvalidArgument);
+
+  serve::QuerySpec no_statistic;
+  no_statistic.kind = serve::QueryKind::kAggregateWhere;
+  no_statistic.scorer = &has_car;
+  response = session.Execute(no_statistic);
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.last_query_status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session.queries_executed(), 0u);
+
+  // Rejected specs leave the session usable.
+  session.SelectWithRecall(has_car, 0.9, 100);
+  EXPECT_TRUE(session.last_query_status().ok());
+  EXPECT_EQ(session.queries_executed(), 1u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include "durable/file.h"
 #include "durable/recovery.h"
 #include "durable/wal.h"
+#include "labeler/faults.h"
 #include "labeler/labeler.h"
 #include "serve/server.h"
 #include "util/checksum.h"
@@ -581,6 +582,88 @@ TEST(ServerRecoveryTest, CleanShutdownRecoversFromCheckpointAlone) {
   // Clean shutdown means nothing to replay: checkpoint carries it all.
   EXPECT_EQ(revived.last_recovery()->records_replayed, 0u);
   revived.Shutdown();
+}
+
+// The build's oracle leaves failed representatives, then heals, and one
+// query repairs them: its kRepair records and its crack share one epoch.
+// A crash at every mutation of that epoch recovers the build epoch or the
+// repair epoch, byte-identical to what the server published.
+TEST(ServerRecoveryTest, RepairEpochRecoversAcrossTheCrashGrid) {
+  data::Dataset ds = TestDataset(700);
+  core::CountScorer cars(data::ObjectClass::kCar);
+  struct Leg {
+    uint64_t epoch = 0;
+    std::string index;
+    size_t repairs_replayed = 0;
+  };
+  // Runs the repair query on a fresh durable server, crashing `crash_at`
+  // mutations after the heal (0: never), and recovers on a clean File.
+  // `published` receives the index bytes by epoch, `query_ops` the file
+  // mutations the query took.
+  auto run = [&](uint64_t crash_at, std::vector<std::string>* published,
+                 uint64_t* query_ops) {
+    labeler::SimulatedLabeler sim(&ds);
+    labeler::FaultSchedule broken;
+    broken.permanent_rate = 0.2;
+    broken.seed = 23;
+    labeler::FaultInjectingLabeler oracle(&sim, broken);
+    File fs;
+    const std::string dir = TestDir("server_repair_" + std::to_string(crash_at));
+    serve::TastiServer server(&ds, &oracle, DurableServerOptions(&fs, dir));
+    EXPECT_TRUE(server.Start().ok());
+    const size_t failed = server.index().num_failed_representatives();
+    EXPECT_GT(failed, 0u);
+    EXPECT_LE(failed, serve::kMaxRepRepairsPerQuery);
+    oracle.set_schedule(labeler::FaultSchedule{});
+    if (published != nullptr) published->push_back(*server.SerializeIndex());
+    if (crash_at > 0) fs.ArmCrash(crash_at, /*seed=*/crash_at);
+    const uint64_t ops_before = fs.ops();
+    const serve::QueryResponse response =
+        server.Execute(AggregateSpec(&cars));
+    server.Drain();
+    EXPECT_TRUE(response.status.ok());
+    EXPECT_EQ(response.repaired_representatives, failed);
+    EXPECT_EQ(server.index().num_failed_representatives(), 0u);
+    EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+    if (query_ops != nullptr) *query_ops = fs.ops() - ops_before;
+    if (published != nullptr) {
+      EXPECT_EQ(server.current_epoch(), 2u);
+      published->push_back(*server.SerializeIndex());
+    }
+    // Crash before Shutdown's checkpoint, so recovery replays the WAL.
+    if (crash_at == 0) fs.ArmCrash(1, /*seed=*/5);
+    server.Shutdown();
+
+    File clean;
+    serve::TastiServer revived(&ds, &oracle, DurableServerOptions(&clean, dir));
+    EXPECT_TRUE(revived.RecoverFrom().ok());
+    Leg leg;
+    leg.epoch = revived.current_epoch();
+    leg.index = *revived.SerializeIndex();
+    leg.repairs_replayed = revived.last_recovery()->repairs_replayed;
+    revived.Shutdown();
+    return leg;
+  };
+
+  std::vector<std::string> published;  // index bytes of epochs 1 and 2
+  uint64_t query_ops = 0;
+  const Leg after_commit = run(0, &published, &query_ops);
+  ASSERT_EQ(published.size(), 2u);
+  ASSERT_GT(query_ops, 0u);
+  EXPECT_EQ(after_commit.epoch, 2u);
+  EXPECT_EQ(after_commit.index, published[1]);
+  EXPECT_GT(after_commit.repairs_replayed, 0u);
+
+  bool saw_before_commit = false;
+  for (uint64_t crash_at = 1; crash_at <= query_ops; ++crash_at) {
+    SCOPED_TRACE("crash at query op " + std::to_string(crash_at));
+    const Leg leg = run(crash_at, nullptr, nullptr);
+    ASSERT_TRUE(leg.epoch == 1 || leg.epoch == 2) << leg.epoch;
+    EXPECT_EQ(leg.index, published[leg.epoch - 1]);
+    EXPECT_EQ(leg.repairs_replayed > 0, leg.epoch == 2);
+    saw_before_commit |= leg.epoch == 1;
+  }
+  EXPECT_TRUE(saw_before_commit);
 }
 
 }  // namespace

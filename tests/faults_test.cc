@@ -28,6 +28,7 @@
 #include "queries/noguarantee.h"
 #include "queries/predicate_aggregation.h"
 #include "queries/supg.h"
+#include "serve/server.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -691,7 +692,6 @@ TEST(SessionChaosTest, QueriesRepairFailedRepresentatives) {
 
   api::SessionOptions sopts;
   sopts.index = FastIndexOptions();
-  sopts.max_rep_repairs_per_query = 4;
   api::TastiSession session(&ds, &oracle, sopts);
 
   const size_t failed_after_build =
@@ -703,7 +703,7 @@ TEST(SessionChaosTest, QueriesRepairFailedRepresentatives) {
   core::CountScorer statistic(data::ObjectClass::kCar);
   session.Aggregate(statistic, 0.2);
   EXPECT_EQ(session.representatives_repaired(),
-            std::min<size_t>(4, failed_after_build));
+            std::min(serve::kMaxRepRepairsPerQuery, failed_after_build));
   EXPECT_EQ(session.index().num_failed_representatives(),
             failed_after_build - session.representatives_repaired());
   EXPECT_EQ(session.query_log().queries().back().repaired_representatives,
@@ -719,7 +719,12 @@ TEST(SessionChaosTest, QueriesRepairFailedRepresentatives) {
 TEST(SessionChaosTest, TotalOutageQuerySurfacesStatusNotAbort) {
   data::Dataset ds = SmallDataset();
   labeler::SimulatedLabeler sim(&ds);
-  labeler::FaultInjectingLabeler inj(&sim, labeler::FaultSchedule{});
+  // The oracle is dead from the start. (Once a build has labeled records,
+  // a query finds those labels in the server-wide cache and answers
+  // degraded instead of failing.)
+  labeler::FaultSchedule outage;
+  outage.transient_rate = 1.0;
+  labeler::FaultInjectingLabeler inj(&sim, outage);
   labeler::ResilientLabeler::Options ropts;
   ropts.retry.max_attempts = 2;
   ropts.breaker.enabled = false;
@@ -728,12 +733,9 @@ TEST(SessionChaosTest, TotalOutageQuerySurfacesStatusNotAbort) {
   api::SessionOptions sopts;
   sopts.index = FastIndexOptions();
   api::TastiSession session(&ds, &oracle, sopts);
-  session.index();  // build fault-free
-
-  // Then the oracle dies completely.
-  labeler::FaultSchedule outage;
-  outage.transient_rate = 1.0;
-  inj.set_schedule(outage);
+  // The build degrades instead of aborting: every representative failed.
+  EXPECT_EQ(session.index().num_failed_representatives(),
+            session.index().num_representatives());
 
   core::CountScorer statistic(data::ObjectClass::kCar);
   queries::AggregationResult r = session.Aggregate(statistic, 0.1);

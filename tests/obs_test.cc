@@ -19,6 +19,7 @@
 #include "api/session.h"
 #include "core/scorer.h"
 #include "data/dataset.h"
+#include "labeler/cost_model.h"
 #include "labeler/labeler.h"
 #include "obs/config.h"
 #include "obs/metrics.h"
@@ -524,15 +525,15 @@ TEST(QueryPhaseTest, SessionLazyBuildStaysOutOfTheFirstQuery) {
   EXPECT_LT(query.phases.oracle_seconds,
             (query_calls + 0.5 * build_calls) * kSlowCallSeconds);
 
-  // In the trace the build is a top-level span that ends before the first
-  // query's span opens, not a child of it.
+  // In the trace the build (the session's server start) is a top-level
+  // span that ends before the first query's span opens, not a child of it.
   const obs::TraceEvent* build = nullptr;
   const obs::TraceEvent* select = nullptr;
   const std::vector<obs::TraceEvent> events =
       obs::TraceRecorder::Global().Snapshot();
   for (const obs::TraceEvent& event : events) {
-    if (std::strcmp(event.name, "session.build_index") == 0) build = &event;
-    if (std::strcmp(event.name, "query.select_recall") == 0) select = &event;
+    if (std::strcmp(event.name, "serve.start") == 0) build = &event;
+    if (std::strcmp(event.name, "serve.query") == 0) select = &event;
   }
   ASSERT_NE(build, nullptr);
   ASSERT_NE(select, nullptr);
@@ -582,9 +583,9 @@ TEST(SessionAttributionTest, LedgerMatchesTheOracleCounter) {
   core::PresenceScorer has_car(data::ObjectClass::kCar);
   core::AtLeastCountScorer busy(data::ObjectClass::kCar, 2);
 
-  session.Aggregate(cars, 0.1);
-  session.SelectWithRecall(has_car, 0.9, 150);
-  session.Limit(busy, 5);
+  const queries::AggregationResult agg = session.Aggregate(cars, 0.1);
+  const queries::SupgResult sel = session.SelectWithRecall(has_car, 0.9, 150);
+  const queries::LimitResult lim = session.Limit(busy, 5);
 
   const obs::QueryLog& log = session.query_log();
   ASSERT_EQ(log.queries().size(), 3u);
@@ -599,12 +600,22 @@ TEST(SessionAttributionTest, LedgerMatchesTheOracleCounter) {
   EXPECT_EQ(log.index_invocations(), session.index_invocations());
   EXPECT_EQ(log.total_invocations(), session.total_labeler_invocations());
 
-  // Every query consumed labeler calls and the phase clocks moved.
+  // Every query asked for labels; a row is charged only the calls it paid
+  // (a label the build or an earlier query paid for is free from the
+  // server-wide cache), priced by the cost model, and its phase clocks
+  // moved. The first query had only the build's labels to reuse.
+  EXPECT_GT(agg.labeler_invocations, 0u);
+  EXPECT_GT(sel.labeler_invocations, 0u);
+  EXPECT_GT(lim.labeler_invocations, 0u);
+  EXPECT_GT(log.queries()[0].labeler_invocations, 0u);
   for (const obs::QueryRecord& query : log.queries()) {
-    EXPECT_GT(query.labeler_invocations, 0u) << query.query_type;
     EXPECT_GE(query.phases.TotalSeconds(), 0.0) << query.query_type;
-    EXPECT_GT(query.human_dollars, 0.0) << query.query_type;
+    EXPECT_EQ(query.human_dollars,
+              log.cost_model().LabelCost(labeler::LabelerKind::kHuman,
+                                         query.labeler_invocations))
+        << query.query_type;
   }
+  EXPECT_GT(log.queries()[0].human_dollars, 0.0);
   // The first query built the index and paid proxy scoring for it.
   EXPECT_GT(log.index_invocations(), 0u);
   EXPECT_GT(log.index_build_seconds(), 0.0);

@@ -1,7 +1,7 @@
 // Tests for serve/: epoch snapshots and reclamation, cross-query oracle
 // scheduling (dedup, caching, batching, attribution), admission control,
 // deterministic-mode reproducibility of the TastiServer, and its parity
-// with a TastiSession running the same script. Run under
+// with a naive replay of the session path. Run under
 // TSan in check.sh's tsan stage — the concurrency claims here (no torn
 // snapshot reads, racing cracks against readers) are exactly what a data
 // race would break.
@@ -766,11 +766,77 @@ TEST(ServerTest, DeterministicDrainAppliesDeferredCracksInQueryIdOrder) {
   EXPECT_EQ(server.live_snapshots(), 1u);
 }
 
-// One script through a TastiSession and through a one-worker TastiServer
-// with equal index options and seed: the two entry points share one
-// executor, so every payload and the final index must be bit-identical,
-// whether the server cracks inline or defers cracks to Drain().
-TEST(SessionServerParityTest, SameAnswersAndIndexAsSession) {
+// The paper's session path (Section 3.3) written out naively: build the
+// index, then for each query propagate from scratch, run the algorithm over
+// a per-query label cache and crack with that query's labels. No score
+// cache, no server-wide label cache, no snapshots.
+struct NaiveReplay {
+  std::vector<QueryResponse> responses;
+  std::string index;
+  size_t query_calls = 0;
+};
+
+NaiveReplay ReplaySessionPath(const data::Dataset& ds,
+                              const core::IndexOptions& index_options,
+                              uint64_t seed, double confidence,
+                              const std::vector<QuerySpec>& script) {
+  labeler::SimulatedLabeler simulated(&ds);
+  labeler::FallibleAdapter oracle(&simulated);
+  labeler::CachingFallibleLabeler build_cache(&oracle);
+  core::TastiIndex index =
+      core::TastiIndex::Build(ds, &build_cache, index_options);
+  const size_t build_calls = oracle.invocations();
+  NaiveReplay out;
+  for (size_t n = 0; n < script.size(); ++n) {
+    const QuerySpec& spec = script[n];
+    const std::vector<double> proxy = core::ComputeProxyScores(
+        index, *spec.scorer,
+        spec.kind == QueryKind::kLimit ? core::PropagationMode::kLimit
+                                       : core::PropagationMode::kNumeric);
+    labeler::CachingFallibleLabeler cache(&oracle);
+    out.responses.push_back(ExecuteQuery(spec, proxy, &cache,
+                                         api::DeriveQuerySeed(seed, n + 1),
+                                         confidence));
+    std::vector<data::LabelerOutput> labels;
+    for (size_t record : cache.labeled_indices()) {
+      labels.push_back(*cache.CachedLabel(record));
+    }
+    index.CrackFromLabels(cache.labeled_indices(), labels);
+  }
+  out.query_calls = oracle.invocations() - build_calls;
+  Result<std::string> bytes = core::IndexSerializer::SerializeToString(index);
+  EXPECT_TRUE(bytes.ok());
+  if (bytes.ok()) out.index = *bytes;
+  return out;
+}
+
+void ExpectSamePayload(const QueryResponse& got, const QueryResponse& want) {
+  ASSERT_TRUE(want.status.ok());
+  ASSERT_TRUE(got.status.ok());
+  EXPECT_EQ(got.aggregate.estimate, want.aggregate.estimate);
+  EXPECT_EQ(got.aggregate.half_width, want.aggregate.half_width);
+  EXPECT_EQ(got.aggregate.labeler_invocations,
+            want.aggregate.labeler_invocations);
+  EXPECT_EQ(got.aggregate_where.estimate, want.aggregate_where.estimate);
+  EXPECT_EQ(got.aggregate_where.half_width, want.aggregate_where.half_width);
+  EXPECT_EQ(got.aggregate_where.labeler_invocations,
+            want.aggregate_where.labeler_invocations);
+  EXPECT_EQ(got.supg.selected, want.supg.selected);
+  EXPECT_EQ(got.supg.threshold, want.supg.threshold);
+  EXPECT_EQ(got.supg.labeler_invocations, want.supg.labeler_invocations);
+  EXPECT_EQ(got.select.selected, want.select.selected);
+  EXPECT_EQ(got.select.threshold, want.select.threshold);
+  EXPECT_EQ(got.select.labeler_invocations, want.select.labeler_invocations);
+  EXPECT_EQ(got.limit.found, want.limit.found);
+  EXPECT_EQ(got.limit.satisfied, want.limit.satisfied);
+  EXPECT_EQ(got.limit.labeler_invocations, want.limit.labeler_invocations);
+}
+
+// One script through a TastiSession, through the naive replay above and
+// through a deterministic four-worker server: every payload and the final
+// index must be bit-identical, and the session's caches may only save
+// paid oracle calls.
+TEST(SessionReplayTest, SessionMatchesNaiveReplay) {
   data::Dataset ds = TestDataset(1500);
   core::CountScorer cars(data::ObjectClass::kCar);
   core::PresenceScorer present(data::ObjectClass::kCar);
@@ -817,51 +883,115 @@ TEST(SessionServerParityTest, SameAnswersAndIndexAsSession) {
   ASSERT_GT(session.index().num_representatives(),
             server_opts.index.num_representatives);  // the script cracked
 
-  for (bool deterministic : {true, false}) {
+  const NaiveReplay replay =
+      ReplaySessionPath(ds, session_opts.index, session_opts.seed,
+                        session_opts.confidence, script);
+  ASSERT_EQ(replay.responses.size(), script.size());
+  for (size_t i = 0; i < script.size(); ++i) {
+    SCOPED_TRACE(std::string("replay query ") + std::to_string(i) + " " +
+                 QueryKindName(script[i].kind));
+    ExpectSamePayload(expected[i], replay.responses[i]);
+  }
+  EXPECT_TRUE(replay.index == *session_index)
+      << "final index bytes differ (" << replay.index.size() << " vs "
+      << session_index->size() << ")";
+  EXPECT_LE(session.total_labeler_invocations() - session.index_invocations(),
+            replay.query_calls);
+
+  labeler::SimulatedLabeler oracle(&ds);
+  labeler::FallibleAdapter adapter(&oracle);
+  ServerOptions opts = server_opts;
+  opts.num_workers = 4;
+  opts.deterministic = true;
+  TastiServer server(&ds, &adapter, opts);
+  ASSERT_TRUE(server.Start().ok());
+  for (size_t i = 0; i < script.size(); ++i) {
+    SCOPED_TRACE(std::string("server query ") + std::to_string(i) + " " +
+                 QueryKindName(script[i].kind));
+    const QueryResponse got = server.Execute(script[i]);
+    server.Drain();
+    ExpectSamePayload(got, expected[i]);
+  }
+  Result<std::string> server_index = server.SerializeIndex();
+  ASSERT_TRUE(server_index.ok());
+  EXPECT_TRUE(*server_index == *session_index)
+      << "final index bytes differ (" << server_index->size() << " vs "
+      << session_index->size() << ")";
+}
+
+// Failed representatives the build could not label are re-annotated by
+// later queries once the oracle heals, at most kMaxRepRepairsPerQuery per
+// query. The epoch that applies a repair lists the rep in dirty_reps, so
+// the next query's proxy advances over it, and every repair call is
+// attributed to the query that made it.
+TEST(ServerRepairTest, RepairedRepsReenterPropagation) {
+  data::Dataset ds = TestDataset(1500);
+  core::CountScorer cars(data::ObjectClass::kCar);
+  QuerySpec spec;
+  spec.kind = QueryKind::kAggregate;
+  spec.scorer = &cars;
+  spec.error_target = 0.2;
+  for (bool deterministic : {false, true}) {
     SCOPED_TRACE(deterministic ? "deterministic" : "inline cracks");
-    labeler::SimulatedLabeler oracle(&ds);
-    labeler::FallibleAdapter adapter(&oracle);
-    ServerOptions opts = server_opts;
-    opts.num_workers = 1;
+    labeler::SimulatedLabeler sim(&ds);
+    labeler::FaultSchedule broken;
+    broken.permanent_rate = 0.25;
+    broken.seed = 17;
+    labeler::FaultInjectingLabeler oracle(&sim, broken);
+    ServerOptions opts = FastServerOptions();
+    opts.num_workers = 2;
     opts.deterministic = deterministic;
-    TastiServer server(&ds, &adapter, opts);
+    TastiServer server(&ds, &oracle, opts);
     ASSERT_TRUE(server.Start().ok());
-    for (size_t i = 0; i < script.size(); ++i) {
-      SCOPED_TRACE(std::string("query ") + std::to_string(i) + " " +
-                   QueryKindName(script[i].kind));
-      const QueryResponse got = server.Execute(script[i]);
-      server.Drain();
-      const QueryResponse& want = expected[i];
-      ASSERT_TRUE(want.status.ok());
-      ASSERT_TRUE(got.status.ok());
-      EXPECT_EQ(got.aggregate.estimate, want.aggregate.estimate);
-      EXPECT_EQ(got.aggregate.half_width, want.aggregate.half_width);
-      EXPECT_EQ(got.aggregate_where.estimate, want.aggregate_where.estimate);
-      EXPECT_EQ(got.aggregate_where.half_width,
-                want.aggregate_where.half_width);
-      EXPECT_EQ(got.supg.selected, want.supg.selected);
-      EXPECT_EQ(got.supg.threshold, want.supg.threshold);
-      EXPECT_EQ(got.select.selected, want.select.selected);
-      EXPECT_EQ(got.select.threshold, want.select.threshold);
-      EXPECT_EQ(got.limit.found, want.limit.found);
-      EXPECT_EQ(got.limit.satisfied, want.limit.satisfied);
+    const std::vector<size_t> failed =
+        server.index().failed_representative_positions();
+    ASSERT_GT(failed.size(), kMaxRepRepairsPerQuery);
+    oracle.set_schedule(labeler::FaultSchedule{});
+
+    std::vector<QueryResponse> responses;
+    if (deterministic) {
+      // Two queries of one wave read the build epoch and label the same
+      // reps; Drain applies the first's repairs and skips the second's.
+      const Result<uint64_t> a = server.Submit(spec);
+      const Result<uint64_t> b = server.Submit(spec);
+      ASSERT_TRUE(a.ok() && b.ok());
+      responses.push_back(server.Wait(*a));
+      responses.push_back(server.Wait(*b));
+    } else {
+      responses.push_back(server.Execute(spec));
     }
-    // One ledger format: a served record is the session's record plus the
-    // serving suffix (client, epoch).
-    const std::vector<obs::QueryRecord>& served = server.query_log().queries();
-    const std::vector<obs::QueryRecord>& local = session.query_log().queries();
-    ASSERT_EQ(served.size(), local.size());
-    for (size_t i = 0; i < served.size(); ++i) {
-      EXPECT_EQ(served[i].query_type, local[i].query_type);
-      EXPECT_EQ(served[i].params.rfind(local[i].params + " client=", 0), 0u)
-          << "served \"" << served[i].params << "\" vs session \""
-          << local[i].params << "\"";
+    server.Drain();
+    for (const QueryResponse& response : responses) {
+      EXPECT_TRUE(response.status.ok());
+      EXPECT_EQ(response.repaired_representatives, kMaxRepRepairsPerQuery);
     }
-    Result<std::string> server_index = server.SerializeIndex();
-    ASSERT_TRUE(server_index.ok());
-    EXPECT_TRUE(*server_index == *session_index)
-        << "final index bytes differ (" << server_index->size() << " vs "
-        << session_index->size() << ")";
+    EXPECT_EQ(server.index().num_failed_representatives(),
+              failed.size() - kMaxRepRepairsPerQuery);
+    const std::shared_ptr<const IndexSnapshot> epoch = server.epochs().Acquire();
+    EXPECT_EQ(epoch->epoch, 2u);
+    EXPECT_EQ(epoch->num_failed_representatives,
+              failed.size() - kMaxRepRepairsPerQuery);
+    for (size_t i = 0; i < kMaxRepRepairsPerQuery; ++i) {
+      EXPECT_EQ(server.index().rep_label_valid()[failed[i]], 1u);
+      EXPECT_TRUE(std::binary_search(epoch->dirty_reps.begin(),
+                                     epoch->dirty_reps.end(),
+                                     static_cast<uint32_t>(failed[i])))
+          << "repaired rep " << failed[i] << " not in the epoch's delta";
+    }
+    EXPECT_EQ(server.query_log().queries().front().repaired_representatives,
+              kMaxRepRepairsPerQuery);
+
+    // The next query's proxy advances over the repair epoch's delta and it
+    // repairs the next reps in line.
+    const QueryResponse next = server.Execute(spec);
+    server.Drain();
+    EXPECT_TRUE(next.status.ok());
+    EXPECT_EQ(next.epoch, 2u);
+    EXPECT_EQ(next.proxy_source, ProxySource::kDelta);
+    EXPECT_EQ(next.repaired_representatives,
+              std::min(kMaxRepRepairsPerQuery,
+                       failed.size() - kMaxRepRepairsPerQuery));
+    EXPECT_TRUE(server.CheckAttributionInvariant().ok());
   }
 }
 

@@ -37,7 +37,10 @@ Asserts, from the repository root:
  11. every TASTI_SPAN("...") literal under src/ appears in DESIGN.md,
      backticked and by its full name: BuildStats and the QueryLog
      phases are read from span totals by name, so a rename must show up
-     in the span inventory;
+     in the span inventory. The other way round, every span name in
+     §8's span table is opened by some TASTI_SPAN under src/, so a row
+     for a deleted span cannot stay behind; that half also runs on a
+     fixture that must fail;
  12. every `target_clones(...)` or `target(...)` attribute under src/
      names only `avx2` or `default`: `fma` and every `avx512*` let the
      compiler contract mul-then-add into a fused op, which changes float
@@ -89,6 +92,26 @@ def clone_isa_violations(text):
                 if isa not in ALLOWED_CLONE_ISAS:
                     violations.append((line, isa))
     return violations
+
+
+# Rule 11: the header row of DESIGN.md §8's span table.
+SPAN_TABLE_HEADER = "| span | opened around |"
+
+
+def stale_span_rows(design, opened):
+    """Span names in the first column of `design`'s span table (the table
+    under SPAN_TABLE_HEADER) that are not in the set `opened`."""
+    if SPAN_TABLE_HEADER not in design:
+        return ["<no span table>"]
+    rows = design.split(SPAN_TABLE_HEADER, 1)[1].splitlines()[2:]
+    stale = []
+    for row in rows:
+        if not row.startswith("|"):
+            break
+        for name in re.findall(r"`([^`]+)`", row.split("|")[1]):
+            if name not in opened:
+                stale.append(name)
+    return stale
 
 
 # Rule 13: a struct named *Options / *Policy, its brace-balanced body, and
@@ -338,6 +361,20 @@ def main():
                 f"{site} opens span {name}, which DESIGN.md does not list "
                 f"as `{name}`; add it to the §8 span table"
             )
+
+    fixture = f"{SPAN_TABLE_HEADER}\n|---|---|\n| `serve.crack` | a crack |\n" \
+        "| `serve.query`, `session.crack` | gone |\n\n| `index.gone` | prose |\n"
+    if stale_span_rows(fixture, {"serve.crack", "serve.query"}) != [
+            "session.crack"]:
+        errors.append(
+            "rule 11 no longer flags the unopened `session.crack` row in its "
+            "own fixture; fix stale_span_rows before trusting it on DESIGN.md"
+        )
+    for name in stale_span_rows(design, spans):
+        errors.append(
+            f"DESIGN.md §8's span table lists `{name}`, which no "
+            "TASTI_SPAN under src/ opens; delete the row or open the span"
+        )
 
     fixture = '__attribute__((target_clones("avx2", "fma", "default")))\n' \
         '__attribute__((target("avx512f,avx2")))\n'
