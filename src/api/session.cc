@@ -41,8 +41,15 @@ serve::QueryResponse TastiSession::Execute(const serve::QuerySpec& spec) {
   EnsureStarted();
   serve::QueryResponse response = server_.Execute(spec);
   last_query_status_ = response.status;
-  reps_repaired_ += response.repaired_representatives;
   return response;
+}
+
+size_t TastiSession::representatives_repaired() const {
+  size_t repaired = 0;
+  for (const obs::QueryRecord& record : query_log().queries()) {
+    repaired += record.repaired_representatives;
+  }
+  return repaired;
 }
 
 queries::AggregationResult TastiSession::Aggregate(const core::Scorer& statistic,

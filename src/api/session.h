@@ -129,8 +129,9 @@ class TastiSession {
   /// oracle call failed — means the returned result was a default value.
   const Status& last_query_status() const { return last_query_status_; }
 
-  /// Failed representatives repaired across the session so far.
-  size_t representatives_repaired() const { return reps_repaired_; }
+  /// Failed representatives repaired across the session so far (the sum
+  /// of the query log's repaired_representatives).
+  size_t representatives_repaired() const;
 
   /// Per-query cost ledger: the server's, one record per query with wall
   /// time split by phase, labeler invocations attributed to that query,
@@ -144,7 +145,6 @@ class TastiSession {
 
   serve::TastiServer server_;
   bool started_ = false;
-  size_t reps_repaired_ = 0;
   Status last_query_status_ = Status::OK();
 };
 

@@ -91,10 +91,10 @@ struct QueryResponse {
   size_t logical_oracle_calls = 0;    ///< label requests the algorithm made
   size_t scheduler_cache_hits = 0;    ///< answered by the server-wide cache
   size_t scheduler_dedup_hits = 0;    ///< piggybacked on another query's call
+  /// Representatives this query's crack added, and failed representatives
+  /// its repairs re-annotated. Both stay 0 in deterministic mode, where
+  /// Drain() applies the wave's mutations after the responses are out.
   size_t cracked_representatives = 0;
-  /// Failed representatives this query re-annotated. With inline cracks,
-  /// the repairs applied; in deterministic mode, the repairs handed to
-  /// Drain(), which skips a position an earlier query of the wave repaired.
   size_t repaired_representatives = 0;
   /// How the query's proxy scores were obtained (score cache accounting).
   ProxySource proxy_source = ProxySource::kFull;

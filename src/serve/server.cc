@@ -207,7 +207,7 @@ Status TastiServer::RecoverFrom(const std::string& dir_arg) {
     std::lock_guard<std::mutex> lock(crack_mu_);
     index_ = std::move(recovered->index);
     next_epoch_ = recovered->epoch + 1;
-    deferred_cracks_.clear();
+    deferred_mutations_.clear();
     // A warm restart may rewind behind ids the pre-crash instance
     // published; Reset() lets the recovered epoch be (re)published.
     epochs_.Reset();
@@ -377,20 +377,20 @@ void TastiServer::Drain() {
   // is independent of which worker finished which query first.
   TASTI_SPAN("serve.deferred_crack");
   std::unique_lock<std::mutex> lock = LockForCrack();
-  if (deferred_cracks_.empty()) return;
-  std::sort(deferred_cracks_.begin(), deferred_cracks_.end(),
-            [](const DeferredCrack& a, const DeferredCrack& b) {
+  if (deferred_mutations_.empty()) return;
+  std::sort(deferred_mutations_.begin(), deferred_mutations_.end(),
+            [](const QueryMutation& a, const QueryMutation& b) {
               return a.query_id < b.query_id;
             });
   size_t changed = 0;
   std::string fault;
-  for (const DeferredCrack& crack : deferred_cracks_) {
+  for (const QueryMutation& mutation : deferred_mutations_) {
     // Each query's mutations get their own WAL records in query-id order,
     // so replay re-applies them in exactly this sequence.
-    const Applied applied = ApplyLocked(crack, &fault);
+    const Applied applied = ApplyLocked(mutation, &fault);
     changed += applied.cracked + applied.repaired;
   }
-  deferred_cracks_.clear();
+  deferred_mutations_.clear();
   bool published = false;
   if (changed > 0) {
     // One delta spanning every deferred crack: the parent is the epoch the
@@ -607,11 +607,8 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   response.proxy_source = proxy_outcome.source;
   response.proxy_delta_rows = proxy_outcome.delta_rows;
   response.deadline_budget_ms = spec.deadline_ms;
-  if (!deadline.unbounded()) {
-    response.deadline_spent_ms = deadline.spent_ms();
-  }
 
-  DeferredCrack mutation;
+  QueryMutation mutation;
   mutation.query_id = pending.query_id;
   if (options_.auto_crack) {
     mutation.records = cache.labeled_indices();
@@ -625,34 +622,46 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   if (snapshot->num_failed_representatives > 0 && !proxy_only &&
       !response.deadline_hit) {
     // Self-healing: re-annotate failed representatives through this
-    // query's context (so the calls are attributed to it), but not through
-    // its label cache (so they add no crack labels).
+    // query's context (so the calls are attributed to it) and its deadline
+    // (so they cannot overrun it), but not through its label cache (so they
+    // add no crack labels). Query n starts n-1 windows into the failed
+    // list: a rep that keeps failing does not starve the others, and
+    // queries reading one epoch ask for different reps.
+    std::vector<size_t> failed;
+    for (size_t pos = 0; pos < snapshot->rep_label_valid.size(); ++pos) {
+      if (snapshot->rep_label_valid[pos] == 0) failed.push_back(pos);
+    }
+    const size_t count = std::min(kMaxRepRepairsPerQuery, failed.size());
+    const size_t first =
+        (pending.query_id - 1) * kMaxRepRepairsPerQuery % failed.size();
     std::vector<size_t> positions;
     std::vector<size_t> records;
-    for (size_t pos = 0; pos < snapshot->rep_label_valid.size() &&
-                         records.size() < kMaxRepRepairsPerQuery;
-         ++pos) {
-      if (snapshot->rep_label_valid[pos] != 0) continue;
-      positions.push_back(pos);
-      records.push_back(snapshot->rep_record_ids[pos]);
+    for (size_t i = 0; i < count; ++i) {
+      positions.push_back(failed[(first + i) % failed.size()]);
+      records.push_back(snapshot->rep_record_ids[positions.back()]);
     }
+    DeadlineOracle repair_oracle(&scheduled, deadline,
+                                 options_.degrade.virtual_ms_per_call);
     std::vector<Result<data::LabelerOutput>> labels =
-        scheduled.TryLabelBatch(records);
+        repair_oracle.TryLabelBatch(records);
     for (size_t i = 0; i < labels.size(); ++i) {
       if (!labels[i].ok()) continue;  // retried after a later query
       mutation.repair_positions.push_back(positions[i]);
       mutation.repair_labels.push_back(*std::move(labels[i]));
     }
   }
+  if (!deadline.unbounded()) {
+    response.deadline_spent_ms = deadline.spent_ms();
+  }
   if (!mutation.records.empty() || !mutation.repair_positions.empty()) {
     if (options_.deterministic) {
       // Deferred: applied sorted by query id at Drain(), so this wave's
-      // readers all stay on the submit-time epoch.
-      response.repaired_representatives = mutation.repair_positions.size();
+      // readers all stay on the submit-time epoch. The response reports
+      // neither count: Drain() applies them after it is out.
       std::lock_guard<std::mutex> lock(crack_mu_);
-      deferred_cracks_.push_back(std::move(mutation));
+      deferred_mutations_.push_back(std::move(mutation));
     } else {
-      const Applied applied = ApplyCrackNow(mutation);
+      const Applied applied = ApplyMutationNow(mutation);
       response.cracked_representatives = applied.cracked;
       response.repaired_representatives = applied.repaired;
     }
@@ -671,14 +680,15 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   return response;
 }
 
-TastiServer::Applied TastiServer::ApplyCrackNow(const DeferredCrack& crack) {
+TastiServer::Applied TastiServer::ApplyMutationNow(
+    const QueryMutation& mutation) {
   TASTI_SPAN("serve.crack");
   Applied applied;
   bool published = false;
   std::string fault;
   {
     std::unique_lock<std::mutex> lock = LockForCrack();
-    applied = ApplyLocked(crack, &fault);
+    applied = ApplyLocked(mutation, &fault);
     if (applied.cracked + applied.repaired > 0) {
       // The new epoch carries the dirty-row delta against its parent, so
       // the score cache advances a warm scorer's state incrementally
@@ -701,30 +711,30 @@ TastiServer::Applied TastiServer::ApplyCrackNow(const DeferredCrack& crack) {
   return applied;
 }
 
-TastiServer::Applied TastiServer::ApplyLocked(const DeferredCrack& crack,
+TastiServer::Applied TastiServer::ApplyLocked(const QueryMutation& mutation,
                                               std::string* fault) {
   Applied applied;
-  for (size_t i = 0; i < crack.repair_positions.size(); ++i) {
-    const size_t pos = crack.repair_positions[i];
+  for (size_t i = 0; i < mutation.repair_positions.size(); ++i) {
+    const size_t pos = mutation.repair_positions[i];
     // An earlier query of the wave, or a concurrent worker, got there first.
     if (index_->rep_label_valid()[pos] != 0) continue;
-    index_->RepairRepresentative(pos, crack.repair_labels[i]);
+    index_->RepairRepresentative(pos, mutation.repair_labels[i]);
     ++applied.repaired;
     if (fault->empty()) {
       durable::WalRecord record;
       record.type = durable::WalRecordType::kRepair;
       record.rep_pos = pos;
-      record.labels = {crack.repair_labels[i]};
+      record.labels = {mutation.repair_labels[i]};
       *fault = LogMutationLocked(std::move(record));
     }
   }
-  if (crack.records.empty()) return applied;
-  applied.cracked = index_->CrackFromLabels(crack.records, crack.labels);
+  if (mutation.records.empty()) return applied;
+  applied.cracked = index_->CrackFromLabels(mutation.records, mutation.labels);
   if (applied.cracked > 0 && fault->empty()) {
     durable::WalRecord record;
     record.type = durable::WalRecordType::kCrack;
-    record.records.assign(crack.records.begin(), crack.records.end());
-    record.labels = crack.labels;
+    record.records.assign(mutation.records.begin(), mutation.records.end());
+    record.labels = mutation.labels;
     *fault = LogMutationLocked(std::move(record));
   }
   return applied;

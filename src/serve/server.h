@@ -20,8 +20,9 @@
 ///
 /// After answering, a query re-annotates up to kMaxRepRepairsPerQuery of
 /// its snapshot's failed representatives (labels the index build could not
-/// get) through its own oracle context, and applies those repairs with its
-/// crack: one critical section, one WAL barrier, one epoch.
+/// get) through its own oracle context and within its deadline, and
+/// applies those repairs with its crack: one critical section, one WAL
+/// barrier, one epoch.
 ///
 /// Admission control bounds the work in flight: a FIFO queue capped at
 /// max_pending, plus optional per-client concurrency slots so one chatty
@@ -274,7 +275,8 @@ class TastiServer {
   };
   /// One query's mutations of the master index: its labels to crack with
   /// and its failed-rep repairs (rep positions, parallel to their labels).
-  struct DeferredCrack {
+  /// Applied at once with inline cracks, at Drain() in deterministic mode.
+  struct QueryMutation {
     uint64_t query_id = 0;
     std::vector<size_t> records;
     std::vector<data::LabelerOutput> labels;
@@ -290,10 +292,11 @@ class TastiServer {
   QueryResponse RunQuery(PendingQuery pending);
   /// Applies one query's mutations and publishes the new epoch (carrying
   /// its dirty-row delta for the score cache).
-  Applied ApplyCrackNow(const DeferredCrack& crack);
-  /// Under crack_mu_: applies `crack`'s repairs (skipping positions already
-  /// valid), then its crack, WAL-logging each while `*fault` is empty.
-  Applied ApplyLocked(const DeferredCrack& crack, std::string* fault);
+  Applied ApplyMutationNow(const QueryMutation& mutation);
+  /// Under crack_mu_: applies `mutation`'s repairs (skipping positions
+  /// already valid), then its crack, WAL-logging each while `*fault` is
+  /// empty.
+  Applied ApplyLocked(const QueryMutation& mutation, std::string* fault);
   /// WAL-logs one mutation under crack_mu_; returns a fault detail (empty
   /// on success / durability disabled) for the caller to raise outside
   /// locks — logging failures degrade durability, never the query.
@@ -330,7 +333,7 @@ class TastiServer {
   mutable std::mutex crack_mu_;
   std::optional<core::TastiIndex> index_;
   uint64_t next_epoch_ = 1;
-  std::vector<DeferredCrack> deferred_cracks_;
+  std::vector<QueryMutation> deferred_mutations_;
   // Durable logging state (null when durability is disabled or degraded);
   // guarded by crack_mu_ like the index it persists.
   std::unique_ptr<durable::DurabilityManager> durability_;

@@ -718,31 +718,50 @@ TEST(SessionChaosTest, QueriesRepairFailedRepresentatives) {
 
 TEST(SessionChaosTest, TotalOutageQuerySurfacesStatusNotAbort) {
   data::Dataset ds = SmallDataset();
-  labeler::SimulatedLabeler sim(&ds);
-  // The oracle is dead from the start. (Once a build has labeled records,
-  // a query finds those labels in the server-wide cache and answers
-  // degraded instead of failing.)
-  labeler::FaultSchedule outage;
-  outage.transient_rate = 1.0;
-  labeler::FaultInjectingLabeler inj(&sim, outage);
   labeler::ResilientLabeler::Options ropts;
   ropts.retry.max_attempts = 2;
   ropts.breaker.enabled = false;
-  labeler::ResilientLabeler oracle(&inj, ropts);
-
   api::SessionOptions sopts;
   sopts.index = FastIndexOptions();
-  api::TastiSession session(&ds, &oracle, sopts);
-  // The build degrades instead of aborting: every representative failed.
-  EXPECT_EQ(session.index().num_failed_representatives(),
-            session.index().num_representatives());
-
   core::CountScorer statistic(data::ObjectClass::kCar);
-  queries::AggregationResult r = session.Aggregate(statistic, 0.1);
-  EXPECT_FALSE(session.last_query_status().ok());
-  EXPECT_EQ(session.last_query_status().code(), StatusCode::kUnavailable);
-  EXPECT_EQ(r.labeler_invocations, 0u);  // default result
-  EXPECT_GT(r.failed_oracle_calls, 0u);
+  labeler::FaultSchedule outage;
+  outage.transient_rate = 1.0;
+
+  {
+    SCOPED_TRACE("outage after a healthy build");
+    labeler::SimulatedLabeler sim(&ds);
+    labeler::FaultInjectingLabeler inj(&sim, labeler::FaultSchedule{});
+    labeler::ResilientLabeler oracle(&inj, ropts);
+    api::TastiSession session(&ds, &oracle, sopts);
+    session.index();  // build fault-free
+    inj.set_schedule(outage);
+
+    // The labels the build paid for are free from the server-wide label
+    // cache, so the query answers from those, status OK, and reports the
+    // calls that failed.
+    queries::AggregationResult r = session.Aggregate(statistic, 0.1);
+    EXPECT_TRUE(session.last_query_status().ok());
+    EXPECT_GT(r.labeler_invocations, 0u);
+    EXPECT_GT(r.failed_oracle_calls, 0u);
+    EXPECT_EQ(session.query_log().queries().back().failed_oracle_calls,
+              r.failed_oracle_calls);
+  }
+  {
+    SCOPED_TRACE("oracle dead from the start");
+    labeler::SimulatedLabeler sim(&ds);
+    labeler::FaultInjectingLabeler inj(&sim, outage);
+    labeler::ResilientLabeler oracle(&inj, ropts);
+    api::TastiSession session(&ds, &oracle, sopts);
+    // The build degrades instead of aborting: every representative failed.
+    EXPECT_EQ(session.index().num_failed_representatives(),
+              session.index().num_representatives());
+
+    queries::AggregationResult r = session.Aggregate(statistic, 0.1);
+    EXPECT_FALSE(session.last_query_status().ok());
+    EXPECT_EQ(session.last_query_status().code(), StatusCode::kUnavailable);
+    EXPECT_EQ(r.labeler_invocations, 0u);  // default result
+    EXPECT_GT(r.failed_oracle_calls, 0u);
+  }
 }
 
 // ---------- On-disk integrity ----------

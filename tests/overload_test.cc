@@ -18,6 +18,7 @@
 
 #include "core/scorer.h"
 #include "data/dataset.h"
+#include "labeler/faults.h"
 #include "labeler/labeler.h"
 #include "labeler/resilient.h"
 #include "queries/merge.h"
@@ -494,6 +495,66 @@ TEST(ServerOverloadTest, VirtualDeadlineDegradesReproducibly) {
   EXPECT_EQ(a.deadline_spent_ms, b.deadline_spent_ms);
   // Degradation shows up in the server tallies.
   // (stats were reset by Shutdown's scope end above; counted per run)
+}
+
+// A query's failed-rep repairs run after its answer but inside its
+// deadline: they stop where the budget does, and the time they take is in
+// the reported spend.
+TEST(ServerOverloadTest, RepairsStayInsideTheQueryDeadline) {
+  data::Dataset ds = TestDataset(1500);
+  auto run = [&ds](double deadline_ms) {
+    labeler::SimulatedLabeler truth(&ds);
+    labeler::FaultSchedule broken;
+    broken.permanent_rate = 0.25;
+    broken.seed = 17;
+    labeler::FaultInjectingLabeler oracle(&truth, broken);
+    serve::ServerOptions opts = FastServerOptions();
+    opts.num_workers = 1;
+    opts.degrade.virtual_ms_per_call = 1.0;
+    serve::TastiServer server(&ds, &oracle, opts);
+    EXPECT_TRUE(server.Start().ok());
+    // The build leaves more failed reps than one query repairs; then the
+    // oracle heals.
+    EXPECT_GT(server.index().num_failed_representatives(),
+              serve::kMaxRepRepairsPerQuery);
+    oracle.set_schedule(labeler::FaultSchedule{});
+    static core::CountScorer cars(data::ObjectClass::kCar);
+    serve::QuerySpec spec;
+    spec.kind = serve::QueryKind::kAggregate;
+    spec.scorer = &cars;
+    spec.error_target = 0.2;
+    spec.deadline_ms = deadline_ms;
+    serve::QueryResponse response = server.Execute(spec);
+    EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+    server.Shutdown();
+    return response;
+  };
+
+  // An ample budget covers the answer and a full window of repairs, at
+  // 1 virtual ms per call.
+  const serve::QueryResponse ample = run(/*deadline_ms=*/1e6);
+  ASSERT_TRUE(ample.status.ok());
+  ASSERT_FALSE(ample.deadline_hit);
+  ASSERT_EQ(ample.repaired_representatives, serve::kMaxRepRepairsPerQuery);
+  // The aggregate asks for each record once, so its spend is one ms per
+  // labeler invocation; the repairs add one ms each.
+  const double answer_ms =
+      static_cast<double>(ample.aggregate.labeler_invocations);
+  ASSERT_GT(answer_ms, 0.0);
+  EXPECT_EQ(ample.deadline_spent_ms,
+            answer_ms + static_cast<double>(serve::kMaxRepRepairsPerQuery));
+
+  // A budget for the answer plus five calls: the same answer, five repairs,
+  // and not one call past the budget.
+  const serve::QueryResponse tight = run(answer_ms + 5.0);
+  ASSERT_TRUE(tight.status.ok());
+  EXPECT_FALSE(tight.deadline_hit);
+  EXPECT_EQ(tight.aggregate.estimate, ample.aggregate.estimate);
+  EXPECT_EQ(tight.aggregate.labeler_invocations,
+            ample.aggregate.labeler_invocations);
+  EXPECT_EQ(tight.repaired_representatives, 5u);
+  EXPECT_LE(tight.deadline_spent_ms, tight.deadline_budget_ms + 1.0);
+  EXPECT_EQ(tight.deadline_spent_ms, answer_ms + 5.0);
 }
 
 TEST(ServerOverloadTest, DeadlineCountsSurfaceInStats) {

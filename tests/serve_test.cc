@@ -921,9 +921,10 @@ TEST(SessionReplayTest, SessionMatchesNaiveReplay) {
 
 // Failed representatives the build could not label are re-annotated by
 // later queries once the oracle heals, at most kMaxRepRepairsPerQuery per
-// query. The epoch that applies a repair lists the rep in dirty_reps, so
-// the next query's proxy advances over it, and every repair call is
-// attributed to the query that made it.
+// query: query n asks for the window that starts n-1 windows into its
+// snapshot's failed list. The epoch that applies a repair lists the rep in
+// dirty_reps, so the next query's proxy advances over it, and every repair
+// call is attributed to the query that made it.
 TEST(ServerRepairTest, RepairedRepsReenterPropagation) {
   data::Dataset ds = TestDataset(1500);
   core::CountScorer cars(data::ObjectClass::kCar);
@@ -947,50 +948,80 @@ TEST(ServerRepairTest, RepairedRepsReenterPropagation) {
         server.index().failed_representative_positions();
     ASSERT_GT(failed.size(), kMaxRepRepairsPerQuery);
     oracle.set_schedule(labeler::FaultSchedule{});
+    // The reps query `id` asks for while every rep of `failed` is failed.
+    auto window = [&failed](uint64_t id) {
+      std::vector<size_t> reps;
+      for (size_t i = 0; i < kMaxRepRepairsPerQuery; ++i) {
+        reps.push_back(
+            failed[((id - 1) * kMaxRepRepairsPerQuery + i) % failed.size()]);
+      }
+      return reps;
+    };
 
-    std::vector<QueryResponse> responses;
+    std::vector<size_t> repaired;
     if (deterministic) {
-      // Two queries of one wave read the build epoch and label the same
-      // reps; Drain applies the first's repairs and skips the second's.
-      const Result<uint64_t> a = server.Submit(spec);
-      const Result<uint64_t> b = server.Submit(spec);
-      ASSERT_TRUE(a.ok() && b.ok());
-      responses.push_back(server.Wait(*a));
-      responses.push_back(server.Wait(*b));
+      // One wave reads the build epoch. Its windows wrap around the failed
+      // list, so Drain applies a rep for the first query that asked and
+      // skips it for the later ones. The responses report no repairs or
+      // cracks: Drain applies them after the responses are out.
+      const size_t wave = failed.size() / kMaxRepRepairsPerQuery + 2;
+      ASSERT_GT(wave * kMaxRepRepairsPerQuery,
+                failed.size() + kMaxRepRepairsPerQuery);
+      std::vector<uint64_t> ids;
+      for (size_t q = 0; q < wave; ++q) {
+        const Result<uint64_t> id = server.Submit(spec);
+        ASSERT_TRUE(id.ok());
+        ids.push_back(*id);
+      }
+      for (uint64_t id : ids) {
+        const QueryResponse response = server.Wait(id);
+        EXPECT_TRUE(response.status.ok());
+        EXPECT_EQ(response.repaired_representatives, 0u);
+        EXPECT_EQ(response.cracked_representatives, 0u);
+        const std::vector<size_t> asked = window(id);
+        repaired.insert(repaired.end(), asked.begin(), asked.end());
+      }
+      server.Drain();
+      for (const obs::QueryRecord& record : server.query_log().queries()) {
+        EXPECT_EQ(record.repaired_representatives, 0u);
+      }
     } else {
-      responses.push_back(server.Execute(spec));
-    }
-    server.Drain();
-    for (const QueryResponse& response : responses) {
+      const QueryResponse response = server.Execute(spec);
       EXPECT_TRUE(response.status.ok());
       EXPECT_EQ(response.repaired_representatives, kMaxRepRepairsPerQuery);
+      EXPECT_EQ(server.query_log().queries().front().repaired_representatives,
+                kMaxRepRepairsPerQuery);
+      repaired = window(1);
     }
-    EXPECT_EQ(server.index().num_failed_representatives(),
-              failed.size() - kMaxRepRepairsPerQuery);
+    std::sort(repaired.begin(), repaired.end());
+    repaired.erase(std::unique(repaired.begin(), repaired.end()),
+                   repaired.end());
+    const size_t remaining = failed.size() - repaired.size();
+    EXPECT_EQ(server.index().num_failed_representatives(), remaining);
     const std::shared_ptr<const IndexSnapshot> epoch = server.epochs().Acquire();
     EXPECT_EQ(epoch->epoch, 2u);
-    EXPECT_EQ(epoch->num_failed_representatives,
-              failed.size() - kMaxRepRepairsPerQuery);
-    for (size_t i = 0; i < kMaxRepRepairsPerQuery; ++i) {
-      EXPECT_EQ(server.index().rep_label_valid()[failed[i]], 1u);
+    EXPECT_EQ(epoch->num_failed_representatives, remaining);
+    for (size_t pos : repaired) {
+      EXPECT_EQ(server.index().rep_label_valid()[pos], 1u);
       EXPECT_TRUE(std::binary_search(epoch->dirty_reps.begin(),
                                      epoch->dirty_reps.end(),
-                                     static_cast<uint32_t>(failed[i])))
-          << "repaired rep " << failed[i] << " not in the epoch's delta";
+                                     static_cast<uint32_t>(pos)))
+          << "repaired rep " << pos << " not in the epoch's delta";
     }
-    EXPECT_EQ(server.query_log().queries().front().repaired_representatives,
-              kMaxRepRepairsPerQuery);
 
-    // The next query's proxy advances over the repair epoch's delta and it
-    // repairs the next reps in line.
+    // The next query's proxy advances over the repair epoch's delta, and
+    // it repairs what is left, up to the cap.
     const QueryResponse next = server.Execute(spec);
     server.Drain();
     EXPECT_TRUE(next.status.ok());
     EXPECT_EQ(next.epoch, 2u);
     EXPECT_EQ(next.proxy_source, ProxySource::kDelta);
-    EXPECT_EQ(next.repaired_representatives,
-              std::min(kMaxRepRepairsPerQuery,
-                       failed.size() - kMaxRepRepairsPerQuery));
+    const size_t next_repairs = std::min(kMaxRepRepairsPerQuery, remaining);
+    EXPECT_EQ(server.index().num_failed_representatives(),
+              remaining - next_repairs);
+    if (!deterministic) {
+      EXPECT_EQ(next.repaired_representatives, next_repairs);
+    }
     EXPECT_TRUE(server.CheckAttributionInvariant().ok());
   }
 }

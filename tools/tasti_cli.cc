@@ -659,7 +659,9 @@ int RunServeWorkload(const Args& args) {
   WallTimer serial_timer;
   // Distinct records each serial query asked the oracle for: what the
   // serial run pays when labels are cached per query only, the baseline
-  // that cross-query sharing (label cache, dedup) must beat.
+  // that cross-query sharing (label cache, dedup) must beat. The session
+  // itself shares the server-wide label cache and, one query at a time,
+  // can pay fewer calls than the K-worker server does.
   size_t serial_requested = 0;
   if (!skip_serial) {
     for (const serve::QuerySpec& spec : specs) {
