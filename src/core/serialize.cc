@@ -14,6 +14,7 @@
 #include "embed/triplet_trainer.h"
 #include "labeler/label_codec.h"
 #include "nn/serialize.h"
+#include "util/byte_codec.h"
 #include "util/checksum.h"
 
 
@@ -27,38 +28,6 @@ constexpr uint32_t kMagic = 0x54535449;  // "TSTI"
 constexpr uint32_t kVersion = 3;
 
 // --- primitive writers/readers over a string buffer ---
-
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Get requires POD");
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
-
-void PutMatrix(std::string* out, const nn::Matrix& m) {
-  Put<uint64_t>(out, m.rows());
-  Put<uint64_t>(out, m.cols());
-  out->append(reinterpret_cast<const char*>(m.data()), m.size() * sizeof(float));
-}
-
-bool GetMatrix(const std::string& in, size_t* at, nn::Matrix* m) {
-  uint64_t rows = 0, cols = 0;
-  if (!Get(in, at, &rows) || !Get(in, at, &cols)) return false;
-  const size_t bytes = static_cast<size_t>(rows * cols) * sizeof(float);
-  if (*at + bytes > in.size()) return false;
-  *m = nn::Matrix(rows, cols);
-  std::memcpy(m->data(), in.data() + *at, bytes);
-  *at += bytes;
-  return true;
-}
 
 template <typename T>
 void PutVector(std::string* out, const std::vector<T>& v) {

@@ -1,11 +1,11 @@
 #include "durable/checkpoint.h"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "core/serialize.h"
 #include "obs/trace.h"
+#include "util/byte_codec.h"
 #include "util/checksum.h"
 
 namespace tasti::durable {
@@ -14,21 +14,6 @@ namespace {
 
 constexpr uint32_t kManifestMagic = 0x4E4D5354;    // "TSMN"
 constexpr uint32_t kCheckpointMagic = 0x50435354;  // "TSCP"
-
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Get requires POD");
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
 
 void PutMeta(std::string* out, const Manifest& meta) {
   Put<uint64_t>(out, meta.checkpoint_seq);

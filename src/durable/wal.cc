@@ -1,10 +1,10 @@
 #include "durable/wal.h"
 
 #include <cstdio>
-#include <cstring>
 #include <utility>
 
 #include "labeler/label_codec.h"
+#include "util/byte_codec.h"
 #include "util/checksum.h"
 
 namespace tasti::durable {
@@ -14,21 +14,6 @@ namespace {
 // A frame_len beyond this is garbage even if the buffer could hold it
 // (e.g. bit rot inside a length prefix that still lands in-bounds).
 constexpr size_t kMaxFrameBytes = 1ull << 30;
-
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Get requires POD");
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
 
 bool DecodeBody(const std::string& payload, size_t at, WalRecord* record) {
   switch (record->type) {
@@ -59,13 +44,8 @@ bool DecodeBody(const std::string& payload, size_t at, WalRecord* record) {
       return at == payload.size();
     }
     case WalRecordType::kAppend: {
-      uint64_t rows = 0, cols = 0;
-      if (!Get(payload, &at, &rows) || !Get(payload, &at, &cols)) return false;
-      const size_t bytes = static_cast<size_t>(rows * cols) * sizeof(float);
-      if (at + bytes != payload.size()) return false;
-      record->features = nn::Matrix(rows, cols);
-      std::memcpy(record->features.data(), payload.data() + at, bytes);
-      return true;
+      return GetMatrix(payload, &at, &record->features) &&
+             at == payload.size();
     }
     case WalRecordType::kEpochPublish:
       return Get(payload, &at, &record->epoch) && at == payload.size();
@@ -109,10 +89,7 @@ std::string EncodeWalRecord(const WalRecord& record) {
       labeler::EncodeLabel(&payload, record.labels.front());
       break;
     case WalRecordType::kAppend:
-      Put<uint64_t>(&payload, record.features.rows());
-      Put<uint64_t>(&payload, record.features.cols());
-      payload.append(reinterpret_cast<const char*>(record.features.data()),
-                     record.features.size() * sizeof(float));
+      PutMatrix(&payload, record.features);
       break;
     case WalRecordType::kEpochPublish:
       Put<uint64_t>(&payload, record.epoch);

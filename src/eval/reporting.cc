@@ -2,8 +2,9 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <vector>
 
-#include "obs/metrics.h"
+#include "util/stats.h"
 
 namespace tasti::eval {
 
@@ -61,16 +62,15 @@ void PrintQueryLog(const obs::QueryLog& log) {
               FmtCount(static_cast<long long>(log.total_invocations())).c_str(),
               Fmt(log.total_query_seconds(), 3).c_str(), log.queries().size());
   if (log.queries().size() >= 2) {
-    // Latency quantiles over per-query totals, interpolated from a
-    // throwaway histogram (50us .. ~26s exponential buckets).
-    obs::Histogram hist(obs::ExponentialBuckets(0.05, 2.0, 20));
+    // Exact order statistics of the per-query totals.
+    std::vector<double> ms;
     for (const obs::QueryRecord& q : log.queries()) {
-      hist.Observe(q.phases.TotalSeconds() * 1000.0);
+      ms.push_back(q.phases.TotalSeconds() * 1000.0);
     }
     std::printf("latency:  p50=%sms p95=%sms p99=%sms\n",
-                Fmt(hist.Quantile(0.50), 2).c_str(),
-                Fmt(hist.Quantile(0.95), 2).c_str(),
-                Fmt(hist.Quantile(0.99), 2).c_str());
+                Fmt(Quantile(ms, 0.50), 2).c_str(),
+                Fmt(Quantile(ms, 0.95), 2).c_str(),
+                Fmt(Quantile(ms, 0.99), 2).c_str());
   }
 }
 

@@ -1,29 +1,15 @@
 #include "labeler/label_codec.h"
 
 #include <cstdint>
-#include <cstring>
 #include <utility>
+
+#include "util/byte_codec.h"
 
 namespace tasti::labeler {
 
 namespace {
 
 enum class LabelTag : uint8_t { kVideo = 0, kText = 1, kSpeech = 2 };
-
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Get requires POD");
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
 
 }  // namespace
 

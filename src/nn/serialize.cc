@@ -1,8 +1,8 @@
 #include "nn/serialize.h"
 
 #include <cstdint>
-#include <cstring>
 
+#include "util/byte_codec.h"
 #include "util/checksum.h"
 
 namespace tasti::nn {
@@ -17,37 +17,6 @@ enum class LayerTag : uint8_t {
   kTanh = 2,
   kL2Normalize = 3,
 };
-
-template <typename T>
-void Put(std::string* out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>, "Put requires POD");
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool Get(const std::string& in, size_t* at, T* value) {
-  if (*at + sizeof(T) > in.size()) return false;
-  std::memcpy(value, in.data() + *at, sizeof(T));
-  *at += sizeof(T);
-  return true;
-}
-
-void PutMatrix(std::string* out, const Matrix& m) {
-  Put<uint64_t>(out, m.rows());
-  Put<uint64_t>(out, m.cols());
-  out->append(reinterpret_cast<const char*>(m.data()), m.size() * sizeof(float));
-}
-
-bool GetMatrix(const std::string& in, size_t* at, Matrix* m) {
-  uint64_t rows = 0, cols = 0;
-  if (!Get(in, at, &rows) || !Get(in, at, &cols)) return false;
-  const size_t bytes = static_cast<size_t>(rows * cols) * sizeof(float);
-  if (*at + bytes > in.size()) return false;
-  *m = Matrix(rows, cols);
-  std::memcpy(m->data(), in.data() + *at, bytes);
-  *at += bytes;
-  return true;
-}
 
 }  // namespace
 

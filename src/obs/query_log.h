@@ -70,7 +70,7 @@ struct QueryRecord {
   /// Previously-failed representatives repaired after this query
   /// (self-healing; at most serve::kMaxRepRepairsPerQuery). Like
   /// cracked_representatives, 0 on a deterministic server, whose Drain()
-  /// applies both after the query is logged.
+  /// commits both after the query is logged.
   size_t repaired_representatives = 0;
   /// How the proxy scores were obtained when served through the score
   /// cache: "full", "delta", "hit", or "shared".

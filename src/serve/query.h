@@ -59,7 +59,7 @@ struct QuerySpec {
   size_t budget = 500;          ///< SUPG oracle budget
   size_t validation_budget = 100;  ///< threshold select
   size_t want = 10;             ///< limit
-  /// Client issuing the query (per-client concurrency slots).
+  /// Client issuing the query; recorded in its ledger row's params.
   uint64_t client_id = 0;
   /// Priority class for admission-time load shedding (shedder.h).
   QueryPriority priority = QueryPriority::kInteractive;
@@ -93,7 +93,7 @@ struct QueryResponse {
   size_t scheduler_dedup_hits = 0;    ///< piggybacked on another query's call
   /// Representatives this query's crack added, and failed representatives
   /// its repairs re-annotated. Both stay 0 in deterministic mode, where
-  /// Drain() applies the wave's mutations after the responses are out.
+  /// Drain() commits the wave's mutations after the responses are out.
   size_t cracked_representatives = 0;
   size_t repaired_representatives = 0;
   /// How the query's proxy scores were obtained (score cache accounting).

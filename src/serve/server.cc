@@ -147,10 +147,10 @@ void TastiServer::SpawnWorkers() {
   }
 }
 
-std::string TastiServer::LogMutationLocked(durable::WalRecord record) {
-  if (durability_ == nullptr) return "";
+void TastiServer::LogLocked(durable::WalRecord record, std::string* fault) {
+  if (durability_ == nullptr || !fault->empty()) return;
   Status logged = durability_->Log(std::move(record));
-  return logged.ok() ? "" : "wal append failed: " + logged.message();
+  if (!logged.ok()) *fault = "wal append failed: " + logged.message();
 }
 
 std::string TastiServer::CommitEpochLocked(uint64_t epoch) {
@@ -207,7 +207,10 @@ Status TastiServer::RecoverFrom(const std::string& dir_arg) {
     std::lock_guard<std::mutex> lock(crack_mu_);
     index_ = std::move(recovered->index);
     next_epoch_ = recovered->epoch + 1;
-    deferred_mutations_.clear();
+    {
+      std::lock_guard<std::mutex> queue_lock(commit_mu_);
+      commit_queue_.clear();  // an undrained deterministic wave's
+    }
     // A warm restart may rewind behind ids the pre-crash instance
     // published; Reset() lets the recovered epoch be (re)published.
     epochs_.Reset();
@@ -236,7 +239,6 @@ Status TastiServer::RecoverFrom(const std::string& dir_arg) {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.clear();
     completed_.clear();
-    client_running_.clear();
     executing_ = 0;
     queries_completed_ = 0;
     query_invocations_ = 0;
@@ -306,9 +308,6 @@ Result<uint64_t> TastiServer::Submit(const QuerySpec& spec) {
     }
   }
   if (full()) {
-    if (!options_.block_on_admission) {
-      return Status::ResourceExhausted("admission queue full");
-    }
     admit_cv_.wait(lock, [&] { return stopping_ || !full(); });
     if (stopping_) return Status::Unavailable("server shutting down");
   }
@@ -371,40 +370,8 @@ void TastiServer::Drain() {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return queue_.empty() && executing_ == 0; });
   }
-  if (!options_.deterministic) return;
-  // Apply the wave's deferred repairs and cracks in query-id order: the
-  // resulting representative sequence — hence the next epoch's proxies —
-  // is independent of which worker finished which query first.
-  TASTI_SPAN("serve.deferred_crack");
-  std::unique_lock<std::mutex> lock = LockForCrack();
-  if (deferred_mutations_.empty()) return;
-  std::sort(deferred_mutations_.begin(), deferred_mutations_.end(),
-            [](const QueryMutation& a, const QueryMutation& b) {
-              return a.query_id < b.query_id;
-            });
-  size_t changed = 0;
-  std::string fault;
-  for (const QueryMutation& mutation : deferred_mutations_) {
-    // Each query's mutations get their own WAL records in query-id order,
-    // so replay re-applies them in exactly this sequence.
-    const Applied applied = ApplyLocked(mutation, &fault);
-    changed += applied.cracked + applied.repaired;
-  }
-  deferred_mutations_.clear();
-  bool published = false;
-  if (changed > 0) {
-    // One delta spanning every deferred crack: the parent is the epoch the
-    // whole wave read, so a single incremental pass advances to it.
-    const uint64_t epoch = next_epoch_++;
-    if (fault.empty()) fault = CommitEpochLocked(epoch);
-    PublishEpochLocked(epoch, epoch - 1);
-    published = true;
-  }
-  lock.unlock();
-  if (published) NotifyEpochPublished();
-  if (!fault.empty() && monitor_ != nullptr) {
-    monitor_->OnFault("durability", fault);
-  }
+  // A deterministic wave's queries only queued their mutations.
+  if (options_.deterministic) Commit();
 }
 
 void TastiServer::Shutdown() {
@@ -485,33 +452,20 @@ void TastiServer::WorkerLoop() {
           if (stopping_) return;
           continue;
         }
-        auto it = queue_.begin();
-        if (options_.max_client_concurrency > 0) {
-          // FIFO among eligible clients: skip queries whose client has
-          // exhausted its concurrency slots.
-          while (it != queue_.end() &&
-                 client_running_[it->spec.client_id] >=
-                     options_.max_client_concurrency) {
-            ++it;
-          }
-          if (it == queue_.end()) {
-            // Every queued client is saturated; a completion frees a slot
-            // and re-notifies work_cv_.
-            work_cv_.wait(lock);
-            continue;
-          }
-        }
-        pending = std::move(*it);
-        queue_.erase(it);
+        pending = std::move(queue_.front());
+        // Not pop_front(): with one query queued at a time, libstdc++'s
+        // pop_front() frees a deque node on this worker every few queries
+        // and the next Submit allocates one on a client thread, a churn
+        // that raised perfbench serve_remote's peak RSS by about 30%. A
+        // one-element erase(begin()) pops from the back and keeps the node.
+        queue_.erase(queue_.begin());
         ++executing_;
-        ++client_running_[pending.spec.client_id];
         break;
       }
       admit_cv_.notify_all();
     }
     pending.queue_wait_ms = pending.queued.Millis();
     ObserveQueueWait(pending.queue_wait_ms);
-    const uint64_t client_id = pending.spec.client_id;
 
     QueryResponse response = RunQuery(std::move(pending));
     CountDegradation(response);
@@ -523,7 +477,6 @@ void TastiServer::WorkerLoop() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       --executing_;
-      --client_running_[client_id];
       ++queries_completed_;
       query_invocations_ += response.attributed_invocations;
       if (response.deadline_hit) ++deadline_expired_;
@@ -541,7 +494,6 @@ void TastiServer::WorkerLoop() {
     }
     done_cv_.notify_all();
     admit_cv_.notify_all();
-    work_cv_.notify_all();  // a freed client slot may unblock a peer worker
   }
 }
 
@@ -608,7 +560,7 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   response.proxy_delta_rows = proxy_outcome.delta_rows;
   response.deadline_budget_ms = spec.deadline_ms;
 
-  QueryMutation mutation;
+  Mutation mutation;
   mutation.query_id = pending.query_id;
   if (options_.auto_crack) {
     mutation.records = cache.labeled_indices();
@@ -655,13 +607,15 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   }
   if (!mutation.records.empty() || !mutation.repair_positions.empty()) {
     if (options_.deterministic) {
-      // Deferred: applied sorted by query id at Drain(), so this wave's
-      // readers all stay on the submit-time epoch. The response reports
-      // neither count: Drain() applies them after it is out.
-      std::lock_guard<std::mutex> lock(crack_mu_);
-      deferred_mutations_.push_back(std::move(mutation));
+      // Only queued: Drain() commits the wave, so its readers all stay on
+      // the submit-time epoch. The response reports neither count: the
+      // commit happens after it is out.
+      Enqueue(std::move(mutation), nullptr);
     } else {
-      const Applied applied = ApplyMutationNow(mutation);
+      TASTI_SPAN("serve.crack");
+      Applied applied;
+      Enqueue(std::move(mutation), &applied);
+      Commit();
       response.cracked_representatives = applied.cracked;
       response.repaired_representatives = applied.repaired;
     }
@@ -680,25 +634,48 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   return response;
 }
 
-TastiServer::Applied TastiServer::ApplyMutationNow(
-    const QueryMutation& mutation) {
-  TASTI_SPAN("serve.crack");
-  Applied applied;
+void TastiServer::Enqueue(Mutation mutation, Applied* applied) {
+  std::lock_guard<std::mutex> lock(commit_mu_);
+  commit_queue_.push_back({std::move(mutation), applied});
+}
+
+void TastiServer::Commit() {
+  TASTI_SPAN("serve.commit");
   bool published = false;
   std::string fault;
   {
-    std::unique_lock<std::mutex> lock = LockForCrack();
-    applied = ApplyLocked(mutation, &fault);
-    if (applied.cracked + applied.repaired > 0) {
-      // The new epoch carries the dirty-row delta against its parent, so
-      // the score cache advances a warm scorer's state incrementally
-      // instead of re-propagating every record. Old entries age out via
-      // LRU — an entry for a retired epoch is still useful as the next
-      // delta's parent.
+    std::unique_lock<std::mutex> lock;
+    {
+      TASTI_SPAN("serve.crack_wait");
+      lock = std::unique_lock<std::mutex>(crack_mu_);
+    }
+    std::vector<QueuedMutation> batch;
+    {
+      std::lock_guard<std::mutex> queue_lock(commit_mu_);
+      batch.swap(commit_queue_);
+    }
+    // Appends (query id 0) in arrival order, then queries by id: the
+    // representative sequence — hence the next epoch's proxies — does not
+    // depend on which worker queued first. Each mutation gets its own WAL
+    // records in this order, so replay re-applies exactly this sequence.
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const QueuedMutation& a, const QueuedMutation& b) {
+                       return a.mutation.query_id < b.mutation.query_id;
+                     });
+    bool changed = false;
+    for (QueuedMutation& queued : batch) {
+      const bool append = queued.mutation.query_id == 0;
+      const Applied applied = ApplyLocked(std::move(queued.mutation), &fault);
+      changed |= append || applied.cracked + applied.repaired > 0;
+      if (queued.applied != nullptr) *queued.applied = applied;
+    }
+    if (changed) {
+      // One epoch whose delta against its parent spans every mutation, so
+      // the score cache advances a warm scorer's state in one incremental
+      // pass. Log-before-publish: once readers can see this epoch, the WAL
+      // has its records and its marker synced (or durability has already
+      // degraded to memory-only and raised a fault).
       const uint64_t epoch = next_epoch_++;
-      // Log-before-publish: once readers can see this epoch, the WAL has
-      // its mutations and its commit marker synced (or durability has
-      // already degraded to memory-only and raised a fault).
       if (fault.empty()) fault = CommitEpochLocked(epoch);
       PublishEpochLocked(epoch, epoch - 1);
       published = true;
@@ -708,64 +685,53 @@ TastiServer::Applied TastiServer::ApplyMutationNow(
   if (!fault.empty() && monitor_ != nullptr) {
     monitor_->OnFault("durability", fault);
   }
-  return applied;
 }
 
-TastiServer::Applied TastiServer::ApplyLocked(const QueryMutation& mutation,
+TastiServer::Applied TastiServer::ApplyLocked(Mutation mutation,
                                               std::string* fault) {
   Applied applied;
+  if (mutation.query_id == 0) {
+    TASTI_CHECK(index_.has_value(), "Start() the server before appending");
+    applied.first_record = index_->AppendRecords(mutation.features);
+    durable::WalRecord record;
+    record.type = durable::WalRecordType::kAppend;
+    record.features = std::move(mutation.features);
+    LogLocked(std::move(record), fault);
+    return applied;
+  }
   for (size_t i = 0; i < mutation.repair_positions.size(); ++i) {
     const size_t pos = mutation.repair_positions[i];
-    // An earlier query of the wave, or a concurrent worker, got there first.
+    // An earlier query of the batch, or of an earlier commit, got there
+    // first.
     if (index_->rep_label_valid()[pos] != 0) continue;
     index_->RepairRepresentative(pos, mutation.repair_labels[i]);
     ++applied.repaired;
-    if (fault->empty()) {
-      durable::WalRecord record;
-      record.type = durable::WalRecordType::kRepair;
-      record.rep_pos = pos;
-      record.labels = {mutation.repair_labels[i]};
-      *fault = LogMutationLocked(std::move(record));
-    }
+    durable::WalRecord record;
+    record.type = durable::WalRecordType::kRepair;
+    record.rep_pos = pos;
+    record.labels = {std::move(mutation.repair_labels[i])};
+    LogLocked(std::move(record), fault);
   }
   if (mutation.records.empty()) return applied;
   applied.cracked = index_->CrackFromLabels(mutation.records, mutation.labels);
-  if (applied.cracked > 0 && fault->empty()) {
+  if (applied.cracked > 0) {
     durable::WalRecord record;
     record.type = durable::WalRecordType::kCrack;
     record.records.assign(mutation.records.begin(), mutation.records.end());
-    record.labels = mutation.labels;
-    *fault = LogMutationLocked(std::move(record));
+    record.labels = std::move(mutation.labels);
+    LogLocked(std::move(record), fault);
   }
   return applied;
 }
 
 size_t TastiServer::AppendRecords(const nn::Matrix& features) {
   TASTI_SPAN("serve.append_records");
-  size_t first_new = 0;
-  std::string fault;
-  {
-    std::unique_lock<std::mutex> lock = LockForCrack();
-    TASTI_CHECK(index_.has_value(), "Start() the server before appending");
-    first_new = index_->AppendRecords(features);
-    const uint64_t epoch = next_epoch_++;
-    durable::WalRecord record;
-    record.type = durable::WalRecordType::kAppend;
-    record.features = features;
-    fault = LogMutationLocked(std::move(record));
-    if (fault.empty()) fault = CommitEpochLocked(epoch);
-    PublishEpochLocked(epoch, epoch - 1);
-  }
-  NotifyEpochPublished();
-  if (!fault.empty() && monitor_ != nullptr) {
-    monitor_->OnFault("durability", fault);
-  }
-  return first_new;
-}
-
-std::unique_lock<std::mutex> TastiServer::LockForCrack() {
-  TASTI_SPAN("serve.crack_wait");
-  return std::unique_lock<std::mutex>(crack_mu_);
+  Mutation mutation;  // query id 0: an append
+  mutation.features = features;
+  Applied applied;
+  Enqueue(std::move(mutation), &applied);
+  Commit();
+  return applied.first_record;
 }
 
 void TastiServer::PublishEpochLocked(uint64_t epoch, uint64_t parent) {

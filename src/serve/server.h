@@ -20,18 +20,21 @@
 ///
 /// After answering, a query re-annotates up to kMaxRepRepairsPerQuery of
 /// its snapshot's failed representatives (labels the index build could not
-/// get) through its own oracle context and within its deadline, and
-/// applies those repairs with its crack: one critical section, one WAL
-/// barrier, one epoch.
+/// get) through its own oracle context and within its deadline.
+///
+/// Every index mutation — a query's crack labels with its repairs, or an
+/// append — goes through one group commit: it joins a queue, and whoever
+/// next holds the crack lock applies everything queued (appends first,
+/// then by query id), each mutation with its own WAL record, behind one
+/// epoch marker, one fsync and one snapshot publish.
 ///
 /// Admission control bounds the work in flight: a FIFO queue capped at
-/// max_pending, plus optional per-client concurrency slots so one chatty
-/// client cannot starve the rest.
+/// max_pending.
 ///
-/// Deterministic mode makes a served workload reproducible: cracking is
-/// deferred to Drain() (every query in a wave reads the same epoch) and
-/// applied sorted by query id, and per-query seeds derive from the query
-/// id alone — so result payloads are bit-identical whether the wave ran on
+/// Deterministic mode makes a served workload reproducible: queries only
+/// queue their mutations and Drain() commits them (every query in a wave
+/// reads the same epoch), and per-query seeds derive from the query id
+/// alone — so result payloads are bit-identical whether the wave ran on
 /// one worker or K.
 
 #include <condition_variable>
@@ -88,20 +91,14 @@ struct DegradeOptions {
 struct ServerOptions {
   /// Query worker threads.
   size_t num_workers = 4;
-  /// Admission bound: queries queued or executing. Submit blocks (or
-  /// rejects) beyond it.
+  /// Admission bound: queries queued or executing. Submit blocks beyond it.
   size_t max_pending = 64;
-  /// Full queue: block Submit until space (true) or reject with
-  /// ResourceExhausted (false).
-  bool block_on_admission = true;
-  /// Queries one client may have executing at once; 0 = unlimited. Queued
-  /// queries of a saturated client are passed over (FIFO among eligible).
-  size_t max_client_concurrency = 0;
   /// Crack the index with each query's annotations.
   bool auto_crack = true;
-  /// Reproducible serving: defer cracks to Drain() (applied sorted by
-  /// query id) so a wave's result payloads are independent of worker count
-  /// and scheduling order.
+  /// Reproducible serving: queries only queue their mutations and Drain()
+  /// commits the wave (in query-id order), so a wave's result payloads are
+  /// independent of worker count and scheduling order. An AppendRecords
+  /// mid-wave commits the queued mutations with the append.
   bool deterministic = false;
   SchedulerOptions scheduler;
   /// Overload behavior: load shedding, brownout, deadline accounting.
@@ -109,8 +106,9 @@ struct ServerOptions {
   /// Bounds on the server-wide proxy-score cache.
   ScoreCacheOptions score_cache;
   /// Crash-safe durability (durable/checkpoint.h): when `durability.dir`
-  /// is set, every crack/append is WAL-logged with an fsync barrier at its
-  /// epoch publish and checkpointed on the configured cadence, so
+  /// is set, every crack, repair and append is WAL-logged, each commit
+  /// ends in one epoch marker and fsync barrier before its publish, and
+  /// the index is checkpointed on the configured cadence, so
   /// RecoverFrom() can rebuild the exact published epoch after a crash.
   /// Empty dir (the default) disables durability. Logging failures degrade
   /// to memory-only serving with a monitor fault — they never fail a query.
@@ -179,9 +177,9 @@ class TastiServer {
   /// no durable state exists and the caller should Start() cold.
   Status RecoverFrom(const std::string& dir = "");
 
-  /// Enqueues a query; returns its id immediately. Fails with
-  /// ResourceExhausted when the queue is full and block_on_admission is
-  /// off, Unavailable after Shutdown, FailedPrecondition before Start.
+  /// Enqueues a query, blocking while max_pending queries are in flight;
+  /// returns its id. Fails with ResourceExhausted when the shedder drops
+  /// it, Unavailable after Shutdown, FailedPrecondition before Start.
   Result<uint64_t> Submit(const QuerySpec& spec);
 
   /// Blocks until query `query_id` completes and returns its response
@@ -202,19 +200,19 @@ class TastiServer {
   QueryResponse Execute(const QuerySpec& spec);
 
   /// Blocks until every submitted query has completed. In deterministic
-  /// mode, then applies the wave's deferred cracks (sorted by query id)
-  /// and publishes the resulting epoch.
+  /// mode, then commits the wave's queued mutations (in query-id order) as
+  /// one epoch.
   void Drain();
 
   /// Drains and stops the workers. Subsequent Submits fail; idempotent.
   void Shutdown();
 
   /// Streaming ingestion: embeds `features`, appends them as new records
-  /// (nearest-rep assignment, no new labels), and publishes a fresh epoch
-  /// carrying the appended-row delta. Returns the index of the first
-  /// appended record. Requires the index to have been built with its
-  /// embedding network (core::TastiIndex::AppendRecords). Thread-safe
-  /// against concurrent queries and cracks.
+  /// (nearest-rep assignment, no new labels), and commits — with whatever
+  /// else is queued — an epoch carrying the appended-row delta. Returns the
+  /// index of the first appended record. Requires the index to have been
+  /// built with its embedding network (core::TastiIndex::AppendRecords).
+  /// Thread-safe against concurrent queries and cracks.
   size_t AppendRecords(const nn::Matrix& features);
 
   // --- Introspection ---
@@ -273,39 +271,54 @@ class TastiServer {
     WallTimer queued;            ///< running since Submit
     double queue_wait_ms = 0.0;  ///< read from `queued` once, at dequeue
   };
-  /// One query's mutations of the master index: its labels to crack with
-  /// and its failed-rep repairs (rep positions, parallel to their labels).
-  /// Applied at once with inline cracks, at Drain() in deterministic mode.
-  struct QueryMutation {
+  /// One mutation of the master index: a query's labels to crack with
+  /// and its failed-rep repairs (rep positions, parallel to their labels),
+  /// or, with query id 0, an append of `features` as new records.
+  struct Mutation {
     uint64_t query_id = 0;
     std::vector<size_t> records;
     std::vector<data::LabelerOutput> labels;
     std::vector<size_t> repair_positions;
     std::vector<data::LabelerOutput> repair_labels;
+    nn::Matrix features;
   };
-  /// Representatives one query's mutations added and repaired.
+  /// What one mutation changed: representatives added and repaired, and
+  /// an append's first record.
   struct Applied {
     size_t cracked = 0;
     size_t repaired = 0;
+    size_t first_record = 0;
+  };
+  /// A queued mutation and where its committer reports what it changed
+  /// (null when nobody waits for it: a deterministic query's). `applied`
+  /// points into the queuing caller's frame, which stays alive because
+  /// that caller runs Commit() next, and Commit() cannot take crack_mu_
+  /// before any earlier commit holding this entry has written it.
+  struct QueuedMutation {
+    Mutation mutation;
+    Applied* applied = nullptr;
   };
   void WorkerLoop();
   QueryResponse RunQuery(PendingQuery pending);
-  /// Applies one query's mutations and publishes the new epoch (carrying
-  /// its dirty-row delta for the score cache).
-  Applied ApplyMutationNow(const QueryMutation& mutation);
-  /// Under crack_mu_: applies `mutation`'s repairs (skipping positions
-  /// already valid), then its crack, WAL-logging each while `*fault` is
-  /// empty.
-  Applied ApplyLocked(const QueryMutation& mutation, std::string* fault);
-  /// WAL-logs one mutation under crack_mu_; returns a fault detail (empty
-  /// on success / durability disabled) for the caller to raise outside
-  /// locks — logging failures degrade durability, never the query.
-  std::string LogMutationLocked(durable::WalRecord record);
+  /// Queues `mutation` for the next Commit().
+  void Enqueue(Mutation mutation, Applied* applied);
+  /// The one commit path: takes crack_mu_ and applies every queued
+  /// mutation (appends first, then by query id), each with its own WAL
+  /// record, behind one epoch marker, one fsync and one snapshot publish
+  /// (carrying the dirty-row delta for the score cache). A caller that
+  /// queued a mutation returns with it applied, by this commit or by an
+  /// earlier holder of crack_mu_.
+  void Commit();
+  /// Under crack_mu_: applies one mutation — an append, or a query's
+  /// repairs (skipping positions already valid) then its crack.
+  Applied ApplyLocked(Mutation mutation, std::string* fault);
+  /// WAL-logs one mutation under crack_mu_ unless `*fault` is already set;
+  /// a failure fills `*fault` for the caller to raise outside locks —
+  /// logging failures degrade durability, never the query.
+  void LogLocked(durable::WalRecord record, std::string* fault);
   /// Logs the epoch-publish marker and issues the fsync barrier (plus the
-  /// cadenced checkpoint). Same fault convention as LogMutationLocked.
+  /// cadenced checkpoint); returns a fault detail, empty on success.
   std::string CommitEpochLocked(uint64_t epoch);
-  /// Takes crack_mu_ for a mutation, timing the wait as `serve.crack_wait`.
-  std::unique_lock<std::mutex> LockForCrack();
   /// Under crack_mu_: snapshots the master index as `epoch` (its delta
   /// against `parent`, 0 for none) and publishes it, as `serve.publish`.
   void PublishEpochLocked(uint64_t epoch, uint64_t parent);
@@ -329,11 +342,15 @@ class TastiServer {
   size_t baseline_invocations_ = 0;
   size_t index_invocations_ = 0;
 
-  // Master index: mutated only under crack_mu_; queries read snapshots.
+  // Master index: mutated only under crack_mu_, by Commit(); queries read
+  // snapshots.
   mutable std::mutex crack_mu_;
   std::optional<core::TastiIndex> index_;
   uint64_t next_epoch_ = 1;
-  std::vector<QueryMutation> deferred_mutations_;
+  // Mutations waiting for the next Commit(). commit_mu_ nests inside
+  // crack_mu_.
+  std::mutex commit_mu_;
+  std::vector<QueuedMutation> commit_queue_;
   // Durable logging state (null when durability is disabled or degraded);
   // guarded by crack_mu_ like the index it persists.
   std::unique_ptr<durable::DurabilityManager> durability_;
@@ -353,7 +370,6 @@ class TastiServer {
   uint64_t next_query_id_ = 0;
   std::deque<PendingQuery> queue_;
   size_t executing_ = 0;
-  std::unordered_map<uint64_t, size_t> client_running_;
   std::unordered_map<uint64_t, QueryResponse> completed_;
   uint64_t queries_completed_ = 0;
   size_t query_invocations_ = 0;

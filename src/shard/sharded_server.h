@@ -193,7 +193,7 @@ class ShardedServer {
   /// across shards; distinct Execute calls may also overlap).
   ShardedQueryResponse Execute(const serve::QuerySpec& spec);
 
-  /// Drains every shard (deterministic mode: applies deferred cracks).
+  /// Drains every shard (deterministic mode: commits the queued cracks).
   void Drain();
 
   /// Drains and stops every shard; idempotent.

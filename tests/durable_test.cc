@@ -666,5 +666,105 @@ TEST(ServerRecoveryTest, RepairEpochRecoversAcrossTheCrashGrid) {
   EXPECT_TRUE(saw_before_commit);
 }
 
+// A deterministic wave of three queries only queues its cracks; one
+// AppendRecords then commits the append and the wave's three cracks as one
+// epoch: four mutation records behind one marker and one fsync. A crash at
+// every file op of that commit, tearing its write at several seeded points
+// across the four records, recovers the wave's epoch or the group's,
+// byte-identical to what the server published, never a part of the group.
+TEST(ServerRecoveryTest, GroupCommitRecoversAcrossTheCrashGrid) {
+  data::Dataset ds = TestDataset(700);
+  core::PresenceScorer present(data::ObjectClass::kCar);
+  struct Leg {
+    uint64_t epoch = 0;
+    std::string index;
+    RecoveryStats stats;
+  };
+  // Runs the wave and the append on a fresh durable server, crashing
+  // `crash_at` mutations into the commit (0: never) with torn-write seed
+  // `seed`, and recovers on a clean File. `published` receives the index
+  // bytes by epoch, `commit_ops` the file mutations the commit took.
+  auto run = [&](uint64_t crash_at, uint64_t seed,
+                 std::vector<std::string>* published, uint64_t* commit_ops) {
+    labeler::SimulatedLabeler sim(&ds);
+    labeler::FallibleAdapter oracle(&sim);
+    File fs;
+    const std::string dir = TestDir("server_group_" + std::to_string(crash_at) +
+                                    "_" + std::to_string(seed));
+    serve::ServerOptions opts = DurableServerOptions(&fs, dir);
+    opts.deterministic = true;
+    serve::TastiServer server(&ds, &oracle, opts);
+    EXPECT_TRUE(server.Start().ok());
+    // Small SUPG samples, so each query's crack adds representatives of
+    // its own (an aggregate over 700 records labels every one of them).
+    serve::QuerySpec spec;
+    spec.kind = serve::QueryKind::kSupgRecall;
+    spec.scorer = &present;
+    spec.budget = 30;
+    std::vector<uint64_t> ids;
+    for (int q = 0; q < 3; ++q) {
+      Result<uint64_t> id = server.Submit(spec);
+      EXPECT_TRUE(id.ok());
+      ids.push_back(*id);
+    }
+    for (uint64_t id : ids) EXPECT_TRUE(server.Wait(id).status.ok());
+    EXPECT_EQ(server.current_epoch(), 1u);  // the wave only queued
+    if (published != nullptr) published->push_back(*server.SerializeIndex());
+    if (crash_at > 0) fs.ArmCrash(crash_at, seed);
+    const uint64_t ops_before = fs.ops();
+    EXPECT_EQ(server.AppendRecords(ds.features.RowSlice(0, 40)), ds.size());
+    if (commit_ops != nullptr) *commit_ops = fs.ops() - ops_before;
+    server.Drain();  // nothing is left to commit
+    if (published != nullptr) {
+      EXPECT_EQ(server.current_epoch(), 2u);
+      EXPECT_EQ(server.durability_stats().syncs, 1u);
+      published->push_back(*server.SerializeIndex());
+    }
+    // Crash before Shutdown's checkpoint, so recovery replays the WAL.
+    if (crash_at == 0) fs.ArmCrash(1, /*seed=*/5);
+    server.Shutdown();
+
+    File clean;
+    serve::TastiServer revived(&ds, &oracle, DurableServerOptions(&clean, dir));
+    EXPECT_TRUE(revived.RecoverFrom().ok());
+    Leg leg;
+    leg.epoch = revived.current_epoch();
+    leg.index = *revived.SerializeIndex();
+    leg.stats = *revived.last_recovery();
+    revived.Shutdown();
+    return leg;
+  };
+
+  std::vector<std::string> published;  // index bytes of epochs 1 and 2
+  uint64_t commit_ops = 0;
+  const Leg after_commit = run(0, 0, &published, &commit_ops);
+  ASSERT_EQ(published.size(), 2u);
+  ASSERT_NE(published[0], published[1]);
+  ASSERT_GT(commit_ops, 0u);
+  EXPECT_EQ(after_commit.epoch, 2u);
+  EXPECT_EQ(after_commit.index, published[1]);
+  EXPECT_EQ(after_commit.stats.epochs_replayed, 1u);
+  EXPECT_EQ(after_commit.stats.appends_replayed, 1u);
+  EXPECT_EQ(after_commit.stats.cracks_replayed, 3u);
+
+  bool saw_before_commit = false;
+  bool saw_partial_group = false;
+  for (uint64_t crash_at = 1; crash_at <= commit_ops; ++crash_at) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE("crash at commit op " + std::to_string(crash_at) +
+                   ", seed " + std::to_string(seed));
+      const Leg leg = run(crash_at, seed, nullptr, nullptr);
+      ASSERT_TRUE(leg.epoch == 1 || leg.epoch == 2) << leg.epoch;
+      EXPECT_EQ(leg.index, published[leg.epoch - 1]);
+      EXPECT_EQ(leg.stats.records_replayed, leg.epoch == 2 ? 4u : 0u);
+      saw_before_commit |= leg.epoch == 1;
+      saw_partial_group |= leg.stats.uncommitted_records_discarded > 0;
+    }
+  }
+  EXPECT_TRUE(saw_before_commit);
+  // Some tear kept whole records of the group but not its marker.
+  EXPECT_TRUE(saw_partial_group);
+}
+
 }  // namespace
 }  // namespace tasti::durable

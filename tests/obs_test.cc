@@ -19,6 +19,7 @@
 #include "api/session.h"
 #include "core/scorer.h"
 #include "data/dataset.h"
+#include "eval/reporting.h"
 #include "labeler/cost_model.h"
 #include "labeler/labeler.h"
 #include "obs/config.h"
@@ -334,6 +335,24 @@ TEST(QueryLogTest, TotalsCombineIndexAndQueries) {
   log.Clear();
   EXPECT_EQ(log.total_invocations(), 0u);
   EXPECT_TRUE(log.queries().empty());
+}
+
+// The printed latency quantiles are order statistics of the per-query
+// totals, not the edges of histogram buckets they fall in.
+TEST(QueryLogTest, PrintedLatencyQuantilesAreExact) {
+  obs::QueryLog log;
+  for (double ms : {50.0, 10.0, 40.0, 20.0, 30.0}) {
+    obs::QueryRecord record;
+    record.phases.algorithm_seconds = ms / 2000.0;
+    record.phases.oracle_seconds = ms / 2000.0;
+    log.AddQuery(record);
+  }
+  ::testing::internal::CaptureStdout();
+  eval::PrintQueryLog(log);
+  const std::string printed = ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(printed.find("latency:  p50=30.00ms p95=48.00ms p99=49.60ms"),
+            std::string::npos)
+      << printed;
 }
 
 TEST(QueryLogTest, JsonExportRoundTrips) {

@@ -1026,70 +1026,6 @@ TEST(ServerRepairTest, RepairedRepsReenterPropagation) {
   }
 }
 
-TEST(ServerTest, AdmissionRejectsWhenQueueFullAndNonBlocking) {
-  data::Dataset ds = TestDataset(1200);
-  labeler::SimulatedLabeler truth(&ds);
-  labeler::FallibleAdapter adapter(&truth);
-  LatencyInjectingOracle slow(&adapter, /*latency_ms=*/1.0);
-  ServerOptions opts = FastServerOptions();
-  opts.index.num_representatives = 80;
-  opts.index.num_training_records = 80;
-  opts.max_pending = 1;
-  opts.block_on_admission = false;
-  opts.num_workers = 1;
-  TastiServer server(&ds, &slow, opts);
-  ASSERT_TRUE(server.Start().ok());
-
-  core::CountScorer cars(data::ObjectClass::kCar);
-  QuerySpec spec;
-  spec.kind = QueryKind::kAggregate;
-  spec.scorer = &cars;
-  spec.error_target = 0.15;
-  Result<uint64_t> first = server.Submit(spec);
-  ASSERT_TRUE(first.ok());
-  // The slot is taken (queued or executing): an immediate second submit
-  // must be rejected, not queued.
-  Result<uint64_t> second = server.Submit(spec);
-  ASSERT_FALSE(second.ok());
-  EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
-  QueryResponse response = server.Wait(*first);
-  EXPECT_TRUE(response.status.ok());
-  server.Drain();
-  // Capacity freed: submits succeed again.
-  EXPECT_TRUE(server.Submit(spec).ok());
-  server.Drain();
-}
-
-TEST(ServerTest, PerClientSlotsDoNotStarveOrDeadlock) {
-  data::Dataset ds = TestDataset(1200);
-  labeler::SimulatedLabeler oracle(&ds);
-  labeler::FallibleAdapter adapter(&oracle);
-  ServerOptions opts = FastServerOptions();
-  opts.max_client_concurrency = 1;
-  opts.num_workers = 3;
-  TastiServer server(&ds, &adapter, opts);
-  ASSERT_TRUE(server.Start().ok());
-
-  core::CountScorer cars(data::ObjectClass::kCar);
-  std::vector<uint64_t> ids;
-  for (int i = 0; i < 8; ++i) {
-    QuerySpec spec;
-    spec.kind = QueryKind::kAggregate;
-    spec.scorer = &cars;
-    spec.error_target = 0.15;
-    spec.client_id = i % 2;  // two clients, one slot each, three workers
-    Result<uint64_t> id = server.Submit(spec);
-    ASSERT_TRUE(id.ok());
-    ids.push_back(*id);
-  }
-  for (uint64_t id : ids) {
-    EXPECT_TRUE(server.Wait(id).status.ok());
-  }
-  server.Drain();
-  EXPECT_EQ(server.stats().queries_completed, 8u);
-  EXPECT_TRUE(server.CheckAttributionInvariant().ok());
-}
-
 TEST(ServerTest, SubmitBeforeStartAndAfterShutdownFails) {
   data::Dataset ds = TestDataset(600);
   labeler::SimulatedLabeler oracle(&ds);
@@ -1290,6 +1226,98 @@ TEST(ServerTest, WalCrackRecordsWaitPublishAndCheckpointSpans) {
     }
     EXPECT_EQ(inside_crack, 1u) << name;
   }
+}
+
+// Under concurrent load every crack and append goes through one
+// group-committing queue: each representative added is reported by the
+// one response whose crack added it, commits coalesce (never more epochs
+// than mutations, one fsync per epoch), and the WAL replays to the live
+// index byte for byte. Queries that read an epoch with appended records
+// refuse with FailedPrecondition (the oracle covers the base records only)
+// and queue nothing.
+TEST(ServerGroupCommitTest, ConcurrentCracksAndAppendsShareCommits) {
+  const std::string dir = ::testing::TempDir() + "/serve_group_commit";
+  const std::string copy = dir + "_copy";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(copy);
+  data::Dataset ds = TestDataset(1200);
+  labeler::SimulatedLabeler truth(&ds);
+  labeler::FallibleAdapter adapter(&truth);
+  ServerOptions opts = FastServerOptions();
+  opts.num_workers = 8;
+  opts.durability.dir = dir;
+  // Recovery then replays every commit from the opening checkpoint.
+  opts.durability.checkpoint_every_epochs = 1000;
+  TastiServer server(&ds, &adapter, opts);
+  ASSERT_TRUE(server.Start().ok());
+  const size_t reps_before = server.index().num_representatives();
+
+  core::CountScorer cars(data::ObjectClass::kCar);
+  core::PresenceScorer present(data::ObjectClass::kCar);
+  std::vector<QuerySpec> specs;
+  for (int i = 0; i < 24; ++i) {
+    QuerySpec spec;
+    spec.kind = i % 2 == 0 ? QueryKind::kAggregate : QueryKind::kSupgRecall;
+    spec.scorer = i % 2 == 0 ? static_cast<const core::Scorer*>(&cars)
+                             : &present;
+    spec.error_target = 0.2;
+    spec.budget = 60;
+    specs.push_back(spec);
+  }
+  std::vector<QueryResponse> responses(specs.size());
+  std::atomic<size_t> done{0};
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t q = c; q < specs.size(); q += 4) {
+        responses[q] = server.Execute(specs[q]);
+        done.fetch_add(1);
+      }
+    });
+  }
+  // Three appends land while queries are still cracking.
+  const size_t kAppends = 3;
+  for (size_t a = 0; a < kAppends; ++a) {
+    while (done.load() < 6 * (a + 1)) std::this_thread::yield();
+    EXPECT_EQ(server.AppendRecords(ds.features.RowSlice(a * 20, a * 20 + 20)),
+              ds.size() + a * 20);
+  }
+  for (std::thread& client : clients) client.join();
+  server.Drain();
+
+  size_t cracked = 0;
+  size_t mutations = kAppends;
+  for (const QueryResponse& response : responses) {
+    if (!response.status.ok()) {
+      EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
+      EXPECT_EQ(response.logical_oracle_calls, 0u);
+    }
+    cracked += response.cracked_representatives;
+    if (response.logical_oracle_calls > 0) ++mutations;
+  }
+  EXPECT_GT(cracked, 0u);
+  EXPECT_EQ(cracked, server.index().num_representatives() - reps_before);
+  const ServerStats stats = server.stats();
+  EXPECT_LE(stats.epochs_published - 1, mutations);
+  EXPECT_EQ(server.durability_stats().syncs, stats.epochs_published - 1);
+  EXPECT_EQ(server.index().num_records(), ds.size() + kAppends * 20);
+  EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+
+  // Every commit ended in an fsync, so the directory as it stands is what
+  // a crash right now would leave behind.
+  const Result<std::string> live = server.SerializeIndex();
+  ASSERT_TRUE(live.ok());
+  std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  server.Shutdown();
+  TastiServer revived(&ds, &adapter, opts);
+  ASSERT_TRUE(revived.RecoverFrom(copy).ok());
+  EXPECT_EQ(revived.current_epoch(), server.current_epoch());
+  const Result<std::string> recovered = revived.SerializeIndex();
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_TRUE(*recovered == *live);
+  revived.Shutdown();
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(copy);
 }
 
 // --- ScoreCache ---

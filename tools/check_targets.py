@@ -49,11 +49,11 @@ Asserts, from the repository root:
      a fixture that must fail, so a broken pattern cannot pass silently.
  13. every `bool` field of a struct under src/ whose name ends in
      `Options` or `Policy` is assigned (`.field =` or `->field =`)
-     somewhere under src/, tools/, bench/, examples/, perfbench/ or
-     tests/ other than its own header and .cc: a switch that nothing
-     sets is a second code path that nothing runs. The match is by field
-     name, so it is a floor, not a proof. Like rule 12, it also runs on
-     a fixture that must fail.
+     somewhere under src/, tools/, bench/ or perfbench/ other than its
+     own header and .cc: a switch that nothing sets, or that only tests
+     and examples set, is a second code path that no caller runs. The
+     match is by field name, so it is a floor, not a proof. Like rule
+     12, it also runs on a fixture that must fail.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -143,17 +143,22 @@ def bool_knobs(text):
     return knobs
 
 
+# Directories whose files do not count as setters of a rule-13 knob.
+NOT_CALLERS = ("tests", "examples")
+
+
 def unset_knobs(headers, callers):
     """(header, struct, field, line) for each bool knob declared in
-    `headers` ({path: text}) that no text in `callers` ({path: text})
-    assigns, where a header's own text and its sibling .cc do not count."""
+    `headers` ({path: text}) that no text in `callers` ({path: text}, paths
+    relative to the repo root) assigns, where a header's own text, its
+    sibling .cc and anything under NOT_CALLERS do not count."""
     unset = []
     for header, text in sorted(headers.items()):
         own = {header, header.with_suffix(".cc")}
         for struct, field, line in bool_knobs(text):
             assigned = re.compile(rf"(?:\.|->)\s*{field}\s*=(?!=)")
             if not any(assigned.search(body) for path, body in callers.items()
-                       if path not in own):
+                       if path not in own and path.parts[0] not in NOT_CALLERS):
                 unset.append((header, struct, field, line))
     return unset
 
@@ -395,27 +400,35 @@ def main():
 
     fixture_header = pathlib.Path("fixture.h")
     fixture = {fixture_header: "struct FixtureOptions {\n  bool set = false;\n"
-               "  struct Inner { bool nested; };\n  bool unset = true;\n};\n"}
+               "  struct Inner { bool nested; };\n  bool unset = true;\n"
+               "  bool test_only = false;\n};\n"}
     fixture_callers = {pathlib.Path("caller.cc"): "opts.set = true;\n"
                        "if (opts.unset == false) {}\n",
-                       pathlib.Path("fixture.cc"): "opts->unset = false;\n"}
+                       pathlib.Path("fixture.cc"): "opts->unset = false;\n",
+                       pathlib.Path("tests/fixture_test.cc"):
+                           "opts.test_only = true;\n",
+                       pathlib.Path("examples/demo.cc"):
+                           "opts.test_only = true;\n"}
     if [(s, f) for _, s, f, _ in unset_knobs(fixture, fixture_callers)] != [
-            ("FixtureOptions", "unset")]:
+            ("FixtureOptions", "unset"), ("FixtureOptions", "test_only")]:
         errors.append(
-            "rule 13 no longer flags the unset `bool` in its own fixture; "
-            "fix bool_knobs/unset_knobs before trusting it on src/"
+            "rule 13 no longer flags the unset and the test-only `bool` in "
+            "its own fixture; fix bool_knobs/unset_knobs before trusting it "
+            "on src/"
         )
-    headers = {path: path.read_text() for path in sorted(src.rglob("*.h"))}
+    headers = {path.relative_to(ROOT): path.read_text()
+               for path in sorted(src.rglob("*.h"))}
     callers = {}
     for top in ("src", "tools", "bench", "examples", "perfbench", "tests"):
         for path in (ROOT / top).rglob("*"):
             if path.suffix in (".h", ".cc"):
-                callers[path] = path.read_text()
+                callers[path.relative_to(ROOT)] = path.read_text()
     for header, struct, field, line in unset_knobs(headers, callers):
         errors.append(
-            f"src/{header.relative_to(src)}:{line} declares bool "
+            f"{header}:{line} declares bool "
             f"{struct}::{field}, which nothing outside its own header and "
-            ".cc assigns; delete the switch or set it somewhere"
+            ".cc, tests/ and examples/ assigns; delete the switch or set it "
+            "somewhere"
         )
 
     fail(errors)
