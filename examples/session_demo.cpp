@@ -110,7 +110,7 @@ int main() {
   // Spot-label 200 of the new frames and crack them into the index: the
   // estimate tracks the shifted distribution.
   for (size_t i = 0; i < 200; ++i) {
-    index.AddRepresentative(first_new + i * 20, tonight.ground_truth[i * 20]);
+    index.CrackFromLabels({first_new + i * 20}, {tonight.ground_truth[i * 20]});
   }
   std::printf("after cracking 200 labeled new frames: estimate %.3f (truth "
               "%.3f)\n",

@@ -149,22 +149,6 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
   return index;
 }
 
-void TastiIndex::AddRepresentative(size_t record_id, data::LabelerOutput label) {
-  TASTI_CHECK(record_id < num_records(), "record_id out of range");
-  if (is_rep_[record_id]) return;
-  is_rep_[record_id] = 1;
-
-  rep_record_ids_.push_back(record_id);
-  rep_labels_.push_back(std::move(label));
-  rep_label_valid_.push_back(1);
-  // In-place append with geometric capacity growth: P single adds copy
-  // O(P) rows amortized, not P full rep-matrix copies.
-  rep_embeddings_.AppendRowsFrom(embeddings_, {record_id});
-  cluster::UpdateTopKWithNewReps(embeddings_, rep_embeddings_,
-                                 rep_embeddings_.rows() - 1, 1, &topk_,
-                                 delta_.full ? nullptr : &delta_.dirty_rows);
-}
-
 size_t TastiIndex::CrackFrom(const labeler::CachingFallibleLabeler& cache) {
   std::vector<size_t> records;
   std::vector<data::LabelerOutput> labels;
@@ -189,6 +173,8 @@ size_t TastiIndex::CrackFromLabels(const std::vector<size_t>& records,
   std::vector<size_t> additions;
   std::vector<size_t> addition_pos;
   for (size_t i = 0; i < records.size(); ++i) {
+    TASTI_CHECK(records[i] < num_records(),
+                "CrackFromLabels: record id out of range");
     if (is_rep_[records[i]]) continue;
     is_rep_[records[i]] = 1;
     additions.push_back(records[i]);

@@ -186,22 +186,17 @@ class TastiIndex {
 
   // --- Cracking (paper Section 3.3) ---
 
-  /// Adds a record annotated during query execution as a new
-  /// representative and updates every record's min-k list (one distance
-  /// evaluation per record). No-op if the record is already a
-  /// representative.
-  void AddRepresentative(size_t record_id, data::LabelerOutput label);
-
   /// Bulk-adds every cached annotation of `cache` not yet in the index.
   /// Returns the number of representatives added.
   size_t CrackFrom(const labeler::CachingFallibleLabeler& cache);
 
-  /// Bulk-adds annotated records by parallel (record id, label) vectors,
-  /// skipping records that are already representatives (a record listed
-  /// twice is added once, with its first label). All new representatives
-  /// update the min-k lists in one record-major pass, and the changed rows
-  /// are recorded in the pending delta. Returns the number of
-  /// representatives added.
+  /// Adds annotated records as new representatives, by parallel (record
+  /// id, label) vectors: the only code that adds representatives. Skips
+  /// records that are already representatives (a record listed twice is
+  /// added once, with its first label). All new representatives update
+  /// the min-k lists in one record-major pass, and the changed rows are
+  /// recorded in the pending delta. Returns the number of representatives
+  /// added. Every id must be < num_records().
   size_t CrackFromLabels(const std::vector<size_t>& records,
                          const std::vector<data::LabelerOutput>& labels);
 

@@ -6,32 +6,48 @@
 
 namespace tasti::durable {
 
-namespace {
-
-void Apply(core::TastiIndex* index, const WalRecord& record,
-           RecoveryStats* stats) {
-  switch (record.type) {
-    case WalRecordType::kCrack: {
-      const std::vector<size_t> records(record.records.begin(),
-                                        record.records.end());
-      index->CrackFromLabels(records, record.labels);
-      ++stats->cracks_replayed;
-      break;
-    }
-    case WalRecordType::kRepair:
-      index->RepairRepresentative(record.rep_pos, record.labels.front());
-      ++stats->repairs_replayed;
-      break;
-    case WalRecordType::kAppend:
-      index->AppendRecords(record.features);
-      ++stats->appends_replayed;
-      break;
-    case WalRecordType::kEpochPublish:
-      break;  // handled by the replay loop
-  }
+Applied& Applied::operator+=(const Applied& other) {
+  if (appended == 0) first_record = other.first_record;
+  cracked += other.cracked;
+  repaired += other.repaired;
+  appended += other.appended;
+  return *this;
 }
 
-}  // namespace
+Result<Applied> Apply(core::TastiIndex* index, const WalRecord& record) {
+  Applied applied;
+  switch (record.type) {
+    case WalRecordType::kCrack:
+      for (size_t id : record.records) {
+        if (id >= index->num_records()) {
+          return Status::DataLoss("crack of record " + std::to_string(id) +
+                                  " of " +
+                                  std::to_string(index->num_records()));
+        }
+      }
+      applied.cracked = index->CrackFromLabels(record.records, record.labels);
+      break;
+    case WalRecordType::kRepair:
+      if (record.rep_pos >= index->num_representatives() ||
+          record.labels.size() != 1) {
+        return Status::DataLoss(
+            "repair of representative " + std::to_string(record.rep_pos) +
+            " of " + std::to_string(index->num_representatives()) + " with " +
+            std::to_string(record.labels.size()) + " labels");
+      }
+      if (index->rep_label_valid()[record.rep_pos] != 0) break;
+      index->RepairRepresentative(record.rep_pos, record.labels.front());
+      applied.repaired = 1;
+      break;
+    case WalRecordType::kAppend:
+      applied.first_record = index->AppendRecords(record.features);
+      applied.appended = record.features.rows();
+      break;
+    case WalRecordType::kEpochPublish:
+      break;
+  }
+  return applied;
+}
 
 Result<RecoveredState> Recover(File* fs, const std::string& dir) {
   if (fs == nullptr) fs = DefaultFile();
@@ -182,23 +198,29 @@ Result<RecoveredState> Recover(File* fs, const std::string& dir) {
     // whose marker never hit the disk was never observable.
     size_t committed_end = 0;
     size_t committed_records = 0;
-    std::vector<size_t> pending;
     for (size_t j = 0; j < segment.records.size(); ++j) {
-      const WalRecord& record = segment.records[j];
-      if (record.type == WalRecordType::kEpochPublish) {
-        for (size_t p : pending) Apply(&out.index, segment.records[p], &stats);
-        stats.records_replayed += pending.size();
-        pending.clear();
-        out.epoch = record.epoch;
-        ++stats.epochs_replayed;
-        committed_end = segment.offsets[j + 1];
-        committed_records = j + 1;
-      } else {
-        pending.push_back(j);
+      const WalRecord& marker = segment.records[j];
+      if (marker.type != WalRecordType::kEpochPublish) continue;
+      for (size_t p = committed_records; p < j; ++p) {
+        const WalRecord& record = segment.records[p];
+        Result<Applied> applied = Apply(&out.index, record);
+        if (!applied.ok()) {
+          return Status::DataLoss(name + " LSN " + std::to_string(record.lsn) +
+                                  ": " + applied.status().message());
+        }
+        stats.cracks_replayed += record.type == WalRecordType::kCrack;
+        stats.repairs_replayed += record.type == WalRecordType::kRepair;
+        stats.appends_replayed += record.type == WalRecordType::kAppend;
       }
+      stats.records_replayed += j - committed_records;
+      out.epoch = marker.epoch;
+      ++stats.epochs_replayed;
+      committed_end = segment.offsets[j + 1];
+      committed_records = j + 1;
     }
     expect_lsn += committed_records;  // truncated tail LSNs get reused
-    stats.uncommitted_records_discarded += pending.size();
+    stats.uncommitted_records_discarded +=
+        segment.records.size() - committed_records;
     last_good_seq = seq;
     if (committed_end < raw->size()) {
       // Drop the uncommitted/torn tail physically too, so a second

@@ -16,10 +16,12 @@
 ///     when their epoch-publish marker is read — mutations whose marker
 ///     never reached disk were never observable and are discarded (and
 ///     physically truncated, with any torn tail, so a second recovery
-///     reads the same bytes). Cracks/appends/repairs replay through the
-///     same TastiIndex mutation paths the live server used, which are
+///     reads the same bytes). Each record replays through Apply(), the
+///     function the live server committed it with, and Apply() is
 ///     deterministic — so the recovered epoch is bit-identical to the
-///     pre-crash one.
+///     pre-crash one. A checksummed record that does not fit the index
+///     (a crack record id or a repair position past its end) fails
+///     recovery with DataLoss naming the segment and the LSN.
 ///  4. A segment that fails validation mid-file (bit rot, not a torn
 ///     tail) is quarantined into dir/quarantine/ together with every later
 ///     segment, and replay stops at the last epoch committed before it:
@@ -37,6 +39,7 @@
 #include "core/index.h"
 #include "durable/checkpoint.h"
 #include "durable/file.h"
+#include "durable/wal.h"
 #include "util/status.h"
 
 namespace tasti::durable {
@@ -68,6 +71,28 @@ struct RecoveredState {
   uint64_t checkpoint_seq = 0;
   RecoveryStats stats;
 };
+
+/// What applying one WAL record changed in an index; `+=` sums records.
+struct Applied {
+  size_t cracked = 0;       ///< representatives a kCrack added
+  size_t repaired = 0;      ///< representatives a kRepair re-annotated
+  size_t appended = 0;      ///< records a kAppend added
+  size_t first_record = 0;  ///< the first appended record, when appended > 0
+
+  bool changed() const { return cracked + repaired + appended > 0; }
+  Applied& operator+=(const Applied& other);
+};
+
+/// Applies one mutation record to `index`. The server commits every
+/// mutation through this function and recovery replays the log through
+/// it, so a replayed epoch is the published one by construction. kCrack
+/// calls CrackFromLabels; kRepair labels the failed representative at
+/// rep_pos, and leaves a valid one alone (an earlier repair got there
+/// first); kAppend calls AppendRecords; kEpochPublish changes nothing.
+/// Returns DataLoss, with the index untouched, for a record that does not
+/// fit the index: a crack record id >= num_records() or a repair rep_pos
+/// >= num_representatives().
+Result<Applied> Apply(core::TastiIndex* index, const WalRecord& record);
 
 /// Recovers from `dir`. NotFound means no usable durable state exists
 /// (nothing was ever checkpointed, or everything was quarantined) — the

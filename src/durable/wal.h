@@ -48,8 +48,9 @@ struct WalRecord {
   WalRecordType type = WalRecordType::kEpochPublish;
   uint64_t lsn = 0;  ///< assigned by WalWriter::Append
 
-  // kCrack: records and their labels, parallel arrays.
-  std::vector<uint64_t> records;
+  // kCrack: record ids and their labels, parallel arrays (each id is
+  // framed as a u64).
+  std::vector<size_t> records;
   // kCrack (parallel to `records`) or kRepair (exactly one).
   std::vector<data::LabelerOutput> labels;
   // kRepair: position of the repaired representative.

@@ -12,6 +12,10 @@ namespace tasti::labeler {
 
 namespace {
 
+// Retry backoff grows by this factor per attempt, up to the cap.
+constexpr double kBackoffMultiplier = 2.0;
+constexpr double kMaxBackoffMs = 1000.0;
+
 void CountMetric(const char* name) {
   if (!obs::MetricsEnabled()) return;
   obs::MetricsRegistry::Global().counter(name, "calls")->Increment();
@@ -147,8 +151,7 @@ Result<data::LabelerOutput> ResilientLabeler::TryLabelLocked(
       ++stats_.retries;
       CountMetric("oracle.retries");
       now_ms_ += sleep_ms;
-      backoff_ms = std::min(backoff_ms * options_.retry.backoff_multiplier,
-                            options_.retry.max_backoff_ms);
+      backoff_ms = std::min(backoff_ms * kBackoffMultiplier, kMaxBackoffMs);
     }
 
     ++stats_.attempts;

@@ -29,9 +29,8 @@ namespace tasti::labeler {
 struct RetryPolicy {
   /// Total attempts per call, including the first (>= 1).
   size_t max_attempts = 4;
+  /// The first retry's backoff; each later one doubles, up to 1 s.
   double initial_backoff_ms = 10.0;
-  double backoff_multiplier = 2.0;
-  double max_backoff_ms = 1000.0;
   /// Backoff is scaled by a deterministic factor in [1-j, 1+j].
   double jitter_fraction = 0.2;
   /// Budget in virtual ms for the whole call including retries and

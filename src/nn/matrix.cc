@@ -85,7 +85,7 @@ void Matrix::AppendRowsFrom(const Matrix& src, const std::vector<size_t>& indice
     }
     const float* first = src.Row(indices[i]);
     // vector::insert grows capacity geometrically, giving the amortized
-    // O(1)-per-element append AddRepresentative relies on.
+    // O(1)-per-element append that one-record cracks rely on.
     data_.insert(data_.end(), first, first + run * cols_);
     i += run;
   }

@@ -63,7 +63,6 @@ TastiServer::TastiServer(const data::Dataset* dataset,
     : dataset_(dataset),
       oracle_(oracle),
       options_(std::move(options)),
-      score_cache_(options_.score_cache),
       shedder_(options_.degrade.shedder) {
   TASTI_CHECK(dataset_ != nullptr, "TastiServer requires a dataset");
   TASTI_CHECK(oracle_ != nullptr, "TastiServer requires an oracle");
@@ -560,19 +559,11 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   response.proxy_delta_rows = proxy_outcome.delta_rows;
   response.deadline_budget_ms = spec.deadline_ms;
 
-  Mutation mutation;
-  mutation.query_id = pending.query_id;
-  if (options_.auto_crack) {
-    mutation.records = cache.labeled_indices();
-    mutation.labels.reserve(mutation.records.size());
-    for (size_t record : mutation.records) {
-      std::optional<data::LabelerOutput> label = cache.CachedLabel(record);
-      TASTI_CHECK(label.has_value(), "labeled index without a cached label");
-      mutation.labels.push_back(*std::move(label));
-    }
-  }
-  if (snapshot->num_failed_representatives > 0 && !proxy_only &&
-      !response.deadline_hit) {
+  // The query's mutation, as the WAL records that commit it: its repairs,
+  // then its crack.
+  std::vector<durable::WalRecord> records;
+  if (response.status.ok() && snapshot->num_failed_representatives > 0 &&
+      !proxy_only && !response.deadline_hit) {
     // Self-healing: re-annotate failed representatives through this
     // query's context (so the calls are attributed to it) and its deadline
     // (so they cannot overrun it), but not through its label cache (so they
@@ -587,34 +578,48 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
     const size_t first =
         (pending.query_id - 1) * kMaxRepRepairsPerQuery % failed.size();
     std::vector<size_t> positions;
-    std::vector<size_t> records;
+    std::vector<size_t> repair_records;
     for (size_t i = 0; i < count; ++i) {
       positions.push_back(failed[(first + i) % failed.size()]);
-      records.push_back(snapshot->rep_record_ids[positions.back()]);
+      repair_records.push_back(snapshot->rep_record_ids[positions.back()]);
     }
     DeadlineOracle repair_oracle(&scheduled, deadline,
                                  options_.degrade.virtual_ms_per_call);
     std::vector<Result<data::LabelerOutput>> labels =
-        repair_oracle.TryLabelBatch(records);
+        repair_oracle.TryLabelBatch(repair_records);
+    records.reserve(labels.size() + 1);
     for (size_t i = 0; i < labels.size(); ++i) {
       if (!labels[i].ok()) continue;  // retried after a later query
-      mutation.repair_positions.push_back(positions[i]);
-      mutation.repair_labels.push_back(*std::move(labels[i]));
+      durable::WalRecord& repair = records.emplace_back();
+      repair.type = durable::WalRecordType::kRepair;
+      repair.rep_pos = positions[i];
+      repair.labels.push_back(*std::move(labels[i]));
+    }
+  }
+  if (options_.auto_crack && !cache.labeled_indices().empty()) {
+    durable::WalRecord& crack = records.emplace_back();
+    crack.type = durable::WalRecordType::kCrack;
+    crack.records = cache.labeled_indices();
+    crack.labels.reserve(crack.records.size());
+    for (size_t record : crack.records) {
+      std::optional<data::LabelerOutput> label = cache.CachedLabel(record);
+      TASTI_CHECK(label.has_value(), "labeled index without a cached label");
+      crack.labels.push_back(*std::move(label));
     }
   }
   if (!deadline.unbounded()) {
     response.deadline_spent_ms = deadline.spent_ms();
   }
-  if (!mutation.records.empty() || !mutation.repair_positions.empty()) {
+  if (!records.empty()) {
     if (options_.deterministic) {
       // Only queued: Drain() commits the wave, so its readers all stay on
       // the submit-time epoch. The response reports neither count: the
       // commit happens after it is out.
-      Enqueue(std::move(mutation), nullptr);
+      Enqueue(pending.query_id, std::move(records), nullptr);
     } else {
       TASTI_SPAN("serve.crack");
-      Applied applied;
-      Enqueue(std::move(mutation), &applied);
+      durable::Applied applied;
+      Enqueue(pending.query_id, std::move(records), &applied);
       Commit();
       response.cracked_representatives = applied.cracked;
       response.repaired_representatives = applied.repaired;
@@ -634,9 +639,11 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   return response;
 }
 
-void TastiServer::Enqueue(Mutation mutation, Applied* applied) {
+void TastiServer::Enqueue(uint64_t query_id,
+                          std::vector<durable::WalRecord> records,
+                          durable::Applied* applied) {
   std::lock_guard<std::mutex> lock(commit_mu_);
-  commit_queue_.push_back({std::move(mutation), applied});
+  commit_queue_.push_back({query_id, std::move(records), applied});
 }
 
 void TastiServer::Commit() {
@@ -656,17 +663,28 @@ void TastiServer::Commit() {
     }
     // Appends (query id 0) in arrival order, then queries by id: the
     // representative sequence — hence the next epoch's proxies — does not
-    // depend on which worker queued first. Each mutation gets its own WAL
-    // records in this order, so replay re-applies exactly this sequence.
+    // depend on which worker queued first. Each record that changes the
+    // index is logged in this order, so replay re-applies exactly this
+    // sequence through the same durable::Apply.
     std::stable_sort(batch.begin(), batch.end(),
                      [](const QueuedMutation& a, const QueuedMutation& b) {
-                       return a.mutation.query_id < b.mutation.query_id;
+                       return a.query_id < b.query_id;
                      });
+    TASTI_CHECK(batch.empty() || index_.has_value(),
+                "Start() the server before mutating its index");
     bool changed = false;
     for (QueuedMutation& queued : batch) {
-      const bool append = queued.mutation.query_id == 0;
-      const Applied applied = ApplyLocked(std::move(queued.mutation), &fault);
-      changed |= append || applied.cracked + applied.repaired > 0;
+      durable::Applied applied;
+      for (durable::WalRecord& record : queued.records) {
+        Result<durable::Applied> one = durable::Apply(&*index_, record);
+        // The server builds records from its own snapshots, whose record
+        // and representative counts never exceed the index's.
+        TASTI_CHECK(one.ok(), one.status().message());
+        if (!one->changed()) continue;  // e.g. a repair another query made
+        applied += *one;
+        LogLocked(std::move(record), &fault);
+      }
+      changed |= applied.changed();
       if (queued.applied != nullptr) *queued.applied = applied;
     }
     if (changed) {
@@ -687,49 +705,13 @@ void TastiServer::Commit() {
   }
 }
 
-TastiServer::Applied TastiServer::ApplyLocked(Mutation mutation,
-                                              std::string* fault) {
-  Applied applied;
-  if (mutation.query_id == 0) {
-    TASTI_CHECK(index_.has_value(), "Start() the server before appending");
-    applied.first_record = index_->AppendRecords(mutation.features);
-    durable::WalRecord record;
-    record.type = durable::WalRecordType::kAppend;
-    record.features = std::move(mutation.features);
-    LogLocked(std::move(record), fault);
-    return applied;
-  }
-  for (size_t i = 0; i < mutation.repair_positions.size(); ++i) {
-    const size_t pos = mutation.repair_positions[i];
-    // An earlier query of the batch, or of an earlier commit, got there
-    // first.
-    if (index_->rep_label_valid()[pos] != 0) continue;
-    index_->RepairRepresentative(pos, mutation.repair_labels[i]);
-    ++applied.repaired;
-    durable::WalRecord record;
-    record.type = durable::WalRecordType::kRepair;
-    record.rep_pos = pos;
-    record.labels = {std::move(mutation.repair_labels[i])};
-    LogLocked(std::move(record), fault);
-  }
-  if (mutation.records.empty()) return applied;
-  applied.cracked = index_->CrackFromLabels(mutation.records, mutation.labels);
-  if (applied.cracked > 0) {
-    durable::WalRecord record;
-    record.type = durable::WalRecordType::kCrack;
-    record.records.assign(mutation.records.begin(), mutation.records.end());
-    record.labels = std::move(mutation.labels);
-    LogLocked(std::move(record), fault);
-  }
-  return applied;
-}
-
 size_t TastiServer::AppendRecords(const nn::Matrix& features) {
   TASTI_SPAN("serve.append_records");
-  Mutation mutation;  // query id 0: an append
-  mutation.features = features;
-  Applied applied;
-  Enqueue(std::move(mutation), &applied);
+  std::vector<durable::WalRecord> records(1);
+  records[0].type = durable::WalRecordType::kAppend;
+  records[0].features = features;
+  durable::Applied applied;
+  Enqueue(/*query_id=*/0, std::move(records), &applied);
   Commit();
   return applied.first_record;
 }

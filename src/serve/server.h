@@ -18,15 +18,15 @@
 ///    the parent epoch's scores incrementally through the snapshot's
 ///    dirty-row delta instead of recomputing every record.
 ///
-/// After answering, a query re-annotates up to kMaxRepRepairsPerQuery of
-/// its snapshot's failed representatives (labels the index build could not
-/// get) through its own oracle context and within its deadline.
+/// After answering with an OK status, a query re-annotates up to
+/// kMaxRepRepairsPerQuery of its snapshot's failed representatives (labels
+/// the index build could not get) through its own oracle context and
+/// within its deadline; a query that failed mutates nothing.
 ///
-/// Every index mutation — a query's crack labels with its repairs, or an
-/// append — goes through one group commit: it joins a queue, and whoever
-/// next holds the crack lock applies everything queued (appends first,
-/// then by query id), each mutation with its own WAL record, behind one
-/// epoch marker, one fsync and one snapshot publish.
+/// Every index mutation — a query's repairs and crack, or an append —
+/// is queued as its WAL records. Whoever next holds the crack lock applies
+/// everything queued (appends first, then by query id) with durable::Apply,
+/// as recovery does, behind one epoch marker, fsync and snapshot publish.
 ///
 /// Admission control bounds the work in flight: a FIFO queue capped at
 /// max_pending.
@@ -103,8 +103,6 @@ struct ServerOptions {
   SchedulerOptions scheduler;
   /// Overload behavior: load shedding, brownout, deadline accounting.
   DegradeOptions degrade;
-  /// Bounds on the server-wide proxy-score cache.
-  ScoreCacheOptions score_cache;
   /// Crash-safe durability (durable/checkpoint.h): when `durability.dir`
   /// is set, every crack, repair and append is WAL-logged, each commit
   /// ends in one epoch marker and fsync barrier before its publish, and
@@ -271,48 +269,31 @@ class TastiServer {
     WallTimer queued;            ///< running since Submit
     double queue_wait_ms = 0.0;  ///< read from `queued` once, at dequeue
   };
-  /// One mutation of the master index: a query's labels to crack with
-  /// and its failed-rep repairs (rep positions, parallel to their labels),
-  /// or, with query id 0, an append of `features` as new records.
-  struct Mutation {
-    uint64_t query_id = 0;
-    std::vector<size_t> records;
-    std::vector<data::LabelerOutput> labels;
-    std::vector<size_t> repair_positions;
-    std::vector<data::LabelerOutput> repair_labels;
-    nn::Matrix features;
-  };
-  /// What one mutation changed: representatives added and repaired, and
-  /// an append's first record.
-  struct Applied {
-    size_t cracked = 0;
-    size_t repaired = 0;
-    size_t first_record = 0;
-  };
-  /// A queued mutation and where its committer reports what it changed
-  /// (null when nobody waits for it: a deterministic query's). `applied`
-  /// points into the queuing caller's frame, which stays alive because
-  /// that caller runs Commit() next, and Commit() cannot take crack_mu_
-  /// before any earlier commit holding this entry has written it.
+  /// A queued mutation: a query's kRepair records then its kCrack record,
+  /// or, with query id 0, one kAppend record; and where its committer
+  /// reports what they changed (null when nobody waits for it: a
+  /// deterministic query's). `applied` points into the queuing caller's
+  /// frame, which stays alive because that caller runs Commit() next, and
+  /// Commit() cannot take crack_mu_ before any earlier commit holding this
+  /// entry has written it.
   struct QueuedMutation {
-    Mutation mutation;
-    Applied* applied = nullptr;
+    uint64_t query_id = 0;
+    std::vector<durable::WalRecord> records;
+    durable::Applied* applied = nullptr;
   };
   void WorkerLoop();
   QueryResponse RunQuery(PendingQuery pending);
-  /// Queues `mutation` for the next Commit().
-  void Enqueue(Mutation mutation, Applied* applied);
-  /// The one commit path: takes crack_mu_ and applies every queued
-  /// mutation (appends first, then by query id), each with its own WAL
-  /// record, behind one epoch marker, one fsync and one snapshot publish
-  /// (carrying the dirty-row delta for the score cache). A caller that
-  /// queued a mutation returns with it applied, by this commit or by an
-  /// earlier holder of crack_mu_.
+  /// Queues one mutation's records for the next Commit().
+  void Enqueue(uint64_t query_id, std::vector<durable::WalRecord> records,
+               durable::Applied* applied);
+  /// The one commit path: takes crack_mu_ and applies every queued record
+  /// (appends first, then by query id) with durable::Apply, logging each
+  /// record that changed the index, behind one epoch marker, one fsync and
+  /// one snapshot publish (carrying the dirty-row delta for the score
+  /// cache). A caller that queued a mutation returns with it applied, by
+  /// this commit or by an earlier holder of crack_mu_.
   void Commit();
-  /// Under crack_mu_: applies one mutation — an append, or a query's
-  /// repairs (skipping positions already valid) then its crack.
-  Applied ApplyLocked(Mutation mutation, std::string* fault);
-  /// WAL-logs one mutation under crack_mu_ unless `*fault` is already set;
+  /// WAL-logs one applied record under crack_mu_ unless `*fault` is set;
   /// a failure fills `*fault` for the caller to raise outside locks —
   /// logging failures degrade durability, never the query.
   void LogLocked(durable::WalRecord record, std::string* fault);
@@ -347,8 +328,8 @@ class TastiServer {
   mutable std::mutex crack_mu_;
   std::optional<core::TastiIndex> index_;
   uint64_t next_epoch_ = 1;
-  // Mutations waiting for the next Commit(). commit_mu_ nests inside
-  // crack_mu_.
+  // Mutations waiting for the next Commit(), as their WAL records.
+  // commit_mu_ nests inside crack_mu_.
   std::mutex commit_mu_;
   std::vector<QueuedMutation> commit_queue_;
   // Durable logging state (null when durability is disabled or degraded);

@@ -6,6 +6,9 @@
 
 namespace tasti::serve {
 
+// EWMA smoothing factor for the observed per-query service time.
+constexpr double kEwmaAlpha = 0.2;
+
 const char* QueryPriorityName(QueryPriority priority) {
   switch (priority) {
     case QueryPriority::kInteractive:
@@ -69,8 +72,8 @@ void LoadShedder::OnQueryDone(double queue_wait_ms, double service_ms,
                               double now_ms) {
   if (!options_.enabled) return;
   std::lock_guard<std::mutex> lock(mu_);
-  ewma_service_ms_ = (1.0 - options_.ewma_alpha) * ewma_service_ms_ +
-                     options_.ewma_alpha * std::max(0.0, service_ms);
+  ewma_service_ms_ = (1.0 - kEwmaAlpha) * ewma_service_ms_ +
+                     kEwmaAlpha * std::max(0.0, service_ms);
   if (queue_wait_ms > options_.target_wait_ms) {
     if (above_target_since_ms_ < 0) above_target_since_ms_ = now_ms;
     if (!overloaded_ &&

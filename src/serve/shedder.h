@@ -53,8 +53,6 @@ struct ShedderOptions {
   double interval_ms = 500.0;
   /// Seed for the service-time EWMA before any completion is observed.
   double initial_service_ms = 1.0;
-  /// EWMA smoothing factor for observed per-query service time.
-  double ewma_alpha = 0.2;
   /// Per-class admission threshold = target_wait_ms * multiplier.
   double interactive_multiplier = 8.0;
   double batch_multiplier = 3.0;

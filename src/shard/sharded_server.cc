@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
@@ -21,6 +20,9 @@ void BumpCounter(const char* name) {
     obs::MetricsRegistry::Global().counter(name, "calls")->Increment();
   }
 }
+
+/// Latency quantile of recent sub-queries used as the hedge delay.
+constexpr double kHedgeDelayQuantile = 0.95;
 
 /// Shard directory under a durability base: "<dir>/shard-<s>".
 std::string ShardDir(const std::string& dir, size_t s) {
@@ -176,7 +178,16 @@ ShardedQueryResponse ShardedServer::ExecuteScattered(
   ShardedQueryResponse response;
   response.partials.resize(k);
   response.shard_complete.assign(k, false);
-  WallTimer gather_timer;
+  // Gathering stops waiting at the query deadline only when partial
+  // gather is on — otherwise sub-queries self-degrade under their own
+  // deadlines and the gather blocks for all of them (legacy semantics).
+  const serve::Deadline gather =
+      options_.partial_gather && spec.deadline_ms > 0
+          ? serve::Deadline::WallAfter(spec.deadline_ms)
+          : serve::Deadline::Unbounded();
+  const serve::Deadline hedge_window =
+      options_.hedge.enabled ? serve::Deadline::WallAfter(HedgeDelayMs())
+                             : serve::Deadline::Unbounded();
   std::vector<Result<uint64_t>> submitted;
   submitted.reserve(k);
   for (size_t s = 0; s < k; ++s) {
@@ -187,15 +198,6 @@ ShardedQueryResponse ShardedServer::ExecuteScattered(
     BumpCounter("shard.partials");
   }
 
-  // Gathering stops waiting at the query deadline only when partial
-  // gather is on — otherwise sub-queries self-degrade under their own
-  // deadlines and the gather blocks for all of them (legacy semantics).
-  const bool hard_stop = options_.partial_gather && spec.deadline_ms > 0;
-  auto wait_left_ms = [&] {
-    return hard_stop ? spec.deadline_ms - gather_timer.Seconds() * 1000.0
-                     : std::numeric_limits<double>::infinity();
-  };
-
   std::vector<bool> have(k, false);
   std::vector<uint64_t> hedge_ids(k, 0);
   std::vector<bool> hedge_live(k, false);
@@ -204,14 +206,11 @@ ShardedQueryResponse ShardedServer::ExecuteScattered(
     // Hedge phase: give every shard until the quantile-driven hedge delay
     // to answer, then re-dispatch stragglers (and outright failures) once
     // at a reduced oracle budget.
-    const double hedge_delay_ms = HedgeDelayMs();
     for (size_t s = 0; s < k; ++s) {
       if (!submitted[s].ok()) continue;
-      const double slice =
-          std::min(hedge_delay_ms - gather_timer.Seconds() * 1000.0,
-                   wait_left_ms());
-      std::optional<serve::QueryResponse> r =
-          servers_[s]->WaitFor(submitted[s].value(), std::max(0.0, slice));
+      std::optional<serve::QueryResponse> r = servers_[s]->WaitFor(
+          submitted[s].value(),
+          std::min(hedge_window.remaining_ms(), gather.remaining_ms()));
       if (r.has_value()) {
         response.partials[s] = *std::move(r);
         have[s] = true;
@@ -248,14 +247,13 @@ ShardedQueryResponse ShardedServer::ExecuteScattered(
     bool live[2] = {submitted[s].ok() && !have[s], hedge_live[s]};
     bool usable = have[s] && response.partials[s].status.ok();
     while (!usable && (live[0] || live[1])) {
-      const double left = wait_left_ms();
-      if (left <= 0.0) break;
+      if (gather.remaining_ms() <= 0.0) break;
       for (int a = 0; a < 2 && !usable; ++a) {
         if (!live[a]) continue;
         // Alternate 2 ms polls while racing two attempts; otherwise wait
         // out the remaining budget in one shot.
-        double slice = (live[0] && live[1]) ? 2.0 : wait_left_ms();
-        slice = std::min(slice, wait_left_ms());
+        double slice = gather.remaining_ms();
+        if (live[0] && live[1]) slice = std::min(slice, 2.0);
         if (slice <= 0.0) break;
         std::optional<serve::QueryResponse> r;
         if (std::isfinite(slice)) {
@@ -366,33 +364,31 @@ ShardedQueryResponse ShardedServer::ExecuteLimit(
   }
   ShardedQueryResponse response;
   // The deadline budget spans the whole sequential dispatch: each shard
-  // gets what the previous shards left. Virtual accounting subtracts the
-  // partials' reported spend (deterministic); wall accounting re-reads
-  // the clock.
-  const bool bounded = spec.deadline_ms > 0;
-  const bool virtual_time = options_.server.degrade.virtual_ms_per_call > 0;
-  WallTimer wall;
-  double budget_left_ms = spec.deadline_ms;
+  // gets what the previous shards left. Virtual accounting charges the
+  // partials' reported spend (deterministic); wall accounting reads the
+  // clock.
+  serve::Deadline budget;
+  if (spec.deadline_ms > 0) {
+    budget = options_.server.degrade.virtual_ms_per_call > 0
+                 ? serve::Deadline::VirtualBudget(spec.deadline_ms)
+                 : serve::Deadline::WallAfter(spec.deadline_ms);
+  }
   bool deadline_stopped = false;
   size_t found = 0;
   for (size_t s = 0; s < k; ++s) {
-    if (bounded && budget_left_ms <= 0.0) {
+    if (budget.expired()) {
       deadline_stopped = true;
       BumpCounter("shard.gather.absent");
       break;
     }
     serve::QuerySpec sub = spec;
     sub.want = spec.want - found;  // only what's still missing
-    sub.deadline_ms = bounded ? budget_left_ms : 0.0;
+    sub.deadline_ms = budget.unbounded() ? 0.0 : budget.remaining_ms();
     response.partials.push_back(servers_[s]->Execute(sub));
     response.shard_epochs.push_back(response.partials.back().epoch);
     BumpCounter("shard.partials");
     const serve::QueryResponse& partial = response.partials.back();
-    if (bounded) {
-      budget_left_ms = virtual_time
-                           ? budget_left_ms - partial.deadline_spent_ms
-                           : spec.deadline_ms - wall.Seconds() * 1000.0;
-    }
+    budget.Charge(partial.deadline_spent_ms);  // virtual time only
     found += partial.limit.found.size();
     if (!partial.status.ok()) {
       if (options_.partial_gather) continue;  // treat as absent, scan on
@@ -439,10 +435,10 @@ double ShardedServer::HedgeDelayMs() const {
   }
   if (history.empty()) return options_.hedge.min_delay_ms;
   std::sort(history.begin(), history.end());
-  const double q = std::clamp(options_.hedge.delay_quantile, 0.0, 1.0);
   const size_t idx = std::min(
       history.size() - 1,
-      static_cast<size_t>(q * static_cast<double>(history.size())));
+      static_cast<size_t>(kHedgeDelayQuantile *
+                          static_cast<double>(history.size())));
   return std::max(history[idx], options_.hedge.min_delay_ms);
 }
 

@@ -97,14 +97,12 @@ core::IndexOptions ShardIndexOptions(const core::IndexOptions& base,
                                      size_t shard, size_t num_shards);
 
 /// Straggler hedging for scatter-gather queries (DESIGN.md §15). When a
-/// shard's sub-query has not answered within the hedge delay — a quantile
-/// of recently observed sub-query latencies — its sub-query is
+/// shard's sub-query has not answered within the hedge delay — the 95th
+/// percentile of recently observed sub-query latencies — its sub-query is
 /// re-dispatched once at a reduced oracle budget; whichever attempt
 /// answers first wins and the other is abandoned.
 struct HedgePolicy {
   bool enabled = false;
-  /// Latency quantile of recent sub-queries used as the hedge delay.
-  double delay_quantile = 0.95;
   /// Floor for the hedge delay; also the cold-start delay before any
   /// latency history exists.
   double min_delay_ms = 5.0;
@@ -243,8 +241,8 @@ class ShardedServer {
                      ShardedQueryResponse* response) const;
   /// Fills the merged response's kind/epoch/accounting from the partials.
   static void FoldAccounting(ShardedQueryResponse* response);
-  /// Current hedge delay: `delay_quantile` of recent sub-query latencies,
-  /// floored at min_delay_ms.
+  /// Current hedge delay: the 95th percentile of recent sub-query
+  /// latencies, floored at min_delay_ms.
   double HedgeDelayMs() const;
   void RecordShardLatency(double ms);
 

@@ -362,13 +362,14 @@ TEST(PropagationTest, ProxyQualityBeatsConstantBaseline) {
 
 // ---------- Cracking ----------
 
-TEST(CrackingTest, AddRepresentativeGrowsIndex) {
+TEST(CrackingTest, SingleRecordCrackGrowsIndex) {
   data::Dataset ds = SmallDataset();
   TastiIndex index = BuildSmallIndex(ds);
   const size_t before = index.num_representatives();
   size_t new_record = 0;
   while (index.IsRepresentative(new_record)) ++new_record;
-  index.AddRepresentative(new_record, ds.ground_truth[new_record]);
+  EXPECT_EQ(index.CrackFromLabels({new_record}, {ds.ground_truth[new_record]}),
+            1u);
   EXPECT_EQ(index.num_representatives(), before + 1);
   EXPECT_TRUE(index.IsRepresentative(new_record));
   EXPECT_EQ(index.rep_embeddings().rows(), before + 1);
@@ -383,7 +384,7 @@ TEST(CrackingTest, SingleAddsReallocateGeometricallyNotPerAdd) {
 
   // P single-record cracks must trigger O(log P) capacity changes of the
   // representative matrix, not one full-matrix copy per add (the old
-  // quadratic growth: each AddRepresentative rebuilt rep_embeddings_).
+  // quadratic growth rebuilt rep_embeddings_ on every add).
   constexpr size_t kAdds = 64;
   size_t capacity_changes = 0;
   size_t prev_capacity = index.rep_embeddings().row_capacity();
@@ -391,7 +392,7 @@ TEST(CrackingTest, SingleAddsReallocateGeometricallyNotPerAdd) {
   for (size_t added = 0; added < kAdds; ++record) {
     ASSERT_LT(record, ds.size());
     if (index.IsRepresentative(record)) continue;
-    index.AddRepresentative(record, ds.ground_truth[record]);
+    index.CrackFromLabels({record}, {ds.ground_truth[record]});
     ++added;
     const size_t capacity = index.rep_embeddings().row_capacity();
     if (capacity != prev_capacity) {
@@ -405,12 +406,12 @@ TEST(CrackingTest, SingleAddsReallocateGeometricallyNotPerAdd) {
             index.rep_embeddings().rows());
 }
 
-TEST(CrackingTest, AddExistingRepIsNoop) {
+TEST(CrackingTest, CrackingAnExistingRepIsNoop) {
   data::Dataset ds = SmallDataset();
   TastiIndex index = BuildSmallIndex(ds);
   const size_t before = index.num_representatives();
   const size_t existing = index.rep_record_ids()[0];
-  index.AddRepresentative(existing, ds.ground_truth[existing]);
+  EXPECT_EQ(index.CrackFromLabels({existing}, {ds.ground_truth[existing]}), 0u);
   EXPECT_EQ(index.num_representatives(), before);
 }
 
@@ -491,7 +492,7 @@ TEST(CrackingTest, CrackingNeverIncreasesNearestDistance) {
   }
   size_t new_record = 1;
   while (index.IsRepresentative(new_record)) ++new_record;
-  index.AddRepresentative(new_record, ds.ground_truth[new_record]);
+  index.CrackFromLabels({new_record}, {ds.ground_truth[new_record]});
   for (size_t i = 0; i < index.num_records(); ++i) {
     EXPECT_LE(index.topk().Dist(i, 0), before[i] + 1e-6f);
   }
@@ -568,7 +569,7 @@ TEST(StreamingTest, AppendedRecordsCanBeCracked) {
   data::Dataset more = data::MakeNightStreet(more_opts);
   const size_t first_new = index.AppendRecords(more.features);
   const size_t before = index.num_representatives();
-  index.AddRepresentative(first_new, more.ground_truth[0]);
+  index.CrackFromLabels({first_new}, {more.ground_truth[0]});
   EXPECT_EQ(index.num_representatives(), before + 1);
   EXPECT_TRUE(index.IsRepresentative(first_new));
   EXPECT_NEAR(index.topk().Dist(first_new, 0), 0.0f, 1e-5f);
@@ -637,7 +638,7 @@ TEST(IndexStatsTest, CrackingShrinksCoverage) {
   size_t added = 0;
   for (size_t record = 0; record < ds.size() && added < 100; ++record) {
     if (!index.IsRepresentative(record)) {
-      index.AddRepresentative(record, ds.ground_truth[record]);
+      index.CrackFromLabels({record}, {ds.ground_truth[record]});
       ++added;
     }
   }
@@ -759,7 +760,7 @@ TEST(DriftTest, CrackingRestoresCoverage) {
   const DriftReport before = DetectDrift(index, first_new);
   // Crack in labels for a slice of the new records.
   for (size_t i = 0; i < 100; ++i) {
-    index.AddRepresentative(first_new + i * 4, shifted.ground_truth[i * 4]);
+    index.CrackFromLabels({first_new + i * 4}, {shifted.ground_truth[i * 4]});
   }
   const DriftReport after = DetectDrift(index, first_new);
   EXPECT_LT(after.recent_mean, before.recent_mean);
@@ -854,7 +855,7 @@ TEST(SerializeTest, CrackingWorksAfterLoad) {
   size_t new_record = 0;
   while (loaded->IsRepresentative(new_record)) ++new_record;
   const size_t before = loaded->num_representatives();
-  loaded->AddRepresentative(new_record, ds.ground_truth[new_record]);
+  loaded->CrackFromLabels({new_record}, {ds.ground_truth[new_record]});
   EXPECT_EQ(loaded->num_representatives(), before + 1);
 }
 

@@ -23,6 +23,7 @@
 #include "labeler/labeler.h"
 #include "serve/server.h"
 #include "util/checksum.h"
+#include "util/random.h"
 
 namespace tasti::durable {
 namespace {
@@ -140,11 +141,15 @@ TEST(FileTest, WriteAtomicNeverLeavesTornTarget) {
 // --- WAL framing ---
 
 WalRecord CrackRecord(const data::Dataset& ds, uint64_t lsn,
-                      std::vector<uint64_t> records) {
+                      std::vector<size_t> records) {
   WalRecord record;
   record.type = WalRecordType::kCrack;
   record.lsn = lsn;
-  for (uint64_t id : records) record.labels.push_back(ds.ground_truth[id]);
+  for (size_t id : records) {
+    // An id past the dataset (a record that does not fit the index) gets
+    // a placeholder label.
+    record.labels.push_back(ds.ground_truth[id % ds.size()]);
+  }
   record.records = std::move(records);
   return record;
 }
@@ -187,8 +192,7 @@ TEST(WalTest, RecordRoundTripAllTypes) {
 
   EXPECT_EQ(segment.records[0].type, WalRecordType::kCrack);
   EXPECT_EQ(segment.records[0].lsn, 1u);
-  EXPECT_EQ(segment.records[0].records,
-            (std::vector<uint64_t>{3, 9, 12}));
+  EXPECT_EQ(segment.records[0].records, (std::vector<size_t>{3, 9, 12}));
   ASSERT_EQ(segment.records[0].labels.size(), 3u);
 
   EXPECT_EQ(segment.records[1].type, WalRecordType::kRepair);
@@ -308,11 +312,9 @@ struct DurableRig {
 
   /// Cracks `records` into the live index and commits it as `epoch`,
   /// mirroring what the server does under its crack mutex.
-  void CrackEpoch(uint64_t epoch, std::vector<uint64_t> records) {
+  void CrackEpoch(uint64_t epoch, std::vector<size_t> records) {
     WalRecord record = CrackRecord(ds, 0, std::move(records));
-    const std::vector<size_t> ids(record.records.begin(),
-                                  record.records.end());
-    index.CrackFromLabels(ids, record.labels);
+    ASSERT_TRUE(Apply(&index, record).ok());
     ASSERT_TRUE(manager->Log(std::move(record)).ok());
     ASSERT_TRUE(manager->CommitEpoch(index, epoch).ok());
   }
@@ -420,6 +422,64 @@ TEST(RecoveryTest, CorruptSegmentQuarantinedNotFatal) {
   EXPECT_EQ(IndexFingerprint(again->index),
             IndexFingerprint(recovered->index));
   EXPECT_TRUE(again->stats.quarantined_files.empty());
+}
+
+// A checksummed, committed crack whose record id lies past the index is
+// data loss, not a record to apply: recovery fails naming the segment and
+// the LSN, instead of reading past the end of the index's arrays.
+TEST(RecoveryTest, OutOfRangeCrackIdIsDataLoss) {
+  DurableRig rig("recover_out_of_range");
+  rig.CrackEpoch(2, {10, 20});
+  const uint64_t lsn = rig.manager->stats().records_logged + 1;
+  const std::string segment =
+      SegmentFileName(rig.manager->stats().checkpoints_written);
+  ASSERT_TRUE(rig.fs.Exists(rig.dir + "/" + segment));
+  WalRecord marker;
+  marker.type = WalRecordType::kEpochPublish;
+  marker.lsn = lsn + 1;
+  marker.epoch = 3;
+  ASSERT_TRUE(rig.fs.Append(rig.dir + "/" + segment,
+                            EncodeWalRecord(CrackRecord(
+                                rig.ds, lsn, {30, rig.ds.size() + 7})) +
+                                EncodeWalRecord(marker))
+                  .ok());
+
+  Result<RecoveredState> recovered = Recover(&rig.fs, rig.dir);
+  ASSERT_FALSE(recovered.ok());
+  EXPECT_EQ(recovered.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(recovered.status().message().find(segment), std::string::npos)
+      << recovered.status().message();
+  EXPECT_NE(recovered.status().message().find("LSN " + std::to_string(lsn)),
+            std::string::npos)
+      << recovered.status().message();
+}
+
+// Apply() checks a record against the index before touching it, and a
+// repair of a representative that is already valid changes nothing.
+TEST(ApplyTest, RejectsRecordsThatDoNotFitAndSkipsValidRepairs) {
+  data::Dataset ds = TestDataset(300);
+  core::TastiIndex index = BuildSmallIndex(ds);
+  const uint64_t before = IndexFingerprint(index);
+
+  Result<Applied> crack = Apply(&index, CrackRecord(ds, 1, {5, ds.size()}));
+  EXPECT_EQ(crack.status().code(), StatusCode::kDataLoss);
+  WalRecord repair;
+  repair.type = WalRecordType::kRepair;
+  repair.rep_pos = index.num_representatives();
+  repair.labels.push_back(ds.ground_truth[0]);
+  EXPECT_EQ(Apply(&index, repair).status().code(), StatusCode::kDataLoss);
+  repair.rep_pos = 0;  // valid since the build
+  Result<Applied> noop = Apply(&index, repair);
+  ASSERT_TRUE(noop.ok()) << noop.status().message();
+  EXPECT_FALSE(noop->changed());
+  EXPECT_EQ(IndexFingerprint(index), before);
+
+  size_t fresh = 0;
+  while (index.IsRepresentative(fresh)) ++fresh;
+  Result<Applied> added = Apply(&index, CrackRecord(ds, 2, {fresh, fresh}));
+  ASSERT_TRUE(added.ok()) << added.status().message();
+  EXPECT_EQ(added->cracked, 1u);
+  EXPECT_TRUE(index.IsRepresentative(fresh));
 }
 
 TEST(RecoveryTest, EmptyDirectoryIsNotFound) {
@@ -764,6 +824,189 @@ TEST(ServerRecoveryTest, GroupCommitRecoversAcrossTheCrashGrid) {
   EXPECT_TRUE(saw_before_commit);
   // Some tear kept whole records of the group but not its marker.
   EXPECT_TRUE(saw_partial_group);
+}
+
+/// Copies the files of `from` (not its subdirectories) into a clean `to`,
+/// so recovering the copy leaves the live server's directory as it is.
+void CopyDir(const std::string& from, const std::string& to) {
+  File* fs = DefaultFile();
+  ASSERT_TRUE(fs->MakeDir(to).ok());
+  Result<std::vector<std::string>> names = fs->List(from);
+  ASSERT_TRUE(names.ok()) << names.status().message();
+  for (const std::string& name : *names) {
+    if (fs->Exists(from + "/" + name + "/.")) continue;  // subdirectory
+    Result<std::string> bytes = fs->Read(from + "/" + name);
+    ASSERT_TRUE(bytes.ok()) << bytes.status().message();
+    ASSERT_TRUE(fs->Write(to + "/" + name, *bytes).ok());
+  }
+}
+
+/// The mutation records (not markers) in `dir`'s WAL segments, by type.
+std::vector<size_t> LoggedRecordsByType(const std::string& dir) {
+  std::vector<size_t> counts(5, 0);
+  File* fs = DefaultFile();
+  Result<std::vector<std::string>> names = fs->List(dir);
+  EXPECT_TRUE(names.ok()) << names.status().message();
+  for (const std::string& name : *names) {
+    if (!ParseSegmentFileName(name).has_value()) continue;
+    const WalSegment segment = DecodeWalSegment(*fs->Read(dir + "/" + name));
+    EXPECT_FALSE(segment.corrupt) << name;
+    for (const WalRecord& record : segment.records) {
+      ++counts[static_cast<size_t>(record.type)];
+    }
+  }
+  return counts;
+}
+
+// A seeded random sequence of waves mixes the six query kinds with
+// appends, on a durable server whose build left failed representatives
+// that later queries repair, inline (each query commits as it finishes)
+// and in deterministic waves (Drain() commits the wave). After every
+// Drain(), recovering a copy of the WAL directory gives the live index
+// bytes and replays exactly the crack, repair and append records the
+// live server logged. A query after an append fails with
+// FailedPrecondition, and logs nothing: no crack, and no repair even
+// while failed representatives remain.
+TEST(ServerRecoveryTest, RandomMutationSequencesReplayIdentically) {
+  data::Dataset ds = TestDataset(700);
+  core::CountScorer cars(data::ObjectClass::kCar);
+  core::PresenceScorer present(data::ObjectClass::kCar);
+  core::AtLeastCountScorer busy(data::ObjectClass::kCar, 2);
+  const serve::QueryKind kinds[] = {
+      serve::QueryKind::kAggregate,     serve::QueryKind::kAggregateWhere,
+      serve::QueryKind::kSupgRecall,    serve::QueryKind::kSupgPrecision,
+      serve::QueryKind::kThresholdSelect, serve::QueryKind::kLimit};
+  constexpr size_t kWaves = 6;
+  // Over all runs: records logged by type, and queries that failed.
+  std::vector<size_t> total(5, 0);
+  size_t failed_queries = 0;
+  size_t append_first_runs = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    for (const bool deterministic : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) +
+                   (deterministic ? ", deterministic" : ", inline"));
+      labeler::SimulatedLabeler sim(&ds);
+      labeler::FaultSchedule broken;
+      broken.permanent_rate = 0.2;
+      broken.seed = 23;
+      labeler::FaultInjectingLabeler oracle(&sim, broken);
+      File fs;
+      const std::string dir = TestDir("server_random_" + std::to_string(seed) +
+                                      (deterministic ? "_wave" : "_inline"));
+      serve::ServerOptions opts = DurableServerOptions(&fs, dir);
+      opts.deterministic = deterministic;
+      // No checkpoint after the opening one: recovery replays every record
+      // the server logged.
+      opts.durability.checkpoint_every_epochs = 4 * kWaves;
+      serve::TastiServer server(&ds, &oracle, opts);
+      ASSERT_TRUE(server.Start().ok());
+      ASSERT_GT(server.index().num_failed_representatives(), 0u);
+      oracle.set_schedule(labeler::FaultSchedule{});
+
+      Rng rng(seed);
+      // Sometimes an append comes first, so every query fails while the
+      // build's failed representatives are still there to repair.
+      const bool append_first = rng.Bernoulli(0.25);
+      if (append_first) server.AppendRecords(ds.features.RowSlice(0, 20));
+      bool appended = append_first;
+      append_first_runs += append_first;
+      for (size_t wave = 0; wave < kWaves; ++wave) {
+        SCOPED_TRACE("wave " + std::to_string(wave));
+        const uint64_t logged_before = server.durability_stats().records_logged;
+        const bool wave_after_append = appended;
+        // One to three queries, all answered before the wave's append (if
+        // any), so each reads the epoch the wave started on.
+        std::vector<uint64_t> ids;
+        const size_t queries = 1 + rng.UniformInt(3);
+        for (size_t q = 0; q < queries; ++q) {
+          serve::QuerySpec spec;
+          spec.kind = kinds[rng.UniformInt(6)];
+          spec.scorer = &present;
+          if (spec.kind == serve::QueryKind::kAggregate) spec.scorer = &cars;
+          if (spec.kind == serve::QueryKind::kLimit) spec.scorer = &busy;
+          spec.statistic = &cars;
+          spec.error_target = 0.3;
+          spec.budget = 20 + rng.UniformInt(30);
+          spec.validation_budget = 20;
+          spec.want = 3;
+          Result<uint64_t> id = server.Submit(spec);
+          ASSERT_TRUE(id.ok());
+          ids.push_back(*id);
+        }
+        for (uint64_t id : ids) {
+          const serve::QueryResponse response = server.Wait(id);
+          if (appended) {
+            ++failed_queries;
+            EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition)
+                << response.status.ToString();
+            EXPECT_EQ(response.cracked_representatives, 0u);
+            EXPECT_EQ(response.repaired_representatives, 0u);
+          } else {
+            EXPECT_TRUE(response.status.ok()) << response.status.ToString();
+          }
+        }
+        const bool append = rng.Bernoulli(0.3);
+        if (append) {
+          const size_t first = rng.UniformInt(ds.size() - 40);
+          const size_t rows = 10 + rng.UniformInt(30);
+          const size_t records = server.index().num_records();
+          EXPECT_EQ(server.AppendRecords(
+                        ds.features.RowSlice(first, first + rows)),
+                    records);
+          appended = true;
+        }
+        server.Drain();
+        if (wave_after_append) {
+          // Failed queries log nothing; an append logs itself and a marker.
+          EXPECT_EQ(server.durability_stats().records_logged - logged_before,
+                    append ? 2u : 0u);
+        }
+
+        Result<std::string> live = server.SerializeIndex();
+        ASSERT_TRUE(live.ok());
+        const std::string copy = TestDir(dir.substr(dir.rfind('/') + 1) +
+                                         "_copy_" + std::to_string(wave));
+        CopyDir(dir, copy);
+        File clean;
+        serve::TastiServer revived(&ds, &oracle,
+                                   DurableServerOptions(&clean, copy));
+        ASSERT_TRUE(revived.RecoverFrom().ok());
+        EXPECT_EQ(revived.current_epoch(), server.current_epoch());
+        Result<std::string> recovered = revived.SerializeIndex();
+        ASSERT_TRUE(recovered.ok());
+        EXPECT_TRUE(*recovered == *live) << "recovered index differs";
+        const RecoveryStats& stats = *revived.last_recovery();
+        const std::vector<size_t> logged = LoggedRecordsByType(dir);
+        EXPECT_EQ(stats.cracks_replayed,
+                  logged[static_cast<size_t>(WalRecordType::kCrack)]);
+        EXPECT_EQ(stats.repairs_replayed,
+                  logged[static_cast<size_t>(WalRecordType::kRepair)]);
+        EXPECT_EQ(stats.appends_replayed,
+                  logged[static_cast<size_t>(WalRecordType::kAppend)]);
+        EXPECT_EQ(stats.records_replayed + stats.epochs_replayed,
+                  server.durability_stats().records_logged);
+        revived.Shutdown();
+      }
+      // The first wave's queries repair the build's failed reps, unless
+      // an append made every query fail.
+      const std::vector<size_t> logged = LoggedRecordsByType(dir);
+      EXPECT_EQ(logged[static_cast<size_t>(WalRecordType::kRepair)] > 0,
+                !append_first);
+      if (append_first) {
+        EXPECT_GT(server.index().num_failed_representatives(), 0u);
+      }
+      for (size_t type = 0; type < total.size(); ++type) {
+        total[type] += logged[type];
+      }
+      server.Shutdown();
+    }
+  }
+  // The sequences cracked, appended, queried after appends, and started
+  // with an append in some runs.
+  EXPECT_GT(append_first_runs, 0u);
+  EXPECT_GT(total[static_cast<size_t>(WalRecordType::kCrack)], 16u);
+  EXPECT_GT(total[static_cast<size_t>(WalRecordType::kAppend)], 16u);
+  EXPECT_GT(failed_queries, 16u);
 }
 
 }  // namespace

@@ -126,7 +126,7 @@ TEST(PropagationStateTest, IncrementalMatchesFullAcrossSingleAddChain) {
     for (size_t epoch = 0; epoch < 4; ++epoch) {
       for (size_t j = 0; j < 3; ++j) {
         const size_t record = adds[epoch * 3 + j];
-        index.AddRepresentative(record, ds.ground_truth[record]);
+        index.CrackFromLabels({record}, {ds.ground_truth[record]});
       }
       AdvanceAndCheck(&index, cars, PropagationMode::kNumeric, &state);
     }
@@ -143,7 +143,7 @@ TEST(PropagationStateTest, IncrementalMatchesFullForAllModes) {
     PropagationState state;
     ComputeProxyState(index.View(), cars, mode, {}, &state);
     for (size_t record : NonRepRecords(index, 5)) {
-      index.AddRepresentative(record, ds.ground_truth[record]);
+      index.CrackFromLabels({record}, {ds.ground_truth[record]});
     }
     AdvanceAndCheck(&index, cars, mode, &state);
   }
@@ -277,7 +277,7 @@ TEST(PropagationStateTest, MixedChainCrackAppendRepair) {
   // Epoch 2: streaming append plus a single add among the new records.
   data::Dataset more = SmallDataset(200, 55);
   const size_t first_new = index.AppendRecords(more.features);
-  index.AddRepresentative(first_new, more.ground_truth[0]);
+  index.CrackFromLabels({first_new}, {more.ground_truth[0]});
   AdvanceAndCheck(&index, mean_x, PropagationMode::kNumeric, &state);
 
   // Epoch 3: repair the degraded representatives.
@@ -301,7 +301,7 @@ TEST(PropagationStateTest, UpdateRepresentativeScoresCountsWork) {
   ComputeProxyState(index.View(), cars, PropagationMode::kNumeric, {}, &state);
 
   for (size_t record : NonRepRecords(index, 3)) {
-    index.AddRepresentative(record, ds.ground_truth[record]);
+    index.CrackFromLabels({record}, {ds.ground_truth[record]});
   }
   IndexDelta delta = index.TakeDelta();
   ASSERT_FALSE(delta.full);

@@ -455,7 +455,7 @@ TEST(SnapshotTest, PublishRequiresNewerEpochAndTracksLiveness) {
   EXPECT_TRUE(pinned->CheckConsistent().ok());
   EXPECT_EQ(epochs.live_snapshots(), 1u);
 
-  index.AddRepresentative(0, ds.ground_truth[0]);
+  index.CrackFromLabels({0}, {ds.ground_truth[0]});
   epochs.Publish(IndexSnapshot::FromIndex(index, 2));
   // The retired epoch stays alive while `pinned` holds it.
   EXPECT_EQ(epochs.live_snapshots(), 2u);
@@ -1374,7 +1374,7 @@ TEST(ScoreCacheTest, HitSharingAndDeltaAdvance) {
   size_t added = 0;
   for (size_t r = 0; r < ds.size() && added < 4; ++r) {
     if (!index.IsRepresentative(r)) {
-      index.AddRepresentative(r, ds.ground_truth[r]);
+      index.CrackFromLabels({r}, {ds.ground_truth[r]});
       ++added;
     }
   }
@@ -1447,7 +1447,7 @@ TEST(ScoreCacheTest, ColdCacheOnDeltaSnapshotFallsBackToFull) {
   size_t added = 0;
   for (size_t r = 0; r < ds.size() && added < 2; ++r) {
     if (!index.IsRepresentative(r)) {
-      index.AddRepresentative(r, ds.ground_truth[r]);
+      index.CrackFromLabels({r}, {ds.ground_truth[r]});
       ++added;
     }
   }
@@ -1494,7 +1494,7 @@ TEST(ScoreCacheTest, ConcurrentReadersAcrossEpochPublishes) {
   size_t next_record = 0;
   for (uint64_t epoch = 2; epoch <= 6; ++epoch) {
     while (index.IsRepresentative(next_record)) ++next_record;
-    index.AddRepresentative(next_record, ds.ground_truth[next_record]);
+    index.CrackFromLabels({next_record}, {ds.ground_truth[next_record]});
     epochs.Publish(
         IndexSnapshot::FromIndexAndTakeDelta(&index, epoch, epoch - 1));
     std::this_thread::sleep_for(std::chrono::milliseconds(5));

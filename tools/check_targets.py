@@ -54,6 +54,12 @@ Asserts, from the repository root:
      and examples set, is a second code path that no caller runs. The
      match is by field name, so it is a floor, not a proof. Like rule
      12, it also runs on a fixture that must fail.
+ 14. no file under src/serve or src/shard calls CrackFromLabels,
+     RepairRepresentative or AddRepresentative, or index_->AppendRecords:
+     the server changes its index only through durable::Apply, the
+     function recovery replays the WAL with, so a mutation that the log
+     would replay differently cannot grow back. Comments do not count.
+     Like rules 12 and 13, it also runs on a fixture that must fail.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -161,6 +167,22 @@ def unset_knobs(headers, callers):
                        if path not in own and path.parts[0] not in NOT_CALLERS):
                 unset.append((header, struct, field, line))
     return unset
+
+
+# Rule 14: a direct index mutation, outside a `//` comment.
+INDEX_MUTATION = re.compile(
+    r"\b(?:CrackFromLabels|RepairRepresentative|AddRepresentative)\s*\("
+    r"|\bindex_\s*->\s*AppendRecords\s*\(")
+
+
+def index_mutations(text):
+    """(line, call) for each direct index mutation in `text`."""
+    found = []
+    for lineno, line in enumerate(text.splitlines(), 1):
+        code = line.split("//", 1)[0]
+        for match in INDEX_MUTATION.finditer(code):
+            found.append((lineno, match.group(0).rstrip("( ")))
+    return found
 
 
 def main():
@@ -430,6 +452,27 @@ def main():
             ".cc, tests/ and examples/ assigns; delete the switch or set it "
             "somewhere"
         )
+
+    fixture = ("  // CrackFromLabels() is reached through durable::Apply.\n"
+               "  index_->CrackFromLabels(records, labels);\n"
+               "  servers_[last]->AppendRecords(features);\n"
+               "  index_->AppendRecords(features);\n")
+    if [line for line, _ in index_mutations(fixture)] != [2, 4]:
+        errors.append(
+            "rule 14 no longer flags the direct index_->CrackFromLabels and "
+            "index_->AppendRecords calls in its own fixture server; fix "
+            "INDEX_MUTATION before trusting it on src/"
+        )
+    for module in ("serve", "shard"):
+        for path in sorted((src / module).glob("*")):
+            if path.suffix not in (".h", ".cc"):
+                continue
+            for line, call in index_mutations(path.read_text()):
+                errors.append(
+                    f"src/{module}/{path.name}:{line} calls {call} directly; "
+                    "the server mutates its index only through "
+                    "durable::Apply, which recovery replays the WAL with"
+                )
 
     fail(errors)
 
