@@ -27,6 +27,9 @@ std::vector<double> RepresentativeScores(const IndexView& view,
 }
 
 namespace {
+// Distance floor of the inverse-distance weight.
+constexpr float kEpsilon = 1e-6f;
+
 // Validity mask for propagation, or nullptr when every representative is
 // annotated (the common case keeps its branch-free inner loop).
 const uint8_t* ValidityMask(const IndexView& view) {
@@ -66,7 +69,7 @@ inline double NumericRow(const float* dist, const uint32_t* ids, size_t k,
   for (size_t j = 0; j < k; ++j) {
     if (valid != nullptr && valid[ids[j]] == 0) continue;
     const double w =
-        InverseDistanceWeight(dist[j] + options.epsilon, options.weight_power);
+        InverseDistanceWeight(dist[j] + kEpsilon, options.weight_power);
     weight_sum += w;
     score_sum += w * rep_scores[ids[j]];
   }

@@ -56,13 +56,11 @@ struct PropagationOptions {
   /// Neighbors used; clamped to the index's stored k. 0 means "use all
   /// stored neighbors".
   size_t k = 0;
-  /// Distance floor: weights are 1 / (distance + epsilon)^power, so a
-  /// record that is itself a representative is dominated by its own exact
-  /// score.
-  float epsilon = 1e-6f;
-  /// Exponent of the inverse-distance weight. Higher powers sharpen the
-  /// estimate toward the nearest representative, improving tail accuracy
-  /// on rare records at a slight cost in smoothing.
+  /// Exponent of the inverse-distance weight 1 / (distance + 1e-6)^power;
+  /// the 1e-6 floor lets a record that is itself a representative be
+  /// dominated by its own exact score. Higher powers sharpen the estimate
+  /// toward the nearest representative, improving tail accuracy on rare
+  /// records at a slight cost in smoothing.
   float weight_power = 2.0f;
 };
 

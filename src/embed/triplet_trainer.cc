@@ -174,9 +174,8 @@ TripletTrainResult TrainTripletEmbedder(const nn::Matrix& features,
   nn::Adam optimizer(model.Params(), adam_options);
 
   const nn::Matrix train_features = features.GatherRows(result.training_indices);
-  const size_t triplets_per_epoch = options.triplets_per_epoch > 0
-                                        ? options.triplets_per_epoch
-                                        : 2 * result.training_indices.size();
+  // Triplets sampled per epoch: twice the training set.
+  const size_t triplets_per_epoch = 2 * result.training_indices.size();
 
   const size_t candidates = std::max<size_t>(1, options.negative_candidates);
   TASTI_SPAN("index.triplet_train");

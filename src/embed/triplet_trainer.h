@@ -47,8 +47,6 @@ struct TripletTrainOptions {
   float margin = 0.3f;
   size_t epochs = 25;
   size_t batch_size = 64;
-  /// Triplets sampled per epoch; 0 means 2x the training set size.
-  size_t triplets_per_epoch = 0;
   float learning_rate = 1e-3f;
   /// FPF mining over pretrained embeddings (paper default) vs uniform
   /// random mining (the Figure 9/10 ablation).

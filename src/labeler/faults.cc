@@ -4,7 +4,6 @@
 #include <utility>
 #include <variant>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/random.h"
 
@@ -47,13 +46,6 @@ bool SplitPair(const std::string& value, std::string* a, std::string* b) {
   *a = value.substr(0, colon);
   *b = value.substr(colon + 1);
   return true;
-}
-
-void CountFaultMetric(const char* type) {
-  if (!obs::MetricsEnabled()) return;
-  obs::MetricsRegistry::Global()
-      .counter(std::string("faults.injected.") + type, "calls")
-      ->Increment();
 }
 
 }  // namespace
@@ -222,7 +214,6 @@ Result<data::LabelerOutput> FaultInjectingLabeler::TryLabel(size_t index) {
 
   if (IsPermanentlyFailed(index)) {
     ++counts_.permanent;
-    CountFaultMetric("permanent");
     return Status::FailedPrecondition("oracle: record " +
                                       std::to_string(index) +
                                       " permanently unlabelable");
@@ -230,7 +221,6 @@ Result<data::LabelerOutput> FaultInjectingLabeler::TryLabel(size_t index) {
   for (const CrashWindow& window : schedule_.crash_windows) {
     if (global_attempt >= window.begin && global_attempt < window.end) {
       ++counts_.crash;
-      CountFaultMetric("crash");
       return Status::Unavailable("oracle: crashed (attempt " +
                                  std::to_string(global_attempt) + ")");
     }
@@ -238,7 +228,6 @@ Result<data::LabelerOutput> FaultInjectingLabeler::TryLabel(size_t index) {
   if (schedule_.throttle_period > 0 &&
       global_attempt % schedule_.throttle_period < schedule_.throttle_burst) {
     ++counts_.throttle;
-    CountFaultMetric("throttle");
     return Status::ResourceExhausted("oracle: throttled (attempt " +
                                      std::to_string(global_attempt) + ")");
   }
@@ -246,7 +235,6 @@ Result<data::LabelerOutput> FaultInjectingLabeler::TryLabel(size_t index) {
       HashDraw(schedule_.seed, index, record_attempt, /*salt=*/2) <
           schedule_.transient_rate) {
     ++counts_.transient;
-    CountFaultMetric("transient");
     return Status::Unavailable("oracle: transient failure on record " +
                                std::to_string(index));
   }
@@ -254,7 +242,6 @@ Result<data::LabelerOutput> FaultInjectingLabeler::TryLabel(size_t index) {
       HashDraw(schedule_.seed, index, record_attempt, /*salt=*/3) <
           schedule_.timeout_rate) {
     ++counts_.timeout;
-    CountFaultMetric("timeout");
     last_latency_ms_ = schedule_.timeout_latency_ms;
     return Status::DeadlineExceeded("oracle: deadline exceeded on record " +
                                     std::to_string(index));
@@ -263,7 +250,6 @@ Result<data::LabelerOutput> FaultInjectingLabeler::TryLabel(size_t index) {
       HashDraw(schedule_.seed, index, record_attempt, /*salt=*/4) <
           schedule_.corrupt_rate) {
     ++counts_.corrupt;
-    CountFaultMetric("corrupt");
     return CorruptLabel(index, record_attempt);
   }
   return inner_->Label(index);

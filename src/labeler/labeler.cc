@@ -94,6 +94,16 @@ DegradedLabeler::DegradedLabeler(const data::Dataset* dataset,
   TASTI_CHECK(dataset != nullptr, "DegradedLabeler requires a dataset");
 }
 
+namespace {
+
+// The degraded detector's error model besides its miss and false-positive
+// rates: a detected box gets the wrong class with this probability, and
+// positional jitter of this std-dev.
+constexpr double kClassConfusionProbability = 0.05;
+constexpr double kPositionNoise = 0.03;
+
+}  // namespace
+
 data::LabelerOutput DegradedLabeler::Label(size_t index) {
   TASTI_CHECK(index < dataset_->size(), "label index out of range");
   invocations_.fetch_add(1, std::memory_order_relaxed);
@@ -110,14 +120,14 @@ data::LabelerOutput DegradedLabeler::Label(size_t index) {
     if (rng.Bernoulli(options_.miss_probability)) continue;
     data::Box detected = box;
     if (!dataset_->classes.empty() &&
-        rng.Bernoulli(options_.class_confusion_probability)) {
+        rng.Bernoulli(kClassConfusionProbability)) {
       detected.cls = dataset_->classes[rng.UniformInt(dataset_->classes.size())];
     }
     detected.x = std::clamp(
-        detected.x + static_cast<float>(rng.Normal(0.0, options_.position_noise)),
+        detected.x + static_cast<float>(rng.Normal(0.0, kPositionNoise)),
         0.0f, 1.0f);
     detected.y = std::clamp(
-        detected.y + static_cast<float>(rng.Normal(0.0, options_.position_noise)),
+        detected.y + static_cast<float>(rng.Normal(0.0, kPositionNoise)),
         0.0f, 1.0f);
     out.boxes.push_back(detected);
   }

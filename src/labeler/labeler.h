@@ -183,13 +183,10 @@ class SimulatedLabeler : public TargetLabeler {
 /// Error model for a degraded detector (the paper's SSD comparison: ~2x
 /// less accurate than Mask R-CNN, producing a 33% aggregate error).
 struct DegradationOptions {
-  /// Probability each true box is missed entirely.
+  /// Probability each true box is missed entirely. A detected box also
+  /// gets the wrong class with probability 0.05 (video datasets with more
+  /// than one class) and positional jitter of std-dev 0.03.
   double miss_probability = 0.25;
-  /// Probability a detected box gets the wrong class (video datasets with
-  /// more than one class).
-  double class_confusion_probability = 0.05;
-  /// Std-dev of positional jitter added to detected boxes.
-  double position_noise = 0.03;
   /// Expected number of spurious boxes per record.
   double false_positive_rate = 0.05;
   uint64_t seed = 11;

@@ -5,7 +5,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace tasti::labeler {
@@ -16,18 +15,6 @@ namespace {
 constexpr double kBackoffMultiplier = 2.0;
 constexpr double kMaxBackoffMs = 1000.0;
 
-void CountMetric(const char* name) {
-  if (!obs::MetricsEnabled()) return;
-  obs::MetricsRegistry::Global().counter(name, "calls")->Increment();
-}
-
-void SetBreakerGauge(BreakerState state) {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Gauge* const gauge =
-      obs::MetricsRegistry::Global().gauge("oracle.breaker.state", "state");
-  gauge->Set(static_cast<double>(state));
-}
-
 }  // namespace
 
 ResilientLabeler::ResilientLabeler(FallibleLabeler* inner, Options options)
@@ -35,7 +22,6 @@ ResilientLabeler::ResilientLabeler(FallibleLabeler* inner, Options options)
   TASTI_CHECK(inner != nullptr, "ResilientLabeler requires an inner labeler");
   TASTI_CHECK(options_.retry.max_attempts >= 1,
               "RetryPolicy.max_attempts must be >= 1");
-  SetBreakerGauge(breaker_state_);
 }
 
 bool ResilientLabeler::IsRetryable(StatusCode code) {
@@ -51,20 +37,16 @@ void ResilientLabeler::TransitionBreaker(BreakerState next) {
     case BreakerState::kOpen:
       ++stats_.breaker_opens;
       breaker_opened_at_ms_ = now_ms_;
-      CountMetric("oracle.breaker.opens");
       break;
     case BreakerState::kHalfOpen:
       ++stats_.breaker_half_opens;
       half_open_successes_ = 0;
-      CountMetric("oracle.breaker.half_opens");
       break;
     case BreakerState::kClosed:
       ++stats_.breaker_closes;
       consecutive_failures_ = 0;
-      CountMetric("oracle.breaker.closes");
       break;
   }
-  SetBreakerGauge(next);
   if (options_.on_breaker_transition) options_.on_breaker_transition(next);
 }
 
@@ -106,7 +88,6 @@ Result<data::LabelerOutput> ResilientLabeler::TryLabelLocked(
     size_t index, double caller_budget_ms) {
   TASTI_SPAN("oracle.try_label");
   ++stats_.calls;
-  CountMetric("oracle.calls");
   const double call_start_ms = now_ms_;
   // Effective per-call deadline: the tighter of the policy's own budget
   // and whatever the caller has left (0 = unbounded for both).
@@ -126,10 +107,8 @@ Result<data::LabelerOutput> ResilientLabeler::TryLabelLocked(
         TransitionBreaker(BreakerState::kHalfOpen);
       } else {
         ++stats_.rejected_by_breaker;
-        CountMetric("oracle.breaker.rejections");
         last_call_ms_ = now_ms_ - call_start_ms;
         ++stats_.failures;
-        CountMetric("oracle.failures");
         return Status::Unavailable("oracle: circuit breaker open");
       }
     }
@@ -149,20 +128,17 @@ Result<data::LabelerOutput> ResilientLabeler::TryLabelLocked(
         break;
       }
       ++stats_.retries;
-      CountMetric("oracle.retries");
       now_ms_ += sleep_ms;
       backoff_ms = std::min(backoff_ms * kBackoffMultiplier, kMaxBackoffMs);
     }
 
     ++stats_.attempts;
-    CountMetric("oracle.attempts");
     Result<data::LabelerOutput> r = inner_->TryLabel(index);
     now_ms_ += inner_->last_call_latency_ms();
     RecordAttemptOutcome(r.ok());
 
     if (r.ok()) {
       ++stats_.successes;
-      CountMetric("oracle.successes");
       last_call_ms_ = now_ms_ - call_start_ms;
       return r;
     }
@@ -178,7 +154,6 @@ Result<data::LabelerOutput> ResilientLabeler::TryLabelLocked(
   }
 
   ++stats_.failures;
-  CountMetric("oracle.failures");
   last_call_ms_ = now_ms_ - call_start_ms;
   return last_error;
 }

@@ -6,6 +6,15 @@
 
 namespace tasti::nn {
 
+namespace {
+
+// Adam's moment decay rates and denominator floor.
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
+}  // namespace
+
 Adam::Adam(std::vector<Parameter*> params, Options options)
     : params_(std::move(params)), options_(options) {
   m_.reserve(params_.size());
@@ -19,8 +28,8 @@ Adam::Adam(std::vector<Parameter*> params, Options options)
 
 void Adam::Step() {
   ++t_;
-  const float b1 = options_.beta1;
-  const float b2 = options_.beta2;
+  const float b1 = kBeta1;
+  const float b2 = kBeta2;
   const float bias1 = 1.0f - std::pow(b1, static_cast<float>(t_));
   const float bias2 = 1.0f - std::pow(b2, static_cast<float>(t_));
   for (size_t i = 0; i < params_.size(); ++i) {
@@ -34,7 +43,7 @@ void Adam::Step() {
       v[j] = b2 * v[j] + (1.0f - b2) * g[j] * g[j];
       const float mhat = m[j] / bias1;
       const float vhat = v[j] / bias2;
-      w[j] -= options_.learning_rate * mhat / (std::sqrt(vhat) + options_.epsilon);
+      w[j] -= options_.learning_rate * mhat / (std::sqrt(vhat) + kEpsilon);
     }
   }
 }

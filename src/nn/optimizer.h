@@ -18,10 +18,9 @@ namespace tasti::nn {
 class Adam {
  public:
   struct Options {
+    /// The moment decays (0.9, 0.999) and the denominator floor (1e-8)
+    /// are the usual Adam constants.
     float learning_rate = 1e-3f;
-    float beta1 = 0.9f;
-    float beta2 = 0.999f;
-    float epsilon = 1e-8f;
   };
 
   Adam(std::vector<Parameter*> params, Options options);

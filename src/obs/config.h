@@ -82,13 +82,6 @@ inline void SetMetricsEnabled(bool on) {
   g_config.metrics.store(on, std::memory_order_relaxed);
 }
 
-/// Convenience: flip tracing + metrics at once (flight recording is opted
-/// into separately — it is a serving-monitor concern, not a trace export).
-inline void EnableAll() {
-  SetTracingEnabled(true);
-  SetMetricsEnabled(true);
-}
-
 inline void DisableAll() {
   SetTracingEnabled(false);
   SetMetricsEnabled(false);

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <unordered_map>
 
 namespace tasti::obs {
 
@@ -109,6 +110,8 @@ namespace {
 // Slot count for the burn-rate windows: enough resolution that events age
 // out smoothly, few enough that merges stay trivial.
 constexpr size_t kBurnSlots = 30;
+// Target fraction of queries within SloConfig::oracle_budget_per_query.
+constexpr double kOracleBudgetTarget = 0.95;
 
 size_t ObjectiveIdx(SloObjective objective) {
   return static_cast<size_t>(objective);
@@ -163,7 +166,7 @@ SloTracker::SloTracker(SloConfig config) : config_(config) {
   enable(SloObjective::kLatency, config_.latency_target);
   enable(SloObjective::kErrors, config_.error_target);
   if (config_.oracle_budget_per_query > 0.0) {
-    enable(SloObjective::kOracleBudget, config_.oracle_budget_target);
+    enable(SloObjective::kOracleBudget, kOracleBudgetTarget);
   }
   // Drift events are epoch publishes — reuse the error target as budget.
   enable(SloObjective::kIndexDrift, config_.error_target);
@@ -538,12 +541,25 @@ std::string WriteExposition(const MetricsRegistry& registry,
     }
   }
 
+  // Live samples grouped by family, families in order of first
+  // appearance: the format wants each family's samples contiguous under
+  // one TYPE line, and merged inputs (one LiveStats per shard monitor)
+  // interleave them.
+  std::vector<std::string> families;
+  std::unordered_map<std::string, std::vector<const LiveSample*>> by_family;
   for (const LiveSample& sample : live.samples) {
-    AppendTypeLine(sample.name, sample.type == 'c' ? "counter" : "gauge",
-                   sample.help, &seen_families, &out);
-    out += sample.name;
-    AppendLabels(sample.labels, &out);
-    out += " " + FmtValue(sample.value) + "\n";
+    auto [it, inserted] = by_family.try_emplace(sample.name);
+    if (inserted) families.push_back(sample.name);
+    it->second.push_back(&sample);
+  }
+  for (const std::string& family : families) {
+    for (const LiveSample* sample : by_family[family]) {
+      AppendTypeLine(family, sample->type == 'c' ? "counter" : "gauge",
+                     sample->help, &seen_families, &out);
+      out += family;
+      AppendLabels(sample->labels, &out);
+      out += " " + FmtValue(sample->value) + "\n";
+    }
   }
   return out;
 }

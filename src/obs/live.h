@@ -143,9 +143,9 @@ struct SloConfig {
   double latency_threshold_ms = 250.0;
   double latency_target = 0.99;  // fraction of queries under the threshold
   double error_target = 0.999;   // fraction of queries returning ok
-  /// Per-query oracle invocation budget; 0 disables the objective.
+  /// Per-query oracle invocation budget; 0 disables the objective, whose
+  /// target is 95% of queries within the budget.
   double oracle_budget_per_query = 0.0;
-  double oracle_budget_target = 0.95;
 
   /// Multi-window burn-rate evaluation (fast + slow window must both
   /// burn): the fast window catches the regression quickly, the slow
@@ -331,9 +331,12 @@ struct LiveStats {
 
 /// Prometheus text-exposition (version 0.0.4) rendering of every registry
 /// instrument plus the derived live samples. Registry metric names are
-/// sanitized ("serve.queue_wait_ms" -> "tasti_serve_queue_wait_ms");
+/// sanitized ("threadpool.busy_micros" -> "tasti_threadpool_busy_micros");
 /// histogram buckets are emitted cumulatively with a final +Inf bucket as
-/// the format requires.
+/// the format requires. Live samples are grouped by family, families in
+/// order of first appearance, so each family has one TYPE line over
+/// contiguous samples even when `live` merges several monitors' samples;
+/// already-grouped input renders in its own order.
 std::string WriteExposition(const MetricsRegistry& registry,
                             const LiveStats& live);
 

@@ -77,16 +77,6 @@ double QuantileFromBuckets(const std::vector<double>& upper_bounds,
   return upper_bounds.back();
 }
 
-std::vector<double> LinearBuckets(double start, double width, size_t count) {
-  TASTI_CHECK(width > 0.0, "bad linear bucket spec");
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    bounds.push_back(start + static_cast<double>(i) * width);
-  }
-  return bounds;
-}
-
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked deliberately: pool workers may update instruments during
   // static teardown.

@@ -94,11 +94,6 @@ class Histogram {
 std::vector<double> ExponentialBuckets(double start, double factor,
                                        size_t count);
 
-/// Linear bucket bounds: {start, start+width, ...} (`count` bounds). Used
-/// where the observed range is small and uniform — e.g. oracle-scheduler
-/// batch sizes, admission queue depths.
-std::vector<double> LinearBuckets(double start, double width, size_t count);
-
 /// Quantile estimate from bucketed counts shared by Histogram and the
 /// sliding-window sketches in obs/live.h. `bucket_counts` has
 /// upper_bounds.size() + 1 entries (the last is the +inf overflow) and
@@ -154,8 +149,8 @@ class MetricsRegistry {
   std::vector<MetricSample> Samples() const;
 
   /// JSON snapshot: an array of flat objects sorted by metric name, e.g.
-  ///   [{"metric": "serve.queries", "type": "counter", "unit": "queries",
-  ///     "value": 5}, ...]
+  ///   [{"metric": "index.builds", "type": "counter", "unit": "builds",
+  ///     "value": 1}, ...]
   /// Histograms carry "count", "sum", and a "buckets" array of
   /// {"le": bound, "count": n} (le = "less than or equal"; the final
   /// bucket has "le": "inf").

@@ -89,8 +89,7 @@ struct QueryRecord {
 /// per query. Not thread-safe (TastiServer guards its log with a mutex).
 class QueryLog {
  public:
-  /// Replaces the cost model used to price subsequent records.
-  void SetCostModel(const labeler::CostModel& model) { cost_model_ = model; }
+  /// The Table-1 cost model that prices every record.
   const labeler::CostModel& cost_model() const { return cost_model_; }
 
   /// Records the index-construction charge (once per session build).

@@ -24,6 +24,9 @@ double PercentError(double estimate, double truth) {
 }
 
 namespace {
+// Candidate thresholds swept between the min and max proxy score.
+constexpr size_t kNumCandidates = 64;
+
 // F1 over (prediction, truth) pairs.
 double F1FromCounts(size_t tp, size_t fp, size_t fn) {
   const double denom = static_cast<double>(2 * tp + fp + fn);
@@ -40,7 +43,6 @@ Result<ThresholdSelectResult> TryThresholdSelect(
     return Status::FailedPrecondition(
         "threshold-select: proxy scores must cover every record");
   }
-  TASTI_CHECK(options.num_candidates >= 2, "need at least two candidates");
 
   const size_t n = proxy_scores.size();
   Rng rng(options.seed);
@@ -87,10 +89,10 @@ Result<ThresholdSelectResult> TryThresholdSelect(
   result.failed_oracle_calls = failed_calls;
   result.deadline_hit = deadline_hit;
   double best_f1 = -1.0;
-  for (size_t c = 0; c < options.num_candidates; ++c) {
+  for (size_t c = 0; c < kNumCandidates; ++c) {
     const double threshold =
         lo + (hi - lo) * static_cast<double>(c + 1) /
-                 static_cast<double>(options.num_candidates + 1);
+                 static_cast<double>(kNumCandidates + 1);
     size_t tp = 0, fp = 0, fn = 0;
     for (size_t i = 0; i < val_proxy.size(); ++i) {
       const bool pred = val_proxy[i] >= threshold;

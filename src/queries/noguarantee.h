@@ -38,8 +38,6 @@ struct ThresholdSelectOptions {
   /// Labeler budget spent on the validation sample used to fit the
   /// threshold.
   size_t validation_budget = 500;
-  /// Candidate thresholds swept between the min and max proxy score.
-  size_t num_candidates = 64;
   uint64_t seed = 303;
   /// Deadline checked before the validation batch; on expiry the threshold
   /// is fit on the labels gathered so far. Default: unbounded.
@@ -60,8 +58,9 @@ struct ThresholdSelectResult {
   bool deadline_hit = false;
 };
 
-/// Fits a threshold on a uniform validation sample and returns every
-/// record whose proxy score clears it. Validation records whose oracle
+/// Fits a threshold on a uniform validation sample (the best F1 of 64
+/// candidates evenly spaced between the min and max proxy score) and
+/// returns every record whose proxy score clears it. Validation records whose oracle
 /// call fails are dropped from the fit. Fails with Unavailable only if
 /// every validation call failed, and with FailedPrecondition if
 /// `proxy_scores` and the oracle disagree on the record count. The whole

@@ -13,6 +13,14 @@
 
 namespace tasti::queries {
 
+namespace {
+
+// Floor on the per-record sampling weight (keeps estimates unbiased for
+// records the proxy wrongly scores ~0).
+constexpr double kWeightFloor = 0.05;
+
+}  // namespace
+
 Result<PredicateAggregationResult> TryEstimateMeanWithPredicate(
     const std::vector<double>& predicate_proxy,
     labeler::FallibleLabeler* oracle, const core::Scorer& predicate,
@@ -37,7 +45,7 @@ Result<PredicateAggregationResult> TryEstimateMeanWithPredicate(
   double total_weight = 0.0;
   for (size_t i = 0; i < n; ++i) {
     weights[i] =
-        std::max(std::clamp(predicate_proxy[i], 0.0, 1.0), options.weight_floor);
+        std::max(std::clamp(predicate_proxy[i], 0.0, 1.0), kWeightFloor);
     total_weight += weights[i];
   }
   std::vector<double> prefix(n);

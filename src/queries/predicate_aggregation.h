@@ -38,9 +38,6 @@ struct PredicateAggregationOptions {
   size_t check_interval = 50;
   /// Hard cap on labeler invocations; 0 means the dataset size.
   size_t max_samples = 0;
-  /// Floor on the per-record sampling weight (keeps estimates unbiased for
-  /// records the proxy wrongly scores ~0).
-  double weight_floor = 0.05;
   uint64_t seed = 404;
   /// Deadline checked before each batch of draws; on expiry sampling stops
   /// and the ratio estimate is finalized from the draws so far. Default:

@@ -5,6 +5,21 @@
 
 namespace tasti::serve {
 
+namespace {
+
+// Sliding-window geometry of every latency sketch: 30 slots of 10 s, so
+// five minutes of history.
+constexpr double kSlotSeconds = 10.0;
+constexpr size_t kNumSlots = 30;
+
+std::unique_ptr<obs::SlidingQuantileSketch> MakeLatencySketch() {
+  // Bucket bounds in ms: 50 us .. ~26 s.
+  return std::make_unique<obs::SlidingQuantileSketch>(
+      obs::ExponentialBuckets(0.05, 2.0, 20), kSlotSeconds, kNumSlots);
+}
+
+}  // namespace
+
 const char* ServerMonitor::PhaseName(size_t phase) {
   switch (phase) {
     case kPhaseProxy:
@@ -27,31 +42,15 @@ ServerMonitor::ServerMonitor(MonitorOptions options, const obs::Clock* clock)
       slo_(options_.slo) {
   kind_sketches_.reserve(kNumKinds);
   for (size_t i = 0; i < kNumKinds; ++i) {
-    kind_sketches_.push_back(std::make_unique<obs::SlidingQuantileSketch>(
-        options_.latency_bounds_ms, options_.slot_seconds,
-        options_.num_slots));
+    kind_sketches_.push_back(MakeLatencySketch());
   }
   phase_sketches_.reserve(kNumPhases);
   for (size_t i = 0; i < kNumPhases; ++i) {
-    phase_sketches_.push_back(std::make_unique<obs::SlidingQuantileSketch>(
-        options_.latency_bounds_ms, options_.slot_seconds,
-        options_.num_slots));
+    phase_sketches_.push_back(MakeLatencySketch());
   }
 }
 
 void ServerMonitor::BindServer(const TastiServer* server) { server_ = server; }
-
-void ServerMonitor::OnSubmit(size_t queue_depth) {
-  queue_depth_.store(queue_depth, std::memory_order_relaxed);
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ServerMonitor::OnShed(QueryPriority priority,
-                           const ShedDecision& decision) {
-  (void)decision;
-  shed_by_class_[static_cast<size_t>(priority)].fetch_add(
-      1, std::memory_order_relaxed);
-}
 
 void ServerMonitor::OnQueryComplete(const QueryResponse& response,
                                     const obs::QueryPhaseTimes& phases,
@@ -68,16 +67,13 @@ void ServerMonitor::OnQueryComplete(const QueryResponse& response,
   phase_sketches_[kPhaseOracle]->Observe(phases.oracle_seconds * 1000.0, now);
   phase_sketches_[kPhaseCrack]->Observe(phases.crack_seconds * 1000.0, now);
 
-  completed_.fetch_add(1, std::memory_order_relaxed);
   if (!response.status.ok()) failed_.fetch_add(1, std::memory_order_relaxed);
 
   slo_.RecordQuery(now, latency_ms, response.status.ok(),
                    response.attributed_invocations);
   DrainSloAlerts(now);
 
-  const double slow_threshold = options_.slow_query_dump_ms > 0.0
-                                    ? options_.slow_query_dump_ms
-                                    : options_.slo.latency_threshold_ms;
+  const double slow_threshold = options_.slo.latency_threshold_ms;
   if (latency_ms > slow_threshold || failed_oracle_calls > 0) {
     std::lock_guard<std::mutex> lock(mu_);
     if (failed_oracle_calls > 0) {
@@ -225,10 +221,12 @@ void ServerMonitor::Poll() {
   const ScoreCacheStats cache = server_->score_cache_stats();
   const SchedulerStats sched = server_->scheduler_stats();
   const ServerStats stats = server_->stats();
+  const ShedderStats shed = server_->shedder_stats();
   std::lock_guard<std::mutex> lock(mu_);
   cache_stats_ = cache;
   scheduler_stats_ = sched;
   server_stats_ = stats;
+  shedder_stats_ = shed;
   polled_ = true;
 }
 
@@ -279,24 +277,9 @@ obs::LiveStats ServerMonitor::Collect() {
              'g');
   }
 
-  live.Add("tasti_queue_depth",
-           static_cast<double>(queue_depth_.load(std::memory_order_relaxed)),
-           {}, 'g', "admission queue depth at the last submit");
-  live.Add("tasti_queries_submitted_total",
-           static_cast<double>(submitted_.load(std::memory_order_relaxed)),
-           {}, 'c', "queries submitted through the monitored server");
   live.Add("tasti_queries_failed_total",
            static_cast<double>(failed_.load(std::memory_order_relaxed)), {},
            'c', "completed queries with non-ok status");
-
-  for (size_t p = 0; p < kNumQueryPriorities; ++p) {
-    live.Add("tasti_queries_shed_total",
-             static_cast<double>(
-                 shed_by_class_[p].load(std::memory_order_relaxed)),
-             {{"priority",
-               QueryPriorityName(static_cast<QueryPriority>(p))}},
-             'c', "queries rejected at admission by the load shedder");
-  }
 
   std::lock_guard<std::mutex> lock(mu_);
   live.Add("tasti_slo_alerts_total",
@@ -326,6 +309,21 @@ obs::LiveStats ServerMonitor::Collect() {
            "1 when the drift ratio exceeds the configured threshold");
 
   if (polled_) {
+    // Queued plus executing: the depth the shedder admits against.
+    live.Add("tasti_queue_depth",
+             static_cast<double>(server_stats_.queries_submitted -
+                                 server_stats_.queries_completed),
+             {}, 'g', "queries queued or executing at the last poll");
+    live.Add("tasti_queries_submitted_total",
+             static_cast<double>(server_stats_.queries_submitted), {}, 'c',
+             "queries admitted by the monitored server");
+    for (size_t p = 0; p < kNumQueryPriorities; ++p) {
+      live.Add("tasti_queries_shed_total",
+               static_cast<double>(shedder_stats_.shed_by_class[p]),
+               {{"priority",
+                 QueryPriorityName(static_cast<QueryPriority>(p))}},
+               'c', "queries rejected at admission by the load shedder");
+    }
     live.Add("tasti_epochs_published",
              static_cast<double>(server_stats_.epochs_published), {}, 'c',
              "epoch snapshots published since Start");
@@ -412,6 +410,7 @@ std::string ServerMonitor::StatusLine() {
   size_t dumps = 0;
   double cache_hit = 0.0;
   uint64_t completed = 0;
+  uint64_t shed = 0;
   uint64_t degraded = 0;
   bool brownout = false;
   {
@@ -419,14 +418,10 @@ std::string ServerMonitor::StatusLine() {
     alerts += direct_alerts_;
     dumps = dump_files_.size();
     cache_hit = cache_stats_.hit_ratio();
-    completed = polled_ ? server_stats_.queries_completed
-                        : completed_.load(std::memory_order_relaxed);
+    completed = server_stats_.queries_completed;
+    shed = server_stats_.queries_shed;
     degraded = server_stats_.degraded_responses;
     brownout = server_stats_.brownout_active;
-  }
-  uint64_t shed = 0;
-  for (const auto& count : shed_by_class_) {
-    shed += count.load(std::memory_order_relaxed);
   }
 
   char buf[320];

@@ -5,9 +5,12 @@
 /// ServerMonitor: live telemetry for a running TastiServer.
 ///
 /// Attach one to a server before Start() and it observes the serving path
-/// through four hooks — submit, query completion, epoch publish, fault —
-/// plus a pull-style Poll() that samples the score cache and oracle
-/// scheduler. From those it maintains:
+/// through three hooks — query completion, epoch publish, fault — plus a
+/// pull-style Poll() that reads the server's stats (ServerStats, the
+/// score cache's, the oracle scheduler's and the shedder's). The monitor
+/// keeps no copy of a tally those stats own: submitted, completed and shed
+/// counts and the queue depth are read from them at poll time. From the
+/// hooks it maintains:
 ///  - sliding-window latency quantiles (p50/p95/p99) per QueryKind and
 ///    per query phase (proxy compute, algorithm, oracle wait, crack);
 ///  - multi-window SLO burn rates (obs::SloTracker) over latency, error
@@ -31,7 +34,7 @@
 /// comes from an injectable obs::Clock, making window rotation and alert
 /// cooldowns deterministic in tests (DESIGN.md §12).
 
-#include <array>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,19 +49,11 @@
 namespace tasti::serve {
 
 struct MonitorOptions {
+  /// Queries slower than slo.latency_threshold_ms also trigger a flight
+  /// dump.
   obs::SloConfig slo;
-  /// Bucket bounds for every latency sketch, in milliseconds.
-  std::vector<double> latency_bounds_ms =
-      obs::ExponentialBuckets(0.05, 2.0, 20);  // 50us .. ~26s
-  /// Sliding-window geometry for the quantile sketches: num_slots *
-  /// slot_seconds of history.
-  double slot_seconds = 10.0;
-  size_t num_slots = 30;
   /// Mean nearest-rep distance inflation that flags index drift.
   double drift_ratio_threshold = 1.3;
-  /// Queries slower than this trigger a flight dump; 0 = use
-  /// slo.latency_threshold_ms.
-  double slow_query_dump_ms = 0.0;
   /// Flight-dump path prefix; files are "<prefix>-1.json",
   /// "<prefix>-2.json", ... Empty disables dumping.
   std::string flight_dump_path;
@@ -99,10 +94,6 @@ class ServerMonitor {
   /// Called by TastiServer::AttachMonitor.
   void BindServer(const TastiServer* server);
 
-  void OnSubmit(size_t queue_depth);
-  /// A query was rejected at admission by the load shedder (DESIGN.md
-  /// §15). Called outside server locks, like every other hook.
-  void OnShed(QueryPriority priority, const ShedDecision& decision);
   void OnQueryComplete(const QueryResponse& response,
                        const obs::QueryPhaseTimes& phases,
                        size_t failed_oracle_calls);
@@ -115,8 +106,9 @@ class ServerMonitor {
 
   // --- Pull side ---
 
-  /// Samples score-cache / scheduler / server stats from the bound
-  /// server. Called implicitly by Collect(); harmless without a server.
+  /// Samples server / score-cache / scheduler / shedder stats from the
+  /// bound server. Called implicitly by Collect() and StatusLine();
+  /// harmless without a server.
   void Poll();
 
   /// Everything as exposition-ready samples (calls Poll()).
@@ -168,11 +160,7 @@ class ServerMonitor {
 
   const TastiServer* server_ = nullptr;
 
-  std::atomic<size_t> queue_depth_{0};
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
   std::atomic<uint64_t> failed_{0};
-  std::array<std::atomic<uint64_t>, kNumQueryPriorities> shed_by_class_{};
 
   mutable std::mutex mu_;
   std::vector<obs::Alert> alert_log_;
@@ -187,6 +175,7 @@ class ServerMonitor {
   ScoreCacheStats cache_stats_;
   SchedulerStats scheduler_stats_;
   ServerStats server_stats_;
+  ShedderStats shedder_stats_;
   bool polled_ = false;
 };
 

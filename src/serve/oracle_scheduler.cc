@@ -4,37 +4,10 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
 namespace tasti::serve {
-
-namespace {
-
-struct SchedulerMetrics {
-  obs::Histogram* batch_size = nullptr;
-  obs::Counter* physical = nullptr;
-  obs::Counter* cache_hits = nullptr;
-  obs::Counter* dedup_hits = nullptr;
-
-  static SchedulerMetrics* Get() {
-    if (!obs::MetricsEnabled()) return nullptr;
-    static SchedulerMetrics* const metrics = [] {
-      obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-      auto* m = new SchedulerMetrics;
-      m->batch_size = registry.histogram(
-          "serve.batch_size", obs::LinearBuckets(1.0, 4.0, 16), "records");
-      m->physical = registry.counter("serve.oracle_calls", "calls");
-      m->cache_hits = registry.counter("serve.cache_hits", "calls");
-      m->dedup_hits = registry.counter("serve.dedup_hits", "calls");
-      return m;
-    }();
-    return metrics;
-  }
-};
-
-}  // namespace
 
 OracleScheduler::OracleScheduler(labeler::FallibleLabeler* inner,
                                  SchedulerOptions options)
@@ -65,7 +38,6 @@ OracleScheduler::Admission OracleScheduler::AdmitLocked(
   if (cached != cache_.end()) {
     ++cache_hits_;
     ctx->cache_hits.fetch_add(1, std::memory_order_relaxed);
-    if (auto* m = SchedulerMetrics::Get()) m->cache_hits->Increment();
     admission.hit = &cached->second;
     return admission;
   }
@@ -75,7 +47,6 @@ OracleScheduler::Admission OracleScheduler::AdmitLocked(
     // along.
     ++dedup_hits_;
     ctx->dedup_hits.fetch_add(1, std::memory_order_relaxed);
-    if (auto* m = SchedulerMetrics::Get()) m->dedup_hits->Increment();
     admission.pending = inflight->second;
     return admission;
   }
@@ -190,10 +161,6 @@ void OracleScheduler::DispatcherLoop() {
       }
       ++batches_;
       if (records.size() > max_batch_size_) max_batch_size_ = records.size();
-    }
-    if (auto* m = SchedulerMetrics::Get()) {
-      m->batch_size->Observe(static_cast<double>(records.size()));
-      m->physical->Increment(records.size());
     }
     if (options_.parallel_dispatch) {
       DispatchParallel(records, pendings);

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
@@ -10,50 +9,10 @@ namespace tasti::serve {
 
 namespace {
 
-void ExportLookup(ProxySource source, size_t delta_rows) {
-  if (!obs::MetricsEnabled()) return;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  static obs::Counter* const hits =
-      registry.counter("serve.score_cache.hits", "lookups");
-  static obs::Counter* const shared =
-      registry.counter("serve.score_cache.shared", "lookups");
-  static obs::Counter* const deltas =
-      registry.counter("serve.score_cache.delta_hits", "lookups");
-  static obs::Counter* const full =
-      registry.counter("serve.score_cache.full_computes", "lookups");
-  static obs::Counter* const rows =
-      registry.counter("serve.score_cache.delta_rows", "rows");
-  static obs::Counter* const lookups =
-      registry.counter("serve.score_cache.lookups", "lookups");
-  lookups->Increment();  // hit-ratio denominator for live dashboards
-  switch (source) {
-    case ProxySource::kHit: hits->Increment(); break;
-    case ProxySource::kShared: shared->Increment(); break;
-    case ProxySource::kDelta:
-      deltas->Increment();
-      rows->Increment(delta_rows);
-      break;
-    case ProxySource::kFull: full->Increment(); break;
-  }
-}
-
-void ExportResidency(size_t bytes, size_t entries) {
-  if (!obs::MetricsEnabled()) return;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  static obs::Gauge* const bytes_gauge =
-      registry.gauge("serve.score_cache.bytes", "bytes");
-  static obs::Gauge* const entries_gauge =
-      registry.gauge("serve.score_cache.entries", "entries");
-  bytes_gauge->Set(static_cast<double>(bytes));
-  entries_gauge->Set(static_cast<double>(entries));
-}
-
-void ExportEvictions(size_t count) {
-  if (count == 0 || !obs::MetricsEnabled()) return;
-  static obs::Counter* const evictions = obs::MetricsRegistry::Global().counter(
-      "serve.score_cache.evictions", "entries");
-  evictions->Increment(count);
-}
+// Byte bound over resident PropagationStates (approximate); the most
+// recently used entry is never evicted, so one oversized state still
+// serves its epoch.
+constexpr size_t kMaxBytes = 256ull << 20;
 
 }  // namespace
 
@@ -129,7 +88,6 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
       outcome->source = source;
       outcome->delta_rows = 0;
     }
-    ExportLookup(source, 0);
     return value;
   }
 
@@ -167,9 +125,6 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
       std::make_shared<const core::PropagationState>(std::move(state));
   promise.set_value(shared);
 
-  size_t resident_bytes = 0;
-  size_t resident_entries = 0;
-  size_t evicted = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = entries_.find(key);
@@ -186,16 +141,8 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
     } else {
       ++stats_.full_computes;
     }
-    const uint64_t evictions_before = stats_.evictions;
     EvictLocked(key);
-    evicted = stats_.evictions - evictions_before;
-    resident_bytes = stats_.resident_bytes;
-    resident_entries = stats_.resident_entries;
   }
-  ExportLookup(via_delta ? ProxySource::kDelta : ProxySource::kFull,
-               recomputed);
-  ExportEvictions(evicted);
-  ExportResidency(resident_bytes, resident_entries);
   if (outcome != nullptr) {
     outcome->source = via_delta ? ProxySource::kDelta : ProxySource::kFull;
     outcome->delta_rows = via_delta ? recomputed : 0;
@@ -205,7 +152,7 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
 
 void ScoreCache::EvictLocked(const std::string& keep) {
   auto over = [&] {
-    return stats_.resident_bytes > options_.max_bytes ||
+    return stats_.resident_bytes > kMaxBytes ||
            stats_.resident_entries > options_.max_entries;
   };
   while (over()) {
@@ -226,24 +173,17 @@ void ScoreCache::EvictLocked(const std::string& keep) {
 }
 
 void ScoreCache::Invalidate() {
-  size_t resident_bytes = 0;
-  size_t resident_entries = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (it->second.ready) {
-        stats_.resident_bytes -= it->second.bytes;
-        --stats_.resident_entries;
-        ++stats_.invalidations;
-        it = entries_.erase(it);
-      } else {
-        ++it;
-      }
+  std::lock_guard<std::mutex> lock(mu_);
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    if (it->second.ready) {
+      stats_.resident_bytes -= it->second.bytes;
+      --stats_.resident_entries;
+      ++stats_.invalidations;
+      it = entries_.erase(it);
+    } else {
+      ++it;
     }
-    resident_bytes = stats_.resident_bytes;
-    resident_entries = stats_.resident_entries;
   }
-  ExportResidency(resident_bytes, resident_entries);
 }
 
 ScoreCacheStats ScoreCache::stats() const {

@@ -18,13 +18,13 @@
 ///    result is bit-identical to a full recompute, so deterministic-mode
 ///    serving is unaffected by whether a delta or a full pass produced it.
 ///
-/// Entries are bounded by bytes and count with LRU eviction; an evicted
+/// Entries are bounded by bytes (256 MiB) and count with LRU eviction; an evicted
 /// parent simply forces the next child epoch to a full compute. Repairs of
 /// degraded representatives flow through the snapshot's dirty_reps, which
 /// both re-scores the repaired reps and invalidates (recomputes) every
 /// record row holding them — no stale degraded scores survive an epoch
-/// transition. hit/miss/delta-row tallies are exported through
-/// obs::MetricsRegistry and the stats() accessor.
+/// transition. hit/miss/delta-row tallies are read through stats(), their
+/// only copy.
 ///
 /// The scorer fingerprint is Scorer::Name(); two scorer instances sharing
 /// a name must be semantically identical (the same contract the server's
@@ -45,10 +45,6 @@
 namespace tasti::serve {
 
 struct ScoreCacheOptions {
-  /// Byte bound over resident PropagationStates (approximate); the most
-  /// recently used entry is never evicted, so one oversized state still
-  /// serves its epoch.
-  size_t max_bytes = 256ull << 20;
   /// Entry-count bound (completed entries; in-flight computes don't count).
   size_t max_entries = 64;
 };

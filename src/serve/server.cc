@@ -6,47 +6,12 @@
 
 #include "core/serialize.h"
 #include "labeler/resilient.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/monitor.h"
 
 namespace tasti::serve {
 
 namespace {
-
-void ObserveQueueWait(double ms) {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Histogram* const wait =
-      obs::MetricsRegistry::Global().histogram(
-          "serve.queue_wait_ms", obs::ExponentialBuckets(0.05, 2.0, 16), "ms");
-  static obs::Counter* const queries =
-      obs::MetricsRegistry::Global().counter("serve.queries", "queries");
-  wait->Observe(ms);
-  queries->Increment();
-}
-
-void CountShedQuery() {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Counter* const shed =
-      obs::MetricsRegistry::Global().counter("serve.shed.queries", "queries");
-  shed->Increment();
-}
-
-void CountDegradation(const QueryResponse& response) {
-  if (!obs::MetricsEnabled()) return;
-  static obs::Counter* const degraded =
-      obs::MetricsRegistry::Global().counter("serve.degraded.responses",
-                                             "queries");
-  static obs::Counter* const expired =
-      obs::MetricsRegistry::Global().counter("serve.deadline.expired",
-                                             "queries");
-  static obs::Counter* const brownout =
-      obs::MetricsRegistry::Global().counter("serve.brownout.queries",
-                                             "queries");
-  if (response.degraded) degraded->Increment();
-  if (response.deadline_hit) expired->Increment();
-  if (response.guarantee == GuaranteeLevel::kProxyOnly) brownout->Increment();
-}
 
 /// Monotonic ms for the shedder's CoDel interval timing.
 double SteadyNowMs() {
@@ -234,17 +199,17 @@ Status TastiServer::RecoverFrom(const std::string& dir_arg) {
           durability.status().message();
     }
   }
+  // The recovered labels were paid for by the crashed instance; this
+  // incarnation's attribution ledger starts clean. The query tallies do
+  // not: query ids (and so seeds) keep counting, and so do completions.
   {
     std::lock_guard<std::mutex> lock(mu_);
     queue_.clear();
     completed_.clear();
     executing_ = 0;
-    queries_completed_ = 0;
     query_invocations_ = 0;
     stopping_ = false;
   }
-  // The recovered labels were paid for by the crashed instance; this
-  // incarnation's attribution ledger starts clean.
   baseline_invocations_ = oracle_->invocations();
   index_invocations_ = 0;
   {
@@ -294,10 +259,6 @@ Result<uint64_t> TastiServer::Submit(const QuerySpec& spec) {
     const ShedDecision decision =
         shedder_.Admit(spec.priority, queue_.size() + executing_);
     if (!decision.admit) {
-      ++queries_shed_;
-      lock.unlock();
-      CountShedQuery();
-      if (monitor_ != nullptr) monitor_->OnShed(spec.priority, decision);
       return Status::ResourceExhausted(
           "query shed under load (priority " +
           std::string(QueryPriorityName(spec.priority)) +
@@ -315,10 +276,7 @@ Result<uint64_t> TastiServer::Submit(const QuerySpec& spec) {
   pending.spec = spec;
   const uint64_t query_id = pending.query_id;
   queue_.push_back(std::move(pending));
-  const size_t depth = queue_.size();
   work_cv_.notify_one();
-  lock.unlock();  // monitor hooks never run under server locks
-  if (monitor_ != nullptr) monitor_->OnSubmit(depth);
   return query_id;
 }
 
@@ -412,12 +370,13 @@ ServerStats TastiServer::stats() const {
     stats.queries_submitted = next_query_id_;  // ids are dense from 1
     stats.queries_completed = queries_completed_;
     stats.query_invocations = query_invocations_;
-    stats.queries_shed = queries_shed_;
     stats.degraded_responses = degraded_responses_;
     stats.deadline_expired = deadline_expired_;
-    stats.brownout_queries = brownout_queries_;
   }
-  stats.brownout_active = brownout_.active();
+  stats.queries_shed = shedder_.stats().shed_total;
+  const BrownoutStats brownout = brownout_.stats();
+  stats.brownout_queries = brownout.proxy_only_queries;
+  stats.brownout_active = brownout.active;
   stats.index_invocations = index_invocations_;
   stats.epochs_published = epochs_.published();
   stats.live_snapshots = epochs_.live_snapshots();
@@ -464,10 +423,8 @@ void TastiServer::WorkerLoop() {
       admit_cv_.notify_all();
     }
     pending.queue_wait_ms = pending.queued.Millis();
-    ObserveQueueWait(pending.queue_wait_ms);
 
     QueryResponse response = RunQuery(std::move(pending));
-    CountDegradation(response);
     if (options_.degrade.shedder.enabled) {
       shedder_.OnQueryDone(response.queue_wait_ms,
                            response.execute_seconds * 1000.0, SteadyNowMs());
@@ -480,9 +437,6 @@ void TastiServer::WorkerLoop() {
       query_invocations_ += response.attributed_invocations;
       if (response.deadline_hit) ++deadline_expired_;
       if (response.degraded) ++degraded_responses_;
-      if (response.guarantee == GuaranteeLevel::kProxyOnly) {
-        ++brownout_queries_;
-      }
       running_deadlines_.erase(response.query_id);
       if (abandoned_.erase(response.query_id) == 0) {
         completed_.emplace(response.query_id, std::move(response));

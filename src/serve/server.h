@@ -120,21 +120,29 @@ struct ServerOptions {
 };
 
 /// Aggregate server tallies. Safe to read live, from any thread, while a
-/// workload is executing: counters are copied under the server mutex and
-/// the epoch tallies are atomics.
+/// workload is executing: counters are copied under the server mutex, the
+/// epoch tallies are atomics, and the shed and brownout counts are read
+/// from the shedder's and the brownout latch's own stats. Every tally
+/// counts over the server object's life, across RecoverFrom() warm
+/// restarts, except the attribution ledger (index_invocations,
+/// query_invocations), which restarts with each incarnation because the
+/// invariant compares it with this incarnation's oracle calls.
 struct ServerStats {
   uint64_t queries_submitted = 0;
   uint64_t queries_completed = 0;
-  size_t index_invocations = 0;
-  /// Sum of attributed_invocations over completed queries.
+  size_t index_invocations = 0;  ///< per incarnation
+  /// Sum of attributed_invocations over this incarnation's completed
+  /// queries.
   size_t query_invocations = 0;
   uint64_t epochs_published = 0;
   size_t live_snapshots = 0;
   // Degradation tallies (DESIGN.md §15).
-  uint64_t queries_shed = 0;        ///< rejected at admission by the shedder
+  uint64_t queries_shed = 0;        ///< ShedderStats::shed_total
   uint64_t degraded_responses = 0;  ///< completed with degraded = true
   uint64_t deadline_expired = 0;    ///< completed with deadline_hit = true
-  uint64_t brownout_queries = 0;    ///< answered proxy-only while browned out
+  /// BrownoutStats::proxy_only_queries: answered proxy-only while browned
+  /// out (counted when the query starts).
+  uint64_t brownout_queries = 0;
   bool brownout_active = false;
 };
 
@@ -153,8 +161,9 @@ class TastiServer {
   TastiServer& operator=(const TastiServer&) = delete;
 
   /// Attaches a live-telemetry monitor (serve/monitor.h): the server
-  /// drives its submit/complete/publish hooks. Must be called before
-  /// Start(); the monitor must outlive the server. Pass nullptr to detach.
+  /// drives its completion, epoch-publish and fault hooks, and the
+  /// monitor's Poll() reads stats(). Must be called before Start(); the
+  /// monitor must outlive the server. Pass nullptr to detach.
   void AttachMonitor(ServerMonitor* monitor);
 
   /// Starts the oracle scheduler, builds the index through it (charging
@@ -355,10 +364,8 @@ class TastiServer {
   uint64_t queries_completed_ = 0;
   size_t query_invocations_ = 0;
   // Degradation bookkeeping (guarded by mu_ like the tallies above).
-  uint64_t queries_shed_ = 0;
   uint64_t degraded_responses_ = 0;
   uint64_t deadline_expired_ = 0;
-  uint64_t brownout_queries_ = 0;
   /// Deadline tokens of executing queries, so Abandon() can cancel them.
   std::unordered_map<uint64_t, Deadline> running_deadlines_;
   /// Queries whose response should be discarded on completion.

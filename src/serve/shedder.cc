@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.h"
 
 namespace tasti::serve {
 
@@ -80,12 +79,6 @@ void LoadShedder::OnQueryDone(double queue_wait_ms, double service_ms,
         now_ms - above_target_since_ms_ >= options_.interval_ms) {
       overloaded_ = true;
       ++stats_.overload_entries;
-      if (obs::MetricsEnabled()) {
-        static obs::Counter* const entries =
-            obs::MetricsRegistry::Global().counter(
-                "serve.shed.overload_entries", "events");
-        entries->Increment();
-      }
     }
   } else {
     // Any wait back at or below target ends the streak (CoDel-style:
@@ -109,12 +102,6 @@ void BrownoutController::Trip(const std::string& reason) {
   active_.store(true, std::memory_order_relaxed);
   ++stats_.trips;
   stats_.last_reason = reason;
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const trips =
-        obs::MetricsRegistry::Global().counter("serve.brownout.trips",
-                                               "events");
-    trips->Increment();
-  }
 }
 
 void BrownoutController::Clear(const std::string& reason) {
@@ -123,12 +110,6 @@ void BrownoutController::Clear(const std::string& reason) {
   active_.store(false, std::memory_order_relaxed);
   ++stats_.clears;
   stats_.last_reason = reason;
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const clears =
-        obs::MetricsRegistry::Global().counter("serve.brownout.clears",
-                                               "events");
-    clears->Increment();
-  }
 }
 
 void BrownoutController::OnBreakerTransition(labeler::BreakerState state) {

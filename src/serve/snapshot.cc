@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/metrics.h"
 
 namespace tasti::serve {
 
@@ -93,22 +92,6 @@ Status IndexSnapshot::CheckConsistent() const {
   return Status::OK();
 }
 
-namespace {
-void SetEpochGauges(uint64_t epoch, size_t live, size_t reps) {
-  if (!obs::MetricsEnabled()) return;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-  static obs::Gauge* const epoch_gauge =
-      registry.gauge("serve.epoch", "epoch");
-  static obs::Gauge* const live_gauge =
-      registry.gauge("serve.live_snapshots", "snapshots");
-  static obs::Gauge* const reps_gauge =
-      registry.gauge("serve.representatives", "representatives");
-  epoch_gauge->Set(static_cast<double>(epoch));
-  live_gauge->Set(static_cast<double>(live));
-  reps_gauge->Set(static_cast<double>(reps));
-}
-}  // namespace
-
 void EpochManager::Publish(IndexSnapshot snapshot) {
   // The live-snapshot counter is owned by a shared_ptr so a retired
   // epoch's deleter can decrement it even if it outlives the manager.
@@ -126,9 +109,6 @@ void EpochManager::Publish(IndexSnapshot snapshot) {
               "EpochManager::Publish requires a strictly newer epoch");
   current_ = std::move(next);
   published_.fetch_add(1, std::memory_order_relaxed);
-  SetEpochGauges(current_->epoch,
-                 live_snapshots_->load(std::memory_order_acquire),
-                 current_->rep_record_ids.size());
 }
 
 void EpochManager::Reset() {

@@ -226,7 +226,8 @@ std::vector<double> ReferenceProxy(const TastiIndex& index,
     for (size_t j = 0; j < k; ++j) {
       const double s = rep_scores[topk.RepId(i, j)];
       const float d = topk.Dist(i, j);
-      const double base = d + opts.epsilon;  // summed in float, as stored
+      // propagation.cc's 1e-6f distance floor, summed in float as stored.
+      const double base = d + 1e-6f;
       const double w = 1.0 / std::pow(base, opts.weight_power);
       weights += w;
       weighted += w * s;

@@ -615,6 +615,38 @@ TEST(ServerRecoveryTest, RecoveryInvalidatesScoreCache) {
   server.Shutdown();
 }
 
+// ServerStats counts over the server object's life: a warm restart keeps
+// the query tallies (ids, and so seeds, keep counting) and restarts only
+// the attribution ledger.
+TEST(ServerRecoveryTest, WarmRestartKeepsQueryTalliesConsistent) {
+  data::Dataset ds = TestDataset(600);
+  labeler::SimulatedLabeler oracle(&ds);
+  labeler::FallibleAdapter adapter(&oracle);
+  File fs;
+  const std::string dir = TestDir("server_warm_tallies");
+  serve::TastiServer server(&ds, &adapter, DurableServerOptions(&fs, dir));
+  ASSERT_TRUE(server.Start().ok());
+  core::CountScorer cars(data::ObjectClass::kCar);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(server.Execute(AggregateSpec(&cars)).status.ok());
+  }
+  server.Drain();
+  server.Shutdown();
+
+  ASSERT_TRUE(server.RecoverFrom().ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(server.Execute(AggregateSpec(&cars)).status.ok());
+  }
+  server.Drain();
+  const serve::ServerStats stats = server.stats();
+  EXPECT_EQ(stats.queries_submitted, 5u);
+  EXPECT_EQ(stats.queries_completed, stats.queries_submitted);
+  EXPECT_EQ(stats.index_invocations, 0u);  // this incarnation built nothing
+  EXPECT_EQ(stats.query_invocations, server.query_log().total_invocations());
+  EXPECT_TRUE(server.CheckAttributionInvariant().ok());
+  server.Shutdown();
+}
+
 TEST(ServerRecoveryTest, CleanShutdownRecoversFromCheckpointAlone) {
   data::Dataset ds = TestDataset(600);
   labeler::SimulatedLabeler oracle(&ds);

@@ -882,6 +882,63 @@ TEST(ExpositionTest, RendersRegistryAndLiveSamples) {
   }
 }
 
+// Two monitors' samples merged into one LiveStats (one per shard)
+// interleave their families; the exposition groups them back by family, in
+// order of first appearance, and leaves already-grouped input as it is.
+TEST(ExpositionTest, InterleavedLiveStatsAreGroupedByFamily) {
+  auto shard_stats = [](const std::string& shard, double value) {
+    obs::LiveStats live;
+    live.Add("tasti_submitted_total", value, {{"shard", shard}}, 'c',
+             "queries submitted");
+    live.Add("tasti_depth", value / 2, {{"shard", shard}}, 'g', "depth");
+    live.Add("tasti_burn", 1.0, {{"shard", shard}, {"window", "fast"}});
+    live.Add("tasti_burn", 0.5, {{"shard", shard}, {"window", "slow"}});
+    return live;
+  };
+  obs::LiveStats merged = shard_stats("0", 4.0);
+  for (obs::LiveSample& sample : shard_stats("1", 6.0).samples) {
+    merged.samples.push_back(std::move(sample));
+  }
+  obs::MetricsRegistry registry;
+  const std::string text = obs::WriteExposition(registry, merged);
+  EXPECT_EQ(text,
+            "# HELP tasti_submitted_total queries submitted\n"
+            "# TYPE tasti_submitted_total counter\n"
+            "tasti_submitted_total{shard=\"0\"} 4\n"
+            "tasti_submitted_total{shard=\"1\"} 6\n"
+            "# HELP tasti_depth depth\n"
+            "# TYPE tasti_depth gauge\n"
+            "tasti_depth{shard=\"0\"} 2\n"
+            "tasti_depth{shard=\"1\"} 3\n"
+            "# TYPE tasti_burn gauge\n"
+            "tasti_burn{shard=\"0\",window=\"fast\"} 1\n"
+            "tasti_burn{shard=\"0\",window=\"slow\"} 0.5\n"
+            "tasti_burn{shard=\"1\",window=\"fast\"} 1\n"
+            "tasti_burn{shard=\"1\",window=\"slow\"} 0.5\n");
+
+  // Each family: exactly one TYPE line, and its samples in one run.
+  std::vector<std::string> runs;  // family of each run of sample lines
+  std::istringstream lines(text);
+  std::string line;
+  size_t type_lines = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) ++type_lines;
+    if (line[0] == '#') continue;
+    const std::string family = line.substr(0, line.find_first_of("{ "));
+    if (runs.empty() || runs.back() != family) runs.push_back(family);
+  }
+  EXPECT_EQ(type_lines, 3u);
+  EXPECT_EQ(runs, (std::vector<std::string>{"tasti_submitted_total",
+                                            "tasti_depth", "tasti_burn"}));
+
+  // Already grouped: the rendering keeps the input order byte for byte.
+  obs::LiveStats grouped;
+  for (size_t i : {0, 4, 1, 5, 2, 3, 6, 7}) {
+    grouped.samples.push_back(merged.samples[i]);
+  }
+  EXPECT_EQ(obs::WriteExposition(registry, grouped), text);
+}
+
 TEST(ExpositionTest, TypeLinesAreEmittedOncePerFamily) {
   obs::MetricsRegistry registry;
   obs::LiveStats live;

@@ -441,6 +441,99 @@ TEST(ServerOverloadTest, ShedsDeterministicallyWhenWorkerIsParked) {
   EXPECT_FALSE(pattern_a[pattern_a.size() - 2]);
 }
 
+// The monitor keeps no tallies of its own: its shed, submitted and
+// completed samples are the shedder's and the server's stats, and its
+// queue depth is submitted minus completed at poll time.
+TEST(ServerOverloadTest, MonitorReadsShedAndQueryTalliesFromTheStats) {
+  data::Dataset ds = TestDataset(1200);
+  GatedOracle oracle(&ds);
+  serve::ServerOptions opts = FastServerOptions();
+  opts.num_workers = 1;
+  opts.degrade.shedder.enabled = true;
+  opts.degrade.shedder.target_wait_ms = 2.0;
+  opts.degrade.shedder.initial_service_ms = 1.0;
+  opts.degrade.shedder.interactive_multiplier = 8.0;
+  opts.degrade.shedder.batch_multiplier = 3.0;
+  opts.degrade.shedder.best_effort_multiplier = 1.0;
+  serve::TastiServer server(&ds, &oracle, opts);
+  serve::ServerMonitor monitor({});
+  server.AttachMonitor(&monitor);
+  ASSERT_TRUE(server.Start().ok());
+  oracle.CloseGate();
+
+  core::CountScorer cars(data::ObjectClass::kCar);
+  serve::QuerySpec spec;
+  spec.kind = serve::QueryKind::kAggregate;
+  spec.scorer = &cars;
+  spec.error_target = 0.15;
+  std::vector<uint64_t> admitted;
+  // The first query parks the only worker at the closed gate; the rest
+  // queue behind it or are shed, best-effort first.
+  for (serve::QueryPriority priority :
+       {serve::QueryPriority::kInteractive, serve::QueryPriority::kBestEffort,
+        serve::QueryPriority::kBestEffort, serve::QueryPriority::kBestEffort,
+        serve::QueryPriority::kBestEffort, serve::QueryPriority::kBatch,
+        serve::QueryPriority::kBatch, serve::QueryPriority::kBatch,
+        serve::QueryPriority::kBatch, serve::QueryPriority::kBatch,
+        serve::QueryPriority::kBatch, serve::QueryPriority::kBatch,
+        serve::QueryPriority::kInteractive}) {
+    serve::QuerySpec q = spec;
+    q.priority = priority;
+    Result<uint64_t> id = server.Submit(q);
+    if (id.ok()) admitted.push_back(*id);
+  }
+
+  struct Read {
+    std::vector<double> shed = std::vector<double>(serve::kNumQueryPriorities,
+                                                   -1.0);
+    double submitted = -1.0;
+    double completed = -1.0;
+    double depth = -1.0;
+  };
+  auto read = [&monitor] {
+    Read out;
+    for (const obs::LiveSample& sample : monitor.Collect().samples) {
+      if (sample.name == "tasti_queries_shed_total") {
+        for (size_t p = 0; p < serve::kNumQueryPriorities; ++p) {
+          const std::pair<std::string, std::string> label = {
+              "priority",
+              serve::QueryPriorityName(static_cast<serve::QueryPriority>(p))};
+          if (sample.labels == std::vector{label}) out.shed[p] = sample.value;
+        }
+      } else if (sample.name == "tasti_queries_submitted_total") {
+        out.submitted = sample.value;
+      } else if (sample.name == "tasti_queries_completed_total") {
+        out.completed = sample.value;
+      } else if (sample.name == "tasti_queue_depth") {
+        out.depth = sample.value;
+      }
+    }
+    return out;
+  };
+
+  // Parked: every admitted query is queued or executing.
+  const Read parked = read();
+  EXPECT_EQ(parked.depth, static_cast<double>(admitted.size()));
+  EXPECT_EQ(parked.submitted, static_cast<double>(admitted.size()));
+
+  oracle.OpenGate();
+  for (uint64_t id : admitted) EXPECT_TRUE(server.Wait(id).status.ok());
+  server.Drain();
+  const Read done = read();
+  const serve::ServerStats stats = server.stats();
+  const serve::ShedderStats shed = server.shedder_stats();
+  EXPECT_GT(shed.shed_total, 0u);
+  for (size_t p = 0; p < serve::kNumQueryPriorities; ++p) {
+    EXPECT_EQ(done.shed[p], static_cast<double>(shed.shed_by_class[p]))
+        << serve::QueryPriorityName(static_cast<serve::QueryPriority>(p));
+  }
+  EXPECT_EQ(done.submitted, static_cast<double>(stats.queries_submitted));
+  EXPECT_EQ(done.completed, static_cast<double>(stats.queries_completed));
+  EXPECT_EQ(done.depth, 0.0);
+  EXPECT_EQ(stats.queries_shed, shed.shed_total);
+  server.Shutdown();
+}
+
 // --- Server-level deadlines: reproducible degradation in virtual time ---
 
 TEST(ServerOverloadTest, VirtualDeadlineDegradesReproducibly) {

@@ -28,8 +28,11 @@
 #            training whose pool shards write disjoint output rows.
 #   monitor  live-telemetry smoke: `tasti_cli monitor` under a concurrent
 #            workload with a breach-everything SLO, then asserts the
-#            Prometheus exposition carries the expected metric families
-#            and the flight-recorder dump passes validate_trace --flight.
+#            Prometheus exposition carries the expected metric families,
+#            one `# TYPE` line per family over contiguous samples, and
+#            the flight-recorder dump passes validate_trace --flight;
+#            then the same run over two shards, whose exposition must
+#            also label the monitor families with both shards.
 #   overload degraded-mode gate: ctest -L overload (deadline tokens, the
 #            CoDel shedder, brownout, degraded scatter-gather merges),
 #            then a serve-workload run with tight virtual deadlines, one
@@ -65,7 +68,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,62p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,65p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 STAGES=()
@@ -190,6 +193,74 @@ stage_tsan() {
     --gtest_filter='KernelsBitIdentityTest.*:FpfRegionTest.*'
 }
 
+# check_exposition <file> [shards]: the Prometheus exposition carries the
+# expected families, every sample line parses, every family has exactly
+# one `# TYPE` line ahead of its samples and its samples are contiguous;
+# with [shards], the monitor families carry a `shard` label for each
+# shard 0..shards-1.
+check_exposition() {
+  python3 - "$@" <<'PYEOF'
+import re
+import sys
+
+path = sys.argv[1]
+shards = int(sys.argv[2]) if len(sys.argv) > 2 else 0
+text = open(path).read()
+families = {
+    "tasti_query_latency_ms",
+    "tasti_slo_burn_rate",
+    "tasti_score_cache_hit_ratio",
+    "tasti_index_degraded_reps",
+}
+missing = sorted(f for f in families if f"\n{f}" not in text and not text.startswith(f))
+if missing:
+    sys.exit(f"monitor exposition {path} is missing families: {missing}")
+# Every non-comment line must parse as `name{labels} value` or `name value`.
+line_re = re.compile(r"^([A-Za-z_:][A-Za-z0-9_:]*)(\{[^}]*\})? [-+0-9.eEinfa]+$")
+type_lines = {}  # family -> count of `# TYPE` lines
+histograms = set()
+runs = []  # family of each run of consecutive sample lines
+shard_labels = {}  # family -> shard label values seen
+for line in text.splitlines():
+    if line.startswith("# TYPE "):
+        _, _, family, kind = line.split()
+        type_lines[family] = type_lines.get(family, 0) + 1
+        if kind == "histogram":
+            histograms.add(family)
+        continue
+    if not line or line.startswith("#"):
+        continue
+    match = line_re.match(line)
+    if not match:
+        sys.exit(f"unparseable exposition line: {line!r}")
+    family = match.group(1)
+    for suffix in ("_bucket", "_sum", "_count"):
+        if family.endswith(suffix) and family[: -len(suffix)] in histograms:
+            family = family[: -len(suffix)]
+    if family not in type_lines:
+        sys.exit(f"sample {line!r} comes before its family's # TYPE line")
+    if not runs or runs[-1] != family:
+        runs.append(family)
+    shard = re.search(r'shard="([^"]*)"', match.group(2) or "")
+    if shard:
+        shard_labels.setdefault(family, set()).add(shard.group(1))
+repeated = sorted(f for f, n in type_lines.items() if n != 1)
+if repeated:
+    sys.exit(f"monitor exposition {path} repeats # TYPE lines for: {repeated}")
+split = sorted({f for f in runs if runs.count(f) > 1})
+if split:
+    sys.exit(f"monitor exposition {path} splits the samples of: {split}")
+if shards:
+    want = {str(s) for s in range(shards)}
+    unsharded = sorted(f for f in families if shard_labels.get(f) != want)
+    if unsharded:
+        sys.exit(f"monitor exposition {path} lacks shard labels {sorted(want)} "
+                 f"on: {unsharded}")
+print(f"monitor exposition {path} OK ({sum(1 for l in text.splitlines() if l and not l.startswith('#'))} samples, "
+      f"{len(type_lines)} families)")
+PYEOF
+}
+
 stage_monitor() {
   echo "== monitor: live-telemetry smoke (exposition + flight dump) =="
   configure build -B build -S .
@@ -203,32 +274,20 @@ stage_monitor() {
     --train 150 --reps 200 --clients 4 --rounds 2 --budget 60 \
     --oracle-latency-ms 1 --slo-latency-ms 0.001 --slo-min-events 3 \
     --frame-ms 0 --require-alert --out "$out" --flight-dump "$flight"
-  python3 - "$out" <<'PYEOF'
-import sys
-
-path = sys.argv[1]
-text = open(path).read()
-families = {
-    "tasti_query_latency_ms",
-    "tasti_slo_burn_rate",
-    "tasti_score_cache_hit_ratio",
-    "tasti_index_degraded_reps",
-}
-missing = sorted(f for f in families if f"\n{f}" not in text and not text.startswith(f))
-if missing:
-    sys.exit(f"monitor exposition {path} is missing families: {missing}")
-# Every non-comment line must parse as `name{labels} value` or `name value`.
-import re
-line_re = re.compile(r"^[A-Za-z_:][A-Za-z0-9_:]*(\{[^}]*\})? [-+0-9.eEinfa]+$")
-for line in text.splitlines():
-    if not line or line.startswith("#"):
-        continue
-    if not line_re.match(line):
-        sys.exit(f"unparseable exposition line: {line!r}")
-print(f"monitor exposition OK ({sum(1 for l in text.splitlines() if l and not l.startswith('#'))} samples)")
-PYEOF
+  check_exposition "$out"
   echo "-- validate_trace --flight $flight-1.json"
   build/tools/validate_trace "$flight"-1.json --flight --max-events=40000
+  # The same workload over two shards: one exposition carrying both shard
+  # monitors' samples, each labeled with its shard.
+  local sharded_out=build/tools/check_monitor_shards.prom
+  local sharded_flight=build/tools/check_monitor_shards_flight
+  rm -f "$sharded_out" "$sharded_flight"-*.json
+  build/tools/tasti_cli monitor --dataset night-street --records 3000 \
+    --train 150 --reps 200 --clients 4 --rounds 2 --budget 60 \
+    --oracle-latency-ms 1 --slo-latency-ms 0.001 --slo-min-events 3 \
+    --frame-ms 0 --require-alert --shards 2 --out "$sharded_out" \
+    --flight-dump "$sharded_flight"
+  check_exposition "$sharded_out" 2
 }
 
 stage_overload() {

@@ -60,6 +60,13 @@ Asserts, from the repository root:
      function recovery replays the WAL with, so a mutation that the log
      would replay differently cannot grow back. Comments do not count.
      Like rules 12 and 13, it also runs on a fixture that must fail.
+ 15. no file under src/serve or src/labeler names MetricsRegistry or
+     #includes "obs/metrics.h": every component there owns a stats
+     struct (ScoreCacheStats, SchedulerStats, ShedderStats,
+     ResilienceStats, FaultCounts, ...), which is the only tally of its
+     events, so a registry counter bumped from the same line as a struct
+     field cannot grow back. Comments do not count. Like rules 12-14, it
+     also runs on a fixture that must fail.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -183,6 +190,16 @@ def index_mutations(text):
         for match in INDEX_MUTATION.finditer(code):
             found.append((lineno, match.group(0).rstrip("( ")))
     return found
+
+
+# Rule 15: a metrics-registry mirror, outside a `//` comment.
+REGISTRY_USE = re.compile(r'\bMetricsRegistry\b|#include\s+"obs/metrics\.h"')
+
+
+def registry_uses(text):
+    """Line numbers in `text` that use the metrics registry."""
+    return [lineno for lineno, line in enumerate(text.splitlines(), 1)
+            if REGISTRY_USE.search(line.split("//", 1)[0])]
 
 
 def main():
@@ -472,6 +489,27 @@ def main():
                     f"src/{module}/{path.name}:{line} calls {call} directly; "
                     "the server mutates its index only through "
                     "durable::Apply, which recovery replays the WAL with"
+                )
+
+    fixture = ('#include "obs/metrics.h"\n'
+               "// Tallies live in ScoreCacheStats, not obs::MetricsRegistry.\n"
+               "  static obs::Counter* const hits =\n"
+               '      obs::MetricsRegistry::Global().counter("hits");\n')
+    if registry_uses(fixture) != [1, 4]:
+        errors.append(
+            "rule 15 no longer flags the registry include and the "
+            "MetricsRegistry counter in its own fixture; fix REGISTRY_USE "
+            "before trusting it on src/"
+        )
+    for module in ("serve", "labeler"):
+        for path in sorted((src / module).glob("*")):
+            if path.suffix not in (".h", ".cc"):
+                continue
+            for line in registry_uses(path.read_text()):
+                errors.append(
+                    f"src/{module}/{path.name}:{line} uses the metrics "
+                    "registry; components under src/serve and src/labeler "
+                    "count their events only in their own stats structs"
                 )
 
     fail(errors)

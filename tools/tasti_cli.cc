@@ -134,7 +134,9 @@ int Usage() {
       "          WAL, report replay/quarantine stats, optionally save the\n"
       "          recovered index)\n"
       "  monitor: serve-workload flags plus --rounds R --frame-ms MS\n"
-      "          [--shards S] (S>1 attaches one monitor per shard)\n"
+      "          [--shards S] (S>1 attaches one monitor per shard and "
+      "exports\n"
+      "          every shard's samples, labeled shard=\"<s>\")\n"
       "          --out PROM (exposition, default monitor.prom) --flight-dump "
       "PREFIX\n"
       "          --slo-latency-ms T --inject-drift N --require-alert\n"
@@ -836,15 +838,20 @@ int RunServeWorkload(const Args& args) {
   std::atomic<size_t> served_failures{0};
   std::atomic<size_t> served_shed{0};
   std::atomic<size_t> served_overruns{0};
+  // Queue waits of the admitted queries, one vector per client thread.
+  std::vector<std::vector<double>> queue_waits(clients);
   for (size_t c = 0; c < clients; ++c) {
     client_threads.emplace_back([&, c] {
       for (size_t q = 0; q < per_client; ++q) {
         const serve::QueryResponse response =
             server.Execute(specs[c * per_client + q]);
+        // A shed is the admission policy working, not a failure.
+        const bool shed =
+            shed_enabled &&
+            response.status.code() == StatusCode::kResourceExhausted;
+        if (!shed) queue_waits[c].push_back(response.queue_wait_ms);
         if (!response.status.ok()) {
-          // A shed is the admission policy working, not a failure.
-          if (shed_enabled &&
-              response.status.code() == StatusCode::kResourceExhausted) {
+          if (shed) {
             served_shed.fetch_add(1, std::memory_order_relaxed);
           } else {
             served_failures.fetch_add(1, std::memory_order_relaxed);
@@ -916,16 +923,15 @@ int RunServeWorkload(const Args& args) {
                 dur.failed ? " [FAILED: logging stopped]" : "",
                 server_opts.durability.dir.c_str());
   }
-  if (obs::MetricsEnabled()) {
-    const obs::Histogram* wait = obs::MetricsRegistry::Global().histogram(
-        "serve.queue_wait_ms", obs::ExponentialBuckets(0.05, 2.0, 16), "ms");
-    if (wait->count() > 0) {
-      std::printf("queue wait: p50=%.2fms p95=%.2fms p99=%.2fms over %llu "
-                  "queries\n",
-                  wait->Quantile(0.50), wait->Quantile(0.95),
-                  wait->Quantile(0.99),
-                  static_cast<unsigned long long>(wait->count()));
-    }
+  std::vector<double> waits;
+  for (const std::vector<double>& client_waits : queue_waits) {
+    waits.insert(waits.end(), client_waits.begin(), client_waits.end());
+  }
+  if (!waits.empty()) {
+    std::printf("queue wait: p50=%.2fms p95=%.2fms p99=%.2fms over %zu "
+                "served queries\n",
+                Quantile(waits, 0.50), Quantile(waits, 0.95),
+                Quantile(waits, 0.99), waits.size());
   }
   if (deadline_ms > 0 || shed_enabled || server_opts.degrade.brownout) {
     std::printf("degradation: %llu shed, %llu degraded, %llu "
@@ -1245,11 +1251,19 @@ int RunMonitor(const Args& args) {
       return 1;
     }
 
-    // One exposition file; the shared metrics registry already carries
-    // every shard's counters, and the last shard's monitor contributes
-    // the index-health section the drift injection targets.
+    // One exposition file: every shard monitor's samples, each labeled
+    // with its shard (WriteExposition groups them by family).
+    obs::LiveStats live;
+    for (size_t s = 0; s < shards; ++s) {
+      obs::LiveStats shard_live = monitors[s]->Collect();
+      for (obs::LiveSample& sample : shard_live.samples) {
+        sample.labels.insert(sample.labels.begin(),
+                             {"shard", std::to_string(s)});
+        live.samples.push_back(std::move(sample));
+      }
+    }
     const Status written = obs::WriteExpositionFile(
-        obs::MetricsRegistry::Global(), monitors.back()->Collect(), out_path);
+        obs::MetricsRegistry::Global(), live, out_path);
     if (!written.ok()) {
       std::fprintf(stderr, "exposition write failed: %s\n",
                    written.ToString().c_str());
