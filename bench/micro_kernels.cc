@@ -6,6 +6,8 @@
 
 #include <cmath>
 #include <limits>
+#include <set>
+#include <utility>
 
 #include "cluster/fpf.h"
 #include "cluster/topk.h"
@@ -13,6 +15,7 @@
 #include "core/propagation.h"
 #include "core/scorer.h"
 #include "data/dataset.h"
+#include "eval/reporting.h"
 #include "kernel_baselines.h"
 #include "labeler/labeler.h"
 #include "labeler/resilient.h"
@@ -127,7 +130,9 @@ void BM_FpfRelaxScalar(benchmark::State& state) {
 BENCHMARK(BM_FpfRelaxScalar)->Arg(6000)->Arg(10000)->Arg(50000);
 
 // One crack of `batch` new reps onto a top-k over 512 reps; items are
-// (record, new rep) pairs, so items/s compares batch sizes directly.
+// (record, new rep) pairs, so items/s compares batch sizes directly. After
+// the timed loop, one untimed crack reports the prefilter's survivor share
+// (pairs re-decided exactly / pairs visited), once per argument pair.
 void BM_CrackUpdate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t batch = static_cast<size_t>(state.range(1));
@@ -145,6 +150,18 @@ void BM_CrackUpdate(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(n * batch));
+
+  static std::set<std::pair<size_t, size_t>> reported;
+  if (!reported.insert({n, batch}).second) return;
+  cluster::TopKDistances copy = topk;
+  size_t exact_checks = 0;
+  cluster::UpdateTopKWithNewReps(points, reps, 512, batch, &copy, nullptr,
+                                 &exact_checks);
+  eval::Diag("crack_update/%zu/%zu: %zu of %zu pairs (%.3f%%) survive the "
+             "prefilter",
+             n, batch, exact_checks, n * batch,
+             100.0 * static_cast<double>(exact_checks) /
+                 static_cast<double>(n * batch));
 }
 BENCHMARK(BM_CrackUpdate)
     ->Args({10000, 1})

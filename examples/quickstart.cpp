@@ -11,8 +11,7 @@
 // Build & run:  cmake --build build && ./build/examples/quickstart
 //
 // Pass --trace=out.json to export a Chrome trace of the construction and
-// query phases (load it in Perfetto), and --metrics=out.json for the
-// counter snapshot.
+// query phases (load it in Perfetto).
 
 #include <cstring>
 #include <string>
@@ -25,7 +24,6 @@
 #include "labeler/labeler.h"
 #include "labeler/resilient.h"
 #include "obs/config.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "queries/aggregation.h"
 #include "util/stats.h"
@@ -33,14 +31,12 @@
 int main(int argc, char** argv) {
   using namespace tasti;
 
-  // Optional observability outputs (--trace=PATH, --metrics=PATH).
-  std::string trace_path, metrics_path;
+  // Optional trace output (--trace=PATH).
+  std::string trace_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--trace=", 8) == 0) trace_path = argv[i] + 8;
-    if (std::strncmp(argv[i], "--metrics=", 10) == 0) metrics_path = argv[i] + 10;
   }
   if (!trace_path.empty()) obs::SetTracingEnabled(true);
-  if (!metrics_path.empty()) obs::SetMetricsEnabled(true);
 
   // 1. A 20,000-frame simulated video (night-street-like workload).
   data::DatasetOptions dataset_options;
@@ -100,15 +96,6 @@ int main(int argc, char** argv) {
     }
     eval::Diag("wrote trace (%zu events) to %s",
                obs::TraceRecorder::Global().event_count(), trace_path.c_str());
-  }
-  if (!metrics_path.empty()) {
-    const Status status =
-        obs::MetricsRegistry::Global().WriteJson(metrics_path);
-    if (!status.ok()) {
-      eval::Diag("metrics write failed: %s", status.ToString().c_str());
-      return 1;
-    }
-    eval::Diag("wrote metrics to %s", metrics_path.c_str());
   }
   return 0;
 }

@@ -6,7 +6,6 @@
 #include <mutex>
 
 #include "nn/kernels.h"
-#include "obs/metrics.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
 
@@ -104,7 +103,8 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
 
 void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
                            size_t first_row, size_t count, TopKDistances* topk,
-                           std::vector<uint32_t>* dirty_rows) {
+                           std::vector<uint32_t>* dirty_rows,
+                           size_t* exact_checks) {
   TASTI_CHECK(topk != nullptr, "UpdateTopKWithNewReps requires a topk");
   TASTI_CHECK(points.rows() == topk->num_records, "topk record count mismatch");
   TASTI_CHECK(points.cols() == reps.cols(), "points/reps dim mismatch");
@@ -128,22 +128,11 @@ void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
   const std::vector<nn::PackedBlock> blocks =
       nn::PackBlocks(reps, first_row, first_row + count);
 
-  obs::Counter* exact_checks_counter = nullptr;
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const pairs = obs::MetricsRegistry::Global().counter(
-        "kernels.crack_update.pairs", "pairs");
-    static obs::Counter* const exact_checks =
-        obs::MetricsRegistry::Global().counter(
-            "kernels.crack_update.exact_checks", "pairs");
-    pairs->Increment(static_cast<uint64_t>(points.rows()) * count);
-    exact_checks_counter = exact_checks;
-  }
-
   std::mutex dirty_mu;
   ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi) {
     std::vector<float> d2_buf(nn::kDistanceBlockRows);
     std::vector<uint32_t> chunk_dirty;
-    uint64_t chunk_exact_checks = 0;
+    size_t chunk_exact_checks = 0;
     for (size_t i = lo; i < hi; ++i) {
       float* dist = topk->distances.data() + i * k;
       uint32_t* ids = topk->rep_ids.data() + i * k;
@@ -180,13 +169,13 @@ void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
         chunk_dirty.push_back(static_cast<uint32_t>(i));
       }
     }
-    if (exact_checks_counter != nullptr) {
-      exact_checks_counter->Increment(chunk_exact_checks);
-    }
-    if (!chunk_dirty.empty()) {
+    if (!chunk_dirty.empty() || exact_checks != nullptr) {
       std::lock_guard<std::mutex> lock(dirty_mu);
-      dirty_rows->insert(dirty_rows->end(), chunk_dirty.begin(),
-                         chunk_dirty.end());
+      if (dirty_rows != nullptr) {
+        dirty_rows->insert(dirty_rows->end(), chunk_dirty.begin(),
+                           chunk_dirty.end());
+      }
+      if (exact_checks != nullptr) *exact_checks += chunk_exact_checks;
     }
   }, 256);
 }

@@ -45,9 +45,15 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
 /// single call). This is the ground truth the incremental propagation
 /// engine keys on: a record's proxy score depends only on its own top-k
 /// row, so exactly these rows need recomputing after the crack.
+///
+/// When `exact_checks` is non-null, the number of (record, new rep) pairs
+/// that survived the prefilter and were re-decided exactly is added to it;
+/// the call visits points.rows() * count pairs in all, so the ratio is the
+/// prefilter's survivor share.
 void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
                            size_t first_row, size_t count, TopKDistances* topk,
-                           std::vector<uint32_t>* dirty_rows);
+                           std::vector<uint32_t>* dirty_rows,
+                           size_t* exact_checks = nullptr);
 
 }  // namespace tasti::cluster
 

@@ -5,7 +5,6 @@
 #include "cluster/fpf.h"
 #include "embed/pretrained.h"
 #include "embed/triplet_trainer.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
@@ -24,11 +23,6 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
   // enclosing query's totals from the build's spans.
   obs::SpanTotals spans;
   TASTI_SPAN("index.build");
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const builds =
-        obs::MetricsRegistry::Global().counter("index.builds", "builds");
-    builds->Increment();
-  }
 
   TastiIndex index;
   index.options_ = options;
@@ -125,11 +119,6 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
     index.build_stats_.rep_invocations =
         labeler->invocations() - invocations_before;
     index.build_stats_.failed_representatives = index.num_failed_reps_;
-    if (index.num_failed_reps_ > 0 && obs::MetricsEnabled()) {
-      obs::MetricsRegistry::Global()
-          .counter("index.failed_reps", "reps")
-          ->Increment(index.num_failed_reps_);
-    }
   }
 
   index.rep_embeddings_ = index.embeddings_.GatherRows(index.rep_record_ids_);
@@ -266,11 +255,6 @@ void TastiIndex::RepairRepresentative(size_t rep_pos, data::LabelerOutput label)
         }
       }
     }
-  }
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const repairs =
-        obs::MetricsRegistry::Global().counter("index.rep_repairs", "reps");
-    repairs->Increment();
   }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "nn/clones.h"
-#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace tasti::nn {
@@ -83,19 +82,6 @@ std::vector<PackedBlock> PackBlocks(const Matrix& reps, size_t row_begin,
   TASTI_CHECK(block_rows > 0, "PackBlocks requires a positive block size");
   TASTI_CHECK(row_begin <= row_end && row_end <= reps.rows(),
               "PackBlocks row range out of bounds");
-  // Coarse counters only at kernel entry points that amortize over many
-  // rows; the per-row inner kernels (DotBatch, SquaredDistanceBatch) stay
-  // uninstrumented so the disabled path adds nothing measurable.
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const calls =
-        obs::MetricsRegistry::Global().counter("kernels.pack_blocks.calls",
-                                               "calls");
-    static obs::Counter* const rows =
-        obs::MetricsRegistry::Global().counter("kernels.pack_blocks.rows",
-                                               "rows");
-    calls->Increment();
-    rows->Increment(row_end - row_begin);
-  }
   std::vector<PackedBlock> blocks;
   blocks.reserve((row_end - row_begin + block_rows - 1) / block_rows);
   for (size_t lo = row_begin; lo < row_end; lo += block_rows) {
@@ -170,12 +156,6 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
                               const float* y, float* out) {
   TASTI_CHECK(lo <= hi && hi <= m.rows(), "OneToMany row range out of bounds");
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const rows =
-        obs::MetricsRegistry::Global().counter("kernels.one_to_many.rows",
-                                               "rows");
-    rows->Increment(hi - lo);
-  }
   const size_t d = m.cols();
   for (size_t i = lo; i < hi; ++i) {
     out[i - lo] = SquaredDistanceFlat(m.Row(i), y, d);
@@ -191,14 +171,6 @@ void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,
 void GemmBTBlocked(const Matrix& a, const Matrix& b, Matrix* c) {
   TASTI_CHECK(a.cols() == b.cols(), "GemmBT inner dimension mismatch");
   const size_t m = a.rows(), n = b.rows();
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const calls =
-        obs::MetricsRegistry::Global().counter("kernels.gemmbt.calls", "calls");
-    static obs::Counter* const cells =
-        obs::MetricsRegistry::Global().counter("kernels.gemmbt.cells", "cells");
-    calls->Increment();
-    cells->Increment(static_cast<uint64_t>(m) * n);
-  }
   if (c->rows() != m || c->cols() != n) *c = Matrix(m, n);
   const std::vector<PackedBlock> blocks = PackBlocks(b);
   for (const PackedBlock& block : blocks) {

@@ -4,11 +4,12 @@
 /// \file config.h
 /// Global observability switches.
 ///
-/// Tracing, flight recording, and metrics are off by default and must cost
-/// next to nothing while off: every instrumentation site guards itself
-/// with one relaxed atomic load and a branch (see the metric helpers in
-/// metrics.h; a Span also loads its thread's SpanTotals scope, trace.h). The flags are constinit atomics — no
-/// static initialization guard on the hot path.
+/// Tracing and flight recording are off by default and must cost next to
+/// nothing while off: every span guards itself with one relaxed atomic
+/// load and a branch (a Span also loads its thread's SpanTotals scope,
+/// trace.h). The flags are constinit atomics — no static initialization
+/// guard on the hot path. There is no metrics switch: every event is
+/// counted once, always, in its owner's stats struct (DESIGN.md §8).
 ///
 /// Spans have two possible sinks, packed into one atomic bitmask so the
 /// disabled path still pays exactly one relaxed load:
@@ -30,7 +31,6 @@ inline constexpr uint32_t kSpanSinkFlight = 2u;
 /// Process-wide observability configuration.
 struct Config {
   std::atomic<uint32_t> span_sinks{0};
-  std::atomic<bool> metrics{false};
 };
 
 inline constinit Config g_config;
@@ -44,11 +44,6 @@ inline uint32_t SpanSinks() {
 inline bool TracingEnabled() { return (SpanSinks() & kSpanSinkTrace) != 0; }
 inline bool FlightRecordingEnabled() {
   return (SpanSinks() & kSpanSinkFlight) != 0;
-}
-
-/// One relaxed load: the only cost a disabled metric update pays.
-inline bool MetricsEnabled() {
-  return g_config.metrics.load(std::memory_order_relaxed);
 }
 
 namespace internal {
@@ -78,13 +73,8 @@ inline void SetFlightRecordingEnabled(bool on) {
   }
 }
 
-inline void SetMetricsEnabled(bool on) {
-  g_config.metrics.store(on, std::memory_order_relaxed);
-}
-
 inline void DisableAll() {
   SetTracingEnabled(false);
-  SetMetricsEnabled(false);
   SetFlightRecordingEnabled(false);
 }
 

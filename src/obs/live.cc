@@ -35,6 +35,40 @@ double SteadyClock::NowSeconds() const {
 // ---------------------------------------------------------------------------
 // SlidingQuantileSketch
 
+std::vector<double> ExponentialBuckets(double start, double factor,
+                                       size_t count) {
+  TASTI_CHECK(start > 0.0 && factor > 1.0, "bad exponential bucket spec");
+  std::vector<double> bounds;
+  bounds.reserve(count);
+  double bound = start;
+  for (size_t i = 0; i < count; ++i) {
+    bounds.push_back(bound);
+    bound *= factor;
+  }
+  return bounds;
+}
+
+double QuantileFromBuckets(const std::vector<double>& upper_bounds,
+                           const uint64_t* bucket_counts, uint64_t count,
+                           double q) {
+  TASTI_CHECK(q >= 0.0 && q <= 1.0, "quantile must be in [0, 1]");
+  if (count == 0 || upper_bounds.empty()) return 0.0;
+  const double rank = q * static_cast<double>(count);
+  double cumulative = 0.0;
+  for (size_t i = 0; i < upper_bounds.size(); ++i) {
+    const double in_bucket = static_cast<double>(bucket_counts[i]);
+    if (cumulative + in_bucket >= rank && in_bucket > 0.0) {
+      const double lower =
+          i == 0 ? std::min(0.0, upper_bounds[0]) : upper_bounds[i - 1];
+      const double fraction = (rank - cumulative) / in_bucket;
+      return lower + fraction * (upper_bounds[i] - lower);
+    }
+    cumulative += in_bucket;
+  }
+  // Rank falls in the +inf overflow bucket: clamp to the last finite bound.
+  return upper_bounds.back();
+}
+
 SlidingQuantileSketch::SlidingQuantileSketch(std::vector<double> upper_bounds,
                                              double slot_seconds,
                                              size_t num_slots)
@@ -445,19 +479,6 @@ Status FlightRecorder::Dump(const std::string& path,
 
 namespace {
 
-// Prometheus metric names allow [a-zA-Z0-9_:]; registry names use dots.
-std::string SanitizeMetricName(const std::string& name) {
-  std::string out;
-  out.reserve(name.size() + 6);
-  if (name.rfind("tasti_", 0) != 0) out += "tasti_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  return out;
-}
-
 void AppendLabelEscaped(const std::string& s, std::string* out) {
   for (char c : s) {
     if (c == '\\' || c == '"') {
@@ -492,59 +513,12 @@ void AppendLabels(
   out->push_back('}');
 }
 
-void AppendTypeLine(const std::string& family, const char* type,
-                    const std::string& help, std::vector<std::string>* seen,
-                    std::string* out) {
-  if (std::find(seen->begin(), seen->end(), family) != seen->end()) return;
-  seen->push_back(family);
-  if (!help.empty()) {
-    *out += "# HELP " + family + " " + help + "\n";
-  }
-  *out += "# TYPE " + family + " " + type + "\n";
-}
-
 }  // namespace
 
-std::string WriteExposition(const MetricsRegistry& registry,
-                            const LiveStats& live) {
-  std::string out;
-  std::vector<std::string> seen_families;
-
-  for (const MetricSample& sample : registry.Samples()) {
-    const std::string family = SanitizeMetricName(sample.name);
-    switch (sample.kind) {
-      case 'c':
-        AppendTypeLine(family, "counter", sample.unit, &seen_families, &out);
-        out += family + " " + FmtValue(sample.value) + "\n";
-        break;
-      case 'g':
-        AppendTypeLine(family, "gauge", sample.unit, &seen_families, &out);
-        out += family + " " + FmtValue(sample.value) + "\n";
-        break;
-      case 'h': {
-        AppendTypeLine(family, "histogram", sample.unit, &seen_families, &out);
-        // Internal buckets are per-bucket counts; the format wants
-        // cumulative counts ending at +Inf.
-        uint64_t cumulative = 0;
-        for (size_t b = 0; b < sample.bucket_counts.size(); ++b) {
-          cumulative += sample.bucket_counts[b];
-          out += family + "_bucket{le=\"";
-          out += b < sample.upper_bounds.size()
-                     ? FmtValue(sample.upper_bounds[b])
-                     : std::string("+Inf");
-          out += "\"} " + std::to_string(cumulative) + "\n";
-        }
-        out += family + "_sum " + FmtValue(sample.sum) + "\n";
-        out += family + "_count " + std::to_string(cumulative) + "\n";
-        break;
-      }
-    }
-  }
-
-  // Live samples grouped by family, families in order of first
-  // appearance: the format wants each family's samples contiguous under
-  // one TYPE line, and merged inputs (one LiveStats per shard monitor)
-  // interleave them.
+std::string WriteExposition(const LiveStats& live) {
+  // Samples grouped by family, families in order of first appearance: the
+  // format wants each family's samples contiguous under one TYPE line, and
+  // merged inputs (one LiveStats per shard monitor) interleave them.
   std::vector<std::string> families;
   std::unordered_map<std::string, std::vector<const LiveSample*>> by_family;
   for (const LiveSample& sample : live.samples) {
@@ -552,10 +526,17 @@ std::string WriteExposition(const MetricsRegistry& registry,
     if (inserted) families.push_back(sample.name);
     it->second.push_back(&sample);
   }
+  std::string out;
   for (const std::string& family : families) {
-    for (const LiveSample* sample : by_family[family]) {
-      AppendTypeLine(family, sample->type == 'c' ? "counter" : "gauge",
-                     sample->help, &seen_families, &out);
+    const std::vector<const LiveSample*>& samples = by_family[family];
+    // The family's first sample names its type and help.
+    const LiveSample& first = *samples.front();
+    if (!first.help.empty()) {
+      out += "# HELP " + family + " " + first.help + "\n";
+    }
+    out += "# TYPE " + family +
+           (first.type == 'c' ? " counter\n" : " gauge\n");
+    for (const LiveSample* sample : samples) {
       out += family;
       AppendLabels(sample->labels, &out);
       out += " " + FmtValue(sample->value) + "\n";
@@ -564,11 +545,10 @@ std::string WriteExposition(const MetricsRegistry& registry,
   return out;
 }
 
-Status WriteExpositionFile(const MetricsRegistry& registry,
-                           const LiveStats& live, const std::string& path) {
+Status WriteExpositionFile(const LiveStats& live, const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return Status::IOError("cannot open " + path);
-  const std::string text = WriteExposition(registry, live);
+  const std::string text = WriteExposition(live);
   const size_t written = std::fwrite(text.data(), 1, text.size(), f);
   std::fclose(f);
   if (written != text.size()) return Status::IOError("short write to " + path);

@@ -5,7 +5,7 @@
 /// Live telemetry primitives for the serving path: sliding-window quantile
 /// sketches, multi-window SLO burn-rate tracking, a bounded flight
 /// recorder for slow-query forensics, and a Prometheus-style text
-/// exposition over MetricsRegistry + derived live stats.
+/// exposition of derived live stats.
 ///
 /// Everything here is driven by an injectable Clock, so tests advance a
 /// ManualClock instead of sleeping: window rotation, burn-rate decay, and
@@ -22,7 +22,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/status.h"
 
@@ -68,6 +67,21 @@ class ManualClock : public Clock {
 // ---------------------------------------------------------------------------
 // Sliding-window quantile sketch
 
+/// Exponential bucket bounds: {start, start*factor, ...} (`count` bounds).
+std::vector<double> ExponentialBuckets(double start, double factor,
+                                       size_t count);
+
+/// Quantile estimate from bucketed counts. `bucket_counts` has
+/// upper_bounds.size() + 1 entries (the last is the +inf overflow) and
+/// `count` is their total. The target rank q*count is located in its
+/// bucket and interpolated linearly between the bucket's bounds; the first
+/// bucket's lower bound is min(0, upper_bounds[0]) and a rank landing in
+/// the overflow bucket returns the last finite bound (the estimate is
+/// clamped, not extrapolated).
+double QuantileFromBuckets(const std::vector<double>& upper_bounds,
+                           const uint64_t* bucket_counts, uint64_t count,
+                           double q);
+
 /// Merged view of the slots inside the window at snapshot time.
 struct WindowSnapshot {
   std::vector<double> upper_bounds;   // finite bounds
@@ -95,8 +109,8 @@ struct WindowSnapshot {
 /// (microseconds), which keeps the sketch lock-cheap at serving rates.
 class SlidingQuantileSketch {
  public:
-  /// `upper_bounds` as for Histogram (strictly increasing; +inf implicit).
-  /// The covered window is num_slots * slot_seconds.
+  /// `upper_bounds` must be strictly increasing; an implicit +inf bucket
+  /// is appended. The covered window is num_slots * slot_seconds.
   SlidingQuantileSketch(std::vector<double> upper_bounds, double slot_seconds,
                         size_t num_slots);
 
@@ -307,8 +321,8 @@ class FlightRecorder {
 // ---------------------------------------------------------------------------
 // Prometheus-style exposition
 
-/// One derived sample computed outside MetricsRegistry (quantiles, burn
-/// rates, health ratios). `labels` become Prometheus labels.
+/// One derived sample (quantiles, burn rates, health ratios). `labels`
+/// become Prometheus labels.
 struct LiveSample {
   std::string name;  // full family name, e.g. "tasti_query_latency_ms"
   std::vector<std::pair<std::string, std::string>> labels;
@@ -329,20 +343,15 @@ struct LiveStats {
   }
 };
 
-/// Prometheus text-exposition (version 0.0.4) rendering of every registry
-/// instrument plus the derived live samples. Registry metric names are
-/// sanitized ("threadpool.busy_micros" -> "tasti_threadpool_busy_micros");
-/// histogram buckets are emitted cumulatively with a final +Inf bucket as
-/// the format requires. Live samples are grouped by family, families in
-/// order of first appearance, so each family has one TYPE line over
-/// contiguous samples even when `live` merges several monitors' samples;
-/// already-grouped input renders in its own order.
-std::string WriteExposition(const MetricsRegistry& registry,
-                            const LiveStats& live);
+/// Prometheus text-exposition (version 0.0.4) rendering of the live
+/// samples. Samples are grouped by family, families in order of first
+/// appearance, so each family has one TYPE line over contiguous samples
+/// even when `live` merges several monitors' samples; already-grouped
+/// input renders in its own order.
+std::string WriteExposition(const LiveStats& live);
 
 /// Writes WriteExposition() to `path`.
-Status WriteExpositionFile(const MetricsRegistry& registry,
-                           const LiveStats& live, const std::string& path);
+Status WriteExpositionFile(const LiveStats& live, const std::string& path);
 
 }  // namespace tasti::obs
 

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "queries/merge.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -14,12 +13,6 @@
 namespace tasti::shard {
 
 namespace {
-
-void BumpCounter(const char* name) {
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Global().counter(name, "calls")->Increment();
-  }
-}
 
 /// Latency quantile of recent sub-queries used as the hedge delay.
 constexpr double kHedgeDelayQuantile = 0.95;
@@ -85,11 +78,6 @@ ShardedServer::ShardedServer(const data::Dataset* dataset,
     servers_.push_back(std::make_unique<serve::TastiServer>(
         &shard_datasets_[s], views_[s].get(), ShardServerOptions(s)));
   }
-  if (obs::MetricsEnabled()) {
-    obs::MetricsRegistry::Global()
-        .gauge("shard.count", "shards")
-        ->Set(static_cast<double>(k));
-  }
 }
 
 serve::ServerOptions ShardedServer::ShardServerOptions(size_t s) const {
@@ -150,7 +138,6 @@ Status ShardedServer::RecoverFrom(const std::string& dir) {
 }
 
 ShardedQueryResponse ShardedServer::Execute(const serve::QuerySpec& spec) {
-  BumpCounter("shard.queries");
   WallTimer wall;
   ShardedQueryResponse response = spec.kind == serve::QueryKind::kLimit
                                       ? ExecuteLimit(spec)
@@ -195,7 +182,6 @@ ShardedQueryResponse ShardedServer::ExecuteScattered(
     sub.budget = budgets[s];
     sub.validation_budget = validation_budgets[s];
     submitted.push_back(servers_[s]->Submit(sub));
-    BumpCounter("shard.partials");
   }
 
   std::vector<bool> have(k, false);
@@ -233,7 +219,6 @@ ShardedQueryResponse ShardedServer::ExecuteScattered(
         hedge_ids[s] = hedge.value();
         hedge_live[s] = true;
         ++response.hedged_shards;
-        BumpCounter("shard.hedges");
       }
     }
   }
@@ -281,7 +266,6 @@ ShardedQueryResponse ShardedServer::ExecuteScattered(
                     "shard " + std::to_string(s) +
                     " did not answer before the gather deadline")
               : submitted[s].status();
-      BumpCounter("shard.gather.absent");
     } else {
       RecordShardLatency(response.partials[s].queue_wait_ms +
                          response.partials[s].execute_seconds * 1000.0);
@@ -378,7 +362,6 @@ ShardedQueryResponse ShardedServer::ExecuteLimit(
   for (size_t s = 0; s < k; ++s) {
     if (budget.expired()) {
       deadline_stopped = true;
-      BumpCounter("shard.gather.absent");
       break;
     }
     serve::QuerySpec sub = spec;
@@ -386,7 +369,6 @@ ShardedQueryResponse ShardedServer::ExecuteLimit(
     sub.deadline_ms = budget.unbounded() ? 0.0 : budget.remaining_ms();
     response.partials.push_back(servers_[s]->Execute(sub));
     response.shard_epochs.push_back(response.partials.back().epoch);
-    BumpCounter("shard.partials");
     const serve::QueryResponse& partial = response.partials.back();
     budget.Charge(partial.deadline_spent_ms);  // virtual time only
     found += partial.limit.found.size();
@@ -394,10 +376,7 @@ ShardedQueryResponse ShardedServer::ExecuteLimit(
       if (options_.partial_gather) continue;  // treat as absent, scan on
       break;
     }
-    if (found >= spec.want && s + 1 < k) {
-      BumpCounter("shard.limit_stopped_early");
-      break;
-    }
+    if (found >= spec.want) break;
   }
   response.shards_queried = response.partials.size();
   response.shard_complete.resize(response.partials.size());

@@ -4,12 +4,11 @@
 /// \file json.h
 /// Minimal read-only JSON parser.
 ///
-/// Exists so the observability exports (Chrome traces, metrics snapshots,
-/// query logs) can be validated without an external dependency: the
-/// trace_check CTest and tests/obs_test.cc parse the emitted files and
-/// assert structure. Supports the full JSON value grammar except \uXXXX
-/// escapes beyond Latin-1 (the exporters never emit them); numbers are
-/// parsed as double.
+/// Exists so the observability exports (Chrome traces, query logs) can
+/// be validated without an external dependency: the trace_check CTest and
+/// tests/obs_test.cc parse the emitted files and assert structure.
+/// Supports the full JSON value grammar except \uXXXX escapes beyond
+/// Latin-1 (the exporters never emit them); numbers are parsed as double.
 
 #include <map>
 #include <memory>

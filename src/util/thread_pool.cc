@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <memory>
-#include <string>
 #include <utility>
-
-#include "obs/metrics.h"
 
 namespace tasti {
 
@@ -18,7 +14,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
   }
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
@@ -32,25 +28,12 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
-  size_t depth;
   {
     std::unique_lock<std::mutex> lock(mu_);
     tasks_.push(std::move(task));
     ++in_flight_;
-    depth = tasks_.size();
   }
   task_ready_.notify_one();
-  if (obs::MetricsEnabled()) {
-    static obs::Counter* const submitted =
-        obs::MetricsRegistry::Global().counter("threadpool.tasks_submitted",
-                                               "tasks");
-    static obs::Histogram* const queue_depth =
-        obs::MetricsRegistry::Global().histogram(
-            "threadpool.queue_depth",
-            obs::ExponentialBuckets(1.0, 2.0, 12), "tasks");
-    submitted->Increment();
-    queue_depth->Observe(static_cast<double>(depth));
-  }
 }
 
 void ThreadPool::Wait() {
@@ -58,32 +41,27 @@ void ThreadPool::Wait() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
+size_t ThreadPool::exceptions_dropped() const {
+  std::unique_lock<std::mutex> lock(mu_);
+  return exceptions_dropped_;
+}
+
 namespace {
 // An exception escaping a worker thread would std::terminate the process
 // and leave in_flight_ stuck. Tasks that need their exceptions (ParallelFor
 // batches) capture them inside the task; anything that still escapes is
-// swallowed here and counted.
-void RunGuarded(const std::function<void()>& task) {
+// swallowed here, and returning true tells the worker to count it.
+bool RunGuarded(const std::function<void()>& task) {
   try {
     task();
+    return false;
   } catch (...) {
-    if (obs::MetricsEnabled()) {
-      static obs::Counter* const dropped =
-          obs::MetricsRegistry::Global().counter(
-              "threadpool.task_exceptions_dropped", "exceptions");
-      dropped->Increment();
-    }
+    return true;
   }
 }
 }  // namespace
 
-void ThreadPool::WorkerLoop(size_t worker) {
-  // Instrument pointers resolve lazily (metrics may be enabled after the
-  // pool spins up) and are cached per worker thread; registry instruments
-  // are never destroyed, so the cached pointers cannot dangle.
-  obs::Counter* busy_micros = nullptr;
-  obs::Counter* total_busy = nullptr;
-  obs::Counter* completed = nullptr;
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
     {
@@ -96,29 +74,10 @@ void ThreadPool::WorkerLoop(size_t worker) {
       task = std::move(tasks_.front());
       tasks_.pop();
     }
-    if (obs::MetricsEnabled()) {
-      if (busy_micros == nullptr) {
-        obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
-        busy_micros = registry.counter(
-            "threadpool.worker." + std::to_string(worker) + ".busy_micros",
-            "micros");
-        total_busy = registry.counter("threadpool.busy_micros", "micros");
-        completed = registry.counter("threadpool.tasks_completed", "tasks");
-      }
-      const auto start = std::chrono::steady_clock::now();
-      RunGuarded(task);
-      const auto micros = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      busy_micros->Increment(micros);
-      total_busy->Increment(micros);
-      completed->Increment();
-    } else {
-      RunGuarded(task);
-    }
+    const bool dropped = RunGuarded(task);
     {
       std::unique_lock<std::mutex> lock(mu_);
+      if (dropped) ++exceptions_dropped_;
       --in_flight_;
       if (in_flight_ == 0) all_done_.notify_all();
     }

@@ -38,18 +38,24 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
+  /// Exceptions that escaped a task run by this pool. The worker swallows
+  /// them so the pool keeps running; ParallelFor-style batches catch their
+  /// own and rethrow them on the caller, so they never count here.
+  size_t exceptions_dropped() const;
+
   /// Process-wide shared pool, sized to hardware concurrency.
   static ThreadPool& Global();
 
  private:
-  void WorkerLoop(size_t worker);
+  void WorkerLoop();
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_;
-  std::mutex mu_;
+  mutable std::mutex mu_;
   std::condition_variable task_ready_;
   std::condition_variable all_done_;
   size_t in_flight_ = 0;
+  size_t exceptions_dropped_ = 0;
   bool shutting_down_ = false;
 };
 

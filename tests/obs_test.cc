@@ -1,4 +1,4 @@
-// Unit tests for obs/: trace recorder + spans, metrics registry,
+// Unit tests for obs/: trace recorder + spans, live telemetry,
 // query log, and the per-query attribution invariant end-to-end through a
 // TastiSession. The concurrency tests double as the sanitizer workload:
 // tools/check.sh runs this binary under ASan and TSan.
@@ -23,12 +23,10 @@
 #include "labeler/cost_model.h"
 #include "labeler/labeler.h"
 #include "obs/config.h"
-#include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "serve/server.h"
 #include "util/json.h"
-#include "util/thread_pool.h"
 
 namespace tasti {
 namespace {
@@ -39,18 +37,15 @@ class ObsFlagsGuard {
  public:
   ObsFlagsGuard()
       : tracing_(obs::TracingEnabled()),
-        flight_(obs::FlightRecordingEnabled()),
-        metrics_(obs::MetricsEnabled()) {}
+        flight_(obs::FlightRecordingEnabled()) {}
   ~ObsFlagsGuard() {
     obs::SetTracingEnabled(tracing_);
     obs::SetFlightRecordingEnabled(flight_);
-    obs::SetMetricsEnabled(metrics_);
   }
 
  private:
   bool tracing_;
   bool flight_;
-  bool metrics_;
 };
 
 // ---------- Spans / TraceRecorder ----------
@@ -173,130 +168,6 @@ TEST(TraceTest, CrossThreadSpansGetDistinctTidsAndWellFormedJson) {
     }
     EXPECT_GE(event.GetNumberOr("dur", -1.0), 0.0);
   }
-}
-
-// ---------- Metrics ----------
-
-TEST(MetricsTest, RegistryGetOrCreateReturnsStablePointers) {
-  obs::MetricsRegistry registry;
-  obs::Counter* a = registry.counter("obs_test.counter", "calls");
-  obs::Counter* b = registry.counter("obs_test.counter");
-  EXPECT_EQ(a, b);
-  obs::Gauge* g1 = registry.gauge("obs_test.gauge");
-  obs::Gauge* g2 = registry.gauge("obs_test.gauge");
-  EXPECT_EQ(g1, g2);
-}
-
-TEST(MetricsTest, ConcurrentCounterIncrementsAreExact) {
-  obs::MetricsRegistry registry;
-  obs::Counter* counter = registry.counter("obs_test.concurrent", "calls");
-  constexpr size_t kUpdates = 200000;
-  ParallelFor(0, kUpdates, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) counter->Increment();
-  }, 64);
-  EXPECT_EQ(counter->value(), kUpdates);
-  counter->Increment(42);
-  EXPECT_EQ(counter->value(), kUpdates + 42);
-}
-
-TEST(MetricsTest, ConcurrentRegistrationYieldsOneInstrument) {
-  // Get-or-create racing across threads must hand every caller the same
-  // instrument (this is the TSan target for registry locking).
-  obs::MetricsRegistry registry;
-  constexpr int kThreads = 8;
-  std::vector<obs::Counter*> seen(kThreads, nullptr);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&registry, &seen, t] {
-      obs::Counter* c = registry.counter("obs_test.race", "calls");
-      c->Increment();
-      seen[static_cast<size_t>(t)] = c;
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[0], seen[t]);
-  EXPECT_EQ(seen[0]->value(), static_cast<uint64_t>(kThreads));
-}
-
-TEST(MetricsTest, HistogramBucketsByInclusiveUpperBound) {
-  obs::Histogram hist({1.0, 2.0, 4.0});
-  hist.Observe(0.5);   // bucket 0
-  hist.Observe(1.0);   // bucket 0 (le = inclusive)
-  hist.Observe(3.0);   // bucket 2
-  hist.Observe(100.0); // overflow bucket
-  EXPECT_EQ(hist.count(), 4u);
-  EXPECT_DOUBLE_EQ(hist.sum(), 104.5);
-  ASSERT_EQ(hist.num_buckets(), 4u);
-  EXPECT_EQ(hist.bucket_count(0), 2u);
-  EXPECT_EQ(hist.bucket_count(1), 0u);
-  EXPECT_EQ(hist.bucket_count(2), 1u);
-  EXPECT_EQ(hist.bucket_count(3), 1u);
-}
-
-TEST(MetricsTest, ConcurrentHistogramObservationsConserveCount) {
-  obs::Histogram hist(obs::ExponentialBuckets(1.0, 2.0, 10));
-  constexpr size_t kUpdates = 100000;
-  ParallelFor(0, kUpdates, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      hist.Observe(static_cast<double>(i % 1024));
-    }
-  }, 64);
-  EXPECT_EQ(hist.count(), kUpdates);
-  uint64_t bucket_total = 0;
-  for (size_t i = 0; i < hist.num_buckets(); ++i) {
-    bucket_total += hist.bucket_count(i);
-  }
-  EXPECT_EQ(bucket_total, kUpdates);
-}
-
-TEST(MetricsTest, ExponentialBucketsGrowGeometrically) {
-  const std::vector<double> bounds = obs::ExponentialBuckets(1.0, 2.0, 5);
-  ASSERT_EQ(bounds.size(), 5u);
-  EXPECT_DOUBLE_EQ(bounds[0], 1.0);
-  EXPECT_DOUBLE_EQ(bounds[4], 16.0);
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    EXPECT_GT(bounds[i], bounds[i - 1]);
-  }
-}
-
-TEST(MetricsTest, JsonSnapshotIsSortedAndTyped) {
-  obs::MetricsRegistry registry;
-  registry.counter("zeta.calls", "calls")->Increment(7);
-  registry.gauge("alpha.depth", "tasks")->Set(3.5);
-  registry.histogram("mid.latency", {1.0, 10.0}, "micros")->Observe(5.0);
-
-  const Result<json::Value> doc = json::Value::Parse(registry.ToJson());
-  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
-  ASSERT_TRUE(doc->is_array());
-  const std::vector<json::Value>& metrics = doc->AsArray();
-  ASSERT_EQ(metrics.size(), 3u);
-  // Sorted by name.
-  EXPECT_EQ(metrics[0].GetStringOr("metric", ""), "alpha.depth");
-  EXPECT_EQ(metrics[1].GetStringOr("metric", ""), "mid.latency");
-  EXPECT_EQ(metrics[2].GetStringOr("metric", ""), "zeta.calls");
-
-  EXPECT_EQ(metrics[0].GetStringOr("type", ""), "gauge");
-  EXPECT_DOUBLE_EQ(metrics[0].GetNumberOr("value", 0.0), 3.5);
-  EXPECT_EQ(metrics[0].GetStringOr("unit", ""), "tasks");
-
-  EXPECT_EQ(metrics[1].GetStringOr("type", ""), "histogram");
-  EXPECT_DOUBLE_EQ(metrics[1].GetNumberOr("count", 0.0), 1.0);
-  const json::Value* buckets = metrics[1].Find("buckets");
-  ASSERT_NE(buckets, nullptr);
-  ASSERT_TRUE(buckets->is_array());
-  EXPECT_EQ(buckets->AsArray().size(), 3u);  // two bounds + inf
-
-  EXPECT_EQ(metrics[2].GetStringOr("type", ""), "counter");
-  EXPECT_DOUBLE_EQ(metrics[2].GetNumberOr("value", 0.0), 7.0);
-}
-
-TEST(MetricsTest, ResetAllZeroesValuesButKeepsRegistrations) {
-  obs::MetricsRegistry registry;
-  obs::Counter* counter = registry.counter("obs_test.reset", "calls");
-  counter->Increment(9);
-  registry.ResetAll();
-  EXPECT_EQ(counter->value(), 0u);
-  EXPECT_EQ(registry.counter("obs_test.reset"), counter);
 }
 
 // ---------- QueryLog ----------
@@ -642,28 +513,37 @@ TEST(SessionAttributionTest, LedgerMatchesTheOracleCounter) {
   EXPECT_GT(first.rep_score_seconds + first.propagation_seconds, 0.0);
 }
 
-// ---------- Histogram quantiles ----------
+// ---------- Bucketed quantiles ----------
 
 TEST(QuantileTest, InterpolatesWithinBuckets) {
   // Bounds 10 / 20 / 40 with 10 observations spread 4/4/2: p50 falls at
   // rank 5, one observation into the second bucket -> 10 + (1/4)*10.
-  obs::Histogram hist({10.0, 20.0, 40.0});
-  for (int i = 0; i < 4; ++i) hist.Observe(5.0);
-  for (int i = 0; i < 4; ++i) hist.Observe(15.0);
-  for (int i = 0; i < 2; ++i) hist.Observe(30.0);
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 12.5);
+  const std::vector<double> bounds{10.0, 20.0, 40.0};
+  const uint64_t buckets[] = {4, 4, 2, 0};
+  EXPECT_DOUBLE_EQ(obs::QuantileFromBuckets(bounds, buckets, 10, 0.5), 12.5);
   // p100 = top of the last occupied bucket; p0 = bottom of the first.
-  EXPECT_DOUBLE_EQ(hist.Quantile(1.0), 40.0);
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(obs::QuantileFromBuckets(bounds, buckets, 10, 1.0), 40.0);
+  EXPECT_DOUBLE_EQ(obs::QuantileFromBuckets(bounds, buckets, 10, 0.0), 0.0);
 }
 
 TEST(QuantileTest, EmptyAndOverflowBehave) {
-  obs::Histogram hist({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.5), 0.0);  // empty -> 0
-  hist.Observe(100.0);                        // lands in the +inf bucket
-  // Overflow observations clamp to the last finite bound instead of
-  // inventing a value beyond the instrument's range.
-  EXPECT_DOUBLE_EQ(hist.Quantile(0.99), 2.0);
+  const std::vector<double> bounds{1.0, 2.0};
+  const uint64_t empty[] = {0, 0, 0};
+  EXPECT_DOUBLE_EQ(obs::QuantileFromBuckets(bounds, empty, 0, 0.5), 0.0);
+  // One observation in the +inf bucket: it clamps to the last finite
+  // bound instead of inventing a value beyond the sketch's range.
+  const uint64_t overflow[] = {0, 0, 1};
+  EXPECT_DOUBLE_EQ(obs::QuantileFromBuckets(bounds, overflow, 1, 0.99), 2.0);
+}
+
+TEST(QuantileTest, ExponentialBucketsGrowGeometrically) {
+  const std::vector<double> bounds = obs::ExponentialBuckets(1.0, 2.0, 5);
+  ASSERT_EQ(bounds.size(), 5u);
+  EXPECT_DOUBLE_EQ(bounds[0], 1.0);
+  EXPECT_DOUBLE_EQ(bounds[4], 16.0);
+  for (size_t i = 1; i < bounds.size(); ++i) {
+    EXPECT_GT(bounds[i], bounds[i - 1]);
+  }
 }
 
 // ---------- Sliding-window quantile sketch ----------
@@ -837,35 +717,12 @@ TEST(FlightRecorderTest, ConcurrentRecordsStayBoundedPerThread) {
 // ---------- Prometheus exposition ----------
 
 TEST(ExpositionTest, RendersRegistryAndLiveSamples) {
-  obs::MetricsRegistry registry;
-  registry.counter("serve.queries", "calls")->Increment(7);
-  registry.gauge("serve.queue_depth", "items")->Set(3.0);
-  obs::Histogram* hist =
-      registry.histogram("serve.wait_ms", {1.0, 10.0}, "ms");
-  hist->Observe(0.5);
-  hist->Observe(5.0);
-  hist->Observe(100.0);
-
   obs::LiveStats live;
   live.Add("tasti_query_latency_ms", 12.5,
            {{"kind", "aggregate"}, {"quantile", "0.99"}}, 'g',
            "sliding-window latency quantiles");
 
-  const std::string text = obs::WriteExposition(registry, live);
-  // Registry names are sanitized into one namespace.
-  EXPECT_NE(text.find("# TYPE tasti_serve_queries counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("tasti_serve_queries 7"), std::string::npos);
-  EXPECT_NE(text.find("tasti_serve_queue_depth 3"), std::string::npos);
-  // Histogram buckets are cumulative and end at +Inf == count.
-  EXPECT_NE(text.find("tasti_serve_wait_ms_bucket{le=\"1\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("tasti_serve_wait_ms_bucket{le=\"10\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("tasti_serve_wait_ms_bucket{le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("tasti_serve_wait_ms_count 3"), std::string::npos);
-  EXPECT_NE(text.find("tasti_serve_wait_ms_sum"), std::string::npos);
+  const std::string text = obs::WriteExposition(live);
   // Live samples carry their labels through.
   EXPECT_NE(
       text.find(
@@ -899,8 +756,7 @@ TEST(ExpositionTest, InterleavedLiveStatsAreGroupedByFamily) {
   for (obs::LiveSample& sample : shard_stats("1", 6.0).samples) {
     merged.samples.push_back(std::move(sample));
   }
-  obs::MetricsRegistry registry;
-  const std::string text = obs::WriteExposition(registry, merged);
+  const std::string text = obs::WriteExposition(merged);
   EXPECT_EQ(text,
             "# HELP tasti_submitted_total queries submitted\n"
             "# TYPE tasti_submitted_total counter\n"
@@ -936,15 +792,14 @@ TEST(ExpositionTest, InterleavedLiveStatsAreGroupedByFamily) {
   for (size_t i : {0, 4, 1, 5, 2, 3, 6, 7}) {
     grouped.samples.push_back(merged.samples[i]);
   }
-  EXPECT_EQ(obs::WriteExposition(registry, grouped), text);
+  EXPECT_EQ(obs::WriteExposition(grouped), text);
 }
 
 TEST(ExpositionTest, TypeLinesAreEmittedOncePerFamily) {
-  obs::MetricsRegistry registry;
   obs::LiveStats live;
   live.Add("tasti_burn", 1.0, {{"window", "fast"}});
   live.Add("tasti_burn", 0.5, {{"window", "slow"}});
-  const std::string text = obs::WriteExposition(registry, live);
+  const std::string text = obs::WriteExposition(live);
   size_t count = 0;
   size_t pos = 0;
   while ((pos = text.find("# TYPE tasti_burn gauge", pos)) !=

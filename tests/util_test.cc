@@ -329,6 +329,20 @@ TEST(ThreadPoolTest, ExecutesAllTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
+TEST(ThreadPoolTest, ThrowingTaskIsCountedAndThePoolKeepsRunning) {
+  ThreadPool pool(2);
+  EXPECT_EQ(pool.exceptions_dropped(), 0u);
+  pool.Submit([] { throw std::runtime_error("dropped"); });
+  pool.Wait();
+  EXPECT_EQ(pool.exceptions_dropped(), 1u);
+
+  std::atomic<bool> ran{false};
+  pool.Submit([&ran] { ran.store(true); });
+  pool.Wait();
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(pool.exceptions_dropped(), 1u);
+}
+
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
   std::vector<std::atomic<int>> touched(10000);
   ParallelFor(0, touched.size(), [&](size_t lo, size_t hi) {

@@ -20,9 +20,10 @@
 // --seed), so a saved index stays consistent with its data.
 //
 // Observability: every command accepts --trace=PATH (Chrome trace_event
-// JSON, loadable in Perfetto) and --metrics=PATH (metrics snapshot; for
-// `workload` the document also carries the session's per-query cost
-// ledger). Flags may be written `--key value` or `--key=value`.
+// JSON, loadable in Perfetto). The commands that keep a per-query cost
+// ledger (workload, serve-workload, monitor) also accept --metrics=PATH,
+// a JSON document of that ledger and the oracle's own call count. Flags
+// may be written `--key value` or `--key=value`.
 
 #include <algorithm>
 #include <atomic>
@@ -50,7 +51,6 @@
 #include "labeler/resilient.h"
 #include "obs/config.h"
 #include "obs/live.h"
-#include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/trace.h"
 #include "serve/monitor.h"
@@ -91,7 +91,9 @@ int Usage() {
       "<build|info|aggregate|select|limit|workload|serve-workload|monitor"
       "|recover> [flags]\n"
       "  common: --dataset <name> --records N --seed S --index PATH\n"
-      "          --trace=PATH (Chrome trace JSON) --metrics=PATH (snapshot)\n"
+      "          --trace=PATH (Chrome trace JSON)\n"
+      "  workload, serve-workload, monitor: --metrics=PATH (query ledger "
+      "JSON)\n"
       "  build:  --train N1 --reps N2 --k K --out PATH [--pretrained]\n"
       "  query:  --query <count|presence|atleast|meanx> --class "
       "<car|bus> [--min-count N]\n"
@@ -224,16 +226,10 @@ void PrintChaosReport(const OracleStack& stack, const core::TastiIndex* index) {
   }
 }
 
-/// Enables tracing/metrics when the matching output flag is present.
-void EnableObservability(const Args& args) {
-  if (!args.Get("trace", "").empty()) obs::SetTracingEnabled(true);
-  if (!args.Get("metrics", "").empty()) obs::SetMetricsEnabled(true);
-}
-
-/// Writes the trace and metrics files requested on the command line.
-/// `log` (optional) embeds a session's query ledger in the metrics
-/// document; `oracle_invocations` (when >= 0) records the target
-/// labeler's own counter so consumers can check the attribution
+/// Writes the files requested on the command line: the trace, and for a
+/// command with a query ledger (`log` non-null) the --metrics document
+/// holding that ledger. `oracle_invocations` (when >= 0) records the
+/// target labeler's own counter so consumers can check the attribution
 /// invariant without re-running.
 int WriteObservability(const Args& args, const obs::QueryLog* log,
                        long long oracle_invocations = -1) {
@@ -249,13 +245,9 @@ int WriteObservability(const Args& args, const obs::QueryLog* log,
                 obs::TraceRecorder::Global().event_count(), trace_path.c_str());
   }
   const std::string metrics_path = args.Get("metrics", "");
-  if (!metrics_path.empty()) {
-    std::string doc = "{\n\"metrics\": ";
-    doc += obs::MetricsRegistry::Global().ToJson();
-    if (log != nullptr) {
-      doc += ",\n\"query_log\": ";
-      doc += log->ToJson();
-    }
+  if (!metrics_path.empty() && log != nullptr) {
+    std::string doc = "{\n\"query_log\": ";
+    doc += log->ToJson();
     if (oracle_invocations >= 0) {
       doc += ",\n\"oracle_invocations\": ";
       doc += std::to_string(oracle_invocations);
@@ -311,6 +303,90 @@ std::unique_ptr<core::Scorer> MakeScorer(const Args& args,
         cls, static_cast<int>(args.GetInt("min-count", 2)));
   }
   return std::make_unique<core::CountScorer>(cls);
+}
+
+/// The scorers of the mixed workload. For video, selection keeps frames
+/// with at least two objects of --class and the limit hunts frames with at
+/// least four; text and speech reuse the dataset's scorer for all three.
+struct MixScorers {
+  std::unique_ptr<core::Scorer> aggregation;
+  std::unique_ptr<core::Scorer> selection;
+  std::unique_ptr<core::Scorer> limit_predicate;
+};
+
+MixScorers MakeMixScorers(const Args& args, const data::Dataset& dataset) {
+  MixScorers scorers;
+  scorers.aggregation = MakeScorer(args, dataset);
+  if (dataset.modality == data::Modality::kVideo) {
+    const std::string cls_name = args.Get("class", "car");
+    const data::ObjectClass cls = cls_name == "bus" ? data::ObjectClass::kBus
+                                                    : data::ObjectClass::kCar;
+    scorers.selection = std::make_unique<core::AtLeastCountScorer>(cls, 2);
+    scorers.limit_predicate =
+        std::make_unique<core::AtLeastCountScorer>(cls, 4);
+  } else {
+    scorers.selection = MakeScorer(args, dataset);
+    scorers.limit_predicate = MakeScorer(args, dataset);
+  }
+  return scorers;
+}
+
+/// The serving commands' query mix: client c's q-th query is kind
+/// (c * per_client + q) % 5 of aggregate, recall-select, precision-select,
+/// threshold-select and limit, with --error, --budget and --want. Every
+/// query gets `deadline_ms`; `priority_mix` rotates the priority classes
+/// the same way. The specs point into `scorers`.
+std::vector<serve::QuerySpec> MakeQueryMix(const Args& args,
+                                           const MixScorers& scorers,
+                                           size_t clients, size_t per_client,
+                                           double deadline_ms,
+                                           bool priority_mix) {
+  const double error = args.GetDouble("error", 0.1);
+  const size_t budget = static_cast<size_t>(args.GetInt("budget", 200));
+  const size_t want = static_cast<size_t>(args.GetInt("want", 5));
+  std::vector<serve::QuerySpec> specs;
+  for (size_t c = 0; c < clients; ++c) {
+    for (size_t q = 0; q < per_client; ++q) {
+      serve::QuerySpec spec;
+      spec.client_id = c;
+      spec.deadline_ms = deadline_ms;
+      if (priority_mix) {
+        spec.priority = static_cast<serve::QueryPriority>(
+            (c * per_client + q) % serve::kNumQueryPriorities);
+      }
+      switch ((c * per_client + q) % 5) {
+        case 0:
+          spec.kind = serve::QueryKind::kAggregate;
+          spec.scorer = scorers.aggregation.get();
+          spec.error_target = error;
+          break;
+        case 1:
+          spec.kind = serve::QueryKind::kSupgRecall;
+          spec.scorer = scorers.selection.get();
+          spec.target = 0.9;
+          spec.budget = budget;
+          break;
+        case 2:
+          spec.kind = serve::QueryKind::kSupgPrecision;
+          spec.scorer = scorers.selection.get();
+          spec.target = 0.9;
+          spec.budget = budget;
+          break;
+        case 3:
+          spec.kind = serve::QueryKind::kThresholdSelect;
+          spec.scorer = scorers.selection.get();
+          spec.validation_budget = budget;
+          break;
+        default:
+          spec.kind = serve::QueryKind::kLimit;
+          spec.scorer = scorers.limit_predicate.get();
+          spec.want = want;
+          break;
+      }
+      specs.push_back(spec);
+    }
+  }
+  return specs;
 }
 
 int RunBuild(const Args& args) {
@@ -482,44 +558,31 @@ int RunWorkload(const Args& args) {
     if (stack.resilient != nullptr) stack.resilient->AdvanceVirtualTime(1000.0);
   };
 
-  const auto aggregation = MakeScorer(args, dataset);
-  // Selection/limit predicates: reuse the dataset-appropriate scorer for
-  // text/speech; for video, select multi-object frames and hunt busy ones.
-  std::unique_ptr<core::Scorer> selection;
-  std::unique_ptr<core::Scorer> limit_predicate;
-  if (dataset.modality == data::Modality::kVideo) {
-    const std::string cls_name = args.Get("class", "car");
-    const data::ObjectClass cls = cls_name == "bus" ? data::ObjectClass::kBus
-                                                    : data::ObjectClass::kCar;
-    selection = std::make_unique<core::AtLeastCountScorer>(cls, 2);
-    limit_predicate = std::make_unique<core::AtLeastCountScorer>(cls, 4);
-  } else {
-    selection = MakeScorer(args, dataset);
-    limit_predicate = MakeScorer(args, dataset);
-  }
+  const MixScorers scorers = MakeMixScorers(args, dataset);
 
   const double error = args.GetDouble("error", 0.07);
   const size_t budget = static_cast<size_t>(args.GetInt("budget", 400));
   const size_t want = static_cast<size_t>(args.GetInt("want", 10));
 
-  const auto agg = session.Aggregate(*aggregation, error);
+  const auto agg = session.Aggregate(*scorers.aggregation, error);
   std::printf("aggregate: %.4f +- %.4f (%zu labeler calls)\n", agg.estimate,
               agg.half_width, agg.labeler_invocations);
   warn_if_degraded();
-  const auto recall_sel = session.SelectWithRecall(*selection, 0.9, budget);
+  const auto recall_sel = session.SelectWithRecall(*scorers.selection, 0.9,
+                                                    budget);
   std::printf("recall-select: %zu records (threshold %.3f)\n",
               recall_sel.selected.size(), recall_sel.threshold);
   warn_if_degraded();
   const auto precision_sel =
-      session.SelectWithPrecision(*selection, 0.9, budget);
+      session.SelectWithPrecision(*scorers.selection, 0.9, budget);
   std::printf("precision-select: %zu records (threshold %.3f)\n",
               precision_sel.selected.size(), precision_sel.threshold);
   warn_if_degraded();
-  const auto threshold_sel = session.Select(*selection, budget);
+  const auto threshold_sel = session.Select(*scorers.selection, budget);
   std::printf("threshold-select: %zu records (F1 %.3f on validation)\n",
               threshold_sel.selected.size(), threshold_sel.validation_f1);
   warn_if_degraded();
-  const auto limit = session.Limit(*limit_predicate, want);
+  const auto limit = session.Limit(*scorers.limit_predicate, want);
   std::printf("limit: found %zu/%zu after %zu labeler calls\n",
               limit.found.size(), want, limit.labeler_invocations);
   warn_if_degraded();
@@ -558,9 +621,6 @@ int RunServeWorkload(const Args& args) {
       static_cast<size_t>(args.GetInt("queries-per-client", 1));
   const double latency_ms = args.GetDouble("oracle-latency-ms", 2.0);
   const double check_speedup = args.GetDouble("check-speedup", 0.0);
-  const double error = args.GetDouble("error", 0.1);
-  const size_t budget = static_cast<size_t>(args.GetInt("budget", 200));
-  const size_t want = static_cast<size_t>(args.GetInt("want", 5));
   const uint64_t query_seed =
       static_cast<uint64_t>(args.GetInt("query-seed", 7));
 
@@ -588,61 +648,9 @@ int RunServeWorkload(const Args& args) {
   index_opts.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
 
   // The workload mix (same scorers and order for both runs).
-  const auto aggregation = MakeScorer(args, dataset);
-  std::unique_ptr<core::Scorer> selection;
-  std::unique_ptr<core::Scorer> limit_predicate;
-  if (dataset.modality == data::Modality::kVideo) {
-    const std::string cls_name = args.Get("class", "car");
-    const data::ObjectClass cls = cls_name == "bus" ? data::ObjectClass::kBus
-                                                    : data::ObjectClass::kCar;
-    selection = std::make_unique<core::AtLeastCountScorer>(cls, 2);
-    limit_predicate = std::make_unique<core::AtLeastCountScorer>(cls, 4);
-  } else {
-    selection = MakeScorer(args, dataset);
-    limit_predicate = MakeScorer(args, dataset);
-  }
-  std::vector<serve::QuerySpec> specs;
-  for (size_t c = 0; c < clients; ++c) {
-    for (size_t q = 0; q < per_client; ++q) {
-      serve::QuerySpec spec;
-      spec.client_id = c;
-      spec.deadline_ms = deadline_ms;
-      if (priority_mix) {
-        spec.priority = static_cast<serve::QueryPriority>(
-            (c * per_client + q) % serve::kNumQueryPriorities);
-      }
-      switch ((c * per_client + q) % 5) {
-        case 0:
-          spec.kind = serve::QueryKind::kAggregate;
-          spec.scorer = aggregation.get();
-          spec.error_target = error;
-          break;
-        case 1:
-          spec.kind = serve::QueryKind::kSupgRecall;
-          spec.scorer = selection.get();
-          spec.target = 0.9;
-          spec.budget = budget;
-          break;
-        case 2:
-          spec.kind = serve::QueryKind::kSupgPrecision;
-          spec.scorer = selection.get();
-          spec.target = 0.9;
-          spec.budget = budget;
-          break;
-        case 3:
-          spec.kind = serve::QueryKind::kThresholdSelect;
-          spec.scorer = selection.get();
-          spec.validation_budget = budget;
-          break;
-        default:
-          spec.kind = serve::QueryKind::kLimit;
-          spec.scorer = limit_predicate.get();
-          spec.want = want;
-          break;
-      }
-      specs.push_back(spec);
-    }
-  }
+  const MixScorers scorers = MakeMixScorers(args, dataset);
+  const std::vector<serve::QuerySpec> specs = MakeQueryMix(
+      args, scorers, clients, per_client, deadline_ms, priority_mix);
   const size_t total_queries = specs.size();
 
   // --- Serialized baseline: one query at a time on a TastiSession, which
@@ -1023,9 +1031,6 @@ int RunMonitor(const Args& args) {
   const size_t per_client = static_cast<size_t>(
       args.GetInt("rounds", args.GetInt("queries-per-client", 2)));
   const double latency_ms = args.GetDouble("oracle-latency-ms", 2.0);
-  const double error = args.GetDouble("error", 0.1);
-  const size_t budget = static_cast<size_t>(args.GetInt("budget", 200));
-  const size_t want = static_cast<size_t>(args.GetInt("want", 5));
   const uint64_t query_seed =
       static_cast<uint64_t>(args.GetInt("query-seed", 7));
   const size_t inject_drift =
@@ -1033,9 +1038,8 @@ int RunMonitor(const Args& args) {
   const double frame_ms = args.GetDouble("frame-ms", 200.0);
   const std::string out_path = args.Get("out", "monitor.prom");
 
-  // The monitor is the point of this command: metrics and the flight
-  // recorder are always on (tracing stays opt-in via --trace).
-  obs::SetMetricsEnabled(true);
+  // The monitor is the point of this command: the flight recorder is
+  // always on (tracing stays opt-in via --trace).
   obs::SetFlightRecordingEnabled(true);
 
   serve::MonitorOptions mopts;
@@ -1075,57 +1079,10 @@ int RunMonitor(const Args& args) {
   index_opts.seed = static_cast<uint64_t>(args.GetInt("seed", 42));
 
   // Same mixed workload as serve-workload, without the serialized
-  // baseline.
-  const auto aggregation = MakeScorer(args, dataset);
-  std::unique_ptr<core::Scorer> selection;
-  std::unique_ptr<core::Scorer> limit_predicate;
-  if (dataset.modality == data::Modality::kVideo) {
-    const std::string cls_name = args.Get("class", "car");
-    const data::ObjectClass cls = cls_name == "bus" ? data::ObjectClass::kBus
-                                                    : data::ObjectClass::kCar;
-    selection = std::make_unique<core::AtLeastCountScorer>(cls, 2);
-    limit_predicate = std::make_unique<core::AtLeastCountScorer>(cls, 4);
-  } else {
-    selection = MakeScorer(args, dataset);
-    limit_predicate = MakeScorer(args, dataset);
-  }
-  std::vector<serve::QuerySpec> specs;
-  for (size_t c = 0; c < clients; ++c) {
-    for (size_t q = 0; q < per_client; ++q) {
-      serve::QuerySpec spec;
-      spec.client_id = c;
-      switch ((c * per_client + q) % 5) {
-        case 0:
-          spec.kind = serve::QueryKind::kAggregate;
-          spec.scorer = aggregation.get();
-          spec.error_target = error;
-          break;
-        case 1:
-          spec.kind = serve::QueryKind::kSupgRecall;
-          spec.scorer = selection.get();
-          spec.target = 0.9;
-          spec.budget = budget;
-          break;
-        case 2:
-          spec.kind = serve::QueryKind::kSupgPrecision;
-          spec.scorer = selection.get();
-          spec.target = 0.9;
-          spec.budget = budget;
-          break;
-        case 3:
-          spec.kind = serve::QueryKind::kThresholdSelect;
-          spec.scorer = selection.get();
-          spec.validation_budget = budget;
-          break;
-        default:
-          spec.kind = serve::QueryKind::kLimit;
-          spec.scorer = limit_predicate.get();
-          spec.want = want;
-          break;
-      }
-      specs.push_back(spec);
-    }
-  }
+  // baseline, deadlines or priority classes.
+  const MixScorers scorers = MakeMixScorers(args, dataset);
+  const std::vector<serve::QuerySpec> specs =
+      MakeQueryMix(args, scorers, clients, per_client, 0.0, false);
   const size_t total_queries = specs.size();
 
   serve::ServerOptions server_opts;
@@ -1262,8 +1219,7 @@ int RunMonitor(const Args& args) {
         live.samples.push_back(std::move(sample));
       }
     }
-    const Status written = obs::WriteExpositionFile(
-        obs::MetricsRegistry::Global(), live, out_path);
+    const Status written = obs::WriteExpositionFile(live, out_path);
     if (!written.ok()) {
       std::fprintf(stderr, "exposition write failed: %s\n",
                    written.ToString().c_str());
@@ -1365,9 +1321,7 @@ int RunMonitor(const Args& args) {
     return 1;
   }
 
-  const Status written =
-      obs::WriteExpositionFile(obs::MetricsRegistry::Global(),
-                               monitor.Collect(), out_path);
+  const Status written = obs::WriteExpositionFile(monitor.Collect(), out_path);
   if (!written.ok()) {
     std::fprintf(stderr, "exposition write failed: %s\n",
                  written.ToString().c_str());
@@ -1459,7 +1413,17 @@ int main(int argc, char** argv) {
       args.flags[key] = "1";  // boolean flag
     }
   }
-  EnableObservability(args);
+  // --metrics writes a query ledger, which only these commands keep.
+  const bool has_ledger = args.command == "workload" ||
+                          args.command == "serve-workload" ||
+                          args.command == "monitor";
+  if (args.flags.count("metrics") > 0 && !has_ledger) {
+    std::fprintf(stderr,
+                 "--metrics is only for workload, serve-workload and monitor "
+                 "(it writes their query ledger)\n");
+    return 2;
+  }
+  if (!args.Get("trace", "").empty()) obs::SetTracingEnabled(true);
   int rc;
   if (args.command == "build") {
     rc = RunBuild(args);
