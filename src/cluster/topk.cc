@@ -1,6 +1,7 @@
 #include "cluster/topk.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <mutex>
@@ -28,6 +29,42 @@ void InsertSorted(float d2, uint32_t id, size_t filled, float* best_d2,
   best_id[pos] = id;
 }
 
+/// Every lane of a block of `rows` columns (rows <= 64).
+uint64_t AllLanes(size_t rows) {
+  return rows == 64 ? ~uint64_t{0} : (uint64_t{1} << rows) - 1;
+}
+
+/// The threshold part of the crack prefilter's bound (see
+/// UpdateTopKWithNewReps); the mask and the scalar test share it, so a lane
+/// the mask keeps meets the same float expression again.
+float CrackBoundBase(float thr) { return thr * thr * (1.0f + 1e-3f) + 1e-6f; }
+
+static_assert(nn::kDistanceBlockRows <= 64,
+              "a block's survivor mask is one 64-bit word");
+
+constexpr size_t kTile = nn::kRecordTileRows;
+
+/// nn::RowSquaredNorm of each record in [i0, i0 + rows), rows <= kTile. A
+/// whole tile runs its rows as independent add chains; each still sums in
+/// ascending depth, so every value is RowSquaredNorm's.
+void TileSquaredNorms(const nn::Matrix& points, size_t i0, size_t rows,
+                      float* norms) {
+  if (rows != kTile) {
+    for (size_t t = 0; t < rows; ++t) {
+      norms[t] = nn::RowSquaredNorm(points, i0 + t);
+    }
+    return;
+  }
+  float acc[kTile] = {};
+  for (size_t p = 0; p < points.cols(); ++p) {
+    for (size_t t = 0; t < kTile; ++t) {
+      const float v = points.At(i0 + t, p);
+      acc[t] += v * v;
+    }
+  }
+  for (size_t t = 0; t < kTile; ++t) norms[t] = acc[t];
+}
+
 }  // namespace
 
 TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
@@ -45,56 +82,78 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
   topk.distances.assign(n * k, std::numeric_limits<float>::max());
 
   // Representatives packed once into depth-major L1-sized tiles; every
-  // record streams against each tile via the dot-trick batch kernel.
+  // tile of records streams against each block via the dot-trick tile
+  // kernel.
   const std::vector<nn::PackedBlock> blocks = nn::PackBlocks(reps);
 
   ParallelForDynamic(0, n, [&](size_t lo, size_t hi) {
-    std::vector<float> dist2(nn::kDistanceBlockRows);
-    std::vector<float> best_d2(k);
-    std::vector<uint32_t> best_id(k);
-    for (size_t i = lo; i < hi; ++i) {
-      const float point_norm = nn::RowSquaredNorm(points, i);
-      size_t filled = 0;
+    std::vector<float> dist2(kTile * nn::kDistanceBlockRows);
+    std::vector<float> best_d2_tile(kTile * k);
+    std::vector<uint32_t> best_id_tile(kTile * k);
+    for (size_t i0 = lo; i0 < hi; i0 += kTile) {
+      const size_t rows = std::min(kTile, hi - i0);
+      float point_norms[kTile];
+      size_t filled[kTile] = {};
+      TileSquaredNorms(points, i0, rows, point_norms);
       for (const nn::PackedBlock& block : blocks) {
-        nn::SquaredDistanceBatch(points, i, point_norm, block, dist2.data());
+        const size_t nb = block.rows();
+        nn::SquaredDistanceTile(points, i0, rows, point_norms, block,
+                                dist2.data());
         const size_t base = block.row_begin();
-        for (size_t j = 0; j < block.rows(); ++j) {
-          const float d2 = dist2[j];
-          if (filled < k) {
-            InsertSorted(d2, static_cast<uint32_t>(base + j), filled,
-                         best_d2.data(), best_id.data());
-            ++filled;
-          } else if (d2 < best_d2[k - 1]) {
-            InsertSorted(d2, static_cast<uint32_t>(base + j), k - 1,
-                         best_d2.data(), best_id.data());
+        for (size_t t = 0; t < rows; ++t) {
+          const float* d2 = dist2.data() + t * nb;
+          float* best_d2 = best_d2_tile.data() + t * k;
+          uint32_t* best_id = best_id_tile.data() + t * k;
+          // Until the list is full every lane is kept; after that, only
+          // lanes under the block-start k-th distance can be inserted.
+          uint64_t mask = filled[t] < k
+                              ? AllLanes(nb)
+                              : nn::SurvivorMask(d2, nb, 0.0f, block.norms(),
+                                                 best_d2[k - 1], 0.0f);
+          for (; mask != 0; mask &= mask - 1) {
+            const size_t j = static_cast<size_t>(std::countr_zero(mask));
+            if (filled[t] < k) {
+              InsertSorted(d2[j], static_cast<uint32_t>(base + j), filled[t],
+                           best_d2, best_id);
+              ++filled[t];
+            } else if (d2[j] < best_d2[k - 1]) {
+              InsertSorted(d2[j], static_cast<uint32_t>(base + j), k - 1,
+                           best_d2, best_id);
+            }
           }
         }
       }
-      // Pin the stored distances to the exact scalar formula: the dot-trick
-      // selects the k nearest, but its cancellation error (up to
-      // ~eps * |x|^2 for near-duplicates) would leak into propagation
-      // weights. Recomputing k exact distances costs k/r of the batch pass.
-      for (size_t j = 0; j < filled; ++j) {
-        best_d2[j] = nn::SquaredDistance(points, i, reps, best_id[j]);
-      }
-      // Exact values may swap near-equal neighbors; restore ascending
-      // order (ties by id, matching the scalar reference's insertion).
-      for (size_t j = 1; j < filled; ++j) {
-        const float d2 = best_d2[j];
-        const uint32_t id = best_id[j];
-        size_t pos = j;
-        while (pos > 0 && (best_d2[pos - 1] > d2 ||
-                           (best_d2[pos - 1] == d2 && best_id[pos - 1] > id))) {
-          best_d2[pos] = best_d2[pos - 1];
-          best_id[pos] = best_id[pos - 1];
-          --pos;
+      for (size_t t = 0; t < rows; ++t) {
+        const size_t i = i0 + t;
+        float* best_d2 = best_d2_tile.data() + t * k;
+        uint32_t* best_id = best_id_tile.data() + t * k;
+        // Pin the stored distances to the exact scalar formula: the
+        // dot-trick selects the k nearest, but its cancellation error (up to
+        // ~eps * |x|^2 for near-duplicates) would leak into propagation
+        // weights. Recomputing k exact distances costs k/r of the batch
+        // pass.
+        for (size_t j = 0; j < filled[t]; ++j) {
+          best_d2[j] = nn::SquaredDistance(points, i, reps, best_id[j]);
         }
-        best_d2[pos] = d2;
-        best_id[pos] = id;
-      }
-      for (size_t j = 0; j < filled; ++j) {
-        topk.distances[i * k + j] = std::sqrt(best_d2[j]);
-        topk.rep_ids[i * k + j] = best_id[j];
+        // Exact values may swap near-equal neighbors; restore ascending
+        // order (ties by id, matching the scalar reference's insertion).
+        for (size_t j = 1; j < filled[t]; ++j) {
+          const float d2 = best_d2[j];
+          const uint32_t id = best_id[j];
+          size_t pos = j;
+          while (pos > 0 && (best_d2[pos - 1] > d2 ||
+                             (best_d2[pos - 1] == d2 && best_id[pos - 1] > id))) {
+            best_d2[pos] = best_d2[pos - 1];
+            best_id[pos] = best_id[pos - 1];
+            --pos;
+          }
+          best_d2[pos] = d2;
+          best_id[pos] = id;
+        }
+        for (size_t j = 0; j < filled[t]; ++j) {
+          topk.distances[i * k + j] = std::sqrt(best_d2[j]);
+          topk.rep_ids[i * k + j] = best_id[j];
+        }
       }
     }
   }, 256);
@@ -130,43 +189,64 @@ void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
 
   std::mutex dirty_mu;
   ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi) {
-    std::vector<float> d2_buf(nn::kDistanceBlockRows);
+    std::vector<float> d2_tile(kTile * nn::kDistanceBlockRows);
     std::vector<uint32_t> chunk_dirty;
     size_t chunk_exact_checks = 0;
-    for (size_t i = lo; i < hi; ++i) {
-      float* dist = topk->distances.data() + i * k;
-      uint32_t* ids = topk->rep_ids.data() + i * k;
-      const float point_norm = nn::RowSquaredNorm(points, i);
-      bool changed = false;
+    for (size_t i0 = lo; i0 < hi; i0 += kTile) {
+      const size_t rows = std::min(kTile, hi - i0);
+      float point_norms[kTile];
+      bool changed[kTile] = {};
+      TileSquaredNorms(points, i0, rows, point_norms);
       for (const nn::PackedBlock& block : blocks) {
-        nn::SquaredDistanceBatch(points, i, point_norm, block, d2_buf.data());
+        const size_t nb = block.rows();
+        nn::SquaredDistanceTile(points, i0, rows, point_norms, block,
+                                d2_tile.data());
         const float* rep_norms = block.norms();
-        for (size_t j = 0; j < block.rows(); ++j) {
-          // The threshold tightens as earlier new reps are inserted, exactly
-          // as in a one-rep-at-a-time sweep.
-          const float thr = dist[k - 1];
-          if (thr < std::numeric_limits<float>::max() &&
-              d2_buf[j] > thr * thr * (1.0f + 1e-3f) + 1e-6f +
-                              norm_slack * (point_norm + rep_norms[j])) {
-            continue;
+        for (size_t t = 0; t < rows; ++t) {
+          const size_t i = i0 + t;
+          const float point_norm = point_norms[t];
+          const float* d2 = d2_tile.data() + t * nb;
+          float* dist = topk->distances.data() + i * k;
+          uint32_t* ids = topk->rep_ids.data() + i * k;
+          // The mask tests every lane against the threshold at the block's
+          // start. Thresholds only tighten, so it keeps a superset of the
+          // lanes that pass the exact test below, which sees the threshold
+          // as it stands after earlier new reps were inserted, exactly as in
+          // a one-rep-at-a-time sweep.
+          const float thr0 = dist[k - 1];
+          uint64_t mask =
+              thr0 < std::numeric_limits<float>::max()
+                  ? nn::SurvivorMask(d2, nb, point_norm, rep_norms,
+                                     CrackBoundBase(thr0), norm_slack)
+                  : AllLanes(nb);
+          for (; mask != 0; mask &= mask - 1) {
+            const size_t j = static_cast<size_t>(std::countr_zero(mask));
+            const float thr = dist[k - 1];
+            if (thr < std::numeric_limits<float>::max() &&
+                d2[j] > CrackBoundBase(thr) +
+                            norm_slack * (point_norm + rep_norms[j])) {
+              continue;
+            }
+            ++chunk_exact_checks;
+            const size_t rep_row = block.row_begin() + j;
+            const float d = nn::Distance(points, i, reps, rep_row);
+            if (d >= thr) continue;
+            size_t pos = k - 1;
+            while (pos > 0 && dist[pos - 1] > d) {
+              dist[pos] = dist[pos - 1];
+              ids[pos] = ids[pos - 1];
+              --pos;
+            }
+            dist[pos] = d;
+            ids[pos] = static_cast<uint32_t>(rep_row);
+            changed[t] = true;
           }
-          ++chunk_exact_checks;
-          const size_t rep_row = block.row_begin() + j;
-          const float d = nn::Distance(points, i, reps, rep_row);
-          if (d >= thr) continue;
-          size_t pos = k - 1;
-          while (pos > 0 && dist[pos - 1] > d) {
-            dist[pos] = dist[pos - 1];
-            ids[pos] = ids[pos - 1];
-            --pos;
-          }
-          dist[pos] = d;
-          ids[pos] = static_cast<uint32_t>(rep_row);
-          changed = true;
         }
       }
-      if (changed && dirty_rows != nullptr) {
-        chunk_dirty.push_back(static_cast<uint32_t>(i));
+      for (size_t t = 0; t < rows; ++t) {
+        if (changed[t] && dirty_rows != nullptr) {
+          chunk_dirty.push_back(static_cast<uint32_t>(i0 + t));
+        }
       }
     }
     if (!chunk_dirty.empty() || exact_checks != nullptr) {

@@ -27,18 +27,24 @@ struct TopKDistances {
 };
 
 /// Computes exact top-k via brute force over all representative rows.
-/// O(n * r * dim), parallelized over records.
+/// O(n * r * dim), parallelized over records. Tiles of records stream
+/// against packed blocks of reps (nn::SquaredDistanceTile); once a record's
+/// list is full, a survivor mask against its k-th distance at the block's
+/// start picks the lanes that go through the scalar insert.
 TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
                           size_t k);
 
 /// Incremental cracking update: representatives at rows [first_row,
 /// first_row + count) of `reps` have been appended (a rep's id is its
 /// row). Every record's top-k list is updated in place in one record-major
-/// pass: the new rows are packed once, each record streams against them
-/// through the blocked dot-trick kernel as a prefilter, and every
-/// candidate that survives is re-decided with the exact nn::Distance, in
-/// ascending rep order. The result is bit-identical to inserting the new
-/// reps one at a time with exact distances.
+/// pass: the new rows are packed once, and tiles of records stream against
+/// them through the dot-trick tile kernel. Per record and block, a vector
+/// survivor mask against the threshold at the block's start drops the
+/// pairs the prefilter rejects; each set lane takes the scalar prefilter
+/// test against the current threshold and, if it passes, is re-decided
+/// with the exact nn::Distance, in ascending rep order. The result is
+/// bit-identical to inserting the new reps one at a time with exact
+/// distances.
 ///
 /// When `dirty_rows` is non-null, the ids of records whose top-k list
 /// actually changed are appended to it (unsorted, duplicate-free for a
@@ -47,7 +53,9 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
 /// row, so exactly these rows need recomputing after the crack.
 ///
 /// When `exact_checks` is non-null, the number of (record, new rep) pairs
-/// that survived the prefilter and were re-decided exactly is added to it;
+/// that passed the scalar prefilter test and were re-decided exactly is
+/// added to it (the mask does not change this count, since it only skips
+/// pairs that the test would reject);
 /// the call visits points.rows() * count pairs in all, so the ratio is the
 /// prefilter's survivor share.
 void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,

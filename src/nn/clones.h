@@ -4,17 +4,20 @@
 /// \file clones.h
 /// Load-time ISA dispatch for the hot float kernels (private to nn/).
 ///
-/// Two kernels are compiled twice, once for the build's baseline ISA (SSE2
-/// on x86-64) and once for AVX2, and the dynamic loader picks one version
-/// per process through an ifunc resolver that runs before main and tests
-/// `__builtin_cpu_supports("avx2")` (nn::KernelIsa() runs the same test):
+/// The hot kernels are compiled twice, once for the build's baseline ISA
+/// (SSE2 on x86-64) and once for AVX2, and the dynamic loader picks one
+/// version per process through an ifunc resolver that runs before main and
+/// tests `__builtin_cpu_supports("avx2")` (nn::KernelIsa() runs the same
+/// test):
 ///  - TASTI_KERNEL_CLONES on a definition builds both versions from the
-///    one body (GCC/Clang `target_clones`). DotBatch uses it: its plain
-///    float loops vectorize to whatever width the clone has.
+///    one body (GCC/Clang `target_clones`). DotBatch and SurvivorMask use
+///    it: their plain float loops vectorize to whatever width the clone
+///    has.
 ///  - TASTI_KERNEL_DEFAULT / TASTI_KERNEL_AVX2 mark two definitions of one
 ///    function (`target` multiversioning), for a body that must name its
-///    vector type: the training-GEMM tile (matrix.cc) is a template over
-///    that type, and each version instantiates it with its own width.
+///    vector type: the training-GEMM tile (matrix.cc) and the record-tile
+///    distance kernel SquaredDistanceTile (kernels.cc) are templates over
+///    that type, and each version instantiates one with its own width.
 ///
 /// Every version gives bit-identical results. The ISA list names only
 /// AVX2, which widens the vectors but still rounds each lane's multiply
@@ -44,6 +47,20 @@
 #define TASTI_KERNEL_CLONES_ENABLED 1
 #endif
 #endif
+
+namespace tasti::nn {
+
+/// Four and eight floats in one vector value, through the GCC/Clang vector
+/// extension, for the kernels written over a vector type: Float4 (xmm or
+/// NEON registers) in the default version, Float8 (one ymm register) in the
+/// AVX2 one. A Float8 kernel in the SSE build would not do: GCC 12 keeps
+/// vectors wider than the target's registers in memory, and the GEMM tile
+/// ran 1.7x slower that way. Lane arithmetic is the scalar mul-then-add, so
+/// results do not change with the vector width.
+using Float4 = float __attribute__((vector_size(16)));
+using Float8 = float __attribute__((vector_size(32)));
+
+}  // namespace tasti::nn
 
 #if defined(TASTI_KERNEL_CLONES_ENABLED)
 #define TASTI_KERNEL_CLONES __attribute__((target_clones("avx2", "default")))

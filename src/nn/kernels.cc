@@ -1,6 +1,7 @@
 #include "nn/kernels.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "nn/clones.h"
 #include "util/status.h"
@@ -63,12 +64,14 @@ void PackedBlock::Pack(const Matrix& reps, size_t row_begin, size_t row_end) {
               "PackedBlock row range out of bounds");
   row_begin_ = row_begin;
   rows_ = row_end - row_begin;
+  stride_ = (rows_ + kPackedColumnMultiple - 1) / kPackedColumnMultiple *
+            kPackedColumnMultiple;
   dim_ = reps.cols();
-  packed_.assign(dim_ * rows_, 0.0f);
-  norms_.assign(rows_, 0.0f);
+  packed_.assign(dim_ * stride_, 0.0f);
+  norms_.assign(stride_, 0.0f);
   for (size_t j = 0; j < rows_; ++j) {
     const float* src = reps.Row(row_begin + j);
-    for (size_t p = 0; p < dim_; ++p) packed_[p * rows_ + j] = src[p];
+    for (size_t p = 0; p < dim_; ++p) packed_[p * stride_ + j] = src[p];
     norms_[j] = RowSquaredNorm(reps, row_begin + j);
   }
 }
@@ -104,6 +107,7 @@ void DotBatch(const Matrix& points, size_t point_row, const PackedBlock& block,
               float* out) {
   TASTI_CHECK(points.cols() == block.dim(), "DotBatch dimension mismatch");
   const size_t nb = block.rows();
+  const size_t stride = block.stride();
   const size_t d = block.dim();
   const float* x = points.Row(point_row);
   const float* pk = block.packed();
@@ -119,7 +123,7 @@ void DotBatch(const Matrix& points, size_t point_row, const PackedBlock& block,
     const float* tile = pk + j0;
     for (size_t p = 0; p < d; ++p) {
       const float xv = x[p];
-      const float* row = tile + p * nb;
+      const float* row = tile + p * stride;
       for (size_t u = 0; u < kJTile; ++u) acc[u] += xv * row[u];
     }
     for (size_t u = 0; u < kJTile; ++u) out[j0 + u] = acc[u];
@@ -128,7 +132,7 @@ void DotBatch(const Matrix& points, size_t point_row, const PackedBlock& block,
     for (size_t j = j0; j < nb; ++j) out[j] = 0.0f;
     for (size_t p = 0; p < d; ++p) {
       const float xv = x[p];
-      const float* row = pk + p * nb;
+      const float* row = pk + p * stride;
       for (size_t j = j0; j < nb; ++j) out[j] += xv * row[j];
     }
   }
@@ -151,6 +155,126 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
                           const PackedBlock& block, float* out) {
   SquaredDistanceBatch(points, point_row, RowSquaredNorm(points, point_row),
                        block, out);
+}
+
+namespace {
+
+// The record tile of SquaredDistanceTile: kRows records x two vectors of
+// block columns stay in registers across the whole depth loop, so each
+// packed vector is loaded once for all kRows records (eight independent
+// add chains, enough to hide the add latency). The loop runs whole vectors
+// over the zero-padded block (PackedBlock::stride()) and stores only the
+// block's real columns. Every dot starts at zero and adds its products in
+// ascending p, the order of DotBatch. Force-inlined into each ISA entry
+// point below, so the Vec arithmetic compiles for that entry point's
+// target.
+template <typename Vec, size_t kRows>
+#if defined(__GNUC__)
+__attribute__((always_inline))
+#endif
+inline void DistanceTileRows(const float* const* x, const float* point_norms,
+                             const PackedBlock& block, float* out) {
+  constexpr size_t kLanes = sizeof(Vec) / sizeof(float);
+  constexpr size_t kVecs = 2;
+  constexpr size_t kCols = kVecs * kLanes;
+  static_assert(kPackedColumnMultiple % kCols == 0,
+                "the packed padding covers whole column groups");
+  const size_t nb = block.rows();
+  const size_t stride = block.stride();
+  const size_t d = block.dim();
+  const float* pk = block.packed();
+  const float* norms = block.norms();
+  for (size_t j0 = 0; j0 < nb; j0 += kCols) {
+    Vec acc[kRows][kVecs] = {};
+    for (size_t p = 0; p < d; ++p) {
+      const float* row = pk + p * stride + j0;
+      Vec bv[kVecs];
+      for (size_t v = 0; v < kVecs; ++v) {
+        std::memcpy(&bv[v], row + v * kLanes, sizeof(Vec));
+      }
+      for (size_t t = 0; t < kRows; ++t) {
+        const float xv = x[t][p];
+        for (size_t v = 0; v < kVecs; ++v) acc[t][v] += xv * bv[v];
+      }
+    }
+    for (size_t v = 0; v < kVecs; ++v) {
+      const size_t j = j0 + v * kLanes;
+      if (j >= nb) break;
+      const size_t lanes = std::min(kLanes, nb - j);
+      Vec nv;
+      std::memcpy(&nv, norms + j, sizeof(Vec));
+      for (size_t t = 0; t < kRows; ++t) {
+        Vec d2 = point_norms[t] + nv - 2.0f * acc[t][v];
+        d2 = d2 > 0.0f ? d2 : Vec{};
+        if (lanes == kLanes) {
+          std::memcpy(out + t * nb + j, &d2, sizeof(Vec));
+        } else {
+          std::memcpy(out + t * nb + j, &d2, lanes * sizeof(float));
+        }
+      }
+    }
+  }
+}
+
+template <typename Vec>
+#if defined(__GNUC__)
+__attribute__((always_inline))
+#endif
+inline void DistanceTileWith(const Matrix& points, size_t row_begin,
+                             size_t rows, const float* point_norms,
+                             const PackedBlock& block, float* out) {
+  const float* x[kRecordTileRows];
+  for (size_t t = 0; t < rows; ++t) x[t] = points.Row(row_begin + t);
+  if (rows == kRecordTileRows) {
+    DistanceTileRows<Vec, kRecordTileRows>(x, point_norms, block, out);
+    return;
+  }
+  for (size_t t = 0; t < rows; ++t) {
+    DistanceTileRows<Vec, 1>(x + t, point_norms + t, block,
+                             out + t * block.rows());
+  }
+}
+
+// One entry point per ISA over the tile above; the loader's resolver picks
+// one (nn/clones.h).
+TASTI_KERNEL_DEFAULT
+void DistanceTile(const Matrix& points, size_t row_begin, size_t rows,
+                  const float* point_norms, const PackedBlock& block,
+                  float* out) {
+  DistanceTileWith<Float4>(points, row_begin, rows, point_norms, block, out);
+}
+
+#if defined(TASTI_KERNEL_CLONES_ENABLED)
+TASTI_KERNEL_AVX2
+void DistanceTile(const Matrix& points, size_t row_begin, size_t rows,
+                  const float* point_norms, const PackedBlock& block,
+                  float* out) {
+  DistanceTileWith<Float8>(points, row_begin, rows, point_norms, block, out);
+}
+#endif
+
+}  // namespace
+
+void SquaredDistanceTile(const Matrix& points, size_t row_begin, size_t rows,
+                         const float* point_norms, const PackedBlock& block,
+                         float* out) {
+  TASTI_CHECK(points.cols() == block.dim(),
+              "SquaredDistanceTile dimension mismatch");
+  TASTI_CHECK(rows <= kRecordTileRows && row_begin + rows <= points.rows(),
+              "SquaredDistanceTile record tile out of range");
+  DistanceTile(points, row_begin, rows, point_norms, block, out);
+}
+
+TASTI_KERNEL_CLONES
+uint64_t SurvivorMask(const float* d2, size_t n, float point_norm,
+                      const float* norms, float base, float slack) {
+  TASTI_CHECK(n <= 64, "SurvivorMask covers at most 64 lanes");
+  uint64_t mask = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const float bound = base + slack * (point_norm + norms[j]);
+    mask |= static_cast<uint64_t>(!(d2[j] > bound)) << j;
+  }
+  return mask;
 }
 
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,

@@ -13,8 +13,9 @@
 ///  * Many-representative batches use the dot-trick
 ///    `d2(x, y) = |x|^2 + |y|^2 - 2 x.y` over a register-blocked GEMM with
 ///    cached per-row norms, clamped at zero (the subtraction can go
-///    slightly negative for near-duplicate rows). Cracking updates use it
-///    as a prefilter only and re-decide survivors exactly.
+///    slightly negative for near-duplicate rows). Top-k and cracking stream
+///    tiles of records through it and keep only the lanes of a vector
+///    survivor mask; cracking re-decides those survivors exactly.
 ///  * One-center batches (triplet mining's candidate scans) keep the cancellation-free `(x - y)^2` form but split the
 ///    depth reduction across independent accumulator lanes.
 ///
@@ -43,6 +44,10 @@ std::vector<float> RowSquaredNorms(const Matrix& m);
 /// Squared L2 norm of one row of `m`.
 float RowSquaredNorm(const Matrix& m, size_t row);
 
+/// Column padding of a packed block: the widest record-tile column group
+/// (two 8-float vectors).
+inline constexpr size_t kPackedColumnMultiple = 16;
+
 /// A tile of representative rows packed depth-major (dim x rows) so the
 /// batched kernels stream it with unit stride, plus cached squared norms.
 class PackedBlock {
@@ -56,14 +61,20 @@ class PackedBlock {
   size_t row_begin() const { return row_begin_; }
   size_t dim() const { return dim_; }
   bool empty() const { return rows_ == 0; }
+  /// rows() rounded up to a multiple of kPackedColumnMultiple: the distance
+  /// from one depth's packed row to the next.
+  size_t stride() const { return stride_; }
   /// Depth-major data: element (p, j) = reps(row_begin + j, p) sits at
-  /// p * rows() + j.
+  /// p * stride() + j. Columns [rows(), stride()) are zero, so a kernel can
+  /// run whole vectors over a partial block and store only the real lanes.
   const float* packed() const { return packed_.data(); }
+  /// Squared norms, stride() entries; the padding entries are zero.
   const float* norms() const { return norms_.data(); }
 
  private:
   size_t row_begin_ = 0;
   size_t rows_ = 0;
+  size_t stride_ = 0;
   size_t dim_ = 0;
   AlignedFloats packed_;
   AlignedFloats norms_;
@@ -102,6 +113,31 @@ void SquaredDistanceBatch(const Matrix& points, size_t point_row,
 /// Convenience overload that computes the point norm itself.
 void SquaredDistanceBatch(const Matrix& points, size_t point_row,
                           const PackedBlock& block, float* out);
+
+/// Records per tile of SquaredDistanceTile.
+inline constexpr size_t kRecordTileRows = 4;
+
+/// The record-tile form of SquaredDistanceBatch, for callers that stream
+/// many records against the same blocks (top-k, cracking): for t < rows
+/// (rows <= kRecordTileRows) and every row j of the block,
+/// out[t * block.rows() + j] = max(0, point_norms[t] + block_norm_j -
+/// 2 * dot(points[row_begin + t], block_row_j)). `point_norms[t]` must be
+/// RowSquaredNorm(points, row_begin + t). The tile loads each packed
+/// element once for all its records and keeps their dot products in
+/// registers; every dot still accumulates in ascending depth, so each value
+/// is bit-identical to SquaredDistanceBatch's.
+void SquaredDistanceTile(const Matrix& points, size_t row_begin, size_t rows,
+                         const float* point_norms, const PackedBlock& block,
+                         float* out);
+
+/// One record's survivor bitmask over n <= 64 block distances: bit j is
+/// set unless d2[j] > base + slack * (point_norm + norms[j]). A lane whose
+/// bound is NaN survives. Callers pass the threshold at the start of a
+/// block as `base`; thresholds only tighten within a block, so the mask is
+/// a superset of the lanes that pass the same test later, and only its set
+/// lanes need the exact scalar test.
+uint64_t SurvivorMask(const float* d2, size_t n, float point_norm,
+                      const float* norms, float base, float slack);
 
 /// Cancellation-free one-to-many: out[i - lo] = |m_i - y|^2 for rows
 /// [lo, hi) of `m`; `y` holds m.cols() floats. Used where a single vector

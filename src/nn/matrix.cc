@@ -130,16 +130,10 @@ namespace {
 constexpr size_t kTileRows = 4;
 constexpr size_t kTileCols = 8;
 
-// Four and eight floats in one vector value, through the GCC/Clang vector
-// extension. The tile below is written once over a vector type `Vec`:
+// The tile below is written once over a vector type `Vec` (nn/clones.h):
 // rows of two Float4 (xmm or NEON registers) in the default build, rows
-// of one Float8 (one ymm register) in the AVX2 one. A Float8 tile in the
-// SSE build would not do: GCC 12 keeps vectors wider than the target's
-// registers in memory, and that tile ran 1.7x slower. Written as a plain
-// float[4][8] array, GCC 12 spills the tile too. Lane arithmetic is the
-// scalar mul-then-add, so results do not change with the vector width.
-using Float4 = float __attribute__((vector_size(16)));
-using Float8 = float __attribute__((vector_size(32)));
+// of one Float8 (one ymm register) in the AVX2 one. Written as a plain
+// float[4][8] array, GCC 12 spills the tile.
 
 // C(i, j) += sum over p of A(i, p) * B(p, j) for rows [row_lo, row_hi) of
 // C, where A(i, p) = a[i * row_stride + p * depth_stride]. Every output

@@ -9,11 +9,13 @@
 #include <cstring>
 #include <limits>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/fpf.h"
 #include "cluster/topk.h"
+#include "nn/kernels.h"
 #include "util/random.h"
 
 namespace tasti::cluster {
@@ -254,10 +256,56 @@ std::vector<uint32_t> PerRepReference(const nn::Matrix& points,
   return {dirty.begin(), dirty.end()};
 }
 
+/// Serial count of the crack prefilter's survivors: one record at a time,
+/// new reps in ascending order, each pair's dot-trick value (the
+/// SquaredDistanceBatch value, bit for bit) tested against the record's
+/// current threshold with the rule UpdateTopKWithNewReps documents, and
+/// survivors inserted by their exact distance. Returns the number of pairs
+/// that reach the exact check; works on a copy of `start`.
+size_t SerialPrefilterChecks(const nn::Matrix& points, const nn::Matrix& reps,
+                             size_t first_row, size_t count,
+                             TopKDistances start) {
+  const size_t k = start.k;
+  const float norm_slack = 16.0f * static_cast<float>(points.cols()) *
+                           std::numeric_limits<float>::epsilon();
+  size_t checks = 0;
+  for (const nn::PackedBlock& block :
+       nn::PackBlocks(reps, first_row, first_row + count)) {
+    std::vector<float> d2(block.rows());
+    for (size_t i = 0; i < points.rows(); ++i) {
+      const float point_norm = nn::RowSquaredNorm(points, i);
+      nn::SquaredDistanceBatch(points, i, point_norm, block, d2.data());
+      float* dist = start.distances.data() + i * k;
+      uint32_t* ids = start.rep_ids.data() + i * k;
+      for (size_t j = 0; j < block.rows(); ++j) {
+        const float thr = dist[k - 1];
+        if (thr < std::numeric_limits<float>::max() &&
+            d2[j] > thr * thr * (1.0f + 1e-3f) + 1e-6f +
+                        norm_slack * (point_norm + block.norms()[j])) {
+          continue;
+        }
+        ++checks;
+        const size_t rep = block.row_begin() + j;
+        const float d = nn::Distance(points, i, reps, rep);
+        if (d >= thr) continue;
+        size_t pos = k - 1;
+        while (pos > 0 && dist[pos - 1] > d) {
+          dist[pos] = dist[pos - 1];
+          ids[pos] = ids[pos - 1];
+          --pos;
+        }
+        dist[pos] = d;
+        ids[pos] = static_cast<uint32_t>(rep);
+      }
+    }
+  }
+  return checks;
+}
+
 /// Applies rows [first_row, first_row + count) of `reps` to a copy of
 /// `start` with both the batched update and the reference; distances must
-/// match bit for bit, ids exactly, and the dirty rows as a duplicate-free
-/// set.
+/// match bit for bit, ids exactly, the dirty rows as a duplicate-free set,
+/// and the exact-check count the serial prefilter's.
 void ExpectMatchesPerRepReference(const nn::Matrix& points,
                                   const nn::Matrix& reps, size_t first_row,
                                   size_t count, const TopKDistances& start) {
@@ -266,7 +314,11 @@ void ExpectMatchesPerRepReference(const nn::Matrix& points,
       PerRepReference(points, reps, first_row, count, &want);
   TopKDistances got = start;
   std::vector<uint32_t> got_dirty;
-  UpdateTopKWithNewReps(points, reps, first_row, count, &got, &got_dirty);
+  size_t got_checks = 0;
+  UpdateTopKWithNewReps(points, reps, first_row, count, &got, &got_dirty,
+                        &got_checks);
+  EXPECT_EQ(got_checks,
+            SerialPrefilterChecks(points, reps, first_row, count, start));
 
   ASSERT_EQ(got.distances.size(), want.distances.size());
   for (size_t i = 0; i < got.distances.size(); ++i) {
@@ -306,6 +358,35 @@ TEST(TopKTest, BatchedUpdateMatchesPerRepReferenceAcrossPartialTiles) {
   const TopKDistances start = ComputeTopK(points, reps, 5);
   ExpectMatchesPerRepReference(points, grown, reps.rows(), 65, start);
   ExpectMatchesPerRepReference(points, grown, reps.rows(), 130, start);
+}
+
+TEST(TopKTest, BatchedUpdateMatchesPerRepReferenceForPartialRecordTiles) {
+  // Record counts that leave 0 to 3 records past the last whole tile of
+  // nn::kRecordTileRows, including fewer records than one tile.
+  const nn::Matrix reps = RandomPoints(30, 8, 60);
+  const nn::Matrix grown = Grown(reps, RandomPoints(20, 8, 61));
+  for (size_t n : {1u, 2u, 3u, 5u, 401u, 402u, 403u}) {
+    SCOPED_TRACE("records=" + std::to_string(n));
+    const nn::Matrix points = RandomPoints(n, 8, 62 + n);
+    ExpectMatchesPerRepReference(points, grown, reps.rows(), 20,
+                                 ComputeTopK(points, reps, 4));
+  }
+}
+
+TEST(TopKTest, BatchedUpdateMatchesPerRepReferenceForPartialMaskLanes) {
+  // New-rep counts that leave a block partly filled (the mask's high lanes
+  // unused), at dims below, between and above one vector.
+  for (size_t dim : {1u, 7u, 130u}) {
+    const nn::Matrix points = RandomPoints(203, dim, 70 + dim);
+    const nn::Matrix reps = RandomPoints(25, dim, 71 + dim);
+    const nn::Matrix grown = Grown(reps, RandomPoints(70, dim, 72 + dim));
+    const TopKDistances start = ComputeTopK(points, reps, 3);
+    for (size_t count : {7u, 13u, 17u, 70u}) {
+      SCOPED_TRACE("dim=" + std::to_string(dim) +
+                   " count=" + std::to_string(count));
+      ExpectMatchesPerRepReference(points, grown, reps.rows(), count, start);
+    }
+  }
 }
 
 TEST(TopKTest, BatchedUpdateFillsRowsWithFewerThanKNeighbours) {
@@ -412,17 +493,21 @@ TEST(TopKTest, UpdateIgnoresFartherRep) {
 TEST(TopKTest, CrackUpdateCountsPairsAndExactChecks) {
   const nn::Matrix points = RandomPoints(500, 8, 55);
   const nn::Matrix reps = RandomPoints(40, 8, 56);
+  const nn::Matrix grown = Grown(reps, RandomPoints(10, 8, 57));
   TopKDistances topk = ComputeTopK(points, reps, 3);
   std::vector<uint32_t> dirty;
   size_t checks = 0;
-  UpdateTopKWithNewReps(points, Grown(reps, RandomPoints(10, 8, 57)),
-                        reps.rows(), 10, &topk, &dirty, &checks);
+  UpdateTopKWithNewReps(points, grown, reps.rows(), 10, &topk, &dirty,
+                        &checks);
 
   // Every changed row passed at least one exact check; the prefilter must
   // also have rejected something on well-spread data. The call visits
-  // points.rows() x count pairs.
+  // points.rows() x count pairs, and the survivor mask skips only pairs
+  // the serial prefilter rejects.
   EXPECT_GE(checks, dirty.size());
   EXPECT_LT(checks, points.rows() * 10);
+  EXPECT_EQ(checks, SerialPrefilterChecks(points, grown, reps.rows(), 10,
+                                          ComputeTopK(points, reps, 3)));
 }
 
 }  // namespace

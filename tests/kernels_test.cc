@@ -14,6 +14,7 @@
 #include <limits>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/fpf.h"
@@ -312,6 +313,77 @@ TEST(KernelsBitIdentityTest, SquaredDistanceBatchEqualsSerialDotTrick) {
                 << " j=" << j << ": " << out[j] << " vs " << expected;
           }
         }
+      }
+    }
+  }
+}
+
+TEST(KernelsBitIdentityTest, SquaredDistanceTileEqualsSerialDotTrick) {
+  // Every tile height 1..kRecordTileRows at every start row, so the full
+  // 4-record tile and the one-record fallback both meet whole vector pairs
+  // and remainder columns.
+  RecordProperty("kernel_isa", nn::KernelIsa());
+  for (size_t d : kBitDims) {
+    const nn::Matrix points = RandomMatrix(9, d, 1100 + d);
+    const nn::Matrix reps = RandomMatrix(83, d, 1200 + d);
+    std::vector<float> norms(points.rows());
+    for (size_t i = 0; i < points.rows(); ++i) {
+      norms[i] = SerialDot(points.Row(i), points.Row(i), d);
+    }
+    for (size_t block_rows : kBitBlockRows) {
+      for (const nn::PackedBlock& block : nn::PackBlocks(reps, block_rows)) {
+        const size_t nb = block.rows();
+        std::vector<float> out(nn::kRecordTileRows * nb);
+        std::vector<float> expected(out.size());
+        for (size_t rows = 1; rows <= nn::kRecordTileRows; ++rows) {
+          for (size_t i0 = 0; i0 + rows <= points.rows(); ++i0) {
+            nn::SquaredDistanceTile(points, i0, rows, norms.data() + i0, block,
+                                    out.data());
+            for (size_t t = 0; t < rows; ++t) {
+              const float* x = points.Row(i0 + t);
+              for (size_t j = 0; j < nb; ++j) {
+                const float* y = reps.Row(block.row_begin() + j);
+                const float d2 = norms[i0 + t] + SerialDot(y, y, d) -
+                                 2.0f * SerialDot(x, y, d);
+                expected[t * nb + j] = d2 > 0.0f ? d2 : 0.0f;
+              }
+            }
+            ASSERT_EQ(std::memcmp(out.data(), expected.data(),
+                                  rows * nb * sizeof(float)),
+                      0)
+                << "d=" << d << " block_rows=" << block_rows
+                << " rows=" << rows << " i0=" << i0;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBitIdentityTest, SurvivorMaskEqualsScalarTest) {
+  RecordProperty("kernel_isa", nn::KernelIsa());
+  Rng rng(1300);
+  for (size_t n : {1u, 7u, 8u, 13u, 17u, 63u, 64u}) {
+    std::vector<float> d2(n), norms(n);
+    for (size_t j = 0; j < n; ++j) {
+      d2[j] = static_cast<float>(rng.Uniform());
+      norms[j] = static_cast<float>(rng.Uniform());
+    }
+    // An infinite norm with zero slack makes a NaN bound: that lane
+    // survives, like the scalar test it stands for.
+    norms[n / 2] = std::numeric_limits<float>::infinity();
+    for (const auto& [base, slack] : std::vector<std::pair<float, float>>{
+             {0.5f, 0.0f}, {0.25f, 0.125f}, {0.0f, 0.0f}, {2.0f, 1e-3f}}) {
+      const uint64_t mask =
+          nn::SurvivorMask(d2.data(), n, 0.375f, norms.data(), base, slack);
+      for (size_t j = 0; j < n; ++j) {
+        const bool survives =
+            !(d2[j] > base + slack * (0.375f + norms[j]));
+        EXPECT_EQ(((mask >> j) & 1) != 0, survives)
+            << "n=" << n << " j=" << j << " base=" << base;
+      }
+      if (n < 64) {
+        EXPECT_EQ(mask >> n, 0u) << "lanes past n are set";
       }
     }
   }

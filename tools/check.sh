@@ -25,7 +25,10 @@
 #            correctness: the serving layer (epoch snapshots, cross-query
 #            oracle batching), obs counters/spans, the thread pool, the
 #            retry/breaker state machine, and the nn GEMMs and triplet
-#            training whose pool shards write disjoint output rows.
+#            training whose pool shards write disjoint output rows. It
+#            also runs the default-ISA kernels (the only version a TSan
+#            build compiles) against their serial references: kernel bit
+#            identity, the FPF region, and top-k and crack updates.
 #   monitor  live-telemetry smoke: `tasti_cli monitor` under a concurrent
 #            workload with a breach-everything SLO, then asserts the
 #            Prometheus exposition carries the expected metric families,
@@ -68,7 +71,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 usage() {
-  sed -n '2,65p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,68p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 STAGES=()
@@ -171,7 +174,7 @@ stage_tsan() {
   configure build-tsan --preset tsan
   cmake --build build-tsan -j "$(nproc)" \
     --target obs_test util_test serve_test faults_test shard_test nn_test \
-    embed_test kernels_test
+    embed_test kernels_test cluster_test
   for t in obs_test util_test serve_test nn_test; do
     echo "-- build-tsan/tests/$t"
     "build-tsan/tests/$t"
@@ -191,6 +194,11 @@ stage_tsan() {
   echo "-- build-tsan/tests/kernels_test (default-ISA kernel bit identity, FPF region)"
   "build-tsan/tests/kernels_test" \
     --gtest_filter='KernelsBitIdentityTest.*:FpfRegionTest.*'
+  # The default version of the record-tile distance kernel and survivor
+  # mask, through top-k and the crack update, against the scalar
+  # references.
+  echo "-- build-tsan/tests/cluster_test (default-ISA top-k and crack update)"
+  "build-tsan/tests/cluster_test" --gtest_filter='TopKTest.*'
 }
 
 # check_exposition <file> [shards]: the Prometheus exposition carries the

@@ -22,7 +22,8 @@
 // Observability: every command accepts --trace=PATH (Chrome trace_event
 // JSON, loadable in Perfetto). The commands that keep a per-query cost
 // ledger (workload, serve-workload, monitor) also accept --metrics=PATH,
-// a JSON document of that ledger and the oracle's own call count. Flags
+// a JSON document of that ledger and the oracle's own call count; a
+// sharded run (--shards > 1) has no single ledger and rejects it. Flags
 // may be written `--key value` or `--key=value`.
 
 #include <algorithm>
@@ -93,7 +94,8 @@ int Usage() {
       "  common: --dataset <name> --records N --seed S --index PATH\n"
       "          --trace=PATH (Chrome trace JSON)\n"
       "  workload, serve-workload, monitor: --metrics=PATH (query ledger "
-      "JSON)\n"
+      "JSON;\n"
+      "          not with --shards > 1)\n"
       "  build:  --train N1 --reps N2 --k K --out PATH [--pretrained]\n"
       "  query:  --query <count|presence|atleast|meanx> --class "
       "<car|bus> [--min-count N]\n"
@@ -829,7 +831,7 @@ int RunServeWorkload(const Args& args) {
                    speedup, check_speedup);
       return 1;
     }
-    return 0;
+    return WriteObservability(args, nullptr);
   }
 
   serve::TastiServer server(&dataset, &served_oracle, server_opts);
@@ -1235,7 +1237,7 @@ int RunMonitor(const Args& args) {
                    total_alerts, total_dumps);
       return 1;
     }
-    return 0;
+    return WriteObservability(args, nullptr);
   }
 
   serve::TastiServer server(&dataset, &oracle, server_opts);
@@ -1337,7 +1339,7 @@ int RunMonitor(const Args& args) {
                  alerts.size(), dumps.size());
     return 1;
   }
-  return WriteObservability(args, &server.query_log());
+  return WriteObservability(args, &server.query_log(), oracle.invocations());
 }
 
 // Replays durable state from --wal-dir (newest readable checkpoint plus
@@ -1421,6 +1423,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "--metrics is only for workload, serve-workload and monitor "
                  "(it writes their query ledger)\n");
+    return 2;
+  }
+  // A sharded run keeps one ledger per shard and no merged one.
+  if (args.flags.count("metrics") > 0 && args.GetInt("shards", 1) > 1) {
+    std::fprintf(stderr,
+                 "--metrics needs one query ledger; --shards > 1 keeps one "
+                 "per shard\n");
     return 2;
   }
   if (!args.Get("trace", "").empty()) obs::SetTracingEnabled(true);
