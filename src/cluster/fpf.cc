@@ -120,17 +120,6 @@ FpfResult FurthestPointFirst(const nn::Matrix& points, size_t k,
   return result;
 }
 
-FpfResult FurthestPointFirstSubset(const nn::Matrix& points,
-                                   const std::vector<size_t>& candidates,
-                                   size_t k, size_t start_pos) {
-  TASTI_CHECK(!candidates.empty(), "FPF subset requires candidates");
-  TASTI_CHECK(start_pos < candidates.size(), "FPF subset start out of range");
-  nn::Matrix sub = points.GatherRows(candidates);
-  FpfResult local = FurthestPointFirst(sub, k, start_pos);
-  for (size_t& c : local.centers) c = candidates[c];
-  return local;
-}
-
 std::vector<size_t> MixedFpfRandomSelection(const nn::Matrix& points, size_t k,
                                             double random_fraction, Rng* rng) {
   TASTI_CHECK(rng != nullptr, "MixedFpfRandomSelection requires an RNG");

@@ -38,13 +38,6 @@ struct FpfResult {
 FpfResult FurthestPointFirst(const nn::Matrix& points, size_t k,
                              size_t start_index = 0);
 
-/// FPF restricted to a candidate subset: centers are chosen among
-/// `candidates` (indices into `points`) but coverage distances are still
-/// computed over the candidate set only.
-FpfResult FurthestPointFirstSubset(const nn::Matrix& points,
-                                   const std::vector<size_t>& candidates,
-                                   size_t k, size_t start_pos = 0);
-
 /// Selects `k` representatives as a mixture: (1 - random_fraction) via FPF
 /// plus random_fraction sampled uniformly (deduplicated), as the paper
 /// prescribes for cluster representatives ("we mix a small fraction of

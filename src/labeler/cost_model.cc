@@ -30,15 +30,4 @@ double CostModel::LabelCost(LabelerKind kind, size_t invocations) const {
   return 0.0;
 }
 
-double CostModel::IndexOverhead(LabelerKind kind, size_t num_records,
-                                double gpu_dollars_per_hour) const {
-  const double seconds =
-      static_cast<double>(num_records) * embedding_seconds_per_record +
-      training_overhead_seconds;
-  if (kind == LabelerKind::kHuman) {
-    return seconds / 3600.0 * gpu_dollars_per_hour;
-  }
-  return seconds;
-}
-
 }  // namespace tasti::labeler

@@ -30,19 +30,10 @@ struct CostModel {
   double mask_rcnn_seconds_per_label = 1.0 / 3.0;
   double ssd_seconds_per_label = 1.0 / 150.0;
   double embedding_seconds_per_record = 1.0 / 12000.0;
-  /// Fixed charge for triplet training + FPF clustering, amortized into the
-  /// "all costs" rows (wall-clock dominated by embedding DNN epochs).
-  double training_overhead_seconds = 1200.0;
 
   /// Cost of `invocations` target labeler calls, in the labeler's native
   /// unit (dollars for human, seconds otherwise).
   double LabelCost(LabelerKind kind, size_t invocations) const;
-
-  /// Index construction overhead (embedding all records + training) in the
-  /// labeler's native unit. For the human labeler the GPU time is billed
-  /// at `gpu_dollars_per_hour`.
-  double IndexOverhead(LabelerKind kind, size_t num_records,
-                       double gpu_dollars_per_hour = 3.0) const;
 
   /// Native unit suffix for display ("$" handled by caller; "s" otherwise).
   static bool IsDollars(LabelerKind kind) { return kind == LabelerKind::kHuman; }

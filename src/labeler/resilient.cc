@@ -244,9 +244,4 @@ std::optional<data::LabelerOutput> CachingFallibleLabeler::CachedLabel(
   return cache_[index];
 }
 
-void CachingFallibleLabeler::ClearCache() {
-  cache_.assign(cache_.size(), std::nullopt);
-  labeled_order_.clear();
-}
-
 }  // namespace tasti::labeler

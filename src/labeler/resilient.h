@@ -187,9 +187,6 @@ class CachingFallibleLabeler : public FallibleLabeler {
   /// Cached output for `index`, if a call for it has succeeded.
   std::optional<data::LabelerOutput> CachedLabel(size_t index) const;
 
-  /// Drops the cache (keeps the inner labeler's invocation count).
-  void ClearCache();
-
  private:
   FallibleLabeler* inner_;
   std::vector<std::optional<data::LabelerOutput>> cache_;

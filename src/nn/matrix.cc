@@ -98,23 +98,6 @@ void Matrix::SetRow(size_t dst_row, const Matrix& src, size_t src_row) {
   std::copy(src.Row(src_row), src.Row(src_row) + cols_, Row(dst_row));
 }
 
-Matrix Matrix::VStack(const std::vector<const Matrix*>& parts) {
-  TASTI_CHECK(!parts.empty(), "VStack requires at least one part");
-  const size_t cols = parts[0]->cols();
-  size_t rows = 0;
-  for (const Matrix* p : parts) {
-    TASTI_CHECK(p->cols() == cols, "VStack column mismatch");
-    rows += p->rows();
-  }
-  Matrix out(rows, cols);
-  size_t at = 0;
-  for (const Matrix* p : parts) {
-    std::copy(p->data(), p->data() + p->size(), out.Row(at));
-    at += p->rows();
-  }
-  return out;
-}
-
 Matrix Matrix::RowSlice(size_t row_begin, size_t row_end) const {
   TASTI_CHECK(row_begin <= row_end && row_end <= rows_, "RowSlice out of range");
   Matrix out(row_end - row_begin, cols_);
@@ -275,15 +258,6 @@ float SquaredDistance(const Matrix& a, size_t ra, const Matrix& b, size_t rb) {
 
 float Distance(const Matrix& a, size_t ra, const Matrix& b, size_t rb) {
   return std::sqrt(SquaredDistance(a, ra, b, rb));
-}
-
-float RowDot(const Matrix& a, size_t ra, const Matrix& b, size_t rb) {
-  TASTI_CHECK(a.cols() == b.cols(), "RowDot column mismatch");
-  const float* x = a.Row(ra);
-  const float* y = b.Row(rb);
-  float acc = 0.0f;
-  for (size_t i = 0; i < a.cols(); ++i) acc += x[i] * y[i];
-  return acc;
 }
 
 }  // namespace tasti::nn

@@ -103,9 +103,6 @@ class Matrix {
   /// Copies the 1 x cols row `src_row` of `src` into row `dst_row`.
   void SetRow(size_t dst_row, const Matrix& src, size_t src_row);
 
-  /// Stacks matrices vertically; all inputs must share a column count.
-  static Matrix VStack(const std::vector<const Matrix*>& parts);
-
   /// Returns the [row_begin, row_end) horizontal slice as a copy.
   Matrix RowSlice(size_t row_begin, size_t row_end) const;
 
@@ -144,9 +141,6 @@ float SquaredDistance(const Matrix& a, size_t ra, const Matrix& b, size_t rb);
 
 /// Euclidean distance between two rows (sqrt of SquaredDistance).
 float Distance(const Matrix& a, size_t ra, const Matrix& b, size_t rb);
-
-/// Dot product of two rows.
-float RowDot(const Matrix& a, size_t ra, const Matrix& b, size_t rb);
 
 }  // namespace tasti::nn
 

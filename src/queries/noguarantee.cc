@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <string>
 #include <utility>
 
@@ -111,128 +110,6 @@ Result<ThresholdSelectResult> TryThresholdSelect(
   for (size_t i = 0; i < n; ++i) {
     if (proxy_scores[i] >= result.threshold) result.selected.push_back(i);
   }
-  return result;
-}
-
-AggregationResult ProxyOnlyAggregate(const std::vector<double>& proxy_scores) {
-  AggregationResult result;
-  if (proxy_scores.empty()) return result;
-  result.estimate = Mean(proxy_scores);
-  const auto [lo, hi] =
-      std::minmax_element(proxy_scores.begin(), proxy_scores.end());
-  // Trivial range bound on the proxy mean itself; says nothing about the
-  // distance between proxy and truth, hence converged=false.
-  result.half_width = (*hi - *lo) / 2.0;
-  result.converged = false;
-  return result;
-}
-
-PredicateAggregationResult ProxyOnlyPredicateAggregate(
-    const std::vector<double>& predicate_proxy,
-    const std::vector<double>& statistic_proxy) {
-  TASTI_CHECK(predicate_proxy.size() == statistic_proxy.size(),
-              "proxy vectors must be the same length");
-  PredicateAggregationResult result;
-  double mass = 0.0, weighted = 0.0;
-  for (size_t i = 0; i < predicate_proxy.size(); ++i) {
-    const double w = std::clamp(predicate_proxy[i], 0.0, 1.0);
-    mass += w;
-    weighted += w * statistic_proxy[i];
-  }
-  if (mass > 1e-12) result.estimate = weighted / mass;
-  result.converged = false;
-  return result;
-}
-
-namespace {
-
-/// Selection result from a proxy threshold: every record whose clipped
-/// proxy clears it.
-SupgResult SelectAtOrAbove(const std::vector<double>& proxy_scores,
-                           double threshold) {
-  SupgResult result;
-  result.threshold = threshold;
-  for (size_t i = 0; i < proxy_scores.size(); ++i) {
-    if (std::clamp(proxy_scores[i], 0.0, 1.0) >= threshold) {
-      result.selected.push_back(i);
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-SupgResult ProxyOnlyRecallSelect(const std::vector<double>& proxy_scores,
-                                 double recall_target) {
-  // Largest threshold retaining `recall_target` of the clipped-proxy mass:
-  // sort descending and accumulate until the target mass is covered.
-  std::vector<double> clipped(proxy_scores.size());
-  double total = 0.0;
-  for (size_t i = 0; i < proxy_scores.size(); ++i) {
-    clipped[i] = std::clamp(proxy_scores[i], 0.0, 1.0);
-    total += clipped[i];
-  }
-  double threshold = 0.0;
-  if (total > 1e-12) {
-    std::vector<double> sorted = clipped;
-    std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-    double covered = 0.0;
-    for (double value : sorted) {
-      covered += value;
-      threshold = value;
-      if (covered >= recall_target * total) break;
-    }
-  }
-  return SelectAtOrAbove(proxy_scores, threshold);
-}
-
-SupgResult ProxyOnlyPrecisionSelect(const std::vector<double>& proxy_scores,
-                                    double precision_target) {
-  // Largest descending-proxy prefix whose mean clipped proxy stays at or
-  // above the target (the proxy standing in for the match probability).
-  std::vector<double> sorted(proxy_scores.size());
-  for (size_t i = 0; i < proxy_scores.size(); ++i) {
-    sorted[i] = std::clamp(proxy_scores[i], 0.0, 1.0);
-  }
-  std::sort(sorted.begin(), sorted.end(), std::greater<double>());
-  double threshold = 1.0 + 1e-9;  // empty-set fallback
-  double sum = 0.0;
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    sum += sorted[i];
-    if (sum / static_cast<double>(i + 1) >= precision_target) {
-      threshold = sorted[i];
-    } else {
-      break;
-    }
-  }
-  return SelectAtOrAbove(proxy_scores, threshold);
-}
-
-ThresholdSelectResult ProxyOnlyThresholdSelect(
-    const std::vector<double>& proxy_scores) {
-  ThresholdSelectResult result;
-  if (proxy_scores.empty()) return result;
-  const auto [lo, hi] =
-      std::minmax_element(proxy_scores.begin(), proxy_scores.end());
-  result.threshold = (*lo + *hi) / 2.0;
-  for (size_t i = 0; i < proxy_scores.size(); ++i) {
-    if (proxy_scores[i] >= result.threshold) result.selected.push_back(i);
-  }
-  return result;
-}
-
-LimitResult ProxyOnlyLimit(const std::vector<double>& ranking_scores,
-                           size_t want) {
-  LimitResult result;
-  std::vector<size_t> order(ranking_scores.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return ranking_scores[a] > ranking_scores[b];
-  });
-  const size_t take = std::min(want, order.size());
-  result.found.assign(order.begin(), order.begin() + take);
-  // Nothing was oracle-verified: never claim satisfaction.
-  result.satisfied = false;
   return result;
 }
 

@@ -18,10 +18,6 @@
 
 #include "core/scorer.h"
 #include "labeler/labeler.h"
-#include "queries/aggregation.h"
-#include "queries/limit.h"
-#include "queries/predicate_aggregation.h"
-#include "queries/supg.h"
 #include "serve/deadline.h"
 
 namespace tasti::queries {
@@ -72,43 +68,6 @@ Result<ThresholdSelectResult> TryThresholdSelect(
 /// Evaluation helper: F1 of a selected set against exact 0/1 scores.
 double F1Score(const std::vector<size_t>& selected,
                const std::vector<double>& exact_scores);
-
-/// Proxy-only answers for brownout serving: every query kind answered
-/// from proxy scores with ZERO oracle calls. Results are marked
-/// unconverged / unsatisfied where the type allows, because nothing here
-/// carries a statistical guarantee — the serving layer reports the
-/// guarantee downgrade (GuaranteeLevel::kProxyOnly) alongside.
-
-/// Mean of the proxy scores; half_width is the trivial (max-min)/2 range
-/// bound on the proxy mean itself (not the true mean), converged=false.
-AggregationResult ProxyOnlyAggregate(const std::vector<double>& proxy_scores);
-
-/// Predicate-proxy-weighted mean of the statistic proxy (soft analogue of
-/// E[statistic | predicate]); converged=false.
-PredicateAggregationResult ProxyOnlyPredicateAggregate(
-    const std::vector<double>& predicate_proxy,
-    const std::vector<double>& statistic_proxy);
-
-/// Threshold at the largest proxy value keeping `recall_target` of the
-/// total clipped-proxy mass above it; selection is every record at or
-/// above the threshold.
-SupgResult ProxyOnlyRecallSelect(const std::vector<double>& proxy_scores,
-                                 double recall_target);
-
-/// Largest prefix of records in descending proxy order whose mean clipped
-/// proxy stays at or above `precision_target`.
-SupgResult ProxyOnlyPrecisionSelect(const std::vector<double>& proxy_scores,
-                                    double precision_target);
-
-/// Fixed threshold at the midpoint of the observed proxy range (no
-/// validation sample is available without the oracle); validation_f1 = 0.
-ThresholdSelectResult ProxyOnlyThresholdSelect(
-    const std::vector<double>& proxy_scores);
-
-/// Top-`want` records by ranking score (ties broken by index); none are
-/// oracle-verified, so satisfied=false.
-LimitResult ProxyOnlyLimit(const std::vector<double>& ranking_scores,
-                           size_t want);
 
 }  // namespace tasti::queries
 

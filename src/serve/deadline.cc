@@ -11,8 +11,6 @@ const char* GuaranteeLevelName(GuaranteeLevel level) {
       return "full";
     case GuaranteeLevel::kReduced:
       return "reduced";
-    case GuaranteeLevel::kProxyOnly:
-      return "proxy_only";
   }
   return "unknown";
 }

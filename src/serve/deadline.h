@@ -43,8 +43,6 @@ enum class GuaranteeLevel {
   /// Reduced: the deadline cut sampling short; the interval/threshold is
   /// honest for the samples taken but wider/weaker than requested.
   kReduced = 1,
-  /// Proxy-only (brownout): zero oracle calls; no statistical guarantee.
-  kProxyOnly = 2,
 };
 
 /// Short stable name for logs and exposition labels.

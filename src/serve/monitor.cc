@@ -378,12 +378,6 @@ obs::LiveStats ServerMonitor::Collect() {
     live.Add("tasti_deadline_expired_total",
              static_cast<double>(server_stats_.deadline_expired), {}, 'c',
              "queries whose deadline expired mid-execution");
-    live.Add("tasti_brownout_queries_total",
-             static_cast<double>(server_stats_.brownout_queries), {}, 'c',
-             "queries answered proxy-only during brownout");
-    live.Add("tasti_brownout_active",
-             server_stats_.brownout_active ? 1.0 : 0.0, {}, 'g',
-             "1 while the server is browned out to proxy-only serving");
   }
   return live;
 }
@@ -412,7 +406,6 @@ std::string ServerMonitor::StatusLine() {
   uint64_t completed = 0;
   uint64_t shed = 0;
   uint64_t degraded = 0;
-  bool brownout = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     alerts += direct_alerts_;
@@ -421,20 +414,19 @@ std::string ServerMonitor::StatusLine() {
     completed = server_stats_.queries_completed;
     shed = server_stats_.queries_shed;
     degraded = server_stats_.degraded_responses;
-    brownout = server_stats_.brownout_active;
   }
 
   char buf[320];
   std::snprintf(
       buf, sizeof(buf),
       "t=%.1fs q=%llu win=%llu p50=%.2fms p95=%.2fms p99=%.2fms "
-      "burn(lat)=%.2f/%.2f cache=%.2f shed=%llu degr=%llu bo=%d "
+      "burn(lat)=%.2f/%.2f cache=%.2f shed=%llu degr=%llu "
       "alerts=%llu dumps=%zu",
       now, static_cast<unsigned long long>(completed),
       static_cast<unsigned long long>(all.count), all.Quantile(0.50),
       all.Quantile(0.95), all.Quantile(0.99), latency_burn.fast,
       latency_burn.slow, cache_hit, static_cast<unsigned long long>(shed),
-      static_cast<unsigned long long>(degraded), brownout ? 1 : 0,
+      static_cast<unsigned long long>(degraded),
       static_cast<unsigned long long>(alerts), dumps);
   return buf;
 }

@@ -127,38 +127,6 @@ QueryResponse ExecuteQuery(const QuerySpec& spec,
   return response;
 }
 
-QueryResponse AnswerFromProxy(const QuerySpec& spec,
-                              const std::vector<double>& proxy,
-                              const std::vector<double>& statistic_proxy) {
-  TASTI_SPAN("serve.execute");
-  QueryResponse response;
-  response.kind = spec.kind;
-  response.degraded = true;
-  response.guarantee = GuaranteeLevel::kProxyOnly;
-  switch (spec.kind) {
-    case QueryKind::kAggregate:
-      response.aggregate = queries::ProxyOnlyAggregate(proxy);
-      break;
-    case QueryKind::kAggregateWhere:
-      response.aggregate_where =
-          queries::ProxyOnlyPredicateAggregate(proxy, statistic_proxy);
-      break;
-    case QueryKind::kSupgRecall:
-      response.supg = queries::ProxyOnlyRecallSelect(proxy, spec.target);
-      break;
-    case QueryKind::kSupgPrecision:
-      response.supg = queries::ProxyOnlyPrecisionSelect(proxy, spec.target);
-      break;
-    case QueryKind::kThresholdSelect:
-      response.select = queries::ProxyOnlyThresholdSelect(proxy);
-      break;
-    case QueryKind::kLimit:
-      response.limit = queries::ProxyOnlyLimit(proxy, spec.want);
-      break;
-  }
-  return response;
-}
-
 size_t FailedOracleCalls(const QueryResponse& response) {
   switch (response.kind) {
     case QueryKind::kAggregate:

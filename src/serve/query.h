@@ -7,8 +7,7 @@
 /// record, and hand the proxy to an existing algorithm. TastiServer owns
 /// the first two steps (its score cache, per snapshot epoch); ExecuteQuery
 /// is the third, so anything given the same proxy, oracle answers and seed
-/// returns bit-identical payloads. AnswerFromProxy is its brownout twin:
-/// the same six kinds answered from proxy scores alone.
+/// returns bit-identical payloads.
 
 #include <cstddef>
 #include <cstdint>
@@ -104,8 +103,8 @@ struct QueryResponse {
   double execute_seconds = 0.0;  ///< wall time from dequeue to completion
 
   // Degradation accounting (DESIGN.md §15).
-  /// True when the answer is weaker than requested (deadline cut sampling
-  /// short, or the server was browned out to proxy-only).
+  /// True when the answer is weaker than requested: the deadline cut
+  /// sampling short, or a sharded gather merged without some shards.
   bool degraded = false;
   /// How much statistical guarantee the answer retains.
   GuaranteeLevel guarantee = GuaranteeLevel::kFull;
@@ -128,15 +127,6 @@ QueryResponse ExecuteQuery(const QuerySpec& spec,
                            const std::vector<double>& proxy,
                            labeler::FallibleLabeler* oracle, uint64_t seed,
                            double confidence, const Deadline& deadline = {});
-
-/// Brownout twin of ExecuteQuery: answers `spec` from proxy scores with
-/// zero oracle calls, marked degraded with GuaranteeLevel kProxyOnly.
-/// `statistic_proxy` holds the statistic's proxy scores for
-/// kAggregateWhere and is ignored by every other kind. Also runs under
-/// the `serve.execute` span.
-QueryResponse AnswerFromProxy(const QuerySpec& spec,
-                              const std::vector<double>& proxy,
-                              const std::vector<double>& statistic_proxy);
 
 /// Oracle calls that failed during the query, from the payload matching
 /// response.kind.

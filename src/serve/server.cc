@@ -374,9 +374,6 @@ ServerStats TastiServer::stats() const {
     stats.deadline_expired = deadline_expired_;
   }
   stats.queries_shed = shedder_.stats().shed_total;
-  const BrownoutStats brownout = brownout_.stats();
-  stats.brownout_queries = brownout.proxy_only_queries;
-  stats.brownout_active = brownout.active;
   stats.index_invocations = index_invocations_;
   stats.epochs_published = epochs_.published();
   stats.live_snapshots = epochs_.live_snapshots();
@@ -485,27 +482,10 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   // attributed.
   DeadlineOracle gated(&cache, deadline, options_.degrade.virtual_ms_per_call);
 
-  QueryResponse response;
-  const bool proxy_only = options_.degrade.brownout && brownout_.active();
-  if (proxy_only) {
-    // Brownout: answer from proxy scores with ZERO oracle calls. The
-    // guarantee downgrade is explicit in the response; nothing here can
-    // fail or block on the oracle.
-    brownout_.CountProxyOnlyQuery();
-    std::shared_ptr<const core::PropagationState> statistic = proxy;
-    if (spec.kind == QueryKind::kAggregateWhere) {
-      ScoreCache::Outcome stat_outcome;
-      statistic = score_cache_.GetOrCompute(
-          *snapshot, *spec.statistic, core::PropagationMode::kNumeric,
-          &stat_outcome);
-    }
-    response = AnswerFromProxy(spec, proxy->scores, statistic->scores);
-  } else {
-    response = ExecuteQuery(
-        spec, proxy->scores, &gated,
-        DeriveQuerySeed(options_.seed, pending.query_id),
-        options_.confidence, deadline);
-  }
+  QueryResponse response = ExecuteQuery(
+      spec, proxy->scores, &gated,
+      DeriveQuerySeed(options_.seed, pending.query_id), options_.confidence,
+      deadline);
   response.query_id = pending.query_id;
   response.epoch = snapshot->epoch;
   response.queue_wait_ms = pending.queue_wait_ms;
@@ -517,7 +497,7 @@ QueryResponse TastiServer::RunQuery(PendingQuery pending) {
   // then its crack.
   std::vector<durable::WalRecord> records;
   if (response.status.ok() && snapshot->num_failed_representatives > 0 &&
-      !proxy_only && !response.deadline_hit) {
+      !response.deadline_hit) {
     // Self-healing: re-annotate failed representatives through this
     // query's context (so the calls are attributed to it) and its deadline
     // (so they cannot overrun it), but not through its label cache (so they

@@ -79,9 +79,6 @@ constexpr size_t kMaxRepRepairsPerQuery = 16;
 struct DegradeOptions {
   /// Admission-time load shedding; disabled by default.
   ShedderOptions shedder;
-  /// Allow brownout (proxy-only) serving while the BrownoutController is
-  /// tripped — by the oracle breaker opening or an SLO burn alert.
-  bool brownout = false;
   /// > 0 switches per-query deadlines to virtual-time accounting, charging
   /// this flat cost per logical oracle call — bit-reproducible expiry
   /// independent of host speed (deadline.h). 0 = wall-clock deadlines.
@@ -101,7 +98,7 @@ struct ServerOptions {
   /// mid-wave commits the queued mutations with the append.
   bool deterministic = false;
   SchedulerOptions scheduler;
-  /// Overload behavior: load shedding, brownout, deadline accounting.
+  /// Overload behavior: load shedding, deadline accounting.
   DegradeOptions degrade;
   /// Crash-safe durability (durable/checkpoint.h): when `durability.dir`
   /// is set, every crack, repair and append is WAL-logged, each commit
@@ -121,12 +118,12 @@ struct ServerOptions {
 
 /// Aggregate server tallies. Safe to read live, from any thread, while a
 /// workload is executing: counters are copied under the server mutex, the
-/// epoch tallies are atomics, and the shed and brownout counts are read
-/// from the shedder's and the brownout latch's own stats. Every tally
-/// counts over the server object's life, across RecoverFrom() warm
-/// restarts, except the attribution ledger (index_invocations,
-/// query_invocations), which restarts with each incarnation because the
-/// invariant compares it with this incarnation's oracle calls.
+/// epoch tallies are atomics, and the shed count is read from the
+/// shedder's own stats. Every tally counts over the server object's life,
+/// across RecoverFrom() warm restarts, except the attribution ledger
+/// (index_invocations, query_invocations), which restarts with each
+/// incarnation because the invariant compares it with this incarnation's
+/// oracle calls.
 struct ServerStats {
   uint64_t queries_submitted = 0;
   uint64_t queries_completed = 0;
@@ -140,10 +137,6 @@ struct ServerStats {
   uint64_t queries_shed = 0;        ///< ShedderStats::shed_total
   uint64_t degraded_responses = 0;  ///< completed with degraded = true
   uint64_t deadline_expired = 0;    ///< completed with deadline_hit = true
-  /// BrownoutStats::proxy_only_queries: answered proxy-only while browned
-  /// out (counted when the query starts).
-  uint64_t brownout_queries = 0;
-  bool brownout_active = false;
 };
 
 /// The serving engine. All public methods are thread-safe; Start() must
@@ -236,12 +229,6 @@ class TastiServer {
   ScoreCacheStats score_cache_stats() const { return score_cache_.stats(); }
   /// Live-safe admission shedder tallies.
   ShedderStats shedder_stats() const { return shedder_.stats(); }
-  /// The brownout latch. Wire the oracle breaker to it via
-  /// ResilientLabeler's on_breaker_transition callback, or Trip()/Clear()
-  /// it directly (SLO burn, operator override). Only consulted when
-  /// options().degrade.brownout is set.
-  BrownoutController& brownout() { return brownout_; }
-  const BrownoutController& brownout() const { return brownout_; }
   const ServerOptions& options() const { return options_; }
   /// Zeros when durability is disabled (or its manager failed to open).
   durable::DurabilityStats durability_stats() const;
@@ -372,7 +359,6 @@ class TastiServer {
   std::unordered_set<uint64_t> abandoned_;
 
   LoadShedder shedder_;
-  BrownoutController brownout_;
 
   std::mutex log_mu_;
   obs::QueryLog query_log_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-
 namespace tasti::serve {
 
 // EWMA smoothing factor for the observed per-query service time.
@@ -93,48 +92,6 @@ ShedderStats LoadShedder::stats() const {
   ShedderStats out = stats_;
   out.overloaded = overloaded_;
   out.ewma_service_ms = ewma_service_ms_;
-  return out;
-}
-
-void BrownoutController::Trip(const std::string& reason) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (active_.load(std::memory_order_relaxed)) return;
-  active_.store(true, std::memory_order_relaxed);
-  ++stats_.trips;
-  stats_.last_reason = reason;
-}
-
-void BrownoutController::Clear(const std::string& reason) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!active_.load(std::memory_order_relaxed)) return;
-  active_.store(false, std::memory_order_relaxed);
-  ++stats_.clears;
-  stats_.last_reason = reason;
-}
-
-void BrownoutController::OnBreakerTransition(labeler::BreakerState state) {
-  switch (state) {
-    case labeler::BreakerState::kOpen:
-      Trip("oracle circuit breaker open");
-      break;
-    case labeler::BreakerState::kClosed:
-      Clear("oracle circuit breaker closed");
-      break;
-    case labeler::BreakerState::kHalfOpen:
-      // Probe in flight; stay browned out until it succeeds (kClosed).
-      break;
-  }
-}
-
-void BrownoutController::CountProxyOnlyQuery() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.proxy_only_queries;
-}
-
-BrownoutStats BrownoutController::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  BrownoutStats out = stats_;
-  out.active = active_.load(std::memory_order_relaxed);
   return out;
 }
 

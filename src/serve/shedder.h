@@ -2,7 +2,7 @@
 #define TASTI_SERVE_SHEDDER_H_
 
 /// \file shedder.h
-/// Admission-time load shedding and brownout control.
+/// Admission-time load shedding.
 ///
 /// LoadShedder implements a CoDel-flavored admission policy: rather than
 /// queueing unboundedly and timing every query out at once, it estimates
@@ -13,20 +13,11 @@
 /// next, interactive last — and a sustained period of queue waits above
 /// the target (the CoDel signal) flips an `overloaded` latch that sheds
 /// lower classes more aggressively until waits recover.
-///
-/// BrownoutController is the coarser lever: when the oracle is effectively
-/// down (circuit breaker open) or the budget-burn SLO fires, the server
-/// flips into brownout and answers from proxy scores only (zero oracle
-/// calls, guarantee downgraded to proxy-only), flipping back automatically
-/// when the breaker's half-open probe succeeds.
 
 #include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <mutex>
-#include <string>
-
-#include "labeler/resilient.h"
 
 namespace tasti::serve {
 
@@ -107,38 +98,6 @@ class LoadShedder {
   /// Start of the current above-target streak; <0 when not in a streak.
   double above_target_since_ms_ = -1.0;
   ShedderStats stats_;
-};
-
-struct BrownoutStats {
-  bool active = false;
-  uint64_t trips = 0;
-  uint64_t clears = 0;
-  /// Queries answered proxy-only while browned out.
-  uint64_t proxy_only_queries = 0;
-  std::string last_reason;
-};
-
-/// Latch for proxy-only serving. Trip/Clear are idempotent (only
-/// transitions count); OnBreakerTransition adapts the oracle breaker's
-/// state machine — open trips, closed clears (a successful half-open
-/// probe is what closes the breaker, so recovery is automatic).
-/// Thread-safe, and safe to call from ResilientLabeler's
-/// on_breaker_transition callback (never calls back into the labeler).
-class BrownoutController {
- public:
-  bool active() const { return active_.load(std::memory_order_relaxed); }
-
-  void Trip(const std::string& reason);
-  void Clear(const std::string& reason);
-  void OnBreakerTransition(labeler::BreakerState state);
-
-  void CountProxyOnlyQuery();
-  BrownoutStats stats() const;
-
- private:
-  std::atomic<bool> active_{false};
-  mutable std::mutex mu_;
-  BrownoutStats stats_;
 };
 
 }  // namespace tasti::serve

@@ -499,8 +499,6 @@ serve::ServerStats ShardedServer::stats() const {
     total.queries_shed += s.queries_shed;
     total.degraded_responses += s.degraded_responses;
     total.deadline_expired += s.deadline_expired;
-    total.brownout_queries += s.brownout_queries;
-    total.brownout_active = total.brownout_active || s.brownout_active;
   }
   return total;
 }

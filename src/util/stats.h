@@ -77,16 +77,6 @@ class RunningCovariance {
 double EmpiricalBernsteinHalfWidth(double sample_variance, double range, size_t n,
                                    double delta);
 
-/// Hoeffding half-width at level 1 - delta for values with range `range`.
-double HoeffdingHalfWidth(double range, size_t n, double delta);
-
-/// Upper binomial confidence bound (Wilson score) on a proportion given
-/// `successes` out of `n` at level 1 - delta. Used for SUPG bound checks.
-double WilsonUpperBound(size_t successes, size_t n, double delta);
-
-/// Lower binomial confidence bound (Wilson score).
-double WilsonLowerBound(size_t successes, size_t n, double delta);
-
 /// Exact mean of a vector; 0 when empty.
 double Mean(const std::vector<double>& v);
 

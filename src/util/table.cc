@@ -45,20 +45,6 @@ std::string TablePrinter::ToString() const {
   return out.str();
 }
 
-std::string TablePrinter::ToCsv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ",";
-      out << row[c];
-    }
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 std::string Fmt(double value, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", digits, value);

@@ -29,9 +29,6 @@ class TablePrinter {
   /// Renders the table with a header rule and aligned columns.
   std::string ToString() const;
 
-  /// Renders the table as CSV (no alignment padding).
-  std::string ToCsv() const;
-
   size_t num_rows() const { return rows_.size(); }
 
  private:

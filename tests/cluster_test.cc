@@ -137,17 +137,6 @@ TEST(FpfTest, DuplicatePointsStopEarly) {
   for (float d : result.min_distance) EXPECT_EQ(d, 0.0f);
 }
 
-TEST(FpfTest, SubsetSelectionMapsBackToGlobalIndices) {
-  nn::Matrix points = RandomPoints(100, 4, 9);
-  std::vector<size_t> candidates = {5, 10, 20, 40, 60, 80, 90};
-  FpfResult result = FurthestPointFirstSubset(points, candidates, 3);
-  EXPECT_EQ(result.centers.size(), 3u);
-  for (size_t c : result.centers) {
-    EXPECT_NE(std::find(candidates.begin(), candidates.end(), c),
-              candidates.end());
-  }
-}
-
 TEST(MixedSelectionTest, RespectsCountAndUniqueness) {
   nn::Matrix points = RandomPoints(300, 4, 10);
   Rng rng(11);

@@ -283,6 +283,10 @@ TEST(ResilientLabelerTest, BreakerOpensRejectsAndRecovers) {
   opts.breaker.failure_threshold = 8;
   opts.breaker.cooldown_ms = 100.0;
   opts.breaker.half_open_successes = 2;
+  std::vector<labeler::BreakerState> transitions;
+  opts.on_breaker_transition = [&transitions](labeler::BreakerState state) {
+    transitions.push_back(state);
+  };
   labeler::ResilientLabeler oracle(&inj, opts);
 
   // Two failing calls (4 attempts each) trip the breaker.
@@ -305,6 +309,11 @@ TEST(ResilientLabelerTest, BreakerOpensRejectsAndRecovers) {
   EXPECT_TRUE(oracle.TryLabel(4).ok());
   EXPECT_EQ(oracle.breaker_state(), labeler::BreakerState::kClosed);
   EXPECT_EQ(oracle.stats().breaker_closes, 1u);
+  // The callback saw every transition, once each, in order.
+  EXPECT_EQ(transitions, (std::vector<labeler::BreakerState>{
+                             labeler::BreakerState::kOpen,
+                             labeler::BreakerState::kHalfOpen,
+                             labeler::BreakerState::kClosed}));
 }
 
 TEST(ResilientLabelerTest, BatchIsolatesPartialFailures) {

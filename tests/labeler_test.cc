@@ -121,18 +121,6 @@ TEST(CachingFallibleLabelerTest, CachedLabelLookup) {
             data::CountBoxes(ds.ground_truth[9]));
 }
 
-TEST(CachingFallibleLabelerTest, ClearCacheForcesRelabel) {
-  data::Dataset ds = SmallVideoDataset();
-  SimulatedLabeler simulated(&ds);
-  FallibleAdapter oracle(&simulated);
-  CachingFallibleLabeler cache(&oracle);
-  ASSERT_TRUE(cache.TryLabel(1).ok());
-  cache.ClearCache();
-  EXPECT_TRUE(cache.labeled_indices().empty());
-  ASSERT_TRUE(cache.TryLabel(1).ok());
-  EXPECT_EQ(simulated.invocations(), 2u);
-}
-
 TEST(CachingFallibleLabelerTest, FailedCallIsNotCachedAndRetriesTheOracle) {
   data::Dataset ds = SmallVideoDataset();
   SimulatedLabeler simulated(&ds);
@@ -205,14 +193,6 @@ TEST(CostModelTest, ExhaustiveCostsScaleWithRecords) {
   EXPECT_NEAR(mask / ssd, 50.0, 1.0);
   // Human labeling is in dollars.
   EXPECT_NEAR(model.LabelCost(LabelerKind::kHuman, 1000), 70.0, 1e-9);
-}
-
-TEST(CostModelTest, IndexOverheadIsSmallRelativeToExhaustive) {
-  CostModel model;
-  const size_t n = 973000;
-  const double overhead = model.IndexOverhead(LabelerKind::kMaskRCnn, n);
-  const double exhaustive = model.LabelCost(LabelerKind::kMaskRCnn, n);
-  EXPECT_LT(overhead, exhaustive * 0.05);
 }
 
 TEST(CostModelTest, KindNamesAndUnits) {

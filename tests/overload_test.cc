@@ -2,8 +2,7 @@
 // tokens and the DeadlineOracle enforcement point, budget-capped retry
 // backoff, CoDel-style load shedding with priority classes, deterministic
 // shed/degrade behavior of the TastiServer under virtual-time deadlines,
-// brownout (proxy-only) serving driven by the oracle circuit breaker, the
-// hedged + partial scatter-gather path of the ShardedServer, and the
+// the hedged + partial scatter-gather path of the ShardedServer, and the
 // degraded mergers' monotone confidence widening as shards go absent.
 
 #include <gtest/gtest.h>
@@ -675,80 +674,6 @@ TEST(ServerOverloadTest, DeadlineCountsSurfaceInStats) {
   EXPECT_GE(stats.deadline_expired, 1u);
   EXPECT_GE(stats.degraded_responses, 1u);
   EXPECT_TRUE(server.CheckAttributionInvariant().ok());
-  server.Shutdown();
-}
-
-// --- Brownout: proxy-only serving while the breaker is open ---
-
-TEST(ServerOverloadTest, BrownoutServesProxyOnlyAndRecoversWithBreaker) {
-  data::Dataset ds = TestDataset(1200);
-  FailSwitchOracle backend(&ds);
-  serve::TastiServer* server_ptr = nullptr;
-  labeler::ResilientLabeler::Options ropts;
-  ropts.retry.max_attempts = 1;
-  ropts.breaker.enabled = true;
-  ropts.breaker.failure_threshold = 3;
-  ropts.breaker.cooldown_ms = 100.0;
-  ropts.breaker.half_open_successes = 1;
-  ropts.on_breaker_transition = [&server_ptr](labeler::BreakerState state) {
-    if (server_ptr != nullptr) {
-      server_ptr->brownout().OnBreakerTransition(state);
-    }
-  };
-  labeler::ResilientLabeler resilient(&backend, ropts);
-
-  serve::ServerOptions opts = FastServerOptions();
-  opts.degrade.brownout = true;
-  serve::TastiServer server(&ds, &resilient, opts);
-  server_ptr = &server;
-  ASSERT_TRUE(server.Start().ok());
-  core::CountScorer cars(data::ObjectClass::kCar);
-  serve::QuerySpec spec;
-  spec.kind = serve::QueryKind::kAggregate;
-  spec.scorer = &cars;
-  spec.error_target = 0.15;
-
-  // Healthy: full-guarantee answers.
-  serve::QueryResponse healthy = server.Execute(spec);
-  ASSERT_TRUE(healthy.status.ok());
-  EXPECT_EQ(healthy.guarantee, serve::GuaranteeLevel::kFull);
-  EXPECT_FALSE(server.brownout().active());
-
-  // Backend dies; three failed calls trip the breaker, which trips the
-  // brownout latch through the transition callback.
-  backend.set_failing(true);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_FALSE(resilient.TryLabel(0).ok());
-  }
-  EXPECT_EQ(resilient.breaker_state(), labeler::BreakerState::kOpen);
-  ASSERT_TRUE(server.brownout().active());
-
-  // Browned out: the query answers from proxy scores with ZERO oracle
-  // calls and says so.
-  const size_t invocations_before = backend.invocations();
-  serve::QueryResponse browned = server.Execute(spec);
-  ASSERT_TRUE(browned.status.ok());
-  EXPECT_TRUE(browned.degraded);
-  EXPECT_EQ(browned.guarantee, serve::GuaranteeLevel::kProxyOnly);
-  EXPECT_EQ(browned.attributed_invocations, 0u);
-  EXPECT_EQ(backend.invocations(), invocations_before);
-  server.Drain();
-  EXPECT_GE(server.stats().brownout_queries, 1u);
-  EXPECT_TRUE(server.stats().brownout_active);
-  EXPECT_GE(server.brownout().stats().trips, 1u);
-
-  // Backend heals; after the cooldown the half-open probe succeeds, the
-  // breaker closes, and the brownout clears automatically.
-  backend.set_failing(false);
-  resilient.AdvanceVirtualTime(200.0);
-  EXPECT_TRUE(resilient.TryLabel(0).ok());
-  EXPECT_EQ(resilient.breaker_state(), labeler::BreakerState::kClosed);
-  EXPECT_FALSE(server.brownout().active());
-  serve::QueryResponse recovered = server.Execute(spec);
-  ASSERT_TRUE(recovered.status.ok());
-  EXPECT_EQ(recovered.guarantee, serve::GuaranteeLevel::kFull);
-  EXPECT_GE(server.brownout().stats().clears, 1u);
-  server.Drain();
   server.Shutdown();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <mutex>
@@ -253,6 +254,76 @@ TEST(RunningCovarianceTest, ConstantSeriesGivesZero) {
   EXPECT_EQ(cov.correlation(), 0.0);
 }
 
+// Reference bounds the library's empirical-Bernstein interval is compared
+// against: Hoeffding's half-width and the Wilson score interval.
+
+double HoeffdingHalfWidth(double range, size_t n, double delta) {
+  TASTI_CHECK(n > 0, "HoeffdingHalfWidth requires n > 0");
+  TASTI_CHECK(delta > 0.0 && delta < 1.0, "delta must be in (0, 1)");
+  return range * std::sqrt(std::log(2.0 / delta) / (2.0 * static_cast<double>(n)));
+}
+
+// Two-sided normal quantile for tail mass delta (i.e., z with
+// P(Z > z) = delta). Beasley-Springer-Moro rational approximation.
+double NormalQuantile(double p) {
+  // Returns z such that Phi(z) = p, p in (0, 1).
+  static const double a[] = {-3.969683028665376e+01, 2.209460984245205e+02,
+                             -2.759285104469687e+02, 1.383577518672690e+02,
+                             -3.066479806614716e+01, 2.506628277459239e+00};
+  static const double b[] = {-5.447609879822406e+01, 1.615858368580409e+02,
+                             -1.556989798598866e+02, 6.680131188771972e+01,
+                             -1.328068155288572e+01};
+  static const double c[] = {-7.784894002430293e-03, -3.223964580411365e-01,
+                             -2.400758277161838e+00, -2.549732539343734e+00,
+                             4.374664141464968e+00,  2.938163982698783e+00};
+  static const double d[] = {7.784695709041462e-03, 3.224671290700398e-01,
+                             2.445134137142996e+00, 3.754408661907416e+00};
+  const double plow = 0.02425;
+  double q, r;
+  if (p < plow) {
+    q = std::sqrt(-2.0 * std::log(p));
+    return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
+           ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
+  }
+  if (p <= 1.0 - plow) {
+    q = p - 0.5;
+    r = q * q;
+    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q /
+           (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0);
+  }
+  q = std::sqrt(-2.0 * std::log(1.0 - p));
+  return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) /
+         ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0);
+}
+
+double WilsonUpperBound(size_t successes, size_t n, double delta) {
+  TASTI_CHECK(n > 0, "WilsonUpperBound requires n > 0");
+  TASTI_CHECK(successes <= n, "successes must not exceed n");
+  const double z = NormalQuantile(1.0 - delta);
+  const double nd = static_cast<double>(n);
+  const double phat = static_cast<double>(successes) / nd;
+  const double z2 = z * z;
+  const double denom = 1.0 + z2 / nd;
+  const double center = phat + z2 / (2.0 * nd);
+  const double margin =
+      z * std::sqrt(phat * (1.0 - phat) / nd + z2 / (4.0 * nd * nd));
+  return std::min(1.0, (center + margin) / denom);
+}
+
+double WilsonLowerBound(size_t successes, size_t n, double delta) {
+  TASTI_CHECK(n > 0, "WilsonLowerBound requires n > 0");
+  TASTI_CHECK(successes <= n, "successes must not exceed n");
+  const double z = NormalQuantile(1.0 - delta);
+  const double nd = static_cast<double>(n);
+  const double phat = static_cast<double>(successes) / nd;
+  const double z2 = z * z;
+  const double denom = 1.0 + z2 / nd;
+  const double center = phat + z2 / (2.0 * nd);
+  const double margin =
+      z * std::sqrt(phat * (1.0 - phat) / nd + z2 / (4.0 * nd * nd));
+  return std::max(0.0, (center - margin) / denom);
+}
+
 TEST(BoundsTest, EmpiricalBernsteinShrinksWithN) {
   const double h1 = EmpiricalBernsteinHalfWidth(1.0, 2.0, 100, 0.05);
   const double h2 = EmpiricalBernsteinHalfWidth(1.0, 2.0, 10000, 0.05);
@@ -498,12 +569,6 @@ TEST(TableTest, AlignsColumnsAndCountsRows) {
   EXPECT_NE(out.find("method"), std::string::npos);
   EXPECT_NE(out.find("TASTI-T"), std::string::npos);
   EXPECT_NE(out.find("-----"), std::string::npos);
-}
-
-TEST(TableTest, CsvHasNoPadding) {
-  TablePrinter table({"a", "b"});
-  table.AddRow({"1", "2"});
-  EXPECT_EQ(table.ToCsv(), "a,b\n1,2\n");
 }
 
 TEST(FormatTest, Numbers) {

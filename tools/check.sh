@@ -37,7 +37,7 @@
 #            then the same run over two shards, whose exposition must
 #            also label the monitor families with both shards.
 #   overload degraded-mode gate: ctest -L overload (deadline tokens, the
-#            CoDel shedder, brownout, degraded scatter-gather merges),
+#            CoDel shedder, degraded scatter-gather merges),
 #            then a serve-workload run with tight virtual deadlines, one
 #            worker, and admission control that must shed load
 #            (--require-shed) with zero deadline overruns.

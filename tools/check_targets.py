@@ -67,6 +67,10 @@ Asserts, from the repository root:
      events, so a registry counter bumped from the same line as a struct
      field cannot grow back. Comments do not count. Like rules 12-14, it
      also runs on a fixture that must fail.
+ 16. every flag in tools/tasti_cli.cc's per-command table (kCommandFlags,
+     the flags main() accepts) is named as `--flag` in the text Usage()
+     prints, so a flag a command reads cannot go undocumented. Like
+     rules 12-15, it also runs on a fixture that must fail.
 
 Run directly (tools/check.sh tier1 and the CI lint job both do):
     python3 tools/check_targets.py
@@ -200,6 +204,30 @@ def registry_uses(text):
     """Line numbers in `text` that use the metrics registry."""
     return [lineno for lineno, line in enumerate(text.splitlines(), 1)
             if REGISTRY_USE.search(line.split("//", 1)[0])]
+
+
+# Rule 16: tasti_cli's per-command flag table and the Usage() function.
+FLAG_TABLE = re.compile(r"\bkCommandFlags\s*=\s*\{(.*?)\n\};", re.S)
+FLAG_TABLE_ENTRY = re.compile(r'\{"([\w-]+)",\s*\{([^}]*)\}\}')
+USAGE_BODY = re.compile(r"\bint Usage\(\)\s*\{(.*?)\n\}", re.S)
+
+
+def undocumented_flags(text):
+    """(command, flag) for each flag in `text`'s kCommandFlags table that
+    the string literals of its Usage() do not name as `--flag`."""
+    table = FLAG_TABLE.search(text)
+    usage = USAGE_BODY.search(text)
+    if table is None or usage is None:
+        return [("<no kCommandFlags table or Usage()>", "")]
+    usage_text = "".join(re.findall(r'"((?:[^"\\]|\\.)*)"', usage.group(1)))
+    named = set(re.findall(r"--([a-z0-9][a-z0-9-]*)", usage_text))
+    entries = list(FLAG_TABLE_ENTRY.finditer(table.group(1)))
+    if not entries:
+        return [("<empty kCommandFlags table>", "")]
+    return [(entry.group(1), flag)
+            for entry in entries
+            for flag in re.findall(r'"([^"]+)"', entry.group(2))
+            if flag not in named]
 
 
 def main():
@@ -511,6 +539,25 @@ def main():
                     "registry; components under src/serve and src/labeler "
                     "count their events only in their own stats structs"
                 )
+
+    fixture = ('int Usage() {\n  std::fprintf(stderr, "usage: --trace=PATH "\n'
+               '      "--out PATH\\n");\n  return 2;\n}\n'
+               "const std::map<std::string, std::set<std::string>> "
+               "kCommandFlags = {\n"
+               '    {"build", {"out", "trace", "bogus"}},\n'
+               '    {"info", {"trace"}},\n};\n')
+    if undocumented_flags(fixture) != [("build", "bogus")]:
+        errors.append(
+            "rule 16 no longer flags the table flag its own fixture's usage "
+            "text leaves out; fix undocumented_flags before trusting it on "
+            "tools/tasti_cli.cc"
+        )
+    for command, flag in undocumented_flags(
+            (ROOT / "tools" / "tasti_cli.cc").read_text()):
+        errors.append(
+            f"tools/tasti_cli.cc: {command} reads --{flag}, which Usage() "
+            "does not name"
+        )
 
     fail(errors)
 

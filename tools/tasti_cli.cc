@@ -24,7 +24,8 @@
 // ledger (workload, serve-workload, monitor) also accept --metrics=PATH,
 // a JSON document of that ledger and the oracle's own call count; a
 // sharded run (--shards > 1) has no single ledger and rejects it. Flags
-// may be written `--key value` or `--key=value`.
+// may be written `--key value` or `--key=value`; a flag the command does
+// not read is a usage error.
 
 #include <algorithm>
 #include <atomic>
@@ -34,6 +35,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,19 +93,29 @@ int Usage() {
       "usage: tasti_cli "
       "<build|info|aggregate|select|limit|workload|serve-workload|monitor"
       "|recover> [flags]\n"
-      "  common: --dataset <name> --records N --seed S --index PATH\n"
-      "          --trace=PATH (Chrome trace JSON)\n"
+      "  A command exits 2 on a flag it does not read.\n"
+      "  data:   --dataset <name> --records N --seed S (every command but "
+      "info\n"
+      "          and recover)\n"
+      "  query:  --query <count|presence|atleast|meanx> --class "
+      "<car|bus> [--min-count N]\n"
+      "          (aggregate, select, limit, workload, serve-workload, "
+      "monitor)\n"
+      "  --trace=PATH (Chrome trace JSON; every command)\n"
       "  workload, serve-workload, monitor: --metrics=PATH (query ledger "
       "JSON;\n"
       "          not with --shards > 1)\n"
       "  build:  --train N1 --reps N2 --k K --out PATH [--pretrained]\n"
-      "  query:  --query <count|presence|atleast|meanx> --class "
-      "<car|bus> [--min-count N]\n"
-      "  aggregate: --error E   select: --recall R --budget B   "
-      "limit: --want W\n"
-      "  workload: --train N1 --reps N2 --error E --budget B --want W\n"
+      "  info:   --index PATH\n"
+      "  aggregate: --index PATH --error E --query-seed Q\n"
+      "  select: --index PATH --recall R --budget B --query-seed Q\n"
+      "  limit:  --index PATH --want W\n"
+      "  workload: --train N1 --reps N2 --k K --error E --budget B --want W\n"
+      "          --query-seed Q\n"
       "  serve-workload: --clients K --queries-per-client Q "
       "--oracle-latency-ms L\n"
+      "          --train N1 --reps N2 --k K --error E --budget B --want W "
+      "--query-seed Q\n"
       "          [--shards S] (S>1 serves scatter-gather over S shards: "
       "per-shard\n"
       "          indexes built in parallel, budgets split, partials "
@@ -114,6 +126,7 @@ int Usage() {
       "oracle\n"
       "          savings; nonzero exit if the attribution invariant or "
       "checks fail)\n"
+      "          [--skip-serial] (drops the serialized baseline)\n"
       "          [--wal-dir DIR --checkpoint-every N] (crash-safe "
       "durability:\n"
       "          WAL-log mutations with an fsync barrier per epoch "
@@ -127,8 +140,8 @@ int Usage() {
       "(load\n"
       "          shedding at admission; priority-mix rotates query "
       "classes)\n"
-      "          [--brownout --partial-gather --hedge] (degraded-mode "
-      "levers)\n"
+      "          [--partial-gather --hedge] (degraded-mode levers with "
+      "--shards)\n"
       "          [--require-shed --max-deadline-overruns N] (overload-"
       "stage\n"
       "          assertions: at least one shed, at most N deadline "
@@ -137,22 +150,76 @@ int Usage() {
       "committed\n"
       "          WAL, report replay/quarantine stats, optionally save the\n"
       "          recovered index)\n"
-      "  monitor: serve-workload flags plus --rounds R --frame-ms MS\n"
+      "  monitor: --clients K --rounds R (or --queries-per-client R) "
+      "--oracle-latency-ms L\n"
+      "          --train N1 --reps N2 --k K --error E --budget B --want W "
+      "--query-seed Q\n"
+      "          [--serial-dispatch] --frame-ms MS\n"
       "          [--shards S] (S>1 attaches one monitor per shard and "
       "exports\n"
       "          every shard's samples, labeled shard=\"<s>\")\n"
       "          --out PROM (exposition, default monitor.prom) --flight-dump "
       "PREFIX\n"
-      "          --slo-latency-ms T --inject-drift N --require-alert\n"
+      "          --max-flight-dumps N --dump-cooldown-s S\n"
+      "          --slo-latency-ms T --slo-oracle-budget C --slo-min-events "
+      "N\n"
+      "          --burn-threshold X --alert-cooldown-s S --drift-threshold "
+      "X\n"
+      "          --inject-drift N --require-alert\n"
       "          (runs a monitored serve workload printing live status "
       "frames;\n"
       "          writes Prometheus exposition + flight-recorder dumps)\n"
-      "  chaos:  --faults SPEC (build/workload; e.g. "
-      "transient=0.1,timeout=0.05,throttle=100:8,perm-rate=0.002,seed=9)\n"
+      "  chaos:  --faults SPEC (build, workload, monitor; e.g.\n"
+      "          transient=0.1,timeout=0.05,throttle=100:8,perm-rate=0.002,"
+      "seed=9)\n"
       "          --retry-attempts N --breaker-threshold N\n"
       "  datasets: night-street taipei amsterdam wikisql common-voice\n");
   return 2;
 }
+
+/// The flags each command reads, its helpers' included: LoadDataset
+/// (dataset, records, seed), LoadIndex (index), MakeScorer (query, class,
+/// min-count), MakeQueryMix (error, budget, want), MakeOracleStack (faults,
+/// retry-attempts, breaker-threshold) and WriteObservability (trace, and
+/// metrics for the commands that keep a query ledger). main() rejects any
+/// other flag; tools/check_targets.py checks that Usage() names each one.
+const std::map<std::string, std::set<std::string>> kCommandFlags = {
+    {"build",
+     {"dataset", "records", "seed", "train", "reps", "k", "pretrained", "out",
+      "faults", "retry-attempts", "breaker-threshold", "trace"}},
+    {"info", {"index", "trace"}},
+    {"aggregate",
+     {"dataset", "records", "seed", "index", "query", "class", "min-count",
+      "error", "query-seed", "trace"}},
+    {"select",
+     {"dataset", "records", "seed", "index", "query", "class", "min-count",
+      "recall", "budget", "query-seed", "trace"}},
+    {"limit",
+     {"dataset", "records", "seed", "index", "query", "class", "min-count",
+      "want", "trace"}},
+    {"workload",
+     {"dataset", "records", "seed", "train", "reps", "k", "query-seed",
+      "query", "class", "min-count", "error", "budget", "want", "faults",
+      "retry-attempts", "breaker-threshold", "trace", "metrics"}},
+    {"serve-workload",
+     {"dataset", "records", "seed", "clients", "queries-per-client",
+      "oracle-latency-ms", "check-speedup", "query-seed", "deadline-ms",
+      "virtual-ms-per-call", "shed", "shed-target-ms", "priority-mix",
+      "require-shed", "max-deadline-overruns", "train", "reps", "k", "query",
+      "class", "min-count", "error", "budget", "want", "skip-serial",
+      "workers", "serial-dispatch", "wal-dir", "checkpoint-every", "shards",
+      "partial-gather", "hedge", "trace", "metrics"}},
+    {"monitor",
+     {"dataset", "records", "seed", "clients", "rounds", "queries-per-client",
+      "oracle-latency-ms", "query-seed", "inject-drift", "frame-ms", "out",
+      "slo-latency-ms", "slo-oracle-budget", "burn-threshold",
+      "slo-min-events", "alert-cooldown-s", "flight-dump", "max-flight-dumps",
+      "dump-cooldown-s", "drift-threshold", "faults", "retry-attempts",
+      "breaker-threshold", "train", "reps", "k", "query", "class",
+      "min-count", "error", "budget", "want", "serial-dispatch", "shards",
+      "require-alert", "trace", "metrics"}},
+    {"recover", {"wal-dir", "out", "trace"}},
+};
 
 /// The oracle stack behind a chaos run: simulated ground truth, optionally
 /// wrapped in scheduled fault injection, then retry/breaker resilience.
@@ -627,7 +694,7 @@ int RunServeWorkload(const Args& args) {
       static_cast<uint64_t>(args.GetInt("query-seed", 7));
 
   // Degradation levers (DESIGN.md §15): per-query deadlines, admission
-  // shedding, brownout, and the sharded partial-gather/hedging paths.
+  // shedding, and the sharded partial-gather/hedging paths.
   const double deadline_ms = args.GetDouble("deadline-ms", 0.0);
   const double virtual_ms_per_call =
       args.GetDouble("virtual-ms-per-call", 0.0);
@@ -697,7 +764,6 @@ int RunServeWorkload(const Args& args) {
       std::max<long>(1, args.GetInt("workers", static_cast<long>(clients))));
   server_opts.max_pending = std::max<size_t>(total_queries, 1);
   server_opts.degrade.virtual_ms_per_call = virtual_ms_per_call;
-  server_opts.degrade.brownout = args.flags.count("brownout") > 0;
   server_opts.degrade.shedder.enabled = shed_enabled;
   server_opts.degrade.shedder.target_wait_ms = shed_target_ms;
   // The latency-injected simulated oracle is thread-safe and counts one
@@ -794,11 +860,10 @@ int RunServeWorkload(const Args& args) {
     if (deadline_ms > 0 || shed_enabled || sharded_opts.partial_gather ||
         sharded_opts.hedge.enabled) {
       std::printf("degradation: %llu shed, %llu degraded, %llu "
-                  "deadline-expired, %llu brownout, %zu overruns\n",
+                  "deadline-expired, %zu overruns\n",
                   static_cast<unsigned long long>(totals.queries_shed),
                   static_cast<unsigned long long>(totals.degraded_responses),
                   static_cast<unsigned long long>(totals.deadline_expired),
-                  static_cast<unsigned long long>(totals.brownout_queries),
                   sharded_overruns.load());
     }
     if (sharded_failures.load() > 0) {
@@ -943,15 +1008,13 @@ int RunServeWorkload(const Args& args) {
                 Quantile(waits, 0.50), Quantile(waits, 0.95),
                 Quantile(waits, 0.99), waits.size());
   }
-  if (deadline_ms > 0 || shed_enabled || server_opts.degrade.brownout) {
+  if (deadline_ms > 0 || shed_enabled) {
     std::printf("degradation: %llu shed, %llu degraded, %llu "
-                "deadline-expired, %llu brownout, %zu overruns "
-                "(slack %.1f ms)\n",
+                "deadline-expired, %zu overruns (slack %.1f ms)\n",
                 static_cast<unsigned long long>(server_stats.queries_shed),
                 static_cast<unsigned long long>(
                     server_stats.degraded_responses),
                 static_cast<unsigned long long>(server_stats.deadline_expired),
-                static_cast<unsigned long long>(server_stats.brownout_queries),
                 served_overruns.load(), overrun_slack_ms);
   }
   if (served_failures.load() > 0) {
@@ -1415,15 +1478,14 @@ int main(int argc, char** argv) {
       args.flags[key] = "1";  // boolean flag
     }
   }
-  // --metrics writes a query ledger, which only these commands keep.
-  const bool has_ledger = args.command == "workload" ||
-                          args.command == "serve-workload" ||
-                          args.command == "monitor";
-  if (args.flags.count("metrics") > 0 && !has_ledger) {
-    std::fprintf(stderr,
-                 "--metrics is only for workload, serve-workload and monitor "
-                 "(it writes their query ledger)\n");
-    return 2;
+  const auto command = kCommandFlags.find(args.command);
+  if (command == kCommandFlags.end()) return Usage();
+  for (const auto& flag : args.flags) {
+    if (command->second.count(flag.first) == 0) {
+      std::fprintf(stderr, "tasti_cli %s: unknown flag --%s\n",
+                   args.command.c_str(), flag.first.c_str());
+      return Usage();
+    }
   }
   // A sharded run keeps one ledger per shard and no merged one.
   if (args.flags.count("metrics") > 0 && args.GetInt("shards", 1) > 1) {
