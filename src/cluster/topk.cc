@@ -29,20 +29,15 @@ void InsertSorted(float d2, uint32_t id, size_t filled, float* best_d2,
   best_id[pos] = id;
 }
 
-/// Every lane of a block of `rows` columns (rows <= 64).
-uint64_t AllLanes(size_t rows) {
-  return rows == 64 ? ~uint64_t{0} : (uint64_t{1} << rows) - 1;
-}
-
-/// The threshold part of the crack prefilter's bound (see
-/// UpdateTopKWithNewReps); the mask and the scalar test share it, so a lane
-/// the mask keeps meets the same float expression again.
-float CrackBoundBase(float thr) { return thr * thr * (1.0f + 1e-3f) + 1e-6f; }
-
 static_assert(nn::kDistanceBlockRows <= 64,
               "a block's survivor mask is one 64-bit word");
 
 constexpr size_t kTile = nn::kRecordTileRows;
+
+/// Records per crack group: the crack decides a group's survivors of one
+/// block together, so their exact distances fill the chains of
+/// nn::PairDistances.
+constexpr size_t kCrackGroup = 4 * kTile;
 
 /// nn::RowSquaredNorm of each record in [i0, i0 + rows), rows <= kTile. A
 /// whole tile runs its rows as independent add chains; each still sums in
@@ -107,9 +102,8 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
           // Until the list is full every lane is kept; after that, only
           // lanes under the block-start k-th distance can be inserted.
           uint64_t mask = filled[t] < k
-                              ? AllLanes(nb)
-                              : nn::SurvivorMask(d2, nb, 0.0f, block.norms(),
-                                                 best_d2[k - 1], 0.0f);
+                              ? nn::AllLanes(nb)
+                              : nn::SurvivorMask(d2, nb, best_d2[k - 1]);
           for (; mask != 0; mask &= mask - 1) {
             const size_t j = static_cast<size_t>(std::countr_zero(mask));
             if (filled[t] < k) {
@@ -160,92 +154,87 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
   return topk;
 }
 
-void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
-                           size_t first_row, size_t count, TopKDistances* topk,
+void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Int8Codes& codes,
+                           const nn::Matrix& reps, size_t first_row,
+                           size_t count, TopKDistances* topk,
                            std::vector<uint32_t>* dirty_rows,
                            size_t* exact_checks) {
   TASTI_CHECK(topk != nullptr, "UpdateTopKWithNewReps requires a topk");
   TASTI_CHECK(points.rows() == topk->num_records, "topk record count mismatch");
   TASTI_CHECK(points.cols() == reps.cols(), "points/reps dim mismatch");
+  TASTI_CHECK(codes.rows() == points.rows() && codes.dim() == points.cols(),
+              "codes do not cover the points");
   TASTI_CHECK(first_row <= reps.rows() && count <= reps.rows() - first_row,
               "new rep rows out of range");
   if (count == 0) return;
   const size_t k = topk->k;
-
-  // Prefilter slack for the dot-trick. With n = |x|^2 + |y|^2 and d-term
-  // sequential float sums (unit roundoff u = eps/2, gamma_d ~ d*u), the
-  // two norms are each off by at most gamma_d * their value and 2 x.y by
-  // at most 2 * gamma_d * sum|x_p y_p| <= gamma_d * n; the final add,
-  // subtract and clamp add a few u * n. The batch value is therefore within
-  // (d + 2) * eps * n of the true squared distance; 16 * d * eps keeps an
-  // 8x margin. Far from the origin that error dwarfs the distance itself,
-  // so a purely relative slack would reject true neighbours. A candidate
-  // rejected here has true d2 > thr^2 (1 + 1e-3), so the exact check would
-  // reject it too: the filter never changes a decision.
-  const float norm_slack = 16.0f * static_cast<float>(points.cols()) *
-                           std::numeric_limits<float>::epsilon();
-  const std::vector<nn::PackedBlock> blocks =
-      nn::PackBlocks(reps, first_row, first_row + count);
+  const std::vector<nn::PackedCodeBlock> blocks = nn::PackCodeBlocks(
+      codes.Encode(reps, first_row, first_row + count), first_row);
+  const float bound_factor = codes.bound_factor();
 
   std::mutex dirty_mu;
   ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi) {
-    std::vector<float> d2_tile(kTile * nn::kDistanceBlockRows);
+    std::vector<uint32_t> pair_records(kCrackGroup * nn::kDistanceBlockRows);
+    std::vector<uint32_t> pair_reps(kCrackGroup * nn::kDistanceBlockRows);
+    std::vector<float> pair_dist(kCrackGroup * nn::kDistanceBlockRows);
     std::vector<uint32_t> chunk_dirty;
     size_t chunk_exact_checks = 0;
-    for (size_t i0 = lo; i0 < hi; i0 += kTile) {
-      const size_t rows = std::min(kTile, hi - i0);
-      float point_norms[kTile];
-      bool changed[kTile] = {};
-      TileSquaredNorms(points, i0, rows, point_norms);
-      for (const nn::PackedBlock& block : blocks) {
-        const size_t nb = block.rows();
-        nn::SquaredDistanceTile(points, i0, rows, point_norms, block,
-                                d2_tile.data());
-        const float* rep_norms = block.norms();
-        for (size_t t = 0; t < rows; ++t) {
-          const size_t i = i0 + t;
-          const float point_norm = point_norms[t];
-          const float* d2 = d2_tile.data() + t * nb;
-          float* dist = topk->distances.data() + i * k;
-          uint32_t* ids = topk->rep_ids.data() + i * k;
-          // The mask tests every lane against the threshold at the block's
-          // start. Thresholds only tighten, so it keeps a superset of the
-          // lanes that pass the exact test below, which sees the threshold
-          // as it stands after earlier new reps were inserted, exactly as in
-          // a one-rep-at-a-time sweep.
-          const float thr0 = dist[k - 1];
-          uint64_t mask =
-              thr0 < std::numeric_limits<float>::max()
-                  ? nn::SurvivorMask(d2, nb, point_norm, rep_norms,
-                                     CrackBoundBase(thr0), norm_slack)
-                  : AllLanes(nb);
-          for (; mask != 0; mask &= mask - 1) {
+    for (size_t g0 = lo; g0 < hi; g0 += kCrackGroup) {
+      const size_t group = std::min(kCrackGroup, hi - g0);
+      bool changed[kCrackGroup] = {};
+      for (const nn::PackedCodeBlock& block : blocks) {
+        // Each record's mask tests every lane against its threshold at the
+        // block's start (an unfilled list's FLT_MAX keeps every lane).
+        // Thresholds only tighten, so a skipped lane's distance is also at
+        // least the threshold the insert below sees, which is the one a
+        // one-rep-at-a-time sweep would compare against.
+        float bases[kCrackGroup];
+        uint64_t masks[kCrackGroup];
+        for (size_t t = 0; t < group; ++t) {
+          const size_t i = g0 + t;
+          bases[t] = nn::CodeBoundBase(topk->distances[i * k + k - 1],
+                                       codes.error(i));
+        }
+        for (size_t t0 = 0; t0 < group; t0 += kTile) {
+          nn::CodeBoundTile(codes, g0 + t0, std::min(kTile, group - t0),
+                            bases + t0, bound_factor, block, masks + t0);
+        }
+        size_t pairs = 0;
+        for (size_t t = 0; t < group; ++t) {
+          for (uint64_t mask = masks[t]; mask != 0; mask &= mask - 1) {
+            pair_records[pairs] = static_cast<uint32_t>(g0 + t);
             const size_t j = static_cast<size_t>(std::countr_zero(mask));
-            const float thr = dist[k - 1];
-            if (thr < std::numeric_limits<float>::max() &&
-                d2[j] > CrackBoundBase(thr) +
-                            norm_slack * (point_norm + rep_norms[j])) {
-              continue;
-            }
-            ++chunk_exact_checks;
-            const size_t rep_row = block.row_begin() + j;
-            const float d = nn::Distance(points, i, reps, rep_row);
-            if (d >= thr) continue;
-            size_t pos = k - 1;
-            while (pos > 0 && dist[pos - 1] > d) {
-              dist[pos] = dist[pos - 1];
-              ids[pos] = ids[pos - 1];
-              --pos;
-            }
-            dist[pos] = d;
-            ids[pos] = static_cast<uint32_t>(rep_row);
-            changed[t] = true;
+            pair_reps[pairs] = static_cast<uint32_t>(block.row_begin() + j);
+            ++pairs;
           }
         }
+        chunk_exact_checks += pairs;
+        // Survivors of the group's records, by record and then ascending
+        // rep: their exact distances do not depend on the inserts, so they
+        // run first, as independent chains, and the inserts follow in
+        // order.
+        nn::PairDistances(points, pair_records.data(), reps, pair_reps.data(),
+                          pairs, pair_dist.data());
+        for (size_t pr = 0; pr < pairs; ++pr) {
+          const size_t i = pair_records[pr];
+          float* dist = topk->distances.data() + i * k;
+          uint32_t* ids = topk->rep_ids.data() + i * k;
+          const float d = pair_dist[pr];
+          if (d >= dist[k - 1]) continue;
+          size_t pos = k - 1;
+          while (pos > 0 && dist[pos - 1] > d) {
+            dist[pos] = dist[pos - 1];
+            ids[pos] = ids[pos - 1];
+            --pos;
+          }
+          dist[pos] = d;
+          ids[pos] = pair_reps[pr];
+          changed[i - g0] = true;
+        }
       }
-      for (size_t t = 0; t < rows; ++t) {
+      for (size_t t = 0; t < group; ++t) {
         if (changed[t] && dirty_rows != nullptr) {
-          chunk_dirty.push_back(static_cast<uint32_t>(i0 + t));
+          chunk_dirty.push_back(static_cast<uint32_t>(g0 + t));
         }
       }
     }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "nn/int8_codes.h"
 #include "nn/matrix.h"
 
 namespace tasti::cluster {
@@ -36,15 +37,19 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
 
 /// Incremental cracking update: representatives at rows [first_row,
 /// first_row + count) of `reps` have been appended (a rep's id is its
-/// row). Every record's top-k list is updated in place in one record-major
-/// pass: the new rows are packed once, and tiles of records stream against
-/// them through the dot-trick tile kernel. Per record and block, a vector
-/// survivor mask against the threshold at the block's start drops the
-/// pairs the prefilter rejects; each set lane takes the scalar prefilter
-/// test against the current threshold and, if it passes, is re-decided
-/// with the exact nn::Distance, in ascending rep order. The result is
-/// bit-identical to inserting the new reps one at a time with exact
-/// distances.
+/// row). `codes` holds the int8 codes of every row of `points`
+/// (nn::Int8Codes); the new rows are encoded under the same quantizer, so a
+/// new rep that is a record gets that record's codes. Every record's top-k
+/// list is updated in place in one record-major pass: tiles of records
+/// stream against packed blocks of the new reps' codes through the exact
+/// integer kernel nn::CodeBoundTile, which returns each record's survivor
+/// mask against its threshold at the block's start: a lane is dropped
+/// only when the integer lower bound proves that nn::Distance is at least
+/// that threshold. Each surviving pair is decided with its exact distance
+/// (nn::PairDistances, bit-identical to nn::Distance) against the current
+/// threshold, in ascending rep order. A skipped pair could not have been
+/// inserted, so the result is bit-identical to inserting the new reps one
+/// at a time with exact distances.
 ///
 /// When `dirty_rows` is non-null, the ids of records whose top-k list
 /// actually changed are appended to it (unsorted, duplicate-free for a
@@ -53,13 +58,12 @@ TopKDistances ComputeTopK(const nn::Matrix& points, const nn::Matrix& reps,
 /// row, so exactly these rows need recomputing after the crack.
 ///
 /// When `exact_checks` is non-null, the number of (record, new rep) pairs
-/// that passed the scalar prefilter test and were re-decided exactly is
-/// added to it (the mask does not change this count, since it only skips
-/// pairs that the test would reject);
-/// the call visits points.rows() * count pairs in all, so the ratio is the
-/// prefilter's survivor share.
-void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Matrix& reps,
-                           size_t first_row, size_t count, TopKDistances* topk,
+/// that survived the mask and were decided with nn::Distance is added to
+/// it; the call visits points.rows() * count pairs in all, so the ratio is
+/// the integer bound's survivor share.
+void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Int8Codes& codes,
+                           const nn::Matrix& reps, size_t first_row,
+                           size_t count, TopKDistances* topk,
                            std::vector<uint32_t>* dirty_rows,
                            size_t* exact_checks = nullptr);
 

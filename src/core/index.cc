@@ -69,6 +69,7 @@ TastiIndex TastiIndex::Build(const data::Dataset& dataset,
   {
     TASTI_SPAN("index.embed");
     index.embeddings_ = embedder->Embed(dataset.features);
+    index.codes_ = nn::Int8Codes::Fit(index.embeddings_);
   }
   if (trained != nullptr) {
     index.embedder_ = std::move(trained);
@@ -178,8 +179,8 @@ size_t TastiIndex::CrackFromLabels(const std::vector<size_t>& records,
     rep_label_valid_.push_back(1);
   }
   rep_embeddings_.AppendRowsFrom(embeddings_, additions);
-  cluster::UpdateTopKWithNewReps(embeddings_, rep_embeddings_, old_count,
-                                 additions.size(), &topk_,
+  cluster::UpdateTopKWithNewReps(embeddings_, codes_, rep_embeddings_,
+                                 old_count, additions.size(), &topk_,
                                  delta_.full ? nullptr : &delta_.dirty_rows);
   return additions.size();
 }
@@ -197,6 +198,7 @@ size_t TastiIndex::AppendRecords(const nn::Matrix& new_features) {
   std::vector<size_t> all_rows(new_embeddings.rows());
   for (size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
   embeddings_.AppendRowsFrom(new_embeddings, all_rows);
+  codes_.Append(new_embeddings, 0, new_embeddings.rows());
   is_rep_.resize(embeddings_.rows(), 0);
 
   // Min-k lists for the new rows only.

@@ -27,6 +27,7 @@
 #include "embed/embedder.h"
 #include "labeler/labeler.h"
 #include "labeler/resilient.h"
+#include "nn/int8_codes.h"
 #include "nn/matrix.h"
 
 namespace tasti::core {
@@ -122,6 +123,10 @@ class TastiIndex {
 
   /// Embeddings of every record (records x embedding_dim).
   const nn::Matrix& embeddings() const { return embeddings_; }
+
+  /// Int8 codes of every record's embedding (the crack's prefilter),
+  /// derived at build, on load and on append; never serialized.
+  const nn::Int8Codes& codes() const { return codes_; }
 
   /// Embeddings of the representatives (reps x embedding_dim).
   const nn::Matrix& rep_embeddings() const { return rep_embeddings_; }
@@ -220,6 +225,7 @@ class TastiIndex {
  private:
   IndexOptions options_;
   nn::Matrix embeddings_;
+  nn::Int8Codes codes_;  // aligned with embeddings_
   nn::Matrix rep_embeddings_;
   std::vector<size_t> rep_record_ids_;
   std::vector<data::LabelerOutput> rep_labels_;

@@ -174,6 +174,10 @@ Result<TastiIndex> IndexSerializer::DeserializeFromString(
     return Status::InvalidArgument("top-k block size mismatch");
   }
 
+  if (index.embeddings_.cols() > nn::kMaxCodeDim) {
+    return Status::InvalidArgument("embedding dimension too wide");
+  }
+  index.codes_ = nn::Int8Codes::Fit(index.embeddings_);
   index.is_rep_.assign(index.embeddings_.rows(), 0);
   for (size_t record : index.rep_record_ids_) {
     if (record >= index.is_rep_.size()) {

@@ -2,7 +2,7 @@
 #define TASTI_NN_CLONES_H_
 
 /// \file clones.h
-/// Load-time ISA dispatch for the hot float kernels (private to nn/).
+/// Load-time ISA dispatch for the hot kernels (private to nn/).
 ///
 /// The hot kernels are compiled twice, once for the build's baseline ISA
 /// (SSE2 on x86-64) and once for AVX2, and the dynamic loader picks one
@@ -15,9 +15,12 @@
 ///    has.
 ///  - TASTI_KERNEL_DEFAULT / TASTI_KERNEL_AVX2 mark two definitions of one
 ///    function (`target` multiversioning), for a body that must name its
-///    vector type: the training-GEMM tile (matrix.cc) and the record-tile
-///    distance kernel SquaredDistanceTile (kernels.cc) are templates over
-///    that type, and each version instantiates one with its own width.
+///    vector type or instructions: the training-GEMM tile (matrix.cc) and
+///    the record-tile distance kernel SquaredDistanceTile (kernels.cc) are
+///    templates over that type, and each version instantiates one with its
+///    own width; the crack's code-bound tile (int8_codes.cc) and its pair
+///    distances (PairDistances, kernels.cc) use AVX2 intrinsics in the
+///    AVX2 version and plain loops in the default one.
 ///
 /// Every version gives bit-identical results. The ISA list names only
 /// AVX2, which widens the vectors but still rounds each lane's multiply

@@ -1,10 +1,15 @@
 #include "nn/kernels.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "nn/clones.h"
 #include "util/status.h"
+
+#if defined(TASTI_KERNEL_CLONES_ENABLED)
+#include <immintrin.h>
+#endif
 
 namespace tasti::nn {
 
@@ -45,12 +50,6 @@ inline float SquaredDistanceFlat(const float* x, const float* y, size_t d) {
 }
 
 }  // namespace
-
-std::vector<float> RowSquaredNorms(const Matrix& m) {
-  std::vector<float> norms(m.rows());
-  for (size_t r = 0; r < m.rows(); ++r) norms[r] = RowSquaredNorm(m, r);
-  return norms;
-}
 
 float RowSquaredNorm(const Matrix& m, size_t row) {
   const float* x = m.Row(row);
@@ -266,15 +265,127 @@ void SquaredDistanceTile(const Matrix& points, size_t row_begin, size_t rows,
 }
 
 TASTI_KERNEL_CLONES
-uint64_t SurvivorMask(const float* d2, size_t n, float point_norm,
-                      const float* norms, float base, float slack) {
+uint64_t SurvivorMask(const float* d2, size_t n, float bound) {
   TASTI_CHECK(n <= 64, "SurvivorMask covers at most 64 lanes");
   uint64_t mask = 0;
   for (size_t j = 0; j < n; ++j) {
-    const float bound = base + slack * (point_norm + norms[j]);
     mask |= static_cast<uint64_t>(!(d2[j] > bound)) << j;
   }
   return mask;
+}
+
+namespace {
+
+constexpr size_t kPairChains = 8;
+
+// The rows of up to kPairChains pairs from l0; a short last group repeats
+// its last pair in the spare chains.
+inline void PairRows(const Matrix& a, const uint32_t* a_rows, const Matrix& b,
+                     const uint32_t* b_rows, size_t n, size_t l0,
+                     const float** x, const float** y) {
+  for (size_t l = 0; l < kPairChains; ++l) {
+    const size_t pair = std::min(l0 + l, n - 1);
+    x[l] = a.Row(a_rows[pair]);
+    y[l] = b.Row(b_rows[pair]);
+  }
+}
+
+// One entry point per ISA; the loader's resolver picks one (nn/clones.h).
+// Default version: kPairChains scalar chains, interleaved.
+TASTI_KERNEL_DEFAULT
+void PairDistancesImpl(const Matrix& a, const uint32_t* a_rows,
+                       const Matrix& b, const uint32_t* b_rows, size_t n,
+                       float* out) {
+  const size_t d = a.cols();
+  for (size_t l0 = 0; l0 < n; l0 += kPairChains) {
+    const float* x[kPairChains];
+    const float* y[kPairChains];
+    PairRows(a, a_rows, b, b_rows, n, l0, x, y);
+    float acc[kPairChains] = {};
+    for (size_t p = 0; p < d; ++p) {
+      for (size_t l = 0; l < kPairChains; ++l) {
+        const float diff = x[l][p] - y[l][p];
+        acc[l] += diff * diff;
+      }
+    }
+    for (size_t l = 0; l < kPairChains && l0 + l < n; ++l) {
+      out[l0 + l] = std::sqrt(acc[l]);
+    }
+  }
+}
+
+#if defined(TASTI_KERNEL_CLONES_ENABLED)
+// AVX2 version: one ymm lane per pair. Each step squares eight columns of
+// every pair's difference row by row, transposes the 8 x 8 block of
+// squares so that vector q holds column p + q of all eight pairs, and adds
+// the columns in ascending order, so every lane rounds the same
+// differences, squares and sums as nn::Distance.
+TASTI_KERNEL_AVX2
+void PairDistancesImpl(const Matrix& a, const uint32_t* a_rows,
+                       const Matrix& b, const uint32_t* b_rows, size_t n,
+                       float* out) {
+  const size_t d = a.cols();
+  for (size_t l0 = 0; l0 < n; l0 += kPairChains) {
+    const float* x[kPairChains];
+    const float* y[kPairChains];
+    PairRows(a, a_rows, b, b_rows, n, l0, x, y);
+    __m256 acc = _mm256_setzero_ps();
+    size_t p = 0;
+    for (; p + 8 <= d; p += 8) {
+      __m256 sq[8];
+      for (size_t l = 0; l < 8; ++l) {
+        const __m256 diff = _mm256_sub_ps(_mm256_loadu_ps(x[l] + p),
+                                          _mm256_loadu_ps(y[l] + p));
+        sq[l] = _mm256_mul_ps(diff, diff);
+      }
+      const __m256 t0 = _mm256_unpacklo_ps(sq[0], sq[1]);
+      const __m256 t1 = _mm256_unpackhi_ps(sq[0], sq[1]);
+      const __m256 t2 = _mm256_unpacklo_ps(sq[2], sq[3]);
+      const __m256 t3 = _mm256_unpackhi_ps(sq[2], sq[3]);
+      const __m256 t4 = _mm256_unpacklo_ps(sq[4], sq[5]);
+      const __m256 t5 = _mm256_unpackhi_ps(sq[4], sq[5]);
+      const __m256 t6 = _mm256_unpacklo_ps(sq[6], sq[7]);
+      const __m256 t7 = _mm256_unpackhi_ps(sq[6], sq[7]);
+      const __m256 u0 = _mm256_shuffle_ps(t0, t2, 0x44);
+      const __m256 u1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+      const __m256 u2 = _mm256_shuffle_ps(t1, t3, 0x44);
+      const __m256 u3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+      const __m256 u4 = _mm256_shuffle_ps(t4, t6, 0x44);
+      const __m256 u5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+      const __m256 u6 = _mm256_shuffle_ps(t5, t7, 0x44);
+      const __m256 u7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+      // Column p + q of all eight pairs, q = 0..7.
+      acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(u0, u4, 0x20));
+      acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(u1, u5, 0x20));
+      acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(u2, u6, 0x20));
+      acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(u3, u7, 0x20));
+      acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(u0, u4, 0x31));
+      acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(u1, u5, 0x31));
+      acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(u2, u6, 0x31));
+      acc = _mm256_add_ps(acc, _mm256_permute2f128_ps(u3, u7, 0x31));
+    }
+    alignas(32) float sums[kPairChains];
+    _mm256_store_ps(sums, acc);
+    for (; p < d; ++p) {
+      for (size_t l = 0; l < kPairChains; ++l) {
+        const float diff = x[l][p] - y[l][p];
+        sums[l] += diff * diff;
+      }
+    }
+    for (size_t l = 0; l < kPairChains && l0 + l < n; ++l) {
+      out[l0 + l] = std::sqrt(sums[l]);
+    }
+  }
+}
+#endif
+
+}  // namespace
+
+void PairDistances(const Matrix& a, const uint32_t* a_rows, const Matrix& b,
+                   const uint32_t* b_rows, size_t n, float* out) {
+  TASTI_CHECK(a.cols() == b.cols(), "PairDistances column mismatch");
+  if (n == 0) return;
+  PairDistancesImpl(a, a_rows, b, b_rows, n, out);
 }
 
 void SquaredDistanceOneToMany(const Matrix& m, size_t lo, size_t hi,

@@ -13,9 +13,10 @@
 ///  * Many-representative batches use the dot-trick
 ///    `d2(x, y) = |x|^2 + |y|^2 - 2 x.y` over a register-blocked GEMM with
 ///    cached per-row norms, clamped at zero (the subtraction can go
-///    slightly negative for near-duplicate rows). Top-k and cracking stream
-///    tiles of records through it and keep only the lanes of a vector
-///    survivor mask; cracking re-decides those survivors exactly.
+///    slightly negative for near-duplicate rows). Top-k streams tiles of
+///    records through it and keeps only the lanes of a vector survivor
+///    mask. (Cracking filters through integer codes instead,
+///    nn/int8_codes.h, and decides its survivors with PairDistances.)
 ///  * One-center batches (triplet mining's candidate scans) keep the cancellation-free `(x - y)^2` form but split the
 ///    depth reduction across independent accumulator lanes.
 ///
@@ -36,12 +37,9 @@ namespace tasti::nn {
 /// records streams against it.
 inline constexpr size_t kDistanceBlockRows = 64;
 
-/// Per-row squared L2 norms, accumulated sequentially per row (the same
+/// Squared L2 norm of one row of `m`, accumulated sequentially (the same
 /// order the blocked GEMM uses along depth, so `d2(x, x)` cancels to zero
 /// exactly for bitwise-identical rows).
-std::vector<float> RowSquaredNorms(const Matrix& m);
-
-/// Squared L2 norm of one row of `m`.
 float RowSquaredNorm(const Matrix& m, size_t row);
 
 /// Column padding of a packed block: the widest record-tile column group
@@ -131,13 +129,23 @@ void SquaredDistanceTile(const Matrix& points, size_t row_begin, size_t rows,
                          float* out);
 
 /// One record's survivor bitmask over n <= 64 block distances: bit j is
-/// set unless d2[j] > base + slack * (point_norm + norms[j]). A lane whose
-/// bound is NaN survives. Callers pass the threshold at the start of a
-/// block as `base`; thresholds only tighten within a block, so the mask is
-/// a superset of the lanes that pass the same test later, and only its set
-/// lanes need the exact scalar test.
-uint64_t SurvivorMask(const float* d2, size_t n, float point_norm,
-                      const float* norms, float base, float slack);
+/// set unless d2[j] > bound (a NaN distance survives). ComputeTopK passes
+/// the record's k-th squared distance at the start of a block; it only
+/// shrinks within the block, so the mask is a superset of the lanes the
+/// scalar insert takes, and only its set lanes reach that insert.
+uint64_t SurvivorMask(const float* d2, size_t n, float bound);
+
+/// The mask with every lane of a block of `rows` rows set (rows <= 64).
+inline uint64_t AllLanes(size_t rows) {
+  return rows == 64 ? ~uint64_t{0} : (uint64_t{1} << rows) - 1;
+}
+
+/// Exact distances of n row pairs: out[l] = nn::Distance(a, a_rows[l], b,
+/// b_rows[l]), bit for bit. Eight pairs at a time run side by side (one
+/// vector lane each in the AVX2 version), each summing its rounded squared
+/// differences in ascending column order as nn::Distance does.
+void PairDistances(const Matrix& a, const uint32_t* a_rows, const Matrix& b,
+                   const uint32_t* b_rows, size_t n, float* out);
 
 /// Cancellation-free one-to-many: out[i - lo] = |m_i - y|^2 for rows
 /// [lo, hi) of `m`; `y` holds m.cols() floats. Used where a single vector

@@ -15,6 +15,7 @@
 
 #include "cluster/fpf.h"
 #include "cluster/topk.h"
+#include "nn/int8_codes.h"
 #include "nn/kernels.h"
 #include "util/random.h"
 
@@ -246,37 +247,44 @@ std::vector<uint32_t> PerRepReference(const nn::Matrix& points,
 }
 
 /// Serial count of the crack prefilter's survivors: one record at a time,
-/// new reps in ascending order, each pair's dot-trick value (the
-/// SquaredDistanceBatch value, bit for bit) tested against the record's
-/// current threshold with the rule UpdateTopKWithNewReps documents, and
-/// survivors inserted by their exact distance. Returns the number of pairs
-/// that reach the exact check; works on a copy of `start`.
-size_t SerialPrefilterChecks(const nn::Matrix& points, const nn::Matrix& reps,
+/// new reps in ascending order in blocks of nn::kDistanceBlockRows, each
+/// pair's code distance |q(x) - q(r)|^2 (a plain integer loop over the
+/// codes) tested against the record's threshold at the block's start with
+/// the rule UpdateTopKWithNewReps documents, and survivors inserted by
+/// their exact distance. Returns the number of pairs that reach the exact
+/// check; works on a copy of `start`.
+size_t SerialPrefilterChecks(const nn::Matrix& points,
+                             const nn::Int8Codes& codes, const nn::Matrix& reps,
                              size_t first_row, size_t count,
                              TopKDistances start) {
   const size_t k = start.k;
-  const float norm_slack = 16.0f * static_cast<float>(points.cols()) *
-                           std::numeric_limits<float>::epsilon();
+  const nn::Int8Codes rep_codes =
+      codes.Encode(reps, first_row, first_row + count);
   size_t checks = 0;
-  for (const nn::PackedBlock& block :
-       nn::PackBlocks(reps, first_row, first_row + count)) {
-    std::vector<float> d2(block.rows());
-    for (size_t i = 0; i < points.rows(); ++i) {
-      const float point_norm = nn::RowSquaredNorm(points, i);
-      nn::SquaredDistanceBatch(points, i, point_norm, block, d2.data());
-      float* dist = start.distances.data() + i * k;
-      uint32_t* ids = start.rep_ids.data() + i * k;
-      for (size_t j = 0; j < block.rows(); ++j) {
-        const float thr = dist[k - 1];
-        if (thr < std::numeric_limits<float>::max() &&
-            d2[j] > thr * thr * (1.0f + 1e-3f) + 1e-6f +
-                        norm_slack * (point_norm + block.norms()[j])) {
+  for (size_t i = 0; i < points.rows(); ++i) {
+    float* dist = start.distances.data() + i * k;
+    uint32_t* ids = start.rep_ids.data() + i * k;
+    for (size_t b0 = 0; b0 < count; b0 += nn::kDistanceBlockRows) {
+      const float thr0 = dist[k - 1];
+      for (size_t j = b0; j < std::min(count, b0 + nn::kDistanceBlockRows);
+           ++j) {
+        int32_t code_d2 = 0;
+        for (size_t p = 0; p < codes.dim(); ++p) {
+          const int32_t diff =
+              int32_t{codes.Row(i)[p]} - int32_t{rep_codes.Row(j)[p]};
+          code_d2 += diff * diff;
+        }
+        const float lim = (thr0 * (1.0f + 1e-3f) + 1e-6f + codes.error(i) +
+                           rep_codes.error(j)) *
+                          codes.bound_factor();
+        if (thr0 < std::numeric_limits<float>::max() &&
+            static_cast<float>(code_d2) > lim * lim) {
           continue;
         }
         ++checks;
-        const size_t rep = block.row_begin() + j;
+        const size_t rep = first_row + j;
         const float d = nn::Distance(points, i, reps, rep);
-        if (d >= thr) continue;
+        if (d >= dist[k - 1]) continue;
         size_t pos = k - 1;
         while (pos > 0 && dist[pos - 1] > d) {
           dist[pos] = dist[pos - 1];
@@ -291,11 +299,19 @@ size_t SerialPrefilterChecks(const nn::Matrix& points, const nn::Matrix& reps,
   return checks;
 }
 
+size_t SerialPrefilterChecks(const nn::Matrix& points, const nn::Matrix& reps,
+                             size_t first_row, size_t count,
+                             TopKDistances start) {
+  return SerialPrefilterChecks(points, nn::Int8Codes::Fit(points), reps,
+                               first_row, count, std::move(start));
+}
+
 /// Applies rows [first_row, first_row + count) of `reps` to a copy of
 /// `start` with both the batched update and the reference; distances must
 /// match bit for bit, ids exactly, the dirty rows as a duplicate-free set,
 /// and the exact-check count the serial prefilter's.
 void ExpectMatchesPerRepReference(const nn::Matrix& points,
+                                  const nn::Int8Codes& codes,
                                   const nn::Matrix& reps, size_t first_row,
                                   size_t count, const TopKDistances& start) {
   TopKDistances want = start;
@@ -304,10 +320,10 @@ void ExpectMatchesPerRepReference(const nn::Matrix& points,
   TopKDistances got = start;
   std::vector<uint32_t> got_dirty;
   size_t got_checks = 0;
-  UpdateTopKWithNewReps(points, reps, first_row, count, &got, &got_dirty,
-                        &got_checks);
-  EXPECT_EQ(got_checks,
-            SerialPrefilterChecks(points, reps, first_row, count, start));
+  UpdateTopKWithNewReps(points, codes, reps, first_row, count, &got,
+                        &got_dirty, &got_checks);
+  EXPECT_EQ(got_checks, SerialPrefilterChecks(points, codes, reps, first_row,
+                                              count, start));
 
   ASSERT_EQ(got.distances.size(), want.distances.size());
   for (size_t i = 0; i < got.distances.size(); ++i) {
@@ -321,6 +337,14 @@ void ExpectMatchesPerRepReference(const nn::Matrix& points,
   const std::set<uint32_t> got_set(got_dirty.begin(), got_dirty.end());
   EXPECT_EQ(got_set.size(), got_dirty.size()) << "duplicate dirty rows";
   EXPECT_EQ(std::vector<uint32_t>(got_set.begin(), got_set.end()), want_dirty);
+}
+
+/// The same, with the codes an index builds for `points`.
+void ExpectMatchesPerRepReference(const nn::Matrix& points,
+                                  const nn::Matrix& reps, size_t first_row,
+                                  size_t count, const TopKDistances& start) {
+  ExpectMatchesPerRepReference(points, nn::Int8Codes::Fit(points), reps,
+                               first_row, count, start);
 }
 
 TEST(TopKTest, BatchedUpdateMatchesPerRepReferenceOnRandomData) {
@@ -420,7 +444,8 @@ TEST(TopKTest, IncrementalUpdateMatchesRecompute) {
 
   // Append 5 new reps in one batched update.
   const nn::Matrix grown = Grown(reps, RandomPoints(5, 5, 24));
-  UpdateTopKWithNewReps(points, grown, reps.rows(), 5, &incremental, nullptr);
+  UpdateTopKWithNewReps(points, nn::Int8Codes::Fit(points), grown, reps.rows(),
+                        5, &incremental, nullptr);
 
   TopKDistances fresh = ComputeTopK(points, grown, k);
   for (size_t i = 0; i < points.rows(); ++i) {
@@ -444,8 +469,8 @@ TEST(TopKTest, DirtyRowsAreExactlyTheChangedRecords) {
        std::vector<std::pair<size_t, size_t>>{{0, 1}, {1, 1}, {2, 2}}) {
     const TopKDistances before = topk;
     std::vector<uint32_t> dirty;
-    UpdateTopKWithNewReps(points, grown, reps.rows() + first, count, &topk,
-                          &dirty);
+    UpdateTopKWithNewReps(points, nn::Int8Codes::Fit(points), grown,
+                          reps.rows() + first, count, &topk, &dirty);
     std::set<uint32_t> dirty_set(dirty.begin(), dirty.end());
     ASSERT_EQ(dirty_set.size(), dirty.size()) << "duplicate dirty rows";
     for (size_t i = 0; i < points.rows(); ++i) {
@@ -470,8 +495,8 @@ TEST(TopKTest, UpdateIgnoresFartherRep) {
   nn::Matrix far(1, reps.cols());
   for (size_t c = 0; c < reps.cols(); ++c) far.At(0, c) = 1000.0f;
   std::vector<uint32_t> dirty;
-  UpdateTopKWithNewReps(points, Grown(reps, far), reps.rows(), 1, &topk,
-                        &dirty);
+  UpdateTopKWithNewReps(points, nn::Int8Codes::Fit(points), Grown(reps, far),
+                        reps.rows(), 1, &topk, &dirty);
   EXPECT_TRUE(dirty.empty());
   for (size_t i = 0; i < topk.distances.size(); ++i) {
     EXPECT_EQ(topk.distances[i], before.distances[i]);
@@ -486,8 +511,8 @@ TEST(TopKTest, CrackUpdateCountsPairsAndExactChecks) {
   TopKDistances topk = ComputeTopK(points, reps, 3);
   std::vector<uint32_t> dirty;
   size_t checks = 0;
-  UpdateTopKWithNewReps(points, grown, reps.rows(), 10, &topk, &dirty,
-                        &checks);
+  UpdateTopKWithNewReps(points, nn::Int8Codes::Fit(points), grown, reps.rows(),
+                        10, &topk, &dirty, &checks);
 
   // Every changed row passed at least one exact check; the prefilter must
   // also have rejected something on well-spread data. The call visits
@@ -497,6 +522,219 @@ TEST(TopKTest, CrackUpdateCountsPairsAndExactChecks) {
   EXPECT_LT(checks, points.rows() * 10);
   EXPECT_EQ(checks, SerialPrefilterChecks(points, grown, reps.rows(), 10,
                                           ComputeTopK(points, reps, 3)));
+}
+
+// ---------- The crack's integer lower bound (nn/int8_codes.h) ----------
+
+int32_t CodeSquaredDistance(const nn::Int8Codes& a, size_t i,
+                            const nn::Int8Codes& b, size_t j) {
+  int32_t sum = 0;
+  for (size_t p = 0; p < a.dim(); ++p) {
+    const int32_t diff = int32_t{a.Row(i)[p]} - int32_t{b.Row(j)[p]};
+    sum += diff * diff;
+  }
+  return sum;
+}
+
+/// Checks the crack's skip rule on every (point, rep) pair. At the
+/// smallest threshold above nn::Distance (the hardest one: any larger
+/// threshold must not skip either) the rule must keep the pair, and in
+/// exact arithmetic s |q(x) - q(r)| - e_x - e_r must not exceed the
+/// distance. Returns the share of pairs the rule skips at half their
+/// distance, so a caller can check the bound is not vacuous.
+double ExpectBoundHolds(const nn::Matrix& points, const nn::Int8Codes& codes,
+                        const nn::Matrix& reps,
+                        const nn::Int8Codes& rep_codes) {
+  EXPECT_EQ(codes.rows(), points.rows());
+  EXPECT_EQ(rep_codes.rows(), reps.rows());
+  size_t wrong_skips = 0, loose_bounds = 0, skipped_at_half = 0;
+  for (size_t i = 0; i < points.rows(); ++i) {
+    for (size_t j = 0; j < reps.rows(); ++j) {
+      const int32_t code_d2 = CodeSquaredDistance(codes, i, rep_codes, j);
+      const float d = nn::Distance(points, i, reps, j);
+      const float above = std::nextafter(d, std::numeric_limits<float>::max());
+      if (nn::CodeBoundExceeds(code_d2,
+                               nn::CodeBoundBase(above, codes.error(i)),
+                               rep_codes.error(j), codes.bound_factor())) {
+        ++wrong_skips;
+      }
+      double exact2 = 0.0;
+      for (size_t p = 0; p < points.cols(); ++p) {
+        const double diff = static_cast<double>(points.At(i, p)) -
+                            static_cast<double>(reps.At(j, p));
+        exact2 += diff * diff;
+      }
+      const double lower = static_cast<double>(codes.scale()) *
+                               std::sqrt(static_cast<double>(code_d2)) -
+                           codes.error(i) - rep_codes.error(j);
+      if (lower > std::sqrt(exact2) * (1.0 + 1e-9)) ++loose_bounds;
+      if (nn::CodeBoundExceeds(code_d2,
+                               nn::CodeBoundBase(0.5f * d, codes.error(i)),
+                               rep_codes.error(j), codes.bound_factor())) {
+        ++skipped_at_half;
+      }
+    }
+  }
+  EXPECT_EQ(wrong_skips, 0u) << "pairs skipped at a threshold above their "
+                                "nn::Distance";
+  EXPECT_EQ(loose_bounds, 0u) << "bounds above the exact distance";
+  return static_cast<double>(skipped_at_half) /
+         static_cast<double>(points.rows() * reps.rows());
+}
+
+TEST(CodeBoundTest, BoundHoldsOnRandomSetsAcrossDims) {
+  for (size_t dim : {1u, 7u, 16u, 64u, 130u}) {
+    SCOPED_TRACE("dim=" + std::to_string(dim));
+    const nn::Matrix points = RandomPoints(150, dim, 300 + dim);
+    const nn::Int8Codes codes = nn::Int8Codes::Fit(points);
+    // Reps from the same distribution plus rows of the points themselves
+    // (distance zero, so thresholds of zero).
+    const nn::Matrix reps =
+        Grown(RandomPoints(30, dim, 400 + dim), points.GatherRows({0, 7, 149}));
+    const nn::Int8Codes rep_codes = codes.Encode(reps, 0, reps.rows());
+    const double skipped = ExpectBoundHolds(points, codes, reps, rep_codes);
+    if (dim >= 16) {
+      EXPECT_GT(skipped, 0.9);
+    }
+  }
+}
+
+TEST(CodeBoundTest, BoundHoldsOnNearDuplicates) {
+  // Exact copies and copies perturbed by 1e-6: distances of zero and of a
+  // few ulps of the coordinates, thresholds of zero.
+  const size_t dim = 16;
+  const nn::Matrix base = RandomPoints(20, dim, 310);
+  nn::Matrix points(120, dim);
+  Rng rng(311);
+  for (size_t i = 0; i < points.rows(); ++i) {
+    for (size_t p = 0; p < dim; ++p) {
+      const float jitter =
+          i % 3 == 0 ? 0.0f : static_cast<float>(rng.Normal()) * 1e-6f;
+      points.At(i, p) = base.At(i % base.rows(), p) + jitter;
+    }
+  }
+  const nn::Int8Codes codes = nn::Int8Codes::Fit(points);
+  const nn::Matrix reps = points.GatherRows({0, 1, 2, 20, 21, 40, 119});
+  ExpectBoundHolds(points, codes, reps, codes.Encode(reps, 0, reps.rows()));
+}
+
+TEST(CodeBoundTest, BoundHoldsFarFromTheOrigin) {
+  // The 1e3-offset set of BatchedUpdateSurvivesDotTrickCancellation: the
+  // per-dimension centre absorbs the offset, so the bound stays tight.
+  const size_t dim = 16;
+  auto clustered = [&](size_t n, uint64_t seed) {
+    nn::Matrix m = RandomPoints(n, dim, seed, 1e-2f);
+    for (size_t i = 0; i < m.size(); ++i) m.data()[i] += 1e3f;
+    return m;
+  };
+  const nn::Matrix points = clustered(200, 320);
+  const nn::Matrix reps = clustered(40, 321);
+  const nn::Int8Codes codes = nn::Int8Codes::Fit(points);
+  EXPECT_GT(ExpectBoundHolds(points, codes, reps,
+                             codes.Encode(reps, 0, reps.rows())),
+            0.5);
+}
+
+/// Points whose last `appended` rows lie far outside the range of the
+/// rest, with codes fitted on the rest and then appended, as
+/// TastiIndex::AppendRecords extends its codes.
+struct AppendedSet {
+  nn::Matrix points;
+  nn::Int8Codes codes;
+};
+
+AppendedSet AppendOutsideRange(size_t fitted, size_t appended, size_t dim,
+                               uint64_t seed) {
+  AppendedSet set;
+  set.points = RandomPoints(fitted, dim, seed);
+  set.codes = nn::Int8Codes::Fit(set.points);
+  nn::Matrix far = RandomPoints(appended, dim, seed + 1, 6.0f);
+  for (size_t i = 0; i < far.size(); ++i) far.data()[i] += 4.0f;
+  set.codes.Append(far, 0, far.rows());
+  set.points = Grown(set.points, far);
+  return set;
+}
+
+TEST(CodeBoundTest, AppendedRowsOutsideTheRangeAreClampedAndCovered) {
+  const AppendedSet set = AppendOutsideRange(100, 40, 8, 330);
+  ASSERT_EQ(set.codes.rows(), 140u);
+  size_t clamped = 0;
+  float max_fitted_error = 0.0f, min_appended_error = 1e30f;
+  for (size_t i = 0; i < set.codes.rows(); ++i) {
+    for (size_t p = 0; p < set.codes.dim(); ++p) {
+      const int code = set.codes.Row(i)[p];
+      ASSERT_LE(std::abs(code), nn::kCodeMax);
+      if (i >= 100 && std::abs(code) == nn::kCodeMax) ++clamped;
+    }
+    if (i < 100) {
+      max_fitted_error = std::max(max_fitted_error, set.codes.error(i));
+    } else {
+      min_appended_error = std::min(min_appended_error, set.codes.error(i));
+    }
+  }
+  EXPECT_GT(clamped, 0u);
+  EXPECT_GT(min_appended_error, max_fitted_error);
+  const nn::Matrix reps = set.points.GatherRows({0, 50, 99, 100, 120, 139});
+  ExpectBoundHolds(set.points, set.codes, reps,
+                   set.codes.Encode(reps, 0, reps.rows()));
+}
+
+TEST(CodeBoundTest, CrackAfterAppendMatchesPerRepReference) {
+  // Codes fitted on 300 records, then 100 records appended far outside
+  // that range; the crack's new reps mix in-range rows, appended rows and
+  // fresh out-of-range rows.
+  const AppendedSet set = AppendOutsideRange(300, 100, 8, 340);
+  const nn::Matrix reps = RandomPoints(25, 8, 342);
+  const TopKDistances start = ComputeTopK(set.points, reps, 4);
+  nn::Matrix extra = set.points.GatherRows({3, 150, 301, 350, 399});
+  extra = Grown(extra, RandomPoints(60, 8, 343, 5.0f));
+  const nn::Matrix grown = Grown(reps, extra);
+  ExpectMatchesPerRepReference(set.points, set.codes, grown, reps.rows(),
+                               extra.rows(), start);
+}
+
+TEST(CodeBoundTest, CrackWithKLargerThanTheRepCountMatchesPerRepReference) {
+  // k = 6 over 3 reps: every list starts half empty (infinite threshold,
+  // all lanes kept), fills inside the first block of new reps, and meets
+  // the bound from the second block on.
+  const nn::Matrix points = RandomPoints(250, 8, 350);
+  const nn::Matrix reps = RandomPoints(3, 8, 351);
+  const TopKDistances three = ComputeTopK(points, reps, 3);
+  TopKDistances start;
+  start.k = 6;
+  start.num_records = points.rows();
+  start.rep_ids.assign(points.rows() * 6, 0);
+  start.distances.assign(points.rows() * 6, std::numeric_limits<float>::max());
+  for (size_t i = 0; i < points.rows(); ++i) {
+    for (size_t j = 0; j < 3; ++j) {
+      start.rep_ids[i * 6 + j] = three.RepId(i, j);
+      start.distances[i * 6 + j] = three.Dist(i, j);
+    }
+  }
+  const nn::Matrix grown = Grown(reps, RandomPoints(70, 8, 352));
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 2, start);
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 70, start);
+}
+
+TEST(CodeBoundTest, CrackOfNearDuplicatesMatchesPerRepReference) {
+  // Records that are exact or 1e-6 copies of each other, reps among them:
+  // zero and near-zero thresholds, and new reps at distance zero.
+  const size_t dim = 8;
+  const nn::Matrix base = RandomPoints(30, dim, 360);
+  nn::Matrix points(240, dim);
+  Rng rng(361);
+  for (size_t i = 0; i < points.rows(); ++i) {
+    for (size_t p = 0; p < dim; ++p) {
+      const float jitter =
+          i % 2 == 0 ? 0.0f : static_cast<float>(rng.Normal()) * 1e-6f;
+      points.At(i, p) = base.At(i % base.rows(), p) + jitter;
+    }
+  }
+  const nn::Matrix reps = points.GatherRows({0, 1, 2, 3, 4, 5, 6, 7});
+  const nn::Matrix grown =
+      Grown(reps, points.GatherRows({30, 31, 60, 91, 8, 9, 38, 239}));
+  ExpectMatchesPerRepReference(points, grown, reps.rows(), 8,
+                               ComputeTopK(points, reps, 3));
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "cluster/fpf.h"
 #include "cluster/topk.h"
 #include "data/dataset.h"
+#include "nn/int8_codes.h"
 #include "nn/kernels.h"
 #include "nn/matrix.h"
 #include "util/random.h"
@@ -151,19 +152,6 @@ void ExpectSameFpf(const cluster::FpfResult& actual,
                         expected.min_distance.data(),
                         expected.min_distance.size() * sizeof(float)),
             0);
-}
-
-TEST(KernelsTest, RowSquaredNormsMatchScalar) {
-  for (size_t cols : {1u, 7u, 64u, 130u}) {
-    const nn::Matrix m = RandomMatrix(17, cols, cols);
-    const std::vector<float> norms = nn::RowSquaredNorms(m);
-    ASSERT_EQ(norms.size(), m.rows());
-    for (size_t r = 0; r < m.rows(); ++r) {
-      float expected = 0.0f;
-      for (size_t c = 0; c < cols; ++c) expected += m.At(r, c) * m.At(r, c);
-      EXPECT_NEAR(norms[r], expected, 1e-4f * std::max(1.0f, expected));
-    }
-  }
 }
 
 TEST(KernelsTest, SquaredDistanceBatchMatchesScalarAcrossShapes) {
@@ -364,27 +352,112 @@ TEST(KernelsBitIdentityTest, SurvivorMaskEqualsScalarTest) {
   RecordProperty("kernel_isa", nn::KernelIsa());
   Rng rng(1300);
   for (size_t n : {1u, 7u, 8u, 13u, 17u, 63u, 64u}) {
-    std::vector<float> d2(n), norms(n);
-    for (size_t j = 0; j < n; ++j) {
-      d2[j] = static_cast<float>(rng.Uniform());
-      norms[j] = static_cast<float>(rng.Uniform());
-    }
-    // An infinite norm with zero slack makes a NaN bound: that lane
-    // survives, like the scalar test it stands for.
-    norms[n / 2] = std::numeric_limits<float>::infinity();
-    for (const auto& [base, slack] : std::vector<std::pair<float, float>>{
-             {0.5f, 0.0f}, {0.25f, 0.125f}, {0.0f, 0.0f}, {2.0f, 1e-3f}}) {
-      const uint64_t mask =
-          nn::SurvivorMask(d2.data(), n, 0.375f, norms.data(), base, slack);
+    std::vector<float> d2(n);
+    for (size_t j = 0; j < n; ++j) d2[j] = static_cast<float>(rng.Uniform());
+    // A NaN distance survives, like the scalar test it stands for; a lane
+    // equal to the bound survives too.
+    d2[n / 2] = std::numeric_limits<float>::quiet_NaN();
+    d2[n - 1] = 0.25f;
+    for (float bound : {0.5f, 0.25f, 0.0f, 2.0f}) {
+      const uint64_t mask = nn::SurvivorMask(d2.data(), n, bound);
       for (size_t j = 0; j < n; ++j) {
-        const bool survives =
-            !(d2[j] > base + slack * (0.375f + norms[j]));
+        const bool survives = !(d2[j] > bound);
         EXPECT_EQ(((mask >> j) & 1) != 0, survives)
-            << "n=" << n << " j=" << j << " base=" << base;
+            << "n=" << n << " j=" << j << " bound=" << bound;
       }
       if (n < 64) {
         EXPECT_EQ(mask >> n, 0u) << "lanes past n are set";
       }
+    }
+  }
+}
+
+TEST(KernelsBitIdentityTest, CodeBoundTileEqualsScalarTest) {
+  // Records of +-1 entries code to +-kCodeMax, the products that come
+  // closest to saturating the AVX2 tile's int16 lanes; the other rows are
+  // Gaussian. Thresholds run from zero (most lanes skipped) through the
+  // median code distance to FLT_MAX (an unfilled list: every lane kept).
+  RecordProperty("kernel_isa", nn::KernelIsa());
+  Rng rng(1400);
+  for (size_t d : kBitDims) {
+    nn::Matrix points = RandomMatrix(11, d, 1500 + d);
+    for (size_t i = 0; i < 5; ++i) {
+      for (size_t p = 0; p < d; ++p) {
+        points.At(i, p) = rng.Uniform() < 0.5 ? -1.0f : 1.0f;
+      }
+    }
+    const nn::Int8Codes codes = nn::Int8Codes::Fit(points);
+    nn::Matrix reps = RandomMatrix(83, d, 1600 + d);
+    for (size_t j = 0; j < 9; ++j) reps.SetRow(j, points, j % 5);
+    const nn::Int8Codes rep_codes = codes.Encode(reps, 0, reps.rows());
+    auto code_d2 = [&](size_t i, size_t j) {
+      int32_t sum = 0;
+      for (size_t p = 0; p < d; ++p) {
+        const int32_t diff =
+            int32_t{codes.Row(i)[p]} - int32_t{rep_codes.Row(j)[p]};
+        sum += diff * diff;
+      }
+      return sum;
+    };
+    const float median =
+        codes.scale() * std::sqrt(static_cast<float>(code_d2(7, 40)));
+    for (size_t block_rows : kBitBlockRows) {
+      for (size_t b0 = 0; b0 < reps.rows(); b0 += block_rows) {
+        nn::PackedCodeBlock block;
+        block.Pack(rep_codes, b0, std::min(reps.rows(), b0 + block_rows),
+                   b0);
+        for (float thr : {0.0f, 0.5f * median, median,
+                          std::numeric_limits<float>::max()}) {
+          for (size_t rows = 1; rows <= nn::kRecordTileRows; ++rows) {
+            for (size_t i0 = 0; i0 + rows <= points.rows(); ++i0) {
+              float bases[nn::kRecordTileRows];
+              uint64_t masks[nn::kRecordTileRows];
+              for (size_t t = 0; t < rows; ++t) {
+                bases[t] = nn::CodeBoundBase(thr, codes.error(i0 + t));
+              }
+              nn::CodeBoundTile(codes, i0, rows, bases, codes.bound_factor(),
+                                block, masks);
+              for (size_t t = 0; t < rows; ++t) {
+                uint64_t expected = 0;
+                for (size_t j = 0; j < block.rows(); ++j) {
+                  expected |= static_cast<uint64_t>(!nn::CodeBoundExceeds(
+                                  code_d2(i0 + t, b0 + j), bases[t],
+                                  rep_codes.error(b0 + j),
+                                  codes.bound_factor()))
+                              << j;
+                }
+                ASSERT_EQ(masks[t], expected)
+                    << "d=" << d << " block_rows=" << block_rows
+                    << " b0=" << b0 << " thr=" << thr << " rows=" << rows
+                    << " i0=" << i0 << " t=" << t;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsBitIdentityTest, PairDistancesEqualNnDistance) {
+  RecordProperty("kernel_isa", nn::KernelIsa());
+  Rng rng(1700);
+  for (size_t d : kBitDims) {
+    const nn::Matrix a = RandomMatrix(31, d, 1800 + d);
+    const nn::Matrix b = RandomMatrix(17, d, 1900 + d);
+    for (size_t n : {1u, 7u, 8u, 9u, 16u, 41u}) {
+      std::vector<uint32_t> a_rows(n), b_rows(n);
+      for (size_t l = 0; l < n; ++l) {
+        a_rows[l] = static_cast<uint32_t>(rng.UniformInt(a.rows()));
+        b_rows[l] = static_cast<uint32_t>(rng.UniformInt(b.rows()));
+      }
+      std::vector<float> out(n), expected(n);
+      nn::PairDistances(a, a_rows.data(), b, b_rows.data(), n, out.data());
+      for (size_t l = 0; l < n; ++l) {
+        expected[l] = nn::Distance(a, a_rows[l], b, b_rows[l]);
+      }
+      ASSERT_EQ(std::memcmp(out.data(), expected.data(), n * sizeof(float)), 0)
+          << "d=" << d << " n=" << n;
     }
   }
 }

@@ -23,6 +23,7 @@
 #include "cluster/topk.h"
 #include "eval/reporting.h"
 #include "kernel_baselines.h"
+#include "nn/int8_codes.h"
 #include "nn/kernels.h"
 #include "nn/matrix.h"
 #include "util/random.h"
@@ -165,6 +166,7 @@ int main(int argc, char** argv) {
     std::vector<size_t> extra_rows(new_reps);
     for (size_t i = 0; i < new_reps; ++i) extra_rows[i] = i;
     reps.AppendRowsFrom(extra, extra_rows);
+    const nn::Int8Codes codes = nn::Int8Codes::Fit(points);
     rows.push_back({"crack_update_perrep", n, kDim, MedianNsPerOp([&] {
                       cluster::TopKDistances topk = base;
                       bench::UpdateTopKPerRepScalar(points, reps, old_reps,
@@ -173,8 +175,9 @@ int main(int argc, char** argv) {
                     })});
     rows.push_back({"crack_update_batched", n, kDim, MedianNsPerOp([&] {
                       cluster::TopKDistances topk = base;
-                      cluster::UpdateTopKWithNewReps(points, reps, old_reps,
-                                                     new_reps, &topk, nullptr);
+                      cluster::UpdateTopKWithNewReps(points, codes, reps,
+                                                     old_reps, new_reps, &topk,
+                                                     nullptr);
                       asm volatile("" ::"r"(topk.distances.data()));
                     })});
   }

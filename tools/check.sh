@@ -195,10 +195,10 @@ stage_tsan() {
   "build-tsan/tests/kernels_test" \
     --gtest_filter='KernelsBitIdentityTest.*:FpfRegionTest.*'
   # The default version of the record-tile distance kernel and survivor
-  # mask, through top-k and the crack update, against the scalar
-  # references.
-  echo "-- build-tsan/tests/cluster_test (default-ISA top-k and crack update)"
-  "build-tsan/tests/cluster_test" --gtest_filter='TopKTest.*'
+  # mask (top-k) and of the integer code-bound tile and pair distances (the
+  # crack update), against the scalar references, plus the bound itself.
+  echo "-- build-tsan/tests/cluster_test (default-ISA top-k, crack update, code bound)"
+  "build-tsan/tests/cluster_test" --gtest_filter='TopKTest.*:CodeBoundTest.*'
 }
 
 # check_exposition <file> [shards]: the Prometheus exposition carries the
