@@ -171,6 +171,7 @@ void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Int8Codes& codes,
   const std::vector<nn::PackedCodeBlock> blocks = nn::PackCodeBlocks(
       codes.Encode(reps, first_row, first_row + count), first_row);
   const float bound_factor = codes.bound_factor();
+  const float margin = codes.distance_margin();
 
   std::mutex dirty_mu;
   ParallelForDynamic(0, points.rows(), [&](size_t lo, size_t hi) {
@@ -193,7 +194,7 @@ void UpdateTopKWithNewReps(const nn::Matrix& points, const nn::Int8Codes& codes,
         for (size_t t = 0; t < group; ++t) {
           const size_t i = g0 + t;
           bases[t] = nn::CodeBoundBase(topk->distances[i * k + k - 1],
-                                       codes.error(i));
+                                       codes.error(i), margin);
         }
         for (size_t t0 = 0; t0 < group; t0 += kTile) {
           nn::CodeBoundTile(codes, g0 + t0, std::min(kTile, group - t0),

@@ -21,12 +21,6 @@ namespace {
 constexpr size_t kCodeBlockRows = kDistanceBlockRows;
 constexpr size_t kCodeColumnMultiple = 16;
 
-static_assert((kMaxCodeDim + 3) * 0x1p-24 < 1e-3,
-              "the bound's relative margin covers nn::Distance's rounding");
-static_assert(kMaxCodeDim * (2 * kCodeMax) * (2 * kCodeMax) <=
-                  static_cast<size_t>(std::numeric_limits<int32_t>::max()),
-              "code distances must fit an int32");
-
 }  // namespace
 
 Int8Codes Int8Codes::Fit(const Matrix& m) {
@@ -57,6 +51,7 @@ Int8Codes Int8Codes::Fit(const Matrix& m) {
   const float scale = static_cast<float>(half_range / kCodeMax);
   codes.scale_ = scale > 0.0f && std::isfinite(scale) ? scale : 1.0f;
   codes.bound_factor_ = (1.0f + 1e-5f) / codes.scale_;
+  codes.distance_margin_ = static_cast<float>((d + 3) * 0x1p-23);
   codes.stride_ = (d + kCodeQuad - 1) / kCodeQuad * kCodeQuad;
   codes.EncodeRows(m, 0, m.rows());
   return codes;
@@ -74,6 +69,7 @@ Int8Codes Int8Codes::Encode(const Matrix& m, size_t row_begin,
   out.centre_ = centre_;
   out.scale_ = scale_;
   out.bound_factor_ = bound_factor_;
+  out.distance_margin_ = distance_margin_;
   out.stride_ = stride_;
   out.EncodeRows(m, row_begin, row_end);
   return out;
@@ -130,7 +126,7 @@ void Int8Codes::EncodeRows(const Matrix& m, size_t row_begin, size_t row_end) {
     }
     for (; p < d; ++p) add_error(p, &err2[0]);
     // In any order, the double sum and root are within (d + 2) 2^-53 of
-    // exact (d is at most 2^12); widen by 2^-30, then round up to float.
+    // exact (d is below 2^18); widen by 2^-30, then round up to float.
     const double e =
         std::sqrt((err2[0] + err2[1]) + (err2[2] + err2[3])) * (1.0 + 0x1p-30);
     float ef = static_cast<float>(e);

@@ -38,10 +38,16 @@ inline constexpr int kCodeOffset = kCodeMax + 1;
 static_assert(2 * 2 * (kCodeOffset + kCodeMax) * kCodeMax <= INT16_MAX,
               "two pairs of offset-code products must fit an int16 lane");
 
-/// Widest code dimension. CodeBoundBase's relative 1e-3 must cover
-/// nn::Distance's rounding, a relative (dim + 3) * 2^-24 at most, and
-/// |q(x) - q(r)|^2 <= dim * (2 * kCodeMax)^2 must fit an int32.
-inline constexpr size_t kMaxCodeDim = 4096;
+/// Widest code dimension: the int32 sums of both kernel versions must not
+/// overflow. The largest is the AVX2 tile's offset dot product doubled,
+/// 2 * (kCodeOffset + kCodeMax) * kCodeMax per dimension; the portable
+/// version's sums and the code distance itself ((2 * kCodeMax)^2 per
+/// dimension) are smaller. The bound's margin for nn::Distance's rounding grows with
+/// the dimension (Int8Codes::distance_margin), so it sets no limit.
+inline constexpr size_t kMaxCodeDim =
+    INT32_MAX / (2 * (kCodeOffset + kCodeMax) * kCodeMax);
+static_assert(kMaxCodeDim * (2 * kCodeMax) * (2 * kCodeMax) <= INT32_MAX,
+              "code distances must fit an int32");
 
 /// Dimensions per int32 lane of the code kernels (four int8 codes).
 inline constexpr size_t kCodeQuad = 4;
@@ -53,7 +59,7 @@ class Int8Codes {
 
   /// Fits the quantizer to the rows of `m` (each column's centre is the
   /// midpoint of its range, the scale the widest half-range over
-  /// kCodeMax) and encodes every row.
+  /// kCodeMax) and encodes every row. `m` has at most kMaxCodeDim columns.
   static Int8Codes Fit(const Matrix& m);
 
   /// Encodes rows [row_begin, row_end) of `m` under this quantizer and
@@ -80,6 +86,9 @@ class Int8Codes {
   /// (1 + 1e-5) / scale(): the factor CodeBoundExceeds scales its
   /// threshold by. The 1e-5 covers the float rounding of the test itself.
   float bound_factor() const { return bound_factor_; }
+  /// (dim() + 3) * 2^-23: the relative widening of a threshold that covers
+  /// nn::Distance's own rounding at this dimension (CodeBoundBase).
+  float distance_margin() const { return distance_margin_; }
 
  private:
   void EncodeRows(const Matrix& m, size_t row_begin, size_t row_end);
@@ -87,6 +96,7 @@ class Int8Codes {
   std::vector<float> centre_;
   float scale_ = 1.0f;
   float bound_factor_ = 1.0f;
+  float distance_margin_ = 0.0f;
   size_t stride_ = 0;
   std::vector<int8_t> codes_;
   std::vector<int32_t> norms_;
@@ -94,18 +104,21 @@ class Int8Codes {
 };
 
 /// The per-record part of the crack's skip test: the record's k-th
-/// distance widened by nn::Distance's own rounding (relative 1e-3, plus
-/// 1e-6 for thresholds at or near zero), plus the record's error norm.
-inline float CodeBoundBase(float thr, float point_error) {
-  return thr * (1.0f + 1e-3f) + 1e-6f + point_error;
+/// distance widened by nn::Distance's own rounding (relative
+/// `distance_margin`, Int8Codes::distance_margin(), plus 1e-6 for
+/// thresholds at or near zero), plus the record's error norm.
+inline float CodeBoundBase(float thr, float point_error,
+                           float distance_margin) {
+  return thr * (1.0f + distance_margin) + 1e-6f + point_error;
 }
 
 /// True when the code distance `code_d2` = |q(x) - q(r)|^2 proves that
 /// nn::Distance(x, r) >= thr for the thr in `base` = CodeBoundBase(thr,
-/// e_x): s |q(x) - q(r)| > (base + e_r)(1 + 1e-5) implies d(x, r) >
-/// thr (1 + 1e-3) + 1e-6, and nn::Distance's float sum is within a
-/// relative ~(d + 3) eps of d(x, r). Monotone in `base`, so a test against
-/// a larger threshold skips a subset. A NaN or infinite error never skips.
+/// e_x, m): s |q(x) - q(r)| > (base + e_r)(1 + 1e-5) implies d(x, r) >
+/// thr (1 + m) + 1e-6, and nn::Distance's float sum is within a relative
+/// (d / 2 + 2) 2^-24 of d(x, r), half of m = (d + 3) 2^-23. Monotone in
+/// `base`, so a test against a larger threshold skips a subset. A NaN or
+/// infinite error never skips.
 inline bool CodeBoundExceeds(int32_t code_d2, float base, float rep_error,
                              float bound_factor) {
   const float lim = (base + rep_error) * bound_factor;

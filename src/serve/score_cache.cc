@@ -1,9 +1,6 @@
 #include "serve/score_cache.h"
 
-#include <algorithm>
-#include <cstddef>
 #include <utility>
-#include <vector>
 
 #include "obs/trace.h"
 #include "util/status.h"
@@ -16,23 +13,6 @@ namespace {
 // recently used entry is never evicted, so one oversized state still
 // serves its epoch.
 constexpr size_t kMaxBytes = 256ull << 20;
-
-/// The scorer's outputs on the parent epoch's representatives, from this
-/// epoch's: the parent had the first parent_num_representatives of them,
-/// and the ones repaired since (dirty_reps) were failed there, with the 0.0
-/// placeholder core::RepresentativeScores gives a failed representative.
-std::vector<double> ParentRepScores(const IndexSnapshot& snapshot,
-                                    const std::vector<double>& rep_scores) {
-  std::vector<double> parent(
-      rep_scores.begin(),
-      rep_scores.begin() + static_cast<std::ptrdiff_t>(std::min(
-                               rep_scores.size(),
-                               snapshot.parent_num_representatives)));
-  for (uint32_t rep : snapshot.dirty_reps) {
-    if (rep < parent.size()) parent[rep] = 0.0;
-  }
-  return parent;
-}
 
 }  // namespace
 
@@ -48,25 +28,16 @@ const char* ProxySourceName(ProxySource source) {
 
 ScoreCache::ScoreCache(ScoreCacheOptions options) : options_(options) {}
 
-std::string ScoreCache::Key(const std::vector<double>& rep_scores,
+std::string ScoreCache::Key(const core::Scorer& scorer,
                             core::PropagationMode mode, uint64_t epoch) {
-  std::string key = std::to_string(epoch) + "#" +
-                    std::to_string(static_cast<int>(mode)) + "#";
-  key.append(reinterpret_cast<const char*>(rep_scores.data()),
-             rep_scores.size() * sizeof(double));
-  return key;
+  return std::to_string(epoch) + "#" + scorer.Name() + "#" +
+         std::to_string(static_cast<int>(mode));
 }
 
 std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
     const IndexSnapshot& snapshot, const core::Scorer& scorer,
     core::PropagationMode mode, Outcome* outcome) {
-  // Proxy scores are a function of the snapshot, the mode and the scorer's
-  // outputs on the representatives, so those outputs are the scorer's part
-  // of the key. The scoring opens no proxy span: a query that hits the
-  // cache still reads zero proxy time.
-  const std::vector<double> rep_scores =
-      core::RepresentativeScores(snapshot.View(), scorer);
-  const std::string key = Key(rep_scores, mode, snapshot.epoch);
+  const std::string key = Key(scorer, mode, snapshot.epoch);
   std::promise<std::shared_ptr<const core::PropagationState>> promise;
   std::shared_future<std::shared_ptr<const core::PropagationState>> future;
   std::shared_future<std::shared_ptr<const core::PropagationState>>
@@ -90,9 +61,7 @@ std::shared_ptr<const core::PropagationState> ScoreCache::GetOrCompute(
       }
     } else {
       if (!snapshot.delta_full && snapshot.parent_epoch != 0) {
-        auto pit = entries_.find(
-            Key(ParentRepScores(snapshot, rep_scores), mode,
-                snapshot.parent_epoch));
+        auto pit = entries_.find(Key(scorer, mode, snapshot.parent_epoch));
         // Only a completed parent is usable: blocking on an in-flight
         // parent would chain compute latencies (and a full pass is the
         // same work the parent compute is doing anyway).

@@ -5,9 +5,8 @@
 /// Server-wide proxy-score cache with cross-epoch delta application.
 ///
 /// Every entry is propagated with the default core::PropagationOptions, so
-/// proxy scores are a pure function of (index epoch, the scorer's outputs
-/// on the representatives, propagation mode) and the server caches them
-/// under exactly that key:
+/// proxy scores are a pure function of (index epoch, scorer, propagation
+/// mode) and the server caches them keyed by scorer fingerprint and epoch:
 ///  - same epoch, same scorer: a later query reuses the shared
 ///    PropagationState outright (hit); concurrent queries for the same key
 ///    wait on the first one's future instead of recomputing (shared).
@@ -27,11 +26,9 @@
 /// transition. hit/miss/delta-row tallies are read through stats(), their
 /// only copy.
 ///
-/// The key holds the representatives' scores themselves (their bytes, which
-/// the map hashes), not Scorer::Name(): two scorers that share a name but
-/// score differently get separate entries, and two that score every
-/// representative alike share one, since propagation reads nothing else of
-/// the scorer. Each lookup scores every representative once to build it.
+/// The scorer fingerprint is Scorer::Name(); two scorer instances sharing
+/// a name must be semantically identical (the same contract the server's
+/// previous per-epoch proxy sharing relied on).
 
 #include <cstdint>
 #include <future>
@@ -39,7 +36,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "core/propagation.h"
 #include "core/proxy.h"
@@ -119,7 +115,7 @@ class ScoreCache {
     uint64_t last_used = 0;  ///< LRU clock stamp
   };
 
-  static std::string Key(const std::vector<double>& rep_scores,
+  static std::string Key(const core::Scorer& scorer,
                          core::PropagationMode mode, uint64_t epoch);
   /// Evicts least-recently-used completed entries until both bounds hold;
   /// never evicts `keep` (the entry being served). Caller holds mu_.

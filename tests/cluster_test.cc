@@ -274,9 +274,10 @@ size_t SerialPrefilterChecks(const nn::Matrix& points,
               int32_t{codes.Row(i)[p]} - int32_t{rep_codes.Row(j)[p]};
           code_d2 += diff * diff;
         }
-        const float lim = (thr0 * (1.0f + 1e-3f) + 1e-6f + codes.error(i) +
-                           rep_codes.error(j)) *
-                          codes.bound_factor();
+        const float lim =
+            (thr0 * (1.0f + codes.distance_margin()) + 1e-6f +
+             codes.error(i) + rep_codes.error(j)) *
+            codes.bound_factor();
         if (thr0 < std::numeric_limits<float>::max() &&
             static_cast<float>(code_d2) > lim * lim) {
           continue;
@@ -554,7 +555,8 @@ double ExpectBoundHolds(const nn::Matrix& points, const nn::Int8Codes& codes,
       const float d = nn::Distance(points, i, reps, j);
       const float above = std::nextafter(d, std::numeric_limits<float>::max());
       if (nn::CodeBoundExceeds(code_d2,
-                               nn::CodeBoundBase(above, codes.error(i)),
+                               nn::CodeBoundBase(above, codes.error(i),
+                                                 codes.distance_margin()),
                                rep_codes.error(j), codes.bound_factor())) {
         ++wrong_skips;
       }
@@ -569,7 +571,8 @@ double ExpectBoundHolds(const nn::Matrix& points, const nn::Int8Codes& codes,
                            codes.error(i) - rep_codes.error(j);
       if (lower > std::sqrt(exact2) * (1.0 + 1e-9)) ++loose_bounds;
       if (nn::CodeBoundExceeds(code_d2,
-                               nn::CodeBoundBase(0.5f * d, codes.error(i)),
+                               nn::CodeBoundBase(0.5f * d, codes.error(i),
+                                                 codes.distance_margin()),
                                rep_codes.error(j), codes.bound_factor())) {
         ++skipped_at_half;
       }
@@ -583,7 +586,8 @@ double ExpectBoundHolds(const nn::Matrix& points, const nn::Int8Codes& codes,
 }
 
 TEST(CodeBoundTest, BoundHoldsOnRandomSetsAcrossDims) {
-  for (size_t dim : {1u, 7u, 16u, 64u, 130u}) {
+  // 4100 is wider than the 4096 a fixed 1e-3 margin allowed.
+  for (size_t dim : {1u, 7u, 16u, 64u, 130u, 4100u}) {
     SCOPED_TRACE("dim=" + std::to_string(dim));
     const nn::Matrix points = RandomPoints(150, dim, 300 + dim);
     const nn::Int8Codes codes = nn::Int8Codes::Fit(points);

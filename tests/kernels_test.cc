@@ -413,7 +413,8 @@ TEST(KernelsBitIdentityTest, CodeBoundTileEqualsScalarTest) {
               float bases[nn::kRecordTileRows];
               uint64_t masks[nn::kRecordTileRows];
               for (size_t t = 0; t < rows; ++t) {
-                bases[t] = nn::CodeBoundBase(thr, codes.error(i0 + t));
+                bases[t] = nn::CodeBoundBase(thr, codes.error(i0 + t),
+                                             codes.distance_margin());
               }
               nn::CodeBoundTile(codes, i0, rows, bases, codes.bound_factor(),
                                 block, masks);
@@ -435,6 +436,61 @@ TEST(KernelsBitIdentityTest, CodeBoundTileEqualsScalarTest) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(KernelsBitIdentityTest, CodeBoundTileSumsFitAtTheWidestDimension) {
+  // Rows of +-1 code to +-kCodeMax. At kMaxCodeDim, a record of +1 against
+  // a rep of -1 has the largest code distance, and against a rep of +1 the
+  // largest offset dot product of the AVX2 tile; neither may wrap.
+  RecordProperty("kernel_isa", nn::KernelIsa());
+  const size_t d = nn::kMaxCodeDim;
+  Rng rng(1800);
+  nn::Matrix points(nn::kRecordTileRows, d);
+  nn::Matrix reps(16, d);
+  for (size_t p = 0; p < d; ++p) {
+    points.At(0, p) = 1.0f;
+    points.At(1, p) = -1.0f;
+    points.At(2, p) = p % 2 == 0 ? 1.0f : -1.0f;
+    points.At(3, p) = rng.Uniform() < 0.5 ? -1.0f : 1.0f;
+    for (size_t j = 0; j < reps.rows(); ++j) {
+      reps.At(j, p) = j < nn::kRecordTileRows
+                          ? points.At(j, p)
+                          : (rng.Uniform() < 0.5 ? -1.0f : 1.0f);
+    }
+  }
+  const nn::Int8Codes codes = nn::Int8Codes::Fit(points);
+  ASSERT_EQ(codes.Row(0)[0], nn::kCodeMax);
+  ASSERT_EQ(codes.Row(1)[0], -nn::kCodeMax);
+  const nn::Int8Codes rep_codes = codes.Encode(reps, 0, reps.rows());
+  nn::PackedCodeBlock block;
+  block.Pack(rep_codes, 0, reps.rows(), 0);
+  for (float thr : {0.0f, 100.0f, 300.0f, 600.0f}) {
+    float bases[nn::kRecordTileRows];
+    uint64_t masks[nn::kRecordTileRows];
+    for (size_t t = 0; t < nn::kRecordTileRows; ++t) {
+      bases[t] = nn::CodeBoundBase(thr, codes.error(t),
+                                   codes.distance_margin());
+    }
+    nn::CodeBoundTile(codes, 0, nn::kRecordTileRows, bases,
+                      codes.bound_factor(), block, masks);
+    for (size_t t = 0; t < nn::kRecordTileRows; ++t) {
+      uint64_t expected = 0;
+      for (size_t j = 0; j < reps.rows(); ++j) {
+        int64_t sum = 0;
+        for (size_t p = 0; p < d; ++p) {
+          const int64_t diff =
+              int64_t{codes.Row(t)[p]} - int64_t{rep_codes.Row(j)[p]};
+          sum += diff * diff;
+        }
+        ASSERT_LE(sum, INT32_MAX);
+        expected |= static_cast<uint64_t>(!nn::CodeBoundExceeds(
+                        static_cast<int32_t>(sum), bases[t],
+                        rep_codes.error(j), codes.bound_factor()))
+                    << j;
+      }
+      EXPECT_EQ(masks[t], expected) << "thr=" << thr << " t=" << t;
     }
   }
 }

@@ -1464,70 +1464,6 @@ TEST(ScoreCacheTest, ColdCacheOnDeltaSnapshotFallsBackToFull) {
                                               core::PropagationMode::kNumeric));
 }
 
-/// Counts a class under a name that does not say which.
-class SameNameScorer : public core::Scorer {
- public:
-  explicit SameNameScorer(data::ObjectClass cls) : cls_(cls) {}
-  double Score(const data::LabelerOutput& output) const override {
-    return data::CountClass(output, cls_);
-  }
-  std::string Name() const override { return "same-name"; }
-
- private:
-  data::ObjectClass cls_;
-};
-
-TEST(ScoreCacheTest, ScorersSharingANameButNotTheirScoresGetSeparateStates) {
-  data::Dataset ds = TestDataset(800);
-  core::TastiIndex index = BuildBareIndex(ds);
-  const SameNameScorer cars(data::ObjectClass::kCar);
-  const SameNameScorer people(data::ObjectClass::kPerson);
-  ASSERT_EQ(cars.Name(), people.Name());
-  IndexSnapshot snap1 = IndexSnapshot::FromIndexAndTakeDelta(&index, 1, 0);
-  ASSERT_NE(core::RepresentativeScores(snap1.View(), cars),
-            core::RepresentativeScores(snap1.View(), people));
-
-  ScoreCache cache;
-  ScoreCache::Outcome outcome;
-  const auto mode = core::PropagationMode::kNumeric;
-  auto car_state = cache.GetOrCompute(snap1, cars, mode, &outcome);
-  EXPECT_EQ(outcome.source, ProxySource::kFull);
-  auto people_state = cache.GetOrCompute(snap1, people, mode, &outcome);
-  EXPECT_EQ(outcome.source, ProxySource::kFull);
-  EXPECT_NE(car_state.get(), people_state.get());
-  ExpectScoresBitIdentical(car_state->scores,
-                           core::ComputeProxyScores(snap1.View(), cars, mode));
-  ExpectScoresBitIdentical(
-      people_state->scores,
-      core::ComputeProxyScores(snap1.View(), people, mode));
-
-  // A scorer with another name but the same outputs shares the state.
-  const core::CountScorer count_cars(data::ObjectClass::kCar);
-  EXPECT_EQ(cache.GetOrCompute(snap1, count_cars, mode, &outcome).get(),
-            car_state.get());
-  EXPECT_EQ(outcome.source, ProxySource::kHit);
-
-  // After a crack each scorer advances from its own parent entry.
-  size_t added = 0;
-  for (size_t r = 0; r < ds.size() && added < 3; ++r) {
-    if (!index.IsRepresentative(r)) {
-      index.CrackFromLabels({r}, {ds.ground_truth[r]});
-      ++added;
-    }
-  }
-  IndexSnapshot snap2 = IndexSnapshot::FromIndexAndTakeDelta(&index, 2, 1);
-  ASSERT_FALSE(snap2.delta_full);
-  auto car_state2 = cache.GetOrCompute(snap2, cars, mode, &outcome);
-  EXPECT_EQ(outcome.source, ProxySource::kDelta);
-  auto people_state2 = cache.GetOrCompute(snap2, people, mode, &outcome);
-  EXPECT_EQ(outcome.source, ProxySource::kDelta);
-  ExpectScoresBitIdentical(car_state2->scores,
-                           core::ComputeProxyScores(snap2.View(), cars, mode));
-  ExpectScoresBitIdentical(
-      people_state2->scores,
-      core::ComputeProxyScores(snap2.View(), people, mode));
-}
-
 // Run under TSan (check.sh tsan stage): concurrent readers resolving
 // through the cache while a publisher cracks the index and publishes new
 // delta-carrying epochs. Any unsynchronized access to entries, stats, or a
